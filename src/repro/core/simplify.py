@@ -35,18 +35,23 @@ def simplify_relation(relation: GeneralizedRelation) -> GeneralizedRelation:
     """Remove empty tuples and tuples subsumed by another tuple.
 
     The result denotes exactly the same point set.  Subsumption checks
-    are pairwise (quadratic in the number of tuples); tuples are
-    considered in insertion order, keeping earlier witnesses.
+    are pairwise within a data bucket (quadratic in the number of tuples
+    sharing one data vector): a nonempty tuple is never subsumed by one
+    with different data, so tuples across buckets are never compared.
+    Tuples are considered in insertion order, keeping earlier
+    witnesses, and the survivors keep their original relative order.
     """
     nonempty = [t for t in relation if not tuple_is_empty(t)]
-    kept: list[GeneralizedTuple] = []
-    for candidate in nonempty:
-        if any(tuple_subsumes(existing, candidate) for existing in kept):
+    buckets: dict[tuple, list[int]] = {}
+    for index, candidate in enumerate(nonempty):
+        kept = buckets.setdefault(candidate.data, [])
+        if any(tuple_subsumes(nonempty[i], candidate) for i in kept):
             continue
-        kept = [
-            existing
-            for existing in kept
-            if not tuple_subsumes(candidate, existing)
+        kept[:] = [
+            i for i in kept if not tuple_subsumes(candidate, nonempty[i])
         ]
-        kept.append(candidate)
-    return GeneralizedRelation(relation.schema, kept)
+        kept.append(index)
+    survivors = sorted(i for kept in buckets.values() for i in kept)
+    return GeneralizedRelation(
+        relation.schema, [nonempty[i] for i in survivors]
+    )

@@ -10,11 +10,15 @@ round ``r - 1``, so it suffices to evaluate, per rule, one *delta
 query* per positive occurrence of a recursive predicate — the body
 with that occurrence replaced by the previous round's delta relation.
 
-Deltas are kept canonical the same way the naive path keeps its
-accumulators canonical: each round's genuinely-new tuples are
+Each round canonicalizes only its delta: the genuinely-new tuples are
 ``simplify_relation(derived - current)`` (a *semantic* difference, so
-re-derivations of already-known points never re-enter the frontier),
-and the accumulator is the simplified union.  Termination is therefore
+re-derivations of already-known points never re-enter the frontier).
+The view and the accumulated delta then grow by plain union.  That
+union is already canonical: the delta's nonempty tuples are pointwise
+disjoint from ``current`` (and from the accumulator, a subset of
+``current``), so no tuple on one side can subsume one on the other,
+and each side is subsumption-free by itself.  Re-simplifying it would
+rescan the whole view every round to remove nothing.  Termination is
 detected exactly as in the naive path — all deltas empty as point sets
 — and the two strategies are observationally equivalent (the property
 suite and the fuzz harness's ``"ivm"`` leg check this).
@@ -257,14 +261,16 @@ def seminaive_stratum(
             delta = canonical(algebra.subtract(rel, current))
             if delta.is_empty():
                 continue
-            state[head] = canonical(algebra.union(current, delta))
+            # delta is disjoint from current (and from previous, a
+            # subset of it), so the unions stay canonical as they are.
+            state[head] = algebra.union(current, delta)
             frontier[head] = delta
             stats.delta_tuples += len(delta)
             previous = accumulated.get(head)
             accumulated[head] = (
                 delta
                 if previous is None
-                else canonical(algebra.union(previous, delta))
+                else algebra.union(previous, delta)
             )
 
     def fire(rule: Rule, body: Query, staged: Mapping) -> GeneralizedRelation:

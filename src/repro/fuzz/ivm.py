@@ -19,6 +19,13 @@ Each seeded case streams a random temporal-graph workload
   *retracts* a random edge schedule, exercising the
   :data:`~repro.deductive.incremental.DIRTY` recompute path.
 
+Each batch's deltas come from the catalog's own classifier
+(:func:`repro.query.catalog._input_deltas`) applied to the before and
+after ``Edge`` states, exactly as ``append_stream`` derives them: an
+append takes its structural insert-only path, a retraction rebuilds the
+relation and must come out ``DIRTY`` by itself (or no delta at all, when
+the retracted schedule was covered by the others).
+
 After every batch the maintained ``Reach`` view is compared — as a
 point set, via :func:`repro.core.algebra.equivalent` — against
 ``Program.evaluate(db, strategy="naive")`` on the folded EDB.  Any
@@ -38,13 +45,14 @@ from repro.core.errors import ReproError
 from repro.core.negation import DEFAULT_MAX_EXTENSIONS
 from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation
-from repro.deductive.incremental import DIRTY, ViewMaintainer, insert_delta
+from repro.deductive.incremental import DIRTY, ViewMaintainer
 from repro.deductive.scenarios import (
     EDGE_SCHEMA,
     edge_batches,
     reachability_program,
 )
 from repro.fuzz.diff import Divergence
+from repro.query.catalog import _input_deltas
 from repro.query.database import Database
 
 
@@ -114,6 +122,13 @@ def _without(relation: GeneralizedRelation, index: int) -> GeneralizedRelation:
     return out
 
 
+def _kind(delta: object) -> str:
+    """How the classifier labelled one input change."""
+    if delta is DIRTY:
+        return "DIRTY"
+    return "no" if delta is None else "insert"
+
+
 def run_ivm_case(
     seed: int, profile: IvmProfile = DEFAULT_IVM_PROFILE
 ) -> IvmResult:
@@ -143,18 +158,19 @@ def run_ivm_case(
         views, _report = maintainer.initialize({"Edge": edb})
         with obs.span("fuzz.ivm.case", seed=seed):
             for batch in batches:
+                before = edb
                 if rng.random() < profile.retract_rate and len(edb) > 0:
-                    # Retraction: not a pure insertion, so the catalog
-                    # would classify this delta DIRTY and the refresh
-                    # must recompute the touched strata.
+                    # Retraction: unless the rest covers the dropped
+                    # schedule, the classifier must mark it DIRTY and
+                    # the refresh must recompute the touched strata.
                     edb = _without(edb, rng.randrange(len(edb)))
-                    deltas: dict[str, object] = {"Edge": DIRTY}
                 else:
-                    merged = edb.copy()
+                    edb = edb.copy()
                     for gtuple in batch:
-                        merged.add(gtuple)
-                    edb = merged
-                    deltas = {"Edge": insert_delta(EDGE_SCHEMA, batch)}
+                        edb.add(gtuple)
+                deltas = _input_deltas(
+                    maintainer, {"Edge": before}, {"Edge": edb}, ["Edge"]
+                )
                 views, _report = maintainer.refresh(
                     {"Edge": edb}, views, deltas
                 )
@@ -176,8 +192,8 @@ def run_ivm_case(
                             detail=(
                                 f"view {name!r} after batch "
                                 f"{result.batches}/{n_batches} "
-                                f"({'DIRTY' if deltas['Edge'] is DIRTY else 'insert'} "
-                                f"delta): incremental refresh and naive "
+                                f"({_kind(deltas.get('Edge'))} delta): "
+                                f"incremental refresh and naive "
                                 f"recompute denote different point sets"
                             ),
                             missing=tuple(sorted(want - got))[:10],

@@ -818,6 +818,12 @@ def _input_deltas(
     is not monotone and the input is marked
     :data:`~repro.deductive.incremental.DIRTY`, forcing the affected
     strata to recompute.
+
+    Insert-only changes are recognized structurally first:
+    :meth:`GeneralizedRelation.add` only appends, so when the old tuple
+    list is an identity prefix of the new one nothing was removed, and
+    only the appended suffix is subtracted from the old relation.  Any
+    other shape takes the two semantic subtractions.
     """
     from repro.core import algebra
     from repro.core.simplify import simplify_relation
@@ -834,11 +840,19 @@ def _input_deltas(
         if old.schema != new.schema:
             deltas[name] = DIRTY
             continue
-        removed = algebra.subtract(old, new)
-        if not removed.is_empty():
-            deltas[name] = DIRTY
-            continue
-        inserted = simplify_relation(algebra.subtract(new, old))
+        old_tuples, new_tuples = old.tuples, new.tuples
+        prefix = len(old_tuples)
+        if prefix <= len(new_tuples) and all(
+            a is b for a, b in zip(old_tuples, new_tuples)
+        ):
+            added = GeneralizedRelation(new.schema, new_tuples[prefix:])
+        else:
+            removed = algebra.subtract(old, new)
+            if not removed.is_empty():
+                deltas[name] = DIRTY
+                continue
+            added = new
+        inserted = simplify_relation(algebra.subtract(added, old))
         if not inserted.is_empty():
             deltas[name] = inserted
     return deltas

@@ -13,14 +13,27 @@ import pytest
 
 from repro.core import algebra
 from repro.core.errors import SchemaError
+from repro.core.negation import DEFAULT_MAX_EXTENSIONS
+from repro.core.normalize import DEFAULT_MAX_TUPLES
+from repro.core.relations import GeneralizedRelation
+from repro.core.simplify import simplify_relation
+from repro.deductive.incremental import (
+    DIRTY,
+    ViewMaintainer,
+    insert_delta,
+    seminaive_stratum,
+)
 from repro.deductive.scenarios import (
     EDGE_SCHEMA,
     edge_batches,
     edge_relation,
+    edge_tuple,
     reachability_program,
 )
 from repro.fuzz.ivm import run_ivm_case
 from repro.query import Database
+from repro.query.catalog import _input_deltas, apply_mutations
+from repro.storage import jsonio
 from repro.serve import ReproServer, SyncClient
 
 
@@ -91,6 +104,182 @@ class TestAppendStream:
             db.commit()
             assert db.views()["Reach"] == before
             assert db.snapshot().version > before
+
+
+#: Two paths n0 -> n2 found in the same round, one schedule inside the
+#: other: the round's delta must drop the subsumed derivation.
+OVERLAPPING = [
+    edge_tuple(3, 24, "n0", "n1"),
+    edge_tuple(5, 24, "n1", "n2"),
+    edge_tuple(3, 24, "n0", "n3"),
+    edge_tuple(5, 48, "n3", "n2"),
+]
+
+
+def assert_canonical(rel: GeneralizedRelation) -> None:
+    """``rel`` is a fixpoint of simplification: no empty, no subsumed."""
+    assert simplify_relation(rel).tuples == rel.tuples
+
+
+class TestCanonicalViews:
+    """Views and deltas grow by plain union; they must stay canonical."""
+
+    def test_view_canonical_after_every_batch(self):
+        db = fresh_db()
+        for batch in edge_batches(6, 8, 3, seed=5):
+            db.append_stream("Edge", batch)
+            assert_canonical(db.relation("Reach"))
+
+    def test_overlapping_derivations_stay_canonical(self):
+        db = fresh_db()
+        db.append_stream("Edge", OVERLAPPING)
+        assert_canonical(db.relation("Reach"))
+        db.append_stream("Edge", [edge_tuple(7, 24, "n2", "n4")])
+        assert_canonical(db.relation("Reach"))
+        assert_views_match_recompute(db)
+
+    def test_accumulated_deltas_canonical(self):
+        maintainer = ViewMaintainer(
+            reachability_program(4),
+            {"Edge": EDGE_SCHEMA},
+            max_tuples=DEFAULT_MAX_TUPLES,
+            max_extensions=DEFAULT_MAX_EXTENSIONS,
+        )
+        (layer,) = maintainer.strata
+        rules = list(maintainer.program.rules)
+        state = {
+            "Edge": GeneralizedRelation.empty(EDGE_SCHEMA),
+            "Reach": GeneralizedRelation.empty(
+                maintainer.view_schemas["Reach"]
+            ),
+        }
+        folded = 0
+        for batch in [OVERLAPPING, *edge_batches(6, 6, 3, seed=21)]:
+            seed = {"Edge": insert_delta(EDGE_SCHEMA, batch)}
+            edge = state["Edge"].copy()
+            for gtuple in batch:
+                edge.add(gtuple)
+            state["Edge"] = edge
+            deltas, _stats = seminaive_stratum(
+                state,
+                rules,
+                maintainer.view_schemas,
+                set(layer),
+                seed,
+                max_iterations=maintainer.max_iterations,
+                simplify=True,
+                max_tuples=maintainer.max_tuples,
+                max_extensions=maintainer.max_extensions,
+            )
+            for delta in deltas.values():
+                assert_canonical(delta)
+                folded += 1
+            assert_canonical(state["Reach"])
+        assert folded > 0
+
+
+class TestInputDeltas:
+    """Classification of a commit's input changes by ``_input_deltas``."""
+
+    @pytest.fixture
+    def maintainer(self):
+        return ViewMaintainer(
+            reachability_program(4),
+            {"Edge": EDGE_SCHEMA},
+            max_tuples=DEFAULT_MAX_TUPLES,
+            max_extensions=DEFAULT_MAX_EXTENSIONS,
+        )
+
+    @pytest.fixture
+    def subtractions(self, monkeypatch):
+        """Record every ``algebra.subtract`` call the classifier makes."""
+        calls = []
+        real = algebra.subtract
+
+        def counting(r1, r2):
+            calls.append((r1, r2))
+            return real(r1, r2)
+
+        monkeypatch.setattr(algebra, "subtract", counting)
+        return calls
+
+    @staticmethod
+    def classify(maintainer, old, new):
+        return _input_deltas(
+            maintainer, {"Edge": old}, {"Edge": new}, ["Edge"]
+        ).get("Edge")
+
+    def test_prefix_path_matches_full_path(self, maintainer, subtractions):
+        batches = edge_batches(5, 2, 4, seed=30)
+        old = edge_relation(batches[:1])
+        appended = old.copy()
+        for gtuple in batches[1]:
+            appended.add(gtuple)
+        # Same tuples, appended ones first: not an identity prefix.
+        reordered = GeneralizedRelation(
+            EDGE_SCHEMA, list(batches[1]) + list(old)
+        )
+        fast = self.classify(maintainer, old, appended)
+        assert len(subtractions) == 1
+        subtractions.clear()
+        full = self.classify(maintainer, old, reordered)
+        assert len(subtractions) == 2
+        assert isinstance(fast, GeneralizedRelation)
+        assert fast.tuples == full.tuples
+        assert algebra.equivalent(
+            fast, simplify_relation(algebra.subtract(appended, old))
+        )
+
+    def test_put_missing_a_point_is_dirty(self, maintainer):
+        batches = edge_batches(5, 2, 3, seed=31)
+        old = edge_relation(batches)
+        put = {
+            "op": "put",
+            "name": "Edge",
+            "relation": jsonio.relation_to_dict(edge_relation(batches[:1])),
+        }
+        state = apply_mutations({"Edge": old}, [put])
+        assert _input_deltas(
+            maintainer, {"Edge": old}, state, ["Edge"]
+        ) == {"Edge": DIRTY}
+
+    def test_reregistered_relation_missing_a_point_is_dirty(
+        self, maintainer
+    ):
+        old = edge_relation(edge_batches(5, 2, 3, seed=32))
+        tuples = old.tuples
+        for missing in (0, len(tuples) - 1):
+            rebuilt = GeneralizedRelation(
+                EDGE_SCHEMA, tuples[:missing] + tuples[missing + 1:]
+            )
+            assert self.classify(maintainer, old, rebuilt) is DIRTY
+
+    def test_reinserting_covered_tuple_yields_no_delta(self, maintainer):
+        old = GeneralizedRelation(
+            EDGE_SCHEMA, [edge_tuple(3, 24, "n0", "n1")]
+        )
+        again = old.copy()
+        again.add(edge_tuple(3, 24, "n0", "n1"))  # the same schedule
+        again.add(edge_tuple(27, 48, "n0", "n1"))  # a sub-schedule
+        assert len(again) == 2
+        assert _input_deltas(
+            maintainer, {"Edge": old}, {"Edge": again}, ["Edge"]
+        ) == {}
+
+    def test_rebuilt_relation_takes_full_path(self, maintainer, subtractions):
+        batches = edge_batches(5, 3, 3, seed=33)
+        old = edge_relation(batches[:2])
+        # A superset built from fresh tuple objects: same points as an
+        # append, but no identity prefix.
+        rebuilt = jsonio.relation_from_dict(
+            jsonio.relation_to_dict(edge_relation(batches))
+        )
+        delta = self.classify(maintainer, old, rebuilt)
+        assert len(subtractions) == 2
+        assert isinstance(delta, GeneralizedRelation)
+        assert algebra.equivalent(
+            delta, algebra.subtract(edge_relation(batches), old)
+        )
 
 
 class TestDirtyPath:

@@ -5,12 +5,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import simplify
 from repro.core.constraints import atoms_to_dbm, parse_atoms
+from repro.core.emptiness import tuple_is_empty
 from repro.core.relations import GeneralizedRelation, Schema, relation
 from repro.core.simplify import simplify_relation, tuple_subsumes
 from repro.core.tuples import GeneralizedTuple
 
-from tests.helpers import random_relation
+from tests.helpers import random_relation, random_tuple
 
 
 def make(lrps, constraints="", data=()):
@@ -73,3 +75,61 @@ class TestSimplify:
         out = simplify_relation(r)
         assert len(out) <= len(r)
         assert out.snapshot(-9, 9) == r.snapshot(-9, 9)
+
+
+def pairwise_reference(rel: GeneralizedRelation) -> list[GeneralizedTuple]:
+    """The unbucketed loop: every candidate meets every kept tuple."""
+    kept: list[GeneralizedTuple] = []
+    for candidate in (t for t in rel if not tuple_is_empty(t)):
+        if any(tuple_subsumes(existing, candidate) for existing in kept):
+            continue
+        kept = [e for e in kept if not tuple_subsumes(candidate, e)]
+        kept.append(candidate)
+    return kept
+
+
+def mixed_data_relation(rng: random.Random, n_data: int, arity: int):
+    """Tuples over 2-3 interleaved data values, plus empty tuples."""
+    schema = Schema.make(
+        temporal=[f"X{i + 1}" for i in range(arity)], data=["d"]
+    )
+    choices = [(value,) for value in "abc"[:n_data]]
+    tuples = [
+        random_tuple(rng, arity, data_choices=choices)
+        for _ in range(rng.randint(4, 12))
+    ]
+    lrps = ["n"] * arity
+    for _ in range(rng.randint(1, 2)):
+        empty = make(lrps, "X1 >= 1 & X1 <= 0", data=rng.choice(choices))
+        tuples.insert(rng.randrange(len(tuples) + 1), empty)
+    return GeneralizedRelation(schema, tuples)
+
+
+class TestDataBuckets:
+    @given(st.integers(0, 10_000), st.integers(2, 3), st.integers(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pairwise_reference_exactly(self, seed, n_data, arity):
+        rel = mixed_data_relation(random.Random(seed), n_data, arity)
+        got = simplify_relation(rel).tuples
+        want = pairwise_reference(rel)
+        # Same tuple objects, in the same order.
+        assert [id(t) for t in got] == [id(t) for t in want]
+
+    def test_different_data_never_compared(self, monkeypatch):
+        compared: list[tuple] = []
+
+        def spy(big, small):
+            compared.append((big.data, small.data))
+            return tuple_subsumes(big, small)
+
+        monkeypatch.setattr(simplify, "tuple_subsumes", spy)
+        r = relation(temporal=["X1"], data=["d"])
+        for lrp in ["2n", "4n", "3n", "6n", "n"]:
+            for value in "abc":
+                r.add_tuple([lrp], "", [value])
+        out = simplify_relation(r)
+        assert compared
+        assert all(big == small for big, small in compared)
+        # "n" subsumes everything else in its bucket.
+        assert [t.data for t in out] == [("a",), ("b",), ("c",)]
+        assert all(t.lrps == make(["n"]).lrps for t in out)
