@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 
 from repro.arith import lcm
 from repro.core.constraints import (
@@ -116,36 +116,43 @@ def _traced(op_name: str, pairwise: bool = False):
 # ----------------------------------------------------------------------
 
 
-def _dbm_remap(dbm: DBM, mapping: Sequence[int], new_size: int) -> DBM:
-    """Copy ``dbm``'s bounds into a fresh DBM, renumbering variables.
+def _assemble_dbm(
+    size: int, sides: Sequence[tuple[DBM, Sequence[int]]]
+) -> DBM:
+    """Conjoin DBMs over a fresh ``size``-variable system, row by row.
 
-    ``mapping[i]`` is the new index of old variable ``i``; the zero
-    variable maps to itself.
+    Each side is ``(dbm, rows)`` where ``rows[k]`` is the result matrix
+    row of the side's matrix row ``k`` (row 0, the zero variable, maps
+    to 0; the maps are injective).  Every entry takes the minimum of the
+    bounds the sides place on it.  ``_closed`` and ``_dirty`` end up as
+    the same sequence of :meth:`DBM.add_difference` / ``add_upper`` /
+    ``add_lower`` calls on ``DBM(size)`` would leave them: the writes
+    that tightened an entry, in side order then row-major order, tracked
+    up to the matrix dimension.
     """
-    out = DBM(new_size)
-    for i, j, bound in dbm.iter_bounds():
-        ni = mapping[i] if i >= 0 else -1
-        nj = mapping[j] if j >= 0 else -1
-        if ni >= 0 and nj >= 0:
-            out.add_difference(ni, nj, bound)
-        elif nj < 0:
-            out.add_upper(ni, bound)
-        else:
-            out.add_lower(nj, -bound)
+    n = size + 1
+    b: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        b[i][i] = 0
+    dirty: list[tuple[int, int]] = []
+    for dbm, rows in sides:
+        for si, src_row in enumerate(dbm._b):
+            ti = rows[si]
+            row = b[ti]
+            for sj, bound in enumerate(src_row):
+                if bound is None or si == sj:
+                    continue
+                tj = rows[sj]
+                current = row[tj]
+                if current is None or bound < current:
+                    row[tj] = bound
+                    dirty.append((ti, tj))
+    out = DBM.__new__(DBM)
+    out._n = n
+    out._b = b
+    out._closed = not dirty
+    out._dirty = dirty if len(dirty) <= n else None
     return out
-
-
-def _dbm_merge_into(target: DBM, source: DBM, mapping: Sequence[int]) -> None:
-    """Add ``source``'s bounds to ``target`` under an index ``mapping``."""
-    for i, j, bound in source.iter_bounds():
-        ni = mapping[i] if i >= 0 else -1
-        nj = mapping[j] if j >= 0 else -1
-        if ni >= 0 and nj >= 0:
-            target.add_difference(ni, nj, bound)
-        elif nj < 0:
-            target.add_upper(ni, bound)
-        else:
-            target.add_lower(nj, -bound)
 
 
 def _require_same_schema(r1: GeneralizedRelation, r2: GeneralizedRelation) -> None:
@@ -228,38 +235,57 @@ def intersect(
 ) -> GeneralizedRelation:
     """Set intersection: pairwise tuple intersections (Section 3.2.2).
 
+    Only tuples with equal data values can meet, so ``r2`` is
+    partitioned by data tuple once and each ``r1`` tuple is paired with
+    its own bucket only — the kept pairs in nested-loop order.
     Unsatisfiable meets (nonempty lrp intersections whose merged
     constraints have no solution) denote the empty set and are dropped.
     With prefilters enabled, provably-empty pairs are rejected before the
     CRT + DBM work; with ``workers > 1`` the pair list fans out across a
-    process pool.  Both return the same tuples as the plain double loop.
+    process pool.  All of these return the same tuples as the plain
+    double loop over ``r1 × r2``.
     """
     _require_same_schema(r1, r2)
     out = GeneralizedRelation.empty(r1.schema)
-    pairs = [(t1, t2) for t1 in r1 for t2 in r2]
+    buckets = _partition(r2, lambda t: t.data)
+    pairs = [(t1, t2) for t1 in r1 for t2 in buckets.get(t1.data, ())]
     item_cost = (r1.schema.temporal_arity + 1) ** 3
-    for meets in _fan_out(_intersect_chunk, pairs, None, item_cost=item_cost):
+    pre = get_config().prefilter_enabled
+    for meets in _fan_out(_intersect_chunk, pairs, pre, item_cost=item_cost):
         for meet in meets:
             out.add(meet)
     return out
 
 
+def _partition(
+    tuples: Iterable[GeneralizedTuple], key
+) -> dict[Hashable, list[GeneralizedTuple]]:
+    """Bucket tuples by ``key(tuple)``, keeping their order in each bucket."""
+    buckets: dict[Hashable, list[GeneralizedTuple]] = {}
+    for t in tuples:
+        buckets.setdefault(key(t), []).append(t)
+    return buckets
+
+
 def _intersect_chunk(
-    pairs: list[tuple[GeneralizedTuple, GeneralizedTuple]], _extra
+    pairs: list[tuple[GeneralizedTuple, GeneralizedTuple]], pre: bool
 ) -> list[list[GeneralizedTuple]]:
     probe = _ProbeMemo()
-    candidates = [_intersect_candidate(t1, t2, probe) for t1, t2 in pairs]
+    candidates = [
+        _intersect_candidate(t1, t2, pre, probe) for t1, t2 in pairs
+    ]
     survivors = _close_candidates(candidates)
     return [[] if meet is None else [meet] for meet in survivors]
 
 
 def _intersect_candidate(
-    t1: GeneralizedTuple, t2: GeneralizedTuple, probe: _ProbeMemo
+    t1: GeneralizedTuple,
+    t2: GeneralizedTuple,
+    pre: bool,
+    probe: _ProbeMemo,
 ) -> GeneralizedTuple | None:
-    """The candidate meet of a pair, before its satisfiability check."""
-    if get_config().prefilter_enabled:
-        if t1.data != t2.data:
-            return None
+    """The candidate meet of a same-data pair, before its satisfiability check."""
+    if pre:
         if not prefilter.lrps_compatible(t1.lrps, t2.lrps):
             PERF_COUNTERS["prefilter_lrp_skip"] += 1
             return None
@@ -462,8 +488,12 @@ def subtract(
 ) -> GeneralizedRelation:
     """Set difference, folding tuple subtraction over ``r2`` (Section 3.3.2).
 
-    Each minuend tuple's fold is independent of the others, so with
-    ``workers > 1`` the minuends fan out across a process pool.
+    A subtrahend with other data values leaves a minuend as it is, so
+    ``r2`` is partitioned by data tuple and each minuend folds only over
+    its own bucket, in ``r2`` order; the result is tuple-for-tuple the
+    fold over all of ``r2``.  Each minuend tuple's fold is independent of
+    the others, so with ``workers > 1`` the minuends fan out across a
+    process pool.
     """
     _require_same_schema(r1, r2)
     out = GeneralizedRelation.empty(r1.schema)
@@ -487,12 +517,23 @@ def subtract(
 def _subtract_chunk(
     minuends: list[GeneralizedTuple], subtrahends: list[GeneralizedTuple]
 ) -> list[list[GeneralizedTuple]]:
-    return [_subtract_fold(t1, subtrahends) for t1 in minuends]
+    buckets = _partition(subtrahends, lambda t: t.data)
+    return [_subtract_fold(t1, buckets) for t1 in minuends]
 
 
 def _subtract_fold(
-    t1: GeneralizedTuple, subtrahends: list[GeneralizedTuple]
+    t1: GeneralizedTuple, buckets: dict[Hashable, list[GeneralizedTuple]]
 ) -> list[GeneralizedTuple]:
+    """Fold ``t1`` over its same-data subtrahends.
+
+    Against a subtrahend with other data, :func:`subtract_tuples` returns
+    its minuend unchanged (or nothing, for an unsatisfiable one), so such
+    a step of the full fold only deduplicates: a minuend with no same-data
+    subtrahend folds to ``_dedup([t1])``, and with none at all to ``[t1]``.
+    """
+    subtrahends = buckets.get(t1.data)
+    if subtrahends is None:
+        return _dedup([t1]) if buckets else [t1]
     current = [t1]
     for t2 in subtrahends:
         next_round: list[GeneralizedTuple] = []
@@ -1112,6 +1153,8 @@ def product(
     new_schema = Schema(r1.schema.attributes + r2.schema.attributes)
     a1 = r1.schema.temporal_arity
     a2 = r2.schema.temporal_arity
+    rows1 = range(a1 + 1)
+    rows2 = [0] + [a1 + 1 + i for i in range(a2)]
     out = GeneralizedRelation.empty(new_schema)
     probe = _ProbeMemo()
     hoist = get_config().prefilter_enabled
@@ -1123,9 +1166,7 @@ def product(
             sat2 = probe(t2)[1] if hoist else t2.dbm.copy().close()
             if not sat2:
                 continue
-            dbm = DBM(a1 + a2)
-            _dbm_merge_into(dbm, t1.dbm, list(range(a1)))
-            _dbm_merge_into(dbm, t2.dbm, [a1 + i for i in range(a2)])
+            dbm = _assemble_dbm(a1 + a2, ((t1.dbm, rows1), (t2.dbm, rows2)))
             out.add(
                 GeneralizedTuple(
                     lrps=t1.lrps + t2.lrps,
@@ -1145,6 +1186,12 @@ def join(
     Shared temporal attributes are intersected (lrp CRT + constraint
     union); shared data attributes must hold equal values.  The result
     schema is ``r1``'s attributes followed by ``r2``'s non-shared ones.
+
+    The data side is a hash join: ``r2`` is partitioned once on its
+    shared data columns (one bucket when there are none) and each ``r1``
+    tuple is paired only with the bucket carrying its values, so pairs
+    come out in nested-loop order minus the data mismatches and the
+    result is tuple-for-tuple that of the double loop.
     """
     shared = [a for a in r1.schema.attributes if r2.schema.has(a.name)]
     for attr in shared:
@@ -1156,7 +1203,6 @@ def join(
             )
     r2_only = [a for a in r2.schema.attributes if not r1.schema.has(a.name)]
     new_schema = Schema(r1.schema.attributes + tuple(r2_only))
-    a1 = r1.schema.temporal_arity
     result_t_names = new_schema.temporal_names
     # Map each side's temporal attribute positions into result positions.
     map1 = [result_t_names.index(n) for n in r1.schema.temporal_names]
@@ -1179,19 +1225,28 @@ def join(
         for a in r2_only
         if a.temporal
     ]
+    arity = len(result_t_names)
     context = (
-        a1,
         map1,
-        map2,
+        # Matrix row maps for the DBM assembler (row 0 is the zero variable).
+        [0] + [pos + 1 for pos in map1],
+        [0] + [pos + 1 for pos in map2],
         shared_t,
-        shared_d,
         t2_only,
         d2_only_idx,
-        len(result_t_names),
+        arity,
+        get_config().prefilter_enabled,
     )
     out = GeneralizedRelation.empty(new_schema)
-    pairs = [(t1, t2) for t1 in r1 for t2 in r2]
-    item_cost = (len(result_t_names) + 1) ** 3
+    idx1 = [i for i, _ in shared_d]
+    idx2 = [j for _, j in shared_d]
+    buckets = _partition(r2, lambda t: tuple([t.data[j] for j in idx2]))
+    pairs = [
+        (t1, t2)
+        for t1 in r1
+        for t2 in buckets.get(tuple([t1.data[i] for i in idx1]), ())
+    ]
+    item_cost = (arity + 1) ** 3
     for joined in _fan_out(_join_chunk, pairs, context, item_cost=item_cost):
         if joined is not None:
             out.add(joined)
@@ -1212,11 +1267,9 @@ def _join_candidate(
     context: tuple,
     probe: _ProbeMemo,
 ) -> GeneralizedTuple | None:
-    """The candidate joined tuple, before its satisfiability check."""
-    (a1, map1, map2, shared_t, shared_d, t2_only, d2_only_idx, arity) = context
-    pre = get_config().prefilter_enabled
-    if any(t1.data[i] != t2.data[j] for i, j in shared_d):
-        return None
+    """The candidate joined tuple of a data-matching pair, before its
+    satisfiability check."""
+    (map1, rows1, rows2, shared_t, t2_only, d2_only_idx, arity, pre) = context
     if pre and shared_t:
         if not prefilter.lrps_compatible(t1.lrps, t2.lrps, shared_t):
             PERF_COUNTERS["prefilter_lrp_skip"] += 1
@@ -1237,7 +1290,7 @@ def _join_candidate(
         if not t1.dbm.copy().close() or not t2.dbm.copy().close():
             return None
     lrps: list[LRP | None] = [None] * arity
-    for i1, pos in zip(range(a1), map1):
+    for i1, pos in enumerate(map1):
         lrps[pos] = t1.lrps[i1]
     for i1, i2 in shared_t:
         meet = t1.lrps[i1].intersect(t2.lrps[i2])
@@ -1246,9 +1299,7 @@ def _join_candidate(
         lrps[map1[i1]] = meet
     for i2, pos in t2_only:
         lrps[pos] = t2.lrps[i2]
-    dbm = DBM(arity)
-    _dbm_merge_into(dbm, t1.dbm, map1)
-    _dbm_merge_into(dbm, t2.dbm, map2)
+    dbm = _assemble_dbm(arity, ((t1.dbm, rows1), (t2.dbm, rows2)))
     data = t1.data + tuple(t2.data[i] for i in d2_only_idx)
     return GeneralizedTuple(tuple(lrps), dbm, data)
 

@@ -134,6 +134,32 @@ class TestParallelAlgebraDeterminism:
         for serial_rel, fanned_rel in zip(serial, fanned):
             assert _keylist(fanned_rel) == _keylist(serial_rel)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_data_partitioned_join_subtract_identical_to_serial(self, seed):
+        """Data buckets survive the fan-out: join ships bucketed pairs,
+        subtract ships the subtrahends and re-partitions per chunk."""
+        from repro.perf.config import PERF_COUNTERS, reset_counters
+
+        rng = random.Random(4100 + seed)
+        values = [("a",), ("b",), ("c",)]
+        schema_r = Schema.make(temporal=["A", "B"], data=["x"])
+        schema_s = Schema.make(temporal=["B", "C"], data=["x"])
+        r1 = random_relation(rng, schema_r, 6, data_choices=values)
+        r2 = random_relation(rng, schema_r, 6, data_choices=values)
+        s = random_relation(rng, schema_s, 6, data_choices=values)
+        with overrides(workers=0):
+            serial = (algebra.join(r1, s), algebra.subtract(r1, r2))
+        with overrides(workers=2, parallel_threshold=1, parallel_min_cost=0):
+            reset_counters()
+            fanned = (algebra.join(r1, s), algebra.subtract(r1, r2))
+            engaged = (
+                PERF_COUNTERS["parallel_fanout"]
+                + PERF_COUNTERS["parallel_fallback"]
+            )
+        assert engaged == 2
+        for serial_rel, fanned_rel in zip(serial, fanned):
+            assert _keylist(fanned_rel) == _keylist(serial_rel)
+
 
 class TestEvaluatorWorkers:
     def _relations(self) -> dict[str, GeneralizedRelation]:
