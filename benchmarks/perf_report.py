@@ -20,7 +20,7 @@ def perf_report(smoke: bool = True) -> list[str]:
     """Regenerate ``BENCH_perf.json``; return the comparison table."""
     report = run_perf_comparison(smoke=smoke)
     OUTPUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    lines = ["Optimization layer: naive vs optimized vs parallel"]
+    lines = ["Optimization layer: naive vs optimized"]
     lines.extend(format_report(report))
     lines.append(f"(JSON written to {OUTPUT.name})")
     return lines

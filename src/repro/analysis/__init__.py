@@ -7,12 +7,11 @@ from repro.analysis.complexity import (
     sweep,
     time_callable,
 )
-from repro.analysis.counters import CostReport, TallyCounter, measure_binary, measure_unary
+from repro.analysis.counters import CostReport, measure_binary, measure_unary
 
 __all__ = [
     "CostReport",
     "PowerLawFit",
-    "TallyCounter",
     "fit_power_law",
     "format_complexity_row",
     "measure_binary",

@@ -12,15 +12,12 @@ benchmarks, the CLI and tests.  The narrower helpers
 (:func:`perf_counters` / :func:`reset_perf_counters` /
 :func:`perf_cache_stats`) remain as focused views of the optimization
 layer's hit/miss/skip instrumentation (closure cache, incremental
-closures, prefilter rejections, parallel fan-outs).  Note that
-counters bumped inside worker processes stay in those processes; with
-``workers > 1`` the perf counters describe only the serial fraction.
+closures, prefilter rejections, batched kernel closures).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.relations import GeneralizedRelation
@@ -111,31 +108,3 @@ def measure_unary(
     )
     return result, report
 
-
-class TallyCounter:
-    """A tiny named-counter registry for ad-hoc instrumentation."""
-
-    def __init__(self) -> None:
-        self.counts: Counter = Counter()
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        """Increment a named counter."""
-        self.counts[name] += amount
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.counts.clear()
-
-    @contextmanager
-    def counting(self, name: str):
-        """Context manager: bump ``name`` once on exit."""
-        try:
-            yield self
-        finally:
-            self.bump(name)
-
-    def __getitem__(self, name: str) -> int:
-        return self.counts[name]
-
-    def __str__(self) -> str:
-        return ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))

@@ -311,7 +311,6 @@ class Session:
             f"(size {cfg.cache_size}), "
             f"prefilter={'on' if cfg.prefilter_enabled else 'off'}, "
             f"incremental={'on' if cfg.incremental_enabled else 'off'}, "
-            f"workers={cfg.workers}, "
             f"kernel={kernel_backend()}, "
             f"optimize={'on' if cfg.optimize else 'off'}, "
             f"engine={cfg.engine}"
@@ -596,13 +595,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run one command (repeatable)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan pairwise algebra operations out to N worker processes",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the interning caches of the optimization layer",
@@ -637,17 +629,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     trace_mode = trace_mode or args.trace_json is not None
-    if (
-        args.workers is not None
-        or args.no_cache
-        or args.engine is not None
-        or args.optimize is not None
-    ):
+    if args.no_cache or args.engine is not None or args.optimize is not None:
         from repro.perf.config import configure
 
         changes: dict = {}
-        if args.workers is not None:
-            changes["workers"] = max(0, args.workers)
         if args.no_cache:
             changes["cache_enabled"] = False
         if args.engine is not None:

@@ -81,8 +81,8 @@ def _traced(op_name: str, pairwise: bool = False):
     attributes of :mod:`repro.analysis.counters`: input/output tuple
     counts, the result's schema width and, for pairwise operations, the
     number of tuple combinations examined; the optimization layer's
-    counter deltas (prefilter rejections, cache hits, fan-outs) observed
-    during the span are attached automatically.
+    counter deltas (prefilter rejections, cache hits, kernel closures)
+    observed during the span are attached automatically.
     """
 
     def decorate(fn):
@@ -168,33 +168,8 @@ def _require_same_schema(r1: GeneralizedRelation, r2: GeneralizedRelation) -> No
 # ----------------------------------------------------------------------
 
 
-def _fan_out(worker, payloads: list, extra, item_cost: int = 1) -> list:
-    """Run a chunk worker over ``payloads``, parallel when configured.
-
-    ``worker(chunk, extra)`` must map a payload list to a result list of
-    the same length and order; fan-out concatenates contiguous chunks in
-    submission order, so the output is identical for any worker count.
-
-    ``item_cost`` estimates one payload item's closure cost (in
-    Floyd–Warshall cell updates).  Fan-out engages only when the whole
-    operation clears ``parallel_min_cost`` on that estimate, so small
-    workloads — where chunk pickling and pool scheduling dominate the
-    work itself — stay serial no matter how many items they have.
-    """
-    cfg = get_config()
-    if (
-        cfg.workers > 1
-        and len(payloads) >= cfg.parallel_threshold
-        and len(payloads) * max(1, item_cost) >= cfg.parallel_min_cost
-    ):
-        from repro.perf import parallel
-
-        return parallel.run_chunked(worker, payloads, extra, cfg.workers)
-    return worker(payloads, extra)
-
-
 class _ProbeMemo:
-    """Per-chunk memo of closed DBM probes, keyed on tuple identity."""
+    """Per-operation memo of closed DBM probes, keyed on tuple identity."""
 
     __slots__ = ("_probes",)
 
@@ -241,18 +216,21 @@ def intersect(
     Unsatisfiable meets (nonempty lrp intersections whose merged
     constraints have no solution) denote the empty set and are dropped.
     With prefilters enabled, provably-empty pairs are rejected before the
-    CRT + DBM work; with ``workers > 1`` the pair list fans out across a
-    process pool.  All of these return the same tuples as the plain
-    double loop over ``r1 × r2``.
+    CRT + DBM work.  Either way the result is tuple-for-tuple that of the
+    plain double loop over ``r1 × r2``.
     """
     _require_same_schema(r1, r2)
     out = GeneralizedRelation.empty(r1.schema)
     buckets = _partition(r2, lambda t: t.data)
-    pairs = [(t1, t2) for t1 in r1 for t2 in buckets.get(t1.data, ())]
-    item_cost = (r1.schema.temporal_arity + 1) ** 3
     pre = get_config().prefilter_enabled
-    for meets in _fan_out(_intersect_chunk, pairs, pre, item_cost=item_cost):
-        for meet in meets:
+    probe = _ProbeMemo()
+    candidates = [
+        _intersect_candidate(t1, t2, pre, probe)
+        for t1 in r1
+        for t2 in buckets.get(t1.data, ())
+    ]
+    for meet in _close_candidates(candidates):
+        if meet is not None:
             out.add(meet)
     return out
 
@@ -265,17 +243,6 @@ def _partition(
     for t in tuples:
         buckets.setdefault(key(t), []).append(t)
     return buckets
-
-
-def _intersect_chunk(
-    pairs: list[tuple[GeneralizedTuple, GeneralizedTuple]], pre: bool
-) -> list[list[GeneralizedTuple]]:
-    probe = _ProbeMemo()
-    candidates = [
-        _intersect_candidate(t1, t2, pre, probe) for t1, t2 in pairs
-    ]
-    survivors = _close_candidates(candidates)
-    return [[] if meet is None else [meet] for meet in survivors]
 
 
 def _intersect_candidate(
@@ -491,34 +458,15 @@ def subtract(
     A subtrahend with other data values leaves a minuend as it is, so
     ``r2`` is partitioned by data tuple and each minuend folds only over
     its own bucket, in ``r2`` order; the result is tuple-for-tuple the
-    fold over all of ``r2``.  Each minuend tuple's fold is independent of
-    the others, so with ``workers > 1`` the minuends fan out across a
-    process pool.
+    fold over all of ``r2``.
     """
     _require_same_schema(r1, r2)
     out = GeneralizedRelation.empty(r1.schema)
-    minuends = list(r1)
-    subtrahends = list(r2)
-    # One minuend folds over every subtrahend, producing ~4 pieces to
-    # close per subtraction step (Figure 1's staircase + negated atoms).
-    item_cost = (
-        4
-        * max(1, len(subtrahends))
-        * (r1.schema.temporal_arity + 1) ** 3
-    )
-    for survivors in _fan_out(
-        _subtract_chunk, minuends, subtrahends, item_cost=item_cost
-    ):
-        for t in survivors:
+    buckets = _partition(r2, lambda t: t.data)
+    for t1 in r1:
+        for t in _subtract_fold(t1, buckets):
             out.add(t)
     return out
-
-
-def _subtract_chunk(
-    minuends: list[GeneralizedTuple], subtrahends: list[GeneralizedTuple]
-) -> list[list[GeneralizedTuple]]:
-    buckets = _partition(subtrahends, lambda t: t.data)
-    return [_subtract_fold(t1, buckets) for t1 in minuends]
 
 
 def _subtract_fold(
@@ -1241,24 +1189,16 @@ def join(
     idx1 = [i for i, _ in shared_d]
     idx2 = [j for _, j in shared_d]
     buckets = _partition(r2, lambda t: tuple([t.data[j] for j in idx2]))
-    pairs = [
-        (t1, t2)
+    probe = _ProbeMemo()
+    candidates = [
+        _join_candidate(t1, t2, context, probe)
         for t1 in r1
         for t2 in buckets.get(tuple([t1.data[i] for i in idx1]), ())
     ]
-    item_cost = (arity + 1) ** 3
-    for joined in _fan_out(_join_chunk, pairs, context, item_cost=item_cost):
+    for joined in _close_candidates(candidates):
         if joined is not None:
             out.add(joined)
     return out
-
-
-def _join_chunk(
-    pairs: list[tuple[GeneralizedTuple, GeneralizedTuple]], context: tuple
-) -> list[GeneralizedTuple | None]:
-    probe = _ProbeMemo()
-    candidates = [_join_candidate(t1, t2, context, probe) for t1, t2 in pairs]
-    return _close_candidates(candidates)
 
 
 def _join_candidate(

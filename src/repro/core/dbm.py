@@ -506,56 +506,6 @@ class DBM:
         assert self.satisfied_by(result)
         return result
 
-    def to_buffer(self) -> list[float]:
-        """Flat float64 encoding of the bound matrix, row-major.
-
-        Absent bounds (``None``) become ``+inf``.  Used to place many
-        matrices in one contiguous buffer (batched closure, shared
-        memory).  Raises when a bound is too large for float64 to hold
-        exactly; callers fall back to object serialization then.
-        """
-        out: list[float] = []
-        for row in self._b:
-            for bound in row:
-                if bound is None:
-                    out.append(float("inf"))
-                elif -(1 << 53) <= bound <= (1 << 53):
-                    out.append(float(bound))
-                else:
-                    raise ReproValueError(
-                        f"bound {bound} exceeds exact float64 range"
-                    )
-        return out
-
-    @classmethod
-    def from_buffer(
-        cls, size: int, buffer: Sequence[float], closed: bool = False
-    ) -> DBM:
-        """Rebuild a DBM from a :meth:`to_buffer` encoding.
-
-        ``closed`` restores the closure flag recorded at export time, so
-        a matrix that was closed before packing answers :meth:`close` in
-        O(n) after the round-trip.
-        """
-        n = size + 1
-        if len(buffer) != n * n:
-            raise ReproValueError(
-                f"buffer holds {len(buffer)} entries, expected {n * n}"
-            )
-        inf = float("inf")
-        out = cls.__new__(cls)
-        out._n = n
-        out._b = [
-            [
-                None if value == inf else int(value)
-                for value in buffer[i * n : (i + 1) * n]
-            ]
-            for i in range(n)
-        ]
-        out._closed = closed
-        out._dirty = [] if closed else None
-        return out
-
     def iter_bounds(self) -> Iterator[tuple[int, int, int]]:
         """Yield ``(i, j, bound)`` for every finite stored bound.
 

@@ -611,7 +611,6 @@ def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
             cache_enabled=False,
             prefilter_enabled=False,
             incremental_enabled=False,
-            workers=0,
         ):
             naive, failure = evaluate("naive")
         if failure is not None:

@@ -23,12 +23,6 @@ recorder is installed — one module-global load and one branch per
     print(obs.render_flamegraph(recorder.root))
     json.dump(recorder.root.to_dict(), open("trace.json", "w"))
 
-With ``workers > 1`` the span tree keeps its exact serial shape — the
-fan-out happens *inside* an operation's span — but counter deltas
-bumped in worker processes stay in those processes, so perf attributes
-describe only the serial fraction (the same caveat as
-:func:`repro.analysis.counters.perf_counters`).
-
 This module is stdlib-only apart from :mod:`repro.perf.config` (itself
 stdlib-only), so it is importable from the bottom of the core
 dependency graph.

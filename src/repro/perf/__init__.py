@@ -11,12 +11,7 @@ Four independently switchable optimizations (see ``docs/performance.md``):
 3. **Pairwise-op prefilters** — O(m) residue/interval rejection tests
    skip provably-empty tuple pairs before the CRT + DBM work in
    ``intersect``/``join``/``subtract`` (:mod:`repro.perf.prefilter`).
-4. **Process-parallel fan-out** — the pairwise product is chunked across
-   a worker pool with deterministic, index-ordered reassembly and a
-   shared-memory tuple transport (:mod:`repro.perf.parallel`); off by
-   default, enabled via ``REPRO_WORKERS`` / ``Evaluator(workers=N)`` /
-   ``itql --workers``.
-5. **Vectorized batched closure kernel** — many same-dimension DBMs are
+4. **Vectorized batched closure kernel** — many same-dimension DBMs are
    packed into one numpy array and closed with a single vectorized
    Floyd–Warshall sweep (:mod:`repro.perf.kernel`); backend selected via
    ``REPRO_KERNEL`` with a graceful pure-Python fallback.
@@ -24,8 +19,8 @@ Four independently switchable optimizations (see ``docs/performance.md``):
 This package's ``__init__`` must stay import-light: :mod:`repro.core.dbm`
 imports it at the bottom of the dependency graph, so only the
 dependency-free ``config`` and ``cache`` modules load eagerly;
-``prefilter``, ``parallel`` and ``bench`` (which import the core) load
-lazily on attribute access.
+``kernel`` (which may import numpy), ``prefilter`` and ``bench``
+(which import the core) load lazily on attribute access.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ from repro.perf.config import (
     reset_counters,
 )
 
-_LAZY_SUBMODULES = ("kernel", "prefilter", "parallel", "bench")
+_LAZY_SUBMODULES = ("kernel", "prefilter", "bench")
 
 __all__ = [
     "LRUCache",

@@ -2,15 +2,15 @@
 
 Runs the paper-shaped pairwise-heavy workloads — Figure 1 subtraction,
 Figure 2 projection, Table 2 fixed-schema join, Table 3 general
-intersection and join — three times each inside one process:
+intersection and join — under two variants inside one process:
 
-* **naive** — caches, prefilters, incremental closure and workers all
-  off (the seed implementation's behavior);
-* **optimized** — caches + prefilters + incremental closure on, serial;
-* **parallel** — optimized plus the process-pool fan-out.
+* **naive** — caches, prefilters and incremental closure all off, with
+  the scalar Python kernel (the seed implementation's behavior);
+* **optimized** — caches + prefilters + incremental closure on, with
+  the session's closure kernel.
 
-Every variant consumes the *same* input relations built from the same
-seed, and the optimized/parallel outputs are verified against the naive
+Both variants consume the *same* input relations built from the same
+seed, and the optimized output is verified against the naive
 output (element-for-element for intersection/join/projection, by window
 enumeration for subtraction, whose prefilter may return an equivalent
 but differently-factored set of tuples).  Timings therefore compare the
@@ -20,7 +20,7 @@ Usage::
 
     python -m repro.perf.bench                # full sizes -> BENCH_perf.json
     python -m repro.perf.bench --smoke        # small sizes, CI-friendly
-    python -m repro.perf.bench -o out.json --workers 4
+    python -m repro.perf.bench -o out.json
 """
 
 from __future__ import annotations
@@ -41,21 +41,19 @@ from repro.core.tuples import GeneralizedTuple
 from repro.perf.cache import cache_stats, reset_caches
 from repro.perf.config import counters_snapshot, overrides, reset_counters
 
-#: Feature switches for the three measured variants.  The naive variant
+#: Feature switches for the two measured variants.  The naive variant
 #: pins the scalar Python kernel (the seed implementation's behavior);
-#: optimized/parallel inherit the session backend (env/auto).
+#: the optimized one inherits the session backend (env/auto).
 NAIVE = dict(
     cache_enabled=False,
     prefilter_enabled=False,
     incremental_enabled=False,
-    workers=0,
     kernel="python",
 )
 OPTIMIZED = dict(
     cache_enabled=True,
     prefilter_enabled=True,
     incremental_enabled=True,
-    workers=0,
 )
 
 #: Workloads whose on/off ratio the acceptance gate inspects.
@@ -374,12 +372,8 @@ def _verify(mode: str, reference, candidate) -> bool:
     )
 
 
-def run_perf_comparison(
-    smoke: bool = False, workers: int | None = None
-) -> dict:
-    """Run every workload naive/optimized/parallel; return the report."""
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
+def run_perf_comparison(smoke: bool = False) -> dict:
+    """Run every workload naive and optimized; return the report."""
     from repro.perf import kernel
 
     report: dict = {
@@ -387,37 +381,27 @@ def run_perf_comparison(
             "python": platform.python_version(),
             "platform": platform.platform(),
             "smoke": smoke,
-            "workers": workers,
             "kernel_backend": kernel.kernel_backend(),
             "required_speedup": REQUIRED_SPEEDUP,
             "pairwise_heavy": list(PAIRWISE_HEAVY),
         },
         "workloads": {},
     }
-    parallel_config = dict(OPTIMIZED, workers=workers, parallel_threshold=8)
     for name, verify_mode, build, operation in WORKLOADS:
         inputs = build(smoke)
         naive_out, naive_s, _, _ = _timed(operation, inputs, NAIVE)
         opt_out, opt_s, opt_counters, opt_caches = _timed(
             operation, inputs, OPTIMIZED
         )
-        par_out, par_s, _, _ = _timed(operation, inputs, parallel_config)
         entry = {
             "input_tuples": sum(len(r) for r in inputs),
             "output_tuples": len(naive_out),
             "naive_s": round(naive_s, 6),
             "optimized_s": round(opt_s, 6),
-            "parallel_s": round(par_s, 6),
             "speedup": round(naive_s / opt_s, 3) if opt_s > 0 else None,
-            "parallel_speedup": (
-                round(naive_s / par_s, 3) if par_s > 0 else None
-            ),
             "verify_mode": verify_mode,
             "optimized_matches_naive": _verify(
                 verify_mode, naive_out, opt_out
-            ),
-            "parallel_matches_naive": _verify(
-                verify_mode, naive_out, par_out
             ),
             "counters": opt_counters,
             "caches": {
@@ -435,7 +419,7 @@ def run_perf_comparison(
         if (report["workloads"][name]["speedup"] or 0) >= REQUIRED_SPEEDUP
     ]
     matches = all(
-        entry["optimized_matches_naive"] and entry["parallel_matches_naive"]
+        entry["optimized_matches_naive"]
         for entry in report["workloads"].values()
     )
     roundtrip_ok = bool(report["persistence"].get("roundtrip_ok"))
@@ -451,23 +435,15 @@ def run_perf_comparison(
 def format_report(report: dict) -> list[str]:
     """Human-readable lines for a comparison report."""
     lines = [
-        "perf layer: naive vs optimized vs parallel "
-        f"(workers={report['meta']['workers']}, "
-        f"smoke={report['meta']['smoke']})",
-        f"{'workload':<22} {'naive':>9} {'opt':>9} {'par':>9} "
-        f"{'speedup':>8} {'par x':>7}  match",
+        "perf layer: naive vs optimized "
+        f"(smoke={report['meta']['smoke']})",
+        f"{'workload':<22} {'naive':>9} {'opt':>9} {'speedup':>8}  match",
     ]
     for name, entry in report["workloads"].items():
-        match = (
-            "ok"
-            if entry["optimized_matches_naive"]
-            and entry["parallel_matches_naive"]
-            else "MISMATCH"
-        )
+        match = "ok" if entry["optimized_matches_naive"] else "MISMATCH"
         lines.append(
             f"{name:<22} {entry['naive_s']:>8.3f}s {entry['optimized_s']:>8.3f}s "
-            f"{entry['parallel_s']:>8.3f}s {entry['speedup']:>7.2f}x "
-            f"{entry['parallel_speedup']:>6.2f}x  {match}"
+            f"{entry['speedup']:>7.2f}x  {match}"
         )
     persistence = report.get("persistence")
     if persistence:
@@ -507,15 +483,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="use small workload sizes (CI smoke run)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the parallel variant (default: cpu count, max 4)",
-    )
     args = parser.parse_args(argv)
-    report = run_perf_comparison(smoke=args.smoke, workers=args.workers)
+    report = run_perf_comparison(smoke=args.smoke)
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
     for line in format_report(report):

@@ -15,15 +15,9 @@ with :func:`configure` or scope changes with :func:`overrides`):
     Set to any non-empty value to disable the pairwise-op prefilters.
 ``REPRO_NO_INCREMENTAL``
     Set to any non-empty value to disable incremental DBM closure.
-``REPRO_WORKERS``
-    Number of worker processes for pairwise fan-out (default 0 = serial).
 ``REPRO_KERNEL``
     Closure kernel backend: ``numpy`` (batched, vectorized), ``python``
     (scalar), or ``auto`` (default: numpy when importable).
-``REPRO_PARALLEL_MIN_COST``
-    Minimum estimated closure cost (in Floyd–Warshall cell updates)
-    before pairwise fan-out engages; below it chunk overhead dominates
-    and operations run serially regardless of item count.
 ``REPRO_OPTIMIZE``
     Set to ``1``/``true``/``yes``/``on`` to run the logical-plan
     rewrite passes (pushdown, join reordering, CSE) before executing
@@ -45,13 +39,6 @@ from dataclasses import dataclass, replace
 PERF_COUNTERS: Counter = Counter()
 
 DEFAULT_CACHE_SIZE = 8192
-#: Minimum number of tuple pairs before an operation fans out to workers.
-DEFAULT_PARALLEL_THRESHOLD = 64
-#: Minimum estimated closure cost (Floyd–Warshall cell updates) before
-#: fan-out engages.  Roughly: a pool submission costs ~1ms of pickling
-#: and scheduling per chunk while a cell update costs tens of
-#: nanoseconds, so below ~2M units the serial path wins outright.
-DEFAULT_PARALLEL_MIN_COST = 2_000_000
 #: Recognized closure kernel backends.
 KERNEL_BACKENDS = ("auto", "numpy", "python")
 
@@ -78,18 +65,15 @@ def _env_int(name: str, default: int) -> int:
 class PerfConfig:
     """Feature switches for the optimization layer.
 
-    All four optimizations preserve the algebra's semantics; ``workers``
-    and the caches additionally preserve the exact tuple-by-tuple output
-    of the serial/naive paths (see ``docs/performance.md``).
+    All four optimizations preserve the algebra's semantics; all but the
+    subtraction prefilter additionally preserve the exact tuple-by-tuple
+    output of the naive path (see ``docs/performance.md``).
     """
 
     cache_enabled: bool = True
     cache_size: int = DEFAULT_CACHE_SIZE
     prefilter_enabled: bool = True
     incremental_enabled: bool = True
-    workers: int = 0
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
-    parallel_min_cost: int = DEFAULT_PARALLEL_MIN_COST
     kernel: str = "auto"
     optimize: bool = False
     engine: str = "native"
@@ -106,10 +90,6 @@ def _from_env() -> PerfConfig:
         cache_size=max(0, _env_int("REPRO_CACHE_SIZE", DEFAULT_CACHE_SIZE)),
         prefilter_enabled=not _env_flag("REPRO_NO_PREFILTER"),
         incremental_enabled=not _env_flag("REPRO_NO_INCREMENTAL"),
-        workers=max(0, _env_int("REPRO_WORKERS", 0)),
-        parallel_min_cost=max(
-            0, _env_int("REPRO_PARALLEL_MIN_COST", DEFAULT_PARALLEL_MIN_COST)
-        ),
         kernel=_env_kernel(),
         optimize=_env_bool("REPRO_OPTIMIZE"),
         engine=os.environ.get("REPRO_ENGINE", "").strip().lower() or "native",

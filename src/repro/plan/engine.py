@@ -102,7 +102,7 @@ class NativeEngine(Engine):
     """The default engine: every plan node is one in-memory algebra call.
 
     Inherits the whole :mod:`repro.perf` stack (interning caches,
-    prefilters, batched closure kernel, process fan-out) because it
+    prefilters, incremental and batched closure) because it
     calls the same :mod:`repro.core.algebra` entry points the
     pre-planner evaluator did.
     """

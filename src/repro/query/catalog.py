@@ -756,6 +756,13 @@ class VersionedCatalog:
                 except ReproError as exc:
                     slots.append(exc)
                     continue
+                if list(state) != list(base) and not _count_changes(
+                    base, state
+                ):
+                    # A no-op that only reorders names (drop, then
+                    # re-create equal) commits nothing one by one, so
+                    # later batches must build on the old order too.
+                    state, hint = base, set()
                 hints.append(hint)
                 slots.append(len(states))
                 states.append(state)

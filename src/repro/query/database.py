@@ -24,7 +24,6 @@ copies of whatever changed.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Hashable, Sequence
 
 from repro.core.errors import (
@@ -341,37 +340,16 @@ class Database:
     def create(
         self,
         name: str,
-        *args: Sequence[str],
+        *,
         temporal: Sequence[str] = (),
         data: Sequence[str] = (),
     ) -> GeneralizedRelation:
         """Create and register an empty relation.
 
         ``temporal`` and ``data`` are keyword-only: ``create("Train",
-        temporal=["dep", "arr"], data=["service"])``.  The old
-        positional form still works for one release but emits a
-        :class:`DeprecationWarning`.
+        temporal=["dep", "arr"], data=["service"])``.
         """
         self._check_open()
-        if args:
-            warnings.warn(
-                "positional temporal/data arguments to Database.create() "
-                "are deprecated; use create(name, temporal=..., data=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 2 or (len(args) == 2 and data):
-                raise ReproTypeError(
-                    "create() takes at most temporal and data column lists"
-                )
-            if temporal:
-                raise ReproTypeError(
-                    "create() got temporal columns both positionally and "
-                    "by keyword"
-                )
-            temporal = args[0]
-            if len(args) == 2:
-                data = args[1]
         self._guard_view(name)
         if name in self._relations:
             raise SchemaError(f"relation {name!r} already exists")

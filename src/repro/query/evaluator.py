@@ -67,10 +67,7 @@ class Evaluator:
     Parameters mirror the algebra's safety limits: ``max_tuples`` caps
     normalization blow-up, ``max_extensions`` caps the free-extension
     enumeration inside complements (negation is inherently exponential
-    in the schema size; Theorem 3.6).  ``workers`` routes the pairwise
-    algebra operations through the :mod:`repro.perf` process pool for
-    this evaluator's queries (``None`` keeps the global configuration);
-    results are identical for every worker count.
+    in the schema size; Theorem 3.6).
 
     ``engine`` and ``optimize`` are keyword-only: ``engine`` selects a
     registered execution engine by name (or passes an
@@ -87,7 +84,6 @@ class Evaluator:
         extra_data_constants: set[Hashable] | None = None,
         max_tuples: int = DEFAULT_MAX_TUPLES,
         max_extensions: int = DEFAULT_MAX_EXTENSIONS,
-        workers: int | None = None,
         *,
         engine: str | Engine | None = None,
         optimize: bool | None = None,
@@ -95,7 +91,6 @@ class Evaluator:
         self.relations = relations
         self.max_tuples = max_tuples
         self.max_extensions = max_extensions
-        self.workers = workers
         self.engine = engine
         self.optimize = optimize
         domain: set[Hashable] = set()
@@ -125,7 +120,7 @@ class Evaluator:
             self.data_domain = self.data_domain | constants
         optimize = self._resolved_optimize()
         engine = resolve_engine(self.engine)
-        with obs.span("query.evaluate", workers=self.workers or 0) as sp:
+        with obs.span("query.evaluate") as sp:
             plan = Planner(self.relations).plan_query(query)
             get_registry().counter("planner.plans").inc()
             if optimize:
@@ -136,13 +131,7 @@ class Evaluator:
                     domain_size=len(self.data_domain),
                 )
             ctx = self._context(optimize)
-            if self.workers is None:
-                result = engine.run(plan, ctx)
-            else:
-                from repro.perf.config import overrides
-
-                with overrides(workers=self.workers):
-                    result = engine.run(plan, ctx)
+            result = engine.run(plan, ctx)
             sp.set(out_tuples=len(result), out_schema=str(result.schema))
             return result
 
@@ -172,7 +161,7 @@ class Evaluator:
             self.data_domain = self.data_domain | constants
         optimize = self._resolved_optimize()
         engine = resolve_engine(self.engine)
-        with obs.span("query.evaluate", workers=self.workers or 0) as sp:
+        with obs.span("query.evaluate") as sp:
             plan = Planner(self.relations).plan_query(query)
             get_registry().counter("planner.plans").inc()
             temporal = plan.schema.temporal_names
@@ -199,13 +188,7 @@ class Evaluator:
                     domain_size=len(self.data_domain),
                 )
             ctx = self._context(optimize)
-            if self.workers is None:
-                engine.run(plan, ctx)
-            else:
-                from repro.perf.config import overrides
-
-                with overrides(workers=self.workers):
-                    engine.run(plan, ctx)
+            engine.run(plan, ctx)
             result = ctx.optimum
             if result is None:  # pragma: no cover - engine contract
                 raise EvaluationError(

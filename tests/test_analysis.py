@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     CostReport,
-    TallyCounter,
     fit_power_law,
     format_complexity_row,
     measure_binary,
@@ -86,17 +85,6 @@ class TestCostReports:
         r.add_tuple(["2n"])
         result, report = measure_unary(algebra.complement, r)
         assert report.output_tuples == len(result)
-
-    def test_tally_counter(self):
-        tally = TallyCounter()
-        tally.bump("joins")
-        tally.bump("joins", 2)
-        with tally.counting("closures"):
-            pass
-        assert tally["joins"] == 3 and tally["closures"] == 1
-        assert "joins=3" in str(tally)
-        tally.reset()
-        assert tally["joins"] == 0
 
     def test_format_row(self):
         fit = fit_power_law([1, 2], [1, 2])

@@ -60,3 +60,30 @@ def test_experiments_covers_every_benchmark():
     )
     for bench in benches:
         assert bench in experiments, f"EXPERIMENTS.md does not record {bench}"
+
+
+def _knobs_table() -> list[list[str]]:
+    """The cells of the Knobs table in docs/performance.md, one row each."""
+    text = (ROOT / "docs" / "performance.md").read_text()
+    section = text.split("\n## Knobs\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        line for line in section.splitlines() if line.startswith("| ")
+    ][2:]  # skip the header and its separator
+    return [
+        [cell.strip() for cell in re.split(r"(?<!\\)\|", row)[1:-1]]
+        for row in rows
+    ]
+
+
+def test_knobs_table_matches_perf_config():
+    import dataclasses
+
+    from repro.perf.config import PerfConfig
+
+    rows = _knobs_table()
+    documented = [row[1].strip("`") for row in rows]
+    assert documented == [f.name for f in dataclasses.fields(PerfConfig)]
+    env_column = " ".join(row[0] for row in rows)
+    source = (ROOT / "src" / "repro" / "perf" / "config.py").read_text()
+    for name in sorted(set(re.findall(r"REPRO_[A-Z_]+", source))):
+        assert name in env_column, f"Knobs table omits {name}"

@@ -175,29 +175,17 @@ class TestDatabaseCreateRedesign:
         assert list(rel.schema.temporal_names) == ["t"]
         assert list(rel.schema.data_names) == ["d"]
 
-    def test_positional_form_deprecated(self):
-        db = Database()
-        with pytest.warns(DeprecationWarning):
-            rel = db.create("R", ["t1", "t2"], ["d"])
-        assert len(rel.schema) == 3
-
     def test_keyword_form_warns_nothing(self):
         db = Database()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             db.create("R", temporal=["t"])
 
-    def test_conflicting_forms_rejected(self):
+    def test_positional_columns_rejected(self):
         db = Database()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                db.create("R", ["t"], temporal=["u"])
-
-    def test_too_many_positionals_rejected(self):
-        db = Database()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                db.create("R", ["t"], ["d"], ["x"])
+        with pytest.raises(TypeError):
+            db.create("R", ["t1", "t2"], ["d"])
+        assert "R" not in db.names
 
 
 class TestErrorHierarchy:

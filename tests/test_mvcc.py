@@ -14,7 +14,7 @@ Three families:
 
 import threading
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baseline.finite import FiniteRelation
@@ -148,6 +148,10 @@ def _translate(op) -> dict:
 
 class TestGroupCommitEquivalence:
     @given(_batches)
+    # A no-op batch that only reorders names, then a later insert.
+    @example([[("create", "B"), ("create", "A")],
+              [("drop", "B"), ("create", "B")],
+              [("insert", "A", 3, 5)]])
     @settings(max_examples=60, deadline=None)
     def test_group_equals_sequential(self, programs):
         batches = [[_translate(op) for op in batch] for batch in programs]

@@ -152,34 +152,6 @@ class TestAlgebraSpans:
         assert all(v >= 0 for v in rec.root.perf.values())
 
 
-class TestShapeDeterminism:
-    QUERY = (
-        'EXISTS d. EXISTS a. Train(d, a, "slow") '
-        '& (EXISTS e. Train(d, e, "slow"))'
-    )
-
-    def shape(self, workers):
-        from repro.query.evaluator import Evaluator
-
-        db = trains_db()
-        evaluator = Evaluator(
-            {name: db.relation(name) for name in db.names}, workers=workers
-        )
-        with tracing(TraceRecorder()) as rec:
-            result = evaluator.evaluate(db.parse(self.QUERY))
-
-        def tree(sp):
-            return (sp.name, tuple(tree(c) for c in sp.children))
-
-        return tree(rec.root), len(result)
-
-    def test_serial_vs_parallel_tree_identical(self):
-        serial_shape, serial_len = self.shape(workers=None)
-        parallel_shape, parallel_len = self.shape(workers=2)
-        assert serial_shape == parallel_shape
-        assert serial_len == parallel_len
-
-
 class TestExports:
     def test_to_dict_and_json(self):
         rel = trains_relation()

@@ -37,13 +37,11 @@ NAIVE = dict(
     cache_enabled=False,
     prefilter_enabled=False,
     incremental_enabled=False,
-    workers=0,
 )
 OPTIMIZED = dict(
     cache_enabled=True,
     prefilter_enabled=True,
     incremental_enabled=True,
-    workers=0,
 )
 
 
@@ -98,9 +96,9 @@ class TestLRUCache:
 class TestConfig:
     def test_overrides_restores_previous_values(self):
         before = get_config()
-        with overrides(workers=7, prefilter_enabled=False):
+        with overrides(cache_size=7, prefilter_enabled=False):
             inner = get_config()
-            assert inner.workers == 7
+            assert inner.cache_size == 7
             assert not inner.prefilter_enabled
         assert get_config() == before
 

@@ -32,7 +32,7 @@ class TestKeywordSurface:
         from repro.query.evaluator import Evaluator
 
         with pytest.raises(TypeError):
-            Evaluator({}, None, 4000, 4096, None, "native")
+            Evaluator({}, None, 4000, 4096, "native")
 
     def test_database_query_kwargs(self):
         db = ticks_db()

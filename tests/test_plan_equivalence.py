@@ -46,7 +46,6 @@ def naive_eval(case: Case) -> GeneralizedRelation:
         cache_enabled=False,
         prefilter_enabled=False,
         incremental_enabled=False,
-        workers=0,
     ):
         return eval_generalized(case, DEFAULT_CONFIG)
 
