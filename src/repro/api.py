@@ -42,10 +42,9 @@ The surface, by area:
   :func:`parse_query`, :func:`explain_analyze`, :class:`QueryTrace`;
 * **planning** — :func:`plan` / :func:`explain` (frozen
   :class:`PlanReport` summaries), :class:`PlanNode` (the
-  relation-expression IR), :class:`PassReport`, and the pluggable
-  engine registry :class:`Engine` / :class:`ExecutionContext` /
-  :class:`NativeEngine` / :func:`register_engine` / :func:`get_engine`
-  / :func:`engines` (see ``docs/planner.md``);
+  relation-expression IR), :class:`PassReport`, and the plan
+  executor :class:`NativeEngine` / :class:`ExecutionContext` (see
+  ``docs/planner.md``);
 * **durable storage** — :meth:`Database.open` / :meth:`Database.commit`
   / :meth:`Database.compact` / :meth:`Database.close`,
   :class:`StorageEngine` (the WAL-backed store itself), and the
@@ -116,15 +115,11 @@ from repro.obs import (
 )
 from repro.perf.kernel import kernel_backend
 from repro.plan import (
-    Engine,
     ExecutionContext,
     NativeEngine,
     PassReport,
     PlanNode,
     PlanReport,
-    engines,
-    get_engine,
-    register_engine,
 )
 from repro.query import (
     Database,
@@ -134,7 +129,7 @@ from repro.query import (
     parse_query,
 )
 from repro.query.catalog import Snapshot
-from repro.query.explain import plan_report as _plan_report
+from repro.query import dispatch as _dispatch
 from repro.serve import Client, ReproServer, SyncClient
 from repro.storage import (
     FaultInjector,
@@ -144,17 +139,17 @@ from repro.storage import (
 )
 
 
-def plan(db: Database, query, *, engine=None, optimize=None) -> PlanReport:
+def plan(db: Database, query, *, optimize=None) -> PlanReport:
     """Statically plan a query: lowering, rewrites, no execution.
 
     Returns a frozen :class:`PlanReport` — the lowered (naive) plan,
     the plan that would run, and the per-pass rewrite deltas when
     optimization resolves on (``optimize=True`` or ``REPRO_OPTIMIZE``).
     """
-    return _plan_report(db, query, engine=engine, optimize=optimize)
+    return _dispatch.plan(db, query, optimize=optimize)
 
 
-def explain(db: Database, query, *, engine=None, optimize=None) -> PlanReport:
+def explain(db: Database, query, *, optimize=None) -> PlanReport:
     """Plan *and run* a query, annotating every plan node with its size.
 
     Like :func:`plan` but the plan is executed, so the returned
@@ -162,9 +157,7 @@ def explain(db: Database, query, *, engine=None, optimize=None) -> PlanReport:
     (The legacy span-projected tree is still available from
     :meth:`Database.explain` with optimization off.)
     """
-    return _plan_report(
-        db, query, engine=engine, optimize=optimize, execute=True
-    )
+    return _dispatch.plan(db, query, optimize=optimize, execute=True)
 
 
 __all__ = [
@@ -181,17 +174,13 @@ __all__ = [
     "explain_analyze",
     "parse_query",
     # planning
-    "Engine",
     "ExecutionContext",
     "NativeEngine",
     "PassReport",
     "PlanNode",
     "PlanReport",
-    "engines",
     "explain",
-    "get_engine",
     "plan",
-    "register_engine",
     # durable storage
     "FaultInjector",
     "InjectedCrash",

@@ -217,22 +217,18 @@ class Session:
         return "true" if self.db.ask(rest) else "false"
 
     def _cmd_query(self, rest: str) -> str:
-        from repro.optimize import OptimizationResult
-        from repro.plan.report import PlanReport
-        from repro.query.explain import PlanNode, QueryTrace
+        from repro.query.explain import QueryTrace
 
         if self.trace_all:
             trace = self._record_trace(rest)
             return self._format_result(trace.result) + "\n" + trace.flamegraph()
-        result = self.db.query(rest)
-        if isinstance(result, (PlanNode, PlanReport)):  # EXPLAIN prefix
-            return str(result)
-        if isinstance(result, QueryTrace):  # EXPLAIN ANALYZE prefix
-            self.traces.append(result.to_dict())
-            return self._format_result(result.result) + "\n" + result.flamegraph()
-        if isinstance(result, OptimizationResult):  # MINIMIZE/MAXIMIZE
-            return str(result)
-        return self._format_result(result)
+        answer = self.db.query(rest)
+        if isinstance(answer, QueryTrace):  # EXPLAIN ANALYZE prefix
+            self.traces.append(answer.to_dict())
+            return self._format_result(answer.result) + "\n" + answer.flamegraph()
+        if isinstance(answer, GeneralizedRelation):
+            return self._format_result(answer)
+        return str(answer)  # EXPLAIN plan or MINIMIZE/MAXIMIZE verdict
 
     def _cmd_minimize(self, rest: str) -> str:
         """``minimize OBJ : QUERY`` — exact minimum of a linear objective."""
@@ -250,18 +246,7 @@ class Session:
         return header + ("\n" + body if body else "")
 
     def _record_trace(self, text: str):
-        from repro.query.parser import Directive, split_directive
-
-        directive, rest = split_directive(text)
-        if directive in (Directive.MINIMIZE, Directive.MAXIMIZE):
-            from repro.optimize import parse_objective
-            from repro.query.explain import optimize_trace
-
-            objective, qtext = parse_objective(rest)
-            sense = "min" if directive is Directive.MINIMIZE else "max"
-            trace = optimize_trace(self.db, qtext, objective, sense)
-        else:
-            trace = self.db.trace(rest)
+        trace = self.db.query(f"EXPLAIN ANALYZE {text}")
         self.traces.append(trace.to_dict())
         return trace
 
@@ -312,8 +297,7 @@ class Session:
             f"prefilter={'on' if cfg.prefilter_enabled else 'off'}, "
             f"incremental={'on' if cfg.incremental_enabled else 'off'}, "
             f"kernel={kernel_backend()}, "
-            f"optimize={'on' if cfg.optimize else 'off'}, "
-            f"engine={cfg.engine}"
+            f"optimize={'on' if cfg.optimize else 'off'}"
         ]
         counts = perf_counters()
         if counts:
@@ -600,13 +584,6 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the interning caches of the optimization layer",
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        metavar="NAME",
-        help="execution engine queries run on (default: native, or "
-        "REPRO_ENGINE)",
-    )
-    parser.add_argument(
         "--optimize",
         dest="optimize",
         action="store_true",
@@ -629,17 +606,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     trace_mode = trace_mode or args.trace_json is not None
-    if args.no_cache or args.engine is not None or args.optimize is not None:
+    if args.no_cache or args.optimize is not None:
         from repro.perf.config import configure
 
         changes: dict = {}
         if args.no_cache:
             changes["cache_enabled"] = False
-        if args.engine is not None:
-            from repro.plan.engine import get_engine
-
-            get_engine(args.engine)  # fail fast on unknown names
-            changes["engine"] = args.engine
         if args.optimize is not None:
             changes["optimize"] = args.optimize
         configure(**changes)

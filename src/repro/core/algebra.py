@@ -76,7 +76,8 @@ def _traced(op_name: str, pairwise: bool = False):
     """Wrap an algebra operation in an ``algebra.<op>`` span.
 
     When tracing is off the wrapper costs one :func:`repro.obs.trace.span`
-    call (a global load and a branch) per *operation* — never per tuple.
+    call (a context-variable read and a branch) per *operation* — never
+    per tuple.
     When a recorder is installed the span carries the structural cost
     attributes of :mod:`repro.analysis.counters`: input/output tuple
     counts, the result's schema width and, for pairwise operations, the

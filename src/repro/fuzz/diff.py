@@ -297,7 +297,7 @@ def eval_planned(
     enforces (via the execution context's observation hooks).
     """
     from repro.plan import nodes as ir
-    from repro.plan.engine import ExecutionContext, get_engine
+    from repro.plan.engine import ExecutionContext, NativeEngine
     from repro.plan.rewrite import optimize_plan
 
     plan = plan_from_expr(case)
@@ -334,7 +334,7 @@ def eval_planned(
         on_result=on_result,
         on_pair=on_pair,
     )
-    return get_engine("native").run(plan, ctx)
+    return NativeEngine().run(plan, ctx)
 
 
 # ----------------------------------------------------------------------

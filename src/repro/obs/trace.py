@@ -12,7 +12,7 @@ wrapping the ``algebra.*`` spans that did the work.
 Tracing is **off by default** and costs almost nothing when off: the
 instrumentation points call :func:`span`, which returns the shared
 :data:`NULL_SPAN` singleton (a no-op context manager) unless a
-recorder is installed — one module-global load and one branch per
+recorder is installed — one context-variable read and one branch per
 *operation*, never per tuple.  Install a recorder with
 :func:`tracing`::
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextvars import ContextVar
 from typing import Any
 
 from repro.obs.metrics import get_registry
@@ -203,20 +204,25 @@ class TraceRecorder:
 
 
 # ----------------------------------------------------------------------
-# module-global recorder installation
+# recorder installation (per thread / per asyncio task)
 # ----------------------------------------------------------------------
 
-_active: TraceRecorder | None = None
+#: The installed recorder.  A context variable, not a module global, so
+#: concurrent ``tracing()`` blocks in different threads each see only
+#: their own recorder and can never leave one installed.
+_active: ContextVar[TraceRecorder | None] = ContextVar(
+    "repro_trace_recorder", default=None
+)
 
 
 def active_recorder() -> TraceRecorder | None:
     """The installed recorder, or None while tracing is off."""
-    return _active
+    return _active.get()
 
 
 def tracing_enabled() -> bool:
     """Whether a recorder is currently installed."""
-    return _active is not None
+    return _active.get() is not None
 
 
 def span(name: str, **attrs):
@@ -224,9 +230,9 @@ def span(name: str, **attrs):
 
     This is the hot-path entry: instrumentation sites do ``with
     obs.span("algebra.join") as sp: ...`` unconditionally and pay only
-    a global load plus a branch when tracing is disabled.
+    a context-variable read plus a branch when tracing is disabled.
     """
-    recorder = _active
+    recorder = _active.get()
     if recorder is None:
         return NULL_SPAN
     return recorder.span(name, **attrs)
@@ -236,22 +242,22 @@ class tracing:
     """Context manager installing a :class:`TraceRecorder`.
 
     ``with tracing() as recorder: ...`` — nested installs stack; the
-    previous recorder (or the off state) is restored on exit.
+    previous recorder (or the off state) is restored on exit.  The
+    install is local to the current thread (or asyncio task), so
+    interleaved blocks in concurrent threads never see each other's
+    recorder.
     """
 
     def __init__(self, recorder: TraceRecorder | None = None) -> None:
         self.recorder = recorder if recorder is not None else TraceRecorder()
-        self._saved: TraceRecorder | None = None
+        self._token = None
 
     def __enter__(self) -> TraceRecorder:
-        global _active
-        self._saved = _active
-        _active = self.recorder
+        self._token = _active.set(self.recorder)
         return self.recorder
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        global _active
-        _active = self._saved
+        _active.reset(self._token)
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,6 @@ with :func:`configure` or scope changes with :func:`overrides`):
     Set to ``1``/``true``/``yes``/``on`` to run the logical-plan
     rewrite passes (pushdown, join reordering, CSE) before executing
     queries; ``0``/``false``/``no``/``off``/unset keeps the naive plan.
-``REPRO_ENGINE``
-    Name of the registered execution engine queries run on (default
-    ``native``, the in-process algebra interpreter).
 """
 
 from __future__ import annotations
@@ -76,7 +73,6 @@ class PerfConfig:
     incremental_enabled: bool = True
     kernel: str = "auto"
     optimize: bool = False
-    engine: str = "native"
 
 
 def _env_kernel() -> str:
@@ -92,7 +88,6 @@ def _from_env() -> PerfConfig:
         incremental_enabled=not _env_flag("REPRO_NO_INCREMENTAL"),
         kernel=_env_kernel(),
         optimize=_env_bool("REPRO_OPTIMIZE"),
-        engine=os.environ.get("REPRO_ENGINE", "").strip().lower() or "native",
     )
 
 

@@ -8,9 +8,8 @@ The read path is split in three (``docs/planner.md``):
   passes (pushdown, reordering, CSE, normal-form deferral) with
   per-pass :class:`PassReport` deltas, costed by
   :mod:`repro.plan.cost`;
-* **engines** (:mod:`repro.plan.engine`) — the pluggable execution
-  contract; :class:`NativeEngine` runs plans on
-  :mod:`repro.core.algebra` in-process.
+* **execution** (:mod:`repro.plan.engine`) — :class:`NativeEngine`
+  runs plans on :mod:`repro.core.algebra` in-process.
 
 The planner that lowers query ASTs into this IR lives with the query
 language (:mod:`repro.query.planner`); :class:`PlanReport` is the
@@ -18,15 +17,7 @@ stable JSON-facing summary :func:`repro.api.plan` returns.
 """
 
 from repro.plan.cost import CostModel
-from repro.plan.engine import (
-    Engine,
-    ExecutionContext,
-    NativeEngine,
-    engines,
-    get_engine,
-    register_engine,
-    resolve_engine,
-)
+from repro.plan.engine import ExecutionContext, NativeEngine
 from repro.plan.nodes import (
     Complement,
     DataDiag,
@@ -56,7 +47,6 @@ __all__ = [
     "CostModel",
     "DataDiag",
     "DataDomain",
-    "Engine",
     "ExecutionContext",
     "Guard",
     "Intersect",
@@ -77,9 +67,5 @@ __all__ = [
     "Shift",
     "Subtract",
     "Union",
-    "engines",
-    "get_engine",
     "optimize_plan",
-    "register_engine",
-    "resolve_engine",
 ]

@@ -1,14 +1,11 @@
-"""Pluggable execution engines for relation-expression plans.
+"""The execution engine for relation-expression plans.
 
-An :class:`Engine` turns a plan tree (:mod:`repro.plan.nodes`) into a
-:class:`~repro.core.relations.GeneralizedRelation` against an
+:class:`NativeEngine` turns a plan tree (:mod:`repro.plan.nodes`) into
+a :class:`~repro.core.relations.GeneralizedRelation` against an
 :class:`ExecutionContext` (the stored relations, the active data
-domain, the safety limits).  :class:`NativeEngine` — the default — maps
-every node onto :mod:`repro.core.algebra` in-process; alternative
-engines register themselves under a name with :func:`register_engine`
-and are selected per query via ``Evaluator(engine=...)``,
-``Database.query(engine=...)``, ``repro --engine`` or the
-``REPRO_ENGINE`` environment variable.
+domain, the safety limits) by mapping every node onto
+:mod:`repro.core.algebra` in-process.  It is the only executor: every
+query, optimization and EXPLAIN runs on it.
 
 Tracing contract: a node that carries provenance ``labels`` opens one
 ``query.<operator>`` span per label (outermost first), reproducing the
@@ -20,14 +17,12 @@ pre-planner evaluator.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections.abc import Callable, Hashable, Mapping, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 from repro.core import algebra
-from repro.core.errors import EvaluationError, ReproTypeError, ReproValueError
+from repro.core.errors import EvaluationError, ReproTypeError
 from repro.core.negation import DEFAULT_MAX_EXTENSIONS
 from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation
@@ -53,7 +48,7 @@ class ExecutionContext:
     ``optimum`` is an *out* slot: engines return relations, so an
     :class:`~repro.plan.nodes.Optimize` root deposits its scalar
     :class:`~repro.optimize.core.OptimizationResult` here for the
-    evaluator to pick up after :meth:`Engine.run` returns.
+    evaluator to pick up after :meth:`NativeEngine.run` returns.
     """
 
     relations: Mapping[str, GeneralizedRelation]
@@ -74,40 +69,15 @@ class ExecutionContext:
         return sorted(self.data_domain, key=repr)
 
 
-class Engine(ABC):
-    """The execution-engine contract.
-
-    An engine evaluates a whole plan tree; how it does so — in-process
-    algebra, a remote service, a different data-part backend — is its
-    own business, as long as the result denotes the same point set the
-    :class:`NativeEngine` computes.  Engines must be stateless across
-    :meth:`run` calls (one instance is shared by every evaluator that
-    selects it by name).
-    """
-
-    #: Registry name; subclasses override.
-    name: ClassVar[str] = "?"
-
-    @abstractmethod
-    def run(
-        self, plan: ir.PlanNode, ctx: ExecutionContext
-    ) -> GeneralizedRelation:
-        """Execute ``plan`` against ``ctx`` and return the result."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-class NativeEngine(Engine):
-    """The default engine: every plan node is one in-memory algebra call.
+class NativeEngine:
+    """The plan executor: every plan node is one in-memory algebra call.
 
     Inherits the whole :mod:`repro.perf` stack (interning caches,
     prefilters, incremental and batched closure) because it
     calls the same :mod:`repro.core.algebra` entry points the
-    pre-planner evaluator did.
+    pre-planner evaluator did.  Stateless across :meth:`run` calls, so
+    one instance can serve every evaluator.
     """
-
-    name: ClassVar[str] = "native"
 
     def run(
         self, plan: ir.PlanNode, ctx: ExecutionContext
@@ -268,56 +238,3 @@ class NativeEngine(Engine):
         raise ReproTypeError(  # pragma: no cover - exhaustive over nodes.py
             f"unexpected plan node: {type(node).__name__}"
         )
-
-
-# ----------------------------------------------------------------------
-# engine registry
-# ----------------------------------------------------------------------
-
-_ENGINES: dict[str, Engine] = {}
-
-
-def register_engine(engine: Engine) -> Engine:
-    """Register an engine instance under ``engine.name`` (replacing any)."""
-    if not isinstance(engine, Engine):
-        raise ReproTypeError(
-            f"register_engine() takes an Engine instance, got {engine!r}"
-        )
-    _ENGINES[engine.name] = engine
-    return engine
-
-
-def get_engine(name: str) -> Engine:
-    """Look up a registered engine by name."""
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        raise ReproValueError(
-            f"unknown engine {name!r}; registered: {', '.join(sorted(_ENGINES))}"
-        ) from None
-
-
-def engines() -> tuple[str, ...]:
-    """Registered engine names, sorted."""
-    return tuple(sorted(_ENGINES))
-
-
-def resolve_engine(engine: str | Engine | None) -> Engine:
-    """Coerce an engine argument (name, instance or ``None``) to an engine.
-
-    ``None`` selects the configured default
-    (:attr:`repro.perf.config.PerfConfig.engine`, environment variable
-    ``REPRO_ENGINE``).
-    """
-    if engine is None:
-        from repro.perf.config import get_config
-
-        return get_engine(get_config().engine)
-    if isinstance(engine, Engine):
-        return engine
-    if isinstance(engine, str):
-        return get_engine(engine)
-    raise ReproTypeError(f"engine must be a name or an Engine, got {engine!r}")
-
-
-register_engine(NativeEngine())

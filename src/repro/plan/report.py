@@ -28,7 +28,6 @@ class PlanReport:
     """
 
     query: str
-    engine: str
     optimized: bool
     naive: PlanNode
     plan: PlanNode
@@ -56,7 +55,7 @@ class PlanReport:
     def render(self) -> list[str]:
         """The report as text lines: header, plan tree, pass deltas."""
         state = "optimized" if self.optimized else "naive"
-        lines = [f"plan [{state}, engine={self.engine}] for: {self.query}"]
+        lines = [f"plan [{state}] for: {self.query}"]
         lines.extend(self._render_node(self.plan, 1))
         if self.passes:
             lines.append("passes:")
@@ -79,10 +78,9 @@ class PlanReport:
         return out
 
     def to_dict(self) -> dict[str, Any]:
-        """A JSON-ready dump: query, engine, plans and pass deltas."""
+        """A JSON-ready dump: query, plans and pass deltas."""
         return {
             "query": self.query,
-            "engine": self.engine,
             "optimized": self.optimized,
             "plan": self._node_dict(self.plan),
             "naive": self.naive.to_dict(),

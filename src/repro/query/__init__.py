@@ -24,7 +24,6 @@ from repro.query.evaluator import Evaluator
 from repro.query.explain import (
     PlanNode,
     QueryTrace,
-    explain,
     explain_analyze,
     explain_plan,
     plan_report,
@@ -56,7 +55,6 @@ __all__ = [
     "Sort",
     "TempConst",
     "TempVar",
-    "explain",
     "explain_analyze",
     "explain_plan",
     "free_variables",

@@ -49,6 +49,7 @@ from repro.core.errors import (
     SchemaError,
 )
 from repro.core.relations import GeneralizedRelation, Schema
+from repro.query import dispatch
 
 
 class CatalogVersion:
@@ -176,45 +177,18 @@ class Snapshot:
 
         return parse_query(text, self.schemas())
 
-    def _evaluator(self, *, engine=None, optimize=None):
-        from repro.query.evaluator import Evaluator
-
-        return Evaluator(
-            dict(self._version.relations),
-            max_tuples=self.max_tuples,
-            max_extensions=self.max_extensions,
-            engine=engine,
-            optimize=optimize,
-        )
-
-    def query(self, query, *, engine=None, optimize=None):
+    def query(self, query, *, optimize=None):
         """Evaluate a query against the pinned version.
 
-        Accepts a query string or AST; returns the result relation.
-        A ``MINIMIZE <obj> : <q>`` / ``MAXIMIZE <obj> : <q>`` directive
-        returns the :class:`~repro.optimize.core.OptimizationResult`
-        instead (the served ``query`` op ships both faces).  Unlike
-        :meth:`Database.query <repro.query.database.Database.query>`
-        this never sees uncommitted working-state mutations — only the
-        pinned committed catalog.
+        Accepts a query string or AST and answers every directive
+        exactly as :meth:`Database.query
+        <repro.query.database.Database.query>` does — both go through
+        :func:`repro.query.dispatch.query` — but never sees uncommitted
+        working-state mutations, only the pinned committed catalog.
         """
-        if isinstance(query, str):
-            from repro.query.parser import Directive, split_directive
+        return dispatch.query(self, query, optimize=optimize)
 
-            directive, text = split_directive(query)
-            if directive in (Directive.MINIMIZE, Directive.MAXIMIZE):
-                sense = "min" if directive is Directive.MINIMIZE else "max"
-                return self.optimize(
-                    text, sense=sense, engine=engine, optimize=optimize
-                )
-            query = self.parse(text)
-        return self._evaluator(engine=engine, optimize=optimize).evaluate(
-            query
-        )
-
-    def optimize(
-        self, query, objective=None, *, sense="min", engine=None, optimize=None
-    ):
+    def optimize(self, query, objective=None, *, sense="min", optimize=None):
         """Exact extremum of a linear objective over the pinned version.
 
         Mirrors :meth:`Database.optimize
@@ -222,37 +196,13 @@ class Snapshot:
         :class:`~repro.optimize.Objective`, its text form, or ``None``
         to read it from the query's ``<obj> : <query>`` prefix.
         """
-        from repro.obs import metrics
-        from repro.optimize import Objective, parse_objective
-        from repro.query.parser import Directive, split_directive
+        return dispatch.extremum(
+            self, query, objective, sense=sense, optimize=optimize
+        )
 
-        metrics().counter("optimize.queries").inc()
-        if isinstance(query, str):
-            directive, text = split_directive(query)
-            if directive is Directive.MINIMIZE:
-                sense = "min"
-            elif directive is Directive.MAXIMIZE:
-                sense = "max"
-            if objective is None:
-                objective, text = parse_objective(text)
-            query = self.parse(text)
-        if objective is None:
-            from repro.core.errors import EvaluationError
-
-            raise EvaluationError(
-                "optimize() needs an objective (a variable name or a "
-                "difference 'a - b')"
-            )
-        if isinstance(objective, str):
-            objective = Objective.parse(objective)
-        evaluator = self._evaluator(engine=engine, optimize=optimize)
-        return evaluator.optimize_query(query, objective, sense)
-
-    def ask(self, query, *, engine=None, optimize=None) -> bool:
+    def ask(self, query, *, optimize=None) -> bool:
         """Evaluate a closed (yes/no) query against the pinned version."""
-        if isinstance(query, str):
-            query = self.parse(query)
-        return self._evaluator(engine=engine, optimize=optimize).ask(query)
+        return dispatch.ask(self, query, optimize=optimize)
 
     def __contains__(self, name: str) -> bool:
         return name in self._version

@@ -37,8 +37,8 @@ from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.query.ast import Query
 from repro.query.catalog import CatalogVersion, Snapshot, VersionedCatalog
-from repro.query.evaluator import Evaluator
-from repro.query.parser import Directive, parse_query, split_directive
+from repro.query import dispatch
+from repro.query.parser import parse_query
 
 
 class Database:
@@ -404,16 +404,7 @@ class Database:
         self._check_open()
         return parse_query(text, self.schemas())
 
-    def _evaluator(self, *, engine=None, optimize=None) -> Evaluator:
-        return Evaluator(
-            dict(self._relations),
-            max_tuples=self.max_tuples,
-            max_extensions=self.max_extensions,
-            engine=engine,
-            optimize=optimize,
-        )
-
-    def query(self, query: str | Query, *, engine=None, optimize=None):
+    def query(self, query: str | Query, *, optimize=None):
         """Evaluate a query; the result schema is the free variables.
 
         A query string may carry a leading directive: ``EXPLAIN <q>``
@@ -424,45 +415,16 @@ class Database:
         objective as an :class:`~repro.optimize.core.
         OptimizationResult` (see :meth:`optimize` and
         ``docs/optimization.md``).  ``EXPLAIN [ANALYZE] MINIMIZE ...``
-        composes.  Plain queries return the result relation.
+        composes.  Plain queries return the result relation.  The
+        directives are handled by :mod:`repro.query.dispatch`, which
+        :class:`~repro.query.catalog.Snapshot` and the server share.
 
-        ``engine`` selects a registered execution engine by name,
-        ``optimize`` toggles the plan rewrite passes; both default to
-        the global configuration (``REPRO_ENGINE`` /
-        ``REPRO_OPTIMIZE``).  Optimization never changes results, only
-        how they are computed.
+        ``optimize`` toggles the plan rewrite passes; it defaults to
+        the global configuration (``REPRO_OPTIMIZE``).  Optimization
+        never changes results, only how they are computed.
         """
         self._check_open()
-        if isinstance(query, str):
-            directive, text = split_directive(query)
-            if directive in (Directive.EXPLAIN, Directive.EXPLAIN_ANALYZE):
-                inner, rest = split_directive(text)
-                if inner in (Directive.MINIMIZE, Directive.MAXIMIZE):
-                    from repro.optimize import parse_objective
-                    from repro.query.explain import optimize_trace
-
-                    objective, qtext = parse_objective(rest)
-                    trace = optimize_trace(
-                        self,
-                        qtext,
-                        objective,
-                        "min" if inner is Directive.MINIMIZE else "max",
-                        engine=engine,
-                        optimize=optimize,
-                    )
-                    if directive is Directive.EXPLAIN_ANALYZE:
-                        return trace
-                    return trace.plan_only()
-                if directive is Directive.EXPLAIN:
-                    return self.explain(text, engine=engine, optimize=optimize)
-                return self.trace(text, engine=engine, optimize=optimize)
-            if directive in (Directive.MINIMIZE, Directive.MAXIMIZE):
-                sense = "min" if directive is Directive.MINIMIZE else "max"
-                return self.optimize(
-                    text, sense=sense, engine=engine, optimize=optimize
-                )
-            query = self.parse(text)
-        return self._evaluator(engine=engine, optimize=optimize).evaluate(query)
+        return dispatch.query(self, query, optimize=optimize)
 
     def optimize(
         self,
@@ -470,7 +432,6 @@ class Database:
         objective=None,
         *,
         sense: str = "min",
-        engine=None,
         optimize=None,
     ):
         """Exact extremum of a linear objective over a query's result.
@@ -489,48 +450,25 @@ class Database:
         never an approximation (``docs/optimization.md``).
         """
         self._check_open()
-        from repro.obs import metrics
-        from repro.optimize import Objective, parse_objective
+        return dispatch.extremum(
+            self, query, objective, sense=sense, optimize=optimize
+        )
 
-        metrics().counter("optimize.queries").inc()
-        if isinstance(query, str):
-            directive, text = split_directive(query)
-            if directive is Directive.MINIMIZE:
-                sense = "min"
-            elif directive is Directive.MAXIMIZE:
-                sense = "max"
-            if objective is None:
-                objective, text = parse_objective(text)
-            query = self.parse(text)
-        if objective is None:
-            raise EvaluationError(
-                "optimize() needs an objective (a variable name or a "
-                "difference 'a - b')"
-            )
-        if isinstance(objective, str):
-            objective = Objective.parse(objective)
-        evaluator = self._evaluator(engine=engine, optimize=optimize)
-        return evaluator.optimize_query(query, objective, sense)
-
-    def ask(self, query: str | Query, *, engine=None, optimize=None) -> bool:
+    def ask(self, query: str | Query, *, optimize=None) -> bool:
         """Evaluate a closed (yes/no) query — Theorem 4.1's setting."""
         self._check_open()
-        if isinstance(query, str):
-            query = self.parse(query)
-        return self._evaluator(engine=engine, optimize=optimize).ask(query)
+        return dispatch.ask(self, query, optimize=optimize)
 
-    def plan(self, query: str | Query, *, engine=None, optimize=None):
+    def plan(self, query: str | Query, *, optimize=None):
         """Statically plan ``query`` without executing it.
 
         Returns a frozen :class:`~repro.plan.report.PlanReport`: the
         lowered plan, the optimized plan (when optimization resolves
         on) and the per-pass rewrite deltas.
         """
-        from repro.query.explain import plan_report
+        return dispatch.plan(self, query, optimize=optimize)
 
-        return plan_report(self, query, engine=engine, optimize=optimize)
-
-    def explain(self, query: str | Query, *, engine=None, optimize=None):
+    def explain(self, query: str | Query, *, optimize=None):
         """Record the algebraic plan of ``query`` (it really runs).
 
         With optimization off (the default), returns the legacy
@@ -539,20 +477,9 @@ class Database:
         annotated with observed output sizes and whose ``passes`` show
         what each rewrite changed.  ``str()`` renders either.
         """
-        from repro.query.explain import explain_plan, plan_report
+        return dispatch.explain(self, query, optimize=optimize)
 
-        resolved = optimize
-        if resolved is None:
-            from repro.perf.config import get_config
-
-            resolved = get_config().optimize
-        if resolved:
-            return plan_report(
-                self, query, engine=engine, optimize=True, execute=True
-            )
-        return explain_plan(self, query, engine=engine, optimize=False)
-
-    def trace(self, query: str | Query, *, engine=None, optimize=None):
+    def trace(self, query: str | Query, *, optimize=None):
         """EXPLAIN ANALYZE: evaluate ``query`` under the trace recorder.
 
         Returns a :class:`repro.query.explain.QueryTrace` holding the
@@ -561,9 +488,7 @@ class Database:
         normalization expansions, wall times), the annotated plan, a
         text flamegraph and JSON export.
         """
-        from repro.query.explain import explain_analyze
-
-        return explain_analyze(self, query, engine=engine, optimize=optimize)
+        return dispatch.explain_analyze(self, query, optimize=optimize)
 
     def __contains__(self, name: str) -> bool:
         return name in self._relations

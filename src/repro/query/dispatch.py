@@ -1,0 +1,155 @@
+"""The query front door: one directive dispatcher for every reader.
+
+Every way a query arrives — :class:`~repro.query.database.Database`,
+a pinned :class:`~repro.query.catalog.Snapshot`, the served ``query``
+op (which evaluates on a snapshot) and the CLI — ends in
+:func:`query`, so a directive means the same thing on every path:
+
+==================================  ====================================
+query text                          answer
+==================================  ====================================
+``<q>``                             the result relation
+``MINIMIZE|MAXIMIZE <obj> : <q>``   :class:`~repro.optimize.core.
+                                    OptimizationResult`
+``EXPLAIN <q>``                     the plan (:func:`explain`)
+``EXPLAIN ANALYZE <q>``             :class:`~repro.query.explain.
+                                    QueryTrace`
+``EXPLAIN MINIMIZE ...``            the plan of the optimization
+``EXPLAIN ANALYZE MAXIMIZE ...``    its :class:`~repro.query.explain.
+                                    QueryTrace`
+==================================  ====================================
+
+A *reader* is anything with ``parse(text)``, ``names``,
+``relation(name)``, ``max_tuples`` and ``max_extensions``; the
+evaluator over it is built by :meth:`Evaluator.of
+<repro.query.evaluator.Evaluator.of>`.  ``optimize`` toggles the plan
+rewrite passes and defaults to the global configuration
+(``REPRO_OPTIMIZE``).
+"""
+
+from __future__ import annotations
+
+from repro.core.errors import EvaluationError
+from repro.obs import metrics
+from repro.query.ast import Query
+from repro.query.evaluator import Evaluator
+from repro.query.explain import (
+    explain_analyze,
+    explain_plan,
+    optimize_trace,
+    plan_report,
+)
+from repro.query.parser import Directive, split_directive
+
+_SENSES = {Directive.MINIMIZE: "min", Directive.MAXIMIZE: "max"}
+
+
+def query(reader, query: str | Query, *, optimize: bool | None = None):
+    """Answer a query, honoring a leading directive (see module doc)."""
+    if isinstance(query, str):
+        directive, text = split_directive(query)
+        if directive in _SENSES:
+            return extremum(
+                reader, text, sense=_SENSES[directive], optimize=optimize
+            )
+        if directive is not Directive.QUERY:
+            analyze = directive is Directive.EXPLAIN_ANALYZE
+            return _explain_directive(reader, text, analyze, optimize)
+        query = reader.parse(text)
+    return Evaluator.of(reader, optimize=optimize).evaluate(query)
+
+
+def _explain_directive(reader, text: str, analyze: bool, optimize):
+    """``EXPLAIN [ANALYZE] <text>``; ``text`` may itself optimize."""
+    inner, rest = split_directive(text)
+    if inner in _SENSES:
+        from repro.optimize import parse_objective
+
+        objective, qtext = parse_objective(rest)
+        trace = optimize_trace(
+            Evaluator.of(reader, optimize=optimize),
+            reader.parse(qtext),
+            objective,
+            _SENSES[inner],
+        )
+        return trace if analyze else trace.plan_only()
+    if analyze:
+        return explain_analyze(reader, text, optimize=optimize)
+    return explain(reader, text, optimize=optimize)
+
+
+def extremum(
+    reader,
+    query: str | Query,
+    objective=None,
+    *,
+    sense: str = "min",
+    optimize: bool | None = None,
+):
+    """Exact extremum of a linear objective over a query's result.
+
+    ``objective`` is a :class:`repro.optimize.Objective`, its text
+    form, or ``None`` to read it from the query string's own
+    ``<obj> : <query>`` prefix; a leading ``MINIMIZE``/``MAXIMIZE``
+    directive overrides ``sense``.
+    """
+    from repro.optimize import Objective, parse_objective
+
+    metrics().counter("optimize.queries").inc()
+    if isinstance(query, str):
+        directive, text = split_directive(query)
+        sense = _SENSES.get(directive, sense)
+        if objective is None:
+            objective, text = parse_objective(text)
+        query = reader.parse(text)
+    if objective is None:
+        raise EvaluationError(
+            "optimize() needs an objective (a variable name or a "
+            "difference 'a - b')"
+        )
+    if isinstance(objective, str):
+        objective = Objective.parse(objective)
+    evaluator = Evaluator.of(reader, optimize=optimize)
+    return evaluator.optimize_query(query, objective, sense)
+
+
+def ask(reader, query: str | Query, *, optimize: bool | None = None) -> bool:
+    """Evaluate a closed (yes/no) query."""
+    if isinstance(query, str):
+        query = reader.parse(query)
+    return Evaluator.of(reader, optimize=optimize).ask(query)
+
+
+def explain(reader, query: str | Query, *, optimize: bool | None = None):
+    """The ``EXPLAIN`` answer: the plan of ``query`` (it really runs).
+
+    With optimization off, the span-projected
+    :class:`~repro.query.explain.PlanNode`; with it on, an executed
+    :class:`~repro.plan.report.PlanReport` whose nodes carry observed
+    output sizes and whose ``passes`` show what each rewrite changed.
+    """
+    if optimize is None:
+        from repro.perf.config import get_config
+
+        optimize = get_config().optimize
+    if optimize:
+        return plan(reader, query, optimize=True, execute=True)
+    return explain_plan(reader, query, optimize=False)
+
+
+def plan(
+    reader,
+    query: str | Query,
+    *,
+    optimize: bool | None = None,
+    execute: bool = False,
+):
+    """The :class:`~repro.plan.report.PlanReport` of ``query``.
+
+    Static unless ``execute``, which runs the plan and annotates each
+    node with its observed output size.
+    """
+    if isinstance(query, str):
+        query = reader.parse(query)
+    evaluator = Evaluator.of(reader, optimize=optimize)
+    return plan_report(evaluator, query, execute=execute)

@@ -24,11 +24,11 @@ Translation table:
 Since the planner split (``docs/planner.md``), the evaluator is a thin
 pipeline: :class:`repro.query.planner.Planner` lowers the AST into a
 relation-expression plan, the optional rewrite passes
-(:mod:`repro.plan.rewrite`) transform it, and a pluggable engine
-(:mod:`repro.plan.engine`) executes it.  With optimization off (the
-default) the lowered plan performs exactly the algebra calls the
-pre-planner evaluator performed, in the same order — results and trace
-shapes are byte-compatible.
+(:mod:`repro.plan.rewrite`) transform it, and
+:class:`~repro.plan.engine.NativeEngine` executes it.  With
+optimization off (the default) the lowered plan performs exactly the
+algebra calls the pre-planner evaluator performed, in the same order —
+results and trace shapes are byte-compatible.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from repro.obs.metrics import get_registry
 from repro.core.negation import DEFAULT_MAX_EXTENSIONS
 from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation
-from repro.plan.engine import Engine, ExecutionContext, resolve_engine
-from repro.plan.nodes import PlanNode
+from repro.plan.engine import ExecutionContext, NativeEngine
+from repro.plan.nodes import Optimize, PlanNode
 from repro.plan.rewrite import PassReport, optimize_plan
 from repro.query.ast import (
     And,
@@ -60,6 +60,9 @@ from repro.query.ast import (
 from repro.query.ops import node_detail, node_operator  # noqa: F401 - re-export
 from repro.query.planner import Planner
 
+#: The one plan executor; stateless, so every evaluator shares it.
+_ENGINE = NativeEngine()
+
 
 class Evaluator:
     """Compiles and runs queries against a set of named relations.
@@ -69,13 +72,11 @@ class Evaluator:
     enumeration inside complements (negation is inherently exponential
     in the schema size; Theorem 3.6).
 
-    ``engine`` and ``optimize`` are keyword-only: ``engine`` selects a
-    registered execution engine by name (or passes an
-    :class:`~repro.plan.engine.Engine` instance), ``optimize`` turns
-    the plan rewrite passes on or off.  Both default to the global
-    configuration (environment variables ``REPRO_ENGINE`` and
-    ``REPRO_OPTIMIZE``); optimized plans are semantically equivalent
-    but may differ in intermediate representation and trace shape.
+    ``optimize`` is keyword-only and turns the plan rewrite passes on
+    or off; it defaults to the global configuration (environment
+    variable ``REPRO_OPTIMIZE``).  Optimized plans are semantically
+    equivalent but may differ in intermediate representation and trace
+    shape.
     """
 
     def __init__(
@@ -85,13 +86,11 @@ class Evaluator:
         max_tuples: int = DEFAULT_MAX_TUPLES,
         max_extensions: int = DEFAULT_MAX_EXTENSIONS,
         *,
-        engine: str | Engine | None = None,
         optimize: bool | None = None,
     ) -> None:
         self.relations = relations
         self.max_tuples = max_tuples
         self.max_extensions = max_extensions
-        self.engine = engine
         self.optimize = optimize
         domain: set[Hashable] = set()
         for rel in relations.values():
@@ -99,6 +98,21 @@ class Evaluator:
         if extra_data_constants:
             domain |= extra_data_constants
         self.data_domain = domain
+
+    @classmethod
+    def of(cls, reader, *, optimize: bool | None = None) -> Evaluator:
+        """An evaluator over a reader's relations and safety limits.
+
+        A *reader* (:class:`~repro.query.database.Database`,
+        :class:`~repro.query.catalog.Snapshot`) exposes ``names``,
+        ``relation(name)``, ``max_tuples`` and ``max_extensions``.
+        """
+        return cls(
+            {name: reader.relation(name) for name in reader.names},
+            max_tuples=reader.max_tuples,
+            max_extensions=reader.max_extensions,
+            optimize=optimize,
+        )
 
     # ------------------------------------------------------------------
     # public API
@@ -115,23 +129,12 @@ class Evaluator:
         domain for this (and, if the evaluator is reused, subsequent)
         evaluations — the standard active-domain convention.
         """
-        constants = _data_constants(query)
-        if not constants <= self.data_domain:
-            self.data_domain = self.data_domain | constants
         optimize = self._resolved_optimize()
-        engine = resolve_engine(self.engine)
         with obs.span("query.evaluate") as sp:
-            plan = Planner(self.relations).plan_query(query)
-            get_registry().counter("planner.plans").inc()
+            _, plan, _ = self._lower(query, optimize)
             if optimize:
-                sp.set(engine=engine.name, optimized=True)
-                plan, _ = optimize_plan(
-                    plan,
-                    relations=self.relations,
-                    domain_size=len(self.data_domain),
-                )
-            ctx = self._context(optimize)
-            result = engine.run(plan, ctx)
+                sp.set(optimized=True)
+            result, _ = self._execute(plan, optimize)
             sp.set(out_tuples=len(result), out_schema=str(result.schema))
             return result
 
@@ -154,16 +157,7 @@ class Evaluator:
         deposits the scalar in the execution context.  Returns the
         :class:`~repro.optimize.core.OptimizationResult`.
         """
-        from repro.plan.nodes import Optimize
-
-        constants = _data_constants(query)
-        if not constants <= self.data_domain:
-            self.data_domain = self.data_domain | constants
-        optimize = self._resolved_optimize()
-        engine = resolve_engine(self.engine)
-        with obs.span("query.evaluate") as sp:
-            plan = Planner(self.relations).plan_query(query)
-            get_registry().counter("planner.plans").inc()
+        def under_objective(plan: PlanNode) -> PlanNode:
             temporal = plan.schema.temporal_names
             for var in objective.variables():
                 if var not in temporal:
@@ -172,34 +166,26 @@ class Evaluator:
                         f"variable of the query (free temporal: "
                         f"{', '.join(temporal) or 'none'})"
                     )
-            detail = f"{sense} {objective}"
-            plan = Optimize(
+            return Optimize(
                 child=plan,
                 sense=sense,
                 name=objective.name,
                 minus=objective.minus,
-                labels=(("optimize", detail),),
+                labels=(("optimize", f"{sense} {objective}"),),
             )
+
+        optimize = self._resolved_optimize()
+        with obs.span("query.evaluate") as sp:
+            _, plan, _ = self._lower(query, optimize, under_objective)
             if optimize:
-                sp.set(engine=engine.name, optimized=True)
-                plan, _ = optimize_plan(
-                    plan,
-                    relations=self.relations,
-                    domain_size=len(self.data_domain),
-                )
-            ctx = self._context(optimize)
-            engine.run(plan, ctx)
+                sp.set(optimized=True)
+            _, ctx = self._execute(plan, optimize)
             result = ctx.optimum
-            if result is None:  # pragma: no cover - engine contract
-                raise EvaluationError(
-                    f"engine {engine.name!r} did not produce an "
-                    "optimization result"
-                )
             sp.set(optimum=str(result.value), status=result.status)
             return result
 
     def plan(
-        self, query: Query, *, optimize: bool | None = None
+        self, query: Query
     ) -> tuple[PlanNode, PlanNode, tuple[PassReport, ...]]:
         """Plan a query without executing it.
 
@@ -207,25 +193,7 @@ class Evaluator:
         that would run (rewritten when optimization is on, the same
         object otherwise) and the per-pass rewrite deltas.
         """
-        constants = _data_constants(query)
-        if not constants <= self.data_domain:
-            self.data_domain = self.data_domain | constants
-        if optimize is None:
-            optimize = self._resolved_optimize()
-        naive = Planner(self.relations).plan_query(query)
-        get_registry().counter("planner.plans").inc()
-        if not optimize:
-            return naive, naive, ()
-        plan, passes = optimize_plan(
-            naive,
-            relations=self.relations,
-            domain_size=len(self.data_domain),
-        )
-        return naive, plan, passes
-
-    def execution_context(self) -> ExecutionContext:
-        """A fresh execution context for running this evaluator's plans."""
-        return self._context(self._resolved_optimize())
+        return self._lower(query, self._resolved_optimize())
 
     # ------------------------------------------------------------------
     # internals
@@ -238,15 +206,44 @@ class Evaluator:
 
         return get_config().optimize
 
-    def _context(self, optimize: bool) -> ExecutionContext:
-        return ExecutionContext(
+    def _lower(
+        self, query: Query, optimize: bool, wrap=None
+    ) -> tuple[PlanNode, PlanNode, tuple[PassReport, ...]]:
+        """Lower ``query`` to a plan; rewrite it when ``optimize``.
+
+        ``wrap`` puts a root above the lowered plan before the rewrite
+        passes see it.  Returns ``(naive, plan, passes)``.
+        """
+        constants = _data_constants(query)
+        if not constants <= self.data_domain:
+            self.data_domain = self.data_domain | constants
+        naive = Planner(self.relations).plan_query(query)
+        get_registry().counter("planner.plans").inc()
+        if wrap is not None:
+            naive = wrap(naive)
+        if not optimize:
+            return naive, naive, ()
+        plan, passes = optimize_plan(
+            naive,
+            relations=self.relations,
+            domain_size=len(self.data_domain),
+        )
+        return naive, plan, passes
+
+    def _execute(
+        self, plan: PlanNode, optimize: bool, on_result=None
+    ) -> tuple[GeneralizedRelation, ExecutionContext]:
+        """Run ``plan``; returns the result and the spent context."""
+        ctx = ExecutionContext(
             relations=self.relations,
             data_domain=self.data_domain,
             max_tuples=self.max_tuples,
             max_extensions=self.max_extensions,
             plan_spans=optimize,
             memo={} if optimize else None,
+            on_result=on_result,
         )
+        return _ENGINE.run(plan, ctx), ctx
 
 
 def _data_constants(query: Query) -> set[Hashable]:

@@ -1,6 +1,6 @@
 """Query plans and EXPLAIN ANALYZE: how a query maps onto the algebra.
 
-``explain(db, query)`` produces an operator tree annotated with the
+``explain_plan(db, query)`` produces an operator tree annotated with the
 *actual* intermediate sizes (tuple counts and schema widths) —
 generalized relations are finitely represented, so "run it and look"
 is cheap and honest at the scale this engine targets.  The output
@@ -26,22 +26,19 @@ the *rewritten* query (implications expanded, negations pushed inward,
 This module is the legacy EXPLAIN surface; the stable plan API —
 :func:`repro.api.plan` / :func:`repro.api.explain` returning frozen
 :class:`~repro.plan.report.PlanReport` objects — supersedes it (see
-``docs/planner.md``), and the module-level :func:`explain` shim warns
-once on first use.
+``docs/planner.md``).  Query strings with ``EXPLAIN`` directives reach
+these helpers through :mod:`repro.query.dispatch`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.relations import GeneralizedRelation
 from repro.obs.trace import Span, TraceRecorder, render_flamegraph, tracing
-from repro.plan.engine import Engine, ExecutionContext, resolve_engine
 from repro.plan.report import PlanReport
 from repro.query.ast import Query
-from repro.query.database import Database
 from repro.query.evaluator import Evaluator
 
 _QUERY_PREFIX = "query."
@@ -207,37 +204,19 @@ class QueryTrace:
         return self.flamegraph()
 
 
-def _traced_evaluation(
-    db: Database,
-    query: str | Query,
-    *,
-    engine: str | Engine | None = None,
-    optimize: bool | None = None,
-) -> tuple[Query, GeneralizedRelation, Span]:
-    if isinstance(query, str):
-        query = db.parse(query)
-    evaluator = Evaluator(
-        {name: db.relation(name) for name in db.names},
-        max_tuples=db.max_tuples,
-        max_extensions=db.max_extensions,
-        engine=engine,
-        optimize=optimize,
-    )
+def _recorded(run) -> tuple[Any, Span]:
+    """Call ``run()`` under a fresh trace recorder; ``(value, root)``."""
     recorder = TraceRecorder()
     with tracing(recorder):
-        result = evaluator.evaluate(query)
+        value = run()
     root = recorder.root
-    if root is None:  # pragma: no cover - evaluate always opens a span
+    if root is None:  # pragma: no cover - evaluation always opens a span
         root = Span("query.evaluate", recorder)
-    return query, result, root
+    return value, root
 
 
 def explain_plan(
-    db: Database,
-    query: str | Query,
-    *,
-    engine: str | Engine | None = None,
-    optimize: bool | None = None,
+    reader, query: str | Query, *, optimize: bool | None = None
 ) -> PlanNode:
     """The legacy EXPLAIN: run the query, project the span tree.
 
@@ -245,62 +224,28 @@ def explain_plan(
     Note the plan reflects the *rewritten* query (implications expanded,
     negations pushed inward, ∀ as ¬∃¬), which is exactly what runs.
     """
-    return explain_analyze(
-        db, query, engine=engine, optimize=optimize
-    ).plan_only()
-
-
-_EXPLAIN_WARNED = False
-
-
-def explain(db: Database, query: str | Query) -> PlanNode:
-    """Deprecated spelling of :func:`explain_plan` (same output shape).
-
-    Warns (once per process) in favor of the stable plan surface:
-    :func:`repro.api.explain` returns a frozen
-    :class:`~repro.plan.report.PlanReport`, :meth:`Database.explain`
-    keeps this span-projected shape for un-optimized queries.
-    """
-    global _EXPLAIN_WARNED
-    if not _EXPLAIN_WARNED:
-        _EXPLAIN_WARNED = True
-        warnings.warn(
-            "repro.query.explain.explain() is deprecated; use "
-            "repro.api.explain() (PlanReport) or Database.explain()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    # The shim reproduces the pre-planner behavior exactly, so it pins
-    # the naive pipeline even when REPRO_OPTIMIZE is set.
-    return explain_plan(db, query, optimize=False)
+    return explain_analyze(reader, query, optimize=optimize).plan_only()
 
 
 def explain_analyze(
-    db: Database,
-    query: str | Query,
-    *,
-    engine: str | Engine | None = None,
-    optimize: bool | None = None,
+    reader, query: str | Query, *, optimize: bool | None = None
 ) -> QueryTrace:
     """EXPLAIN ANALYZE: run the query under tracing, keep everything.
 
-    The returned :class:`QueryTrace` holds the result relation, the
-    full span tree and the annotated plan.
+    ``reader`` is a :class:`~repro.query.database.Database` or a
+    :class:`~repro.query.catalog.Snapshot`.  The returned
+    :class:`QueryTrace` holds the result relation, the full span tree
+    and the annotated plan.
     """
-    parsed, result, root = _traced_evaluation(
-        db, query, engine=engine, optimize=optimize
-    )
-    return QueryTrace(query=parsed, result=result, root=root)
+    if isinstance(query, str):
+        query = reader.parse(query)
+    evaluator = Evaluator.of(reader, optimize=optimize)
+    result, root = _recorded(lambda: evaluator.evaluate(query))
+    return QueryTrace(query=query, result=result, root=root)
 
 
 def optimize_trace(
-    db: Database,
-    query: str | Query,
-    objective,
-    sense: str,
-    *,
-    engine: str | Engine | None = None,
-    optimize: bool | None = None,
+    evaluator: Evaluator, query: Query, objective, sense: str
 ) -> QueryTrace:
     """EXPLAIN [ANALYZE] for a ``MINIMIZE``/``MAXIMIZE`` directive.
 
@@ -310,33 +255,16 @@ def optimize_trace(
     its result relation.  ``plan_only()`` gives the plain-EXPLAIN
     rendering.
     """
-    if isinstance(query, str):
-        query = db.parse(query)
-    evaluator = Evaluator(
-        {name: db.relation(name) for name in db.names},
-        max_tuples=db.max_tuples,
-        max_extensions=db.max_extensions,
-        engine=engine,
-        optimize=optimize,
+    outcome, root = _recorded(
+        lambda: evaluator.optimize_query(query, objective, sense)
     )
-    recorder = TraceRecorder()
-    with tracing(recorder):
-        outcome = evaluator.optimize_query(query, objective, sense)
-    root = recorder.root
-    if root is None:  # pragma: no cover - optimize_query opens a span
-        root = Span("query.evaluate", recorder)
     return QueryTrace(
         query=query, result=outcome.argopt_restriction(), root=root
     )
 
 
 def plan_report(
-    db: Database,
-    query: str | Query,
-    *,
-    engine: str | Engine | None = None,
-    optimize: bool | None = None,
-    execute: bool = False,
+    evaluator: Evaluator, query: Query, *, execute: bool = False
 ) -> PlanReport:
     """Build the stable :class:`~repro.plan.report.PlanReport` surface.
 
@@ -345,40 +273,20 @@ def plan_report(
     also run and every node is annotated with its observed output size
     (:func:`repro.api.explain`'s behavior).
     """
-    if isinstance(query, str):
-        query = db.parse(query)
-    evaluator = Evaluator(
-        {name: db.relation(name) for name in db.names},
-        max_tuples=db.max_tuples,
-        max_extensions=db.max_extensions,
-        engine=engine,
-        optimize=optimize,
-    )
-    resolved = resolve_engine(engine)
     optimized = evaluator._resolved_optimize()
-    naive, plan, passes = evaluator.plan(query, optimize=optimized)
+    naive, plan, passes = evaluator.plan(query)
     annotations: dict[int, int] | None = None
     if execute:
-        annotations = {}
-        sizes = annotations
+        sizes: dict[int, int] = {}
 
         def observe(node, result) -> None:
             sizes[id(node)] = len(result)
 
-        ctx = ExecutionContext(
-            relations=evaluator.relations,
-            data_domain=evaluator.data_domain,
-            max_tuples=evaluator.max_tuples,
-            max_extensions=evaluator.max_extensions,
-            plan_spans=bool(optimized),
-            memo={} if optimized else None,
-            on_result=observe,
-        )
-        resolved.run(plan, ctx)
+        evaluator._execute(plan, optimized, on_result=observe)
+        annotations = sizes
     return PlanReport(
         query=str(query),
-        engine=resolved.name,
-        optimized=bool(optimized),
+        optimized=optimized,
         naive=naive,
         plan=plan,
         passes=passes,

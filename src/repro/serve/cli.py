@@ -7,6 +7,7 @@ Usage::
     python -m repro.cli serve ping --port 7471
     python -m repro.cli serve info --port 7471
     python -m repro.cli serve query --port 7471 'EXISTS t. Event(t)'
+    python -m repro.cli serve query --port 7471 'EXPLAIN Event(t)'
     python -m repro.cli serve ask --port 7471 'EXISTS t. Event(t)'
 
 ``start`` holds the store's exclusive single-writer lock for the
@@ -22,6 +23,7 @@ import argparse
 import asyncio
 
 from repro.core.errors import ReproError
+from repro.query.parser import Directive, split_directive
 from repro.serve.client import SyncClient
 from repro.serve.server import DEFAULT_HOST, ReproServer
 
@@ -139,6 +141,11 @@ def _client_action(args: argparse.Namespace) -> int:
                 print(f"{name}: {size} generalized tuple(s)")
         elif args.action == "ask":
             print("true" if client.ask(args.text) else "false")
+        elif split_directive(args.text)[0] in (
+            Directive.EXPLAIN,
+            Directive.EXPLAIN_ANALYZE,
+        ):
+            print(client.explain(args.text)[0])
         else:  # query
             result = client.query(args.text)
             print(

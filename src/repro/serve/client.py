@@ -121,10 +121,12 @@ class SyncClient:
 
         For a ``MINIMIZE``/``MAXIMIZE`` directive the returned relation
         is the argopt restriction; use :meth:`optimize` to get the
-        scalar verdict (value, witness, certificate).
+        scalar verdict (value, witness, certificate).  ``EXPLAIN``
+        answers carry no relation, so they raise
+        :class:`~repro.core.errors.ServeError`; use :meth:`explain`.
         """
         payload = self._call("query", text=text)
-        return jsonio.relation_from_dict(payload["result"])
+        return jsonio.relation_from_dict(_face(payload, "result"))
 
     def optimize(self, text: str) -> dict[str, Any]:
         """Run a ``MINIMIZE``/``MAXIMIZE`` query; returns the verdict.
@@ -136,14 +138,20 @@ class SyncClient:
         ``"-inf"``/``"+inf"``), ``witness`` point, ``argopt`` tuple
         text and the unboundedness ``certificate`` when there is one.
         """
+        return _face(self._call("query", text=text), "optimum")
+
+    def explain(self, text: str) -> tuple[str, dict[str, Any] | None]:
+        """Run an ``EXPLAIN [ANALYZE]`` query; returns ``(plan, trace)``.
+
+        ``text`` must carry the directive.  ``plan`` is the rendered
+        plan text, exactly what ``str()`` of the in-process answer's
+        plan shows (the bare operator tree for ``EXPLAIN ANALYZE``);
+        ``trace`` is :meth:`QueryTrace.to_dict
+        <repro.query.explain.QueryTrace.to_dict>` — span tree and
+        timings — for ``EXPLAIN ANALYZE`` and ``None`` otherwise.
+        """
         payload = self._call("query", text=text)
-        try:
-            return payload["optimum"]
-        except KeyError:
-            raise ServeError(
-                "optimize() needs a MINIMIZE/MAXIMIZE query; got a plain "
-                "query (use query() for those)"
-            ) from None
+        return _face(payload, "plan"), payload.get("trace")
 
     def ask(self, text: str) -> bool:
         """Evaluate a closed (yes/no) query."""
@@ -289,21 +297,22 @@ class Client:
     async def query(self, text: str) -> GeneralizedRelation:
         """Evaluate an open query; returns the result relation."""
         payload = await self._call("query", text=text)
-        return jsonio.relation_from_dict(payload["result"])
+        return jsonio.relation_from_dict(_face(payload, "result"))
 
     async def optimize(self, text: str) -> dict[str, Any]:
         """Run a ``MINIMIZE``/``MAXIMIZE`` query; returns the verdict.
 
         The awaitable twin of :meth:`SyncClient.optimize`.
         """
+        return _face(await self._call("query", text=text), "optimum")
+
+    async def explain(self, text: str) -> tuple[str, dict[str, Any] | None]:
+        """Run an ``EXPLAIN [ANALYZE]`` query; returns ``(plan, trace)``.
+
+        The awaitable twin of :meth:`SyncClient.explain`.
+        """
         payload = await self._call("query", text=text)
-        try:
-            return payload["optimum"]
-        except KeyError:
-            raise ServeError(
-                "optimize() needs a MINIMIZE/MAXIMIZE query; got a plain "
-                "query (use query() for those)"
-            ) from None
+        return _face(payload, "plan"), payload.get("trace")
 
     async def ask(self, text: str) -> bool:
         """Evaluate a closed (yes/no) query."""
@@ -360,6 +369,25 @@ class Client:
 
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
+
+
+#: Why a ``query`` answer lacks the face a client method asked for.
+_MISSING_FACE = {
+    "result": "query() got an EXPLAIN answer, which has no result "
+    "relation (use explain() for those)",
+    "optimum": "optimize() needs a MINIMIZE/MAXIMIZE query; got a plain "
+    "query (use query() for those)",
+    "plan": "explain() needs an EXPLAIN [ANALYZE] query (use query() "
+    "for others)",
+}
+
+
+def _face(payload: dict[str, Any], key: str) -> Any:
+    """One face of a ``query`` answer; a missing one raises ServeError."""
+    try:
+        return payload[key]
+    except KeyError:
+        raise ServeError(_MISSING_FACE[key]) from None
 
 
 def _tuple_entries(tuples) -> list[dict]:

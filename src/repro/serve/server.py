@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -38,6 +39,7 @@ from typing import Any
 from repro.core.errors import ReproError, ServeError
 from repro.core.negation import DEFAULT_MAX_EXTENSIONS
 from repro.core.normalize import DEFAULT_MAX_TUPLES
+from repro.core.relations import GeneralizedRelation
 from repro.obs import metrics, span
 from repro.query.catalog import (
     CatalogVersion,
@@ -45,6 +47,7 @@ from repro.query.catalog import (
     TxnResult,
     VersionedCatalog,
 )
+from repro.query.explain import QueryTrace
 from repro.serve import protocol
 from repro.storage import jsonio
 
@@ -565,22 +568,36 @@ def _field(request: dict[str, Any], name: str, kind: type) -> Any:
 def _run_query(snap: Snapshot, text: str) -> dict[str, Any]:
     """Worker-thread body for a ``query`` op: evaluate + serialize.
 
-    A ``MINIMIZE``/``MAXIMIZE`` directive ships both faces of the
-    answer: ``result`` holds the argopt restriction (a relation, like
-    any other query) and ``optimum`` the scalar verdict — value,
-    witness point, argopt provenance or unboundedness certificate
-    (``docs/optimization.md``).
+    :meth:`Snapshot.query` answers every directive exactly as
+    :meth:`Database.query <repro.query.database.Database.query>` does;
+    this ships each answer's faces:
+
+    * a plain query: ``result`` (the relation);
+    * ``MINIMIZE``/``MAXIMIZE``: ``result`` (the argopt restriction)
+      and ``optimum`` (the scalar verdict — value, witness point,
+      argopt provenance or unboundedness certificate;
+      ``docs/optimization.md``);
+    * ``EXPLAIN``: ``plan``, the rendered plan text;
+    * ``EXPLAIN ANALYZE``: ``result``, ``plan`` (the bare operator
+      tree) and ``trace`` (:meth:`QueryTrace.to_dict
+      <repro.query.explain.QueryTrace.to_dict>`, timings included).
     """
-    result = snap.query(text)
     from repro.optimize import OptimizationResult
 
-    if isinstance(result, OptimizationResult):
-        return {
-            "version": snap.version,
-            "result": jsonio.relation_to_dict(result.argopt_restriction()),
-            "optimum": result.to_dict(),
-        }
-    return {
-        "version": snap.version,
-        "result": jsonio.relation_to_dict(result),
-    }
+    answer = snap.query(text)
+    payload: dict[str, Any] = {"version": snap.version}
+    if isinstance(answer, GeneralizedRelation):
+        payload["result"] = jsonio.relation_to_dict(answer)
+    elif isinstance(answer, OptimizationResult):
+        payload["result"] = jsonio.relation_to_dict(
+            answer.argopt_restriction()
+        )
+        payload["optimum"] = answer.to_dict()
+    elif isinstance(answer, QueryTrace):
+        payload["result"] = jsonio.relation_to_dict(answer.result)
+        payload["plan"] = str(answer.plan_only())
+        # Through to_json so any non-JSON span attribute ships as repr.
+        payload["trace"] = json.loads(answer.to_json(indent=None))
+    else:  # EXPLAIN: a plan
+        payload["plan"] = str(answer)
+    return payload

@@ -1,0 +1,132 @@
+"""Every directive gets the same answer through every query front door.
+
+A query reaches the engine through the embedded ``Database``, a pinned
+``Snapshot`` or the wire (``SyncClient`` against a live
+``ReproServer``).  All three share one directive dispatcher, so for
+each directive the paths must agree on the result relation, on the
+optimization verdict and on the rendered plan text — with the plan
+rewrite passes off and on.
+"""
+
+import json
+
+import pytest
+
+from repro.core.relations import GeneralizedRelation
+from repro.optimize import OptimizationResult
+from repro.perf.config import overrides
+from repro.query import Database, QueryTrace
+from repro.query.parser import Directive, split_directive
+from repro.serve import ReproServer, SyncClient
+
+QUERY = "EXISTS a. Train(d, a, s) & d >= 0 & d <= 500"
+
+#: (test id, query text, the faces its answer has)
+MATRIX = [
+    ("plain", QUERY, {"result"}),
+    ("explain", f"EXPLAIN {QUERY}", {"plan"}),
+    ("explain-analyze", f"EXPLAIN ANALYZE {QUERY}", {"result", "plan"}),
+    ("minimize", f"MINIMIZE d : {QUERY}", {"result", "optimum"}),
+    ("maximize", f"MAXIMIZE d : {QUERY}", {"result", "optimum"}),
+    ("explain-minimize", f"EXPLAIN MINIMIZE d : {QUERY}", {"plan"}),
+    (
+        "explain-analyze-maximize",
+        f"EXPLAIN ANALYZE MAXIMIZE d : {QUERY}",
+        {"result", "plan"},
+    ),
+]
+
+_EXPLAINS = (Directive.EXPLAIN, Directive.EXPLAIN_ANALYZE)
+_OPTIMIZES = (Directive.MINIMIZE, Directive.MAXIMIZE)
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    db = Database.open(str(tmp_path_factory.mktemp("front") / "db"))
+    db.create("Train", temporal=["dep", "arr"], data=["service"])
+    train = db.relation("Train")
+    train.add_tuple(["2 + 60n", "80 + 60n"], "dep = arr - 78", ["slow"])
+    train.add_tuple(["17 + 60n", "75 + 60n"], "dep = arr - 58", ["fast"])
+    db.commit()
+    server = ReproServer.for_database(db).start_in_thread()
+    client = SyncClient(port=server.port)
+    yield db, client
+    client.close()
+    server.stop_in_thread()
+    db.close()
+
+
+def _relation(rel: GeneralizedRelation) -> tuple:
+    return str(rel.schema), sorted(str(t) for t in rel.tuples)
+
+
+def _local_faces(answer) -> dict:
+    """The comparable faces of an in-process answer."""
+    if isinstance(answer, GeneralizedRelation):
+        return {"result": _relation(answer)}
+    if isinstance(answer, OptimizationResult):
+        return {
+            "result": _relation(answer.argopt_restriction()),
+            # The wire ships JSON; compare against the same encoding.
+            "optimum": json.loads(json.dumps(answer.to_dict())),
+        }
+    if isinstance(answer, QueryTrace):
+        return {
+            "result": _relation(answer.result),
+            "plan": str(answer.plan_only()),
+        }
+    return {"plan": str(answer)}
+
+
+def _wire_faces(client: SyncClient, text: str) -> dict:
+    """The comparable faces of the same query over the wire."""
+    directive, _ = split_directive(text)
+    faces: dict = {}
+    if directive in _EXPLAINS:
+        plan, trace = client.explain(text)
+        faces["plan"] = plan
+        if directive is Directive.EXPLAIN_ANALYZE:
+            assert trace["trace"]["name"] == "query.evaluate"
+            faces["result"] = _relation(client.query(text))
+        else:
+            assert trace is None
+        return faces
+    faces["result"] = _relation(client.query(text))
+    if directive in _OPTIMIZES:
+        faces["optimum"] = client.optimize(text)
+    return faces
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["naive", "optimized"])
+@pytest.mark.parametrize(
+    "text, faces",
+    [pytest.param(text, faces, id=name) for name, text, faces in MATRIX],
+)
+def test_directive_agrees_on_every_path(served, text, faces, optimize):
+    db, client = served
+    with overrides(optimize=optimize):
+        embedded = _local_faces(db.query(text))
+        pinned = _local_faces(db.snapshot().query(text))
+        wire = _wire_faces(client, text)
+    assert set(embedded) == faces
+    assert pinned == embedded
+    assert wire == embedded
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["naive", "optimized"])
+def test_ask_agrees_on_every_path(served, optimize):
+    db, client = served
+    closed = 'EXISTS d. EXISTS a. Train(d, a, "fast") & d >= 60'
+    with overrides(optimize=optimize):
+        answers = {db.ask(closed), db.snapshot().ask(closed), client.ask(closed)}
+    assert answers == {True}
+
+
+def test_query_rejects_a_plan_only_answer(served):
+    from repro.core.errors import ServeError
+
+    _, client = served
+    with pytest.raises(ServeError, match="explain"):
+        client.query(f"EXPLAIN {QUERY}")
+    with pytest.raises(ServeError, match="EXPLAIN"):
+        client.explain(QUERY)

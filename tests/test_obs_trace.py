@@ -7,6 +7,7 @@ worker counts, and the render/JSON exports.
 """
 
 import json
+import threading
 import time
 
 from repro.core import algebra
@@ -99,6 +100,47 @@ class TestSpanTree:
             assert active_recorder() is outer_rec
         assert inner_rec.root.name == "x"
         assert outer_rec.root is None
+
+    def test_interleaved_threads_keep_their_own_recorders(self):
+        # A enters, B enters, A exits, B exits: with one process-wide
+        # slot, A's exit would reinstate nothing for B and B's exit
+        # would reinstate A's recorder for good.
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        recorders: dict[str, TraceRecorder] = {}
+        leftovers: dict[str, bool] = {}
+
+        def thread_a() -> None:
+            with tracing(TraceRecorder()) as rec:
+                recorders["a"] = rec
+                a_in.set()
+                b_in.wait(5)
+                with span("a"):
+                    pass
+            leftovers["a"] = tracing_enabled()
+            a_out.set()
+
+        def thread_b() -> None:
+            a_in.wait(5)
+            with tracing(TraceRecorder()) as rec:
+                recorders["b"] = rec
+                b_in.set()
+                a_out.wait(5)
+                with span("b"):
+                    pass
+            leftovers["b"] = tracing_enabled()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        with span("after"):
+            pass
+        assert [r.name for r in recorders["a"].roots] == ["a"]
+        assert [r.name for r in recorders["b"].roots] == ["b"]
+        assert leftovers == {"a": False, "b": False}
+        assert not tracing_enabled()
 
     def test_error_recorded_and_reraised(self):
         rec = TraceRecorder()

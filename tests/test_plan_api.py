@@ -1,7 +1,5 @@
 """The redesigned plan API: Evaluator/Database/api kwargs, env vars, CLI."""
 
-import warnings
-
 import pytest
 
 import repro.api as api
@@ -28,28 +26,21 @@ FIXTURE_QUERY = "Even(t) & t >= 0"
 
 
 class TestKeywordSurface:
-    def test_engine_and_optimize_are_keyword_only(self):
+    def test_optimize_is_keyword_only(self):
         from repro.query.evaluator import Evaluator
 
         with pytest.raises(TypeError):
-            Evaluator({}, None, 4000, 4096, "native")
+            Evaluator({}, None, 4000, 4096, True)
 
     def test_database_query_kwargs(self):
         db = ticks_db()
         res_naive = db.query(FIXTURE_QUERY, optimize=False)
-        res_opt = db.query(FIXTURE_QUERY, engine="native", optimize=True)
+        res_opt = db.query(FIXTURE_QUERY, optimize=True)
         assert res_naive.snapshot(-10, 10) == res_opt.snapshot(-10, 10)
 
     def test_database_ask_kwargs(self):
         db = ticks_db()
         assert db.ask("EXISTS t. Even(t) & t >= 0", optimize=True)
-
-    def test_unknown_engine_rejected(self):
-        from repro.core.errors import ReproValueError
-
-        db = ticks_db()
-        with pytest.raises(ReproValueError, match="unknown engine"):
-            db.query(FIXTURE_QUERY, engine="warp-drive")
 
 
 class TestEnvAndConfig:
@@ -66,12 +57,6 @@ class TestEnvAndConfig:
         ):
             monkeypatch.setenv("REPRO_OPTIMIZE", raw)
             assert perf_config._from_env().optimize is expected
-
-    def test_engine_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "Native")
-        assert perf_config._from_env().engine == "native"
-        monkeypatch.delenv("REPRO_ENGINE")
-        assert perf_config._from_env().engine == "native"
 
     def test_configure_optimize_drives_evaluation(self):
         db = ticks_db()
@@ -100,7 +85,7 @@ class TestExplainSurfaces:
         db = ticks_db()
         report = db.explain(FIXTURE_QUERY, optimize=True)
         assert isinstance(report, PlanReport)
-        assert report.optimized and report.engine == "native"
+        assert report.optimized
         # EXPLAIN ANALYZE semantics: observed sizes attached per node.
         assert report.annotations
         assert set(report.annotations.values()) == {1}
@@ -157,31 +142,6 @@ class TestApiFacade:
 
         assert api.PlanNode is IRNode
 
-    def test_api_engine_registry_exports(self):
-        assert "native" in api.engines()
-        assert isinstance(api.get_engine("native"), api.NativeEngine)
-        assert issubclass(api.NativeEngine, api.Engine)
-
-    def test_deprecated_module_explain_warns_once(self):
-        import importlib
-
-        # `repro.query.explain` the attribute is the deprecated function
-        # (the package re-exports it); fetch the module explicitly.
-        explain_mod = importlib.import_module("repro.query.explain")
-
-        explain_mod._EXPLAIN_WARNED = False
-        db = ticks_db()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = explain_mod.explain(db, "Even(t)")
-            explain_mod.explain(db, "Even(t)")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        # The shim still produces the legacy output shape.
-        assert isinstance(first, LegacyPlanNode)
-
 
 class TestCli:
     def run_cli(self, *argv) -> str:
@@ -208,7 +168,7 @@ class TestCli:
             "-c", f"plan {FIXTURE_QUERY}",
             "-c", "quit",
         )
-        assert "plan [naive, engine=native]" in out
+        assert "plan [naive]" in out
 
     def test_optimize_flag(self):
         out = self.run_cli(
@@ -218,7 +178,7 @@ class TestCli:
             "-c", f"explain {FIXTURE_QUERY}",
             "-c", "quit",
         )
-        assert "plan [optimized, engine=native]" in out
+        assert "plan [optimized]" in out
         assert "push-selects" in out
         assert "tuple(s)" in out  # explain annotates observed sizes
 
@@ -231,14 +191,8 @@ class TestCli:
             "-c", f"plan {FIXTURE_QUERY}",
             "-c", "quit",
         )
-        assert "plan [naive, engine=native]" in out
-
-    def test_unknown_engine_flag_fails_fast(self):
-        from repro.core.errors import ReproValueError
-
-        with pytest.raises(ReproValueError, match="unknown engine"):
-            self.run_cli("--engine", "warp-drive", "-c", "quit")
+        assert "plan [naive]" in out
 
     def test_perf_shows_planner_config(self):
         out = self.run_cli("--optimize", "-c", "perf", "-c", "quit")
-        assert "optimize=on" in out and "engine=native" in out
+        assert "optimize=on" in out and "engine=" not in out

@@ -1,19 +1,11 @@
-"""Unit tests for the relation-expression IR and the engine registry."""
+"""Unit tests for the relation-expression IR and the native engine."""
 
 import pytest
 
-from repro.core.errors import ReproTypeError, ReproValueError, SchemaError
+from repro.core.errors import SchemaError
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.plan import nodes as ir
-from repro.plan.engine import (
-    Engine,
-    ExecutionContext,
-    NativeEngine,
-    engines,
-    get_engine,
-    register_engine,
-    resolve_engine,
-)
+from repro.plan.engine import ExecutionContext, NativeEngine
 from repro.plan.nodes import (
     empty_literal,
     singleton_literal,
@@ -139,60 +131,13 @@ class TestStructure:
         assert single.relation.schema.data_names == ("d",)
 
 
-class TestEngineRegistry:
-    def test_native_is_registered(self):
-        assert "native" in engines()
-        assert isinstance(get_engine("native"), NativeEngine)
-
-    def test_unknown_engine(self):
-        with pytest.raises(ReproValueError, match="unknown engine"):
-            get_engine("warp-drive")
-
-    def test_register_type_checked(self):
-        with pytest.raises(ReproTypeError):
-            register_engine("not an engine")
-
-    def test_resolve(self):
-        native = get_engine("native")
-        assert resolve_engine(None) is native
-        assert resolve_engine("native") is native
-        assert resolve_engine(native) is native
-        with pytest.raises(ReproTypeError):
-            resolve_engine(42)
-
-    def test_custom_engine_runs_queries(self):
-        calls = []
-
-        class Recording(Engine):
-            name = "recording-test"
-
-            def run(self, plan, ctx):
-                calls.append(plan.op)
-                return get_engine("native").run(plan, ctx)
-
-        register_engine(Recording())
-        try:
-            from repro.query import Database
-
-            db = Database()
-            db.create("Even", temporal=["t"])
-            db.relation("Even").add_tuple(["2n"])
-            result = db.query("Even(t)", engine="recording-test")
-            assert result.contains([4]) and not result.contains([3])
-            assert calls  # the custom engine was actually used
-        finally:
-            from repro.plan import engine as engine_mod
-
-            engine_mod._ENGINES.pop("recording-test", None)
-
-
 class TestNativeEngine:
     def test_scan_missing_relation(self):
         from repro.core.errors import EvaluationError
 
         ctx = ExecutionContext(relations={})
         with pytest.raises(EvaluationError, match="unknown relation"):
-            get_engine("native").run(scan("Missing"), ctx)
+            NativeEngine().run(scan("Missing"), ctx)
 
     def test_memo_computes_shared_subtree_once(self):
         rel = GeneralizedRelation.empty(TT)
@@ -205,7 +150,7 @@ class TestNativeEngine:
             memo={},
             on_result=lambda node, result: seen.append(id(node)),
         )
-        out = get_engine("native").run(tree, ctx)
+        out = NativeEngine().run(tree, ctx)
         assert not out.is_empty()
         # The shared select (and the scan below it) ran once, not twice.
         assert seen.count(id(shared)) == 1
@@ -218,5 +163,5 @@ class TestNativeEngine:
             relations={"R": rel},
             on_pair=lambda node, l, r: pairs.append((node.op, l, r)),
         )
-        get_engine("native").run(ir.Intersect(scan(), scan()), ctx)
+        NativeEngine().run(ir.Intersect(scan(), scan()), ctx)
         assert pairs == [("intersect", 1, 1)]
