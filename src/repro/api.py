@@ -144,7 +144,8 @@ def plan(db: Database, query, *, optimize=None) -> PlanReport:
 
     Returns a frozen :class:`PlanReport` — the lowered (naive) plan,
     the plan that would run, and the per-pass rewrite deltas when
-    optimization resolves on (``optimize=True`` or ``REPRO_OPTIMIZE``).
+    optimization resolves on (the default; ``optimize=False`` or
+    ``REPRO_OPTIMIZE=0`` turn it off).
     """
     return _dispatch.plan(db, query, optimize=optimize)
 

@@ -43,8 +43,8 @@ Commands:
     maximize OBJ : QUERY               exact maximum, same objective forms
     explain QUERY                      show the algebraic evaluation plan
     plan QUERY                         show the logical plan without
-                                       running it (rewrites included when
-                                       the optimizer is on)
+                                       running it (rewrites included
+                                       unless the optimizer is off)
     trace QUERY                        EXPLAIN ANALYZE: run under the trace
                                        recorder, print a text flamegraph
     rules FILE                         run a Datalog program file; derived
@@ -589,13 +589,13 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         default=None,
         help="run the logical-plan rewrite passes before executing "
-        "queries (default: REPRO_OPTIMIZE)",
+        "queries (the default, unless REPRO_OPTIMIZE=0)",
     )
     parser.add_argument(
         "--no-optimize",
         dest="optimize",
         action="store_false",
-        help="force the naive plan even if REPRO_OPTIMIZE is set",
+        help="run the naive, unrewritten plan (as REPRO_OPTIMIZE=0 does)",
     )
     parser.add_argument(
         "--trace-json",

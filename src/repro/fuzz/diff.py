@@ -13,8 +13,9 @@ Each :class:`~repro.fuzz.case.Case` is evaluated
 A fourth leg — lowering the expression to a relation-expression plan,
 applying the :mod:`repro.plan.rewrite` passes and executing the
 rewritten plan — runs when :attr:`DiffConfig.plan_check` resolves on
-(by default it follows the global ``REPRO_OPTIMIZE`` switch), gating
-the logical planner against the same corpus.
+(by default it follows the global optimizer switch: on unless
+``REPRO_OPTIMIZE=0``), gating the logical planner against the same
+corpus.
 
 Window commutation
 ------------------
@@ -106,8 +107,8 @@ class DiffConfig:
     #: (:func:`repro.plan.rewrite.optimize_plan`) and execute the
     #: rewritten plan, comparing its snapshot against the naive run.
     #: ``None`` (the default) follows the global optimizer switch
-    #: (:attr:`repro.perf.config.PerfConfig.optimize`, environment
-    #: variable ``REPRO_OPTIMIZE``), so an optimizer-on test leg
+    #: (:attr:`repro.perf.config.PerfConfig.optimize`, on unless the
+    #: environment sets ``REPRO_OPTIMIZE=0``), so a default run
     #: exercises the plan path over the whole corpus automatically.
     plan_check: bool | None = None
 

@@ -19,9 +19,10 @@ with :func:`configure` or scope changes with :func:`overrides`):
     Closure kernel backend: ``numpy`` (batched, vectorized), ``python``
     (scalar), or ``auto`` (default: numpy when importable).
 ``REPRO_OPTIMIZE``
-    Set to ``1``/``true``/``yes``/``on`` to run the logical-plan
-    rewrite passes (pushdown, join reordering, CSE) before executing
-    queries; ``0``/``false``/``no``/``off``/unset keeps the naive plan.
+    The logical-plan rewrite passes (pushdown, join reordering, CSE)
+    run before every query unless this is ``0``/``false``/``no``/``off``,
+    which keeps the naive plan (the oracle the rewrites are checked
+    against).
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ def _env_flag(name: str) -> bool:
     return bool(os.environ.get(name, ""))
 
 
-def _env_bool(name: str) -> bool:
-    """An opt-in flag: empty/``0``/``false``/``no``/``off`` mean False."""
+def _env_on(name: str) -> bool:
+    """An opt-out flag: on unless ``0``/``false``/``no``/``off``."""
     raw = os.environ.get(name, "").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
+    return raw not in ("0", "false", "no", "off")
 
 
 def _env_int(name: str, default: int) -> int:
@@ -72,7 +73,7 @@ class PerfConfig:
     prefilter_enabled: bool = True
     incremental_enabled: bool = True
     kernel: str = "auto"
-    optimize: bool = False
+    optimize: bool = True
 
 
 def _env_kernel() -> str:
@@ -87,7 +88,7 @@ def _from_env() -> PerfConfig:
         prefilter_enabled=not _env_flag("REPRO_NO_PREFILTER"),
         incremental_enabled=not _env_flag("REPRO_NO_INCREMENTAL"),
         kernel=_env_kernel(),
-        optimize=_env_bool("REPRO_OPTIMIZE"),
+        optimize=_env_on("REPRO_OPTIMIZE"),
     )
 
 

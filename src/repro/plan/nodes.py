@@ -13,6 +13,10 @@ Design invariants:
 
 * **Immutability** — nodes are frozen and hashable; rewrites build new
   trees and never mutate, so plans can be shared, interned and cached.
+* **Cheap structure** — ``children``, the subtree size and the
+  ``kinds`` bit set are fixed at construction, ``key()`` and
+  ``schema`` are cached, and each class's field layout is read once,
+  so rewriting a plan never re-inspects dataclass fields.
 * **Schema inference** — ``node.schema`` is computed (and cached)
   structurally, mirroring :mod:`repro.core.algebra`'s schema rules
   exactly; the planner and the rewrite passes never need to execute
@@ -26,16 +30,19 @@ Design invariants:
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterator
-from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
-from typing import Any, ClassVar
+from dataclasses import dataclass, field, fields
+from functools import cache, cached_property, lru_cache
+from itertools import count
+from typing import Any, ClassVar, NamedTuple
 
-from repro.core.constraints import parse_atoms
+from repro.core.constraints import Atom, parse_atoms
 from repro.core.errors import SchemaError
-from repro.core.relations import GeneralizedRelation, Schema
+from repro.core.relations import Attribute, GeneralizedRelation, Schema
 
 #: ``(operator, detail)`` provenance pairs; outermost first.
 Labels = tuple[tuple[str, str], ...]
+
+_KIND_BITS = count()
 
 
 @dataclass(frozen=True)
@@ -54,26 +61,53 @@ class PlanNode:
 
     labels: Labels = field(default=(), kw_only=True)
 
+    #: One bit per node class; :attr:`kinds` ORs them over a subtree.
+    kind: ClassVar[int] = 0
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.kind = 1 << next(_KIND_BITS)
+
     # -- structure -----------------------------------------------------
 
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        """Child plan nodes, left to right."""
-        return tuple(
-            getattr(self, f.name)
-            for f in fields(self)
-            if f.metadata.get("child")
-        )
+    # Derived at construction (``__post_init__``); nodes are frozen, so
+    # they never go stale.  ``children`` lists the child plan nodes left
+    # to right; ``kinds`` ORs the ``kind`` bits of the whole subtree.
+    children: tuple[PlanNode, ...] = field(init=False, repr=False, compare=False)
+    kinds: int = field(init=False, repr=False, compare=False)
+    _size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        state = self.__dict__
+        children = tuple([state[name] for name in _layout(type(self)).children])
+        size = 1
+        kinds = self.kind
+        for child in children:
+            size += child._size
+            kinds |= child.kinds
+        state["children"] = children
+        state["_size"] = size
+        state["kinds"] = kinds
 
     def replace_children(self, children: tuple[PlanNode, ...]) -> PlanNode:
         """Rebuild this node with replacement children (same arity)."""
-        names = [f.name for f in fields(self) if f.metadata.get("child")]
+        names = _layout(type(self)).children
         if len(names) != len(children):
             raise SchemaError(
                 f"{type(self).__name__} takes {len(names)} children, "
                 f"got {len(children)}"
             )
-        return replace(self, **dict(zip(names, children)))
+        return self._rebuild(dict(zip(names, children)))
+
+    def _rebuild(self, changes: dict[str, Any]) -> PlanNode:
+        """This node with some constructor arguments replaced.
+
+        ``dataclasses.replace`` without its per-call field scan.
+        """
+        state = self.__dict__
+        args = {name: state[name] for name in _layout(type(self)).init}
+        args.update(changes)
+        return type(self)(**args)
 
     def walk(self) -> Iterator[PlanNode]:
         """Yield this node and every descendant, pre-order."""
@@ -83,7 +117,7 @@ class PlanNode:
 
     def size(self) -> int:
         """Total node count of the subtree."""
-        return sum(1 for _ in self.walk())
+        return self._size
 
     # -- provenance labels ---------------------------------------------
 
@@ -91,7 +125,7 @@ class PlanNode:
         """This node with ``labels`` replacing the current labels."""
         if labels == self.labels:
             return self
-        return replace(self, labels=labels)
+        return self._rebuild({"labels": labels})
 
     def add_label(self, operator: str, detail: str = "") -> PlanNode:
         """Prepend one provenance label (it becomes the outermost span)."""
@@ -113,18 +147,22 @@ class PlanNode:
         """Structural identity ignoring labels (for interning/CSE).
 
         Two nodes with the same key compute the same relation; their
-        provenance labels may differ.
+        provenance labels may differ.  Cached per node.
         """
+        return self._key
+
+    @cached_property
+    def _key(self) -> tuple:
         parts: list[Any] = [self.op]
-        for f in fields(self):
-            if f.name == "labels" or not f.compare:
-                continue
-            value = getattr(self, f.name)
-            if f.metadata.get("child"):
-                parts.append(value.key())
-            else:
-                parts.append(value)
+        for name, is_child in _layout(type(self)).keyed:
+            value = getattr(self, name)
+            parts.append(value.key() if is_child else value)
         return tuple(parts)
+
+    def params(self) -> tuple:
+        """The non-child fields of :meth:`key`: this node's parameters."""
+        state = self.__dict__
+        return tuple([state[name] for name in _layout(type(self)).params])
 
     # -- rendering -----------------------------------------------------
 
@@ -171,6 +209,46 @@ class PlanNode:
 def _child(**extra) -> Any:
     """A dataclass field marking a child plan node."""
     return field(metadata={"child": True}, **extra)
+
+
+class _Layout(NamedTuple):
+    """The field layout of one node class (see :func:`_layout`)."""
+
+    #: Child field names, left to right.
+    children: tuple[str, ...]
+    #: Fields of the structural key, as ``(name, is_child)``.
+    keyed: tuple[tuple[str, bool], ...]
+    #: The non-child fields of the key.
+    params: tuple[str, ...]
+    #: Constructor arguments.
+    init: tuple[str, ...]
+
+
+@cache
+def _layout(cls: type) -> _Layout:
+    """The field layout of a node class, computed once per class.
+
+    Walking, rebuilding and keying plans read this instead of
+    re-inspecting the dataclass fields on every visit.
+    """
+    every = fields(cls)
+    keyed = tuple(
+        (f.name, bool(f.metadata.get("child")))
+        for f in every
+        if f.name != "labels" and f.compare
+    )
+    return _Layout(
+        children=tuple(f.name for f in every if f.metadata.get("child")),
+        keyed=keyed,
+        params=tuple(name for name, is_child in keyed if not is_child),
+        init=tuple(f.name for f in every if f.init),
+    )
+
+
+@lru_cache(maxsize=4096)
+def condition_atoms(condition: str) -> tuple[Atom, ...]:
+    """The parsed atoms of a selection condition (cached by text)."""
+    return tuple(parse_atoms(condition))
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +368,7 @@ class Select(PlanNode):
     def _infer_schema(self) -> Schema:
         schema = self.child.schema
         temporal = set(schema.temporal_names)
-        for atom in parse_atoms(self.condition):
+        for atom in condition_atoms(self.condition):
             names = [atom.left]
             right = getattr(atom, "right", None)
             if right is not None:
@@ -388,7 +466,9 @@ class Rename(PlanNode):
         schema = self.child.schema
         return Schema(
             tuple(
-                replace(attr, name=table.get(attr.name, attr.name))
+                Attribute(table[attr.name], attr.temporal)
+                if attr.name in table
+                else attr
                 for attr in schema.attributes
             )
         )
@@ -529,14 +609,15 @@ class Join(_Binary):
 
     def _infer_schema(self) -> Schema:
         s1, s2 = self.left.schema, self.right.schema
+        extra = {attr.name: attr for attr in s2.attributes}
         for attr in s1.attributes:
-            if s2.has(attr.name) and s2.attribute(attr.name).temporal != attr.temporal:
+            shared = extra.pop(attr.name, None)
+            if shared is not None and shared.temporal != attr.temporal:
                 raise SchemaError(
                     f"join attribute {attr.name!r} is temporal on one side "
                     "and data on the other"
                 )
-        extra = tuple(a for a in s2.attributes if not s1.has(a.name))
-        return Schema(s1.attributes + extra)
+        return Schema(s1.attributes + tuple(extra.values()))
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,11 @@ The pipeline, in order:
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import is_not
 from typing import Any, Callable
 
-from repro.core.constraints import Atom, VarVarAtom, parse_atoms
+from repro.core.constraints import Atom, VarConstAtom, VarVarAtom
 from repro.obs import trace as obs
 from repro.obs.metrics import get_registry
 from repro.plan import nodes as ir
@@ -77,18 +78,26 @@ class PassReport:
 
 
 class _Rewriter:
-    """Shared bottom-up transformation driver with a rewrite counter."""
+    """Shared bottom-up tree transformer with a rewrite counter.
 
-    def __init__(self) -> None:
+    ``kinds`` is the bit set (:attr:`~repro.plan.nodes.PlanNode.kinds`)
+    of node classes a pass needs in a subtree before it can fire there;
+    subtrees without any of them are returned untouched, unvisited.
+    """
+
+    def __init__(self, kinds: int) -> None:
         self.count = 0
+        self.kinds = kinds
 
     def transform(
         self, node: ir.PlanNode, fn: Callable[[ir.PlanNode], ir.PlanNode]
     ) -> ir.PlanNode:
+        if not node.kinds & self.kinds:
+            return node
         children = node.children
         if children:
-            new_children = tuple(self.transform(c, fn) for c in children)
-            if any(n is not o for n, o in zip(new_children, children)):
+            new_children = tuple([self.transform(c, fn) for c in children])
+            if any(map(is_not, new_children, children)):
                 node = node.replace_children(new_children)
         return fn(node)
 
@@ -143,7 +152,7 @@ def _universe_select(node: ir.PlanNode) -> tuple[list[Atom], set[str]] | None:
     """Match ``σ atoms(universe(names))`` (possibly a bare universe)."""
     atoms: list[Atom] = []
     while isinstance(node, ir.Select):
-        atoms = parse_atoms(node.condition) + atoms
+        atoms = [*ir.condition_atoms(node.condition), *atoms]
         node = node.child
     if isinstance(node, ir.Literal) and node.token[0] == "universe":
         return atoms, set(node.token[1:])
@@ -152,7 +161,7 @@ def _universe_select(node: ir.PlanNode) -> tuple[list[Atom], set[str]] | None:
 
 def fold_constants(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
     """Drop truth seeds, collapse empties, fold selected universes."""
-    rw = _Rewriter()
+    rw = _Rewriter(ir.Literal.kind)
 
     def fold(node: ir.PlanNode) -> ir.PlanNode:
         if isinstance(node, ir.Join):
@@ -206,7 +215,7 @@ def fold_constants(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
 
 def fuse_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
     """Merge adjacent selections into one conjunctive condition."""
-    rw = _Rewriter()
+    rw = _Rewriter(ir.Select.kind)
 
     def fuse(node: ir.PlanNode) -> ir.PlanNode:
         if isinstance(node, ir.Select) and isinstance(node.child, ir.Select):
@@ -229,12 +238,12 @@ def fuse_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
 
 def push_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
     """Push selections toward the leaves (never through complements)."""
-    rw = _Rewriter()
+    rw = _Rewriter(ir.Select.kind)
 
     def push(node: ir.PlanNode) -> ir.PlanNode:
         if not isinstance(node, ir.Select):
             return node
-        atoms = parse_atoms(node.condition)
+        atoms = list(ir.condition_atoms(node.condition))
         child = node.child
         if isinstance(child, (ir.Union, ir.Intersect)):
             rw.count += 1
@@ -284,10 +293,12 @@ def push_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
             inverse = {new: old for old, new in child.mapping}
             renamed: list[Atom] = []
             for atom in atoms:
-                changes = {"left": inverse.get(atom.left, atom.left)}
+                left = inverse.get(atom.left, atom.left)
                 if isinstance(atom, VarVarAtom):
-                    changes["right"] = inverse.get(atom.right, atom.right)
-                renamed.append(replace(atom, **changes))
+                    right = inverse.get(atom.right, atom.right)
+                    renamed.append(VarVarAtom(left, atom.op, right, atom.const))
+                else:
+                    renamed.append(VarConstAtom(left, atom.op, atom.const))
             rw.count += 1
             return ir.Rename(
                 push(_make_select(child.child, renamed)),
@@ -318,7 +329,7 @@ def push_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
 
 def push_projects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
     """Narrow join/product/union inputs to the attributes a projection keeps."""
-    rw = _Rewriter()
+    rw = _Rewriter(ir.Project.kind)
 
     def narrow(child: ir.PlanNode, needed: list[str]) -> ir.PlanNode:
         if list(child.schema.names) == needed:
@@ -394,7 +405,7 @@ def push_projects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
 
 def collapse_projects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
     """Merge projection chains and drop identity projections."""
-    rw = _Rewriter()
+    rw = _Rewriter(ir.Project.kind)
 
     def collapse(node: ir.PlanNode) -> ir.PlanNode:
         if not isinstance(node, ir.Project):
@@ -425,7 +436,7 @@ def reorder_joins(
     root: ir.PlanNode, model: CostModel
 ) -> tuple[ir.PlanNode, int]:
     """Greedily reorder natural-join chains by estimated intermediate size."""
-    rw = _Rewriter()
+    rw = _Rewriter(ir.Join.kind)
 
     def flatten(node: ir.PlanNode) -> tuple[list[ir.PlanNode], ir.Labels]:
         if isinstance(node, ir.Join):
@@ -480,6 +491,11 @@ def dedup_subtrees(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
     relation are merged even when they originate from different query
     syntax.  The engine's per-run memo then evaluates the shared
     subtree once and reuses the result.
+
+    Children are interned first, so two nodes with equal keys have
+    equal parameters over the *same* child objects: the lookup key
+    holds child ids instead of nested child keys, and hashing it never
+    descends the tree.
     """
     seen: dict[tuple, ir.PlanNode] = {}
     hits = 0
@@ -488,10 +504,10 @@ def dedup_subtrees(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
         nonlocal hits
         children = node.children
         if children:
-            new_children = tuple(intern(c) for c in children)
-            if any(n is not o for n, o in zip(new_children, children)):
+            new_children = tuple([intern(c) for c in children])
+            if any(map(is_not, new_children, children)):
                 node = node.replace_children(new_children)
-        key = node.key()
+        key = (node.op, node.params(), *map(id, node.children))
         kept = seen.get(key)
         if kept is not None:
             if kept is not node:
@@ -546,7 +562,8 @@ def optimize_plan(
             )
             if count:
                 registry.counter(f"planner.pass.{name}").inc(count)
-            sp.set(**{f"pass.{name}": count})
         registry.counter("planner.optimized").inc()
-        sp.set(out_nodes=root.size())
+        if sp is not obs.NULL_SPAN:
+            sp.set(out_nodes=root.size())
+            sp.set(**{f"pass.{r.name}": r.rewrites for r in reports})
     return root, tuple(reports)

@@ -420,8 +420,9 @@ class Database:
         :class:`~repro.query.catalog.Snapshot` and the server share.
 
         ``optimize`` toggles the plan rewrite passes; it defaults to
-        the global configuration (``REPRO_OPTIMIZE``).  Optimization
-        never changes results, only how they are computed.
+        the global configuration (on, unless ``REPRO_OPTIMIZE=0``).
+        Optimization never changes results, only how they are
+        computed.
         """
         self._check_open()
         return dispatch.query(self, query, optimize=optimize)

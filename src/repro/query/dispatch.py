@@ -23,8 +23,8 @@ A *reader* is anything with ``parse(text)``, ``names``,
 ``relation(name)``, ``max_tuples`` and ``max_extensions``; the
 evaluator over it is built by :meth:`Evaluator.of
 <repro.query.evaluator.Evaluator.of>`.  ``optimize`` toggles the plan
-rewrite passes and defaults to the global configuration
-(``REPRO_OPTIMIZE``).
+rewrite passes and defaults to the global configuration (on, unless
+``REPRO_OPTIMIZE=0``).
 """
 
 from __future__ import annotations

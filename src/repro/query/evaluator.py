@@ -23,12 +23,14 @@ Translation table:
 
 Since the planner split (``docs/planner.md``), the evaluator is a thin
 pipeline: :class:`repro.query.planner.Planner` lowers the AST into a
-relation-expression plan, the optional rewrite passes
+relation-expression plan, the rewrite passes
 (:mod:`repro.plan.rewrite`) transform it, and
-:class:`~repro.plan.engine.NativeEngine` executes it.  With
-optimization off (the default) the lowered plan performs exactly the
-algebra calls the pre-planner evaluator performed, in the same order —
-results and trace shapes are byte-compatible.
+:class:`~repro.plan.engine.NativeEngine` executes it.  Optimization is
+on by default.  With it off (``optimize=False``, ``REPRO_OPTIMIZE=0``)
+the lowered plan runs unrewritten and performs exactly the algebra
+calls the pre-planner evaluator performed, in the same order — results
+and trace shapes are byte-compatible, which makes it the oracle the
+rewrites are checked against.
 """
 
 from __future__ import annotations
@@ -73,10 +75,10 @@ class Evaluator:
     in the schema size; Theorem 3.6).
 
     ``optimize`` is keyword-only and turns the plan rewrite passes on
-    or off; it defaults to the global configuration (environment
-    variable ``REPRO_OPTIMIZE``).  Optimized plans are semantically
-    equivalent but may differ in intermediate representation and trace
-    shape.
+    or off; it defaults to the global configuration (on, unless the
+    environment sets ``REPRO_OPTIMIZE=0``).  Optimized plans are
+    semantically equivalent to the naive ones but may differ in
+    intermediate representation and trace shape.
     """
 
     def __init__(

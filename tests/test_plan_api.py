@@ -45,15 +45,19 @@ class TestKeywordSurface:
 
 class TestEnvAndConfig:
     def test_optimize_env_parsing(self, monkeypatch):
+        assert perf_config.PerfConfig().optimize is True
+        monkeypatch.delenv("REPRO_OPTIMIZE", raising=False)
+        assert perf_config._from_env().optimize is True
         for raw, expected in (
+            ("", True),
             ("1", True),
             ("true", True),
             ("on", True),
-            ("", False),
             ("0", False),
             ("false", False),
             ("no", False),
             ("off", False),
+            (" OFF ", False),
         ):
             monkeypatch.setenv("REPRO_OPTIMIZE", raw)
             assert perf_config._from_env().optimize is expected
@@ -163,7 +167,7 @@ class TestCli:
 
     def test_plan_command(self):
         out = self.run_cli(
-            "--no-optimize",  # pin: the env may set REPRO_OPTIMIZE=1
+            "--no-optimize",  # pin: the optimizer is on by default
             *self.COMMANDS,
             "-c", f"plan {FIXTURE_QUERY}",
             "-c", "quit",
