@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Hashable, Iterable, Sequence
+import operator
+from collections.abc import Hashable, Iterable, Iterator, Sequence
+from math import gcd
 
 from repro.arith import lcm
 from repro.core.constraints import (
@@ -165,27 +167,6 @@ def _require_same_schema(r1: GeneralizedRelation, r2: GeneralizedRelation) -> No
 
 
 # ----------------------------------------------------------------------
-# optimization-layer plumbing (repro.perf)
-# ----------------------------------------------------------------------
-
-
-class _ProbeMemo:
-    """Per-operation memo of closed DBM probes, keyed on tuple identity."""
-
-    __slots__ = ("_probes",)
-
-    def __init__(self) -> None:
-        self._probes: dict[int, tuple[DBM, bool]] = {}
-
-    def __call__(self, t: GeneralizedTuple) -> tuple[DBM, bool]:
-        probe = self._probes.get(id(t))
-        if probe is None:
-            probe = prefilter.closed_probe(t.dbm)
-            self._probes[id(t)] = probe
-        return probe
-
-
-# ----------------------------------------------------------------------
 # union / intersection (Sections 3.1, 3.2)
 # ----------------------------------------------------------------------
 
@@ -211,24 +192,25 @@ def intersect(
 ) -> GeneralizedRelation:
     """Set intersection: pairwise tuple intersections (Section 3.2.2).
 
-    Only tuples with equal data values can meet, so ``r2`` is
-    partitioned by data tuple once and each ``r1`` tuple is paired with
-    its own bucket only — the kept pairs in nested-loop order.
-    Unsatisfiable meets (nonempty lrp intersections whose merged
-    constraints have no solution) denote the empty set and are dropped.
-    With prefilters enabled, provably-empty pairs are rejected before the
-    CRT + DBM work.  Either way the result is tuple-for-tuple that of the
-    plain double loop over ``r1 × r2``.
+    Only tuples with equal data values whose lrps meet can intersect, so
+    each ``r1`` tuple is paired only with the ``r2`` tuples
+    :func:`_pairs` finds for it: same data bucket and, with prefilters
+    on, a compatible residue on the first temporal attribute.  Kept
+    pairs come out in nested-loop order.  Unsatisfiable meets (nonempty
+    lrp intersections whose merged constraints have no solution) denote
+    the empty set and are dropped.  With prefilters enabled, provably
+    empty pairs are rejected before the CRT + DBM work, deciding from
+    the closure each stored tuple carries.  Either way the result is
+    tuple-for-tuple that of the plain double loop over ``r1 × r2``.
     """
     _require_same_schema(r1, r2)
     out = GeneralizedRelation.empty(r1.schema)
-    buckets = _partition(r2, lambda t: t.data)
     pre = get_config().prefilter_enabled
-    probe = _ProbeMemo()
+    residue_attr = (0, 0) if r1.schema.temporal_arity else None
+    data = operator.attrgetter("data")
     candidates = [
-        _intersect_candidate(t1, t2, pre, probe)
-        for t1 in r1
-        for t2 in buckets.get(t1.data, ())
+        _intersect_candidate(t1, t2, pre)
+        for t1, t2 in _pairs(r1, r2, data, data, residue_attr)
     ]
     for meet in _close_candidates(candidates):
         if meet is not None:
@@ -246,22 +228,106 @@ def _partition(
     return buckets
 
 
+def _pairs(
+    r1: GeneralizedRelation,
+    r2: GeneralizedRelation,
+    key1,
+    key2,
+    residue_attr: tuple[int, int] | None,
+) -> Iterator[tuple[GeneralizedTuple, GeneralizedTuple]]:
+    """The pairs of ``r1 × r2`` a pairwise operation examines, in
+    nested-loop ``(i, j)`` order.
+
+    Only pairs with equal data keys can meet, so ``r2`` is partitioned
+    once by ``key2`` and each ``r1`` tuple is paired with the bucket of
+    its ``key1``.  With prefilters on and a temporal attribute pair
+    ``residue_attr = (i1, i2)``, each bucket is also indexed by the lrp
+    residue of its ``i2`` attribute (:class:`_ResidueIndex`), and a
+    left tuple meets only the right tuples whose lrp can meet its ``i1``
+    lrp.  The pairs that index excludes are exactly those the per-pair
+    residue test would reject, and they add to ``prefilter_lrp_skip``
+    as that test would.  ``pair_candidates`` counts the pairs yielded.
+    """
+    buckets = _partition(r2, key2)
+    if not get_config().prefilter_enabled:
+        residue_attr = None
+    indexes: dict[Hashable, _ResidueIndex] = {}
+    for t1 in r1:
+        key = key1(t1)
+        bucket = buckets.get(key)
+        if bucket is None:
+            continue
+        if residue_attr is None:
+            PERF_COUNTERS["pair_candidates"] += len(bucket)
+            for t2 in bucket:
+                yield t1, t2
+            continue
+        index = indexes.get(key)
+        if index is None:
+            index = indexes[key] = _ResidueIndex(bucket, residue_attr[1])
+        partners = index.partners(t1.lrps[residue_attr[0]])
+        PERF_COUNTERS["prefilter_lrp_skip"] += len(bucket) - len(partners)
+        PERF_COUNTERS["pair_candidates"] += len(partners)
+        for j in partners:
+            yield t1, bucket[j]
+
+
+class _ResidueIndex:
+    """A bucket's positions by the lrp residue of one temporal attribute.
+
+    ``c1 + p1·n`` meets ``c2 + p2·n`` iff ``c1 ≡ c2 (mod gcd(p1, p2))``
+    (Section 3.2.1).  The right lrps are grouped by period ``p2``; for a
+    left period ``p1`` each group is split once by offset modulo
+    ``g = gcd(p1, p2)``, so a lookup returns exactly the meeting
+    partners.  Singletons fit the same rule: ``gcd(p, 0) = p`` makes a
+    singleton meet a progression iff its value lies on it, and two
+    singletons (``g = 0``) meet iff their values are equal.
+    """
+
+    __slots__ = ("_by_period", "_classes")
+
+    def __init__(self, bucket: list[GeneralizedTuple], attr: int) -> None:
+        self._by_period: dict[int, list[tuple[int, int]]] = {}
+        for pos, t in enumerate(bucket):
+            lrp = t.lrps[attr]
+            self._by_period.setdefault(lrp.period, []).append(
+                (lrp.offset, pos)
+            )
+        self._classes: dict[tuple[int, int], dict[int, list[int]]] = {}
+
+    def partners(self, lrp: LRP) -> list[int]:
+        """Sorted positions of the bucket tuples whose lrp meets ``lrp``."""
+        found: list[int] = []
+        for period, members in self._by_period.items():
+            g = gcd(lrp.period, period)
+            classes = self._classes.get((period, g))
+            if classes is None:
+                classes = {}
+                for offset, pos in members:
+                    residue = offset % g if g else offset
+                    classes.setdefault(residue, []).append(pos)
+                self._classes[(period, g)] = classes
+            residue = lrp.offset % g if g else lrp.offset
+            found.extend(classes.get(residue, ()))
+        found.sort()
+        return found
+
+
 def _intersect_candidate(
-    t1: GeneralizedTuple,
-    t2: GeneralizedTuple,
-    pre: bool,
-    probe: _ProbeMemo,
+    t1: GeneralizedTuple, t2: GeneralizedTuple, pre: bool
 ) -> GeneralizedTuple | None:
     """The candidate meet of a same-data pair, before its satisfiability check."""
     if pre:
-        if not prefilter.lrps_compatible(t1.lrps, t2.lrps):
+        # The residue index of :func:`_pairs` already paired attribute 0
+        # exactly; test only the others.
+        if not prefilter.lrps_compatible(t1.lrps[1:], t2.lrps[1:]):
             PERF_COUNTERS["prefilter_lrp_skip"] += 1
             return None
-        closed1, sat1 = probe(t1)
-        if not sat1:
+        closed1 = t1.closure()
+        if closed1 is None:
             return None
-        closed2, sat2 = probe(t2)
-        if not sat2:
+        closed2 = t2.closure()
+        if closed2 is None:
             return None
         if not prefilter.intervals_compatible(closed1, closed2):
             PERF_COUNTERS["prefilter_interval_skip"] += 1
@@ -349,10 +415,11 @@ def subtract_tuples(
     """
     if t1.temporal_arity != t2.temporal_arity:
         raise SchemaError("temporal arities differ")
-    closed1, sat1 = prefilter.closed_probe(t1.dbm)
-    if not sat1:
+    closed1 = t1.closure()
+    if closed1 is None:
         return []  # t1 is empty; so is the difference
-    if not t2.dbm.copy().close():
+    closed2 = t2.closure()
+    if closed2 is None:
         return [t1]  # subtracting the empty set
     if t1.data != t2.data:
         return [t1]
@@ -362,7 +429,6 @@ def subtract_tuples(
             # would return, minus the CRT work.
             PERF_COUNTERS["prefilter_lrp_skip"] += 1
             return [t1]
-        closed2, _ = prefilter.closed_probe(t2.dbm)
         if not prefilter.intervals_compatible(closed1, closed2):
             # t1 ∩ t2 is empty, so the difference *is* t1 — skipping the
             # staircase decomposition returns it in one piece instead of
@@ -423,7 +489,7 @@ def subtract_tuples(
     return [t for t in out if t.dbm.copy().close()]
 
 
-def _delta_satisfiable(closed1: DBM, delta: tuple) -> bool:
+def _delta_satisfiable(closed1: prefilter.ClosedRows, delta: tuple) -> bool:
     """Whether t1's closed system stays satisfiable under a piece's delta.
 
     ``("edge", u, v, w)`` is one added bound ``X_u - X_v <= w``;
@@ -1024,7 +1090,14 @@ def select(
     """Add restricted constraints to every tuple (Section 3.5).
 
     The condition refers to the schema's temporal attribute names; data
-    selections go through :func:`select_data`.
+    selections go through :func:`select_data`.  Each tuple keeps its
+    written constraints plus the condition's.  Satisfiability is decided
+    by conjoining the condition's few bounds into the closure the tuple
+    already carries (:meth:`DBM.conjoin_closed`; the closure of
+    ``closure(D) ∧ E`` is that of ``D ∧ E``), and that result becomes
+    the new tuple's canonical key, so nothing is closed from scratch.
+    With incremental closure off (``REPRO_NO_INCREMENTAL``) each
+    conjunction is closed from its written form instead.
     """
     atoms = (
         parse_atoms(condition) if isinstance(condition, str) else list(condition)
@@ -1033,12 +1106,29 @@ def select(
         _check_temporal_atom(relation.schema, atom)
     extra = atoms_to_dbm(atoms, relation.schema.temporal_names)
     out = GeneralizedRelation.empty(relation.schema)
+    incremental = get_config().incremental_enabled
     for gtuple in relation:
+        # The stored constraint set stays as written (negation cost
+        # tracks the written atoms); satisfiability is decided on the
+        # side, on a closed copy.
         merged = gtuple.dbm.intersect(extra)
-        # Satisfiability is checked on a copy so the stored constraint
-        # set stays as written (negation cost tracks the written atoms).
-        if merged.copy().close():
-            out.add(GeneralizedTuple(gtuple.lrps, merged, gtuple.data))
+        if not incremental:
+            if merged.copy().close():
+                out.add(GeneralizedTuple(gtuple.lrps, merged, gtuple.data))
+            continue
+        carried = gtuple.closure()
+        if carried is None:
+            continue
+        closed = DBM.from_closure(carried)
+        if not closed.conjoin_closed(extra):
+            continue
+        selected = GeneralizedTuple(gtuple.lrps, merged, gtuple.data)
+        selected._key = (
+            gtuple.lrps,
+            tuple(tuple(row) for row in closed._b),
+            gtuple.data,
+        )
+        out.add(selected)
     return out
 
 
@@ -1105,15 +1195,18 @@ def product(
     rows1 = range(a1 + 1)
     rows2 = [0] + [a1 + 1 + i for i in range(a2)]
     out = GeneralizedRelation.empty(new_schema)
-    probe = _ProbeMemo()
-    hoist = get_config().prefilter_enabled
+    carried = get_config().prefilter_enabled
+
+    def satisfiable(t: GeneralizedTuple) -> bool:
+        if carried:
+            return t.closure() is not None
+        return t.dbm.copy().close()
+
     for t1 in r1:
-        sat1 = probe(t1)[1] if hoist else t1.dbm.copy().close()
-        if not sat1:
+        if not satisfiable(t1):
             continue  # empty tuple: nothing to combine
         for t2 in r2:
-            sat2 = probe(t2)[1] if hoist else t2.dbm.copy().close()
-            if not sat2:
+            if not satisfiable(t2):
                 continue
             dbm = _assemble_dbm(a1 + a2, ((t1.dbm, rows1), (t2.dbm, rows2)))
             out.add(
@@ -1138,9 +1231,14 @@ def join(
 
     The data side is a hash join: ``r2`` is partitioned once on its
     shared data columns (one bucket when there are none) and each ``r1``
-    tuple is paired only with the bucket carrying its values, so pairs
-    come out in nested-loop order minus the data mismatches and the
-    result is tuple-for-tuple that of the double loop.
+    tuple is paired only with the bucket carrying its values.  With
+    prefilters on, each bucket is also indexed by lrp residue on the
+    first shared temporal attribute (Section 3.2.1), so a pair whose
+    lrps cannot meet there is never formed (:func:`_pairs`).  The
+    remaining pairs are tested against the closures the stored tuples
+    carry.  Pairs come out in nested-loop order minus the ones that
+    provably cannot meet, and the result is tuple-for-tuple that of the
+    double loop.
     """
     shared = [a for a in r1.schema.attributes if r2.schema.has(a.name)]
     for attr in shared:
@@ -1189,12 +1287,15 @@ def join(
     out = GeneralizedRelation.empty(new_schema)
     idx1 = [i for i, _ in shared_d]
     idx2 = [j for _, j in shared_d]
-    buckets = _partition(r2, lambda t: tuple([t.data[j] for j in idx2]))
-    probe = _ProbeMemo()
     candidates = [
-        _join_candidate(t1, t2, context, probe)
-        for t1 in r1
-        for t2 in buckets.get(tuple([t1.data[i] for i in idx1]), ())
+        _join_candidate(t1, t2, context)
+        for t1, t2 in _pairs(
+            r1,
+            r2,
+            lambda t: tuple([t.data[i] for i in idx1]),
+            lambda t: tuple([t.data[j] for j in idx2]),
+            shared_t[0] if shared_t else None,
+        )
     ]
     for joined in _close_candidates(candidates):
         if joined is not None:
@@ -1203,24 +1304,22 @@ def join(
 
 
 def _join_candidate(
-    t1: GeneralizedTuple,
-    t2: GeneralizedTuple,
-    context: tuple,
-    probe: _ProbeMemo,
+    t1: GeneralizedTuple, t2: GeneralizedTuple, context: tuple
 ) -> GeneralizedTuple | None:
     """The candidate joined tuple of a data-matching pair, before its
     satisfiability check."""
     (map1, rows1, rows2, shared_t, t2_only, d2_only_idx, arity, pre) = context
-    if pre and shared_t:
-        if not prefilter.lrps_compatible(t1.lrps, t2.lrps, shared_t):
+    if pre:
+        # The residue index of :func:`_pairs` already paired the first
+        # shared temporal attribute exactly; test only the others.
+        if not prefilter.lrps_compatible(t1.lrps, t2.lrps, shared_t[1:]):
             PERF_COUNTERS["prefilter_lrp_skip"] += 1
             return None
-    if pre:
-        closed1, sat1 = probe(t1)
-        if not sat1:
+        closed1 = t1.closure()
+        if closed1 is None:
             return None
-        closed2, sat2 = probe(t2)
-        if not sat2:
+        closed2 = t2.closure()
+        if closed2 is None:
             return None
         if shared_t and not prefilter.intervals_compatible(
             closed1, closed2, shared_t
@@ -1319,7 +1418,11 @@ def rename(
         Attribute(mapping.get(a.name, a.name), a.temporal)
         for a in relation.schema.attributes
     )
-    return GeneralizedRelation(Schema(new_attrs), relation.tuples)
+    # Keys do not depend on attribute names: the copy's tuples and key
+    # set carry over without re-inserting.
+    out = relation.copy()
+    out.schema = Schema(new_attrs)
+    return out
 
 
 @_traced("shift_column")

@@ -95,6 +95,21 @@ class DBM:
     # construction helpers
     # ------------------------------------------------------------------
 
+    @classmethod
+    def from_closure(cls, rows: Sequence[Sequence[Bound]]) -> DBM:
+        """A closed system over a copy of already closed bound rows.
+
+        ``rows`` is a satisfiable closure in matrix form, such as
+        :meth:`GeneralizedTuple.closure
+        <repro.core.tuples.GeneralizedTuple.closure>` returns.
+        """
+        out = cls.__new__(cls)
+        out._n = len(rows)
+        out._b = [list(row) for row in rows]
+        out._closed = True
+        out._dirty = []
+        return out
+
     @property
     def size(self) -> int:
         """The number of (non-zero) variables."""
@@ -267,6 +282,28 @@ class DBM:
                     current = row_i[j]
                     if current is None or candidate < current:
                         row_i[j] = candidate
+
+    def conjoin_closed(self, other: DBM) -> bool:
+        """Conjoin ``other``'s bounds into this closed system and re-close.
+
+        Only the entries ``other`` tightens are processed, each by one
+        :meth:`_close_incremental` sweep: the closure of ``closure(D) ∧
+        E`` is the closure of ``D ∧ E``, so a closed ``D`` plus a few
+        written bounds ``E`` closes in O(|E|·n²) with no cache lookup.
+        Returns whether the conjunction is satisfiable.
+        """
+        if self._n != other._n:
+            raise ReproValueError("DBM sizes differ")
+        b = self._b
+        written = []
+        for i, (row, other_row) in enumerate(zip(b, other._b)):
+            for j, bound in enumerate(other_row):
+                if bound is not None and (row[j] is None or bound < row[j]):
+                    row[j] = bound
+                    written.append((i, j))
+        if written:
+            self._close_incremental(written)
+        return self.is_satisfiable()
 
     def is_satisfiable(self) -> bool:
         """Return whether the (closed) system has an integer solution.

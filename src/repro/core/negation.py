@@ -124,9 +124,9 @@ def complement_constraint_systems(
         )
         next_round: dict[tuple, DBM] = {}
         for conjunct in current:
-            closed_conjunct = (
-                prefilter.closed_probe(conjunct)[0] if pre else None
-            )
+            # Every conjunct kept so far is satisfiable, so its
+            # canonical key is its closed bound rows.
+            closed_conjunct = conjunct.canonical_key() if pre else None
             for index, piece in enumerate(negated):
                 if piece_bounds is not None:
                     bound = piece_bounds[index]

@@ -107,6 +107,17 @@ class GeneralizedTuple:
             self._key = (self.lrps, self.dbm.canonical_key(), self.data)
         return self._key
 
+    def closure(self) -> tuple[tuple[int | None, ...], ...] | None:
+        """The closed bound rows of the DBM, or ``None`` if unsatisfiable.
+
+        Read off the :meth:`canonical_key` memo, which ``relation.add``
+        fills on insert: a stored tuple's closure costs no closing.
+        Row ``i`` column ``j`` is the tightest bound on ``X_i - X_j``
+        with row/column 0 the zero variable, as in the DBM matrix.
+        """
+        rows = self.canonical_key()[1]
+        return None if rows[0] == "UNSAT" else rows
+
     def semantic_key(self) -> tuple:
         """A hashable key refining :meth:`canonical_key` semantically.
 

@@ -27,6 +27,9 @@ answer is computed *exactly*, never by sampling:
 Aggregation across a relation keeps argmin/argmax provenance: the
 :class:`OptimizationResult` names the tuple that attains the optimum
 and a concrete point witnessing it (or the unboundedness certificate).
+It is a branch-and-bound over the tuples: each tuple's closure bound
+relaxes its optimum, so the exact search runs best bound first and
+stops once no remaining bound can beat the best exact answer.
 """
 
 from __future__ import annotations
@@ -198,22 +201,41 @@ class OptimizationResult:
 # ----------------------------------------------------------------------
 
 
-def _analysis_dbm(gtuple: GeneralizedTuple) -> DBM:
-    """Closed copy of the tuple's DBM with singleton lrps pinned.
+def _pinned_closure(gtuple: GeneralizedTuple) -> DBM | None:
+    """The tuple's closure with singleton lrps pinned (``None`` if empty).
 
     The raw DBM does not know that a period-0 lrp fixes its coordinate;
     folding those pins in before closing makes the closure entries an
     exact boundedness oracle (periodic lrps are bi-infinite, so they
-    never bound anything on their own).
+    never bound anything on their own).  The pins are added to the
+    closure the tuple already carries, so only they are closed over.
     """
-    dbm = gtuple.dbm.copy()
+    carried = gtuple.closure()
+    if carried is None:
+        return None
+    dbm = DBM.from_closure(carried)
     for index, lrp in enumerate(gtuple.lrps):
         if lrp.period == 0:
             dbm.add_value(index, lrp.offset)
-    satisfiable = dbm.close()
-    if not satisfiable:  # pragma: no cover - caller checks emptiness first
-        raise ReproValueError("cannot optimize over an empty tuple")
-    return dbm
+    return dbm if dbm.close() else None
+
+
+def _relaxation(
+    dbm: DBM, sense: str, i: int, j: int | None
+) -> int | None:
+    """The pinned closure's bound on the objective, as a sort key.
+
+    Keys order optima best-first: the key of a minimum is its value,
+    the key of a maximum its negation.  A tuple's exact optimum never
+    beats its closure bound, so its key is ``>=`` the one returned
+    here.  ``None`` means the closure leaves the objective unbounded
+    (the bound :func:`optimize_tuple` reads is missing).
+    """
+    if j is None:
+        bound = dbm.bound(-1, i) if sense == "min" else dbm.bound(i, -1)
+    else:
+        bound = dbm.bound(j, i) if sense == "min" else dbm.bound(i, j)
+    return None if bound is None else -bound
 
 
 def _probe(
@@ -421,7 +443,9 @@ def optimize_tuple(
         obs.metrics().counter("optimize.tuples").inc()
         if tuple_is_empty(gtuple, max_tuples):
             return TupleOptimum(status="empty")
-        dbm = _analysis_dbm(gtuple)
+        dbm = _pinned_closure(gtuple)
+        if dbm is None:  # pragma: no cover - emptiness was checked above
+            raise ReproValueError("cannot optimize over an empty tuple")
         if j is None:
             bound = dbm.lower(i) if sense == "min" else dbm.upper(i)
             if bound is None:
@@ -473,6 +497,18 @@ def optimize_relation(
     relation unbounded (its certificate and tuple are reported); the
     finite case keeps argmin/argmax provenance — which tuple attains
     the global optimum, and a concrete witness point inside it.
+
+    The answer is that of optimizing every tuple in relation order and
+    keeping the first unbounded tuple, else the first tuple attaining
+    the best value, but it is found by branch-and-bound.  Each tuple's
+    pinned closure bounds its optimum (:func:`_relaxation`), read off
+    the closure the tuple carries.  Tuples the closure leaves unbounded
+    are tried first, in relation order; the first nonempty one is the
+    answer.  Otherwise tuples run the exact search best bound first,
+    ties by relation index, until no remaining bound can beat the best
+    exact answer (or tie it from an earlier index).  Tuples that cannot
+    hold the optimum are never searched.  ``tuples_examined`` keeps its
+    meaning: the tuples the relation-order scan would have visited.
     """
     schema = relation.schema
     i = schema.temporal_index(objective.name)
@@ -481,34 +517,52 @@ def optimize_relation(
         if objective.minus is not None
         else None
     )
-    better = min if sense == "min" else max
     with obs.span(
         "optimize.relation", sense=sense, objective=str(objective)
     ) as sp:
         obs.metrics().counter("optimize.relations").inc()
-        best: TupleOptimum | None = None
-        argopt: GeneralizedTuple | None = None
-        examined = 0
-        for gtuple in relation:
-            examined += 1
+        tuples = list(relation)
+        bounded: list[tuple[int, int]] = []
+        for index, gtuple in enumerate(tuples):
+            dbm = _pinned_closure(gtuple)
+            if dbm is None:
+                continue  # empty: its optimum cannot exist
+            key = _relaxation(dbm, sense, i, j)
+            if key is not None:
+                bounded.append((key, index))
+                continue
             outcome = optimize_tuple(
                 gtuple, sense, i, j, max_tuples=max_tuples
             )
-            if outcome.status == "empty":
-                continue
             if outcome.status == "unbounded":
-                sp.set(status="unbounded", tuples=examined)
+                sp.set(status="unbounded", tuples=index + 1)
                 return OptimizationResult(
                     sense=sense,
                     objective=objective,
                     status="unbounded",
                     argopt=gtuple,
                     certificate=outcome.certificate,
-                    tuples_examined=examined,
+                    tuples_examined=index + 1,
                     schema=schema,
                 )
-            if best is None or better(best.value, outcome.value) != best.value:
-                best, argopt = outcome, gtuple
+        bounded.sort()
+        best: TupleOptimum | None = None
+        best_rank: tuple[int, int] | None = None
+        for key, index in bounded:
+            if best_rank is not None and (key, index) > best_rank:
+                break  # no remaining tuple can beat or tie earlier
+            outcome = optimize_tuple(
+                tuples[index], sense, i, j, max_tuples=max_tuples
+            )
+            if outcome.status == "empty":
+                continue
+            rank = (
+                outcome.value if sense == "min" else -outcome.value,
+                index,
+            )
+            if best_rank is None or rank < best_rank:
+                best, best_rank = outcome, rank
+        examined = len(tuples)
         if best is None:
             sp.set(status="empty", tuples=examined)
             return OptimizationResult(
@@ -525,7 +579,7 @@ def optimize_relation(
             status="optimal",
             value=best.value,
             witness=best.witness,
-            argopt=argopt,
+            argopt=tuples[best_rank[1]],
             tuples_examined=examined,
             schema=schema,
         )

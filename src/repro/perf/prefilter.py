@@ -8,8 +8,12 @@ copying or Floyd–Warshall closure happens:
 
 * **residue compatibility** — two lrps ``c1 + p1·Z`` and ``c2 + p2·Z``
   intersect iff ``gcd(p1, p2)`` divides ``c1 − c2`` (the solvability
-  condition of the CRT), an exact test;
-* **interval overlap** — with both DBMs closed, attribute ``i``'s value
+  condition of the CRT), an exact test.  ``join`` and ``intersect``
+  apply it to a whole bucket at once through a residue index
+  (``repro.core.algebra._ResidueIndex``), so the pairs it rejects on
+  the indexed attribute are never formed; they still count as
+  ``prefilter_lrp_skip``;
+* **interval overlap** — on closed systems, attribute ``i``'s value
   range on each side is ``[-b(0,i), b(i,0)]``; disjoint ranges on any
   shared attribute make the conjunction unsatisfiable, again exactly;
 * **single-bound satisfiability** — adding one constraint
@@ -17,6 +21,14 @@ copying or Floyd–Warshall closure happens:
   the closure's reverse path gives ``b(v, u) + w < 0`` (any new negative
   cycle must traverse the new edge, and ``b(v, u)`` is the cheapest way
   back).
+
+The closed systems are passed as bound rows in matrix form (row and
+column 0 the zero variable), the form
+:meth:`GeneralizedTuple.closure <repro.core.tuples.GeneralizedTuple.closure>`
+reads off a stored tuple's canonical key and
+:meth:`DBM.canonical_key <repro.core.dbm.DBM.canonical_key>` returns for
+a satisfiable system, so a stored tuple is tested without closing it
+again.
 
 All three tests are exact (they reject only pairs the full computation
 would also discard), so the filtered operations return the same results
@@ -30,8 +42,11 @@ from math import gcd
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.core.dbm import DBM
     from repro.core.lrp import LRP
+
+#: A satisfiable system's closed bound matrix: ``rows[i][j]`` bounds
+#: ``X_i - X_j`` (index 0 is the zero variable, ``None`` is +infinity).
+ClosedRows = Sequence[Sequence[int | None]]
 
 
 def lrp_pair_compatible(a: "LRP", b: "LRP") -> bool:
@@ -67,45 +82,36 @@ def lrps_compatible(
     return True
 
 
-def closed_probe(dbm: "DBM") -> tuple["DBM", bool]:
-    """A closed copy of ``dbm`` plus its satisfiability verdict.
-
-    The original keeps its written bounds (the negation algorithms depend
-    on that); with the interning cache enabled, repeated probes of the
-    same written system cost one matrix copy and a cache hit.
-    """
-    probe = dbm.copy()
-    return probe, probe.close()
-
-
 def intervals_compatible(
-    closed1: "DBM",
-    closed2: "DBM",
+    closed1: ClosedRows,
+    closed2: ClosedRows,
     pairs: Sequence[tuple[int, int]] | None = None,
 ) -> bool:
     """Whether every shared attribute's value ranges overlap.
 
-    Both arguments must be closed.  ``pairs`` works as in
+    Both arguments are closed bound rows.  ``pairs`` works as in
     :func:`lrps_compatible`.  A ``False`` verdict is exact: some shared
     attribute cannot take a common value, so the conjunction of the two
     systems (under the pairing) is unsatisfiable.
     """
     if pairs is None:
-        pairs = [(i, i) for i in range(closed1.size)]
+        pairs = [(i, i) for i in range(len(closed1) - 1)]
+    zero1 = closed1[0]
+    zero2 = closed2[0]
     for i1, i2 in pairs:
-        up1 = closed1.bound(i1, -1)
-        neg_lo2 = closed2.bound(-1, i2)
+        up1 = closed1[i1 + 1][0]
+        neg_lo2 = zero2[i2 + 1]
         if up1 is not None and neg_lo2 is not None and up1 + neg_lo2 < 0:
             return False
-        up2 = closed2.bound(i2, -1)
-        neg_lo1 = closed1.bound(-1, i1)
+        up2 = closed2[i2 + 1][0]
+        neg_lo1 = zero1[i1 + 1]
         if up2 is not None and neg_lo1 is not None and up2 + neg_lo1 < 0:
             return False
     return True
 
 
 def added_bound_satisfiable(
-    closed: "DBM", u: int, v: int, w: int
+    closed: ClosedRows, u: int, v: int, w: int
 ) -> bool:
     """Whether a closed satisfiable system stays satisfiable after adding
     ``X_u - X_v <= w`` (indices as in ``iter_bounds``: -1 = zero var).
@@ -113,5 +119,5 @@ def added_bound_satisfiable(
     Exact: a negative cycle created by one new edge must use that edge,
     and the cheapest return path ``v → u`` is the closure entry.
     """
-    back = closed.bound(v, u)
+    back = closed[v + 1][u + 1]
     return back is None or back + w >= 0

@@ -1,12 +1,17 @@
 """Data-partitioned pairwise operations and the row-wise DBM assembler.
 
 ``join``, ``intersect`` and ``subtract`` pair each left tuple only with
-the right tuples carrying matching data values.  That must be invisible:
-each operation returns exactly the tuple list — same tuples, same order
-— of the plain nested loop over every pair, which the references below
-spell out.  The assembler that builds joined and product DBMs must leave
-the same bounds and closure bookkeeping as adding both sides' bounds one
-``add_*`` call at a time to a fresh ``DBM``.
+the right tuples carrying matching data values, and ``join`` and
+``intersect`` index each bucket by lrp residue.  That must be
+invisible: each operation returns exactly the tuple list — same tuples,
+same order — of the plain nested loop over every pair, which the
+references below spell out, and the prefilter skip counters add up to
+what the per-pair tests of that loop would count.  ``select`` decides
+from the closure each stored tuple carries and must match the loop that
+closes every conjunction from scratch.  The assembler that builds joined
+and product DBMs must leave the same bounds and closure bookkeeping as
+adding both sides' bounds one ``add_*`` call at a time to a fresh
+``DBM``.
 """
 
 from __future__ import annotations
@@ -16,11 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import algebra
+from repro.core.constraints import Op, VarConstAtom, VarVarAtom, atoms_to_dbm
 from repro.core.dbm import DBM
 from repro.core.lrp import LRP
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.tuples import GeneralizedTuple
-from repro.perf.config import overrides
+from repro.perf import prefilter as pf
+from repro.perf.config import PERF_COUNTERS, overrides
 
 DATA_VALUES = ["a", "b", "c"]
 PERIODS = [0, 1, 2, 3, 4]
@@ -192,6 +199,96 @@ def subtract_reference(
     return out
 
 
+def _pair_counts(r1, r2, shared_t, match, prefilter: bool) -> dict[str, int]:
+    """The pair counters the per-pair tests of the nested loop imply.
+
+    With prefilters on, ``prefilter_lrp_skip``/``prefilter_interval_skip``
+    count the pairs the loop's residue-then-interval tests reject, and
+    ``pair_candidates`` the data-matching pairs whose lrps meet on the
+    first shared temporal attribute (every data-matching pair when none
+    is shared).  With prefilters off nothing is skipped and every
+    data-matching pair is a candidate.
+    """
+    counts = dict.fromkeys(
+        ("prefilter_lrp_skip", "prefilter_interval_skip", "pair_candidates"),
+        0,
+    )
+    for t1 in r1:
+        for t2 in r2:
+            if not match(t1, t2):
+                continue
+            if not prefilter:
+                counts["pair_candidates"] += 1
+                continue
+            if not shared_t or pf.lrp_pair_compatible(
+                t1.lrps[shared_t[0][0]], t2.lrps[shared_t[0][1]]
+            ):
+                counts["pair_candidates"] += 1
+            if shared_t and not pf.lrps_compatible(t1.lrps, t2.lrps, shared_t):
+                counts["prefilter_lrp_skip"] += 1
+                continue
+            if not (t1.dbm.copy().close() and t2.dbm.copy().close()):
+                continue
+            if shared_t and not pf.intervals_compatible(
+                t1.dbm.canonical_key(), t2.dbm.canonical_key(), shared_t
+            ):
+                counts["prefilter_interval_skip"] += 1
+    return counts
+
+
+def join_pair_counts(r1, r2, prefilter: bool) -> dict[str, int]:
+    s1, s2 = r1.schema, r2.schema
+    shared_t = [
+        (s1.temporal_index(n), s2.temporal_index(n))
+        for n in s1.temporal_names
+        if s2.has(n)
+    ]
+    shared_d = [
+        (s1.data_index(n), s2.data_index(n))
+        for n in s1.data_names
+        if s2.has(n)
+    ]
+    return _pair_counts(
+        r1,
+        r2,
+        shared_t,
+        lambda t1, t2: all(t1.data[i] == t2.data[j] for i, j in shared_d),
+        prefilter,
+    )
+
+
+def intersect_pair_counts(r1, r2, prefilter: bool) -> dict[str, int]:
+    shared_t = [(i, i) for i in range(r1.schema.temporal_arity)]
+    return _pair_counts(
+        r1, r2, shared_t, lambda t1, t2: t1.data == t2.data, prefilter
+    )
+
+
+def _counted(run):
+    """``run()``'s result and what it added to the pair counters."""
+    names = (
+        "prefilter_lrp_skip",
+        "prefilter_interval_skip",
+        "pair_candidates",
+    )
+    before = {name: PERF_COUNTERS[name] for name in names}
+    result = run()
+    return result, {name: PERF_COUNTERS[name] - before[name] for name in names}
+
+
+def select_reference(
+    relation: GeneralizedRelation, atoms
+) -> GeneralizedRelation:
+    """Selection closing every conjunction from its written form."""
+    extra = atoms_to_dbm(atoms, relation.schema.temporal_names)
+    out = GeneralizedRelation.empty(relation.schema)
+    for gtuple in relation:
+        merged = gtuple.dbm.intersect(extra)
+        if merged.copy().close():
+            out.add(GeneralizedTuple(gtuple.lrps, merged, gtuple.data))
+    return out
+
+
 # ----------------------------------------------------------------------
 # partitioned operations == nested loop
 # ----------------------------------------------------------------------
@@ -223,6 +320,16 @@ JOIN_SCHEMAS = {
         Schema.make(temporal=["A", "B"]),
         Schema.make(temporal=["B", "C"]),
     ),
+    # two shared temporal attributes, in the other order on the right
+    "two-temporal": (
+        Schema.make(temporal=["A", "B"], data=["x"]),
+        Schema.make(temporal=["B", "C", "A"], data=["x"]),
+    ),
+    # no shared temporal attribute: data buckets only, no residue index
+    "no-temporal": (
+        Schema.make(temporal=["A"], data=["x"]),
+        Schema.make(temporal=["C"], data=["x"]),
+    ),
 }
 
 
@@ -251,14 +358,15 @@ def _join_inputs():
 class TestMatchesNestedLoop:
     @prefilters
     @given(inputs=_join_inputs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_join(self, prefilter, inputs):
         r1, r2 = inputs
         with overrides(prefilter_enabled=prefilter):
-            got = algebra.join(r1, r2)
+            got, counts = _counted(lambda: algebra.join(r1, r2))
             expected = join_reference(r1, r2)
         assert got.schema == expected.schema
         assert _keys(got) == _keys(expected)
+        assert counts == join_pair_counts(r1, r2, prefilter)
 
     @prefilters
     @given(inputs=_setop_inputs())
@@ -266,9 +374,10 @@ class TestMatchesNestedLoop:
     def test_intersect(self, prefilter, inputs):
         r1, r2 = inputs
         with overrides(prefilter_enabled=prefilter):
-            got = algebra.intersect(r1, r2)
+            got, counts = _counted(lambda: algebra.intersect(r1, r2))
             expected = intersect_reference(r1, r2)
         assert _keys(got) == _keys(expected)
+        assert counts == intersect_pair_counts(r1, r2, prefilter)
 
     @prefilters
     @given(inputs=_setop_inputs())
@@ -347,6 +456,173 @@ class TestPinnedCases:
         assert len(got) == 1
         assert got.contains([2, 4], ["a"])
         assert not got.contains([2, 4], ["b"])
+
+    @prefilters
+    def test_singletons_on_either_side_meet_through_the_index(
+        self, prefilter
+    ):
+        left = [(4, 0), (1, 3), (7, 0), (0, 1)]
+        right = [(0, 2), (4, 0), (1, 6), (5, 0), (7, 0)]
+        r1 = GeneralizedRelation(
+            SCHEMA_X, [_tuple(o, p, "a") for o, p in left]
+        )
+        r2 = GeneralizedRelation(
+            SCHEMA_X, [_tuple(o, p, "a") for o, p in right]
+        )
+        with overrides(prefilter_enabled=prefilter):
+            joined, join_counts = _counted(lambda: algebra.join(r1, r2))
+            met, meet_counts = _counted(lambda: algebra.intersect(r1, r2))
+        assert _keys(joined) == _keys(join_reference(r1, r2))
+        assert _keys(met) == _keys(intersect_reference(r1, r2))
+        assert join_counts == join_pair_counts(r1, r2, prefilter)
+        assert meet_counts == intersect_pair_counts(r1, r2, prefilter)
+        if prefilter:
+            # 4 meets 0+2n and 4; 1+3n meets 0+2n, 4, 1+6n and 7; 7
+            # meets 1+6n and 7; n meets everything.
+            assert join_counts["pair_candidates"] == 2 + 4 + 2 + 5
+
+
+# ----------------------------------------------------------------------
+# selection from the carried closure == copy-and-close
+# ----------------------------------------------------------------------
+
+configs = pytest.mark.parametrize(
+    "config",
+    [{}, {"incremental_enabled": False}],
+    ids=["default", "no-incremental"],
+)
+
+#: Conditions that no point satisfies, whatever the tuple.
+CONTRADICTIONS = {
+    "a - a <= -1": [VarVarAtom("A", Op.LE, "A", -1)],
+    "a >= 5 & a <= 3": [
+        VarConstAtom("A", Op.GE, 5),
+        VarConstAtom("A", Op.LE, 3),
+    ],
+}
+
+
+@st.composite
+def conditions(draw, names) -> list:
+    """One to four atoms over ``names``: bounds and difference atoms
+    (an attribute may appear on both sides)."""
+    atoms = []
+    for _ in range(draw(st.integers(1, 4))):
+        left = draw(st.sampled_from(names))
+        op = draw(st.sampled_from(list(Op)))
+        if draw(st.booleans()):
+            right = draw(st.sampled_from(names))
+            atoms.append(VarVarAtom(left, op, right, draw(st.integers(-4, 4))))
+        else:
+            atoms.append(VarConstAtom(left, op, draw(st.integers(-6, 6))))
+    return atoms
+
+
+def _select_inputs():
+    return st.sampled_from(sorted(SETOP_SCHEMAS)).flatmap(
+        lambda name: st.tuples(
+            relations(SETOP_SCHEMAS[name], 2, max_size=6),
+            conditions(SETOP_SCHEMAS[name].temporal_names),
+        )
+    )
+
+
+def _assert_tuple_identical(got, expected) -> None:
+    """Same tuples in the same order, written DBMs and canonical keys
+    included; every key equals one computed from scratch."""
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.lrps == e.lrps and g.data == e.data
+        assert g.dbm._b == e.dbm._b
+        assert g.canonical_key() == e.canonical_key()
+        assert g.canonical_key() == (
+            g.lrps, g.dbm.copy().canonical_key(), g.data
+        )
+
+
+class TestSelectMatchesCopyAndClose:
+    @configs
+    @given(inputs=_select_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_generated(self, config, inputs):
+        relation, atoms = inputs
+        with overrides(**config):
+            got = algebra.select(relation, atoms)
+            expected = select_reference(relation, atoms)
+        _assert_tuple_identical(got, expected)
+
+    @configs
+    @pytest.mark.parametrize("name", sorted(CONTRADICTIONS))
+    @given(
+        relation=relations(SETOP_SCHEMAS["one-data"], 2, max_size=6)
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_contradictory_condition(self, config, name, relation):
+        with overrides(**config):
+            got = algebra.select(relation, CONTRADICTIONS[name])
+            expected = select_reference(relation, CONTRADICTIONS[name])
+        _assert_tuple_identical(got, expected)
+        assert len(got) == 0
+
+    def test_pins_a_singleton_and_drops_empty_tuples(self):
+        schema = Schema.make(temporal=["A", "B"])
+        pinned = GeneralizedTuple((LRP.make(4, 0), LRP.make(0, 3)), DBM(2))
+        unsat = GeneralizedTuple(
+            (LRP.make(0, 1), LRP.make(0, 1)), DBM(2)
+        )
+        unsat.dbm.add_lower(0, 5)
+        unsat.dbm.add_upper(0, 2)
+        relation = GeneralizedRelation(schema, [pinned, unsat])
+        atoms = [VarVarAtom("B", Op.GE, "A", 2), VarConstAtom("B", Op.LE, 9)]
+        got = algebra.select(relation, atoms)
+        _assert_tuple_identical(got, select_reference(relation, atoms))
+        assert len(got) == 1
+
+
+# ----------------------------------------------------------------------
+# rename shares the source's tuples
+# ----------------------------------------------------------------------
+
+
+def _tuple2(o1: int, p1: int, o2: int, p2: int, value: str):
+    return GeneralizedTuple(
+        (LRP.make(o1, p1), LRP.make(o2, p2)), DBM(2), (value,)
+    )
+
+
+class TestRename:
+    def _relation(self):
+        return GeneralizedRelation(
+            SETOP_SCHEMAS["one-data"],
+            [
+                _tuple2(0, 2, 1, 3, "a"),
+                _tuple2(1, 0, 0, 1, "b"),
+                _tuple2(0, 4, 2, 4, "a"),
+            ],
+        )
+
+    def test_holds_the_same_tuple_objects(self):
+        source = self._relation()
+        renamed = algebra.rename(source, {"A": "P", "x": "y"})
+        assert renamed.schema.names == ("P", "B", "y")
+        assert len(renamed) == len(source)
+        assert all(a is b for a, b in zip(renamed, source))
+
+    def test_equals_a_reinserted_reference(self):
+        source = self._relation()
+        renamed = algebra.rename(source, {"B": "Q"})
+        reference = GeneralizedRelation(renamed.schema, source.tuples)
+        assert renamed == reference
+        assert _keys(renamed) == _keys(reference)
+
+    def test_adding_to_the_result_does_not_leak(self):
+        source = self._relation()
+        renamed = algebra.rename(source, {"A": "P"})
+        extra = _tuple2(1, 3, 2, 5, "c")
+        renamed.add(extra)
+        assert len(renamed) == len(source) + 1
+        assert extra.canonical_key() not in _keys(source)
+        assert source.schema.names == ("A", "B", "x")
 
 
 # ----------------------------------------------------------------------

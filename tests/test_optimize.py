@@ -17,11 +17,13 @@ from hypothesis import given, settings
 
 from repro.cli import Session
 from repro.core.errors import EvaluationError, ParseError, ReproValueError
-from repro.core.relations import Schema, relation
+from repro.core.lrp import LRP
+from repro.core.relations import GeneralizedRelation, Schema, relation
 from repro.fuzz.case import load_case
 from repro.intervals import oracle_optimum, run_scenario, scenario_pack
 from repro.optimize import (
     Objective,
+    OptimizationResult,
     optimize_relation,
     optimize_tuple,
     parse_objective,
@@ -268,6 +270,162 @@ class TestParityProperties:
                     for i in range(arity):
                         assert_parity(gtuple, "min", i)
                         assert_parity(gtuple, "max", i)
+
+
+# ----------------------------------------------------------------------
+# branch-and-bound == optimizing every tuple in relation order
+# ----------------------------------------------------------------------
+
+
+def optimize_relation_reference(rel, objective, sense):
+    """Optimize every tuple in relation order: the first unbounded tuple
+    wins, else the first tuple attaining the best value."""
+    schema = rel.schema
+    i = schema.temporal_index(objective.name)
+    j = (
+        None
+        if objective.minus is None
+        else schema.temporal_index(objective.minus)
+    )
+    better = min if sense == "min" else max
+    best = argopt = None
+    examined = 0
+    for gtuple in rel:
+        examined += 1
+        outcome = optimize_tuple(gtuple, sense, i, j)
+        if outcome.status == "empty":
+            continue
+        if outcome.status == "unbounded":
+            return OptimizationResult(
+                sense=sense,
+                objective=objective,
+                status="unbounded",
+                argopt=gtuple,
+                certificate=outcome.certificate,
+                tuples_examined=examined,
+                schema=schema,
+            )
+        if best is None or better(best.value, outcome.value) != best.value:
+            best, argopt = outcome, gtuple
+    if best is None:
+        return OptimizationResult(
+            sense=sense,
+            objective=objective,
+            status="empty",
+            tuples_examined=examined,
+            schema=schema,
+        )
+    return OptimizationResult(
+        sense=sense,
+        objective=objective,
+        status="optimal",
+        value=best.value,
+        witness=best.witness,
+        argopt=argopt,
+        tuples_examined=examined,
+        schema=schema,
+    )
+
+
+AB = Schema.make(temporal=["a", "b"])
+OBJECTIVES = (Objective("a"), Objective("b"), Objective("b", "a"))
+
+
+def _lrp(rng):
+    period = rng.choice([0, 1, 2, 3, 4, 6])
+    return LRP.make(rng.randint(0, 5), period)
+
+
+def _bounded_tuples(rng, count):
+    """``(lrps, constraints)`` of tuples bounding a, b and b - a."""
+    out = []
+    for _ in range(count):
+        low = rng.randint(-4, 4)
+        d1 = rng.randint(-3, 3)
+        out.append((
+            [_lrp(rng), _lrp(rng)],
+            f"a >= {low} & a <= {low + rng.randint(0, 8)} & "
+            f"b >= a + {d1} & b <= a + {d1 + rng.randint(0, 6)}",
+        ))
+    return out
+
+
+#: Tuples denoting the empty set, with bounds tighter than any above: an
+#: unsatisfiable system, and satisfiable ones whose forced values miss
+#: their lrps (1 + 2n holds no even value).
+EMPTY_TUPLES = [
+    ([LRP.make(0, 1), LRP.make(0, 1)], "a >= 5 & a <= 2"),
+    ([LRP.make(1, 2), LRP.make(0, 1)], "a = -10 & b = -10"),
+    ([LRP.make(1, 2), LRP.make(0, 1)], "a = 20 & b = 40"),
+]
+#: Unbounded in a and b both ways and in max(b - a).
+UNBOUNDED_TUPLE = ([LRP.make(1, 2), LRP.make(0, 3)], "b >= a + 1")
+
+
+def _relation(items):
+    rel = GeneralizedRelation.empty(AB)
+    for lrps, constraints in items:
+        rel.add_tuple(lrps, constraints)
+    return rel
+
+
+def _assert_same_result(rel, objective, sense):
+    got = optimize_relation(rel, objective, sense)
+    expected = optimize_relation_reference(rel, objective, sense)
+    assert got == expected
+    assert got.argopt is expected.argopt
+    return got
+
+
+class TestBranchAndBoundMatchesRelationOrder:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_relations(self, seed):
+        rng = random.Random(seed)
+        items = _bounded_tuples(rng, rng.randint(1, 8))
+        for empty in EMPTY_TUPLES:
+            items.insert(rng.randint(0, len(items)), empty)
+        statuses = set()
+        for objective in OBJECTIVES:
+            for sense in ("min", "max"):
+                for variant in (items, items[::-1]):
+                    rel = _relation(variant)
+                    statuses.add(
+                        _assert_same_result(rel, objective, sense).status
+                    )
+                    unbounded = _relation(variant + [UNBOUNDED_TUPLE])
+                    statuses.add(
+                        _assert_same_result(unbounded, objective, sense).status
+                    )
+        assert statuses == {"optimal", "unbounded"}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_planted_ties_in_both_orders(self, seed):
+        rng = random.Random(1000 + seed)
+        items = _bounded_tuples(rng, rng.randint(2, 8))
+        rel = _relation(items)
+        for objective in OBJECTIVES:
+            for sense in ("min", "max"):
+                result = optimize_relation_reference(rel, objective, sense)
+                # The argopt tuple pinned at the optimum ties with it and
+                # has the tightest possible bound.
+                (pinned,) = result.argopt_restriction()
+                tuples = list(rel)
+                at = tuples.index(result.argopt)
+                for position in (at, at + 1, 0, len(tuples)):
+                    planted = GeneralizedRelation(
+                        AB, tuples[:position] + [pinned] + tuples[position:]
+                    )
+                    got = _assert_same_result(planted, objective, sense)
+                    assert got.value == result.value
+
+    def test_empty_relations_and_all_empty_tuples(self):
+        for items in ([], EMPTY_TUPLES, EMPTY_TUPLES[::-1]):
+            rel = _relation(items)
+            for objective in OBJECTIVES:
+                for sense in ("min", "max"):
+                    got = _assert_same_result(rel, objective, sense)
+                    assert got.status == "empty"
+                    assert got.tuples_examined == len(items)
 
 
 # ----------------------------------------------------------------------

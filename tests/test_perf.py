@@ -297,12 +297,11 @@ class TestPrefilters:
         for _ in range(200):
             d1 = random_dbm(rng, 2, n_constraints=3)
             d2 = random_dbm(rng, 2, n_constraints=3)
-            _, sat1 = prefilter.closed_probe(d1)
-            _, sat2 = prefilter.closed_probe(d2)
-            if not (sat1 and sat2):
+            if not (d1.copy().close() and d2.copy().close()):
                 continue
-            closed1, _ = prefilter.closed_probe(d1)
-            closed2, _ = prefilter.closed_probe(d2)
+            # A satisfiable system's canonical key is its closed rows.
+            closed1 = d1.canonical_key()
+            closed2 = d2.canonical_key()
             if prefilter.intervals_compatible(closed1, closed2):
                 continue
             # rejected: the conjunction must genuinely be unsatisfiable
@@ -313,12 +312,14 @@ class TestPrefilters:
         checked = 0
         for _ in range(200):
             base = random_dbm(rng, 2, n_constraints=3)
-            closed, sat = prefilter.closed_probe(base)
-            if not sat:
+            closed = base.copy()
+            if not closed.close():
                 continue
             u, v = rng.choice([(0, 1), (1, 0), (0, -1), (-1, 0), (1, -1)])
             w = rng.randint(-10, 10)
-            verdict = prefilter.added_bound_satisfiable(closed, u, v, w)
+            verdict = prefilter.added_bound_satisfiable(
+                closed.canonical_key(), u, v, w
+            )
             probe = closed.copy()
             probe._set(u + 1, v + 1, w)  # _set keeps the tighter bound
             assert verdict == probe.close()
