@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-naive lint docs-check docs-examples bench bench-smoke serve-bench serve-bench-smoke stream-bench stream-bench-smoke opt-bench opt-bench-smoke fuzz reports clean
+.PHONY: test test-naive lint docs-check docs-examples bench bench-smoke e2e-pairs serve-bench serve-bench-smoke stream-bench stream-bench-smoke opt-bench opt-bench-smoke fuzz reports clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -39,6 +39,18 @@ bench:
 # Small sizes for CI smoke runs.
 bench-smoke:
 	$(PYTHON) -m repro.perf.bench --smoke
+
+# Paired end-to-end runs of this working tree against a parent ref,
+# alternating which runs first; prints medians, quartiles, wins out of
+# pairs and any median worse than its BENCHMARK.json bound.
+E2E_PARENT ?= HEAD
+E2E_WORKLOADS ?= stream_ingest
+E2E_SEEDS ?= 1-10
+E2E_SECONDS ?= 20
+e2e-pairs:
+	$(PYTHON) tools/e2e_pairs.py --parent $(E2E_PARENT) \
+		--workloads $(E2E_WORKLOADS) --seeds $(E2E_SEEDS) \
+		--seconds $(E2E_SECONDS)
 
 # Serving-layer load generator: sequential vs group commits/s, served
 # query latency, the readers-never-block check and the single-writer

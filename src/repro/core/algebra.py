@@ -23,7 +23,7 @@ import functools
 import itertools
 import operator
 from collections.abc import Hashable, Iterable, Iterator, Sequence
-from math import gcd
+from math import gcd, prod
 
 from repro.arith import lcm
 from repro.core.constraints import (
@@ -597,8 +597,13 @@ def project(
     Temporal eliminations go through the paper's normalization
     (Theorem 3.2) restricted to the constraint-connected cluster of the
     dropped attributes — the "partial normalization" optimization of
-    Section 3.4 — and are integer-exact by Theorem 3.1.  Re-orderings and
-    data-only changes never normalize.
+    Section 3.4 — and are integer-exact by Theorem 3.1.  With prefilters
+    on, the residue condition of Section 3.2.1 is tested against the
+    closure each tuple carries before anything is normalized: a tuple
+    whose cluster lrps cannot meet its closed windows is never planned,
+    and a split combo that cannot is never formed (:func:`_combos`).
+    Re-orderings and data-only changes never normalize: each tuple's
+    output is its carried closure restricted to the kept attributes.
     """
     schema = relation.schema
     for name in names:
@@ -621,29 +626,29 @@ def project(
     ]
     out = GeneralizedRelation.empty(new_schema)
     tuples = list(relation)
-    use_kernel = kernel.kernel_active()
     if not dropped_t:
-        probes = [gtuple.dbm.copy() for gtuple in tuples]
-        if use_kernel:
-            # Collect-then-close: one batched sweep over every tuple's
-            # probe instead of a scalar closure inside each project().
-            kernel.close_batch(probes)
-        for gtuple, probe in zip(tuples, probes):
-            data = tuple(gtuple.data[i] for i in keep_d)
-            projected_dbm = probe.project(keep_t)
+        # Dropping rows/columns of a closure is the exact eliminant of
+        # the variables dropped, so the kept part of the carried closure
+        # is the projected system, closed, and its canonical key.
+        kept_rows = [0] + [i + 1 for i in keep_t]
+        for gtuple in tuples:
+            rows = gtuple.closure()
             # Unsatisfiable tuples denote the empty set; dropping them is
             # semantics-preserving and keeps stored DBMs marker-free.
-            if not projected_dbm.is_satisfiable():
+            if rows is None:
                 continue
-            out.add(
-                GeneralizedTuple(
-                    lrps=tuple(gtuple.lrps[i] for i in keep_t),
-                    dbm=projected_dbm,
-                    data=data,
-                )
+            bounds = tuple(
+                [tuple([rows[i][j] for j in kept_rows]) for i in kept_rows]
             )
+            projected = GeneralizedTuple(
+                lrps=tuple(gtuple.lrps[i] for i in keep_t),
+                dbm=DBM.from_closure(bounds),
+                data=tuple(gtuple.data[i] for i in keep_d),
+            )
+            projected._key = (projected.lrps, bounds, projected.data)
+            out.add(projected)
         return out
-    if use_kernel:
+    if kernel.kernel_active():
         finals = list(
             _project_batched(tuples, keep_t, dropped_t, keep_d, max_tuples)
         )
@@ -685,7 +690,13 @@ class _ProjectPlan:
     """Per-tuple combinatorics for temporal elimination.
 
     Shared by the scalar and batched projection paths so both enumerate
-    exactly the same combos with the same bookkeeping.
+    exactly the same combos with the same bookkeeping.  ``choices[d]``
+    lists the split lrps of cluster attribute ``cluster_order[d]`` (all
+    of period ``k``, or the one singleton it is), and ``split_sizes`` is
+    the size of their product; :func:`_combos` walks that product.
+    ``feasible`` is ``None`` until the residue test has run against the
+    tuple's closure, then ``(combos, excluded)``: a plan belongs to one
+    tuple, whose closure never changes, so a memoized plan keeps it.
     """
 
     __slots__ = (
@@ -703,6 +714,7 @@ class _ProjectPlan:
         "new_index",
         "out_rows",
         "mat_template",
+        "feasible",
     )
 
 
@@ -711,7 +723,8 @@ def _project_plan(
     keep: Sequence[int],
     dropped: Sequence[int],
     max_tuples: int,
-) -> _ProjectPlan:
+    rows: tuple | None = None,
+) -> _ProjectPlan | None:
     """Compute one tuple's cluster, period, splits and bound partition.
 
     Plans depend only on the tuple (immutable after construction) and
@@ -719,6 +732,13 @@ def _project_plan(
     — like the canonical/semantic key memos — and repeated projections
     over a stored relation skip the replan.  The memo is consulted only
     while caching is enabled, keeping the naive baseline honest.
+
+    With ``rows``, the tuple's closure, the cluster lrps are first
+    tested against its closed windows (:func:`_residues_meet`).  A
+    tuple that fails has only empty combos: it gets no plan (``None``),
+    adds its whole split product to ``prefilter_residue_skip``, and
+    neither raises ``NormalizationLimitError`` nor adds to
+    ``normalize_expansion``.
     """
     use_memo = get_config().cache_enabled
     memo_key = None
@@ -728,17 +748,20 @@ def _project_plan(
         if memo is not None:
             plan = memo.get(memo_key)
             if plan is not None:
+                # A plan with feasible combos passed the test already.
+                if (
+                    rows is not None
+                    and plan.feasible is None
+                    and not _residues_meet(gtuple.lrps, rows, plan.cluster_order)
+                ):
+                    PERF_COUNTERS["prefilter_residue_skip"] += plan.split_sizes
+                    return None
                 # The blow-up still happens downstream on every run.
                 PERF_COUNTERS["normalize_expansion"] += plan.split_sizes
                 PERF_COUNTERS["plan_memo_hits"] += 1
                 return plan
-    plan = _ProjectPlan()
     cluster = _constraint_cluster(gtuple, dropped)
     cluster_order = sorted(cluster)
-    cluster_pos = {attr: idx for idx, attr in enumerate(cluster_order)}
-    plan.cluster = cluster
-    plan.cluster_order = cluster_order
-    plan.cluster_pos = cluster_pos
     # Period of the cluster only.
     lrps = gtuple.lrps
     k = 1
@@ -746,20 +769,16 @@ def _project_plan(
         period = lrps[i].period
         if period:
             k = lcm(k, period)
-    plan.k = k
-    # Split cluster lrps; explosion bounded by max_tuples.  An lrp whose
-    # period already equals k splits into itself, so it skips the split
-    # (and its factor of 1 in the blow-up product).
+    # Each periodic cluster lrp splits into k // period lrps of period k
+    # (Lemma 3.1); the explosion is bounded by max_tuples.
     split_sizes = 1
-    choices = []
     for i in cluster_order:
-        lrp = lrps[i]
-        period = lrp.period
-        if period == 0 or (period == k and 0 <= lrp.offset < k):
-            choices.append([lrp])
-        else:
+        period = lrps[i].period
+        if period:
             split_sizes *= k // period
-            choices.append(lrp.split(k))
+    if rows is not None and not _residues_meet(lrps, rows, cluster_order):
+        PERF_COUNTERS["prefilter_residue_skip"] += split_sizes
+        return None
     if split_sizes > max_tuples:
         from repro.core.errors import NormalizationLimitError
 
@@ -769,8 +788,25 @@ def _project_plan(
         )
     # Partial normalization's blow-up parameter (Section 3.4/3.8).
     PERF_COUNTERS["normalize_expansion"] += split_sizes
+    plan = _ProjectPlan()
+    plan.cluster = cluster
+    plan.cluster_order = cluster_order
+    cluster_pos = {attr: idx for idx, attr in enumerate(cluster_order)}
+    plan.cluster_pos = cluster_pos
+    plan.k = k
+    # An lrp whose period already equals k splits into itself, so it
+    # skips the split.
+    choices = []
+    for i in cluster_order:
+        lrp = lrps[i]
+        period = lrp.period
+        if period == 0 or period == k:
+            choices.append([lrp])
+        else:
+            choices.append(lrp.split(k))
     plan.choices = choices
     plan.split_sizes = split_sizes
+    plan.feasible = None
     # Partition the bound matrix directly (same row-major order as
     # iter_bounds): cluster bounds are transcribed to template row
     # indices (0 is the zero variable, cluster positions are 1-based),
@@ -927,17 +963,201 @@ def project_tuple_temporal(
 
     Only the constraint-connected cluster of the dropped attributes is
     normalized; attributes outside the cluster keep their lrps and
-    mutual constraints untouched.
+    mutual constraints untouched.  This is the scalar path
+    (``REPRO_KERNEL=python``, or no numpy); it plans and enumerates
+    combos exactly as :func:`_project_batched` does, residue pruning
+    included, and closes each combo with :func:`_project_combo`.
     """
-    if not gtuple.dbm.copy().close():
+    planned = _planned_combos(gtuple, keep, dropped, max_tuples)
+    if planned is None:
         return []  # empty tuple: empty projection
-    plan = _project_plan(gtuple, keep, dropped, max_tuples)
+    plan, combos = planned
     results: list[GeneralizedTuple] = []
-    for combo in itertools.product(*plan.choices):
+    for combo in combos:
         projected = _project_combo(gtuple, plan, combo, keep)
         if projected is not None:
             results.append(projected)
     return results
+
+
+def _planned_combos(
+    gtuple: GeneralizedTuple,
+    keep: Sequence[int],
+    dropped: Sequence[int],
+    max_tuples: int,
+) -> tuple[_ProjectPlan, list[tuple[LRP, ...]]] | None:
+    """One tuple's plan and the combos to normalize, or ``None`` when the
+    tuple is empty.
+
+    With prefilters on, emptiness is read off the closure the tuple
+    carries and its residues are tested against it.  With them off, a
+    copy of the tuple's system is closed and the full product runs, so
+    the naive configuration pays what it always paid.
+    """
+    if get_config().prefilter_enabled:
+        rows = gtuple.closure()
+        if rows is None:
+            return None
+    elif gtuple.dbm.copy().close():
+        rows = None
+    else:
+        return None
+    plan = _project_plan(gtuple, keep, dropped, max_tuples, rows)
+    if plan is None:
+        return None
+    return plan, _combos(plan, rows)
+
+
+def _residue_in_window(
+    residue: int, modulus: int, low: int | None, high: int | None
+) -> bool:
+    """Whether some ``d ≡ residue (mod modulus)`` lies in ``[low, high]``.
+
+    ``None`` is an infinite end; modulus 0 asks for ``d = residue``.
+    """
+    if modulus == 0:
+        return (low is None or low <= residue) and (
+            high is None or residue <= high
+        )
+    if low is None or high is None:
+        return True
+    return low + (residue - low) % modulus <= high
+
+
+def _residues_meet(
+    lrps: Sequence[LRP], rows: tuple, attrs: Sequence[int]
+) -> bool:
+    """Whether the lrps of ``attrs`` can meet the closed windows ``rows``.
+
+    The residue condition of Section 3.2.1 against the closure: the
+    windows of :func:`_feasible_combos`, tested on the one combo of the
+    tuple's own lrps, without building it (this runs once per tuple).
+    Every point of the tuple passes, so a failure proves it empty.  Only
+    the cluster attributes are tested: an empty tuple's attributes
+    outside the cluster still pass through projection unchanged, and
+    dropping them would change the output.
+    """
+    zero = rows[0]
+    for pos, a in enumerate(attrs):
+        lrp = lrps[a]
+        row = rows[a + 1]
+        low = zero[a + 1]
+        if not _residue_in_window(
+            lrp.offset, lrp.period, None if low is None else -low, row[0]
+        ):
+            return False
+        for b in attrs[:pos]:
+            low = rows[b + 1][a + 1]
+            high = row[b + 1]
+            if low is None and high is None:
+                continue
+            other = lrps[b]
+            if not _residue_in_window(
+                lrp.offset - other.offset,
+                gcd(lrp.period, other.period),
+                None if low is None else -low,
+                high,
+            ):
+                return False
+    return True
+
+
+def _combos(
+    plan: _ProjectPlan, rows: tuple | None
+) -> list[tuple[LRP, ...]]:
+    """The split combos of ``plan`` to normalize, in ``itertools.product``
+    order.
+
+    Without ``rows`` this is the whole product.  With ``rows``, the
+    tuple's closure, only the combos whose lrps meet its closed windows
+    (:func:`_feasible_combos`).  A combo left out has an n-space system
+    with no integer solution, which the kernel or :func:`_project_combo`
+    would reject, so the output is unchanged.  Each combo left out adds
+    one to ``prefilter_residue_skip``.
+
+    ``rows`` must belong to a tuple that passed :func:`_residues_meet`
+    (:func:`_project_plan` returned its plan): a product of one combo is
+    then that tuple's own lrps, already tested.  The result is kept in
+    ``plan.feasible``.
+    """
+    choices = plan.choices
+    if rows is None:
+        return list(itertools.product(*choices))
+    if plan.feasible is None:
+        if plan.split_sizes == 1:
+            plan.feasible = ([tuple([lrp for (lrp,) in choices])], 0)
+        else:
+            plan.feasible = _feasible_combos(plan.cluster_order, choices, rows)
+    combos, excluded = plan.feasible
+    PERF_COUNTERS["prefilter_residue_skip"] += excluded
+    return combos
+
+
+def _feasible_combos(
+    attrs: Sequence[int], choices: list[list[LRP]], rows: tuple
+) -> tuple[list[tuple[LRP, ...]], int]:
+    """The combos of ``itertools.product(*choices)`` whose lrps meet the
+    closed windows ``rows``, in product order, and how many were left out.
+
+    The combos grow one position at a time, and a choice is kept only if
+    it passes its own window and the windows against the choices already
+    made.  ``choices[d]`` holds lrps of attribute ``attrs[d]`` that share
+    one period (``k`` for split lrps, 0 for a singleton).  ``rows[i][j]`` bounds ``X_i - X_j``, with row 0 the zero
+    variable and attribute ``a`` at row ``a + 1``.  A combo meets the
+    windows when each ``X_a`` has a value of its lrp in
+    ``[-rows[0][a+1], rows[a+1][0]]`` and each difference ``X_a - X_b``
+    has a value ``≡ c_a - c_b (mod gcd(p_a, p_b))`` in
+    ``[-rows[b+1][a+1], rows[a+1][b+1]]`` (exactly ``c_a - c_b`` when
+    the gcd is 0).
+    """
+    zero = rows[0]
+    partial: list[tuple[LRP, ...]] = [()]
+    below = prod(len(options) for options in choices)
+    excluded = 0
+    for depth, a in enumerate(attrs):
+        options = choices[depth]
+        below //= len(options)  # combos under one choice at this depth
+        row = rows[a + 1]
+        low = zero[a + 1]
+        low = None if low is None else -low
+        fitting = [
+            lrp
+            for lrp in options
+            if _residue_in_window(lrp.offset, lrp.period, low, row[0])
+        ]
+        excluded += (len(options) - len(fitting)) * below * len(partial)
+        period = options[0].period
+        windows = []
+        for prior, b in enumerate(attrs[:depth]):
+            low = rows[b + 1][a + 1]
+            high = row[b + 1]
+            modulus = gcd(period, choices[prior][0].period)
+            if (low is None and high is None) or (
+                modulus and (low is None or high is None)
+            ):
+                continue  # every difference fits
+            windows.append(
+                (prior, modulus, None if low is None else -low, high)
+            )
+        if not windows:
+            partial = [combo + (lrp,) for combo in partial for lrp in fitting]
+        else:
+            extended = []
+            for combo in partial:
+                for lrp in fitting:
+                    offset = lrp.offset
+                    for prior, modulus, low, high in windows:
+                        if not _residue_in_window(
+                            offset - combo[prior].offset, modulus, low, high
+                        ):
+                            excluded += below
+                            break
+                    else:
+                        extended.append(combo + (lrp,))
+            partial = extended
+        if not partial:
+            break  # every subtree left out is already counted
+    return partial, excluded
 
 
 def _project_batched(
@@ -951,28 +1171,30 @@ def _project_batched(
 
     Yields finished output tuples (data already projected via
     ``keep_d``) in exactly the scalar path's order: plans and combos are
-    enumerated identically; only the per-combo n-space closure,
+    enumerated identically (:func:`_project_plan`, :func:`_combos`,
+    residue pruning included); only the per-combo n-space closure,
     projection and X-space transcription run as grouped vectorized
-    sweeps in :func:`repro.perf.kernel.project_batch`.  Combos with
-    singleton splits take the scalar combo path (their n-space pins are
-    not template-expressible), as do whole groups the kernel rejects
-    for exactness.
+    sweeps in :func:`repro.perf.kernel.project_batch`.  With prefilters
+    on, a tuple is satisfiable iff its carried closure exists, so no
+    tuple is closed here.  Combos with singleton splits take the scalar
+    combo path (their n-space pins are not template-expressible), as do
+    whole groups the kernel rejects for exactness.
     """
-    sats = kernel.sat_batch([gtuple.dbm for gtuple in tuples])
     plans: list[_ProjectPlan | None] = []
     jobs: list[tuple] = []
     combo_refs: list[list[tuple] | None] = []
-    for gtuple, sat in zip(tuples, sats):
-        if not sat:
+    for gtuple in tuples:
+        planned = _planned_combos(gtuple, keep, dropped, max_tuples)
+        if planned is None:
             plans.append(None)
             combo_refs.append(None)
             continue
-        plan = _project_plan(gtuple, keep, dropped, max_tuples)
+        plan, combos = planned
         plans.append(plan)
         template = None
         template_usable = True
         refs: list[tuple] = []
-        for combo in itertools.product(*plan.choices):
+        for combo in combos:
             if any(lrp.period == 0 for lrp in combo):
                 refs.append((combo, None))
                 continue

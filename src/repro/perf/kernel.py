@@ -223,8 +223,9 @@ def sat_batch(dbms: Sequence["DBM"]) -> list[bool]:
     path skips both the copies and the writeback: the packed batch is
     built straight from the bound matrices, closed, and only the
     diagonal signs are read off.  Use this when callers need only the
-    verdict (projection probes, normalization splits); use
-    :func:`close_batch` when they also need the tightened bounds.
+    verdict (normalization splits); use :func:`close_batch` when they
+    also need the tightened bounds.  Projection needs neither: it reads
+    the closure each stored tuple carries.
     """
     dbms = list(dbms)
     if not dbms:

@@ -1,5 +1,6 @@
 """Differential and paper-example tests for projection (Section 3.4)."""
 
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import algebra
-from repro.core.errors import SchemaError
+from repro.core.dbm import DBM
+from repro.core.errors import NormalizationLimitError, SchemaError
+from repro.core.lrp import LRP
+from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation, Schema, relation
+from repro.core.tuples import GeneralizedTuple
+from repro.perf.config import PERF_COUNTERS, overrides
 
 from tests.helpers import random_relation
 
@@ -156,3 +162,191 @@ class TestProjectionDifferential:
         for (x,) in out.snapshot(*WINDOW):
             probe = algebra.select(r, f"X1 = {x}")
             assert not probe.is_empty(), f"{x} has no preimage"
+
+
+def _reference_project(relation, names):
+    """Projection by the full split product, with no residue pruning.
+
+    Every satisfiable tuple is closed from its written constraints; a
+    re-ordering keeps the closure's kept rows, and an elimination
+    normalizes every combo of the split product.
+    """
+    schema = relation.schema
+    attrs = tuple(schema.attribute(name) for name in names)
+    keep_t = [schema.temporal_index(a.name) for a in attrs if a.temporal]
+    keep_d = [schema.data_index(a.name) for a in attrs if not a.temporal]
+    dropped = [i for i in range(schema.temporal_arity) if i not in keep_t]
+    out = GeneralizedRelation.empty(Schema(attrs))
+    for gtuple in relation:
+        data = tuple(gtuple.data[i] for i in keep_d)
+        probe = gtuple.dbm.copy()
+        if not probe.close():
+            continue
+        if not dropped:
+            lrps = tuple(gtuple.lrps[i] for i in keep_t)
+            out.add(GeneralizedTuple(lrps, probe.project(keep_t), data))
+            continue
+        plan = algebra._project_plan(
+            gtuple, keep_t, dropped, DEFAULT_MAX_TUPLES
+        )
+        for combo in itertools.product(*plan.choices):
+            projected = algebra._project_combo(gtuple, plan, combo, keep_t)
+            if projected is not None:
+                out.add(GeneralizedTuple(projected.lrps, projected.dbm, data))
+    return out
+
+
+def _exact(relation):
+    """Everything that makes two outputs tuple-identical, in order."""
+    return [
+        (
+            t.lrps,
+            t.dbm._b,
+            t.dbm._closed,
+            t.dbm._dirty,
+            t.data,
+            t.canonical_key(),
+        )
+        for t in relation
+    ]
+
+
+PRUNE_PERIODS = (6, 8, 12, 24)
+
+
+def _pruning_relation(rng, arity):
+    """Tuples whose lrps often miss their narrow closed windows.
+
+    Periods are drawn from 6/8/12/24 with some singletons; each tuple
+    gets unbounded, half-bounded or bounded unary windows, or
+    difference constraints only.
+    """
+    schema = Schema.make(
+        temporal=[f"X{i}" for i in range(arity)], data=["d"]
+    )
+    rel = GeneralizedRelation.empty(schema)
+    for _ in range(rng.randint(1, 5)):
+        lrps = []
+        for _ in range(arity):
+            if rng.random() < 0.25:
+                lrps.append(LRP.point(rng.randint(-20, 40)))
+            else:
+                period = rng.choice(PRUNE_PERIODS)
+                lrps.append(LRP.make(rng.randrange(period), period))
+        dbm = DBM(arity)
+        shape = rng.choice(("unbounded", "half", "window", "difference"))
+        for i in range(arity):
+            low = rng.randint(-10, 30)
+            if shape == "window":
+                dbm.add_lower(i, low)
+                dbm.add_upper(i, low + rng.randint(0, 12))
+            elif shape == "half":
+                if rng.random() < 0.5:
+                    dbm.add_lower(i, low)
+                else:
+                    dbm.add_upper(i, low)
+        if arity > 1:
+            for _ in range(rng.randint(0, arity)):
+                i, j = rng.sample(range(arity), 2)
+                low = rng.randint(-6, 6)
+                dbm.add_difference(i, j, low + rng.randint(0, 6))
+                dbm.add_difference(j, i, -low)
+        rel.add(GeneralizedTuple(tuple(lrps), dbm, (rng.choice("ab"),)))
+    return rel
+
+
+class TestResiduePruning:
+    """Residue pruning (Section 3.2.1 against the carried closure)
+    leaves projection tuple-identical to the full split product."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("prefilter", [True, False])
+    def test_matches_full_product(self, backend, prefilter):
+        rng = random.Random(0x3D4)
+        skipped = 0
+        for trial in range(400):
+            arity = rng.randint(1, 4)
+            rel = _pruning_relation(rng, arity)
+            names = [n for n in rel.schema.names if rng.random() < 0.5]
+            rng.shuffle(names)
+            with overrides(kernel=backend):
+                # Project first, so the plans are not memoized yet.
+                before = PERF_COUNTERS["prefilter_residue_skip"]
+                with overrides(prefilter_enabled=prefilter):
+                    got = _exact(algebra.project(rel, names))
+                skipped += PERF_COUNTERS["prefilter_residue_skip"] - before
+                expected = _exact(_reference_project(rel, names))
+                with overrides(prefilter_enabled=prefilter):
+                    # Memoized plans answer alike.
+                    assert _exact(algebra.project(rel, names)) == got
+            assert got == expected, f"trial {trial}: project({names})"
+        if prefilter:
+            assert skipped > 0
+        else:
+            assert skipped == 0
+
+    def test_formed_plus_skipped_is_the_split_product(self):
+        rng = random.Random(0x5B1)
+        rejected = pruned = 0
+        for _ in range(300):
+            rel = _pruning_relation(rng, rng.randint(2, 4))
+            dropped = list(range(1, rel.schema.temporal_arity))
+            for gtuple in rel:
+                rows = gtuple.closure()
+                if rows is None:
+                    continue
+                product = algebra._project_plan(
+                    gtuple, [0], dropped, DEFAULT_MAX_TUPLES
+                ).split_sizes
+                before = PERF_COUNTERS["prefilter_residue_skip"]
+                plan = algebra._project_plan(
+                    gtuple, [0], dropped, DEFAULT_MAX_TUPLES, rows
+                )
+                skipped = PERF_COUNTERS["prefilter_residue_skip"] - before
+                if plan is None:
+                    # Rejected before planning: the whole product.
+                    assert skipped == product
+                    rejected += 1
+                    continue
+                assert skipped == 0
+                before = PERF_COUNTERS["prefilter_residue_skip"]
+                formed = algebra._combos(plan, rows)
+                skipped = PERF_COUNTERS["prefilter_residue_skip"] - before
+                assert len(formed) + skipped == product
+                kept = set(formed)
+                full = itertools.product(*plan.choices)
+                assert formed == [c for c in full if c in kept]
+                pruned += skipped
+        assert rejected and pruned
+
+    def test_empty_tuple_outside_the_cluster_passes_through(self):
+        # X1 = 1 with X1 <= 0 is empty, but X1 is not in the cluster of
+        # the dropped X2, X3: it passes through unchanged, as before.
+        rel = relation(temporal=["X1", "X2", "X3"])
+        rel.add_tuple([1, 0, 0], "X1 <= 0")
+        for backend in ("numpy", "python"):
+            with overrides(kernel=backend):
+                out = algebra.project(rel, ["X1"])
+                assert _exact(out) == _exact(_reference_project(rel, ["X1"]))
+            assert [t.lrps for t in out] == [(LRP.point(1),)]
+
+    def _residue_empty(self):
+        # X1 ≡ 1 (mod 6) and X2 ≡ 0 (mod 8) differ by an odd number, so
+        # X1 = X2 has no solution; the split product over k = 24 is 12.
+        rel = relation(temporal=["X1", "X2"])
+        rel.add_tuple(["1 + 6n", "8n"], "X1 = X2")
+        return rel
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_residue_empty_tuple_no_longer_hits_the_limit(self, backend):
+        rel = self._residue_empty()
+        with overrides(kernel=backend):
+            before = PERF_COUNTERS["normalize_expansion"]
+            out = algebra.project(rel, ["X1"], max_tuples=5)
+            assert PERF_COUNTERS["normalize_expansion"] == before
+        assert out.is_empty()
+
+    def test_full_product_still_hits_the_limit(self):
+        with overrides(prefilter_enabled=False):
+            with pytest.raises(NormalizationLimitError):
+                algebra.project(self._residue_empty(), ["X1"], max_tuples=5)

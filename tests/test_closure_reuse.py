@@ -15,29 +15,39 @@ smoke inputs of the end-to-end benchmark (``benchmarks/e2e``, seeds
   runs it once;
 * ``pair_candidates`` equals the number of data-matching pairs whose
   lrps meet on the first shared temporal attribute, the pairs the
-  residue index keeps.
+  residue index keeps;
+* a projection that eliminates a temporal attribute normalizes exactly
+  the split combos whose lrps meet the tuple's closed windows, and a
+  projection that only reorders or drops data calls ``DBM.close`` and
+  ``kernel.pack`` zero times.  These run on the ``query_cold`` inputs
+  and on a ``stream_ingest`` smoke stream (``benchmarks/e2e/stream.py``).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.core import algebra
+from repro.arith import lcm
 from repro.core.dbm import DBM
+from repro.core.lrp import LRP
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.optimize import Objective, core as optimize_core
-from repro.perf import prefilter
+from repro.perf import kernel, prefilter
 from repro.perf.config import PERF_COUNTERS
 
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 if str(E2E) not in sys.path:
     sys.path.append(str(E2E))
 
+import stream  # noqa: E402
 from queries import SMOKE_SIZES, Inputs  # noqa: E402
 
 SEEDS = (0, 1, 2, 3)
@@ -196,3 +206,166 @@ def test_pair_candidates_are_the_residue_matches(workload, seed, monkeypatch):
     assert checked
     assert [got for got, _ in checked] == [want for _, want in checked]
     assert sum(want for _, want in checked) > 0
+
+
+def _has_member(lrp: LRP, low, high) -> bool:
+    """Whether ``lrp`` has a value in ``[low, high]`` (``None``: unbounded)."""
+    if lrp.period and (low is None or high is None):
+        return True
+    if low is None:
+        return lrp.offset <= high
+    if high is None:
+        return lrp.offset >= low
+    return next(lrp.enumerate(low, high), None) is not None
+
+
+def _cluster(gtuple, seeds) -> list[int]:
+    """Attributes linked to ``seeds`` by written difference constraints."""
+    links = {
+        (i, j) for i, j, _bound in gtuple.dbm.iter_bounds() if i >= 0 <= j
+    }
+    cluster = set(seeds)
+    grown = True
+    while grown:
+        grown = False
+        for i, j in links:
+            if (i in cluster) != (j in cluster):
+                cluster |= {i, j}
+                grown = True
+    return sorted(cluster)
+
+
+def _feasible_combos(relation, names) -> int:
+    """Split combos of an elimination whose lrps meet the closed windows."""
+    schema = relation.schema
+    keep = [schema.temporal_index(n) for n in names if n in schema.temporal_names]
+    dropped = [i for i in range(schema.temporal_arity) if i not in keep]
+    count = 0
+    for gtuple in relation:
+        rows = gtuple.closure()
+        if rows is None:
+            continue
+        attrs = _cluster(gtuple, dropped)
+        lrps = [gtuple.lrps[a] for a in attrs]
+        k = 1
+        for lrp in lrps:
+            k = lcm(k, lrp.period) if lrp.period else k
+        for combo in itertools.product(*(lrp.split(k) for lrp in lrps)):
+            count += all(
+                _has_member(
+                    lrp,
+                    None if rows[0][a + 1] is None else -rows[0][a + 1],
+                    rows[a + 1][0],
+                )
+                for a, lrp in zip(attrs, combo)
+            ) and all(
+                _has_member(
+                    LRP.make(
+                        combo[q].offset - combo[p].offset,
+                        gcd(combo[q].period, combo[p].period),
+                    ),
+                    None if rows[a + 1][b + 1] is None else -rows[a + 1][b + 1],
+                    rows[b + 1][a + 1],
+                )
+                for p, q in itertools.combinations(range(len(attrs)), 2)
+                for a, b in [(attrs[p], attrs[q])]
+            )
+    return count
+
+
+def _guard_projections(monkeypatch):
+    """Record, per projection, (formed, feasible) for eliminations and
+    (closes, packs) for reorders and data-only drops."""
+    eliminations, reorders = [], []
+    work = {"jobs": 0, "scalar": 0, "combos": 0, "closes": 0, "packs": 0}
+    real_project = algebra.project
+    real_batch = kernel.project_batch
+    real_combo = algebra._project_combo
+    real_close = DBM.close
+    real_pack = kernel.pack
+
+    def project(relation, names, *args, **kwargs):
+        temporal = set(relation.schema.temporal_names)
+        eliminates = not temporal <= set(names)
+        expected = _feasible_combos(relation, names) if eliminates else None
+        before = dict(work)
+        result = real_project(relation, names, *args, **kwargs)
+        delta = {key: work[key] - before[key] for key in work}
+        if eliminates:
+            # A combo the kernel hands back as SCALAR is redone by
+            # _project_combo: count it once.
+            formed = delta["jobs"] + delta["combos"] - delta["scalar"]
+            eliminations.append((formed, expected))
+        else:
+            reorders.append((delta["closes"], delta["packs"]))
+        return result
+
+    def project_batch(jobs):
+        results = real_batch(jobs)
+        work["jobs"] += len(jobs)
+        work["scalar"] += sum(r is kernel.SCALAR for r in results)
+        return results
+
+    def project_combo(*args):
+        work["combos"] += 1
+        return real_combo(*args)
+
+    def close(self):
+        work["closes"] += 1
+        return real_close(self)
+
+    def pack(dbms):
+        work["packs"] += 1
+        return real_pack(dbms)
+
+    monkeypatch.setattr(algebra, "project", project)
+    monkeypatch.setattr(kernel, "project_batch", project_batch)
+    monkeypatch.setattr(algebra, "_project_combo", project_combo)
+    monkeypatch.setattr(DBM, "close", close)
+    monkeypatch.setattr(kernel, "pack", pack)
+    return eliminations, reorders
+
+
+def _assert_guarded(eliminations, reorders) -> None:
+    assert eliminations and reorders
+    assert [got for got, _ in eliminations] == [
+        want for _, want in eliminations
+    ]
+    assert sum(want for _, want in eliminations) > 0
+    assert all(closes == 0 and packs == 0 for closes, packs in reorders)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_projection_normalizes_only_residue_feasible_combos(seed, monkeypatch):
+    inputs = Inputs(SMOKE_SIZES["query_cold"], seed)
+    db = inputs.build()
+    eliminations, reorders = _guard_projections(monkeypatch)
+    for _name, call, text, _k in inputs.distinct():
+        if call == "ask":
+            db.ask(text)
+        else:
+            db.query(text)
+    monkeypatch.undo()
+    _assert_guarded(eliminations, reorders)
+
+
+def test_stream_projection_normalizes_only_residue_feasible_combos(
+    tmp_path, monkeypatch
+):
+    from repro.api import Database, Program
+
+    count, nodes, batches, edges = stream.SMOKE_SIZE
+    shape = stream._shapes(count, nodes, batches, edges)[0]
+    batches = stream._stream(shape, nodes, random.Random(0))
+    db = Database.open(str(tmp_path / "db"))
+    try:
+        db.create("Edge", temporal=["t"], data=["src", "dst"])
+        db.commit()
+        db.install_program(Program.from_text(stream.PROGRAM))
+        eliminations, reorders = _guard_projections(monkeypatch)
+        for batch in batches:
+            db.append_stream("Edge", batch)
+        monkeypatch.undo()
+    finally:
+        db.close()
+    _assert_guarded(eliminations, reorders)
