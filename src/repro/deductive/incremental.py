@@ -41,6 +41,11 @@ Non-insert changes (``put``/semantic rewrites) and inserts reaching a
 rule *negatively* cannot be folded monotonically; the affected stratum
 (and anything downstream of a non-insert view change) is recomputed
 from scratch instead — always sound, incremental whenever possible.
+
+Bodies are planned once, not once per fire: :class:`RuleBodies`
+compiles each rule's full body and each delta body on first use and
+every later fire runs the stored plan (see ``docs/deductive.md``,
+"Compiled rule bodies").
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core import algebra
 from repro.core.errors import EvaluationError, SchemaError
@@ -65,6 +71,9 @@ from repro.query.ast import (
     Query,
 )
 from repro.deductive.rules import Rule, head_relation
+
+if TYPE_CHECKING:
+    from repro.query.evaluator import CompiledQuery
 
 #: Reserved name prefix for staged delta relations.  Never appears in
 #: user catalogs (the parser rejects leading underscores in relation
@@ -162,6 +171,40 @@ class _Substituter:
         return node
 
 
+def _positives(
+    occs: tuple[Occurrence, ...]
+) -> tuple[tuple[str, int, bool], ...]:
+    """``(name, index among name's positives, brittle)`` per positive occurrence."""
+    seen: dict[str, int] = {}
+    out = []
+    for occ in occs:
+        if not occ.negated:
+            index = seen.get(occ.name, 0)
+            seen[occ.name] = index + 1
+            out.append((occ.name, index, occ.brittle))
+    return tuple(out)
+
+
+def _delta_positions(
+    positives: tuple[tuple[str, int, bool], ...],
+    changing: Mapping[str, object],
+) -> list[int] | None:
+    """Positions of the positives to differentiate on; ``None``: brittle."""
+    out: list[int] = []
+    for position, (name, _index, brittle) in enumerate(positives):
+        if name in changing:
+            if brittle:
+                return None
+            out.append(position)
+    return out
+
+
+def _delta_query(body: Query, positive: tuple[str, int, bool]) -> Query:
+    """``body`` with one positive occurrence redirected to its delta."""
+    name, index, _ = positive
+    return _Substituter(name, index, delta_name(name)).rewrite(body)
+
+
 def differentiate(
     body: Query, changing: Mapping[str, object]
 ) -> list[Query] | None:
@@ -173,20 +216,11 @@ def differentiate(
     a changing predicate positively, or ``None`` when some positive
     occurrence is brittle — the caller must re-evaluate the full body.
     """
-    queries: list[Query] = []
-    position: dict[str, int] = {}
-    for occ in occurrences(body):
-        if occ.negated:
-            continue
-        index = position.get(occ.name, 0)
-        position[occ.name] = index + 1
-        if occ.name not in changing:
-            continue
-        if occ.brittle:
-            return None
-        sub = _Substituter(occ.name, index, delta_name(occ.name))
-        queries.append(sub.rewrite(body))
-    return queries
+    positives = _positives(occurrences(body))
+    positions = _delta_positions(positives, changing)
+    if positions is None:
+        return None
+    return [_delta_query(body, positives[p]) for p in positions]
 
 
 @dataclass
@@ -199,23 +233,118 @@ class StratumStats:
     delta_tuples: int = 0
 
 
-def _eval_body(
-    body: Query,
-    state: Mapping[str, GeneralizedRelation],
-    staged: Mapping[str, GeneralizedRelation],
-    *,
-    max_tuples: int,
-    max_extensions: int,
-) -> GeneralizedRelation:
-    """Evaluate one (possibly delta-substituted) rule body."""
-    from repro.query.evaluator import Evaluator
+@dataclass
+class _RuleShape:
+    """A rule body's predicate occurrences, read once per bound body."""
 
-    relations = dict(state)
-    relations.update(staged)
-    evaluator = Evaluator(
-        relations, max_tuples=max_tuples, max_extensions=max_extensions
-    )
-    return evaluator.evaluate(body)
+    source: Query
+    occurrences: tuple[Occurrence, ...]
+    #: ``(name, index among positive occurrences of name, brittle)``
+    #: per positive occurrence, in traversal order.
+    positives: tuple[tuple[str, int, bool], ...]
+
+
+@dataclass
+class _Body:
+    """One rule body or delta body and the plan compiled for it."""
+
+    source: Query
+    query: Query
+    #: The relations ``query`` reads.
+    names: tuple[str, ...]
+    #: ``(optimize, schemas of names)`` the plan was compiled under.
+    key: tuple = ()
+    compiled: CompiledQuery | None = None
+
+
+class RuleBodies:
+    """Every rule's full and delta bodies, each compiled once.
+
+    Thm 4.1's calculus-to-algebra translation depends only on a body
+    and the schemas it reads, never on the data, so a body is lowered
+    and rewritten once (:meth:`repro.query.evaluator.Evaluator.compile`)
+    and every fire runs the compiled plan
+    (:meth:`~repro.query.evaluator.Evaluator.run`).  A body is keyed by
+    its rule and by the positive occurrence its delta substitution
+    differentiates on (``None`` for the full body); its plan is
+    recompiled when the resolved ``optimize`` setting or a read
+    relation's schema differs from the last fire's.  One entry per
+    (rule, occurrence), so memory is bounded by the program's size.
+
+    Not thread-safe: the owner serializes access (the catalog refreshes
+    views only under its write lock).
+    """
+
+    def __init__(self) -> None:
+        self._shapes: dict[int, _RuleShape] = {}
+        self._bodies: dict[tuple[int, int | None], _Body] = {}
+
+    def shape(self, rule: Rule) -> _RuleShape:
+        """The rule's occurrences, recomputed only when it is rebound."""
+        shape = self._shapes.get(id(rule))
+        if shape is None or shape.source is not rule.body_query:
+            occs = occurrences(rule.body_query)
+            shape = _RuleShape(rule.body_query, occs, _positives(occs))
+            self._shapes[id(rule)] = shape
+        return shape
+
+    def delta_occurrences(
+        self, rule: Rule, changing: Mapping[str, object]
+    ) -> list[int] | None:
+        """The positive occurrences to differentiate ``rule`` on.
+
+        Mirrors :func:`differentiate` without building a query: one
+        position per positive occurrence of a changing predicate, or
+        ``None`` when one of them is brittle (fire the full body).
+        """
+        return _delta_positions(self.shape(rule).positives, changing)
+
+    def run(
+        self,
+        rule: Rule,
+        occurrence: int | None,
+        relations: Mapping[str, GeneralizedRelation],
+        *,
+        max_tuples: int,
+        max_extensions: int,
+    ) -> GeneralizedRelation:
+        """Evaluate one body of ``rule`` against ``relations``.
+
+        ``occurrence`` is a position from :meth:`delta_occurrences`
+        (that occurrence reads its staged delta relation) or ``None``
+        for the full body.
+        """
+        from repro.query.evaluator import Evaluator
+
+        body = self._body(rule, occurrence)
+        evaluator = Evaluator(
+            relations, max_tuples=max_tuples, max_extensions=max_extensions
+        )
+        key = (
+            evaluator.optimizing,
+            tuple(
+                relations[name].schema if name in relations else None
+                for name in body.names
+            ),
+        )
+        if body.key != key:
+            body.compiled = evaluator.compile(body.query)
+            body.key = key
+        return evaluator.run(body.compiled)
+
+    def _body(self, rule: Rule, occurrence: int | None) -> _Body:
+        body = self._bodies.get((id(rule), occurrence))
+        if body is None or body.source is not rule.body_query:
+            source = rule.body_query
+            query = source
+            if occurrence is not None:
+                query = _delta_query(
+                    source, self.shape(rule).positives[occurrence]
+                )
+            names = tuple(dict.fromkeys(occ.name for occ in occurrences(query)))
+            body = _Body(source, query, names)
+            self._bodies[(id(rule), occurrence)] = body
+        return body
 
 
 def seminaive_stratum(
@@ -229,6 +358,7 @@ def seminaive_stratum(
     simplify: bool,
     max_tuples: int,
     max_extensions: int,
+    bodies: RuleBodies | None = None,
 ) -> tuple[dict[str, GeneralizedRelation], StratumStats]:
     """Semi-naive fixpoint of one stratum, updating ``state`` in place.
 
@@ -240,12 +370,19 @@ def seminaive_stratum(
     respect to the *seeded* predicates only — rules that never mention
     a changed input are not evaluated at all.
 
+    Rule bodies are compiled through ``bodies``, so each body is lowered
+    once per store rather than once per fire.  ``None`` makes a store
+    for this call: a rule belongs to one stratum, so a from-scratch
+    evaluation (``Program.evaluate``) still lowers each body once.
+
     Returns the accumulated per-head deltas (what this stratum added to
     ``state``, canonical and simplified) plus instrumentation.
     """
     stats = StratumStats()
     if not rules:
         return {}, stats
+    if bodies is None:
+        bodies = RuleBodies()
 
     def canonical(rel: GeneralizedRelation) -> GeneralizedRelation:
         return simplify_relation(rel) if simplify else rel
@@ -273,42 +410,45 @@ def seminaive_stratum(
                 else algebra.union(previous, delta)
             )
 
-    def fire(rule: Rule, body: Query, staged: Mapping) -> GeneralizedRelation:
-        stats.rules_fired += 1
-        result = _eval_body(
-            body,
-            state,
-            staged,
-            max_tuples=max_tuples,
-            max_extensions=max_extensions,
+    def fire(
+        rule: Rule,
+        changing: Mapping | None,
+        staged: Mapping,
+        derived: dict[str, GeneralizedRelation],
+    ) -> None:
+        """Fire the full body (``changing`` None) or its delta bodies."""
+        targets = (
+            None
+            if changing is None
+            else bodies.delta_occurrences(rule, changing)
         )
-        return head_relation(rule, result, head_schemas[rule.head_name])
-
-    # Round 0: seed the frontier.
-    derived: dict[str, GeneralizedRelation] = {}
-    if seed_deltas is None:
-        for rule in rules:
-            shaped = fire(rule, rule.body_query, {})
+        for occurrence in [None] if targets is None else targets:
+            stats.rules_fired += 1
+            relations = dict(state)
+            relations.update(staged)
+            result = bodies.run(
+                rule,
+                occurrence,
+                relations,
+                max_tuples=max_tuples,
+                max_extensions=max_extensions,
+            )
+            shaped = head_relation(
+                rule, result, head_schemas[rule.head_name]
+            )
             derived[rule.head_name] = (
                 shaped
                 if rule.head_name not in derived
                 else algebra.union(derived[rule.head_name], shaped)
             )
-    else:
-        staged = {
-            delta_name(name): rel for name, rel in seed_deltas.items()
-        }
-        for rule in rules:
-            bodies = differentiate(rule.body_query, seed_deltas)
-            if bodies is None:
-                bodies = [rule.body_query]
-            for body in bodies:
-                shaped = fire(rule, body, staged)
-                derived[rule.head_name] = (
-                    shaped
-                    if rule.head_name not in derived
-                    else algebra.union(derived[rule.head_name], shaped)
-                )
+
+    # Round 0: seed the frontier.
+    derived: dict[str, GeneralizedRelation] = {}
+    staged = {
+        delta_name(name): rel for name, rel in (seed_deltas or {}).items()
+    }
+    for rule in rules:
+        fire(rule, seed_deltas, staged, derived)
     absorb(derived)
     stats.iterations = 1
 
@@ -317,8 +457,8 @@ def seminaive_stratum(
         rule
         for rule in rules
         if any(
-            not occ.negated and occ.name in stratum_names
-            for occ in occurrences(rule.body_query)
+            name in stratum_names
+            for name, _index, _brittle in bodies.shape(rule).positives
         )
     ]
     for _round in range(1, max_iterations):
@@ -328,18 +468,7 @@ def seminaive_stratum(
         staged = {delta_name(name): rel for name, rel in changing.items()}
         derived = {}
         for rule in recursive:
-            bodies = differentiate(rule.body_query, changing)
-            if bodies is None:
-                bodies = [rule.body_query]
-            if not bodies:
-                continue
-            for body in bodies:
-                shaped = fire(rule, body, staged)
-                derived[rule.head_name] = (
-                    shaped
-                    if rule.head_name not in derived
-                    else algebra.union(derived[rule.head_name], shaped)
-                )
+            fire(rule, changing, staged, derived)
         absorb(derived)
         stats.iterations += 1
     if frontier:
@@ -373,7 +502,11 @@ class ViewMaintainer:
     The maintainer itself is stateless with respect to catalog
     versions — callers pass the EDB state and old views explicitly, so
     one maintainer serves every version of a
-    :class:`~repro.query.catalog.VersionedCatalog`.
+    :class:`~repro.query.catalog.VersionedCatalog`.  It does own the
+    program's compiled rule and delta bodies (:attr:`bodies`), so each
+    is planned once for the maintainer's lifetime, not once per fire;
+    callers serialize :meth:`initialize` and :meth:`refresh` (the
+    catalog runs them under its write lock).
     """
 
     def __init__(
@@ -395,6 +528,8 @@ class ViewMaintainer:
             DEFAULT_MAX_ITERATIONS if max_iterations is None else max_iterations
         )
         self.simplify = simplify
+        #: The compiled rule and delta bodies every stratum fires.
+        self.bodies = RuleBodies()
         for name in program.idb_names:
             if name in edb_schemas:
                 raise SchemaError(
@@ -406,7 +541,7 @@ class ViewMaintainer:
         }
         inputs: set[str] = set()
         for rule in program.rules:
-            for occ in occurrences(rule.body_query):
+            for occ in self.bodies.shape(rule).occurrences:
                 if occ.name not in self.view_schemas:
                     inputs.add(occ.name)
         #: EDB relation names the program reads — the only relations
@@ -448,6 +583,7 @@ class ViewMaintainer:
                     simplify=self.simplify,
                     max_tuples=self.max_tuples,
                     max_extensions=self.max_extensions,
+                    bodies=self.bodies,
                 )
                 report.strata.append(stats)
                 report.rules_fired += stats.rules_fired
@@ -500,7 +636,9 @@ class ViewMaintainer:
             for layer in self.strata:
                 rules = self._stratum_rules(layer)
                 occs = [
-                    occ for rule in rules for occ in occurrences(rule.body_query)
+                    occ
+                    for rule in rules
+                    for occ in self.bodies.shape(rule).occurrences
                 ]
                 touched = {
                     occ.name for occ in occs if occ.name in changed
@@ -538,6 +676,7 @@ class ViewMaintainer:
                         simplify=self.simplify,
                         max_tuples=self.max_tuples,
                         max_extensions=self.max_extensions,
+                        bodies=self.bodies,
                     )
                     changed.update(deltas_out)
                 report.strata.append(stats)
@@ -582,6 +721,7 @@ class ViewMaintainer:
             simplify=self.simplify,
             max_tuples=self.max_tuples,
             max_extensions=self.max_extensions,
+            bodies=self.bodies,
         )
         stats.mode = "recompute"
         for name in layer:

@@ -524,45 +524,101 @@ def dedup_subtrees(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
 # ----------------------------------------------------------------------
 
 
+def has_join_chain(root: ir.PlanNode) -> bool:
+    """Whether ``reorder-joins`` could fire: a join chain of >= 3 parts.
+
+    A join flattens to three or more parts exactly when one of its
+    inputs is itself a join.  Plans without such a chain come out of
+    ``reorder-joins`` unchanged whatever the cost model says.
+    """
+    if not root.kinds & ir.Join.kind:
+        return False
+    return any(
+        isinstance(node, ir.Join)
+        and (isinstance(node.left, ir.Join) or isinstance(node.right, ir.Join))
+        for node in root.walk()
+    )
+
+
+#: Passes 1–5: their output depends on the plan alone.
+_STRUCTURAL_PASSES: tuple[
+    tuple[str, Callable[[ir.PlanNode], tuple[ir.PlanNode, int]]], ...
+] = (
+    ("fold-constants", fold_constants),
+    ("fuse-selects", fuse_selects),
+    ("push-selects", push_selects),
+    ("push-projects", push_projects),
+    ("collapse-projects", collapse_projects),
+)
+
+
+def _run_passes(root, passes, reports: list[PassReport]) -> ir.PlanNode:
+    """Apply ``passes`` in order, appending one report per pass."""
+    registry = get_registry()
+    for name, run in passes:
+        before = root.size()
+        root, count = run(root)
+        reports.append(
+            PassReport(
+                name=name,
+                rewrites=count,
+                nodes_before=before,
+                nodes_after=root.size(),
+            )
+        )
+        if count:
+            registry.counter(f"planner.pass.{name}").inc(count)
+    return root
+
+
+def finish_plan(
+    staged: ir.PlanNode,
+    relations: Mapping[str, object] | None = None,
+    domain_size: int = 0,
+) -> tuple[ir.PlanNode, tuple[PassReport, ...]]:
+    """Run the cost-based passes 6–7 on a structurally rewritten plan.
+
+    ``optimize_plan(root, relations, n)`` equals
+    ``finish_plan(optimize_plan(root, costed=False)[0], relations, n)``:
+    a caller that keeps the staged plan reruns only ``reorder-joins``
+    and ``dedup-subtrees`` when the relations change.
+    """
+    model = CostModel(relations=relations, domain_size=domain_size)
+    reports: list[PassReport] = []
+    plan = _run_passes(
+        staged,
+        (
+            ("reorder-joins", lambda plan: reorder_joins(plan, model)),
+            ("dedup-subtrees", dedup_subtrees),
+        ),
+        reports,
+    )
+    return plan, tuple(reports)
+
+
 def optimize_plan(
     root: ir.PlanNode,
     relations: Mapping[str, object] | None = None,
     domain_size: int = 0,
+    *,
+    costed: bool = True,
 ) -> tuple[ir.PlanNode, tuple[PassReport, ...]]:
     """Run the full rewrite pipeline; return the plan and per-pass deltas.
 
     ``relations``/``domain_size`` feed the cost model used by join
-    reordering.  Emits one ``planner.pass.<name>`` counter increment
-    per rewrite and a ``planner.optimize`` span (with per-pass rewrite
-    counts) when tracing is active.
+    reordering.  With ``costed=False`` the pipeline stops after the
+    structural passes 1–5, whose output depends on the plan alone;
+    :func:`finish_plan` completes it.  Emits one ``planner.pass.<name>``
+    counter increment per rewrite and a ``planner.optimize`` span (with
+    per-pass rewrite counts) when tracing is active.
     """
-    model = CostModel(relations=relations, domain_size=domain_size)
-    passes: list[tuple[str, Callable[[ir.PlanNode], tuple[ir.PlanNode, int]]]] = [
-        ("fold-constants", fold_constants),
-        ("fuse-selects", fuse_selects),
-        ("push-selects", push_selects),
-        ("push-projects", push_projects),
-        ("collapse-projects", collapse_projects),
-        ("reorder-joins", lambda plan: reorder_joins(plan, model)),
-        ("dedup-subtrees", dedup_subtrees),
-    ]
-    registry = get_registry()
     reports: list[PassReport] = []
     with obs.span("planner.optimize", nodes=root.size()) as sp:
-        for name, run in passes:
-            before = root.size()
-            root, count = run(root)
-            reports.append(
-                PassReport(
-                    name=name,
-                    rewrites=count,
-                    nodes_before=before,
-                    nodes_after=root.size(),
-                )
-            )
-            if count:
-                registry.counter(f"planner.pass.{name}").inc(count)
-        registry.counter("planner.optimized").inc()
+        root = _run_passes(root, _STRUCTURAL_PASSES, reports)
+        if costed:
+            root, finished = finish_plan(root, relations, domain_size)
+            reports.extend(finished)
+        get_registry().counter("planner.optimized").inc()
         if sp is not obs.NULL_SPAN:
             sp.set(out_nodes=root.size())
             sp.set(**{f"pass.{r.name}": r.rewrites for r in reports})

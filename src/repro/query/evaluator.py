@@ -31,11 +31,22 @@ the lowered plan runs unrewritten and performs exactly the algebra
 calls the pre-planner evaluator performed, in the same order — results
 and trace shapes are byte-compatible, which makes it the oracle the
 rewrites are checked against.
+
+Lowering depends only on the query and the schemas of the relations it
+reads, never on their tuples (Thm 4.1's translation is data-free), so a
+caller that evaluates one query many times over changing relations can
+split it: :meth:`Evaluator.compile` lowers and rewrites once,
+:meth:`Evaluator.run` executes the compiled plan per call.  The one
+rewrite pass that reads the data, ``reorder-joins``, is rerun by
+``run`` against the current relations whenever the plan has a join
+chain it could reorder, so every run executes the plan
+:meth:`Evaluator.evaluate` would have built for it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
+from dataclasses import dataclass
 
 from repro.core.errors import EvaluationError
 from repro.obs import trace as obs
@@ -45,7 +56,12 @@ from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation
 from repro.plan.engine import ExecutionContext, NativeEngine
 from repro.plan.nodes import Optimize, PlanNode
-from repro.plan.rewrite import PassReport, optimize_plan
+from repro.plan.rewrite import (
+    PassReport,
+    finish_plan,
+    has_join_chain,
+    optimize_plan,
+)
 from repro.query.ast import (
     And,
     DataConst,
@@ -64,6 +80,27 @@ from repro.query.planner import Planner
 
 #: The one plan executor; stateless, so every evaluator shares it.
 _ENGINE = NativeEngine()
+
+
+@dataclass(frozen=True)
+class CompiledQuery:
+    """A query lowered and rewritten once, for :meth:`Evaluator.run`.
+
+    ``rewritten`` is the plan to execute.  When ``reorders`` is set it
+    stops before the cost-based passes (``reorder-joins``,
+    ``dedup-subtrees``), because the plan has a join chain of three or
+    more parts whose best order depends on the relation sizes, the
+    data-domain size and the live prefilter counters at run time.
+    ``constants`` are the query's data constants, which join the active
+    domain of every run.
+    """
+
+    query: Query
+    optimize: bool
+    naive: PlanNode
+    rewritten: PlanNode
+    reorders: bool
+    constants: frozenset
 
 
 class Evaluator:
@@ -131,14 +168,54 @@ class Evaluator:
         domain for this (and, if the evaluator is reused, subsequent)
         evaluations — the standard active-domain convention.
         """
-        optimize = self._resolved_optimize()
+        optimize = self.optimizing
         with obs.span("query.evaluate") as sp:
             _, plan, _ = self._lower(query, optimize)
-            if optimize:
-                sp.set(optimized=True)
-            result, _ = self._execute(plan, optimize)
-            sp.set(out_tuples=len(result), out_schema=str(result.schema))
-            return result
+            return self._evaluated(sp, plan, optimize)
+
+    def compile(self, query: Query) -> CompiledQuery:
+        """Lower and rewrite ``query`` once, for repeated :meth:`run` calls.
+
+        The compiled plan is valid for any relations with the schemas of
+        this evaluator's relations and for the optimize setting it was
+        compiled under (:attr:`optimizing`).
+        """
+        optimize = self.optimizing
+        constants, naive = self._lowered(query)
+        rewritten, reorders = naive, False
+        if optimize:
+            rewritten, _ = optimize_plan(naive, costed=False)
+            reorders = has_join_chain(rewritten)
+            if not reorders:
+                # reorder-joins cannot fire: no model reads are needed.
+                rewritten, _ = finish_plan(rewritten)
+        return CompiledQuery(
+            query=query,
+            optimize=optimize,
+            naive=naive,
+            rewritten=rewritten,
+            reorders=reorders,
+            constants=frozenset(constants),
+        )
+
+    def run(self, compiled: CompiledQuery) -> GeneralizedRelation:
+        """Execute a compiled query against this evaluator's relations.
+
+        Runs the plan :meth:`evaluate` would build for the same query
+        here: a plan that ``reorders`` has its join chains reordered
+        (and its subtrees deduplicated) against the current relation
+        sizes first.
+        """
+        with obs.span("query.evaluate") as sp:
+            self._admit(compiled.constants)
+            plan = compiled.rewritten
+            if compiled.reorders:
+                plan, _ = finish_plan(
+                    plan,
+                    relations=self.relations,
+                    domain_size=len(self.data_domain),
+                )
+            return self._evaluated(sp, plan, compiled.optimize)
 
     def ask(self, query: Query) -> bool:
         """Evaluate a closed (yes/no) query."""
@@ -176,7 +253,7 @@ class Evaluator:
                 labels=(("optimize", f"{sense} {objective}"),),
             )
 
-        optimize = self._resolved_optimize()
+        optimize = self.optimizing
         with obs.span("query.evaluate") as sp:
             _, plan, _ = self._lower(query, optimize, under_objective)
             if optimize:
@@ -195,18 +272,33 @@ class Evaluator:
         that would run (rewritten when optimization is on, the same
         object otherwise) and the per-pass rewrite deltas.
         """
-        return self._lower(query, self._resolved_optimize())
+        return self._lower(query, self.optimizing)
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
-    def _resolved_optimize(self) -> bool:
+    @property
+    def optimizing(self) -> bool:
+        """Whether plans are rewritten: ``optimize``, else the config."""
         if self.optimize is not None:
             return bool(self.optimize)
         from repro.perf.config import get_config
 
         return get_config().optimize
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+
+    def _admit(self, constants) -> None:
+        """Add a query's data constants to the active domain."""
+        if not constants <= self.data_domain:
+            self.data_domain = self.data_domain | constants
+
+    def _lowered(self, query: Query) -> tuple[set[Hashable], PlanNode]:
+        """The query's data constants (now in the domain) and naive plan."""
+        constants = _data_constants(query)
+        self._admit(constants)
+        naive = Planner(self.relations).plan_query(query)
+        get_registry().counter("planner.plans").inc()
+        return constants, naive
 
     def _lower(
         self, query: Query, optimize: bool, wrap=None
@@ -216,11 +308,7 @@ class Evaluator:
         ``wrap`` puts a root above the lowered plan before the rewrite
         passes see it.  Returns ``(naive, plan, passes)``.
         """
-        constants = _data_constants(query)
-        if not constants <= self.data_domain:
-            self.data_domain = self.data_domain | constants
-        naive = Planner(self.relations).plan_query(query)
-        get_registry().counter("planner.plans").inc()
+        _, naive = self._lowered(query)
         if wrap is not None:
             naive = wrap(naive)
         if not optimize:
@@ -231,6 +319,16 @@ class Evaluator:
             domain_size=len(self.data_domain),
         )
         return naive, plan, passes
+
+    def _evaluated(
+        self, sp, plan: PlanNode, optimize: bool
+    ) -> GeneralizedRelation:
+        """Execute ``plan`` under the open ``query.evaluate`` span ``sp``."""
+        if optimize:
+            sp.set(optimized=True)
+        result, _ = self._execute(plan, optimize)
+        sp.set(out_tuples=len(result), out_schema=str(result.schema))
+        return result
 
     def _execute(
         self, plan: PlanNode, optimize: bool, on_result=None

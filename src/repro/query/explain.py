@@ -273,7 +273,7 @@ def plan_report(
     also run and every node is annotated with its observed output size
     (:func:`repro.api.explain`'s behavior).
     """
-    optimized = evaluator._resolved_optimize()
+    optimized = evaluator.optimizing
     naive, plan, passes = evaluator.plan(query)
     annotations: dict[int, int] | None = None
     if execute:

@@ -7,8 +7,10 @@ from repro.plan.nodes import truth_literal, universe_literal
 from repro.plan.rewrite import (
     collapse_projects,
     dedup_subtrees,
+    finish_plan,
     fold_constants,
     fuse_selects,
+    has_join_chain,
     optimize_plan,
     push_projects,
     push_selects,
@@ -207,6 +209,27 @@ class TestPipeline:
         assert reports[0].rewrites == 1
         assert reports[0].nodes_after < reports[0].nodes_before
         assert isinstance(out, ir.Scan)
+
+    def test_staged_plan_finishes_to_the_full_pipeline(self):
+        a = scan("A", Schema.make(temporal=["x"]))
+        b = scan("B", Schema.make(temporal=["x", "y"]))
+        c = scan("C", Schema.make(temporal=["y"]))
+        chain = ir.Join(ir.Join(truth_literal(True), ir.Join(b, a)), c)
+        pair = ir.Join(truth_literal(True), ir.Join(b, a))
+        for sizes in ((3, 40, 1), (40, 3, 1), (1, 3, 40)):
+            relations = {
+                name: stored(node.schema, n)
+                for name, node, n in zip("ABC", (a, b, c), sizes)
+            }
+            for tree in (chain, pair):
+                full, reports = optimize_plan(tree, relations, 2)
+                staged, structural = optimize_plan(tree, costed=False)
+                finished, costed = finish_plan(staged, relations, 2)
+                assert finished.key() == full.key()
+                assert structural + costed == reports
+        assert has_join_chain(optimize_plan(chain, costed=False)[0])
+        assert not has_join_chain(optimize_plan(pair, costed=False)[0])
+        assert not has_join_chain(scan())
 
     def test_planner_metrics_emitted(self):
         from repro.obs.metrics import get_registry
