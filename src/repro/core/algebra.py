@@ -180,7 +180,8 @@ def union(r1: GeneralizedRelation, r2: GeneralizedRelation) -> GeneralizedRelati
     mirroring the paper's "we do not consider this problem" remark.
     """
     _require_same_schema(r1, r2)
-    out = GeneralizedRelation(r1.schema, r1.tuples)
+    # r1's tuples are already deduplicated and checked: copy, don't re-add.
+    out = r1.copy()
     for t in r2:
         out.add(t)
     return out
@@ -206,11 +207,11 @@ def intersect(
     _require_same_schema(r1, r2)
     out = GeneralizedRelation.empty(r1.schema)
     pre = get_config().prefilter_enabled
-    residue_attr = (0, 0) if r1.schema.temporal_arity else None
+    window = (0, 0, 0, 0) if r1.schema.temporal_arity else None
     data = operator.attrgetter("data")
     candidates = [
         _intersect_candidate(t1, t2, pre)
-        for t1, t2 in _pairs(r1, r2, data, data, residue_attr)
+        for t1, t2 in _pairs(r1, r2, data, data, window)
     ]
     for meet in _close_candidates(candidates):
         if meet is not None:
@@ -233,40 +234,44 @@ def _pairs(
     r2: GeneralizedRelation,
     key1,
     key2,
-    residue_attr: tuple[int, int] | None,
+    window: tuple[int, int, int, int] | None,
+    skip: str = "prefilter_lrp_skip",
 ) -> Iterator[tuple[GeneralizedTuple, GeneralizedTuple]]:
     """The pairs of ``r1 × r2`` a pairwise operation examines, in
     nested-loop ``(i, j)`` order.
 
     Only pairs with equal data keys can meet, so ``r2`` is partitioned
     once by ``key2`` and each ``r1`` tuple is paired with the bucket of
-    its ``key1``.  With prefilters on and a temporal attribute pair
-    ``residue_attr = (i1, i2)``, each bucket is also indexed by the lrp
-    residue of its ``i2`` attribute (:class:`_ResidueIndex`), and a
-    left tuple meets only the right tuples whose lrp can meet its ``i1``
-    lrp.  The pairs that index excludes are exactly those the per-pair
-    residue test would reject, and they add to ``prefilter_lrp_skip``
-    as that test would.  ``pair_candidates`` counts the pairs yielded.
+    its ``key1``.  With prefilters on and a temporal ``window = (i1, i2,
+    low, high)``, each bucket is also indexed by the lrp residues of its
+    ``i2`` attribute (:class:`_ResidueIndex`), and a left tuple meets
+    only the right tuples whose ``i2`` lrp can differ from its ``i1``
+    lrp by some ``d`` in ``[low, high]``; a shared attribute is the
+    window ``[0, 0]``.  The pairs that index excludes are exactly those
+    the per-pair residue test would reject, and they add to the ``skip``
+    counter as that test would.  ``pair_candidates`` counts the pairs
+    yielded.
     """
     buckets = _partition(r2, key2)
     if not get_config().prefilter_enabled:
-        residue_attr = None
+        window = None
     indexes: dict[Hashable, _ResidueIndex] = {}
     for t1 in r1:
         key = key1(t1)
         bucket = buckets.get(key)
         if bucket is None:
             continue
-        if residue_attr is None:
+        if window is None:
             PERF_COUNTERS["pair_candidates"] += len(bucket)
             for t2 in bucket:
                 yield t1, t2
             continue
+        i1, i2, low, high = window
         index = indexes.get(key)
         if index is None:
-            index = indexes[key] = _ResidueIndex(bucket, residue_attr[1])
-        partners = index.partners(t1.lrps[residue_attr[0]])
-        PERF_COUNTERS["prefilter_lrp_skip"] += len(bucket) - len(partners)
+            index = indexes[key] = _ResidueIndex(bucket, i2)
+        partners = index.partners(t1.lrps[i1], low, high)
+        PERF_COUNTERS[skip] += len(bucket) - len(partners)
         PERF_COUNTERS["pair_candidates"] += len(partners)
         for j in partners:
             yield t1, bucket[j]
@@ -276,12 +281,16 @@ class _ResidueIndex:
     """A bucket's positions by the lrp residue of one temporal attribute.
 
     ``c1 + p1·n`` meets ``c2 + p2·n`` iff ``c1 ≡ c2 (mod gcd(p1, p2))``
-    (Section 3.2.1).  The right lrps are grouped by period ``p2``; for a
-    left period ``p1`` each group is split once by offset modulo
-    ``g = gcd(p1, p2)``, so a lookup returns exactly the meeting
-    partners.  Singletons fit the same rule: ``gcd(p, 0) = p`` makes a
-    singleton meet a progression iff its value lies on it, and two
-    singletons (``g = 0``) meet iff their values are equal.
+    (Section 3.2.1); more generally, some point of the second lies at a
+    distance ``d`` from some point of the first iff ``c2 ≡ c1 + d (mod
+    gcd(p1, p2))``.  The right lrps are grouped by period ``p2``; for a
+    left period ``p1`` each group is split once by offset modulo ``g =
+    gcd(p1, p2)``, so a lookup over a window of distances returns
+    exactly the partners in the classes ``c1 + d mod g``.  A window of
+    at least ``g`` distances matches the whole group.  Singletons fit
+    the same rule: ``gcd(p, 0) = p`` makes a singleton meet a
+    progression iff its value lies on it, and two singletons
+    (``g = 0``) are compared by value.
     """
 
     __slots__ = ("_by_period", "_classes")
@@ -295,11 +304,24 @@ class _ResidueIndex:
             )
         self._classes: dict[tuple[int, int], dict[int, list[int]]] = {}
 
-    def partners(self, lrp: LRP) -> list[int]:
-        """Sorted positions of the bucket tuples whose lrp meets ``lrp``."""
+    def partners(self, lrp: LRP, low: int, high: int) -> list[int]:
+        """Sorted positions of the bucket tuples whose lrp has a point
+        ``x2`` with ``low <= x2 - x1 <= high`` for some point ``x1`` of
+        ``lrp``."""
         found: list[int] = []
+        width = high - low + 1
         for period, members in self._by_period.items():
             g = gcd(lrp.period, period)
+            if g and width >= g:
+                found.extend([pos for _, pos in members])
+                continue
+            if not g and width > len(members):
+                first = lrp.offset + low
+                last = lrp.offset + high
+                found.extend(
+                    [pos for offset, pos in members if first <= offset <= last]
+                )
+                continue
             classes = self._classes.get((period, g))
             if classes is None:
                 classes = {}
@@ -307,8 +329,9 @@ class _ResidueIndex:
                     residue = offset % g if g else offset
                     classes.setdefault(residue, []).append(pos)
                 self._classes[(period, g)] = classes
-            residue = lrp.offset % g if g else lrp.offset
-            found.extend(classes.get(residue, ()))
+            # Fewer than g distances: each lands in its own class.
+            for value in range(lrp.offset + low, lrp.offset + high + 1):
+                found.extend(classes.get(value % g if g else value, ()))
         found.sort()
         return found
 
@@ -1443,24 +1466,35 @@ def product(
 
 @_traced("join", pairwise=True)
 def join(
-    r1: GeneralizedRelation, r2: GeneralizedRelation
+    r1: GeneralizedRelation,
+    r2: GeneralizedRelation,
+    condition: str | Sequence[Atom] = (),
 ) -> GeneralizedRelation:
-    """Natural join on all shared attribute names (Section 3.7).
+    """Natural join on all shared attribute names (Section 3.7),
+    optionally restricted by a selection ``condition`` (a theta-join).
 
     Shared temporal attributes are intersected (lrp CRT + constraint
     union); shared data attributes must hold equal values.  The result
-    schema is ``r1``'s attributes followed by ``r2``'s non-shared ones.
+    schema is ``r1``'s attributes followed by ``r2``'s non-shared ones,
+    and ``condition`` refers to its temporal attribute names.
 
     The data side is a hash join: ``r2`` is partitioned once on its
     shared data columns (one bucket when there are none) and each ``r1``
     tuple is paired only with the bucket carrying its values.  With
-    prefilters on, each bucket is also indexed by lrp residue on the
-    first shared temporal attribute (Section 3.2.1), so a pair whose
-    lrps cannot meet there is never formed (:func:`_pairs`).  The
-    remaining pairs are tested against the closures the stored tuples
-    carry.  Pairs come out in nested-loop order minus the ones that
-    provably cannot meet, and the result is tuple-for-tuple that of the
-    double loop.
+    prefilters on, each bucket is also indexed by lrp residue
+    (Section 3.2.1, :func:`_pairs`): on the first shared temporal
+    attribute or, without one, on the condition's first two-sided
+    window between a left and a right attribute.  A pair whose lrps
+    cannot meet there is never formed.  The remaining pairs are tested
+    against the condition's other windows and the closures the stored
+    tuples carry.
+
+    Each candidate's constraints are both sides' plus the condition's,
+    assembled in one pass, and closed once.  Without a condition the
+    result is tuple-for-tuple that of the double loop.  With one, it is
+    that of ``select(join(r1, r2), condition)`` minus the tuples whose
+    lrps cannot meet the condition's windows (each denotes the empty
+    set); with prefilters off nothing is removed.
     """
     shared = [a for a in r1.schema.attributes if r2.schema.has(a.name)]
     for attr in shared:
@@ -1473,9 +1507,12 @@ def join(
     r2_only = [a for a in r2.schema.attributes if not r1.schema.has(a.name)]
     new_schema = Schema(r1.schema.attributes + tuple(r2_only))
     result_t_names = new_schema.temporal_names
-    # Map each side's temporal attribute positions into result positions.
-    map1 = [result_t_names.index(n) for n in r1.schema.temporal_names]
-    map2 = [result_t_names.index(n) for n in r2.schema.temporal_names]
+    atoms = (
+        parse_atoms(condition) if isinstance(condition, str) else list(condition)
+    )
+    for atom in atoms:
+        _check_temporal_atom(new_schema, atom)
+    out = GeneralizedRelation.empty(new_schema)
     shared_t = [
         (r1.schema.temporal_index(a.name), r2.schema.temporal_index(a.name))
         for a in shared
@@ -1494,19 +1531,48 @@ def join(
         for a in r2_only
         if a.temporal
     ]
+    a1 = r1.schema.temporal_arity
     arity = len(result_t_names)
+    pre = get_config().prefilter_enabled
+    # Matrix row maps for the DBM assembler (row 0 is the zero variable).
+    # The result's temporal attributes are r1's, then r2's own.
+    rows1 = range(a1 + 1)
+    rows2 = [0] + [
+        result_t_names.index(n) + 1 for n in r2.schema.temporal_names
+    ]
+    conditioned: tuple[tuple[DBM, range], ...] = ()
+    windows: list[tuple[int, int | None, int | None, int | None]] = []
+    if atoms:
+        extra = atoms_to_dbm(atoms, result_t_names)
+        if not extra.copy().close():
+            return out
+        conditioned = ((extra, range(arity + 1)),)
+        if pre:
+            windows = _windows(extra)
+    window = None
+    skip = "prefilter_lrp_skip"
+    if shared_t:
+        window = (*shared_t[0], 0, 0)
+    else:
+        right = {pos: i2 for i2, pos in t2_only}
+        for found in windows:
+            a, b, low, high = found
+            if b is not None and b < a1 <= a and None not in (low, high):
+                windows.remove(found)
+                window = (b, right[a], low, high)
+                skip = "prefilter_residue_skip"
+                break
     context = (
-        map1,
-        # Matrix row maps for the DBM assembler (row 0 is the zero variable).
-        [0] + [pos + 1 for pos in map1],
-        [0] + [pos + 1 for pos in map2],
+        rows1,
+        rows2,
+        conditioned,
         shared_t,
         t2_only,
         d2_only_idx,
+        windows,
         arity,
-        get_config().prefilter_enabled,
+        pre,
     )
-    out = GeneralizedRelation.empty(new_schema)
     idx1 = [i for i, _ in shared_d]
     idx2 = [j for _, j in shared_d]
     candidates = [
@@ -1516,7 +1582,8 @@ def join(
             r2,
             lambda t: tuple([t.data[i] for i in idx1]),
             lambda t: tuple([t.data[j] for j in idx2]),
-            shared_t[0] if shared_t else None,
+            window,
+            skip,
         )
     ]
     for joined in _close_candidates(candidates):
@@ -1525,12 +1592,44 @@ def join(
     return out
 
 
+def _windows(
+    extra: DBM,
+) -> list[tuple[int, int | None, int | None, int | None]]:
+    """The windows ``(a, b, low, high)`` a condition's DBM places on
+    ``x_a - x_b`` (``b = None``: on ``x_a``), ``None`` an open end.
+
+    Pairs come with ``a > b``, each after ``a``'s own bounds, in
+    row order.
+    """
+    rows = extra._b
+    out: list[tuple[int, int | None, int | None, int | None]] = []
+    for a in range(len(rows) - 1):
+        row = rows[a + 1]
+        for b in (None, *range(a)):
+            j = 0 if b is None else b + 1
+            low = rows[j][a + 1]
+            high = row[j]
+            if low is not None or high is not None:
+                out.append((a, b, None if low is None else -low, high))
+    return out
+
+
 def _join_candidate(
     t1: GeneralizedTuple, t2: GeneralizedTuple, context: tuple
 ) -> GeneralizedTuple | None:
     """The candidate joined tuple of a data-matching pair, before its
     satisfiability check."""
-    (map1, rows1, rows2, shared_t, t2_only, d2_only_idx, arity, pre) = context
+    (
+        rows1,
+        rows2,
+        conditioned,
+        shared_t,
+        t2_only,
+        d2_only_idx,
+        windows,
+        arity,
+        pre,
+    ) = context
     if pre:
         # The residue index of :func:`_pairs` already paired the first
         # shared temporal attribute exactly; test only the others.
@@ -1551,17 +1650,32 @@ def _join_candidate(
     else:
         if not t1.dbm.copy().close() or not t2.dbm.copy().close():
             return None
-    lrps: list[LRP | None] = [None] * arity
-    for i1, pos in enumerate(map1):
-        lrps[pos] = t1.lrps[i1]
+    lrps: list[LRP | None] = [*t1.lrps, *[None] * len(t2_only)]
     for i1, i2 in shared_t:
         meet = t1.lrps[i1].intersect(t2.lrps[i2])
         if meet is None:
             return None
-        lrps[map1[i1]] = meet
+        lrps[i1] = meet
     for i2, pos in t2_only:
         lrps[pos] = t2.lrps[i2]
-    dbm = _assemble_dbm(arity, ((t1.dbm, rows1), (t2.dbm, rows2)))
+    for a, b, low, high in windows:
+        lrp = lrps[a]
+        if b is None:
+            meets = _residue_in_window(lrp.offset, lrp.period, low, high)
+        else:
+            other = lrps[b]
+            meets = _residue_in_window(
+                lrp.offset - other.offset,
+                gcd(lrp.period, other.period),
+                low,
+                high,
+            )
+        if not meets:
+            PERF_COUNTERS["prefilter_residue_skip"] += 1
+            return None
+    dbm = _assemble_dbm(
+        arity, ((t1.dbm, rows1), (t2.dbm, rows2), *conditioned)
+    )
     data = t1.data + tuple(t2.data[i] for i in d2_only_idx)
     return GeneralizedTuple(tuple(lrps), dbm, data)
 

@@ -140,6 +140,7 @@ _GROW_KINDS = (
     "join",
     "complement",
     "product",
+    "theta-join",
 )
 
 
@@ -205,14 +206,22 @@ def _try_grow(
     if kind == "join":
         left, s1 = rng.choice(env_like)
         right, s2 = rng.choice(env_like)
-        for attr in s1.attributes:
-            if s2.has(attr.name) and s2.attribute(attr.name).temporal != attr.temporal:
-                return None
-        extra = tuple(a for a in s2.attributes if not s1.has(a.name))
-        schema = Schema(s1.attributes + extra)
-        if schema.temporal_arity > profile.max_temporal_arity:
+        schema = _joined_schema(s1, s2, profile)
+        if schema is None:
             return None
         return Join(left, right), schema
+    if kind == "theta-join":
+        candidates = [
+            (left, s1, right, s2, schema)
+            for left, s1 in env_like
+            for right, s2 in env_like
+            if _cross_pairs(s1, s2)
+            and (schema := _joined_schema(s1, s2, profile)) is not None
+        ]
+        if not candidates:
+            return None
+        left, s1, right, s2, schema = rng.choice(candidates)
+        return _theta_join(rng, left, s1, right, s2, profile), schema
     if kind == "product":
         candidates = []
         for left, s1 in env_like:
@@ -247,6 +256,53 @@ def _random_condition(
         else:
             atoms.append(str(VarConstAtom(left, op, const)))
     return " & ".join(atoms)
+
+
+def _joined_schema(s1: Schema, s2: Schema, profile: FuzzProfile) -> Schema | None:
+    """The natural join's schema, or ``None`` when it cannot be built."""
+    for attr in s1.attributes:
+        if s2.has(attr.name) and s2.attribute(attr.name).temporal != attr.temporal:
+            return None
+    extra = tuple(a for a in s2.attributes if not s1.has(a.name))
+    schema = Schema(s1.attributes + extra)
+    if schema.temporal_arity > profile.max_temporal_arity:
+        return None
+    return schema
+
+
+def _cross_pairs(s1: Schema, s2: Schema) -> list[tuple[str, str]]:
+    """Temporal attribute pairs with one side's own attribute each."""
+    return [
+        (a, b)
+        for a in s1.temporal_names
+        if not s2.has(a)
+        for b in s2.temporal_names
+        if not s1.has(b)
+    ]
+
+
+def _theta_join(
+    rng: random.Random,
+    left: Expr,
+    s1: Schema,
+    right: Expr,
+    s2: Schema,
+    profile: FuzzProfile,
+) -> Expr:
+    """``σ(left ⋈ right)`` by a window ``low <= b - a <= high`` between
+    the sides (possibly one value), which the plan rewrite folds into the
+    join."""
+    a, b = rng.choice(_cross_pairs(s1, s2))
+    low = rng.randint(-profile.max_bound, profile.max_bound)
+    width = rng.randint(0, 3)
+    if not width:
+        window = str(VarVarAtom(b, Op.EQ, a, low))
+    else:
+        window = (
+            f"{VarVarAtom(b, Op.GE, a, low)} & "
+            f"{VarVarAtom(b, Op.LE, a, low + width)}"
+        )
+    return Select(Join(left, right), window)
 
 
 def _random_projection(rng: random.Random, schema: Schema) -> tuple[str, ...]:

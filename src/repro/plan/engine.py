@@ -220,7 +220,9 @@ class NativeEngine:
         if isinstance(node, ir.Subtract):
             return algebra.subtract(*self._pair(node, ctx))
         if isinstance(node, ir.Join):
-            return algebra.join(*self._pair(node, ctx))
+            return algebra.join(
+                *self._pair(node, ctx), condition=node.condition
+            )
         if isinstance(node, ir.Product):
             return algebra.product(*self._pair(node, ctx))
         if isinstance(node, ir.Optimize):

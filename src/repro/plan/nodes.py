@@ -251,6 +251,23 @@ def condition_atoms(condition: str) -> tuple[Atom, ...]:
     return tuple(parse_atoms(condition))
 
 
+def _check_condition(schema: Schema, condition: str) -> None:
+    """Reject a condition naming anything but ``schema``'s temporal
+    attributes."""
+    temporal = set(schema.temporal_names)
+    for atom in condition_atoms(condition):
+        names = [atom.left]
+        right = getattr(atom, "right", None)
+        if right is not None:
+            names.append(right)
+        for name in names:
+            if name not in temporal:
+                raise SchemaError(
+                    f"selection references non-temporal or unknown "
+                    f"attribute {name!r}"
+                )
+
+
 # ----------------------------------------------------------------------
 # leaves
 # ----------------------------------------------------------------------
@@ -367,18 +384,7 @@ class Select(PlanNode):
 
     def _infer_schema(self) -> Schema:
         schema = self.child.schema
-        temporal = set(schema.temporal_names)
-        for atom in condition_atoms(self.condition):
-            names = [atom.left]
-            right = getattr(atom, "right", None)
-            if right is not None:
-                names.append(right)
-            for name in names:
-                if name not in temporal:
-                    raise SchemaError(
-                        f"selection references non-temporal or unknown "
-                        f"attribute {name!r}"
-                    )
+        _check_condition(schema, self.condition)
         return schema
 
     def detail(self) -> str:
@@ -603,9 +609,18 @@ class Subtract(_SetOp):
 
 @dataclass(frozen=True)
 class Join(_Binary):
-    """Natural join: left schema plus right-only attributes."""
+    """Natural join: left schema plus right-only attributes.
+
+    A nonempty ``condition`` makes it a theta-join,
+    ``σ condition(left ⋈ right)`` evaluated inside the join
+    (:func:`repro.core.algebra.join`).  Only the ``window-joins``
+    rewrite step sets it; an unconditioned join's key and rendering
+    carry no condition.
+    """
 
     op: ClassVar[str] = "join"
+
+    condition: str = ""
 
     def _infer_schema(self) -> Schema:
         s1, s2 = self.left.schema, self.right.schema
@@ -617,7 +632,18 @@ class Join(_Binary):
                     f"join attribute {attr.name!r} is temporal on one side "
                     "and data on the other"
                 )
-        return Schema(s1.attributes + tuple(extra.values()))
+        schema = Schema(s1.attributes + tuple(extra.values()))
+        if self.condition:
+            _check_condition(schema, self.condition)
+        return schema
+
+    @cached_property
+    def _key(self) -> tuple:
+        key = (self.op, self.left.key(), self.right.key())
+        return (*key, self.condition) if self.condition else key
+
+    def detail(self) -> str:
+        return self.condition
 
 
 @dataclass(frozen=True)

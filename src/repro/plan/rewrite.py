@@ -33,9 +33,16 @@ The pipeline, in order:
    greedily by estimated intermediate size (leaf sizes × cost hints ×
    prefilter-counter-refined selectivity), wrapping the chain in a
    cheap column-reorder projection to preserve the original schema;
-7. ``dedup-subtrees`` — common-subexpression detection: structurally
+7. ``window-joins`` — fold a selection directly over a join into the
+   join's condition (``σc(A ⋈ B) → A ⋈c B``), so the join never forms
+   the pairs whose lrps cannot meet inside the selection's windows and
+   closes each kept pair once;
+8. ``dedup-subtrees`` — common-subexpression detection: structurally
    identical subtrees (labels ignored) are interned to one shared
    object, which the engine's memo then computes once.
+
+Passes 1–6 leave conditioned joins (which only pass 7 builds) as they
+are.
 """
 
 from __future__ import annotations
@@ -164,7 +171,7 @@ def fold_constants(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
     rw = _Rewriter(ir.Literal.kind)
 
     def fold(node: ir.PlanNode) -> ir.PlanNode:
-        if isinstance(node, ir.Join):
+        if isinstance(node, ir.Join) and not node.condition:
             if _is_truth(node.left):
                 rw.count += 1
                 return _merge_labels(node.labels, node.right)
@@ -255,7 +262,9 @@ def push_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
             return rebuilt.replace_children(
                 tuple(push(c) for c in rebuilt.children)
             )
-        if isinstance(child, (ir.Join, ir.Product)):
+        if isinstance(child, ir.Product) or (
+            isinstance(child, ir.Join) and not child.condition
+        ):
             left_names = set(child.left.schema.temporal_names)
             right_names = set(child.right.schema.temporal_names)
             to_left = [a for a in atoms if _atom_names(a) <= left_names]
@@ -352,7 +361,7 @@ def push_projects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
             return rebuilt.replace_children(
                 tuple(push(c) for c in rebuilt.children)
             )
-        if isinstance(child, ir.Join):
+        if isinstance(child, ir.Join) and not child.condition:
             shared = set(child.left.schema.names) & set(
                 child.right.schema.names
             )
@@ -439,14 +448,14 @@ def reorder_joins(
     rw = _Rewriter(ir.Join.kind)
 
     def flatten(node: ir.PlanNode) -> tuple[list[ir.PlanNode], ir.Labels]:
-        if isinstance(node, ir.Join):
+        if isinstance(node, ir.Join) and not node.condition:
             left_parts, left_labels = flatten(node.left)
             right_parts, right_labels = flatten(node.right)
             return left_parts + right_parts, node.labels + left_labels + right_labels
         return [node], ()
 
     def reorder(node: ir.PlanNode) -> ir.PlanNode:
-        if not isinstance(node, ir.Join):
+        if not isinstance(node, ir.Join) or node.condition:
             return node
         parts, labels = flatten(node)
         if len(parts) < 3:
@@ -479,7 +488,38 @@ def reorder_joins(
 
 
 # ----------------------------------------------------------------------
-# pass 7: common-subexpression detection
+# pass 7: window joins
+# ----------------------------------------------------------------------
+
+
+def window_joins(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
+    """Fold each selection directly over a join into the join.
+
+    Runs after ``reorder-joins``, which therefore never sees a
+    conditioned join.  The selection's labels go outermost.
+    """
+    rw = _Rewriter(ir.Select.kind)
+
+    def fold(node: ir.PlanNode) -> ir.PlanNode:
+        if isinstance(node, ir.Select) and isinstance(node.child, ir.Join):
+            rw.count += 1
+            join = node.child
+            condition = node.condition
+            if join.condition:
+                condition = f"{condition} & {join.condition}"
+            return ir.Join(
+                join.left,
+                join.right,
+                condition,
+                labels=node.labels + join.labels,
+            )
+        return node
+
+    return rw.transform(root, fold), rw.count
+
+
+# ----------------------------------------------------------------------
+# pass 8: common-subexpression detection
 # ----------------------------------------------------------------------
 
 
@@ -576,12 +616,12 @@ def finish_plan(
     relations: Mapping[str, object] | None = None,
     domain_size: int = 0,
 ) -> tuple[ir.PlanNode, tuple[PassReport, ...]]:
-    """Run the cost-based passes 6–7 on a structurally rewritten plan.
+    """Run passes 6–8 on a structurally rewritten plan.
 
     ``optimize_plan(root, relations, n)`` equals
     ``finish_plan(optimize_plan(root, costed=False)[0], relations, n)``:
-    a caller that keeps the staged plan reruns only ``reorder-joins``
-    and ``dedup-subtrees`` when the relations change.
+    a caller that keeps the staged plan reruns only ``reorder-joins``,
+    ``window-joins`` and ``dedup-subtrees`` when the relations change.
     """
     model = CostModel(relations=relations, domain_size=domain_size)
     reports: list[PassReport] = []
@@ -589,6 +629,7 @@ def finish_plan(
         staged,
         (
             ("reorder-joins", lambda plan: reorder_joins(plan, model)),
+            ("window-joins", window_joins),
             ("dedup-subtrees", dedup_subtrees),
         ),
         reports,

@@ -87,10 +87,11 @@ class CompiledQuery:
     """A query lowered and rewritten once, for :meth:`Evaluator.run`.
 
     ``rewritten`` is the plan to execute.  When ``reorders`` is set it
-    stops before the cost-based passes (``reorder-joins``,
-    ``dedup-subtrees``), because the plan has a join chain of three or
-    more parts whose best order depends on the relation sizes, the
-    data-domain size and the live prefilter counters at run time.
+    stops before ``finish_plan``'s passes (``reorder-joins``,
+    ``window-joins``, ``dedup-subtrees``), because the plan has a join
+    chain of three or more parts whose best order depends on the
+    relation sizes, the data-domain size and the live prefilter
+    counters at run time.
     ``constants`` are the query's data constants, which join the active
     domain of every run.
     """

@@ -14,8 +14,10 @@ smoke inputs of the end-to-end benchmark (``benchmarks/e2e``, seeds
   planted 200-tuple relation whose best tuple has the tightest bound
   runs it once;
 * ``pair_candidates`` equals the number of data-matching pairs whose
-  lrps meet on the first shared temporal attribute, the pairs the
-  residue index keeps;
+  lrps meet on the first shared temporal attribute or, for a join
+  with a condition and no shared temporal attribute, can meet inside
+  the condition's first two-sided window between a left and a right
+  attribute: the pairs the residue index keeps;
 * a projection that eliminates a temporal attribute normalizes exactly
   the split combos whose lrps meet the tuple's closed windows, and a
   projection that only reorders or drops data calls ``DBM.close`` and
@@ -36,12 +38,13 @@ import pytest
 from repro import obs
 from repro.core import algebra
 from repro.arith import lcm
+from repro.core.constraints import atoms_to_dbm, parse_atoms
 from repro.core.dbm import DBM
 from repro.core.lrp import LRP
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.optimize import Objective, core as optimize_core
 from repro.perf import kernel, prefilter
-from repro.perf.config import PERF_COUNTERS
+from repro.perf.config import PERF_COUNTERS, overrides
 
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 if str(E2E) not in sys.path:
@@ -135,21 +138,56 @@ def test_tightest_bound_is_searched_alone():
     assert result.tuples_examined == 200
 
 
-def _residue_pairs(r1, r2, shared_t, shared_d) -> int:
-    """Data-matching pairs whose lrps meet on ``shared_t[0]``."""
+def _in_window(lrp1: LRP, lrp2: LRP, low: int, high: int) -> bool:
+    """Whether some ``x2 - x1`` lies in ``[low, high]``, brute force."""
+    g = gcd(lrp1.period, lrp2.period)
+    diff = lrp2.offset - lrp1.offset
+    if not g:
+        return low <= diff <= high
+    return any((diff - d) % g == 0 for d in range(low, high + 1))
+
+
+def _residue_pairs(r1, r2, shared_t, shared_d, window=None) -> int:
+    """Data-matching pairs whose lrps meet on ``shared_t[0]``, or else
+    whose ``window = (i1, i2, low, high)`` lrps can meet inside it."""
     count = 0
     for t1 in r1:
         for t2 in r2:
             if any(t1.data[i] != t2.data[j] for i, j in shared_d):
                 continue
-            if not shared_t or prefilter.lrp_pair_compatible(
-                t1.lrps[shared_t[0][0]], t2.lrps[shared_t[0][1]]
-            ):
-                count += 1
+            if shared_t:
+                if not prefilter.lrp_pair_compatible(
+                    t1.lrps[shared_t[0][0]], t2.lrps[shared_t[0][1]]
+                ):
+                    continue
+            elif window is not None:
+                i1, i2, low, high = window
+                if not _in_window(t1.lrps[i1], t2.lrps[i2], low, high):
+                    continue
+            count += 1
     return count
 
 
-def _join_residue_pairs(r1, r2) -> int:
+def _cross_window(s1, s2, condition: str):
+    """The condition's first two-sided ``right - left`` window, as
+    ``(i1, i2, low, high)``: right attributes in order, then left."""
+    atoms = parse_atoms(condition)
+    if not atoms:
+        return None
+    names = s1.temporal_names + tuple(
+        n for n in s2.temporal_names if not s1.has(n)
+    )
+    rows = atoms_to_dbm(atoms, names)._b
+    for name in names[len(s1.temporal_names):]:
+        a = names.index(name) + 1
+        for i1 in range(len(s1.temporal_names)):
+            high, low = rows[a][i1 + 1], rows[i1 + 1][a]
+            if high is not None and low is not None:
+                return i1, s2.temporal_index(name), -low, high
+    return None
+
+
+def _join_residue_pairs(r1, r2, condition="") -> int:
     s1, s2 = r1.schema, r2.schema
     shared = [a for a in s1.attributes if s2.has(a.name)]
     shared_t = [
@@ -162,7 +200,8 @@ def _join_residue_pairs(r1, r2) -> int:
         for a in shared
         if not a.temporal
     ]
-    return _residue_pairs(r1, r2, shared_t, shared_d)
+    window = _cross_window(s1, s2, condition)
+    return _residue_pairs(r1, r2, shared_t, shared_d, window)
 
 
 def _intersect_residue_pairs(r1, r2) -> int:
@@ -172,19 +211,21 @@ def _intersect_residue_pairs(r1, r2) -> int:
     return _residue_pairs(r1, r2, shared_t, shared_d)
 
 
-@pytest.mark.parametrize(("workload", "seed"), CASES)
-def test_pair_candidates_are_the_residue_matches(workload, seed, monkeypatch):
-    inputs = Inputs(SMOKE_SIZES[workload], seed)
-    db = inputs.build()
-    checked = []
+def _guard_pairs(monkeypatch) -> list[tuple[int, int, str]]:
+    """Record ``(pair_candidates, expected, condition)`` per join/intersect."""
+    checked: list[tuple[int, int, str]] = []
 
     def guarded(real, reference):
-        def run(r1, r2):
-            expected = reference(r1, r2)
+        def run(r1, r2, **condition):
+            expected = reference(r1, r2, **condition)
             before = PERF_COUNTERS["pair_candidates"]
-            result = real(r1, r2)
+            result = real(r1, r2, **condition)
             checked.append(
-                (PERF_COUNTERS["pair_candidates"] - before, expected)
+                (
+                    PERF_COUNTERS["pair_candidates"] - before,
+                    expected,
+                    condition.get("condition", ""),
+                )
             )
             return result
 
@@ -198,14 +239,41 @@ def test_pair_candidates_are_the_residue_matches(workload, seed, monkeypatch):
         "intersect",
         guarded(algebra.intersect, _intersect_residue_pairs),
     )
+    return checked
+
+
+@pytest.mark.parametrize(("workload", "seed"), CASES)
+def test_pair_candidates_are_the_residue_matches(workload, seed, monkeypatch):
+    inputs = Inputs(SMOKE_SIZES[workload], seed)
+    db = inputs.build()
+    checked = _guard_pairs(monkeypatch)
     for _name, call, text, _k in inputs.distinct():
         if call == "ask":
             db.ask(text)
         else:
             db.query(text)
     assert checked
-    assert [got for got, _ in checked] == [want for _, want in checked]
-    assert sum(want for _, want in checked) > 0
+    assert [got for got, *_ in checked] == [want for _, want, _ in checked]
+    assert sum(want for _, want, _ in checked) > 0
+
+
+def test_stream_pair_candidates_are_the_windowed_matches(monkeypatch):
+    from repro.api import Database, Program
+
+    count, nodes, batches, edges = stream.SMOKE_SIZE
+    shape = stream._shapes(count, nodes, batches, edges)[0]
+    db = Database()
+    db.create("Edge", temporal=["t"], data=["src", "dst"])
+    # Only rewritten plans carry join conditions.
+    with overrides(optimize=True):
+        db.install_program(Program.from_text(stream.PROGRAM))
+        checked = _guard_pairs(monkeypatch)
+        for batch in stream._stream(shape, nodes, random.Random(0)):
+            db.append_stream("Edge", batch)
+    monkeypatch.undo()
+    windowed = [(got, want) for got, want, cond in checked if cond]
+    assert windowed and sum(want for _, want in windowed) > 0
+    assert [got for got, *_ in checked] == [want for _, want, _ in checked]
 
 
 def _has_member(lrp: LRP, low, high) -> bool:

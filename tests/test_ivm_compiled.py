@@ -2,9 +2,9 @@
 exactly the plan per-fire lowering would have built.
 
 A :class:`~repro.deductive.incremental.ViewMaintainer` compiles each
-(rule, occurrence) body once and reruns only the cost-based
-``reorder-joins`` + ``dedup-subtrees`` passes per fire when the body
-has a join chain they could reorder.  These tests pin that contract:
+(rule, occurrence) body once and reruns only ``finish_plan``'s
+``reorder-joins`` + ``window-joins`` + ``dedup-subtrees`` passes per
+fire when the body has a join chain they could reorder.  These tests pin that contract:
 
 * at every fire the executed plan's key equals a fresh
   ``Planner.plan_query`` (+ ``optimize_plan``) on the same relations;

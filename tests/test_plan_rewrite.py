@@ -15,6 +15,7 @@ from repro.plan.rewrite import (
     push_projects,
     push_selects,
     reorder_joins,
+    window_joins,
 )
 
 T1 = Schema.make(temporal=["t"])
@@ -175,6 +176,47 @@ class TestReorderJoins:
         assert tuple(out.schema.names) == tuple(tree.schema.names)
 
 
+class TestWindowJoins:
+    def test_select_over_join_folds_into_the_join(self):
+        left = scan("A", Schema.make(temporal=["s"], data=["u"]))
+        right = scan("B", Schema.make(temporal=["t"], data=["u"]))
+        join = ir.Join(left, right, labels=(("join", "j"),))
+        tree = ir.Select(join, "s <= t & t <= s + 4", labels=(("compare", "c"),))
+        out, count = window_joins(tree)
+        assert count == 1
+        assert isinstance(out, ir.Join)
+        assert out.condition == "s <= t & t <= s + 4"
+        assert out.labels == (("compare", "c"), ("join", "j"))
+        assert out.describe() == "join[s <= t & t <= s + 4]"
+        assert out.schema == join.schema
+        assert out.key() == ("join", left.key(), right.key(), out.condition)
+        # A second fold conjoins onto the existing condition.
+        again, count = window_joins(ir.Select(out, "s >= 0"))
+        assert count == 1
+        assert again.condition == "s >= 0 & s <= t & t <= s + 4"
+
+    def test_unconditioned_join_keeps_its_key_and_dict(self):
+        join = ir.Join(scan("A", T1), scan("B", TT))
+        assert join.key() == ("join", join.left.key(), join.right.key())
+        assert "detail" not in join.to_dict()
+        assert join.describe() == "join"
+
+    def test_other_passes_leave_conditioned_joins_alone(self):
+        a = scan("A", Schema.make(temporal=["x"]))
+        b = scan("B", Schema.make(temporal=["x", "y"]))
+        c = scan("C", Schema.make(temporal=["y", "z"]))
+        theta = ir.Join(ir.Join(b, a), c, "z <= x + 2")
+        relations = {
+            name: stored(node.schema, n)
+            for name, node, n in zip("ABC", (a, b, c), (40, 3, 1))
+        }
+        assert reorder_joins(theta, CostModel(relations))[0] is theta
+        assert push_selects(ir.Select(theta, "x >= 0"))[0].child is theta
+        assert push_projects(ir.Project(theta, ("x",)))[0].child is theta
+        seeded = ir.Join(truth_literal(True), c, "z <= y")
+        assert fold_constants(seeded)[0] is seeded
+
+
 class TestDedup:
     def test_shared_subtrees_interned(self):
         left = ir.Select(scan(), "t1 >= 0")
@@ -204,6 +246,7 @@ class TestPipeline:
             "push-projects",
             "collapse-projects",
             "reorder-joins",
+            "window-joins",
             "dedup-subtrees",
         ]
         assert reports[0].rewrites == 1
