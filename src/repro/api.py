@@ -154,11 +154,12 @@ def explain(db: Database, query, *, optimize=None) -> PlanReport:
     """Plan *and run* a query, annotating every plan node with its size.
 
     Like :func:`plan` but the plan is executed, so the returned
-    :class:`PlanReport` carries observed output tuple counts per node.
-    (The legacy span-projected tree is still available from
-    :meth:`Database.explain` with optimization off.)
+    :class:`PlanReport` carries observed output tuple counts per node —
+    the same report :meth:`Database.explain`, the ``EXPLAIN``
+    directive and :meth:`QueryTrace.plan` give, with optimization on
+    or off.
     """
-    return _dispatch.plan(db, query, optimize=optimize, execute=True)
+    return _dispatch.explain(db, query, optimize=optimize)
 
 
 __all__ = [

@@ -7,12 +7,10 @@ domain, the safety limits) by mapping every node onto
 :mod:`repro.core.algebra` in-process.  It is the only executor: every
 query, optimization and EXPLAIN runs on it.
 
-Tracing contract: a node that carries provenance ``labels`` opens one
-``query.<operator>`` span per label (outermost first), reproducing the
-legacy evaluator's trace shape exactly; unlabeled nodes open
-``plan.<op>`` spans only when the context asks for them (optimized
-runs), so un-optimized execution is span-for-span identical to the
-pre-planner evaluator.
+Tracing contract: while a recorder is active, a node that carries
+provenance ``labels`` opens one ``query.<operator>`` span per label
+(outermost first), so runtime cost is attributed to query syntax; an
+unlabeled node opens one ``plan.<op>`` span.
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ class ExecutionContext:
     preserved for output determinism); ``data_domains`` optionally maps
     attribute names to explicit finite domains (the differential-fuzz
     harness uses per-attribute domains) and takes precedence inside
-    complements.  ``plan_spans`` turns on ``plan.*`` spans for
-    unlabeled nodes; ``memo`` enables result reuse for subtrees shared
+    complements.  ``memo`` enables result reuse for subtrees shared
     by common-subexpression elimination.  ``on_result`` / ``on_pair``
     are observation hooks: per-node results (EXPLAIN annotations, cost
     guards) and pairwise-op sizes (fuzzing's deterministic caps).
@@ -56,7 +53,6 @@ class ExecutionContext:
     data_domains: Mapping[str, Sequence] | None = None
     max_tuples: int = DEFAULT_MAX_TUPLES
     max_extensions: int = DEFAULT_MAX_EXTENSIONS
-    plan_spans: bool = False
     memo: dict[int, GeneralizedRelation] | None = None
     on_result: Callable[[ir.PlanNode, GeneralizedRelation], None] | None = None
     on_pair: Callable[[ir.PlanNode, int, int], None] | None = None
@@ -73,10 +69,9 @@ class NativeEngine:
     """The plan executor: every plan node is one in-memory algebra call.
 
     Inherits the whole :mod:`repro.perf` stack (interning caches,
-    prefilters, incremental and batched closure) because it
-    calls the same :mod:`repro.core.algebra` entry points the
-    pre-planner evaluator did.  Stateless across :meth:`run` calls, so
-    one instance can serve every evaluator.
+    prefilters, incremental and batched closure) because every node
+    calls a :mod:`repro.core.algebra` entry point.  Stateless across
+    :meth:`run` calls, so one instance can serve every evaluator.
     """
 
     def run(
@@ -105,7 +100,7 @@ class NativeEngine:
                     )
                     for op, detail in node.labels
                 ]
-                if not spans and ctx.plan_spans:
+                if not spans:
                     spans = [
                         stack.enter_context(
                             recorder.span(
@@ -136,7 +131,7 @@ class NativeEngine:
         if recorder is None:
             return
         names = [f"query.{op}" for op, _ in node.labels]
-        if not names and ctx.plan_spans:
+        if not names:
             names = [f"plan.{node.op}"]
         with ExitStack() as stack:
             for name in names:

@@ -22,14 +22,14 @@ Design invariants:
   exactly; the planner and the rewrite passes never need to execute
   anything to know a subtree's schema.
 * **Provenance labels** — ``node.labels`` carries the ``query.*``
-  span names of the calculus nodes a plan node implements, so an
-  engine can reproduce the evaluator's legacy trace shape and EXPLAIN
-  ANALYZE can attribute runtime counters back to query syntax.
+  span names of the calculus nodes a plan node implements, so EXPLAIN
+  shows where each node came from and EXPLAIN ANALYZE can attribute
+  runtime counters back to query syntax.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterator, Mapping
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, lru_cache
 from itertools import count
@@ -175,8 +175,15 @@ class PlanNode:
         detail = self.detail()
         return f"{self.op}[{detail}]" if detail else self.op
 
-    def render(self, indent: int = 0) -> list[str]:
-        """The subtree as indented text lines."""
+    def render(
+        self, indent: int = 0, sizes: Mapping[int, int] | None = None
+    ) -> list[str]:
+        """The subtree as indented text lines.
+
+        ``sizes`` maps node ids to observed output tuple counts (an
+        executed plan's annotations); a sized node ends its line with
+        ``-> N tuple(s)``.
+        """
         pad = "  " * indent
         origin = ""
         if self.labels:
@@ -184,13 +191,19 @@ class PlanNode:
                 op if not detail else f"{op}: {detail}"
                 for op, detail in self.labels
             )
-        lines = [f"{pad}{self.describe()}  :: {self.schema}{origin}"]
+        suffix = ""
+        if sizes is not None and id(self) in sizes:
+            suffix = f"  -> {sizes[id(self)]} tuple(s)"
+        lines = [f"{pad}{self.describe()}  :: {self.schema}{origin}{suffix}"]
         for child in self.children:
-            lines.extend(child.render(indent + 1))
+            lines.extend(child.render(indent + 1, sizes))
         return lines
 
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-ready structural dump of the subtree."""
+    def to_dict(self, sizes: Mapping[int, int] | None = None) -> dict[str, Any]:
+        """A JSON-ready structural dump of the subtree.
+
+        ``sizes`` as in :meth:`render`; a sized node gets ``out_tuples``.
+        """
         out: dict[str, Any] = {"op": self.op}
         detail = self.detail()
         if detail:
@@ -198,8 +211,10 @@ class PlanNode:
         out["schema"] = str(self.schema)
         if self.labels:
             out["labels"] = [list(pair) for pair in self.labels]
+        if sizes is not None and id(self) in sizes:
+            out["out_tuples"] = sizes[id(self)]
         if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
+            out["children"] = [child.to_dict(sizes) for child in self.children]
         return out
 
     def __str__(self) -> str:

@@ -21,13 +21,7 @@ from repro.query.ast import (
 )
 from repro.query.database import Database
 from repro.query.evaluator import Evaluator
-from repro.query.explain import (
-    PlanNode,
-    QueryTrace,
-    explain_analyze,
-    explain_plan,
-    plan_report,
-)
+from repro.query.explain import QueryTrace, explain_analyze, plan_report
 from repro.query.ops import node_detail, node_label, node_operator
 from repro.query.parser import Directive, parse_query, split_directive
 from repro.query.planner import Planner
@@ -47,7 +41,6 @@ __all__ = [
     "Implies",
     "Not",
     "Or",
-    "PlanNode",
     "Planner",
     "Pred",
     "Query",
@@ -56,7 +49,6 @@ __all__ = [
     "TempConst",
     "TempVar",
     "explain_analyze",
-    "explain_plan",
     "free_variables",
     "node_detail",
     "node_label",

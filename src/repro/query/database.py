@@ -38,6 +38,7 @@ from repro.core.relations import GeneralizedRelation, Schema
 from repro.query.ast import Query
 from repro.query.catalog import CatalogVersion, Snapshot, VersionedCatalog
 from repro.query import dispatch
+from repro.query.explain import explain_analyze
 from repro.query.parser import parse_query
 
 
@@ -408,15 +409,17 @@ class Database:
         """Evaluate a query; the result schema is the free variables.
 
         A query string may carry a leading directive: ``EXPLAIN <q>``
-        returns the plan (see :meth:`explain`), ``EXPLAIN ANALYZE
-        <q>`` the instrumented :class:`~repro.query.explain.QueryTrace`
-        (span tree, timings, result), and ``MINIMIZE <obj> : <q>`` /
-        ``MAXIMIZE <obj> : <q>`` the exact extremum of a linear
-        objective as an :class:`~repro.optimize.core.
+        returns the executed :class:`~repro.plan.report.PlanReport`
+        (see :meth:`explain`), ``EXPLAIN ANALYZE <q>`` the
+        instrumented :class:`~repro.query.explain.QueryTrace` (span
+        tree, timings, result, that report), and ``MINIMIZE <obj> :
+        <q>`` / ``MAXIMIZE <obj> : <q>`` the exact extremum of a
+        linear objective as an :class:`~repro.optimize.core.
         OptimizationResult` (see :meth:`optimize` and
         ``docs/optimization.md``).  ``EXPLAIN [ANALYZE] MINIMIZE ...``
-        composes.  Plain queries return the result relation.  The
-        directives are handled by :mod:`repro.query.dispatch`, which
+        composes: its plan sits under an ``optimize`` root.  Plain
+        queries return the result relation.  The directives are
+        handled by :mod:`repro.query.dispatch`, which
         :class:`~repro.query.catalog.Snapshot` and the server share.
 
         ``optimize`` toggles the plan rewrite passes; it defaults to
@@ -472,11 +475,11 @@ class Database:
     def explain(self, query: str | Query, *, optimize=None):
         """Record the algebraic plan of ``query`` (it really runs).
 
-        With optimization off (the default), returns the legacy
-        span-projected :class:`repro.query.explain.PlanNode`; with it
-        on, a :class:`~repro.plan.report.PlanReport` whose nodes are
-        annotated with observed output sizes and whose ``passes`` show
-        what each rewrite changed.  ``str()`` renders either.
+        Returns a :class:`~repro.plan.report.PlanReport` whose nodes
+        are annotated with observed output sizes: the naive plan with
+        optimization off, the rewritten plan with it on (the default),
+        where ``passes`` shows what each rewrite changed.  ``str()``
+        renders it.
         """
         return dispatch.explain(self, query, optimize=optimize)
 
@@ -486,10 +489,11 @@ class Database:
         Returns a :class:`repro.query.explain.QueryTrace` holding the
         result relation, the full span tree (per-operator tuple counts,
         pairwise combinations, prefilter rejections, cache hits,
-        normalization expansions, wall times), the annotated plan, a
-        text flamegraph and JSON export.
+        normalization expansions, wall times), the executed
+        :class:`~repro.plan.report.PlanReport` (``plan()``, the same
+        one :meth:`explain` gives), a text flamegraph and JSON export.
         """
-        return dispatch.explain_analyze(self, query, optimize=optimize)
+        return explain_analyze(self, query, optimize=optimize)
 
     def __contains__(self, name: str) -> bool:
         return name in self._relations

@@ -11,10 +11,12 @@ query text                          answer
 ``<q>``                             the result relation
 ``MINIMIZE|MAXIMIZE <obj> : <q>``   :class:`~repro.optimize.core.
                                     OptimizationResult`
-``EXPLAIN <q>``                     the plan (:func:`explain`)
+``EXPLAIN <q>``                     the executed plan, a :class:`~repro.
+                                    plan.report.PlanReport`
 ``EXPLAIN ANALYZE <q>``             :class:`~repro.query.explain.
                                     QueryTrace`
-``EXPLAIN MINIMIZE ...``            the plan of the optimization
+``EXPLAIN MINIMIZE ...``            the plan under its ``optimize``
+                                    root, a ``PlanReport``
 ``EXPLAIN ANALYZE MAXIMIZE ...``    its :class:`~repro.query.explain.
                                     QueryTrace`
 ==================================  ====================================
@@ -33,12 +35,8 @@ from repro.core.errors import EvaluationError
 from repro.obs import metrics
 from repro.query.ast import Query
 from repro.query.evaluator import Evaluator
-from repro.query.explain import (
-    explain_analyze,
-    explain_plan,
-    optimize_trace,
-    plan_report,
-)
+from repro.plan.report import PlanReport
+from repro.query.explain import explain_query, plan_report
 from repro.query.parser import Directive, split_directive
 
 _SENSES = {Directive.MINIMIZE: "min", Directive.MAXIMIZE: "max"}
@@ -62,20 +60,19 @@ def query(reader, query: str | Query, *, optimize: bool | None = None):
 def _explain_directive(reader, text: str, analyze: bool, optimize):
     """``EXPLAIN [ANALYZE] <text>``; ``text`` may itself optimize."""
     inner, rest = split_directive(text)
+    objective, sense = None, "min"
     if inner in _SENSES:
         from repro.optimize import parse_objective
 
-        objective, qtext = parse_objective(rest)
-        trace = optimize_trace(
-            Evaluator.of(reader, optimize=optimize),
-            reader.parse(qtext),
-            objective,
-            _SENSES[inner],
-        )
-        return trace if analyze else trace.plan_only()
-    if analyze:
-        return explain_analyze(reader, text, optimize=optimize)
-    return explain(reader, text, optimize=optimize)
+        objective, text = parse_objective(rest)
+        sense = _SENSES[inner]
+    return explain_query(
+        Evaluator.of(reader, optimize=optimize),
+        reader.parse(text),
+        objective,
+        sense,
+        analyze=analyze,
+    )
 
 
 def extremum(
@@ -120,36 +117,24 @@ def ask(reader, query: str | Query, *, optimize: bool | None = None) -> bool:
     return Evaluator.of(reader, optimize=optimize).ask(query)
 
 
-def explain(reader, query: str | Query, *, optimize: bool | None = None):
-    """The ``EXPLAIN`` answer: the plan of ``query`` (it really runs).
+def explain(
+    reader, query: str | Query, *, optimize: bool | None = None
+) -> PlanReport:
+    """The ``EXPLAIN`` answer: the executed plan of ``query``.
 
-    With optimization off, the span-projected
-    :class:`~repro.query.explain.PlanNode`; with it on, an executed
-    :class:`~repro.plan.report.PlanReport` whose nodes carry observed
-    output sizes and whose ``passes`` show what each rewrite changed.
-    """
-    if optimize is None:
-        from repro.perf.config import get_config
-
-        optimize = get_config().optimize
-    if optimize:
-        return plan(reader, query, optimize=True, execute=True)
-    return explain_plan(reader, query, optimize=False)
-
-
-def plan(
-    reader,
-    query: str | Query,
-    *,
-    optimize: bool | None = None,
-    execute: bool = False,
-):
-    """The :class:`~repro.plan.report.PlanReport` of ``query``.
-
-    Static unless ``execute``, which runs the plan and annotates each
-    node with its observed output size.
+    A :class:`~repro.plan.report.PlanReport` whose nodes carry observed
+    output sizes: the naive plan with optimization off, the rewritten
+    plan (and what each pass changed) with it on.
     """
     if isinstance(query, str):
         query = reader.parse(query)
-    evaluator = Evaluator.of(reader, optimize=optimize)
-    return plan_report(evaluator, query, execute=execute)
+    return explain_query(Evaluator.of(reader, optimize=optimize), query)
+
+
+def plan(
+    reader, query: str | Query, *, optimize: bool | None = None
+) -> PlanReport:
+    """The static :class:`~repro.plan.report.PlanReport` of ``query``."""
+    if isinstance(query, str):
+        query = reader.parse(query)
+    return plan_report(Evaluator.of(reader, optimize=optimize), query)

@@ -27,10 +27,8 @@ relation-expression plan, the rewrite passes
 (:mod:`repro.plan.rewrite`) transform it, and
 :class:`~repro.plan.engine.NativeEngine` executes it.  Optimization is
 on by default.  With it off (``optimize=False``, ``REPRO_OPTIMIZE=0``)
-the lowered plan runs unrewritten and performs exactly the algebra
-calls the pre-planner evaluator performed, in the same order — results
-and trace shapes are byte-compatible, which makes it the oracle the
-rewrites are checked against.
+the lowered plan runs unrewritten: the direct calculus-to-algebra
+translation, which is the oracle the rewrites are checked against.
 
 Lowering depends only on the query and the schemas of the relations it
 reads, never on their tuples (Thm 4.1's translation is data-free), so a
@@ -75,7 +73,6 @@ from repro.query.ast import (
     Query,
     free_variables,
 )
-from repro.query.ops import node_detail, node_operator  # noqa: F401 - re-export
 from repro.query.planner import Planner
 
 #: The one plan executor; stateless, so every evaluator shares it.
@@ -116,7 +113,7 @@ class Evaluator:
     or off; it defaults to the global configuration (on, unless the
     environment sets ``REPRO_OPTIMIZE=0``).  Optimized plans are
     semantically equivalent to the naive ones but may differ in
-    intermediate representation and trace shape.
+    intermediate representation.
     """
 
     def __init__(
@@ -172,7 +169,7 @@ class Evaluator:
         optimize = self.optimizing
         with obs.span("query.evaluate") as sp:
             _, plan, _ = self._lower(query, optimize)
-            return self._evaluated(sp, plan, optimize)
+            return self._evaluated(sp, plan, optimize)[0]
 
     def compile(self, query: Query) -> CompiledQuery:
         """Lower and rewrite ``query`` once, for repeated :meth:`run` calls.
@@ -216,7 +213,7 @@ class Evaluator:
                     relations=self.relations,
                     domain_size=len(self.data_domain),
                 )
-            return self._evaluated(sp, plan, compiled.optimize)
+            return self._evaluated(sp, plan, compiled.optimize)[0]
 
     def ask(self, query: Query) -> bool:
         """Evaluate a closed (yes/no) query."""
@@ -237,32 +234,10 @@ class Evaluator:
         deposits the scalar in the execution context.  Returns the
         :class:`~repro.optimize.core.OptimizationResult`.
         """
-        def under_objective(plan: PlanNode) -> PlanNode:
-            temporal = plan.schema.temporal_names
-            for var in objective.variables():
-                if var not in temporal:
-                    raise EvaluationError(
-                        f"objective variable {var!r} is not a free temporal "
-                        f"variable of the query (free temporal: "
-                        f"{', '.join(temporal) or 'none'})"
-                    )
-            return Optimize(
-                child=plan,
-                sense=sense,
-                name=objective.name,
-                minus=objective.minus,
-                labels=(("optimize", f"{sense} {objective}"),),
-            )
-
         optimize = self.optimizing
         with obs.span("query.evaluate") as sp:
-            _, plan, _ = self._lower(query, optimize, under_objective)
-            if optimize:
-                sp.set(optimized=True)
-            _, ctx = self._execute(plan, optimize)
-            result = ctx.optimum
-            sp.set(optimum=str(result.value), status=result.status)
-            return result
+            _, plan, _ = self._lower(query, optimize, objective, sense)
+            return self._evaluated(sp, plan, optimize)[1].optimum
 
     def plan(
         self, query: Query
@@ -302,16 +277,18 @@ class Evaluator:
         return constants, naive
 
     def _lower(
-        self, query: Query, optimize: bool, wrap=None
+        self, query: Query, optimize: bool, objective=None, sense="min"
     ) -> tuple[PlanNode, PlanNode, tuple[PassReport, ...]]:
         """Lower ``query`` to a plan; rewrite it when ``optimize``.
 
-        ``wrap`` puts a root above the lowered plan before the rewrite
-        passes see it.  Returns ``(naive, plan, passes)``.
+        An ``objective`` puts an :class:`~repro.plan.nodes.Optimize`
+        root (``sense`` ``"min"`` or ``"max"``) above the lowered plan
+        before the rewrite passes see it.  Returns ``(naive, plan,
+        passes)``.
         """
         _, naive = self._lowered(query)
-        if wrap is not None:
-            naive = wrap(naive)
+        if objective is not None:
+            naive = _under_objective(naive, objective, sense)
         if not optimize:
             return naive, naive, ()
         plan, passes = optimize_plan(
@@ -322,29 +299,49 @@ class Evaluator:
         return naive, plan, passes
 
     def _evaluated(
-        self, sp, plan: PlanNode, optimize: bool
-    ) -> GeneralizedRelation:
-        """Execute ``plan`` under the open ``query.evaluate`` span ``sp``."""
+        self, sp, plan: PlanNode, optimize: bool, on_result=None
+    ) -> tuple[GeneralizedRelation, ExecutionContext]:
+        """Execute ``plan`` under the open ``query.evaluate`` span ``sp``.
+
+        ``on_result`` observes every node's result (see
+        :class:`~repro.plan.engine.ExecutionContext`).  Returns the
+        result and the spent context.
+        """
         if optimize:
             sp.set(optimized=True)
-        result, _ = self._execute(plan, optimize)
-        sp.set(out_tuples=len(result), out_schema=str(result.schema))
-        return result
-
-    def _execute(
-        self, plan: PlanNode, optimize: bool, on_result=None
-    ) -> tuple[GeneralizedRelation, ExecutionContext]:
-        """Run ``plan``; returns the result and the spent context."""
         ctx = ExecutionContext(
             relations=self.relations,
             data_domain=self.data_domain,
             max_tuples=self.max_tuples,
             max_extensions=self.max_extensions,
-            plan_spans=optimize,
             memo={} if optimize else None,
             on_result=on_result,
         )
-        return _ENGINE.run(plan, ctx), ctx
+        result = _ENGINE.run(plan, ctx)
+        sp.set(out_tuples=len(result), out_schema=str(result.schema))
+        if ctx.optimum is not None:
+            sp.set(optimum=str(ctx.optimum.value), status=ctx.optimum.status)
+        return result, ctx
+
+
+def _under_objective(plan: PlanNode, objective, sense: str) -> Optimize:
+    """``plan`` under the :class:`~repro.plan.nodes.Optimize` root that
+    :meth:`Evaluator.optimize_query` executes."""
+    temporal = plan.schema.temporal_names
+    for var in objective.variables():
+        if var not in temporal:
+            raise EvaluationError(
+                f"objective variable {var!r} is not a free temporal "
+                f"variable of the query (free temporal: "
+                f"{', '.join(temporal) or 'none'})"
+            )
+    return Optimize(
+        child=plan,
+        sense=sense,
+        name=objective.name,
+        minus=objective.minus,
+        labels=(("optimize", f"{sense} {objective}"),),
+    )
 
 
 def _data_constants(query: Query) -> set[Hashable]:

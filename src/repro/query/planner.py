@@ -1,22 +1,18 @@
 """The planner: lowering query ASTs into relation-expression plans.
 
-This is the calculus-to-algebra translation that used to live inline in
-:class:`~repro.query.evaluator.Evaluator`, reified as a *plan builder*:
-instead of executing each algebra operation eagerly while walking the
-AST, :class:`Planner` emits the identical operation sequence as a
+This is the calculus-to-algebra translation (Theorem 4.1) reified as a
+*plan builder*: instead of executing each algebra operation eagerly
+while walking the AST, :class:`Planner` emits the operations as a
 :mod:`repro.plan.nodes` tree and leaves execution to an engine.  The
-lowering is deliberately 1:1 with the legacy evaluator — an
-un-optimized plan executed by the native engine performs exactly the
-same algebra calls in exactly the same order, which keeps results,
-traces and EXPLAIN output byte-compatible; the rewrite passes
-(:mod:`repro.plan.rewrite`) then improve on that baseline when
-optimization is enabled.
+lowered plan is the direct translation — the naive oracle; the rewrite
+passes (:mod:`repro.plan.rewrite`) improve on it when optimization is
+enabled.
 
 Every AST node's plan root carries the node's provenance label (from
-:mod:`repro.query.ops`), so engines reproduce the legacy ``query.*``
-span tree; rewritten forms (implications expanded, ∀ as ¬∃¬, negations
-pushed inward) stack their labels on one node exactly as their spans
-used to nest.
+:mod:`repro.query.ops`), so engines open one ``query.*`` span per
+calculus node and EXPLAIN shows where each plan node came from;
+rewritten forms (implications expanded, ∀ as ¬∃¬, negations pushed
+inward) stack their labels on one node.
 """
 
 from __future__ import annotations
@@ -65,9 +61,9 @@ class Planner:
     """Builds executable plans from parsed queries.
 
     ``relations`` maps names to stored relations (sizes feed the cost
-    model; schemas drive the lowering).  The planner performs the same
-    static checks the legacy evaluator did — unknown predicates, arity
-    mismatches, sort errors — so planning a bad query raises
+    model; schemas drive the lowering).  The planner performs the static
+    checks — unknown predicates, arity mismatches, sort errors — so
+    planning a bad query raises
     :class:`~repro.core.errors.EvaluationError` before anything runs.
     """
 

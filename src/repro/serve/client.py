@@ -143,10 +143,10 @@ class SyncClient:
     def explain(self, text: str) -> tuple[str, dict[str, Any] | None]:
         """Run an ``EXPLAIN [ANALYZE]`` query; returns ``(plan, trace)``.
 
-        ``text`` must carry the directive.  ``plan`` is the rendered
-        plan text, exactly what ``str()`` of the in-process answer's
-        plan shows (the bare operator tree for ``EXPLAIN ANALYZE``);
-        ``trace`` is :meth:`QueryTrace.to_dict
+        ``text`` must carry the directive.  ``plan`` is ``str()`` of
+        the in-process answer's :class:`~repro.plan.report.PlanReport`
+        (for ``EXPLAIN ANALYZE``, of its ``plan()``); ``trace`` is
+        :meth:`QueryTrace.to_dict
         <repro.query.explain.QueryTrace.to_dict>` — span tree and
         timings — for ``EXPLAIN ANALYZE`` and ``None`` otherwise.
         """

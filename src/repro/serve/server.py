@@ -577,9 +577,10 @@ def _run_query(snap: Snapshot, text: str) -> dict[str, Any]:
       and ``optimum`` (the scalar verdict — value, witness point,
       argopt provenance or unboundedness certificate;
       ``docs/optimization.md``);
-    * ``EXPLAIN``: ``plan``, the rendered plan text;
-    * ``EXPLAIN ANALYZE``: ``result``, ``plan`` (the bare operator
-      tree) and ``trace`` (:meth:`QueryTrace.to_dict
+    * ``EXPLAIN``: ``plan``, the rendered
+      :class:`~repro.plan.report.PlanReport`;
+    * ``EXPLAIN ANALYZE``: ``result``, ``plan`` (the same rendered
+      report) and ``trace`` (:meth:`QueryTrace.to_dict
       <repro.query.explain.QueryTrace.to_dict>`, timings included).
     """
     from repro.optimize import OptimizationResult
@@ -595,9 +596,9 @@ def _run_query(snap: Snapshot, text: str) -> dict[str, Any]:
         payload["optimum"] = answer.to_dict()
     elif isinstance(answer, QueryTrace):
         payload["result"] = jsonio.relation_to_dict(answer.result)
-        payload["plan"] = str(answer.plan_only())
+        payload["plan"] = str(answer.plan())
         # Through to_json so any non-JSON span attribute ships as repr.
         payload["trace"] = json.loads(answer.to_json(indent=None))
-    else:  # EXPLAIN: a plan
+    else:  # EXPLAIN: a PlanReport
         payload["plan"] = str(answer)
     return payload

@@ -33,7 +33,7 @@ from repro.query import (
     explain_analyze,
     split_directive,
 )
-from repro.query.explain import PlanNode
+from repro.plan.report import PlanReport
 
 
 def trains_db() -> Database:
@@ -98,36 +98,28 @@ class TestExplainAnalyze:
 
     def test_annotated_plan(self):
         trace = trains_db().trace(TRAIN_QUERY)
-        plan = trace.plan()
-        assert isinstance(plan, PlanNode)
-        assert "wall_ms" in plan.attrs
-        text = str(plan)
-        assert "ms]" in text
-        # The join node reports the algebra operations it ran.
-        ops = []
-        stack = [plan]
-        while stack:
-            node = stack.pop()
-            ops.extend(op["op"] for op in node.attrs.get("ops", ()))
-            stack.extend(node.children)
-        assert ops, "no algebra summaries attached to any plan node"
+        report = trace.plan()
+        assert isinstance(report, PlanReport)
+        # Every node of the plan that ran carries its observed size.
+        assert set(report.annotations) == {
+            id(node) for node in report.plan.walk()
+        }
+        assert report.annotations[id(report.plan)] == len(trace.result)
+        assert "tuple(s)" in str(report)
+        # Per-node timings and algebra summaries live in the span tree.
+        assert any(sp.name.startswith("algebra.") for sp in trace.root.walk())
+        assert trace.root.wall_ms > 0
 
     def test_plan_only_matches_plain_explain(self):
-        # Pinned to the naive pipeline: with the optimizer on,
-        # db.explain returns a PlanReport instead of this legacy shape.
+        # db.trace(q).plan() is the report db.explain(q) gives: same
+        # tree, same sizes, with the optimizer off and on.
         db = trains_db()
-        analyzed = db.trace(TRAIN_QUERY, optimize=False).plan_only()
-        plain = db.explain(TRAIN_QUERY, optimize=False)
-
-        def shape(node):
-            return (
-                node.operator,
-                node.out_tuples,
-                tuple(shape(c) for c in node.children),
-            )
-
-        assert shape(analyzed) == shape(plain)
-        assert not analyzed.attrs
+        for optimize in (False, True):
+            analyzed = db.trace(TRAIN_QUERY, optimize=optimize).plan()
+            plain = db.explain(TRAIN_QUERY, optimize=optimize)
+            assert analyzed.optimized is plain.optimized is optimize
+            assert str(analyzed) == str(plain)
+            assert analyzed.to_dict() == plain.to_dict()
 
     def test_flamegraph_and_json(self):
         trace = trains_db().trace(TRAIN_QUERY)
@@ -160,9 +152,11 @@ class TestDirectives:
 
     def test_query_routes_directives(self):
         db = trains_db()
-        assert isinstance(
-            db.query("EXPLAIN " + TRAIN_QUERY, optimize=False), PlanNode
-        )
+        for optimize in (False, True):
+            assert isinstance(
+                db.query("EXPLAIN " + TRAIN_QUERY, optimize=optimize),
+                PlanReport,
+            )
         assert isinstance(db.query("EXPLAIN ANALYZE " + TRAIN_QUERY), QueryTrace)
         plain = db.query(TRAIN_QUERY)
         assert isinstance(plain, GeneralizedRelation)

@@ -5,7 +5,9 @@ A query reaches the engine through the embedded ``Database``, a pinned
 ``ReproServer``).  All three share one directive dispatcher, so for
 each directive the paths must agree on the result relation, on the
 optimization verdict and on the rendered plan text — with the plan
-rewrite passes off and on.
+rewrite passes off and on.  Every plan face, with or without
+``ANALYZE`` and ``MINIMIZE``/``MAXIMIZE``, is ``str()`` of one
+executed ``PlanReport``.
 """
 
 import json
@@ -15,6 +17,7 @@ import pytest
 from repro.core.relations import GeneralizedRelation
 from repro.optimize import OptimizationResult
 from repro.perf.config import overrides
+from repro.plan.report import PlanReport
 from repro.query import Database, QueryTrace
 from repro.query.parser import Directive, split_directive
 from repro.serve import ReproServer, SyncClient
@@ -71,10 +74,12 @@ def _local_faces(answer) -> dict:
             "optimum": json.loads(json.dumps(answer.to_dict())),
         }
     if isinstance(answer, QueryTrace):
+        assert isinstance(answer.plan(), PlanReport)
         return {
             "result": _relation(answer.result),
-            "plan": str(answer.plan_only()),
+            "plan": str(answer.plan()),
         }
+    assert isinstance(answer, PlanReport)
     return {"plan": str(answer)}
 
 
@@ -111,6 +116,14 @@ def test_directive_agrees_on_every_path(served, text, faces, optimize):
     assert set(embedded) == faces
     assert pinned == embedded
     assert wire == embedded
+    if "plan" in faces:
+        state = "optimized" if optimize else "naive"
+        lines = embedded["plan"].splitlines()
+        assert lines[0].startswith(f"plan [{state}] for: ")
+        for word, sense in (("MINIMIZE", "min"), ("MAXIMIZE", "max")):
+            if word in text:
+                # The plan sits under the root optimize_query executes.
+                assert lines[1].startswith(f"  optimize[{sense} d]")
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["naive", "optimized"])

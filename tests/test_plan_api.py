@@ -6,7 +6,6 @@ import repro.api as api
 from repro.perf import config as perf_config
 from repro.plan.report import PlanReport
 from repro.query import Database
-from repro.query.explain import PlanNode as LegacyPlanNode
 
 
 @pytest.fixture(autouse=True)
@@ -72,18 +71,23 @@ class TestEnvAndConfig:
     def test_explicit_kwarg_overrides_config(self):
         db = ticks_db()
         perf_config.configure(optimize=True)
-        legacy = db.explain(FIXTURE_QUERY, optimize=False)
-        assert isinstance(legacy, LegacyPlanNode)
+        naive = db.explain(FIXTURE_QUERY, optimize=False)
+        assert isinstance(naive, PlanReport)
+        assert not naive.optimized
 
 
 class TestExplainSurfaces:
-    def test_default_explain_keeps_legacy_shape(self):
+    def test_default_explain_follows_config(self):
         db = ticks_db()
-        # The default follows the config: optimizer off ⇒ legacy shape.
+        # The default follows the config: optimizer off ⇒ the executed
+        # naive plan, still a PlanReport.
         with perf_config.overrides(optimize=False):
-            plan = db.explain(FIXTURE_QUERY)
-        assert isinstance(plan, LegacyPlanNode)
-        assert plan.operator == "join"
+            report = db.explain(FIXTURE_QUERY)
+        assert isinstance(report, PlanReport)
+        assert not report.optimized and not report.passes
+        assert report.plan is report.naive
+        assert report.plan.labels[0][0] == "join"
+        assert report.annotations[id(report.plan)] == 1
 
     def test_optimized_explain_returns_report(self):
         db = ticks_db()

@@ -122,6 +122,21 @@ class TestStructure:
         text = str(tree)
         assert "project[t1]" in text and "select[t1 >= 0]" in text
 
+    def test_render_and_to_dict_with_sizes(self):
+        select = ir.Select(scan(), "t1 >= 0").add_label("compare", "t1 >= 0")
+        tree = ir.Project(select, ("t1",))
+        sizes = {id(tree): 2, id(select): 3}
+        lines = tree.render(1, sizes)
+        assert lines[0].startswith("  project[t1]")
+        assert lines[0].endswith("  -> 2 tuple(s)")
+        assert lines[1].endswith("← compare: t1 >= 0  -> 3 tuple(s)")
+        assert lines[2] == tree.render(1)[2]  # the scan was not sized
+        payload = tree.to_dict(sizes)
+        assert payload["out_tuples"] == 2
+        assert payload["children"][0]["out_tuples"] == 3
+        assert "out_tuples" not in payload["children"][0]["children"][0]
+        assert "out_tuples" not in str(tree.to_dict())
+
     def test_literal_constructors(self):
         assert len(truth_literal(True).relation) == 1
         assert len(truth_literal(False).relation) == 0
@@ -165,3 +180,17 @@ class TestNativeEngine:
         )
         NativeEngine().run(ir.Intersect(scan(), scan()), ctx)
         assert pairs == [("intersect", 1, 1)]
+
+    def test_every_node_spans_while_traced(self):
+        from repro.obs import tracing
+
+        rel = GeneralizedRelation.empty(TT)
+        rel.add_tuple(["1", "2"])
+        tree = ir.Select(scan(), "t1 <= t2").add_label("compare", "t1 <= t2")
+        with tracing() as recorder:
+            NativeEngine().run(tree, ExecutionContext(relations={"R": rel}))
+        # A labeled node opens one query.* span per label; an unlabeled
+        # one its plan.<op> span, naive and optimized runs alike.
+        root = recorder.root
+        assert root.name == "query.compare"
+        assert [c.name for c in root.children][0] == "plan.scan"
