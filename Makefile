@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-naive lint docs-check docs-examples bench bench-smoke e2e-pairs serve-bench serve-bench-smoke stream-bench stream-bench-smoke opt-bench opt-bench-smoke fuzz reports clean
+.PHONY: test test-naive lint docs-check docs-examples e2e-pairs fuzz reports clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -31,15 +31,6 @@ docs-check:
 docs-examples:
 	$(PYTHON) tools/docs_check.py --examples
 
-# Full-size before/after benchmark of the optimization layer; writes
-# BENCH_perf.json (see docs/performance.md for the format).
-bench:
-	$(PYTHON) -m repro.perf.bench
-
-# Small sizes for CI smoke runs.
-bench-smoke:
-	$(PYTHON) -m repro.perf.bench --smoke
-
 # Paired end-to-end runs of this working tree against a parent ref,
 # alternating which runs first; prints medians, quartiles, wins out of
 # pairs and any median worse than its BENCHMARK.json bound.
@@ -51,33 +42,6 @@ e2e-pairs:
 	$(PYTHON) tools/e2e_pairs.py --parent $(E2E_PARENT) \
 		--workloads $(E2E_WORKLOADS) --seeds $(E2E_SEEDS) \
 		--seconds $(E2E_SECONDS)
-
-# Serving-layer load generator: sequential vs group commits/s, served
-# query latency, the readers-never-block check and the single-writer
-# lock check; writes BENCH_serve.json (see docs/serving.md).
-serve-bench:
-	$(PYTHON) -m repro.serve.bench
-
-serve-bench-smoke:
-	$(PYTHON) -m repro.serve.bench --smoke
-
-# Streaming-ingest benchmark: tuples/s through the append path and
-# incremental view refresh vs full recomputation (gated at >= 2x);
-# writes BENCH_stream.json (see docs/deductive.md).
-stream-bench:
-	$(PYTHON) -m repro.deductive.bench
-
-stream-bench-smoke:
-	$(PYTHON) -m repro.deductive.bench --smoke
-
-# Optimizer benchmark: MINIMIZE/MAXIMIZE exactness on the scheduling
-# scenario pack + random-corpus oracle parity and tuples/s; writes
-# BENCH_opt.json (see docs/optimization.md).
-opt-bench:
-	$(PYTHON) -m repro.optimize.bench
-
-opt-bench-smoke:
-	$(PYTHON) -m repro.optimize.bench --smoke
 
 # Differential fuzzing against the finite-window oracle; shrunk repros
 # of any failure land in fuzz-failures/ (see docs/fuzzing.md).

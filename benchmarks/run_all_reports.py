@@ -40,10 +40,6 @@ REPORTS = [
     ("test_bench_ablation_lcm", "ablation_report"),
     ("test_bench_ablation_baseline", "baseline_report"),
     ("test_bench_ablation_complement", "ablation_report"),
-    ("perf_report", "perf_report"),
-    ("serve_report", "serve_report"),
-    ("stream_report", "stream_report"),
-    ("opt_report", "opt_report"),
 ]
 
 

@@ -1,11 +1,11 @@
 """Temporal-graph scenarios: periodic edge schedules + reachability.
 
-The streaming benchmark, the IVM fuzz leg and several test suites all
-need the same shaped workload: a graph whose edges are *schedules* —
-linear repeating points ``offset + period·n`` (the paper's lrps), i.e.
-"the edge ``x → y`` can be taken at every such instant" — and a
-recursive program asking which nodes are reachable when consecutive
-hops must happen within a window of ``Δt`` time units::
+The IVM fuzz leg and several test suites all need the same shaped
+workload: a graph whose edges are *schedules* — linear repeating
+points ``offset + period·n`` (the paper's lrps), i.e. "the edge
+``x → y`` can be taken at every such instant" — and a recursive
+program asking which nodes are reachable when consecutive hops must
+happen within a window of ``Δt`` time units::
 
     declare Reach(t:T, src:D, dst:D)
     Reach(t, x, y) <- Edge(t, x, y)

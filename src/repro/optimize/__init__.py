@@ -12,9 +12,7 @@ in through CRT residue ladders (``docs/optimization.md``):
   a monotone pinning search probed with the emptiness decision, and
   constructive :class:`UnboundedCertificate` proofs when none exists;
 * :func:`optimize_relation` — aggregation across a relation with
-  argmin/argmax tuple provenance, as an :class:`OptimizationResult`;
-* :mod:`repro.optimize.bench` — the optimizer throughput benchmark
-  behind ``BENCH_opt.json``.
+  argmin/argmax tuple provenance, as an :class:`OptimizationResult`.
 """
 
 from repro.optimize.core import (

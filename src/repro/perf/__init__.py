@@ -19,8 +19,8 @@ Four independently switchable optimizations (see ``docs/performance.md``):
 This package's ``__init__`` must stay import-light: :mod:`repro.core.dbm`
 imports it at the bottom of the dependency graph, so only the
 dependency-free ``config`` and ``cache`` modules load eagerly;
-``kernel`` (which may import numpy), ``prefilter`` and ``bench``
-(which import the core) load lazily on attribute access.
+``kernel`` (which may import numpy) and ``prefilter`` (which imports
+the core) load lazily on attribute access.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.perf.config import (
     reset_counters,
 )
 
-_LAZY_SUBMODULES = ("kernel", "prefilter", "bench")
+_LAZY_SUBMODULES = ("kernel", "prefilter")
 
 __all__ = [
     "LRUCache",

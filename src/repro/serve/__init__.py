@@ -13,8 +13,9 @@ database in front of many concurrent clients:
 The wire protocol is newline-delimited JSON
 (:mod:`repro.serve.protocol`); :class:`SyncClient` /
 :class:`Client` are the blocking and asyncio clients.  Start a server
-from the command line with ``python -m repro.cli serve start PATH``
-and benchmark it with ``python -m repro.serve.bench``.
+from the command line with ``python -m repro.cli serve start PATH``.
+Its end-to-end benchmark is the ``served_mixed`` workload of
+``benchmarks/e2e`` (``benchmarks/e2e/README.md``).
 """
 
 from repro.serve.client import Client, SyncClient

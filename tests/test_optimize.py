@@ -1,8 +1,7 @@
 """Tests for ``repro.optimize`` — exact MINIMIZE/MAXIMIZE queries.
 
-The exactness contract is checked three ways, mirroring the optimizer
-benchmark (``repro.optimize.bench``): hand-built tuples with known
-optima, property tests (``optimize(tuple)`` == min/max over a finite
+The exactness contract is checked three ways: hand-built tuples with
+known optima, property tests (``optimize(tuple)`` == min/max over a finite
 enumeration window, hypothesis-generated and seed-replayed), and the
 scheduling scenario pack against its finite-window oracle.  The
 end-to-end surfaces — directive parsing, ``Database.query``, EXPLAIN
@@ -42,7 +41,7 @@ def objective_value(point, i, j=None):
 
 
 def assert_parity(gtuple, sense, i, j=None):
-    """One verdict vs enumeration: the bench's parity check, asserted."""
+    """One verdict vs enumeration: the parity check, asserted."""
     result = optimize_tuple(gtuple, sense, i, j=j)
     values = [
         objective_value(p, i, j) for p in gtuple.enumerate(-WINDOW, WINDOW)

@@ -9,6 +9,7 @@ end to end.
 
 import asyncio
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -20,8 +21,18 @@ from repro.core.errors import (
     ServeError,
     StorageError,
 )
-from repro.serve import Client, ReproServer, SyncClient, protocol
+from repro.obs import metrics
+from repro.query.catalog import VersionedCatalog
+from repro.query.database import Database
+from repro.serve import (
+    Client,
+    GroupCommitBatcher,
+    ReproServer,
+    SyncClient,
+    protocol,
+)
 from repro.serve.cli import serve_main
+from repro.storage.engine import StorageEngine
 
 
 def _create(name: str) -> dict:
@@ -148,24 +159,100 @@ class TestConcurrentWriters:
             versions = sorted(r["version"] for r in results.values())
             assert versions == list(range(2, 10))  # distinct, monotone
         # every concurrently committed transaction is durable
-        from repro.query.database import Database
-
         with Database.open(root, create=False) as db:
             assert len(db.relation("Ev")) == 8
             assert db.version == 9
+
+    def test_queued_transactions_commit_as_one_group(self, tmp_path):
+        # Eight transactions queued before the drainer first runs are
+        # one group: one batch observation of 8, one engine call.  No
+        # clock is read, so the check cannot flake on a slow machine.
+        root = str(tmp_path / "db")
+        engine = StorageEngine.open(root)
+        catalog = VersionedCatalog(engine=engine, base=engine.relations)
+        catalog.commit_mutations([[_create("Ev")]])
+        batches = metrics().histogram("serve.commit.batch_txns")
+        count, total = batches.count, batches.total
+
+        async def main():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                batcher = GroupCommitBatcher(catalog, pool)
+                submits = [
+                    asyncio.ensure_future(
+                        batcher.submit([_insert("Ev", 100 + i, 1000)])
+                    )
+                    for i in range(8)
+                ]
+                await asyncio.sleep(0)  # every submit is now queued
+                batcher.start()
+                try:
+                    return await asyncio.wait_for(
+                        asyncio.gather(*submits), timeout=60
+                    )
+                finally:
+                    await batcher.stop()
+
+        try:
+            results = asyncio.run(main())
+        finally:
+            engine.close()
+        assert (batches.count - count, batches.total - total) == (1, 8)
+        assert all(r.error is None for r in results)
+        # distinct and monotone in submission order
+        assert [r.version for r in results] == list(range(2, 10))
+        with Database.open(root, create=False) as db:
+            assert len(db.relation("Ev")) == 8
+            assert db.version == 9
+
+    def test_reader_not_blocked_by_a_held_commit(self, tmp_path, monkeypatch):
+        # A commit parked inside the catalog's write lock must not stop
+        # a reader on another connection: the read answers (the socket
+        # timeout is its only bound) from the pre-commit version.
+        root = str(tmp_path / "db")
+        with ReproServer.open(root) as server:
+            with SyncClient(port=server.port) as seed:
+                seed.commit([_create("Ev"), _insert("Ev", 0)])
+            engine = server.catalog.engine
+            commit_many = engine.commit_many
+            entered, release = threading.Event(), threading.Event()
+
+            def held_commit_many(*args, **kwargs):
+                entered.set()
+                release.wait(timeout=60)
+                return commit_many(*args, **kwargs)
+
+            monkeypatch.setattr(engine, "commit_many", held_commit_many)
+            landed = {}
+
+            def writer() -> None:
+                with SyncClient(port=server.port) as c:
+                    landed.update(c.commit([_insert("Ev", 5)]))
+
+            thread = threading.Thread(target=writer)
+            thread.start()
+            try:
+                assert entered.wait(timeout=60), "commit never started"
+                with SyncClient(port=server.port, timeout=10) as reader:
+                    assert len(reader.relation("Ev")) == 1
+                    assert not reader.ask("EXISTS t. Ev(t) & t = 5")
+                    assert reader.ping()["version"] == 1
+                assert not landed
+            finally:
+                release.set()
+                thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert landed == {"version": 2, "records": 1}
+            with SyncClient(port=server.port) as reader:
+                assert reader.ask("EXISTS t. Ev(t) & t = 5")
 
     def test_served_root_is_single_writer(self, tmp_path):
         root = str(tmp_path / "db")
         with ReproServer.open(root) as server:
             with SyncClient(port=server.port) as c:
                 c.ping()
-            from repro.storage.engine import StorageEngine
-
             with pytest.raises(StorageError, match="locked by another"):
                 StorageEngine.open(root)
         # released on server stop
-        from repro.storage.engine import StorageEngine
-
         StorageEngine.open(root).close()
 
 
