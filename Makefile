@@ -33,15 +33,16 @@ docs-examples:
 
 # Paired end-to-end runs of this working tree against a parent ref,
 # alternating which runs first; prints medians, quartiles, wins out of
-# pairs and any median worse than its BENCHMARK.json bound.
+# pairs and any median worse than its BENCHMARK.json bound.  Every
+# workload runs unless E2E_WORKLOADS names some (comma-separated).
 E2E_PARENT ?= HEAD
-E2E_WORKLOADS ?= stream_ingest
+E2E_WORKLOADS ?=
 E2E_SEEDS ?= 1-10
 E2E_SECONDS ?= 20
 e2e-pairs:
 	$(PYTHON) tools/e2e_pairs.py --parent $(E2E_PARENT) \
-		--workloads $(E2E_WORKLOADS) --seeds $(E2E_SEEDS) \
-		--seconds $(E2E_SECONDS)
+		$(if $(E2E_WORKLOADS),--workloads $(E2E_WORKLOADS)) \
+		--seeds $(E2E_SEEDS) --seconds $(E2E_SECONDS)
 
 # Differential fuzzing against the finite-window oracle; shrunk repros
 # of any failure land in fuzz-failures/ (see docs/fuzzing.md).

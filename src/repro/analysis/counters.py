@@ -8,11 +8,10 @@ complexity parameters (N tuples, m columns) directly.
 All counters are re-homed in the unified
 :class:`repro.obs.metrics.MetricsRegistry` — :func:`metrics_registry`
 / :func:`metrics_snapshot` below are the one accounting API shared by
-benchmarks, the CLI and tests.  The narrower helpers
-(:func:`perf_counters` / :func:`reset_perf_counters` /
-:func:`perf_cache_stats`) remain as focused views of the optimization
-layer's hit/miss/skip instrumentation (closure cache, incremental
-closures, prefilter rejections, batched kernel closures).
+benchmarks, the CLI and tests.  The optimization layer's hit/miss/skip
+instrumentation (incremental closures, prefilter rejections, batched
+kernel closures) is read directly with
+:func:`repro.perf.config.counters_snapshot`.
 """
 
 from __future__ import annotations
@@ -33,32 +32,11 @@ def metrics_registry():
 def metrics_snapshot() -> dict[str, dict]:
     """One snapshot of *everything* the engine counts.
 
-    Counters (operation + optimization-layer counts), gauges (cache
-    populations), histograms (span wall times from trace runs) — the
+    Counters (operation + optimization-layer counts), gauges,
+    histograms (span wall times from trace runs) — the
     union of every accounting source, keyed by metric name.
     """
     return metrics_registry().snapshot()
-
-
-def perf_counters() -> dict[str, int]:
-    """A snapshot of the optimization layer's hit/miss/skip counters."""
-    from repro.perf.config import counters_snapshot
-
-    return counters_snapshot()
-
-
-def reset_perf_counters() -> None:
-    """Zero the optimization layer's counters."""
-    from repro.perf.config import reset_counters
-
-    reset_counters()
-
-
-def perf_cache_stats() -> dict[str, dict[str, int]]:
-    """Statistics of the interning caches that currently exist."""
-    from repro.perf.cache import cache_stats
-
-    return cache_stats()
 
 
 @dataclass

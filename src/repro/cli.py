@@ -285,31 +285,22 @@ class Session:
         return f"derived {sizes}"
 
     def _cmd_perf(self, _rest: str) -> str:
-        """Show optimization-layer counters and cache statistics."""
-        from repro.analysis.counters import perf_cache_stats, perf_counters
-        from repro.perf.config import get_config
+        """Show the optimization-layer config and counters."""
+        from repro.perf.config import counters_snapshot, get_config
         from repro.perf.kernel import kernel_backend
 
         cfg = get_config()
         lines = [
-            f"config: cache={'on' if cfg.cache_enabled else 'off'} "
-            f"(size {cfg.cache_size}), "
-            f"prefilter={'on' if cfg.prefilter_enabled else 'off'}, "
+            f"config: prefilter={'on' if cfg.prefilter_enabled else 'off'}, "
             f"incremental={'on' if cfg.incremental_enabled else 'off'}, "
             f"kernel={kernel_backend()}, "
             f"optimize={'on' if cfg.optimize else 'off'}"
         ]
-        counts = perf_counters()
+        counts = counters_snapshot()
         if counts:
             lines.append(
                 "counters: "
                 + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-            )
-        for name, stats in sorted(perf_cache_stats().items()):
-            lines.append(
-                f"{name} cache: {stats['hits']} hits, "
-                f"{stats['misses']} misses, {stats['evictions']} evictions, "
-                f"{stats['size']}/{stats['maxsize']} entries"
             )
         return "\n".join(lines)
 
@@ -579,11 +570,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run one command (repeatable)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the interning caches of the optimization layer",
-    )
-    parser.add_argument(
         "--optimize",
         dest="optimize",
         action="store_true",
@@ -606,15 +592,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     trace_mode = trace_mode or args.trace_json is not None
-    if args.no_cache or args.optimize is not None:
+    if args.optimize is not None:
         from repro.perf.config import configure
 
-        changes: dict = {}
-        if args.no_cache:
-            changes["cache_enabled"] = False
-        if args.optimize is not None:
-            changes["optimize"] = args.optimize
-        configure(**changes)
+        configure(optimize=args.optimize)
     session = Session(trace_all=trace_mode)
     try:
         _run_session(session, args.script, args.commands)

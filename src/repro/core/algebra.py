@@ -84,7 +84,7 @@ def _traced(op_name: str, pairwise: bool = False):
     attributes of :mod:`repro.analysis.counters`: input/output tuple
     counts, the result's schema width and, for pairwise operations, the
     number of tuple combinations examined; the optimization layer's
-    counter deltas (prefilter rejections, cache hits, kernel closures)
+    counter deltas (prefilter rejections, plan memo hits, kernel closures)
     observed during the span are attached automatically.
     """
 
@@ -753,8 +753,7 @@ def _project_plan(
     Plans depend only on the tuple (immutable after construction) and
     the projection arguments, so they are memoized on the tuple itself
     — like the canonical/semantic key memos — and repeated projections
-    over a stored relation skip the replan.  The memo is consulted only
-    while caching is enabled, keeping the naive baseline honest.
+    over a stored relation skip the replan.
 
     With ``rows``, the tuple's closure, the cluster lrps are first
     tested against its closed windows (:func:`_residues_meet`).  A
@@ -763,26 +762,23 @@ def _project_plan(
     neither raises ``NormalizationLimitError`` nor adds to
     ``normalize_expansion``.
     """
-    use_memo = get_config().cache_enabled
-    memo_key = None
-    if use_memo:
-        memo_key = (tuple(keep), tuple(dropped), max_tuples)
-        memo = gtuple._plans
-        if memo is not None:
-            plan = memo.get(memo_key)
-            if plan is not None:
-                # A plan with feasible combos passed the test already.
-                if (
-                    rows is not None
-                    and plan.feasible is None
-                    and not _residues_meet(gtuple.lrps, rows, plan.cluster_order)
-                ):
-                    PERF_COUNTERS["prefilter_residue_skip"] += plan.split_sizes
-                    return None
-                # The blow-up still happens downstream on every run.
-                PERF_COUNTERS["normalize_expansion"] += plan.split_sizes
-                PERF_COUNTERS["plan_memo_hits"] += 1
-                return plan
+    memo_key = (tuple(keep), tuple(dropped), max_tuples)
+    memo = gtuple._plans
+    if memo is not None:
+        plan = memo.get(memo_key)
+        if plan is not None:
+            # A plan with feasible combos passed the test already.
+            if (
+                rows is not None
+                and plan.feasible is None
+                and not _residues_meet(gtuple.lrps, rows, plan.cluster_order)
+            ):
+                PERF_COUNTERS["prefilter_residue_skip"] += plan.split_sizes
+                return None
+            # The blow-up still happens downstream on every run.
+            PERF_COUNTERS["normalize_expansion"] += plan.split_sizes
+            PERF_COUNTERS["plan_memo_hits"] += 1
+            return plan
     cluster = _constraint_cluster(gtuple, dropped)
     cluster_order = sorted(cluster)
     # Period of the cluster only.
@@ -885,10 +881,9 @@ def _project_plan(
     plan.mat_template = [
         [0 if i == j else None for j in range(n_out)] for i in range(n_out)
     ]
-    if use_memo:
-        if gtuple._plans is None:
-            gtuple._plans = {}
-        gtuple._plans[memo_key] = plan
+    if memo is None:
+        memo = gtuple._plans = {}
+    memo[memo_key] = plan
     return plan
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from repro.perf.cache import closure_cache
 from repro.perf.config import PERF_COUNTERS, get_config
 from repro.core.errors import ReproValueError
 
@@ -189,28 +188,13 @@ class DBM:
         bound.  An unsatisfiable system is detected by a negative value on
         the diagonal and left in that state (callers should discard it).
 
-        ``close`` is idempotent (a ``_closed`` flag makes repeats O(n)),
-        consults the global interning cache when enabled (identical
-        written systems are closed once process-wide), and tightens
-        incrementally in O(d·n²) when only ``d < n`` bounds were written
-        since the last closure, instead of re-running the O(n³)
-        Floyd–Warshall pass.
+        ``close`` is idempotent (a ``_closed`` flag makes repeats O(n))
+        and tightens incrementally in O(d·n²) when only ``d < n`` bounds
+        were written since the last closure, instead of re-running the
+        O(n³) Floyd–Warshall pass.
         """
         if self._closed:
             return self.is_satisfiable()
-        cache = closure_cache()
-        key = None
-        if cache is not None:
-            key = (self._n, tuple(tuple(row) for row in self._b))
-            hit = cache.get(key)
-            if hit is not None:
-                PERF_COUNTERS["closure_cache_hit"] += 1
-                sat, rows = hit
-                self._b = [list(row) for row in rows]
-                self._closed = True
-                self._dirty = []
-                return sat
-            PERF_COUNTERS["closure_cache_miss"] += 1
         dirty = self._dirty
         if (
             dirty is not None
@@ -225,10 +209,7 @@ class DBM:
             self._close_full()
         self._closed = True
         self._dirty = []
-        sat = self.is_satisfiable()
-        if cache is not None:
-            cache.put(key, (sat, tuple(tuple(row) for row in self._b)))
-        return sat
+        return self.is_satisfiable()
 
     def _close_full(self) -> None:
         """The classic O(n³) Floyd–Warshall tightening pass."""

@@ -17,8 +17,6 @@ from repro.core.normalize import (
 )
 from repro.core.relations import GeneralizedRelation
 from repro.core.tuples import GeneralizedTuple
-from repro.perf.cache import normalize_cache
-from repro.perf.config import PERF_COUNTERS
 
 
 def tuple_is_empty(
@@ -26,37 +24,24 @@ def tuple_is_empty(
 ) -> bool:
     """Whether a generalized tuple denotes the empty set.
 
-    Normalization is streamed and stops at the first satisfiable
+    A tuple with no written bound is the product of its lrps, and an
+    lrp ``{c + kn | n in Z}`` is never empty (Def. 2.1), so such a tuple
+    is nonempty as soon as its closure is satisfiable; it is decided
+    without normalizing and never raises
+    :class:`~repro.core.errors.NormalizationLimitError`.  Otherwise
+    normalization is streamed and stops at the first satisfiable
     normal-form tuple, so the common case is far cheaper than a full
-    normalization.  Verdicts are memoized on the written tuple form
-    (simplification asks about the same tuples repeatedly).
+    normalization.
     """
     if not gtuple.dbm.copy().close():
-        # Unsatisfiable systems may carry a diagonal marker invisible to
-        # iter_bounds, so they must be decided before the memo key is
-        # built from the written bounds.
+        # First: an unsatisfiable system may carry a diagonal marker
+        # that iter_bounds cannot expose.
         return True
-    cache = normalize_cache()
-    key = None
-    if cache is not None:
-        key = (
-            "empty",
-            max_tuples,
-            gtuple.lrps,
-            tuple(gtuple.dbm.iter_bounds()),
-        )
-        verdict = cache.get(key)
-        if verdict is not None:
-            PERF_COUNTERS["empty_cache_hit"] += 1
-            return verdict
-        PERF_COUNTERS["empty_cache_miss"] += 1
-    empty = True
+    if next(gtuple.dbm.iter_bounds(), None) is None:
+        return False
     for _ in iter_normalize_tuple(gtuple, max_tuples=max_tuples):
-        empty = False
-        break
-    if key is not None:
-        cache.put(key, empty)
-    return empty
+        return False
+    return True
 
 
 def relation_is_empty(

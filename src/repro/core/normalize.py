@@ -40,7 +40,6 @@ from repro.core.errors import NormalizationLimitError, ReproValueError
 from repro.core.lrp import LRP
 from repro.core.tuples import GeneralizedTuple
 from repro.perf import kernel
-from repro.perf.cache import normalize_cache
 from repro.perf.config import PERF_COUNTERS
 
 DEFAULT_MAX_TUPLES = 1_000_000
@@ -291,7 +290,7 @@ def iter_normalize_tuple(
             f"(limit {max_tuples}); periods are too unrelated"
         )
     # Structural accounting (Section 3.8's blow-up parameter): how many
-    # normal-form tuples this expansion denotes, cache hit or not.
+    # normal-form tuples this expansion denotes.
     PERF_COUNTERS["normalize_expansion"] += size
     # An unsatisfiable constraint system denotes the empty set; it may be
     # recorded as a diagonal marker that iter_bounds cannot expose, so it
@@ -300,35 +299,6 @@ def iter_normalize_tuple(
         return
     arity = gtuple.temporal_arity
     x_bounds = list(gtuple.dbm.iter_bounds())
-    # The memo key is the written tuple form.  Limit validation happened
-    # above, so a hit cannot mask a NormalizationLimitError; values are
-    # handed out as fresh copies because callers close and project the
-    # n_dbm in place, which must not leak back into the cache.
-    cache = normalize_cache()
-    key = None
-    if cache is not None:
-        key = (
-            "normalize",
-            period,
-            keep_empty,
-            gtuple.lrps,
-            tuple(x_bounds),
-            gtuple.data,
-        )
-        hit = cache.get(key)
-        if hit is not None:
-            PERF_COUNTERS["normalize_cache_hit"] += 1
-            for cached in hit:
-                yield NormalizedTuple(
-                    period=cached.period,
-                    offsets=cached.offsets,
-                    singleton=cached.singleton,
-                    n_dbm=cached.n_dbm.copy(),
-                    data=cached.data,
-                )
-            return
-        PERF_COUNTERS["normalize_cache_miss"] += 1
-    produced: list[NormalizedTuple] = []
     # Step 1: split every periodic lrp onto the common period.
     choices: list[list[LRP]] = [
         lrp.split(period) if lrp.period != 0 else [lrp]
@@ -340,8 +310,8 @@ def iter_normalize_tuple(
         # Collect-then-close: build every combo's counter system first,
         # then resolve all emptiness checks (step 4) with one batched
         # closure sweep instead of a scalar closure per combo.  Trades
-        # the generator's laziness for vectorization; yielded values and
-        # the memoized expansion are identical to the scalar path's.
+        # the generator's laziness for vectorization; yielded values are
+        # identical to the scalar path's.
         builds = [
             _build_normalized(combo, period, arity, x_bounds, gtuple.data)
             for combo in _product(choices)
@@ -350,43 +320,15 @@ def iter_normalize_tuple(
             [normalized.n_dbm for normalized in builds]
         )
         for normalized, sat in zip(builds, verdicts):
-            if not sat:
-                continue
-            if key is not None:
-                produced.append(
-                    NormalizedTuple(
-                        period=period,
-                        offsets=normalized.offsets,
-                        singleton=normalized.singleton,
-                        n_dbm=normalized.n_dbm.copy(),
-                        data=gtuple.data,
-                    )
-                )
-            yield normalized
-        if key is not None:
-            cache.put(key, produced)
+            if sat:
+                yield normalized
         return
     for combo in _product(choices):
         normalized = _build_normalized(
             combo, period, arity, x_bounds, gtuple.data
         )
         if keep_empty or not normalized.is_empty():
-            if key is not None:
-                produced.append(
-                    NormalizedTuple(
-                        period=period,
-                        offsets=normalized.offsets,
-                        singleton=normalized.singleton,
-                        n_dbm=normalized.n_dbm.copy(),
-                        data=gtuple.data,
-                    )
-                )
             yield normalized
-    # Only a fully-consumed expansion is memoized: an early-exiting
-    # consumer (emptiness stops at its first witness) leaves the loop
-    # before this line runs.
-    if key is not None:
-        cache.put(key, produced)
 
 
 def normalize_tuple(

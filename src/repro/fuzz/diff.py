@@ -609,7 +609,6 @@ def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
         if failure is not None:
             return done(failure)
         with perf_config.overrides(
-            cache_enabled=False,
             prefilter_enabled=False,
             incremental_enabled=False,
         ):

@@ -3,13 +3,13 @@
 Two cooperating pieces:
 
 * :mod:`repro.obs.trace` — spans with structural cost attributes
-  (tuple counts, pairwise combinations, prefilter rejections, cache
-  hits, normalization expansions, wall time) collected into a tree,
+  (tuple counts, pairwise combinations, prefilter rejections, plan
+  memo hits, normalization expansions, wall time) collected into a tree,
   exportable as JSON and renderable as a text flamegraph.  Off by
   default; near-zero overhead when off.
 * :mod:`repro.obs.metrics` — one :class:`MetricsRegistry` of named
   counters/gauges/histograms that also folds in the optimization
-  layer's counters and cache statistics, so benchmarks, the CLI and
+  layer's counters, so benchmarks, the CLI and
   tests share a single accounting API.
 
 Typical use::

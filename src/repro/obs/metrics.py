@@ -2,22 +2,21 @@
 
 Before this module existed the engine's accounting was scattered —
 :data:`repro.perf.config.PERF_COUNTERS` held the optimization layer's
-hit/miss/skip counts, :func:`repro.perf.cache.cache_stats` held the
-interning-cache populations, and :mod:`repro.analysis.counters` wrapped
-both behind ad-hoc helpers.  The :class:`MetricsRegistry` re-homes all
-of them behind one accounting API that benchmarks, the CLI and tests
+hit/miss/skip counts and :mod:`repro.analysis.counters` wrapped them
+behind ad-hoc helpers.  The :class:`MetricsRegistry` re-homes all of
+them behind one accounting API that benchmarks, the CLI and tests
 share:
 
 * **counters** — monotonically increasing integers (operation counts,
   tuples produced, prefilter rejections);
-* **gauges** — point-in-time values (cache population, configuration);
+* **gauges** — point-in-time values (populations, configuration);
 * **histograms** — streaming distributions (span wall times), keeping
   count/total/min/max plus a bounded reservoir for quantiles.
 
 The global registry (:func:`get_registry`) additionally *collects* the
-optimization layer's existing counters and cache statistics at snapshot
-time, so ``metrics().snapshot()`` is the one-stop view of everything
-the engine counts.  Collection is pull-based: the hot paths keep
+optimization layer's existing counters at snapshot time, so
+``metrics().snapshot()`` is the one-stop view of everything the engine
+counts.  Collection is pull-based: the hot paths keep
 bumping their dependency-free module-level counters (zero new overhead)
 and the registry folds them in only when asked.
 
@@ -228,26 +227,19 @@ class MetricsRegistry:
 
 
 def _perf_collector() -> dict[str, dict[str, float]]:
-    """Fold the optimization layer's counters and cache stats in.
+    """Fold the optimization layer's counters in.
 
     Imported lazily so this module stays importable before (or without)
     the rest of the library.
     """
-    from repro.perf.cache import cache_stats
     from repro.perf.config import counters_snapshot
 
-    counters = {
-        f"perf.{name}": value for name, value in counters_snapshot().items()
+    return {
+        "counters": {
+            f"perf.{name}": value
+            for name, value in counters_snapshot().items()
+        }
     }
-    gauges: dict[str, float] = {}
-    for cache_name, stats in cache_stats().items():
-        for stat_name, value in stats.items():
-            key = f"cache.{cache_name}.{stat_name}"
-            if stat_name in ("hits", "misses", "evictions"):
-                counters[key] = value
-            else:
-                gauges[key] = value
-    return {"counters": counters, "gauges": gauges}
 
 
 _registry = MetricsRegistry()

@@ -4,7 +4,7 @@ A *span* is one timed step of engine work — an algebra operation, a
 query-plan node — annotated with structural cost attributes (input and
 output tuple counts, pairwise combinations examined, normalization
 expansions) and with the optimization layer's counter deltas (prefilter
-rejections, cache hits) observed while the span was open.  Spans nest:
+rejections, plan memo hits) observed while the span was open.  Spans nest:
 evaluating ``Even(t) & t >= 0`` produces a ``query.join`` span whose
 children are the ``query.scan`` / ``query.compare`` plan nodes, each
 wrapping the ``algebra.*`` spans that did the work.
@@ -286,7 +286,7 @@ def _attr_text(span: Span) -> str:
             else:
                 shown.append(f"{key.replace('_tuples', '')}={value}")
     for key, value in sorted(span.perf.items()):
-        if key.startswith("prefilter") or key.endswith("cache_hit"):
+        if key.startswith("prefilter"):
             shown.append(f"{key}={value}")
     return "  ".join(shown)
 

@@ -1,138 +1,8 @@
-"""Bounded interning caches for the hot paths.
-
-Two global LRU caches back the optimization layer:
-
-* the **closure cache** memoizes Floyd–Warshall closures: keyed on the
-  written (pre-closure) bound matrix, valued with the satisfiability
-  verdict plus the closed matrix.  Identical constraint systems — which
-  the pairwise loops of the algebra produce in droves — are solved once;
-* the **normalize cache** memoizes :class:`NormalizedTuple` expansions
-  and streamed emptiness verdicts, keyed on the written tuple form.
-
-Both caches key on *written* constraint forms, never canonical ones, so
-a hit reproduces the exact result of the naive computation (the negation
-algorithms rely on stored bounds staying exactly as written).
-
-(A third memo — the per-tuple projection plan — lives on the tuples
-themselves rather than here: see ``GeneralizedTuple._plans``.)
-"""
+"""A no-op kept for one outside reader; the library keeps no caches."""
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Any, Hashable
 
-from repro.perf.config import get_config
-
-
-class LRUCache:
-    """A minimal least-recently-used mapping with a hard size bound.
-
-    Thread-safe: the serving layer (:mod:`repro.serve`) evaluates
-    queries and applies group-commit mutations in worker threads that
-    share these global caches, so lookup/insert/eviction run under a
-    per-cache lock (uncontended in the single-threaded case, far off
-    the per-tuple hot path either way).
-    """
-
-    __slots__ = ("maxsize", "_data", "_lock", "hits", "misses", "evictions")
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError("LRUCache needs maxsize >= 1")
-        self.maxsize = maxsize
-        self._data: OrderedDict[Hashable, Any] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look up ``key``, refreshing its recency on a hit."""
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                return default
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert or refresh ``key``, evicting the LRU entry when full."""
-        with self._lock:
-            data = self._data
-            if key in data:
-                data.move_to_end(key)
-                data[key] = value
-                return
-            data[key] = value
-            if len(data) > self.maxsize:
-                data.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counts plus the current population."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._data),
-            "maxsize": self.maxsize,
-        }
-
-
-_closure_cache: LRUCache | None = None
-_normalize_cache: LRUCache | None = None
-
-
-def closure_cache() -> LRUCache | None:
-    """The global closure cache, or ``None`` when caching is disabled."""
-    global _closure_cache
-    cfg = get_config()
-    if not cfg.cache_enabled or cfg.cache_size < 1:
-        return None
-    if _closure_cache is None or _closure_cache.maxsize != cfg.cache_size:
-        _closure_cache = LRUCache(cfg.cache_size)
-    return _closure_cache
-
-
-def normalize_cache() -> LRUCache | None:
-    """The global normalization cache, or ``None`` when disabled."""
-    global _normalize_cache
-    cfg = get_config()
-    if not cfg.cache_enabled or cfg.cache_size < 1:
-        return None
-    if _normalize_cache is None or _normalize_cache.maxsize != cfg.cache_size:
-        _normalize_cache = LRUCache(cfg.cache_size)
-    return _normalize_cache
-
-
+# Read by benchmarks/e2e/run.py between its untraced and traced passes.
 def reset_caches() -> None:
-    """Drop both global caches entirely (fresh statistics included)."""
-    global _closure_cache, _normalize_cache
-    _closure_cache = None
-    _normalize_cache = None
-
-
-def cache_stats() -> dict[str, dict[str, int]]:
-    """Statistics for whichever caches currently exist."""
-    out: dict[str, dict[str, int]] = {}
-    if _closure_cache is not None:
-        out["closure"] = _closure_cache.stats()
-    if _normalize_cache is not None:
-        out["normalize"] = _normalize_cache.stats()
-    return out
+    """Do nothing: there are no caches to reset."""

@@ -7,10 +7,6 @@ graph, so it must not import anything from :mod:`repro.core`.
 Knobs (environment variables read once at import; override at runtime
 with :func:`configure` or scope changes with :func:`overrides`):
 
-``REPRO_CACHE_SIZE``
-    Maximum number of entries in each interning cache (default 8192).
-``REPRO_NO_CACHE``
-    Set to any non-empty value to disable the interning caches.
 ``REPRO_NO_PREFILTER``
     Set to any non-empty value to disable the pairwise-op prefilters.
 ``REPRO_NO_INCREMENTAL``
@@ -33,10 +29,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 #: Hit/miss/skip instrumentation for every perf feature.  Bumped from the
-#: hot paths; read through :func:`repro.analysis.counters.perf_counters`.
+#: hot paths; read through :func:`counters_snapshot`.
 PERF_COUNTERS: Counter = Counter()
 
-DEFAULT_CACHE_SIZE = 8192
 #: Recognized closure kernel backends.
 KERNEL_BACKENDS = ("auto", "numpy", "python")
 
@@ -51,29 +46,25 @@ def _env_on(name: str) -> bool:
     return raw not in ("0", "false", "no", "off")
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
 @dataclass(frozen=True)
 class PerfConfig:
     """Feature switches for the optimization layer.
 
-    All four optimizations preserve the algebra's semantics; all but the
+    All three optimizations preserve the algebra's semantics; all but the
     subtraction prefilter additionally preserve the exact tuple-by-tuple
     output of the naive path (see ``docs/performance.md``).
     """
 
-    cache_enabled: bool = True
-    cache_size: int = DEFAULT_CACHE_SIZE
     prefilter_enabled: bool = True
     incremental_enabled: bool = True
     kernel: str = "auto"
     optimize: bool = True
+
+    # Read by benchmarks/e2e/run.py into its ``cache_size`` meta field.
+    @property
+    def cache_size(self) -> int:
+        """Always 0: the interning caches are gone."""
+        return 0
 
 
 def _env_kernel() -> str:
@@ -83,8 +74,6 @@ def _env_kernel() -> str:
 
 def _from_env() -> PerfConfig:
     return PerfConfig(
-        cache_enabled=not _env_flag("REPRO_NO_CACHE"),
-        cache_size=max(0, _env_int("REPRO_CACHE_SIZE", DEFAULT_CACHE_SIZE)),
         prefilter_enabled=not _env_flag("REPRO_NO_PREFILTER"),
         incremental_enabled=not _env_flag("REPRO_NO_INCREMENTAL"),
         kernel=_env_kernel(),
@@ -103,29 +92,22 @@ def get_config() -> PerfConfig:
 def configure(**changes) -> PerfConfig:
     """Replace configuration fields; returns the new configuration.
 
-    Changing ``cache_enabled`` or ``cache_size`` resets the caches (a
-    smaller bound must not keep a larger population alive).
+    Raises ``ValueError`` for a ``kernel`` outside :data:`KERNEL_BACKENDS`.
     """
     global _config
-    old = _config
+    kernel = changes.get("kernel", "auto")
+    if kernel not in KERNEL_BACKENDS:
+        raise ValueError(
+            f"unknown kernel {kernel!r}; expected one of {KERNEL_BACKENDS}"
+        )
     _config = replace(_config, **changes)
-    if (
-        _config.cache_enabled != old.cache_enabled
-        or _config.cache_size != old.cache_size
-    ):
-        from repro.perf import cache as _cache
-
-        _cache.reset_caches()
     return _config
 
 
 def reset_config() -> PerfConfig:
-    """Restore the environment-derived defaults and clear the caches."""
+    """Restore the environment-derived defaults."""
     global _config
     _config = _from_env()
-    from repro.perf import cache as _cache
-
-    _cache.reset_caches()
     return _config
 
 
@@ -138,15 +120,7 @@ def overrides(**changes):
     try:
         yield _config
     finally:
-        inner = _config
         _config = saved
-        if (
-            inner.cache_enabled != saved.cache_enabled
-            or inner.cache_size != saved.cache_size
-        ):
-            from repro.perf import cache as _cache
-
-            _cache.reset_caches()
 
 
 def reset_counters() -> None:

@@ -68,8 +68,8 @@ class ExecutionContext:
 class NativeEngine:
     """The plan executor: every plan node is one in-memory algebra call.
 
-    Inherits the whole :mod:`repro.perf` stack (interning caches,
-    prefilters, incremental and batched closure) because every node
+    Inherits the whole :mod:`repro.perf` stack (prefilters,
+    incremental and batched closure) because every node
     calls a :mod:`repro.core.algebra` entry point.  Stateless across
     :meth:`run` calls, so one instance can serve every evaluator.
     """

@@ -159,19 +159,6 @@ class TestEntryPoints:
         assert main([str(script)]) == 0
         assert "true" in capsys.readouterr().out
 
-    def test_no_cache_flag(self, capsys):
-        from repro.perf.config import reset_config
-
-        try:
-            code = main(
-                ["--no-cache", "-c", "create P(t:T)",
-                 "-c", "insert P [3 + 5n]", "-c", "perf", "-c", "quit"]
-            )
-        finally:
-            reset_config()
-        assert code == 0
-        assert "cache=off" in capsys.readouterr().out
-
     def test_repl_stream(self):
         session = Session()
         stream = io.StringIO("create P(t:T)\nlist\nquit\n")

@@ -87,3 +87,25 @@ def test_knobs_table_matches_perf_config():
     source = (ROOT / "src" / "repro" / "perf" / "config.py").read_text()
     for name in sorted(set(re.findall(r"REPRO_[A-Z_]+", source))):
         assert name in env_column, f"Knobs table omits {name}"
+
+
+# A docs ``perf`` dict: after a ``"perf":`` key, or in the comment line
+# that follows a ``.perf`` attribute.
+_PERF_DICT_RE = re.compile(r'(?:"perf":\s*|\.perf\b[^\n]*\n[^\n{]*)\{([^}]*)\}')
+
+
+def test_docs_perf_dicts_name_real_counters():
+    source = "\n".join(
+        path.read_text() for path in (ROOT / "src").rglob("*.py")
+    )
+    bumped = set(re.findall(r'PERF_COUNTERS\["([^"]+)"\]', source))
+    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    named = {
+        (path.name, key)
+        for path in docs
+        for body in _PERF_DICT_RE.findall(path.read_text())
+        for key in re.findall(r'"([^"]+)"\s*:', body)
+    }
+    assert named, "no perf dict found in the docs"
+    unknown = sorted(entry for entry in named if entry[1] not in bumped)
+    assert not unknown, f"docs name counters nothing bumps: {unknown}"

@@ -2,10 +2,12 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import atoms_to_dbm, parse_atoms
+from repro.core.dbm import DBM
 from repro.core.emptiness import (
     count_in_window,
     relation_is_empty,
@@ -13,10 +15,13 @@ from repro.core.emptiness import (
     tuple_is_empty,
     tuple_witness,
 )
+from repro.core.errors import NormalizationLimitError
+from repro.core.lrp import LRP
+from repro.core.normalize import iter_normalize_tuple
 from repro.core.relations import GeneralizedRelation, Schema, relation
 from repro.core.tuples import GeneralizedTuple
 
-from tests.helpers import random_relation, random_tuple
+from tests.helpers import random_lrp, random_relation, random_tuple
 
 
 def make(lrps, constraints=""):
@@ -56,6 +61,33 @@ class TestTupleEmptiness:
         # a point within a modest window.
         brute_nonempty = any(True for _ in t.enumerate(-40, 40))
         assert tuple_is_empty(t) == (not brute_nonempty)
+
+
+class TestBoundFreeShortcut:
+    """A tuple with no written bound is decided without normalizing."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_agrees_with_normalization(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            arity = rng.randint(1, 4)
+            lrps = tuple(random_lrp(rng) for _ in range(arity))
+            t = GeneralizedTuple(lrps=lrps, dbm=DBM(arity))
+            normalized = next(iter_normalize_tuple(t), None)
+            assert tuple_is_empty(t) == (normalized is None)
+
+    def test_unrelated_periods_need_no_normalization(self):
+        # lcm 1001 splits into 143 * 91 * 77 normal-form tuples.
+        t = make(["7n", "11n + 1", "13n + 2"])
+        with pytest.raises(NormalizationLimitError):
+            next(iter_normalize_tuple(t, max_tuples=50))
+        assert not tuple_is_empty(t, max_tuples=50)
+
+    def test_unsatisfiable_marker_still_empty(self):
+        dbm = DBM(1)
+        dbm.add_difference(0, 0, -1)  # X1 - X1 <= -1
+        assert next(dbm.iter_bounds(), None) is None
+        assert tuple_is_empty(GeneralizedTuple(lrps=(LRP.make(0, 2),), dbm=dbm))
 
 
 class TestWitness:

@@ -265,7 +265,7 @@ def _memo_relation() -> GeneralizedRelation:
 class TestPlanMemo:
     def test_memo_populated_and_hit_when_caches_on(self):
         rel = _memo_relation()
-        with overrides(kernel="python", cache_enabled=True):
+        with overrides(kernel="python"):
             reset_counters()
             first = algebra.project(rel, ["A"])
             assert PERF_COUNTERS["plan_memo_hits"] == 0
@@ -275,15 +275,6 @@ class TestPlanMemo:
         assert {t.canonical_key() for t in first} == {
             t.canonical_key() for t in second
         }
-
-    def test_memo_skipped_when_caches_off(self):
-        rel = _memo_relation()
-        with overrides(kernel="python", cache_enabled=False):
-            reset_counters()
-            algebra.project(rel, ["A"])
-            algebra.project(rel, ["A"])
-            assert PERF_COUNTERS["plan_memo_hits"] == 0
-        assert all(t._plans is None for t in rel)
 
 
 # ----------------------------------------------------------------------

@@ -117,14 +117,6 @@ class TestGlobalRegistry:
         perf_keys = [k for k in snap["counters"] if k.startswith("perf.")]
         assert perf_keys, "perf collector contributed nothing"
 
-    def test_cache_stats_folded_in(self):
-        rel = small_relation()
-        algebra.intersect(rel, rel)
-        snap = metrics_snapshot()
-        cache_keys = [k for k in snap["counters"] if k.startswith("cache.")]
-        gauge_keys = [k for k in snap["gauges"] if k.startswith("cache.")]
-        assert cache_keys or gauge_keys
-
     def test_span_histograms_recorded(self):
         reset_metrics()
         rel = small_relation()

@@ -2,7 +2,7 @@
 
 Two pillars:
 
-* unit tests for the pieces — LRU cache semantics, incremental closure
+* unit tests for the pieces — configuration, incremental closure
   against Floyd–Warshall, closure-state-preserving copies, prefilter
   soundness, semantic deduplication;
 * differential equivalence — every algebra operation computed with all
@@ -14,6 +14,7 @@ Two pillars:
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -23,10 +24,10 @@ from repro.core.lrp import LRP
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.tuples import GeneralizedTuple
 from repro.perf import prefilter
-from repro.perf.cache import LRUCache, cache_stats, reset_caches
 from repro.perf.config import (
     PERF_COUNTERS,
-    counters_snapshot,
+    PerfConfig,
+    configure,
     get_config,
     overrides,
     reset_counters,
@@ -34,58 +35,13 @@ from repro.perf.config import (
 from tests.helpers import random_dbm, random_relation
 
 NAIVE = dict(
-    cache_enabled=False,
     prefilter_enabled=False,
     incremental_enabled=False,
 )
 OPTIMIZED = dict(
-    cache_enabled=True,
     prefilter_enabled=True,
     incremental_enabled=True,
 )
-
-
-# ----------------------------------------------------------------------
-# LRU cache
-# ----------------------------------------------------------------------
-
-
-class TestLRUCache:
-    def test_put_get_roundtrip(self):
-        cache = LRUCache(maxsize=4)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.get("missing") is None
-
-    def test_eviction_is_least_recently_used(self):
-        cache = LRUCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"
-        cache.put("c", 3)  # evicts "b", not "a"
-        assert cache.get("a") == 1
-        assert cache.get("b") is None
-        assert cache.get("c") == 3
-
-    def test_overwrite_updates_value(self):
-        cache = LRUCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("a", 99)
-        assert cache.get("a") == 99
-        assert len(cache) == 1
-
-    def test_stats_track_hits_misses_evictions(self):
-        cache = LRUCache(maxsize=1)
-        cache.get("x")  # miss
-        cache.put("x", 1)
-        cache.get("x")  # hit
-        cache.put("y", 2)  # evicts x
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["evictions"] == 1
-        assert stats["size"] == 1
-        assert stats["maxsize"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -96,24 +52,34 @@ class TestLRUCache:
 class TestConfig:
     def test_overrides_restores_previous_values(self):
         before = get_config()
-        with overrides(cache_size=7, prefilter_enabled=False):
+        with overrides(kernel="python", prefilter_enabled=False):
             inner = get_config()
-            assert inner.cache_size == 7
+            assert inner.kernel == "python"
             assert not inner.prefilter_enabled
         assert get_config() == before
 
     def test_overrides_nest(self):
-        with overrides(cache_size=32):
-            with overrides(cache_size=16):
-                assert get_config().cache_size == 16
-            assert get_config().cache_size == 32
+        with overrides(kernel="numpy"):
+            with overrides(kernel="python"):
+                assert get_config().kernel == "python"
+            assert get_config().kernel == "numpy"
 
-    def test_disabling_cache_disables_lookups(self):
-        with overrides(cache_enabled=False):
-            from repro.perf.cache import closure_cache, normalize_cache
+    def test_unknown_kernel_is_rejected(self):
+        before = get_config()
+        with pytest.raises(ValueError, match="bogus"):
+            configure(kernel="bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            with overrides(kernel="bogus"):
+                pass  # pragma: no cover - never entered
+        assert get_config() == before
 
-            assert closure_cache() is None
-            assert normalize_cache() is None
+    def test_field_names(self):
+        assert [f.name for f in fields(PerfConfig)] == [
+            "prefilter_enabled",
+            "incremental_enabled",
+            "kernel",
+            "optimize",
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +102,7 @@ class TestIncrementalClosure:
         with overrides(**NAIVE):
             reference = base.copy()
             ref_sat = reference.close()
-        with overrides(cache_enabled=False, incremental_enabled=True):
+        with overrides(incremental_enabled=True):
             subject = base.copy()
             subject.close()
             # now add a handful of extra bounds to the *closed* matrix —
@@ -165,7 +131,7 @@ class TestIncrementalClosure:
     def test_incremental_detects_unsatisfiable(self):
         dbm = DBM(2)
         dbm.add_lower(0, 5)
-        with overrides(cache_enabled=False, incremental_enabled=True):
+        with overrides(incremental_enabled=True):
             assert dbm.close()
             dbm.add_upper(0, 3)  # contradicts X0 >= 5
             assert not dbm.close()
@@ -208,74 +174,6 @@ class TestClosurePreservingOps:
         assert wider._closed
         assert wider.size == 4
         assert wider.close()
-
-
-# ----------------------------------------------------------------------
-# closure interning cache
-# ----------------------------------------------------------------------
-
-
-class TestClosureCache:
-    def test_identical_written_systems_hit_the_cache(self):
-        with overrides(cache_enabled=True):
-            reset_caches()
-            reset_counters()
-
-            def build():
-                d = DBM(2)
-                d.add_upper(0, 9)
-                d.add_lower(1, 2)
-                d.add_difference(0, 1, 4)
-                # defeat dirty-tracking so the cacheable full path runs
-                d._dirty = None
-                return d
-
-            first = build()
-            assert first.close()
-            second = build()
-            assert second.close()
-            counts = counters_snapshot()
-            assert counts.get("closure_cache_hit", 0) >= 1
-            assert _matrix(first) == _matrix(second)
-
-    def test_cached_result_matches_uncached(self):
-        rng = random.Random(21)
-        for _ in range(30):
-            base = random_dbm(rng, 3, n_constraints=4)
-            base._dirty = None
-            with overrides(cache_enabled=True):
-                reset_caches()
-                cached = base.copy()
-                cached._dirty = None
-                cached.close()  # populate
-                warm = base.copy()
-                warm._dirty = None
-                warm_sat = warm.close()  # hit
-            with overrides(**NAIVE):
-                naive = base.copy()
-                naive_sat = naive.close()
-            assert warm_sat == naive_sat
-            if warm_sat:
-                assert _matrix(warm) == _matrix(naive)
-
-    def test_tiny_cache_stays_correct_under_eviction(self):
-        rng = random.Random(5)
-        systems = [random_dbm(rng, 2, n_constraints=3) for _ in range(12)]
-        with overrides(**NAIVE):
-            expected = []
-            for system in systems:
-                naive = system.copy()
-                expected.append((naive.close(), _matrix(naive)))
-        with overrides(cache_enabled=True, cache_size=2):
-            reset_caches()
-            for _ in range(2):  # second sweep churns the 2-entry cache
-                for system, (exp_sat, exp_matrix) in zip(systems, expected):
-                    probe = system.copy()
-                    probe._dirty = None
-                    assert probe.close() == exp_sat
-                    if exp_sat:
-                        assert _matrix(probe) == exp_matrix
-            assert cache_stats()["closure"]["evictions"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +269,7 @@ class TestSemanticDedup:
 
 
 # ----------------------------------------------------------------------
-# differential equivalence: optimized vs naive (150 seeded cases)
+# differential equivalence: optimized vs naive (170+ seeded cases)
 # ----------------------------------------------------------------------
 
 SCHEMA2 = Schema.make(temporal=["A", "B"])
@@ -386,23 +284,28 @@ def _snap(relation: GeneralizedRelation):
     return relation.snapshot(*WINDOW)
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_equivalence_intersect_join_subtract(seed):
-    """Three operations x 50 seeds = 150 differential cases.
+# Seeds 1000-1049 draw 2-4 tuples per side; seeds 3000-3007 draw 3.
+BINARY_CASES = [
+    pytest.param(1000 + seed, None, id=str(seed)) for seed in range(50)
+] + [pytest.param(3000 + seed, 3, id=f"s{3000 + seed}") for seed in range(8)]
 
-    Intersection and join must produce the *same tuples* (prefilters and
-    caches only skip provably-empty work); subtraction may factor the
-    result differently, so it is compared on the denoted point sets.
+
+@pytest.mark.parametrize("seed,size", BINARY_CASES)
+def test_equivalence_intersect_join_subtract(seed, size):
+    """Three operations x 58 seeds = 174 differential cases.
+
+    Intersection and join must produce the *same tuples* (prefilters
+    only skip provably-empty work); subtraction may factor the result
+    differently, so it is compared on the denoted point sets.
     """
-    rng = random.Random(1000 + seed)
-    r1 = random_relation(rng, SCHEMA2, rng.randint(2, 4))
-    r2 = random_relation(rng, SCHEMA2, rng.randint(2, 4))
+    rng = random.Random(seed)
+    r1 = random_relation(rng, SCHEMA2, size or rng.randint(2, 4))
+    r2 = random_relation(rng, SCHEMA2, size or rng.randint(2, 4))
     with overrides(**NAIVE):
         naive_meet = algebra.intersect(r1, r2)
         naive_join = algebra.join(r1, r2)
         naive_diff = algebra.subtract(r1, r2)
     with overrides(**OPTIMIZED):
-        reset_caches()
         fast_meet = algebra.intersect(r1, r2)
         fast_join = algebra.join(r1, r2)
         fast_diff = algebra.subtract(r1, r2)
@@ -422,26 +325,10 @@ def test_equivalence_complement_and_project(seed):
         naive_comp = algebra.complement(small)
         naive_proj = algebra.project(wide, ["B"])
     with overrides(**OPTIMIZED):
-        reset_caches()
         fast_comp = algebra.complement(small)
         fast_proj = algebra.project(wide, ["B"])
     assert _snap(fast_comp) == _snap(naive_comp)
     assert _snap(fast_proj) == _snap(naive_proj)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_equivalence_survives_cache_eviction(seed):
-    """A 4-entry cache under heavy churn must not change any answer."""
-    rng = random.Random(3000 + seed)
-    r1 = random_relation(rng, SCHEMA2, 3)
-    r2 = random_relation(rng, SCHEMA2, 3)
-    with overrides(**NAIVE):
-        expected = algebra.subtract(r1, r2)
-    with overrides(**dict(OPTIMIZED, cache_size=4)):
-        reset_caches()
-        got = algebra.subtract(r1, r2)
-        assert cache_stats()["closure"]["maxsize"] == 4
-    assert _snap(got) == _snap(expected)
 
 
 def test_prefilter_counters_fire_on_disjoint_relations():
@@ -451,7 +338,6 @@ def test_prefilter_counters_fire_on_disjoint_relations():
     r1.add(_tuple_of([LRP.make(0, 4), LRP.make(0, 4)], [(0, 20), (0, 20)], 2))
     r2.add(_tuple_of([LRP.make(1, 4), LRP.make(1, 4)], [(0, 20), (0, 20)], 2))
     with overrides(**OPTIMIZED):
-        reset_caches()
         reset_counters()
         out = algebra.intersect(r1, r2)
         assert len(out) == 0

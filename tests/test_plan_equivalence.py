@@ -43,7 +43,6 @@ PLAN_CONFIG = DiffConfig(plan_check=True)
 
 def naive_eval(case: Case) -> GeneralizedRelation:
     with perf_config.overrides(
-        cache_enabled=False,
         prefilter_enabled=False,
         incremental_enabled=False,
     ):
