@@ -24,8 +24,11 @@ def tuple_is_empty(
 ) -> bool:
     """Whether a generalized tuple denotes the empty set.
 
-    A tuple with no written bound is the product of its lrps, and an
-    lrp ``{c + kn | n in Z}`` is never empty (Def. 2.1), so such a tuple
+    Satisfiability is read off the tuple's carried closure
+    (:meth:`~repro.core.tuples.GeneralizedTuple.closure`), so a stored
+    tuple is decided without closing its DBM again.  A tuple with no
+    written bound is the product of its lrps, and an lrp
+    ``{c + kn | n in Z}`` is never empty (Def. 2.1), so such a tuple
     is nonempty as soon as its closure is satisfiable; it is decided
     without normalizing and never raises
     :class:`~repro.core.errors.NormalizationLimitError`.  Otherwise
@@ -33,13 +36,15 @@ def tuple_is_empty(
     normal-form tuple, so the common case is far cheaper than a full
     normalization.
     """
-    if not gtuple.dbm.copy().close():
+    if gtuple.closure() is None:
         # First: an unsatisfiable system may carry a diagonal marker
         # that iter_bounds cannot expose.
         return True
     if next(gtuple.dbm.iter_bounds(), None) is None:
         return False
-    for _ in iter_normalize_tuple(gtuple, max_tuples=max_tuples):
+    for _ in iter_normalize_tuple(
+        gtuple, max_tuples=max_tuples, satisfiable=True
+    ):
         return False
     return True
 

@@ -262,6 +262,8 @@ def iter_normalize_tuple(
     period: int | None = None,
     max_tuples: int = DEFAULT_MAX_TUPLES,
     keep_empty: bool = False,
+    *,
+    satisfiable: bool = False,
 ) -> Iterator[NormalizedTuple]:
     """Lazily normalize one generalized tuple (Theorem 3.2's five steps).
 
@@ -273,7 +275,9 @@ def iter_normalize_tuple(
     Raises :class:`NormalizationLimitError` when the split would produce
     more than ``max_tuples`` normal-form tuples (Section 3.8's blow-up).
     Laziness lets decision procedures (e.g. emptiness) stop at the first
-    witness instead of materializing the whole split.
+    witness instead of materializing the whole split.  A caller that
+    has already found the tuple's constraint system satisfiable passes
+    ``satisfiable=True`` to skip closing it again.
     """
     own = tuple_period(gtuple)
     if period is None:
@@ -295,7 +299,7 @@ def iter_normalize_tuple(
     # An unsatisfiable constraint system denotes the empty set; it may be
     # recorded as a diagonal marker that iter_bounds cannot expose, so it
     # must be checked before the bounds are transcribed.
-    if not gtuple.dbm.copy().close():
+    if not satisfiable and not gtuple.dbm.copy().close():
         return
     arity = gtuple.temporal_arity
     x_bounds = list(gtuple.dbm.iter_bounds())

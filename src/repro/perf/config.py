@@ -13,7 +13,8 @@ with :func:`configure` or scope changes with :func:`overrides`):
     Set to any non-empty value to disable incremental DBM closure.
 ``REPRO_KERNEL``
     Closure kernel backend: ``numpy`` (batched, vectorized), ``python``
-    (scalar), or ``auto`` (default: numpy when importable).
+    (scalar), or ``auto`` (default, also when empty: numpy when
+    importable); any other value raises ``ValueError``.
 ``REPRO_OPTIMIZE``
     The logical-plan rewrite passes (pushdown, join reordering, CSE)
     run before every query unless this is ``0``/``false``/``no``/``off``,
@@ -67,9 +68,18 @@ class PerfConfig:
         return 0
 
 
+def _check_kernel(kernel: str) -> str:
+    if kernel not in KERNEL_BACKENDS:
+        raise ValueError(
+            f"unknown kernel {kernel!r}; expected one of {KERNEL_BACKENDS}"
+        )
+    return kernel
+
+
 def _env_kernel() -> str:
+    """``REPRO_KERNEL``: empty means ``auto``, a misspelling raises."""
     raw = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    return raw if raw in KERNEL_BACKENDS else "auto"
+    return _check_kernel(raw) if raw else "auto"
 
 
 def _from_env() -> PerfConfig:
@@ -95,11 +105,7 @@ def configure(**changes) -> PerfConfig:
     Raises ``ValueError`` for a ``kernel`` outside :data:`KERNEL_BACKENDS`.
     """
     global _config
-    kernel = changes.get("kernel", "auto")
-    if kernel not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {KERNEL_BACKENDS}"
-        )
+    _check_kernel(changes.get("kernel", "auto"))
     _config = replace(_config, **changes)
     return _config
 

@@ -25,10 +25,17 @@ Design invariants:
   span names of the calculus nodes a plan node implements, so EXPLAIN
   shows where each node came from and EXPLAIN ANALYZE can attribute
   runtime counters back to query syntax.
+* **Slots** — a query planned once per shape
+  (``docs/planner.md``) carries each lifted literal as a *slot
+  constant* (:func:`slot_constant`) wherever the literal's value would
+  appear: selection conditions, ``select-data`` values, singleton
+  literals and labels.  :func:`bind_value` substitutes the call's
+  values back.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Hashable, Iterator, Mapping
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property, lru_cache
@@ -130,6 +137,25 @@ class PlanNode:
     def add_label(self, operator: str, detail: str = "") -> PlanNode:
         """Prepend one provenance label (it becomes the outermost span)."""
         return self.with_labels(((operator, detail),) + self.labels)
+
+    # -- slots ---------------------------------------------------------
+
+    def bind(
+        self,
+        values: tuple,
+        children: tuple[PlanNode, ...],
+        fields: tuple[str, ...],
+    ) -> PlanNode:
+        """This node over ``children``, ``values`` bound into ``fields``.
+
+        ``fields`` names the parameters (and ``labels``) that hold a
+        slot; :func:`bind_value` binds each.
+        """
+        changes = dict(zip(_layout(type(self)).children, children))
+        state = self.__dict__
+        for name in fields:
+            changes[name] = bind_value(state[name], values)
+        return self._rebuild(changes)
 
     # -- schema inference ----------------------------------------------
 
@@ -284,6 +310,63 @@ def _check_condition(schema: Schema, condition: str) -> None:
 
 
 # ----------------------------------------------------------------------
+# slots
+# ----------------------------------------------------------------------
+
+#: Slot ``i`` is planned as the integer ``(i + 1) * SLOT_BASE``.
+SLOT_BASE = 1 << 48
+#: A query's literals are lifted only when every integer it holds stays
+#: below this magnitude, so lowering's offset arithmetic on a slot
+#: constant (``t + 5 <= k`` plans ``t <= k - 5``) stays within half a
+#: ``SLOT_BASE`` of it and no other planned integer comes near one.
+LIFT_LIMIT = 1 << 40
+_SLOT_MIN = SLOT_BASE >> 1
+#: A slot constant as it appears in condition and label text.
+_SLOT_TEXT = re.compile(r"(?<![\w.])\d{15,}")
+
+
+def slot_constant(index: int) -> int:
+    """The integer that stands for slot ``index`` in a planned shape."""
+    return (index + 1) * SLOT_BASE
+
+
+def bind_value(value: Any, values: tuple) -> Any:
+    """``value`` with every slot constant in it replaced by its binding.
+
+    ``values[i]`` binds slot ``i``; a slot constant shifted by an
+    offset binds to the value plus that offset.  Text (a condition or
+    a label) gets each slot rendered as the literal the query held
+    (``repr``); tuples are bound element-wise; anything else passes
+    through.
+    """
+    if type(value) is int:
+        if value < _SLOT_MIN:
+            return value
+        index = (value + _SLOT_MIN) // SLOT_BASE - 1
+        delta = value - slot_constant(index)
+        bound = values[index]
+        return bound + delta if delta else bound
+    if type(value) is str:
+        return _SLOT_TEXT.sub(
+            lambda m: repr(bind_value(int(m.group()), values)), value
+        )
+    if type(value) is tuple:
+        return tuple([bind_value(item, values) for item in value])
+    return value
+
+
+def holds_slot(value: Any) -> bool:
+    """Whether :func:`bind_value` would change ``value`` for some binding."""
+    if type(value) is int:
+        return value >= _SLOT_MIN
+    if type(value) is str:
+        return _SLOT_TEXT.search(value) is not None
+    if type(value) is tuple:
+        return any(holds_slot(item) for item in value)
+    return False
+
+
+# ----------------------------------------------------------------------
 # leaves
 # ----------------------------------------------------------------------
 
@@ -322,6 +405,18 @@ class Literal(PlanNode):
 
     def _infer_schema(self) -> Schema:
         return self.relation.schema
+
+    def bind(
+        self,
+        values: tuple,
+        children: tuple[PlanNode, ...],
+        fields: tuple[str, ...],
+    ) -> PlanNode:
+        if "token" not in fields or self.token[0] != "singleton":
+            return super().bind(values, children, fields)
+        _kind, name, value = bind_value(self.token, values)
+        labels = bind_value(self.labels, values)
+        return singleton_literal(name, value).with_labels(labels)
 
     def detail(self) -> str:
         kind = self.token[0]

@@ -43,6 +43,12 @@ The pipeline, in order:
 
 Passes 1–6 leave conditioned joins (which only pass 7 builds) as they
 are.
+
+Passes 1–5 never read a constant's value, only move conditions and
+literals around, so they run on a plan whose lifted literals are still
+slots (:func:`repro.plan.nodes.slot_constant`).  :func:`bind_slots`
+substitutes a call's values into such a plan before passes 6–8, which
+read values through the cost model and the structural keys.
 """
 
 from __future__ import annotations
@@ -557,6 +563,59 @@ def dedup_subtrees(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
         return node
 
     return intern(root), hits
+
+
+# ----------------------------------------------------------------------
+# slot binding
+# ----------------------------------------------------------------------
+
+
+def slot_holders(root: ir.PlanNode) -> dict[int, tuple[str, ...]]:
+    """The nodes of ``root`` whose subtree holds a slot, by id.
+
+    Each maps to the names of its own fields (parameters or
+    ``labels``) that hold one; empty when only descendants do.
+    """
+    held: dict[int, tuple[str, ...]] = {}
+
+    def visit(node: ir.PlanNode) -> bool:
+        below = [visit(child) for child in node.children]
+        state = node.__dict__
+        fields = tuple(
+            name
+            for name in (*ir._layout(type(node)).params, "labels")
+            if ir.holds_slot(state[name])
+        )
+        if fields or any(below):
+            held[id(node)] = fields
+            return True
+        return False
+
+    visit(root)
+    return held
+
+
+def bind_slots(
+    root: ir.PlanNode, values: tuple, holders: Mapping[int, tuple[str, ...]]
+) -> ir.PlanNode:
+    """``root`` with ``values`` bound into its slots.
+
+    ``holders`` is :func:`slot_holders` of ``root``; every other
+    subtree is shared with ``root`` as it is.
+    """
+    bound: dict[int, ir.PlanNode] = {}
+
+    def bind(node: ir.PlanNode) -> ir.PlanNode:
+        fields = holders.get(id(node))
+        if fields is None:
+            return node
+        done = bound.get(id(node))
+        if done is None:
+            children = tuple([bind(child) for child in node.children])
+            done = bound[id(node)] = node.bind(values, children, fields)
+        return done
+
+    return bind(root)
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,7 @@ from repro.core.errors import (
 )
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.query import dispatch
+from repro.query.evaluator import ShapeStore
 
 
 class CatalogVersion:
@@ -140,7 +141,7 @@ class Snapshot:
     snapshot isolation, without ever taking the writer lock.
     """
 
-    __slots__ = ("_version", "max_tuples", "max_extensions")
+    __slots__ = ("_version", "max_tuples", "max_extensions", "plans")
 
     def __init__(
         self,
@@ -148,10 +149,14 @@ class Snapshot:
         *,
         max_tuples: int,
         max_extensions: int,
+        plans: ShapeStore,
     ) -> None:
         self._version = version
         self.max_tuples = max_tuples
         self.max_extensions = max_extensions
+        #: The catalog's compiled query shapes
+        #: (:attr:`VersionedCatalog.plans`).
+        self.plans = plans
 
     @property
     def version(self) -> int:
@@ -386,6 +391,10 @@ class VersionedCatalog:
         self._committed = CatalogVersion(token, dict(base or {}))
         self._write_lock = threading.Lock()
         self._maintainer = None
+        #: One compiled plan per query shape, for every reader of this
+        #: catalog: the database, its snapshots and the served reads.
+        #: Keyed by the read schemas, so no commit has to touch it.
+        self.plans = ShapeStore()
 
     @property
     def engine(self):

@@ -193,6 +193,16 @@ class Database:
         """The committed catalog version token (monotone per commit)."""
         return self._core.version
 
+    @property
+    def plans(self):
+        """The catalog's compiled query shapes, shared with snapshots.
+
+        A :class:`~repro.query.evaluator.ShapeStore`; see
+        :attr:`VersionedCatalog.plans
+        <repro.query.catalog.VersionedCatalog.plans>`.
+        """
+        return self._core.plans
+
     def snapshot(self) -> Snapshot:
         """Pin a read-only MVCC snapshot of the committed catalog.
 
@@ -219,6 +229,7 @@ class Database:
             version,
             max_tuples=self.max_tuples,
             max_extensions=self.max_extensions,
+            plans=self._core.plans,
         )
 
     def __enter__(self) -> Database:
@@ -470,6 +481,7 @@ class Database:
         lowered plan, the optimized plan (when optimization resolves
         on) and the per-pass rewrite deltas.
         """
+        self._check_open()
         return dispatch.plan(self, query, optimize=optimize)
 
     def explain(self, query: str | Query, *, optimize=None):
@@ -481,6 +493,7 @@ class Database:
         where ``passes`` shows what each rewrite changed.  ``str()``
         renders it.
         """
+        self._check_open()
         return dispatch.explain(self, query, optimize=optimize)
 
     def trace(self, query: str | Query, *, optimize=None):
@@ -493,6 +506,7 @@ class Database:
         :class:`~repro.plan.report.PlanReport` (``plan()``, the same
         one :meth:`explain` gives), a text flamegraph and JSON export.
         """
+        self._check_open()
         return explain_analyze(self, query, optimize=optimize)
 
     def __contains__(self, name: str) -> bool:

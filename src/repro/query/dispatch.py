@@ -21,12 +21,15 @@ query text                          answer
                                     QueryTrace`
 ==================================  ====================================
 
-A *reader* is anything with ``parse(text)``, ``names``,
-``relation(name)``, ``max_tuples`` and ``max_extensions``; the
+A *reader* is anything with ``names``, ``relation(name)``,
+``max_tuples``, ``max_extensions`` and ``plans`` (its catalog's
+:class:`~repro.query.evaluator.ShapeStore`); the
 evaluator over it is built by :meth:`Evaluator.of
-<repro.query.evaluator.Evaluator.of>`.  ``optimize`` toggles the plan
-rewrite passes and defaults to the global configuration (on, unless
-``REPRO_OPTIMIZE=0``).
+<repro.query.evaluator.Evaluator.of>`.  Query texts reach the evaluator
+as texts, so every directive compiles through the reader's store: one
+plan per query shape, each call binding its own literals.  ``optimize``
+toggles the plan rewrite passes and defaults to the global
+configuration (on, unless ``REPRO_OPTIMIZE=0``).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def query(reader, query: str | Query, *, optimize: bool | None = None):
         if directive is not Directive.QUERY:
             analyze = directive is Directive.EXPLAIN_ANALYZE
             return _explain_directive(reader, text, analyze, optimize)
-        query = reader.parse(text)
+        query = text
     return Evaluator.of(reader, optimize=optimize).evaluate(query)
 
 
@@ -68,7 +71,7 @@ def _explain_directive(reader, text: str, analyze: bool, optimize):
         sense = _SENSES[inner]
     return explain_query(
         Evaluator.of(reader, optimize=optimize),
-        reader.parse(text),
+        text,
         objective,
         sense,
         analyze=analyze,
@@ -98,7 +101,7 @@ def extremum(
         sense = _SENSES.get(directive, sense)
         if objective is None:
             objective, text = parse_objective(text)
-        query = reader.parse(text)
+        query = text
     if objective is None:
         raise EvaluationError(
             "optimize() needs an objective (a variable name or a "
@@ -112,8 +115,6 @@ def extremum(
 
 def ask(reader, query: str | Query, *, optimize: bool | None = None) -> bool:
     """Evaluate a closed (yes/no) query."""
-    if isinstance(query, str):
-        query = reader.parse(query)
     return Evaluator.of(reader, optimize=optimize).ask(query)
 
 
@@ -126,8 +127,6 @@ def explain(
     output sizes: the naive plan with optimization off, the rewritten
     plan (and what each pass changed) with it on.
     """
-    if isinstance(query, str):
-        query = reader.parse(query)
     return explain_query(Evaluator.of(reader, optimize=optimize), query)
 
 
@@ -135,6 +134,4 @@ def plan(
     reader, query: str | Query, *, optimize: bool | None = None
 ) -> PlanReport:
     """The static :class:`~repro.plan.report.PlanReport` of ``query``."""
-    if isinstance(query, str):
-        query = reader.parse(query)
     return plan_report(Evaluator.of(reader, optimize=optimize), query)

@@ -31,20 +31,30 @@ the lowered plan runs unrewritten: the direct calculus-to-algebra
 translation, which is the oracle the rewrites are checked against.
 
 Lowering depends only on the query and the schemas of the relations it
-reads, never on their tuples (Thm 4.1's translation is data-free), so a
-caller that evaluates one query many times over changing relations can
-split it: :meth:`Evaluator.compile` lowers and rewrites once,
-:meth:`Evaluator.run` executes the compiled plan per call.  The one
-rewrite pass that reads the data, ``reorder-joins``, is rerun by
-``run`` against the current relations whenever the plan has a join
-chain it could reorder, so every run executes the plan
-:meth:`Evaluator.evaluate` would have built for it.
+reads, never on their tuples (Thm 4.1's translation is data-free), so
+every query runs split in two: :meth:`Evaluator.compile` lowers it and
+runs the structural rewrite passes 1–5 once into a
+:class:`CompiledQuery`, and :meth:`Evaluator.run` executes that per
+call.  Maintained views compile each rule body once this way
+(:mod:`repro.deductive.incremental`), and ad-hoc query texts share
+one compiled plan per *query shape*: the text with its literals
+lifted into slots (:func:`repro.query.parser.query_shape`).  A
+catalog's :class:`ShapeStore` keeps those plans, keyed by the shape,
+the optimize setting, the read schemas and the objective; every call
+binds its own literals into the plan it finds
+(:func:`repro.plan.rewrite.bind_slots`) and admits its data constants
+to the active domain.  The passes that read the data or the values,
+``reorder-joins``, ``window-joins`` and ``dedup-subtrees``
+(:func:`~repro.plan.rewrite.finish_plan`), then run against the
+current relations whenever the plan has slots or a join chain, so
+every run executes the plan a fresh lowering would have built for it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-from dataclasses import dataclass
+import threading
+from collections.abc import Hashable, Mapping
+from dataclasses import dataclass, field
 
 from repro.core.errors import EvaluationError
 from repro.obs import trace as obs
@@ -52,13 +62,16 @@ from repro.obs.metrics import get_registry
 from repro.core.negation import DEFAULT_MAX_EXTENSIONS
 from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation
+from repro.plan import nodes as ir
 from repro.plan.engine import ExecutionContext, NativeEngine
-from repro.plan.nodes import Optimize, PlanNode
+from repro.plan.nodes import Optimize, PlanNode, bind_value
 from repro.plan.rewrite import (
     PassReport,
+    bind_slots,
     finish_plan,
     has_join_chain,
     optimize_plan,
+    slot_holders,
 )
 from repro.query.ast import (
     And,
@@ -73,24 +86,35 @@ from repro.query.ast import (
     Query,
     free_variables,
 )
+from repro.query.parser import parse_query, query_shape
 from repro.query.planner import Planner
 
 #: The one plan executor; stateless, so every evaluator shares it.
 _ENGINE = NativeEngine()
+
+#: The most query shapes one :class:`ShapeStore` keeps compiled.
+MAX_SHAPES = 64
 
 
 @dataclass(frozen=True)
 class CompiledQuery:
     """A query lowered and rewritten once, for :meth:`Evaluator.run`.
 
-    ``rewritten`` is the plan to execute.  When ``reorders`` is set it
-    stops before ``finish_plan``'s passes (``reorder-joins``,
-    ``window-joins``, ``dedup-subtrees``), because the plan has a join
+    ``rewritten`` is the plan to execute.  It stops after the
+    structural passes 1–5 when :attr:`finishes`: the plan has a join
     chain of three or more parts whose best order depends on the
     relation sizes, the data-domain size and the live prefilter
-    counters at run time.
-    ``constants`` are the query's data constants, which join the active
-    domain of every run.
+    counters at run time (``reorders``), or it holds slots whose values
+    only a call knows.  ``passes`` reports the rewrite passes run here.
+
+    ``slots`` counts the lifted literals the query holds as slot
+    constants (a :class:`~repro.query.parser.QueryShape` parse; 0 for
+    any other query); ``holders`` maps the ids of the plan nodes (of
+    ``naive`` and ``rewritten``) that hold one to their slot fields
+    (:func:`~repro.plan.rewrite.slot_holders`).  ``constants`` are the
+    query's data constants, which join the active domain of every run;
+    with slots they are all slot constants, since every string and
+    every integer that starts a term is lifted.
     """
 
     query: Query
@@ -99,6 +123,104 @@ class CompiledQuery:
     rewritten: PlanNode
     reorders: bool
     constants: frozenset
+    passes: tuple[PassReport, ...] = ()
+    slots: int = 0
+    holders: Mapping[int, tuple[str, ...]] = field(default_factory=dict)
+
+    @property
+    def finishes(self) -> bool:
+        """Whether each run finishes the plan (passes 6–8)."""
+        return self.optimize and (self.reorders or self.slots > 0)
+
+    def bind(self, plan: PlanNode, values: tuple) -> PlanNode:
+        """``plan`` (``naive`` or ``rewritten``) bound to ``values``."""
+        if not self.slots:
+            return plan
+        return bind_slots(plan, values, self.holders)
+
+    def domain_constants(self, values: tuple) -> frozenset:
+        """The data constants a run with ``values`` admits."""
+        if not self.slots:
+            return self.constants
+        return frozenset([bind_value(c, values) for c in self.constants])
+
+
+class ShapeStore:
+    """One compiled plan per query shape, shared by a catalog's readers.
+
+    :meth:`compiled` keys a text by its shape
+    (:func:`~repro.query.parser.query_shape`), the resolved optimize
+    setting, the schemas of the relations it applies as predicates and
+    the objective, so a schema change or an optimize flip misses.
+    Holds at most :data:`MAX_SHAPES` entries, dropping the oldest.
+
+    Safe under concurrent readers: entries are immutable and lookups
+    take no lock; two threads missing on one shape at once both
+    compile it, and the later insert wins.
+    """
+
+    def __init__(self) -> None:
+        self._plans: dict[tuple, CompiledQuery] = {}
+        self._insert = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def compiled(
+        self, evaluator: Evaluator, text: str, objective=None, sense="min"
+    ) -> tuple[CompiledQuery, tuple, bool]:
+        """``text``'s compiled shape, its slot values and whether it hit.
+
+        ``objective``/``sense`` put the plan under an ``optimize`` root
+        (see :meth:`Evaluator.optimize_query`).
+        """
+        shape = query_shape(text)
+        relations = evaluator.relations
+        key = (
+            shape.key,
+            evaluator.optimizing,
+            tuple(
+                relations[name].schema if name in relations else None
+                for name in shape.predicates
+            ),
+            None if objective is None else (objective, sense),
+        )
+        compiled = self._plans.get(key)
+        if compiled is not None:
+            get_registry().counter("planner.shape_hits").inc()
+            return compiled, shape.values, True
+        query = parse_query(
+            shape, {name: rel.schema for name, rel in relations.items()}
+        )
+        compiled = evaluator.compile(
+            query, objective, sense, slots=len(shape.values)
+        )
+        with self._insert:
+            if key not in self._plans and len(self._plans) >= MAX_SHAPES:
+                del self._plans[next(iter(self._plans))]
+            self._plans[key] = compiled
+        return compiled, shape.values, False
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """One call's compiled query, its values and the plan it runs."""
+
+    compiled: CompiledQuery
+    values: tuple
+    plan: PlanNode
+    passes: tuple[PassReport, ...]
+
+    def naive(self) -> PlanNode:
+        """The lowered plan, bound (the plan itself when unoptimized)."""
+        if not self.compiled.optimize:
+            return self.plan
+        return self.compiled.bind(self.compiled.naive, self.values)
+
+    def text(self) -> str:
+        """The query as the call asked it, rendered from its AST."""
+        text = str(self.compiled.query)
+        return bind_value(text, self.values) if self.compiled.slots else text
 
 
 class Evaluator:
@@ -113,7 +235,9 @@ class Evaluator:
     or off; it defaults to the global configuration (on, unless the
     environment sets ``REPRO_OPTIMIZE=0``).  Optimized plans are
     semantically equivalent to the naive ones but may differ in
-    intermediate representation.
+    intermediate representation.  ``plans`` is the
+    :class:`ShapeStore` query texts compile through (a private one when
+    none is given).
     """
 
     def __init__(
@@ -124,11 +248,13 @@ class Evaluator:
         max_extensions: int = DEFAULT_MAX_EXTENSIONS,
         *,
         optimize: bool | None = None,
+        plans: ShapeStore | None = None,
     ) -> None:
         self.relations = relations
         self.max_tuples = max_tuples
         self.max_extensions = max_extensions
         self.optimize = optimize
+        self.plans = plans
         domain: set[Hashable] = set()
         for rel in relations.values():
             domain |= rel.active_data_domain()
@@ -142,20 +268,22 @@ class Evaluator:
 
         A *reader* (:class:`~repro.query.database.Database`,
         :class:`~repro.query.catalog.Snapshot`) exposes ``names``,
-        ``relation(name)``, ``max_tuples`` and ``max_extensions``.
+        ``relation(name)``, ``max_tuples``, ``max_extensions`` and
+        ``plans``, its catalog's :class:`ShapeStore`.
         """
         return cls(
             {name: reader.relation(name) for name in reader.names},
             max_tuples=reader.max_tuples,
             max_extensions=reader.max_extensions,
             optimize=optimize,
+            plans=reader.plans,
         )
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
 
-    def evaluate(self, query: Query) -> GeneralizedRelation:
+    def evaluate(self, query: str | Query) -> GeneralizedRelation:
         """Evaluate a query; the result's schema is its free variables.
 
         Temporal variables become temporal attributes (sorted), data
@@ -166,64 +294,87 @@ class Evaluator:
         domain for this (and, if the evaluator is reused, subsequent)
         evaluations — the standard active-domain convention.
         """
-        optimize = self.optimizing
         with obs.span("query.evaluate") as sp:
-            _, plan, _ = self._lower(query, optimize)
-            return self._evaluated(sp, plan, optimize)[0]
+            prepared = self._prepare(sp, query)
+            return self._evaluated(
+                sp, prepared.plan, prepared.compiled.optimize
+            )[0]
 
-    def compile(self, query: Query) -> CompiledQuery:
+    def compile(
+        self,
+        query: Query,
+        objective=None,
+        sense: str = "min",
+        *,
+        slots: int = 0,
+    ) -> CompiledQuery:
         """Lower and rewrite ``query`` once, for repeated :meth:`run` calls.
 
         The compiled plan is valid for any relations with the schemas of
         this evaluator's relations and for the optimize setting it was
-        compiled under (:attr:`optimizing`).
+        compiled under (:attr:`optimizing`).  An ``objective`` puts an
+        :class:`~repro.plan.nodes.Optimize` root (``sense`` ``"min"``
+        or ``"max"``) above the lowered plan before the rewrite passes
+        see it.  ``slots`` counts the slot constants standing for
+        lifted literals in ``query``.
         """
         optimize = self.optimizing
-        constants, naive = self._lowered(query)
-        rewritten, reorders = naive, False
+        naive = Planner(self.relations).plan_query(query)
+        get_registry().counter("planner.plans").inc()
+        if objective is not None:
+            naive = _under_objective(naive, objective, sense)
+        rewritten, passes, reorders = naive, (), False
         if optimize:
-            rewritten, _ = optimize_plan(naive, costed=False)
+            rewritten, passes = optimize_plan(naive, costed=False)
             reorders = has_join_chain(rewritten)
-            if not reorders:
-                # reorder-joins cannot fire: no model reads are needed.
-                rewritten, _ = finish_plan(rewritten)
+            if not reorders and not slots:
+                # Passes 6-8 cannot read anything a run changes.
+                rewritten, finished = finish_plan(rewritten)
+                passes += finished
+        holders: dict[int, tuple[str, ...]] = {}
+        if slots:
+            holders = {**slot_holders(naive), **slot_holders(rewritten)}
         return CompiledQuery(
             query=query,
             optimize=optimize,
             naive=naive,
             rewritten=rewritten,
             reorders=reorders,
-            constants=frozenset(constants),
+            constants=frozenset(_data_constants(query)),
+            passes=passes,
+            slots=slots,
+            holders=holders,
         )
 
-    def run(self, compiled: CompiledQuery) -> GeneralizedRelation:
+    def run(
+        self, compiled: CompiledQuery, values: tuple = ()
+    ) -> GeneralizedRelation:
         """Execute a compiled query against this evaluator's relations.
 
-        Runs the plan :meth:`evaluate` would build for the same query
-        here: a plan that ``reorders`` has its join chains reordered
-        (and its subtrees deduplicated) against the current relation
-        sizes first.
+        ``values`` bind the compiled query's slots.  Runs the plan a
+        fresh lowering of the bound query would build here: passes 6–8
+        run against the current relation sizes first whenever the plan
+        :attr:`~CompiledQuery.finishes`.
         """
         with obs.span("query.evaluate") as sp:
-            self._admit(compiled.constants)
-            plan = compiled.rewritten
-            if compiled.reorders:
-                plan, _ = finish_plan(
-                    plan,
-                    relations=self.relations,
-                    domain_size=len(self.data_domain),
-                )
+            plan, _ = self._bound(compiled, values)
             return self._evaluated(sp, plan, compiled.optimize)[0]
 
-    def ask(self, query: Query) -> bool:
+    def ask(self, query: str | Query) -> bool:
         """Evaluate a closed (yes/no) query."""
-        if free_variables(query):
-            raise EvaluationError(
-                f"ask() needs a closed query; free: {free_variables(query)}"
+        with obs.span("query.evaluate") as sp:
+            prepared = self._prepare(sp, query)
+            free = free_variables(prepared.compiled.query)
+            if free:
+                raise EvaluationError(
+                    f"ask() needs a closed query; free: {free}"
+                )
+            result, _ = self._evaluated(
+                sp, prepared.plan, prepared.compiled.optimize
             )
-        return not self.evaluate(query).is_empty()
+        return not result.is_empty()
 
-    def optimize_query(self, query: Query, objective, sense: str):
+    def optimize_query(self, query: str | Query, objective, sense: str):
         """Exact extremum of ``objective`` over the query's result.
 
         ``objective`` is a :class:`repro.optimize.Objective` whose
@@ -234,13 +385,14 @@ class Evaluator:
         deposits the scalar in the execution context.  Returns the
         :class:`~repro.optimize.core.OptimizationResult`.
         """
-        optimize = self.optimizing
         with obs.span("query.evaluate") as sp:
-            _, plan, _ = self._lower(query, optimize, objective, sense)
-            return self._evaluated(sp, plan, optimize)[1].optimum
+            prepared = self._prepare(sp, query, objective, sense)
+            return self._evaluated(
+                sp, prepared.plan, prepared.compiled.optimize
+            )[1].optimum
 
     def plan(
-        self, query: Query
+        self, query: str | Query
     ) -> tuple[PlanNode, PlanNode, tuple[PassReport, ...]]:
         """Plan a query without executing it.
 
@@ -248,7 +400,8 @@ class Evaluator:
         that would run (rewritten when optimization is on, the same
         object otherwise) and the per-pass rewrite deltas.
         """
-        return self._lower(query, self.optimizing)
+        prepared = self._prepare(obs.NULL_SPAN, query)
+        return prepared.naive(), prepared.plan, prepared.passes
 
     @property
     def optimizing(self) -> bool:
@@ -268,35 +421,44 @@ class Evaluator:
         if not constants <= self.data_domain:
             self.data_domain = self.data_domain | constants
 
-    def _lowered(self, query: Query) -> tuple[set[Hashable], PlanNode]:
-        """The query's data constants (now in the domain) and naive plan."""
-        constants = _data_constants(query)
-        self._admit(constants)
-        naive = Planner(self.relations).plan_query(query)
-        get_registry().counter("planner.plans").inc()
-        return constants, naive
+    def _prepare(
+        self, sp, query: str | Query, objective=None, sense: str = "min"
+    ) -> _Prepared:
+        """Compile ``query`` (a text through :attr:`plans`) and bind it.
 
-    def _lower(
-        self, query: Query, optimize: bool, objective=None, sense="min"
-    ) -> tuple[PlanNode, PlanNode, tuple[PassReport, ...]]:
-        """Lower ``query`` to a plan; rewrite it when ``optimize``.
-
-        An ``objective`` puts an :class:`~repro.plan.nodes.Optimize`
-        root (``sense`` ``"min"`` or ``"max"``) above the lowered plan
-        before the rewrite passes see it.  Returns ``(naive, plan,
-        passes)``.
+        Sets ``shape_hit`` on the open ``query.evaluate`` span ``sp``
+        when the text went through the store.
         """
-        _, naive = self._lowered(query)
-        if objective is not None:
-            naive = _under_objective(naive, objective, sense)
-        if not optimize:
-            return naive, naive, ()
-        plan, passes = optimize_plan(
-            naive,
+        values: tuple = ()
+        if isinstance(query, str):
+            if self.plans is None:
+                self.plans = ShapeStore()
+            compiled, values, hit = self.plans.compiled(
+                self, query, objective, sense
+            )
+            sp.set(shape_hit=hit)
+        else:
+            compiled = self.compile(query, objective, sense)
+        plan, passes = self._bound(compiled, values)
+        return _Prepared(compiled, values, plan, compiled.passes + passes)
+
+    def _bound(
+        self, compiled: CompiledQuery, values: tuple
+    ) -> tuple[PlanNode, tuple[PassReport, ...]]:
+        """The plan a run of ``compiled`` with ``values`` executes.
+
+        Admits the run's data constants first, then binds the slots and
+        finishes the plan; returns it with the passes run here.
+        """
+        self._admit(compiled.domain_constants(values))
+        plan = compiled.bind(compiled.rewritten, values)
+        if not compiled.finishes:
+            return plan, ()
+        return finish_plan(
+            plan,
             relations=self.relations,
             domain_size=len(self.data_domain),
         )
-        return naive, plan, passes
 
     def _evaluated(
         self, sp, plan: PlanNode, optimize: bool, on_result=None
@@ -305,7 +467,8 @@ class Evaluator:
 
         ``on_result`` observes every node's result (see
         :class:`~repro.plan.engine.ExecutionContext`).  Returns the
-        result and the spent context.
+        result and the spent context.  A result that is a literal of
+        the plan is copied: compiled plans are shared between calls.
         """
         if optimize:
             sp.set(optimized=True)
@@ -318,6 +481,11 @@ class Evaluator:
             on_result=on_result,
         )
         result = _ENGINE.run(plan, ctx)
+        root = plan
+        while isinstance(root, ir.Guard):
+            root = root.child
+        if isinstance(root, ir.Literal) and result is root.relation:
+            result = result.copy()
         sp.set(out_tuples=len(result), out_schema=str(result.schema))
         if ctx.optimum is not None:
             sp.set(optimum=str(ctx.optimum.value), status=ctx.optimum.status)

@@ -1,9 +1,10 @@
 """EXPLAIN and EXPLAIN ANALYZE: how a query maps onto the algebra.
 
 Every EXPLAIN answer is one executed
-:class:`~repro.plan.report.PlanReport`.  :func:`explain_query` lowers
-the query (and rewrites it when optimization resolves on), runs the
-plan once and annotates every node with its *actual* output size —
+:class:`~repro.plan.report.PlanReport`.  :func:`explain_query` plans
+the query as every other call does (a text through its catalog's
+compiled shape, bound to the text's literals), runs the plan once and
+annotates every node with its *actual* output size —
 generalized relations are finitely represented, so "run it and look"
 is cheap and honest at the scale this engine targets.  The output
 doubles as documentation of the classical calculus-to-algebra
@@ -50,7 +51,7 @@ class QueryTrace:
     * :meth:`flamegraph` / :meth:`to_json` — renderings.
     """
 
-    query: Query
+    query: str
     result: GeneralizedRelation
     root: Span
     report: PlanReport
@@ -65,7 +66,7 @@ class QueryTrace:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly dump: the query text plus the full span tree."""
-        return {"query": str(self.query), "trace": self.root.to_dict()}
+        return {"query": self.query, "trace": self.root.to_dict()}
 
     def to_json(self, indent: int | None = 2) -> str:
         """:meth:`to_dict` serialized as JSON text."""
@@ -79,7 +80,7 @@ class QueryTrace:
 
 def explain_query(
     evaluator: Evaluator,
-    query: Query,
+    query: str | Query,
     objective=None,
     sense: str = "min",
     *,
@@ -96,32 +97,33 @@ def explain_query(
         with tracing() as recorder:
             result, report = _executed(evaluator, query, objective, sense)
         return QueryTrace(
-            query=query, result=result, root=recorder.root, report=report
+            query=report.query,
+            result=result,
+            root=recorder.root,
+            report=report,
         )
     return _executed(evaluator, query, objective, sense)[1]
 
 
 def _executed(
-    evaluator: Evaluator, query: Query, objective, sense: str
+    evaluator: Evaluator, query: str | Query, objective, sense: str
 ) -> tuple[GeneralizedRelation, PlanReport]:
     """Run ``query``'s plan under ``query.evaluate``; result and report."""
-    optimized = evaluator.optimizing
     sizes: dict[int, int] = {}
 
     def observe(node, result) -> None:
         sizes[id(node)] = len(result)
 
     with obs.span("query.evaluate") as sp:
-        naive, plan, passes = evaluator._lower(
-            query, optimized, objective, sense
-        )
-        result, _ = evaluator._evaluated(sp, plan, optimized, observe)
+        prepared = evaluator._prepare(sp, query, objective, sense)
+        optimized = prepared.compiled.optimize
+        result, _ = evaluator._evaluated(sp, prepared.plan, optimized, observe)
     report = PlanReport(
-        query=str(query),
+        query=prepared.text(),
         optimized=optimized,
-        naive=naive,
-        plan=plan,
-        passes=passes,
+        naive=prepared.naive(),
+        plan=prepared.plan,
+        passes=prepared.passes,
         annotations=sizes,
     )
     return result, report
@@ -137,23 +139,21 @@ def explain_analyze(
     :class:`QueryTrace` holds the result relation, the full span tree
     and the executed :class:`~repro.plan.report.PlanReport`.
     """
-    if isinstance(query, str):
-        query = reader.parse(query)
     evaluator = Evaluator.of(reader, optimize=optimize)
     return explain_query(evaluator, query, analyze=True)
 
 
-def plan_report(evaluator: Evaluator, query: Query) -> PlanReport:
+def plan_report(evaluator: Evaluator, query: str | Query) -> PlanReport:
     """The static :class:`~repro.plan.report.PlanReport` of ``query``.
 
     Plans the query (lowering plus, when optimization resolves on, the
     rewrite passes) without running it, so no node carries a size.
     """
-    naive, plan, passes = evaluator.plan(query)
+    prepared = evaluator._prepare(obs.NULL_SPAN, query)
     return PlanReport(
-        query=str(query),
-        optimized=evaluator.optimizing,
-        naive=naive,
-        plan=plan,
-        passes=passes,
+        query=prepared.text(),
+        optimized=prepared.compiled.optimize,
+        naive=prepared.naive(),
+        plan=prepared.plan,
+        passes=prepared.passes,
     )

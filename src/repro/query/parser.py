@@ -25,6 +25,13 @@ Variable sorts are inferred: a variable used in a temporal argument
 position of a predicate (per the supplied schemas) or in a comparison is
 temporal; one used in a data position or equated with a string constant
 is data.  Conflicting uses raise :class:`ParseError`.
+
+:func:`query_shape` reduces a query text to its *shape*: its tokens
+with the integer and string literals lifted into slots, plus the
+lifted values.  Texts that differ only in those literals share one
+shape, and :func:`parse_query` parses a shape with each slot standing
+as its slot constant (:func:`repro.plan.nodes.slot_constant`), so one
+parse and one plan serve them all (``docs/planner.md``).
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from dataclasses import dataclass
 
 from repro.core.errors import ParseError, ReproTypeError
 from repro.core.relations import Schema
+from repro.plan.nodes import LIFT_LIMIT, slot_constant
 from repro.query.ast import (
     And,
     Cmp,
@@ -61,6 +69,7 @@ _TOKEN_RE = re.compile(
       | (?P<int>-?\d+)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<op>->|<=|>=|!=|=|<|>|\(|\)|,|\.|&|\||~|\+|-)
+      | (?P<bad>\S)
     )""",
     re.VERBOSE,
 )
@@ -68,11 +77,22 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"exists", "forall"}
 
 
+_COMPARISONS = frozenset({"<=", ">=", "=", "<", ">", "!="})
+
+
 @dataclass
 class _Token:
     kind: str
     text: str
     position: int
+    #: The slot a lifted literal stands in (see :func:`query_shape`).
+    slot: int | None = None
+
+    def literal(self) -> int | str:
+        """An ``int`` or ``string`` token's value, or its slot constant."""
+        if self.slot is not None:
+            return slot_constant(self.slot)
+        return int(self.text) if self.kind == "int" else self.text
 
 
 @dataclass
@@ -81,7 +101,8 @@ class _RawTerm:
 
     var: str | None = None
     int_value: int | None = None
-    str_value: str | None = None
+    #: A string constant, or the slot constant of a lifted one.
+    str_value: str | int | None = None
     offset: int = 0
 
 
@@ -141,33 +162,131 @@ def _located(text: str, message: str, position: int) -> ParseError:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            pos = match.start()
             raise _located(text, f"unexpected character {text[pos]!r}", pos)
-        pos = match.end()
-        if match.group("string") is not None:
-            tokens.append(
-                _Token("string", match.group("string")[1:-1], match.start())
-            )
-        elif match.group("int") is not None:
-            tokens.append(_Token("int", match.group("int"), match.start()))
-        elif match.group("name") is not None:
-            name = match.group("name")
-            kind = "keyword" if name.lower() in _KEYWORDS else "name"
-            tokens.append(_Token(kind, name, match.start()))
-        else:
-            tokens.append(_Token("op", match.group("op"), match.start()))
+        value = match.group(kind)
+        if kind == "string":
+            value = value[1:-1]
+        elif kind == "name" and value.lower() in _KEYWORDS:
+            kind = "keyword"
+        tokens.append(_Token(kind, value, match.start()))
     return tokens
 
 
+def _liftable(kinds: list[str], texts: list[str]) -> list[int]:
+    """Indices of the literal tokens a shape lifts into slots.
+
+    Every string and every integer that starts a term (not a ``+ c``
+    offset) is lifted, unless the text holds an integer of magnitude
+    ``LIFT_LIMIT`` or more, or a comparison of two literal terms
+    (lowering folds that to a truth value by reading both values):
+    then nothing is, and the whole text is the key.
+    """
+
+    def offset(index: int) -> bool:
+        return index > 0 and texts[index - 1] in ("+", "-") and (
+            kinds[index - 1] == "op"
+        )
+
+    def literal_term(index: int) -> bool:
+        # The comparison side ending (left) or starting (right) here.
+        if not 0 <= index < len(kinds):
+            return False
+        if kinds[index] == "int" and offset(index):
+            index -= 2  # the term's head, before its "+ c"
+        return index >= 0 and kinds[index] in ("int", "string")
+
+    lifted = []
+    for index, kind in enumerate(kinds):
+        if kind == "int":
+            if abs(int(texts[index])) >= LIFT_LIMIT:
+                return []
+            if not offset(index):
+                lifted.append(index)
+        elif kind == "string":
+            lifted.append(index)
+        elif (
+            kind == "op"
+            and texts[index] in _COMPARISONS
+            and literal_term(index - 1)
+            and literal_term(index + 1)
+        ):
+            return []
+    return lifted
+
+
+@dataclass(frozen=True)
+class QueryShape:
+    """A query text with its literals lifted into slots.
+
+    ``key`` identifies the shape: the token texts, each lifted literal
+    replaced by a marker of its kind.  ``values`` holds the lifted
+    literals in slot order (``int`` or ``str``), ``predicates`` the
+    names the text applies as predicates and ``lifted`` the indices of
+    the lifted tokens.
+    """
+
+    text: str
+    key: tuple
+    values: tuple
+    predicates: tuple[str, ...]
+    lifted: tuple[int, ...]
+
+
+_LIFTED = {"int": ("int",), "string": ("string",)}
+
+
+def query_shape(text: str) -> QueryShape:
+    """The shape of a query text (see :class:`QueryShape`).
+
+    Tokenizing is the only work done here; a malformed text raises the
+    :class:`ParseError` :func:`parse_query` would.
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    for string, number, name, op, bad in _TOKEN_RE.findall(text):
+        if bad:
+            _tokenize(text)  # raises, located
+        if string:
+            kinds.append("string")
+            texts.append(string[1:-1])
+        elif number:
+            kinds.append("int")
+            texts.append(number)
+        else:
+            kinds.append("name" if name else "op")
+            texts.append(name or op)
+    key: list = texts[:]
+    predicates = []
+    for index, kind in enumerate(kinds):
+        if kind == "string":
+            key[index] = ("string", texts[index])
+        elif kind == "name" and index + 1 < len(texts) and (
+            texts[index + 1] == "("
+        ):
+            predicates.append(texts[index])
+    lifted = _liftable(kinds, texts)
+    values: list[int | str] = []
+    for index in lifted:
+        kind = kinds[index]
+        key[index] = _LIFTED[kind]
+        values.append(int(texts[index]) if kind == "int" else texts[index])
+    return QueryShape(
+        text=text,
+        key=tuple(key),
+        values=tuple(values),
+        predicates=tuple(dict.fromkeys(predicates)),
+        lifted=tuple(lifted),
+    )
+
+
 class _Parser:
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, tokens: list[_Token] | None = None) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text) if tokens is None else tokens
         self.index = 0
 
     def peek(self) -> _Token | None:
@@ -265,7 +384,7 @@ class _Parser:
                 return _RawPred(name, args)
         left = self.term()
         op_token = self.next()
-        if op_token.text not in {"<=", ">=", "=", "<", ">", "!="}:
+        if op_token.text not in _COMPARISONS:
             raise self.error(
                 f"expected a comparison, got {op_token.text!r}",
                 op_token.position,
@@ -279,9 +398,9 @@ class _Parser:
     def term(self) -> _RawTerm:
         token = self.next()
         if token.kind == "string":
-            return _RawTerm(str_value=token.text)
+            return _RawTerm(str_value=token.literal())
         if token.kind == "int":
-            value = int(token.text)
+            value = token.literal()
             offset = self._optional_offset()
             return _RawTerm(int_value=value + offset)
         if token.kind == "name":
@@ -511,9 +630,20 @@ def split_directive(text: str) -> tuple[Directive, str]:
     return Directive.QUERY, text
 
 
-def parse_query(text: str, schemas: dict[str, Schema]) -> Query:
-    """Parse a query against the given predicate schemas."""
-    parser = _Parser(text)
+def parse_query(text: str | QueryShape, schemas: dict[str, Schema]) -> Query:
+    """Parse a query against the given predicate schemas.
+
+    A :class:`QueryShape` parses with each lifted literal standing as
+    its slot constant.
+    """
+    if isinstance(text, QueryShape):
+        tokens = _tokenize(text.text)
+        for slot, index in enumerate(text.lifted):
+            tokens[index].slot = slot
+        parser = _Parser(text.text, tokens)
+        text = text.text
+    else:
+        parser = _Parser(text)
     raw = parser.query()
     leftover = parser.peek()
     if leftover is not None:

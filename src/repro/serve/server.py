@@ -409,6 +409,7 @@ class ReproServer:
             version,
             max_tuples=self.max_tuples,
             max_extensions=self.max_extensions,
+            plans=self._catalog.plans,
         )
 
     async def _dispatch(

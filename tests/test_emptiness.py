@@ -20,6 +20,7 @@ from repro.core.lrp import LRP
 from repro.core.normalize import iter_normalize_tuple
 from repro.core.relations import GeneralizedRelation, Schema, relation
 from repro.core.tuples import GeneralizedTuple
+from repro.perf.config import PERF_COUNTERS
 
 from tests.helpers import random_lrp, random_relation, random_tuple
 
@@ -88,6 +89,49 @@ class TestBoundFreeShortcut:
         dbm.add_difference(0, 0, -1)  # X1 - X1 <= -1
         assert next(dbm.iter_bounds(), None) is None
         assert tuple_is_empty(GeneralizedTuple(lrps=(LRP.make(0, 2),), dbm=dbm))
+
+
+class TestCarriedClosure:
+    """Satisfiability is read off the tuple's memoized closure."""
+
+    @staticmethod
+    def closures(run) -> int:
+        before = PERF_COUNTERS["closure_full"]
+        run()
+        return PERF_COUNTERS["closure_full"] - before
+
+    @staticmethod
+    def decided_by_closure():
+        marker = DBM(1)
+        marker.add_difference(0, 0, -1)
+        # Three written bounds over two attributes: closing the DBM
+        # takes the full pass, not the incremental one.
+        return [
+            make(["2n", "3n + 1"]),  # bound-free
+            make(["4n", "6n"], "X1 >= 5 & X1 <= 3 & X2 >= 0"),
+            GeneralizedTuple(lrps=(LRP.make(0, 2),), dbm=marker),
+        ]
+
+    def test_memoized_closure_is_not_recomputed(self):
+        for t in self.decided_by_closure():
+            t.closure()
+            assert self.closures(lambda: tuple_is_empty(t)) == 0
+
+    def test_unmemoized_closure_is_computed_once(self):
+        for t in self.decided_by_closure():
+            assert self.closures(lambda: tuple_is_empty(t)) <= 1
+
+    def test_normalizing_adds_no_closure_of_the_tuple(self):
+        for constraints in (
+            "X1 >= X2 & X1 <= X2 + 5 & X2 >= 2",
+            "X1 = X2 + 2 & X2 >= 0",
+        ):
+            t = make(["8n", "8n"], constraints)
+            t.closure()
+            alone = self.closures(
+                lambda: next(iter_normalize_tuple(t, satisfiable=True), None)
+            )
+            assert self.closures(lambda: tuple_is_empty(t)) == alone
 
 
 class TestWitness:

@@ -73,6 +73,20 @@ class TestConfig:
                 pass  # pragma: no cover - never entered
         assert get_config() == before
 
+    def test_misspelled_kernel_env_is_rejected(self, monkeypatch):
+        from repro.perf import config as perf_config
+
+        for raw, expected in (("", "auto"), (" NumPy ", "numpy")):
+            monkeypatch.setenv("REPRO_KERNEL", raw)
+            assert perf_config._from_env().kernel == expected
+        monkeypatch.setenv("REPRO_KERNEL", "numpi")
+        with pytest.raises(ValueError, match="numpi") as raised:
+            perf_config._from_env()
+        message = str(raised.value)
+        assert all(name in message for name in perf_config.KERNEL_BACKENDS)
+        monkeypatch.delenv("REPRO_KERNEL")
+        assert perf_config._from_env().kernel == "auto"
+
     def test_field_names(self):
         assert [f.name for f in fields(PerfConfig)] == [
             "prefilter_enabled",
