@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-naive lint docs-check docs-examples e2e-pairs fuzz reports clean
+.PHONY: test test-naive test-noprefilter lint docs-check docs-examples e2e-pairs fuzz reports clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -12,6 +12,15 @@ test:
 # its own job.
 test-naive:
 	REPRO_OPTIMIZE=0 $(PYTHON) -m pytest -x -q
+
+# The no-prefilter leg, as CI's "Window joins and pairing without
+# prefilters" step runs it: with the prefilters off a conditioned join
+# must equal the select over the join, the pairwise operations must
+# pair every data-matching pair, and the fuzz smoke must stay clean.
+test-noprefilter:
+	REPRO_NO_PREFILTER=1 $(PYTHON) -m pytest -x -q \
+		tests/test_window_join.py tests/test_algebra_partition.py
+	REPRO_NO_PREFILTER=1 $(PYTHON) -m repro.cli fuzz --seed 0 --budget 50
 
 # Static checks; skips gracefully where ruff is not installed (the
 # library itself has no dependencies).  CI always runs it.

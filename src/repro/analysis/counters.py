@@ -5,13 +5,10 @@ simple structural counts — how many tuples an operation produced, how
 many pairwise tuple combinations it examined — which track the paper's
 complexity parameters (N tuples, m columns) directly.
 
-All counters are re-homed in the unified
-:class:`repro.obs.metrics.MetricsRegistry` — :func:`metrics_registry`
-/ :func:`metrics_snapshot` below are the one accounting API shared by
-benchmarks, the CLI and tests.  The optimization layer's hit/miss/skip
-instrumentation (incremental closures, prefilter rejections, batched
-kernel closures) is read directly with
-:func:`repro.perf.config.counters_snapshot`.
+The engine's own counts (incremental closures, prefilter rejections,
+batched kernel closures, planner and storage work) live in the one
+counter store, :data:`repro.obs.metrics.COUNTERS`; read it with
+``repro.obs.metrics().snapshot()["counters"]``.
 """
 
 from __future__ import annotations
@@ -20,23 +17,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.relations import GeneralizedRelation
-
-
-def metrics_registry():
-    """The process-global :class:`repro.obs.metrics.MetricsRegistry`."""
-    from repro.obs.metrics import get_registry
-
-    return get_registry()
-
-
-def metrics_snapshot() -> dict[str, dict]:
-    """One snapshot of *everything* the engine counts.
-
-    Counters (operation + optimization-layer counts), gauges,
-    histograms (span wall times from trace runs) — the
-    union of every accounting source, keyed by metric name.
-    """
-    return metrics_registry().snapshot()
 
 
 @dataclass

@@ -285,8 +285,9 @@ class Session:
         return f"derived {sizes}"
 
     def _cmd_perf(self, _rest: str) -> str:
-        """Show the optimization-layer config and counters."""
-        from repro.perf.config import counters_snapshot, get_config
+        """Show the optimization-layer config and the counter store."""
+        from repro.obs.metrics import COUNTERS
+        from repro.perf.config import get_config
         from repro.perf.kernel import kernel_backend
 
         cfg = get_config()
@@ -296,11 +297,10 @@ class Session:
             f"kernel={kernel_backend()}, "
             f"optimize={'on' if cfg.optimize else 'off'}"
         ]
-        counts = counters_snapshot()
-        if counts:
+        if COUNTERS:
             lines.append(
                 "counters: "
-                + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+                + ", ".join(f"{k}={v}" for k, v in sorted(COUNTERS.items()))
             )
         return "\n".join(lines)
 

@@ -44,32 +44,26 @@ from repro.core.relations import Attribute, GeneralizedRelation, Schema
 from repro.core.tuples import GeneralizedTuple
 from repro.obs import trace as obs
 from repro.perf import kernel, prefilter
-from repro.perf.config import PERF_COUNTERS, get_config
+from repro.obs.metrics import COUNTERS
+from repro.perf.config import get_config
 
 
 #: Per-operation cost hints for the logical planner's cost model
 #: (:mod:`repro.plan.cost`): the *selectivity / expansion factor* each
-#: operation applies to its input cardinality estimate.  Unary factors
-#: multiply the child estimate; pairwise factors multiply ``|A| * |B|``.
-#: These are coarse structural priors — the cost model refines the
-#: pairwise ones with the live prefilter counters — but they encode the
-#: real asymmetries: selection only narrows constraints (never grows
-#: tuple counts), projection may split tuples during partial
-#: normalization, and complement is exponential in schema width
-#: (Appendix A.6), so reordering must keep it late and narrow.
+#: unary operation (and subtraction, of its left side) applies to its
+#: input cardinality estimate.  Pairwise joins and intersections use the
+#: model's one constant pair selectivity instead.  These are coarse
+#: structural priors, but they encode the real asymmetries: selection
+#: only narrows constraints (never grows tuple counts), projection may
+#: split tuples during partial normalization, and complement is
+#: exponential in schema width (Appendix A.6), so reordering must keep
+#: it late and narrow.
 COST_HINTS: dict[str, float] = {
-    "scan": 1.0,
     "select": 0.6,
     "select_data": 0.5,
     "select_data_equal": 0.5,
     "project": 1.25,
-    "rename": 1.0,
-    "shift_column": 1.0,
-    "union": 1.0,
-    "intersect": 0.3,
     "subtract": 1.0,
-    "join": 0.3,
-    "product": 1.0,
     "complement": 4.0,
 }
 
@@ -235,7 +229,7 @@ def _pairs(
     key1,
     key2,
     window: tuple[int, int, int, int] | None,
-    skip: str = "prefilter_lrp_skip",
+    skip: str = "perf.prefilter_lrp_skip",
 ) -> Iterator[tuple[GeneralizedTuple, GeneralizedTuple]]:
     """The pairs of ``r1 × r2`` a pairwise operation examines, in
     nested-loop ``(i, j)`` order.
@@ -262,7 +256,7 @@ def _pairs(
         if bucket is None:
             continue
         if window is None:
-            PERF_COUNTERS["pair_candidates"] += len(bucket)
+            COUNTERS["perf.pair_candidates"] += len(bucket)
             for t2 in bucket:
                 yield t1, t2
             continue
@@ -271,8 +265,8 @@ def _pairs(
         if index is None:
             index = indexes[key] = _ResidueIndex(bucket, i2)
         partners = index.partners(t1.lrps[i1], low, high)
-        PERF_COUNTERS[skip] += len(bucket) - len(partners)
-        PERF_COUNTERS["pair_candidates"] += len(partners)
+        COUNTERS[skip] += len(bucket) - len(partners)
+        COUNTERS["perf.pair_candidates"] += len(partners)
         for j in partners:
             yield t1, bucket[j]
 
@@ -344,7 +338,7 @@ def _intersect_candidate(
         # The residue index of :func:`_pairs` already paired attribute 0
         # exactly; test only the others.
         if not prefilter.lrps_compatible(t1.lrps[1:], t2.lrps[1:]):
-            PERF_COUNTERS["prefilter_lrp_skip"] += 1
+            COUNTERS["perf.prefilter_lrp_skip"] += 1
             return None
         closed1 = t1.closure()
         if closed1 is None:
@@ -353,7 +347,7 @@ def _intersect_candidate(
         if closed2 is None:
             return None
         if not prefilter.intervals_compatible(closed1, closed2):
-            PERF_COUNTERS["prefilter_interval_skip"] += 1
+            COUNTERS["perf.prefilter_interval_skip"] += 1
             return None
     return t1.intersect(t2)
 
@@ -450,13 +444,13 @@ def subtract_tuples(
         if not prefilter.lrps_compatible(t1.lrps, t2.lrps):
             # Some component meets are empty: same [t1] the loop below
             # would return, minus the CRT work.
-            PERF_COUNTERS["prefilter_lrp_skip"] += 1
+            COUNTERS["perf.prefilter_lrp_skip"] += 1
             return [t1]
         if not prefilter.intervals_compatible(closed1, closed2):
             # t1 ∩ t2 is empty, so the difference *is* t1 — skipping the
             # staircase decomposition returns it in one piece instead of
             # as the equivalent carved-up union.
-            PERF_COUNTERS["prefilter_subtract_skip"] += 1
+            COUNTERS["perf.prefilter_subtract_skip"] += 1
             return [t1]
     arity = t1.temporal_arity
     meets: list[LRP] = []
@@ -503,7 +497,7 @@ def subtract_tuples(
         # edge, and the cheapest return path is a closure entry, so each
         # piece's satisfiability is an O(1) lookup (see
         # :func:`repro.perf.prefilter.added_bound_satisfiable`).
-        PERF_COUNTERS["closure_delta"] += len(out)
+        COUNTERS["perf.closure_delta"] += len(out)
         return [
             t
             for t, delta in zip(out, deltas)
@@ -758,7 +752,7 @@ def _project_plan(
     With ``rows``, the tuple's closure, the cluster lrps are first
     tested against its closed windows (:func:`_residues_meet`).  A
     tuple that fails has only empty combos: it gets no plan (``None``),
-    adds its whole split product to ``prefilter_residue_skip``, and
+    adds its whole split product to ``perf.prefilter_residue_skip``, and
     neither raises ``NormalizationLimitError`` nor adds to
     ``normalize_expansion``.
     """
@@ -773,11 +767,11 @@ def _project_plan(
                 and plan.feasible is None
                 and not _residues_meet(gtuple.lrps, rows, plan.cluster_order)
             ):
-                PERF_COUNTERS["prefilter_residue_skip"] += plan.split_sizes
+                COUNTERS["perf.prefilter_residue_skip"] += plan.split_sizes
                 return None
             # The blow-up still happens downstream on every run.
-            PERF_COUNTERS["normalize_expansion"] += plan.split_sizes
-            PERF_COUNTERS["plan_memo_hits"] += 1
+            COUNTERS["perf.normalize_expansion"] += plan.split_sizes
+            COUNTERS["perf.plan_memo_hits"] += 1
             return plan
     cluster = _constraint_cluster(gtuple, dropped)
     cluster_order = sorted(cluster)
@@ -796,7 +790,7 @@ def _project_plan(
         if period:
             split_sizes *= k // period
     if rows is not None and not _residues_meet(lrps, rows, cluster_order):
-        PERF_COUNTERS["prefilter_residue_skip"] += split_sizes
+        COUNTERS["perf.prefilter_residue_skip"] += split_sizes
         return None
     if split_sizes > max_tuples:
         from repro.core.errors import NormalizationLimitError
@@ -806,7 +800,7 @@ def _project_plan(
             f"(limit {max_tuples})"
         )
     # Partial normalization's blow-up parameter (Section 3.4/3.8).
-    PERF_COUNTERS["normalize_expansion"] += split_sizes
+    COUNTERS["perf.normalize_expansion"] += split_sizes
     plan = _ProjectPlan()
     plan.cluster = cluster
     plan.cluster_order = cluster_order
@@ -1091,7 +1085,7 @@ def _combos(
     (:func:`_feasible_combos`).  A combo left out has an n-space system
     with no integer solution, which the kernel or :func:`_project_combo`
     would reject, so the output is unchanged.  Each combo left out adds
-    one to ``prefilter_residue_skip``.
+    one to ``perf.prefilter_residue_skip``.
 
     ``rows`` must belong to a tuple that passed :func:`_residues_meet`
     (:func:`_project_plan` returned its plan): a product of one combo is
@@ -1107,7 +1101,7 @@ def _combos(
         else:
             plan.feasible = _feasible_combos(plan.cluster_order, choices, rows)
     combos, excluded = plan.feasible
-    PERF_COUNTERS["prefilter_residue_skip"] += excluded
+    COUNTERS["perf.prefilter_residue_skip"] += excluded
     return combos
 
 
@@ -1545,7 +1539,7 @@ def join(
         if pre:
             windows = _windows(extra)
     window = None
-    skip = "prefilter_lrp_skip"
+    skip = "perf.prefilter_lrp_skip"
     if shared_t:
         window = (*shared_t[0], 0, 0)
     else:
@@ -1555,7 +1549,7 @@ def join(
             if b is not None and b < a1 <= a and None not in (low, high):
                 windows.remove(found)
                 window = (b, right[a], low, high)
-                skip = "prefilter_residue_skip"
+                skip = "perf.prefilter_residue_skip"
                 break
     context = (
         rows1,
@@ -1629,7 +1623,7 @@ def _join_candidate(
         # The residue index of :func:`_pairs` already paired the first
         # shared temporal attribute exactly; test only the others.
         if not prefilter.lrps_compatible(t1.lrps, t2.lrps, shared_t[1:]):
-            PERF_COUNTERS["prefilter_lrp_skip"] += 1
+            COUNTERS["perf.prefilter_lrp_skip"] += 1
             return None
         closed1 = t1.closure()
         if closed1 is None:
@@ -1640,7 +1634,7 @@ def _join_candidate(
         if shared_t and not prefilter.intervals_compatible(
             closed1, closed2, shared_t
         ):
-            PERF_COUNTERS["prefilter_interval_skip"] += 1
+            COUNTERS["perf.prefilter_interval_skip"] += 1
             return None
     else:
         if not t1.dbm.copy().close() or not t2.dbm.copy().close():
@@ -1666,7 +1660,7 @@ def _join_candidate(
                 high,
             )
         if not meets:
-            PERF_COUNTERS["prefilter_residue_skip"] += 1
+            COUNTERS["perf.prefilter_residue_skip"] += 1
             return None
     dbm = _assemble_dbm(
         arity, ((t1.dbm, rows1), (t2.dbm, rows2), *conditioned)

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from repro.perf.config import PERF_COUNTERS, get_config
+from repro.obs.metrics import COUNTERS
+from repro.perf.config import get_config
 from repro.core.errors import ReproValueError
 
 Bound = int | None  # None encodes +infinity
@@ -202,10 +203,10 @@ class DBM:
             and len(set(dirty)) < self._n
             and get_config().incremental_enabled
         ):
-            PERF_COUNTERS["closure_incremental"] += 1
+            COUNTERS["perf.closure_incremental"] += 1
             self._close_incremental(list(dict.fromkeys(dirty)))
         else:
-            PERF_COUNTERS["closure_full"] += 1
+            COUNTERS["perf.closure_full"] += 1
             self._close_full()
         self._closed = True
         self._dirty = []

@@ -33,7 +33,8 @@ from repro.core.normalize import (
 )
 from repro.core.tuples import GeneralizedTuple
 from repro.perf import prefilter
-from repro.perf.config import PERF_COUNTERS, get_config
+from repro.obs.metrics import COUNTERS
+from repro.perf.config import get_config
 
 DEFAULT_MAX_EXTENSIONS = 1_000_000
 
@@ -133,7 +134,7 @@ def complement_constraint_systems(
                     if bound is not None and not prefilter.added_bound_satisfiable(
                         closed_conjunct, *bound
                     ):
-                        PERF_COUNTERS["prefilter_negation_skip"] += 1
+                        COUNTERS["perf.prefilter_negation_skip"] += 1
                         continue
                 merged = conjunct.intersect(piece)
                 # Satisfiability and deduplication both go through the
@@ -188,7 +189,7 @@ def complement_normalized(
             f"complement would enumerate {period ** arity} free extensions "
             f"(limit {max_extensions})"
         )
-    PERF_COUNTERS["complement_extensions"] += period ** arity
+    COUNTERS["perf.complement_extensions"] += period ** arity
     groups: dict[tuple[int, ...], list[DBM]] = {}
     for nt in normalized:
         flat = desingularize(nt)
@@ -395,7 +396,7 @@ def _complement_tuples_decomposed(
             )
     # Structural accounting (Theorem 3.6's blow-up parameter): number of
     # free-extension combinations this complement enumerates.
-    PERF_COUNTERS["complement_extensions"] += total
+    COUNTERS["perf.complement_extensions"] += total
     groups: dict[tuple[int, ...], list[DBM]] = {}
     budget = 0
     for gtuple in tuples:

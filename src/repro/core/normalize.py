@@ -40,7 +40,7 @@ from repro.core.errors import NormalizationLimitError, ReproValueError
 from repro.core.lrp import LRP
 from repro.core.tuples import GeneralizedTuple
 from repro.perf import kernel
-from repro.perf.config import PERF_COUNTERS
+from repro.obs.metrics import COUNTERS
 
 DEFAULT_MAX_TUPLES = 1_000_000
 
@@ -295,7 +295,7 @@ def iter_normalize_tuple(
         )
     # Structural accounting (Section 3.8's blow-up parameter): how many
     # normal-form tuples this expansion denotes.
-    PERF_COUNTERS["normalize_expansion"] += size
+    COUNTERS["perf.normalize_expansion"] += size
     # An unsatisfiable constraint system denotes the empty set; it may be
     # recorded as a diagonal marker that iter_bounds cannot expose, so it
     # must be checked before the bounds are transcribed.

@@ -60,6 +60,7 @@ from repro.core.errors import EvaluationError, SchemaError
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.simplify import simplify_relation
 from repro.obs import metrics, span
+from repro.obs.metrics import COUNTERS
 from repro.query.ast import (
     And,
     Exists,
@@ -591,8 +592,8 @@ class ViewMaintainer:
         views = {name: state[name] for name in self.view_schemas}
         report.changed_views = tuple(self.view_schemas)
         report.seconds = time.perf_counter() - started
-        registry.counter("deductive.refresh.recompute").inc()
-        registry.counter("deductive.rules_fired").inc(report.rules_fired)
+        COUNTERS["deductive.refresh.recompute"] += 1
+        COUNTERS["deductive.rules_fired"] += report.rules_fired
         registry.histogram("deductive.refresh.seconds").observe(report.seconds)
         return views, report
 
@@ -688,12 +689,8 @@ class ViewMaintainer:
         views = {name: state[name] for name in self.view_schemas}
         report.changed_views = tuple(changed_views)
         report.seconds = time.perf_counter() - started
-        registry.counter(
-            "deductive.refresh.incremental"
-            if report.mode == "incremental"
-            else "deductive.refresh.recompute"
-        ).inc()
-        registry.counter("deductive.rules_fired").inc(report.rules_fired)
+        COUNTERS[f"deductive.refresh.{report.mode}"] += 1
+        COUNTERS["deductive.rules_fired"] += report.rules_fired
         registry.histogram("deductive.delta.tuples").observe(
             report.delta_tuples
         )

@@ -277,6 +277,7 @@ class Program:
         """Run every stratum through the semi-naive delta iteration."""
         from repro.deductive.incremental import seminaive_stratum
         from repro.obs import metrics, span
+        from repro.obs.metrics import COUNTERS
 
         registry = metrics()
         state = {name: out.relation(name) for name in out.names}
@@ -296,9 +297,7 @@ class Program:
                     max_tuples=out.max_tuples,
                     max_extensions=out.max_extensions,
                 )
-                registry.counter("deductive.rules_fired").inc(
-                    stats.rules_fired
-                )
+                COUNTERS["deductive.rules_fired"] += stats.rules_fired
                 registry.histogram("deductive.iterations").observe(
                     stats.iterations
                 )

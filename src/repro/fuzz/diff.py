@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from repro import obs
+from repro.obs.metrics import COUNTERS
 from repro.baseline.finite import FiniteRelation
 from repro.core import algebra
 from repro.core.constraints import Op, VarVarAtom, parse_atoms
@@ -577,11 +578,10 @@ def _describe_error(exc: Exception) -> str:
 
 def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
     """Run the three-way differential check on one case."""
-    registry = obs.get_registry()
-    registry.counter("fuzz.cases").inc()
+    COUNTERS["fuzz.cases"] += 1
 
     def done(result: CaseResult) -> CaseResult:
-        registry.counter(f"fuzz.{result.status}").inc()
+        COUNTERS[f"fuzz.{result.status}"] += 1
         return result
 
     with obs.span("fuzz.case", seed=case.seed, expr=str(case.expr)):

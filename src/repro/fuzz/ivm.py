@@ -40,6 +40,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.obs.metrics import COUNTERS
 from repro.core import algebra
 from repro.core.errors import ReproError
 from repro.core.negation import DEFAULT_MAX_EXTENSIONS
@@ -133,8 +134,7 @@ def run_ivm_case(
     seed: int, profile: IvmProfile = DEFAULT_IVM_PROFILE
 ) -> IvmResult:
     """Run one seeded incremental-vs-recompute differential case."""
-    registry = obs.get_registry()
-    registry.counter("fuzz.ivm.cases").inc()
+    COUNTERS["fuzz.ivm.cases"] += 1
     rng = random.Random(seed)
     n_nodes = rng.randint(profile.min_nodes, profile.max_nodes)
     n_batches = rng.randint(profile.min_batches, profile.max_batches)
@@ -206,5 +206,5 @@ def run_ivm_case(
     except ReproError as exc:
         result.status = "error"
         result.error = f"{type(exc).__name__}: {exc}"
-    registry.counter(f"fuzz.ivm.{result.status}").inc()
+    COUNTERS[f"fuzz.ivm.{result.status}"] += 1
     return result

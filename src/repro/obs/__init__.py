@@ -7,10 +7,10 @@ Two cooperating pieces:
   memo hits, normalization expansions, wall time) collected into a tree,
   exportable as JSON and renderable as a text flamegraph.  Off by
   default; near-zero overhead when off.
-* :mod:`repro.obs.metrics` — one :class:`MetricsRegistry` of named
-  counters/gauges/histograms that also folds in the optimization
-  layer's counters, so benchmarks, the CLI and
-  tests share a single accounting API.
+* :mod:`repro.obs.metrics` — one :class:`MetricsRegistry`: the one
+  counter store every layer bumps (``repro.obs.metrics.COUNTERS``)
+  plus named gauges and histograms, so benchmarks, the CLI and tests
+  share a single accounting API.
 
 Typical use::
 
@@ -24,7 +24,6 @@ Typical use::
 """
 
 from repro.obs.metrics import (
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -46,7 +45,6 @@ from repro.obs.trace import (
 metrics = get_registry
 
 __all__ = [
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -1,56 +1,26 @@
-"""A unified metrics registry: named counters, gauges and histograms.
+"""The metrics registry: one counter store, gauges and histograms.
 
-Before this module existed the engine's accounting was scattered —
-:data:`repro.perf.config.PERF_COUNTERS` held the optimization layer's
-hit/miss/skip counts and :mod:`repro.analysis.counters` wrapped them
-behind ad-hoc helpers.  The :class:`MetricsRegistry` re-homes all of
-them behind one accounting API that benchmarks, the CLI and tests
-share:
+Everything the engine counts lives in one :class:`MetricsRegistry`,
+the accounting API benchmarks, the CLI and tests share:
 
-* **counters** — monotonically increasing integers (operation counts,
-  tuples produced, prefilter rejections);
+* **counters** — :attr:`MetricsRegistry.counters`, one plain
+  :class:`collections.Counter` keyed by dotted name (operation counts,
+  prefilter rejections, WAL records).  The global registry's store is
+  :data:`COUNTERS`; hot paths bump it in place,
+  ``COUNTERS["perf.closure_full"] += 1``, and cold sites the same way,
+  ``COUNTERS["serve.commits"] += len(group)``;
 * **gauges** — point-in-time values (populations, configuration);
 * **histograms** — streaming distributions (span wall times), keeping
   count/total/min/max plus a bounded reservoir for quantiles.
 
-The global registry (:func:`get_registry`) additionally *collects* the
-optimization layer's existing counters at snapshot time, so
-``metrics().snapshot()`` is the one-stop view of everything the engine
-counts.  Collection is pull-based: the hot paths keep
-bumping their dependency-free module-level counters (zero new overhead)
-and the registry folds them in only when asked.
-
-This module is stdlib-only and must not import :mod:`repro.core` (the
-tracing layer is imported from the bottom of the core dependency
-graph).
+This module is stdlib-only and must not import :mod:`repro.core`: the
+core bumps :data:`COUNTERS` from the bottom of its dependency graph.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Mapping
-
-
-class Counter:
-    """A named monotonically increasing integer."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        """Increase the counter (``amount`` must be non-negative)."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:
-        return f"<Counter {self.name}={self.value}>"
+from collections import Counter
 
 
 class Gauge:
@@ -149,34 +119,17 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count}>"
 
 
-#: A collector contributes extra counter/gauge readings at snapshot
-#: time; it returns ``{"counters": {...}, "gauges": {...}}`` (either
-#: key optional).
-Collector = Callable[[], Mapping[str, Mapping[str, float]]]
-
-
 class MetricsRegistry:
-    """Named counters, gauges and histograms plus pull-based collectors.
+    """One counter store plus named gauges and histograms.
 
-    ``counter(name)`` / ``gauge(name)`` / ``histogram(name)`` get or
-    create the instrument — callers hold on to the returned object for
-    hot-path use and never pay a registry lookup per bump.
+    ``counters`` is bumped in place (a missing name reads 0);
+    ``gauge(name)`` / ``histogram(name)`` get or create the instrument.
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
+        self.counters: Counter[str] = Counter()
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._collectors: list[Collector] = []
-
-    # -- instruments ---------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter called ``name``."""
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the gauge called ``name``."""
@@ -192,69 +145,35 @@ class MetricsRegistry:
             instrument = self._histograms[name] = Histogram(name)
         return instrument
 
-    # -- collectors ----------------------------------------------------
-
-    def add_collector(self, collector: Collector) -> None:
-        """Register a pull-based source of extra counter/gauge readings."""
-        self._collectors.append(collector)
-
-    # -- snapshot / reset ----------------------------------------------
-
     def snapshot(self) -> dict[str, dict]:
         """Everything the registry knows, as plain JSON-friendly dicts."""
-        counters = {c.name: c.value for c in self._counters.values()}
-        gauges = {g.name: g.value for g in self._gauges.values()}
-        histograms = {
-            h.name: h.summary() for h in self._histograms.values()
-        }
-        for collector in self._collectors:
-            contribution = collector()
-            for name, value in contribution.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
-            for name, value in contribution.get("gauges", {}).items():
-                gauges[name] = value
         return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
+            "counters": dict(self.counters),
+            "gauges": {g.name: g.value for g in self._gauges.values()},
+            "histograms": {
+                h.name: h.summary() for h in self._histograms.values()
+            },
         }
 
     def reset(self) -> None:
-        """Zero every owned instrument (collectors reset at their source)."""
-        for group in (self._counters, self._gauges, self._histograms):
+        """Clear the counter store in place and zero every instrument."""
+        self.counters.clear()
+        for group in (self._gauges, self._histograms):
             for instrument in group.values():
                 instrument.reset()
 
 
-def _perf_collector() -> dict[str, dict[str, float]]:
-    """Fold the optimization layer's counters in.
-
-    Imported lazily so this module stays importable before (or without)
-    the rest of the library.
-    """
-    from repro.perf.config import counters_snapshot
-
-    return {
-        "counters": {
-            f"perf.{name}": value
-            for name, value in counters_snapshot().items()
-        }
-    }
-
-
 _registry = MetricsRegistry()
-_registry.add_collector(_perf_collector)
+
+#: The global registry's counter store, bumped in place by every layer.
+COUNTERS = _registry.counters
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-global metrics registry (perf collectors pre-wired)."""
+    """The process-global metrics registry."""
     return _registry
 
 
-def reset_metrics(include_perf: bool = True) -> None:
-    """Zero the global registry and (by default) the perf counters too."""
+def reset_metrics() -> None:
+    """Clear the global registry (its counter store in place)."""
     _registry.reset()
-    if include_perf:
-        from repro.perf.config import reset_counters
-
-        reset_counters()

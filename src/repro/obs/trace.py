@@ -3,8 +3,8 @@
 A *span* is one timed step of engine work — an algebra operation, a
 query-plan node — annotated with structural cost attributes (input and
 output tuple counts, pairwise combinations examined, normalization
-expansions) and with the optimization layer's counter deltas (prefilter
-rejections, plan memo hits) observed while the span was open.  Spans nest:
+expansions) and with the counters that moved while the span was open
+(prefilter rejections, plan memo hits), under their store names.  Spans nest:
 evaluating ``Even(t) & t >= 0`` produces a ``query.join`` span whose
 children are the ``query.scan`` / ``query.compare`` plan nodes, each
 wrapping the ``algebra.*`` spans that did the work.
@@ -23,7 +23,7 @@ recorder is installed — one context-variable read and one branch per
     print(obs.render_flamegraph(recorder.root))
     json.dump(recorder.root.to_dict(), open("trace.json", "w"))
 
-This module is stdlib-only apart from :mod:`repro.perf.config` (itself
+This module is stdlib-only apart from :mod:`repro.obs.metrics` (itself
 stdlib-only), so it is importable from the bottom of the core
 dependency graph.
 """
@@ -35,8 +35,7 @@ import time
 from contextvars import ContextVar
 from typing import Any
 
-from repro.obs.metrics import get_registry
-from repro.perf.config import PERF_COUNTERS
+from repro.obs.metrics import COUNTERS, get_registry
 
 
 class Span:
@@ -72,14 +71,15 @@ class Span:
 
     def __enter__(self) -> "Span":
         self._recorder._push(self)
-        self._perf_before = dict(PERF_COUNTERS)
+        self._perf_before = dict(COUNTERS)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.wall_ms = (time.perf_counter() - self._start) * 1000.0
         before = self._perf_before
-        for key, value in PERF_COUNTERS.items():
+        # A copy: other threads may add names to the store meanwhile.
+        for key, value in dict(COUNTERS).items():
             delta = value - before.get(key, 0)
             if delta:
                 self.perf[key] = self.perf.get(key, 0) + delta
@@ -286,7 +286,7 @@ def _attr_text(span: Span) -> str:
             else:
                 shown.append(f"{key.replace('_tuples', '')}={value}")
     for key, value in sorted(span.perf.items()):
-        if key.startswith("prefilter"):
+        if key.startswith("perf.prefilter"):
             shown.append(f"{key}={value}")
     return "  ".join(shown)
 

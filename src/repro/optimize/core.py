@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 from repro import obs
+from repro.obs.metrics import COUNTERS
 from repro.core.dbm import DBM
 from repro.core.emptiness import tuple_is_empty, tuple_witness
 from repro.core.errors import ReproValueError
@@ -244,7 +245,7 @@ def _probe(
     max_tuples: int,
 ) -> bool:
     """Is the tuple restricted by ``constrain(dbm)`` nonempty?"""
-    obs.metrics().counter("optimize.probes").inc()
+    COUNTERS["optimize.probes"] += 1
     dbm = gtuple.dbm.copy()
     constrain(dbm)
     probe = GeneralizedTuple(lrps=gtuple.lrps, dbm=dbm, data=gtuple.data)
@@ -440,7 +441,7 @@ def optimize_tuple(
     if j == i:
         raise ReproValueError("objective Xi - Xi is identically zero")
     with obs.span("optimize.tuple", sense=sense):
-        obs.metrics().counter("optimize.tuples").inc()
+        COUNTERS["optimize.tuples"] += 1
         if tuple_is_empty(gtuple, max_tuples):
             return TupleOptimum(status="empty")
         dbm = _pinned_closure(gtuple)
@@ -449,7 +450,7 @@ def optimize_tuple(
         if j is None:
             bound = dbm.lower(i) if sense == "min" else dbm.upper(i)
             if bound is None:
-                obs.metrics().counter("optimize.unbounded").inc()
+                COUNTERS["optimize.unbounded"] += 1
                 certificate = _unbounded_single(
                     gtuple, dbm, i, sense, max_tuples
                 )
@@ -465,7 +466,7 @@ def optimize_tuple(
             a, b = (j, i) if sense == "min" else (i, j)
             bound = dbm.bound(a, b)
             if bound is None:
-                obs.metrics().counter("optimize.unbounded").inc()
+                COUNTERS["optimize.unbounded"] += 1
                 certificate = _unbounded_difference(
                     gtuple, dbm, a, b, max_tuples
                 )
@@ -520,7 +521,7 @@ def optimize_relation(
     with obs.span(
         "optimize.relation", sense=sense, objective=str(objective)
     ) as sp:
-        obs.metrics().counter("optimize.relations").inc()
+        COUNTERS["optimize.relations"] += 1
         tuples = list(relation)
         bounded: list[tuple[int, int]] = []
         for index, gtuple in enumerate(tuples):

@@ -27,27 +27,21 @@ attribute access.
 from __future__ import annotations
 
 from repro.perf.config import (
-    PERF_COUNTERS,
     PerfConfig,
     configure,
-    counters_snapshot,
     get_config,
     overrides,
     reset_config,
-    reset_counters,
 )
 
 _LAZY_SUBMODULES = ("kernel", "prefilter")
 
 __all__ = [
-    "PERF_COUNTERS",
     "PerfConfig",
     "configure",
-    "counters_snapshot",
     "get_config",
     "overrides",
     "reset_config",
-    "reset_counters",
     *_LAZY_SUBMODULES,
 ]
 

@@ -1,4 +1,4 @@
-"""Global configuration and counters for the optimization layer.
+"""Global configuration for the optimization layer.
 
 This module is intentionally dependency-free (stdlib only): it is
 imported from :mod:`repro.core.dbm`, the bottom of the core dependency
@@ -25,13 +25,8 @@ with :func:`configure` or scope changes with :func:`overrides`):
 from __future__ import annotations
 
 import os
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-
-#: Hit/miss/skip instrumentation for every perf feature.  Bumped from the
-#: hot paths; read through :func:`counters_snapshot`.
-PERF_COUNTERS: Counter = Counter()
 
 #: Recognized closure kernel backends.
 KERNEL_BACKENDS = ("auto", "numpy", "python")
@@ -128,12 +123,3 @@ def overrides(**changes):
     finally:
         _config = saved
 
-
-def reset_counters() -> None:
-    """Zero the perf counters."""
-    PERF_COUNTERS.clear()
-
-
-def counters_snapshot() -> dict[str, int]:
-    """A plain-dict copy of the perf counters."""
-    return dict(PERF_COUNTERS)

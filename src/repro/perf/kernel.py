@@ -35,8 +35,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.metrics import get_registry
-from repro.perf.config import PERF_COUNTERS, get_config
+from repro.obs.metrics import COUNTERS, get_registry
+from repro.perf.config import get_config
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.dbm import DBM
@@ -158,13 +158,13 @@ def _writeback(dbm: "DBM", matrix) -> None:
 
 
 def _observe_batch(size: int) -> None:
-    PERF_COUNTERS["kernel.batch_closures"] += 1
-    PERF_COUNTERS["kernel.batch_dbms"] += size
+    COUNTERS["perf.kernel.batch_closures"] += 1
+    COUNTERS["perf.kernel.batch_dbms"] += size
     get_registry().histogram("kernel.batch_size").observe(size)
 
 
 def _count_fallback(size: int) -> None:
-    PERF_COUNTERS["kernel.scalar_fallbacks"] += size
+    COUNTERS["perf.kernel.scalar_fallbacks"] += size
 
 
 # ----------------------------------------------------------------------

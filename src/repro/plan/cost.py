@@ -2,17 +2,17 @@
 
 The planner's rewrite decisions (join/intersect order, which side of a
 join receives a pushed selection first) need *relative* cardinality
-estimates, not absolute truth.  The model combines three sources:
+estimates, not absolute truth.  The model combines two sources:
 
 1. **Leaf sizes** — exact tuple counts of the stored relations the plan
    scans, plus the literal relations the planner materialized;
 2. **Structural priors** — :data:`repro.core.algebra.COST_HINTS`, the
-   per-operation selectivity/expansion factors;
-3. **Live counters** — the prefilter skip counters
-   :mod:`repro.perf.config` accumulates at run time: a workload whose
-   pairwise prefilters reject most tuple pairs gets a proportionally
-   smaller join/intersect selectivity, so reordering adapts to the
-   data actually flowing through this process.
+   per-operation selectivity/expansion factors, and one constant
+   pairwise selectivity, :data:`MIN_SELECTIVITY`, for the pairs a
+   join or intersect keeps.
+
+It reads no run-time counter, so a plan depends only on the query and
+the stored relations, never on what the process ran before.
 
 Estimates are in *generalized tuples* (the finite representation),
 which is the unit every pairwise operation's cost is quadratic in.
@@ -23,42 +23,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from repro.core.algebra import COST_HINTS
-from repro.perf.config import PERF_COUNTERS
 from repro.plan import nodes as ir
 
-#: Selectivity floor — estimates never drop below this fraction, so a
-#: long chain of selections cannot talk the model into believing a
-#: relation is empty.
+#: The pairwise selectivity of a join or intersect: the fraction of
+#: tuple pairs estimated to survive the pairwise prefilters and
+#: emptiness checks.
 MIN_SELECTIVITY = 0.05
-
-#: Counters whose increments represent pairwise prefilter rejections.
-_PREFILTER_SKIPS = (
-    "prefilter_lrp_skip",
-    "prefilter_interval_skip",
-    "prefilter_negation_skip",
-    "prefilter_subtract_skip",
-)
-
-
-def observed_pair_selectivity(default: float) -> float:
-    """Pairwise selectivity refined by the live prefilter counters.
-
-    The prefilter layer rejects tuple pairs that provably cannot
-    contribute to an intersect/join/subtract result; the fraction it
-    rejects is a direct observation of pairwise selectivity on the
-    current workload.  With no observations yet, ``default`` (the
-    structural prior) is returned unchanged.
-    """
-    skips = sum(PERF_COUNTERS.get(name, 0) for name in _PREFILTER_SKIPS)
-    if not skips:
-        return default
-    # Prefilters only run for optimized executions; pair totals are not
-    # recorded globally, so treat the skip mass as evidence against the
-    # prior rather than an exact rate: blend toward the floor as skip
-    # evidence accumulates (saturating at 10k observations).
-    weight = min(1.0, skips / 10_000.0)
-    return max(MIN_SELECTIVITY, default * (1.0 - weight) + MIN_SELECTIVITY * weight)
-
 
 class CostModel:
     """Cardinality estimates for plan nodes, memoized per model.
@@ -75,9 +45,6 @@ class CostModel:
         self.relations = relations or {}
         self.domain_size = domain_size
         self._memo: dict[int, float] = {}
-        self._pair_selectivity = observed_pair_selectivity(
-            COST_HINTS["join"]
-        )
 
     def estimate(self, node: ir.PlanNode) -> float:
         """Estimated output cardinality of ``node`` (generalized tuples)."""
@@ -116,7 +83,7 @@ class CostModel:
             return self.estimate(node.left) * COST_HINTS["subtract"]
         if isinstance(node, ir.Intersect):
             pairs = self.estimate(node.left) * self.estimate(node.right)
-            return max(1.0, pairs * self._pair_selectivity)
+            return max(1.0, pairs * MIN_SELECTIVITY)
         if isinstance(node, ir.Join):
             return self.joined_estimate(node.left, node.right)
         if isinstance(node, ir.Product):
@@ -128,14 +95,14 @@ class CostModel:
     ) -> float:
         """Estimated size of ``left ⋈ right`` (used for join ordering).
 
-        Shared attributes constrain the pair (prefilter-refined
-        selectivity applies); a join without shared attributes is a
-        cross product and estimates accordingly.
+        Shared attributes constrain the pair (:data:`MIN_SELECTIVITY`
+        applies); a join without shared attributes is a cross product
+        and estimates accordingly.
         """
         pairs = self.estimate(left) * self.estimate(right)
         shared = set(left.schema.names) & set(right.schema.names)
         if not shared:
             return max(1.0, pairs)
         # Each shared attribute narrows the pair further.
-        selectivity = self._pair_selectivity ** min(len(shared), 2)
+        selectivity = MIN_SELECTIVITY ** min(len(shared), 2)
         return max(1.0, pairs * selectivity)

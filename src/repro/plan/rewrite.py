@@ -31,7 +31,7 @@ The pipeline, in order:
    per intermediate;
 6. ``reorder-joins`` — flatten natural-join chains and re-order them
    greedily by estimated intermediate size (leaf sizes × cost hints ×
-   prefilter-counter-refined selectivity), wrapping the chain in a
+   a constant pair selectivity), wrapping the chain in a
    cheap column-reorder projection to preserve the original schema;
 7. ``window-joins`` — fold a selection directly over a join into the
    join's condition (``σc(A ⋈ B) → A ⋈c B``), so the join never forms
@@ -60,7 +60,7 @@ from typing import Any, Callable
 
 from repro.core.constraints import Atom, VarConstAtom, VarVarAtom
 from repro.obs import trace as obs
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import COUNTERS
 from repro.plan import nodes as ir
 from repro.plan.cost import CostModel
 
@@ -653,7 +653,6 @@ _STRUCTURAL_PASSES: tuple[
 
 def _run_passes(root, passes, reports: list[PassReport]) -> ir.PlanNode:
     """Apply ``passes`` in order, appending one report per pass."""
-    registry = get_registry()
     for name, run in passes:
         before = root.size()
         root, count = run(root)
@@ -666,7 +665,7 @@ def _run_passes(root, passes, reports: list[PassReport]) -> ir.PlanNode:
             )
         )
         if count:
-            registry.counter(f"planner.pass.{name}").inc(count)
+            COUNTERS[f"planner.pass.{name}"] += count
     return root
 
 
@@ -718,7 +717,7 @@ def optimize_plan(
         if costed:
             root, finished = finish_plan(root, relations, domain_size)
             reports.extend(finished)
-        get_registry().counter("planner.optimized").inc()
+        COUNTERS["planner.optimized"] += 1
         if sp is not obs.NULL_SPAN:
             sp.set(out_nodes=root.size())
             sp.set(**{f"pass.{r.name}": r.rewrites for r in reports})

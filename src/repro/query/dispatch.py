@@ -35,7 +35,7 @@ configuration (on, unless ``REPRO_OPTIMIZE=0``).
 from __future__ import annotations
 
 from repro.core.errors import EvaluationError
-from repro.obs import metrics
+from repro.obs.metrics import COUNTERS
 from repro.query.ast import Query
 from repro.query.evaluator import Evaluator
 from repro.plan.report import PlanReport
@@ -95,7 +95,7 @@ def extremum(
     """
     from repro.optimize import Objective, parse_objective
 
-    metrics().counter("optimize.queries").inc()
+    COUNTERS["optimize.queries"] += 1
     if isinstance(query, str):
         directive, text = split_directive(query)
         sense = _SENSES.get(directive, sense)

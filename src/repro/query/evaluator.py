@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import EvaluationError
 from repro.obs import trace as obs
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import COUNTERS
 from repro.core.negation import DEFAULT_MAX_EXTENSIONS
 from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation
@@ -100,17 +100,20 @@ MAX_SHAPES = 64
 class CompiledQuery:
     """A query lowered and rewritten once, for :meth:`Evaluator.run`.
 
-    ``rewritten`` is the plan to execute.  It stops after the
+    ``rewritten`` is the plan to execute: the lowered plan itself when
+    optimization is off.  The compiled query keeps no other plan;
+    ``EXPLAIN`` lowers the query afresh when it shows the naive plan
+    (:meth:`_Prepared.naive`).  With optimization on it stops after the
     structural passes 1–5 when :attr:`finishes`: the plan has a join
     chain of three or more parts whose best order depends on the
-    relation sizes, the data-domain size and the live prefilter
-    counters at run time (``reorders``), or it holds slots whose values
+    relation sizes and the data-domain size at run time
+    (``reorders``), or it holds slots whose values
     only a call knows.  ``passes`` reports the rewrite passes run here.
 
     ``slots`` counts the lifted literals the query holds as slot
     constants (a :class:`~repro.query.parser.QueryShape` parse; 0 for
-    any other query); ``holders`` maps the ids of the plan nodes (of
-    ``naive`` and ``rewritten``) that hold one to their slot fields
+    any other query); ``holders`` maps the ids of the nodes of
+    ``rewritten`` that hold one to their slot fields
     (:func:`~repro.plan.rewrite.slot_holders`).  ``constants`` are the
     query's data constants, which join the active domain of every run;
     with slots they are all slot constants, since every string and
@@ -119,7 +122,6 @@ class CompiledQuery:
 
     query: Query
     optimize: bool
-    naive: PlanNode
     rewritten: PlanNode
     reorders: bool
     constants: frozenset
@@ -132,11 +134,11 @@ class CompiledQuery:
         """Whether each run finishes the plan (passes 6–8)."""
         return self.optimize and (self.reorders or self.slots > 0)
 
-    def bind(self, plan: PlanNode, values: tuple) -> PlanNode:
-        """``plan`` (``naive`` or ``rewritten``) bound to ``values``."""
+    def bind(self, values: tuple) -> PlanNode:
+        """``rewritten`` bound to ``values``."""
         if not self.slots:
-            return plan
-        return bind_slots(plan, values, self.holders)
+            return self.rewritten
+        return bind_slots(self.rewritten, values, self.holders)
 
     def domain_constants(self, values: tuple) -> frozenset:
         """The data constants a run with ``values`` admits."""
@@ -187,7 +189,7 @@ class ShapeStore:
         )
         compiled = self._plans.get(key)
         if compiled is not None:
-            get_registry().counter("planner.shape_hits").inc()
+            COUNTERS["planner.shape_hits"] += 1
             return compiled, shape.values, True
         query = parse_query(
             shape, {name: rel.schema for name, rel in relations.items()}
@@ -204,18 +206,34 @@ class ShapeStore:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """One call's compiled query, its values and the plan it runs."""
+    """One call's compiled query, its values and the plan it runs.
+
+    ``relations``, ``objective`` and ``sense`` are what the call
+    lowered against, for :meth:`naive`.
+    """
 
     compiled: CompiledQuery
     values: tuple
     plan: PlanNode
     passes: tuple[PassReport, ...]
+    relations: Mapping[str, GeneralizedRelation]
+    objective: object
+    sense: str
 
     def naive(self) -> PlanNode:
-        """The lowered plan, bound (the plan itself when unoptimized)."""
+        """The lowered plan, bound (the plan itself when unoptimized).
+
+        With optimization on the compiled query holds only the
+        rewritten plan, so this lowers the query afresh.
+        """
         if not self.compiled.optimize:
             return self.plan
-        return self.compiled.bind(self.compiled.naive, self.values)
+        naive = _lowered(
+            self.relations, self.compiled.query, self.objective, self.sense
+        )
+        if not self.compiled.slots:
+            return naive
+        return bind_slots(naive, self.values, slot_holders(naive))
 
     def text(self) -> str:
         """The query as the call asked it, rendered from its AST."""
@@ -319,31 +337,25 @@ class Evaluator:
         lifted literals in ``query``.
         """
         optimize = self.optimizing
-        naive = Planner(self.relations).plan_query(query)
-        get_registry().counter("planner.plans").inc()
-        if objective is not None:
-            naive = _under_objective(naive, objective, sense)
-        rewritten, passes, reorders = naive, (), False
+        rewritten = _lowered(self.relations, query, objective, sense)
+        COUNTERS["planner.plans"] += 1
+        passes, reorders = (), False
         if optimize:
-            rewritten, passes = optimize_plan(naive, costed=False)
+            rewritten, passes = optimize_plan(rewritten, costed=False)
             reorders = has_join_chain(rewritten)
             if not reorders and not slots:
                 # Passes 6-8 cannot read anything a run changes.
                 rewritten, finished = finish_plan(rewritten)
                 passes += finished
-        holders: dict[int, tuple[str, ...]] = {}
-        if slots:
-            holders = {**slot_holders(naive), **slot_holders(rewritten)}
         return CompiledQuery(
             query=query,
             optimize=optimize,
-            naive=naive,
             rewritten=rewritten,
             reorders=reorders,
             constants=frozenset(_data_constants(query)),
             passes=passes,
             slots=slots,
-            holders=holders,
+            holders=slot_holders(rewritten) if slots else {},
         )
 
     def run(
@@ -440,7 +452,15 @@ class Evaluator:
         else:
             compiled = self.compile(query, objective, sense)
         plan, passes = self._bound(compiled, values)
-        return _Prepared(compiled, values, plan, compiled.passes + passes)
+        return _Prepared(
+            compiled,
+            values,
+            plan,
+            compiled.passes + passes,
+            self.relations,
+            objective,
+            sense,
+        )
 
     def _bound(
         self, compiled: CompiledQuery, values: tuple
@@ -451,7 +471,7 @@ class Evaluator:
         finishes the plan; returns it with the passes run here.
         """
         self._admit(compiled.domain_constants(values))
-        plan = compiled.bind(compiled.rewritten, values)
+        plan = compiled.bind(values)
         if not compiled.finishes:
             return plan, ()
         return finish_plan(
@@ -490,6 +510,15 @@ class Evaluator:
         if ctx.optimum is not None:
             sp.set(optimum=str(ctx.optimum.value), status=ctx.optimum.status)
         return result, ctx
+
+
+def _lowered(relations, query: Query, objective, sense: str) -> PlanNode:
+    """``query`` lowered against ``relations``, under an
+    :class:`~repro.plan.nodes.Optimize` root when ``objective`` is set."""
+    plan = Planner(relations).plan_query(query)
+    if objective is None:
+        return plan
+    return _under_objective(plan, objective, sense)
 
 
 def _under_objective(plan: PlanNode, objective, sense: str) -> Optimize:

@@ -165,7 +165,7 @@ def _tokenize(text: str) -> list[_Token]:
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         if kind == "bad":
-            pos = match.start()
+            pos = match.start(kind)  # past the whitespace the match eats
             raise _located(text, f"unexpected character {text[pos]!r}", pos)
         value = match.group(kind)
         if kind == "string":

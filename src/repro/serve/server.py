@@ -41,6 +41,7 @@ from repro.core.negation import DEFAULT_MAX_EXTENSIONS
 from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation
 from repro.obs import metrics, span
+from repro.obs.metrics import COUNTERS
 from repro.query.catalog import (
     CatalogVersion,
     Snapshot,
@@ -118,7 +119,7 @@ class GroupCommitBatcher:
             registry.histogram("serve.commit.seconds").observe(
                 time.perf_counter() - started
             )
-            registry.counter("serve.commits").inc(len(group))
+            COUNTERS["serve.commits"] += len(group)
             for (_mutations, future), result in zip(group, results):
                 if not future.done():
                     future.set_result(result)
@@ -384,9 +385,9 @@ class ReproServer:
                         request, request_id, pinned
                     )
                 except ReproError as exc:
-                    registry.counter("serve.errors").inc()
+                    COUNTERS["serve.errors"] += 1
                     response = protocol.error_payload(request_id, exc)
-                registry.counter("serve.requests").inc()
+                COUNTERS["serve.requests"] += 1
                 registry.histogram("serve.request.seconds").observe(
                     time.perf_counter() - started
                 )
@@ -472,7 +473,7 @@ class ReproServer:
         if op == "query":
             snap = self._snapshot_of(self._view(pinned))
             text = _field(request, "text", str)
-            metrics().counter("serve.queries").inc()
+            COUNTERS["serve.queries"] += 1
             payload = await loop.run_in_executor(
                 self._query_pool, _run_query, snap, text
             )
@@ -480,7 +481,7 @@ class ReproServer:
         if op == "ask":
             snap = self._snapshot_of(self._view(pinned))
             text = _field(request, "text", str)
-            metrics().counter("serve.queries").inc()
+            COUNTERS["serve.queries"] += 1
             answer = await loop.run_in_executor(
                 self._query_pool, snap.ask, text
             )
@@ -513,7 +514,7 @@ class ReproServer:
                 {"op": "insert", "name": name, "tuple": entry}
                 for entry in tuples
             ]
-            metrics().counter("serve.appends").inc()
+            COUNTERS["serve.appends"] += 1
             metrics().histogram("serve.append.tuples").observe(len(tuples))
             result = await self._batcher.submit(mutations)
             if result.error is not None:

@@ -83,6 +83,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 from repro.core.errors import RecoveryError, StorageError
 from repro.core.relations import GeneralizedRelation
 from repro.obs import metrics
+from repro.obs.metrics import COUNTERS
 from repro.storage import faults, jsonio
 from repro.storage.wal import canonical_json, encode_record, scan_wal
 
@@ -326,9 +327,8 @@ class StorageEngine:
             self.relations[name] = relation
             self._committed[name] = canonical_json(payload)
         self._cleanup_snapshots()
-        registry = metrics()
-        registry.counter("storage.recovery.records_replayed").inc(replayed)
-        registry.counter("storage.recovery.txns_discarded").inc(discarded)
+        COUNTERS["storage.recovery.records_replayed"] += replayed
+        COUNTERS["storage.recovery.txns_discarded"] += discarded
 
     def _read_framed_file(self, path: str, what: str) -> dict[str, Any]:
         """Read a single-record CRC-framed file (manifest or snapshot)."""
@@ -523,10 +523,10 @@ class StorageEngine:
         self._committed = committed
         self.relations = dict(states[-1])
         registry = metrics()
-        registry.counter("storage.wal.records_appended").inc(records_appended)
-        registry.counter("storage.wal.bytes_appended").inc(bytes_appended)
-        registry.counter("storage.wal.fsyncs").inc()
-        registry.counter("storage.commit.txns").inc(txns)
+        COUNTERS["storage.wal.records_appended"] += records_appended
+        COUNTERS["storage.wal.bytes_appended"] += bytes_appended
+        COUNTERS["storage.wal.fsyncs"] += 1
+        COUNTERS["storage.commit.txns"] += txns
         registry.histogram("storage.commit.batch_txns").observe(txns)
         registry.gauge("storage.wal.bytes").set(
             os.path.getsize(self._wal_path)
@@ -592,7 +592,7 @@ class StorageEngine:
         _fsync_dir(self.root)
         self._cleanup_snapshots()
         registry = metrics()
-        registry.counter("storage.snapshots_written").inc()
+        COUNTERS["storage.snapshots_written"] += 1
         registry.gauge("storage.snapshot.bytes").set(len(record))
         registry.gauge("storage.wal.bytes").set(0)
         registry.histogram("storage.snapshot.seconds").observe(

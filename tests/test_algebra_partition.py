@@ -26,8 +26,9 @@ from repro.core.dbm import DBM
 from repro.core.lrp import LRP
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.tuples import GeneralizedTuple
+from repro.obs.metrics import COUNTERS
 from repro.perf import prefilter as pf
-from repro.perf.config import PERF_COUNTERS, overrides
+from repro.perf.config import overrides
 
 DATA_VALUES = ["a", "b", "c"]
 PERIODS = [0, 1, 2, 3, 4]
@@ -271,9 +272,11 @@ def _counted(run):
         "prefilter_interval_skip",
         "pair_candidates",
     )
-    before = {name: PERF_COUNTERS[name] for name in names}
+    before = {name: COUNTERS[f"perf.{name}"] for name in names}
     result = run()
-    return result, {name: PERF_COUNTERS[name] - before[name] for name in names}
+    return result, {
+        name: COUNTERS[f"perf.{name}"] - before[name] for name in names
+    }
 
 
 def select_reference(

@@ -14,7 +14,8 @@ from repro.core.lrp import LRP
 from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation, Schema, relation
 from repro.core.tuples import GeneralizedTuple
-from repro.perf.config import PERF_COUNTERS, overrides
+from repro.obs.metrics import COUNTERS
+from repro.perf.config import overrides
 
 from tests.helpers import random_relation
 
@@ -271,10 +272,10 @@ class TestResiduePruning:
             rng.shuffle(names)
             with overrides(kernel=backend):
                 # Project first, so the plans are not memoized yet.
-                before = PERF_COUNTERS["prefilter_residue_skip"]
+                before = COUNTERS["perf.prefilter_residue_skip"]
                 with overrides(prefilter_enabled=prefilter):
                     got = _exact(algebra.project(rel, names))
-                skipped += PERF_COUNTERS["prefilter_residue_skip"] - before
+                skipped += COUNTERS["perf.prefilter_residue_skip"] - before
                 expected = _exact(_reference_project(rel, names))
                 with overrides(prefilter_enabled=prefilter):
                     # Memoized plans answer alike.
@@ -298,20 +299,20 @@ class TestResiduePruning:
                 product = algebra._project_plan(
                     gtuple, [0], dropped, DEFAULT_MAX_TUPLES
                 ).split_sizes
-                before = PERF_COUNTERS["prefilter_residue_skip"]
+                before = COUNTERS["perf.prefilter_residue_skip"]
                 plan = algebra._project_plan(
                     gtuple, [0], dropped, DEFAULT_MAX_TUPLES, rows
                 )
-                skipped = PERF_COUNTERS["prefilter_residue_skip"] - before
+                skipped = COUNTERS["perf.prefilter_residue_skip"] - before
                 if plan is None:
                     # Rejected before planning: the whole product.
                     assert skipped == product
                     rejected += 1
                     continue
                 assert skipped == 0
-                before = PERF_COUNTERS["prefilter_residue_skip"]
+                before = COUNTERS["perf.prefilter_residue_skip"]
                 formed = algebra._combos(plan, rows)
-                skipped = PERF_COUNTERS["prefilter_residue_skip"] - before
+                skipped = COUNTERS["perf.prefilter_residue_skip"] - before
                 assert len(formed) + skipped == product
                 kept = set(formed)
                 full = itertools.product(*plan.choices)
@@ -341,9 +342,9 @@ class TestResiduePruning:
     def test_residue_empty_tuple_no_longer_hits_the_limit(self, backend):
         rel = self._residue_empty()
         with overrides(kernel=backend):
-            before = PERF_COUNTERS["normalize_expansion"]
+            before = COUNTERS["perf.normalize_expansion"]
             out = algebra.project(rel, ["X1"], max_tuples=5)
-            assert PERF_COUNTERS["normalize_expansion"] == before
+            assert COUNTERS["perf.normalize_expansion"] == before
         assert out.is_empty()
 
     def test_full_product_still_hits_the_limit(self):

@@ -35,16 +35,16 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs
 from repro.core import algebra
 from repro.arith import lcm
 from repro.core.constraints import atoms_to_dbm, parse_atoms
 from repro.core.dbm import DBM
 from repro.core.lrp import LRP
 from repro.core.relations import GeneralizedRelation, Schema
+from repro.obs.metrics import COUNTERS
 from repro.optimize import Objective, core as optimize_core
 from repro.perf import kernel, prefilter
-from repro.perf.config import PERF_COUNTERS, overrides
+from repro.perf.config import overrides
 
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 if str(E2E) not in sys.path:
@@ -60,7 +60,7 @@ CASES = [
 
 
 def _optimize_tuples() -> int:
-    return obs.metrics().counter("optimize.tuples").value
+    return COUNTERS["optimize.tuples"]
 
 
 @pytest.mark.parametrize(("workload", "seed"), CASES)
@@ -218,11 +218,11 @@ def _guard_pairs(monkeypatch) -> list[tuple[int, int, str]]:
     def guarded(real, reference):
         def run(r1, r2, **condition):
             expected = reference(r1, r2, **condition)
-            before = PERF_COUNTERS["pair_candidates"]
+            before = COUNTERS["perf.pair_candidates"]
             result = real(r1, r2, **condition)
             checked.append(
                 (
-                    PERF_COUNTERS["pair_candidates"] - before,
+                    COUNTERS["perf.pair_candidates"] - before,
                     expected,
                     condition.get("condition", ""),
                 )

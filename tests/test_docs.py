@@ -98,7 +98,7 @@ def test_docs_perf_dicts_name_real_counters():
     source = "\n".join(
         path.read_text() for path in (ROOT / "src").rglob("*.py")
     )
-    bumped = set(re.findall(r'PERF_COUNTERS\["([^"]+)"\]', source))
+    bumped = set(re.findall(r'COUNTERS\["([^"]+)"\]', source))
     docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
     named = {
         (path.name, key)

@@ -20,7 +20,7 @@ from repro.core.lrp import LRP
 from repro.core.normalize import iter_normalize_tuple
 from repro.core.relations import GeneralizedRelation, Schema, relation
 from repro.core.tuples import GeneralizedTuple
-from repro.perf.config import PERF_COUNTERS
+from repro.obs.metrics import COUNTERS
 
 from tests.helpers import random_lrp, random_relation, random_tuple
 
@@ -96,9 +96,9 @@ class TestCarriedClosure:
 
     @staticmethod
     def closures(run) -> int:
-        before = PERF_COUNTERS["closure_full"]
+        before = COUNTERS["perf.closure_full"]
         run()
-        return PERF_COUNTERS["closure_full"] - before
+        return COUNTERS["perf.closure_full"] - before
 
     @staticmethod
     def decided_by_closure():

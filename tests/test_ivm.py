@@ -31,7 +31,7 @@ from repro.deductive.scenarios import (
     reachability_program,
 )
 from repro.fuzz.ivm import run_ivm_case
-from repro.obs import metrics
+from repro.obs.metrics import COUNTERS
 from repro.query import Database
 from repro.query.catalog import _input_deltas, apply_mutations
 from repro.storage import jsonio
@@ -64,13 +64,12 @@ class TestAppendStream:
         # Each insert-only batch must fold in by delta evaluation: a
         # refresh that silently recomputed would still match the
         # oracle, so the refresh-mode counters are checked too.
-        incremental = metrics().counter("deductive.refresh.incremental")
-        recompute = metrics().counter("deductive.refresh.recompute")
+        names = ("deductive.refresh.incremental", "deductive.refresh.recompute")
         db = fresh_db()
         for batch in edge_batches(5, 4, 3, seed=11):
-            before = incremental.value, recompute.value
+            before = [COUNTERS[name] for name in names]
             db.append_stream("Edge", batch)
-            after = incremental.value, recompute.value
+            after = [COUNTERS[name] for name in names]
             assert (after[0] - before[0], after[1] - before[1]) == (1, 0)
             assert_views_match_recompute(db)
 

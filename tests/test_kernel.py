@@ -24,8 +24,9 @@ from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.tuples import GeneralizedTuple
 from repro.fuzz.case import load_case
 from repro.fuzz.diff import run_case
+from repro.obs.metrics import COUNTERS, reset_metrics
 from repro.perf import kernel
-from repro.perf.config import PERF_COUNTERS, overrides, reset_counters
+from repro.perf.config import overrides
 from repro.testing import dbms, generalized_relations
 from tests.helpers import random_relation
 from tests.test_corpus import CORPUS_FILES
@@ -73,10 +74,10 @@ class TestBackendSelection:
         for d in ds:
             d.add_difference(0, 1, 3)
         with overrides(kernel="python"):
-            reset_counters()
+            reset_metrics()
             verdicts = kernel.close_batch(ds)
         assert verdicts == [True] * 4
-        assert PERF_COUNTERS["kernel.batch_closures"] == 0
+        assert COUNTERS["perf.kernel.batch_closures"] == 0
         for d in ds:
             _assert_genuinely_closed(d)
 
@@ -154,11 +155,11 @@ class TestClosureEquivalence:
             d.add_difference(1, 0, -huge + 1)
             batch.append(d)
         with overrides(kernel="numpy"):
-            reset_counters()
+            reset_metrics()
             verdicts = kernel.close_batch(batch)
         assert verdicts == [True] * len(batch)
-        assert PERF_COUNTERS["kernel.batch_closures"] == 0
-        assert PERF_COUNTERS["kernel.scalar_fallbacks"] == len(batch)
+        assert COUNTERS["perf.kernel.batch_closures"] == 0
+        assert COUNTERS["perf.kernel.scalar_fallbacks"] == len(batch)
         for d in batch:
             _assert_genuinely_closed(d)
 
@@ -169,11 +170,11 @@ class TestClosureEquivalence:
             d.add_difference(0, 1, i)
             batch.append(d)
         with overrides(kernel="numpy"):
-            reset_counters()
+            reset_metrics()
             kernel.close_batch(batch)
-        assert PERF_COUNTERS["kernel.batch_closures"] == 1
-        assert PERF_COUNTERS["kernel.batch_dbms"] == len(batch)
-        assert PERF_COUNTERS["kernel.scalar_fallbacks"] == 0
+        assert COUNTERS["perf.kernel.batch_closures"] == 1
+        assert COUNTERS["perf.kernel.batch_dbms"] == len(batch)
+        assert COUNTERS["perf.kernel.scalar_fallbacks"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -266,12 +267,12 @@ class TestPlanMemo:
     def test_memo_populated_and_hit_when_caches_on(self):
         rel = _memo_relation()
         with overrides(kernel="python"):
-            reset_counters()
+            reset_metrics()
             first = algebra.project(rel, ["A"])
-            assert PERF_COUNTERS["plan_memo_hits"] == 0
+            assert COUNTERS["perf.plan_memo_hits"] == 0
             assert any(t._plans for t in rel)
             second = algebra.project(rel, ["A"])
-            assert PERF_COUNTERS["plan_memo_hits"] >= 1
+            assert COUNTERS["perf.plan_memo_hits"] >= 1
         assert {t.canonical_key() for t in first} == {
             t.canonical_key() for t in second
         }

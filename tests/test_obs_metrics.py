@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.analysis.counters import metrics_registry, metrics_snapshot
 from repro.core import algebra
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.obs import TraceRecorder, tracing
 from repro.obs.metrics import (
-    Counter,
+    COUNTERS,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -25,16 +24,13 @@ def small_relation() -> GeneralizedRelation:
 
 class TestPrimitives:
     def test_counter(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        c.reset()
-        assert c.value == 0
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("x").inc(-1)
+        reg = MetricsRegistry()
+        assert reg.counters["x"] == 0  # a missing name reads 0
+        reg.counters["x"] += 1
+        reg.counters["x"] += 4
+        assert reg.counters["x"] == 5
+        reg.reset()
+        assert reg.counters["x"] == 0
 
     def test_gauge(self):
         g = Gauge("depth")
@@ -79,13 +75,12 @@ class TestPrimitives:
 class TestRegistry:
     def test_get_or_create_identity(self):
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
         assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h") is reg.histogram("h")
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
-        reg.counter("ops").inc(2)
+        reg.counters["ops"] += 2
         reg.gauge("depth").set(1)
         reg.histogram("ms").observe(0.5)
         snap = reg.snapshot()
@@ -93,36 +88,38 @@ class TestRegistry:
         assert snap["gauges"]["depth"] == 1
         assert snap["histograms"]["ms"]["count"] == 1
 
-    def test_collector_contributions(self):
-        reg = MetricsRegistry()
-        reg.add_collector(lambda: {"counters": {"external": 7}})
-        assert reg.snapshot()["counters"]["external"] == 7
-
     def test_reset(self):
         reg = MetricsRegistry()
-        reg.counter("ops").inc()
+        reg.counters["ops"] += 1
+        store = reg.counters
         reg.reset()
+        assert reg.counters is store  # cleared in place
         assert reg.snapshot()["counters"].get("ops", 0) == 0
 
 
 class TestGlobalRegistry:
-    def test_analysis_counters_reexports_registry(self):
-        assert metrics_registry() is get_registry()
+    def test_global_store_is_the_registry_store(self):
+        assert COUNTERS is get_registry().counters
+        COUNTERS["test.bump"] += 3
+        assert get_registry().snapshot()["counters"]["test.bump"] >= 3
+        reset_metrics()
+        assert COUNTERS is get_registry().counters
+        assert "test.bump" not in get_registry().snapshot()["counters"]
 
     def test_perf_counters_folded_in(self):
         reset_metrics()
         rel = small_relation()
         algebra.intersect(rel, rel)
-        snap = metrics_snapshot()
+        snap = get_registry().snapshot()
         perf_keys = [k for k in snap["counters"] if k.startswith("perf.")]
-        assert perf_keys, "perf collector contributed nothing"
+        assert perf_keys, "the algebra bumped no perf counter"
 
     def test_span_histograms_recorded(self):
         reset_metrics()
         rel = small_relation()
         with tracing(TraceRecorder()):
             algebra.union(rel, rel)
-        snap = metrics_snapshot()
+        snap = get_registry().snapshot()
         assert "span.algebra.union.ms" in snap["histograms"]
         assert snap["histograms"]["span.algebra.union.ms"]["count"] >= 1
 
@@ -131,7 +128,7 @@ class TestGlobalRegistry:
         rel = small_relation()
         with tracing(TraceRecorder(record_histograms=False)):
             algebra.union(rel, rel)
-        snap = metrics_snapshot()
+        snap = get_registry().snapshot()
         # The instrument may exist from earlier traced runs (reset keeps
         # registered instruments), but this run observed nothing.
         recorded = snap["histograms"].get("span.algebra.union.ms")

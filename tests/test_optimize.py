@@ -525,11 +525,11 @@ class TestDirectiveSurfaces:
         assert db.query("MINIMIZER(t)").contains([4])
 
     def test_metrics_count_optimize_queries(self, db):
-        from repro.obs import metrics
+        from repro.obs.metrics import COUNTERS
 
-        before = metrics().counter("optimize.queries").value
+        before = COUNTERS["optimize.queries"]
         db.optimize("MINIMIZE t : Event(t) & t >= 3")
-        assert metrics().counter("optimize.queries").value == before + 1
+        assert COUNTERS["optimize.queries"] == before + 1
 
 
 class TestCliEndToEnd:

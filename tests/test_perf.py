@@ -23,14 +23,13 @@ from repro.core.dbm import DBM
 from repro.core.lrp import LRP
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.tuples import GeneralizedTuple
+from repro.obs.metrics import COUNTERS, reset_metrics
 from repro.perf import prefilter
 from repro.perf.config import (
-    PERF_COUNTERS,
     PerfConfig,
     configure,
     get_config,
     overrides,
-    reset_counters,
 )
 from tests.helpers import random_dbm, random_relation
 
@@ -352,7 +351,7 @@ def test_prefilter_counters_fire_on_disjoint_relations():
     r1.add(_tuple_of([LRP.make(0, 4), LRP.make(0, 4)], [(0, 20), (0, 20)], 2))
     r2.add(_tuple_of([LRP.make(1, 4), LRP.make(1, 4)], [(0, 20), (0, 20)], 2))
     with overrides(**OPTIMIZED):
-        reset_counters()
+        reset_metrics()
         out = algebra.intersect(r1, r2)
         assert len(out) == 0
-        assert PERF_COUNTERS["prefilter_lrp_skip"] >= 1
+        assert COUNTERS["perf.prefilter_lrp_skip"] >= 1

@@ -174,6 +174,18 @@ class TestErrors:
         assert exc.value.line == 1
         assert exc.value.column is not None
 
+    def test_bad_character_after_whitespace_is_named(self):
+        with pytest.raises(ParseError) as exc:
+            parse("a @ b")
+        assert "unexpected character '@'" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (1, 3)
+
+    def test_bad_character_after_newline_is_named(self):
+        with pytest.raises(ParseError) as exc:
+            parse("EXISTS t.\n  Tick(t) # note")
+        assert "unexpected character '#'" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (2, 11)
+
 
 class TestFreeVariables:
     def test_free_and_bound(self):
