@@ -1325,13 +1325,16 @@ def select(
 
     The condition refers to the schema's temporal attribute names; data
     selections go through :func:`select_data`.  Each tuple keeps its
-    written constraints plus the condition's.  Satisfiability is decided
-    by conjoining the condition's few bounds into the closure the tuple
-    already carries (:meth:`DBM.conjoin_closed`; the closure of
-    ``closure(D) ∧ E`` is that of ``D ∧ E``), and that result becomes
-    the new tuple's canonical key, so nothing is closed from scratch.
-    With incremental closure off (``REPRO_NO_INCREMENTAL``) each
-    conjunction is closed from its written form instead.
+    written constraints plus the condition's.  The condition's finite
+    entries (its edges) are read once per call.  Per tuple, the edges
+    that tighten the closure the tuple already carries are conjoined
+    into a copy of it (:meth:`DBM.conjoin_closed`; the closure of
+    ``closure(D) ∧ E`` is that of ``D ∧ E``), which decides
+    satisfiability and becomes the new tuple's canonical key; when no
+    edge tightens it, the carried closure is the key as it is.  Only a
+    kept tuple gets its written DBM: a copy with the edges set.  With
+    incremental closure off (``REPRO_NO_INCREMENTAL``) each conjunction
+    is closed from its written form instead.
     """
     atoms = (
         parse_atoms(condition) if isinstance(condition, str) else list(condition)
@@ -1340,28 +1343,48 @@ def select(
         _check_temporal_atom(relation.schema, atom)
     extra = atoms_to_dbm(atoms, relation.schema.temporal_names)
     out = GeneralizedRelation.empty(relation.schema)
-    incremental = get_config().incremental_enabled
-    for gtuple in relation:
-        # The stored constraint set stays as written (negation cost
-        # tracks the written atoms); satisfiability is decided on the
-        # side, on a closed copy.
-        merged = gtuple.dbm.intersect(extra)
-        if not incremental:
+    if not get_config().incremental_enabled:
+        for gtuple in relation:
+            merged = gtuple.dbm.intersect(extra)
             if merged.copy().close():
                 out.add(GeneralizedTuple(gtuple.lrps, merged, gtuple.data))
-            continue
+        return out
+    # The zero diagonal bounds nothing; a negative one (``A <= A - 1``)
+    # makes every conjunction unsatisfiable.
+    edges = [
+        (i, j, bound)
+        for i, row in enumerate(extra._b)
+        for j, bound in enumerate(row)
+        if bound is not None and (i != j or bound < 0)
+    ]
+    for gtuple in relation:
         carried = gtuple.closure()
         if carried is None:
             continue
-        closed = DBM.from_closure(carried)
-        if not closed.conjoin_closed(extra):
-            continue
-        selected = GeneralizedTuple(gtuple.lrps, merged, gtuple.data)
-        selected._key = (
-            gtuple.lrps,
-            tuple(tuple(row) for row in closed._b),
-            gtuple.data,
-        )
+        tight = []
+        for edge in edges:
+            i, j, bound = edge
+            entry = carried[i][j]
+            if entry is None or bound < entry:
+                tight.append(edge)
+        if tight:
+            closed = DBM.from_closure(carried)
+            if not closed.conjoin_closed(tight):
+                continue
+            key = (
+                gtuple.lrps,
+                tuple([tuple(row) for row in closed._b]),
+                gtuple.data,
+            )
+        else:
+            key = gtuple._key
+        # The stored constraint set stays as written (negation cost
+        # tracks the written atoms).
+        written = gtuple.dbm.copy()
+        for i, j, bound in edges:
+            written._set(i, j, bound)
+        selected = GeneralizedTuple(gtuple.lrps, written, gtuple.data)
+        selected._key = key
         out.add(selected)
     return out
 

@@ -265,24 +265,24 @@ class DBM:
                     if current is None or candidate < current:
                         row_i[j] = candidate
 
-    def conjoin_closed(self, other: DBM) -> bool:
-        """Conjoin ``other``'s bounds into this closed system and re-close.
+    def conjoin_closed(self, edges: Sequence[tuple[int, int, int]]) -> bool:
+        """Conjoin the bounds ``edges`` into this closed system and re-close.
 
-        Only the entries ``other`` tightens are processed, each by one
+        Each edge ``(i, j, bound)`` is the matrix entry ``X_i - X_j <=
+        bound`` (row/column 0 the zero variable).  Only the edges that
+        tighten an entry are processed, each by one
         :meth:`_close_incremental` sweep: the closure of ``closure(D) ∧
         E`` is the closure of ``D ∧ E``, so a closed ``D`` plus a few
-        written bounds ``E`` closes in O(|E|·n²) with no cache lookup.
-        Returns whether the conjunction is satisfiable.
+        bounds ``E`` closes in O(|E|·n²).  Returns whether the
+        conjunction is satisfiable.
         """
-        if self._n != other._n:
-            raise ReproValueError("DBM sizes differ")
         b = self._b
         written = []
-        for i, (row, other_row) in enumerate(zip(b, other._b)):
-            for j, bound in enumerate(other_row):
-                if bound is not None and (row[j] is None or bound < row[j]):
-                    row[j] = bound
-                    written.append((i, j))
+        for i, j, bound in edges:
+            current = b[i][j]
+            if current is None or bound < current:
+                b[i][j] = bound
+                written.append((i, j))
         if written:
             self._close_incremental(written)
         return self.is_satisfiable()

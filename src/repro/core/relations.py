@@ -186,9 +186,11 @@ class GeneralizedRelation:
                 f"tuple data arity {gtuple.data_arity} does not match "
                 f"schema {self.schema}"
             )
-        key = gtuple.canonical_key()
-        if key not in self._keys:
-            self._keys.add(key)
+        # One hash per key: add it, then see whether the set grew.
+        keys = self._keys
+        size = len(keys)
+        keys.add(gtuple.canonical_key())
+        if len(keys) != size:
             self._tuples.append(gtuple)
 
     def add_tuple(

@@ -167,6 +167,15 @@ def _count_fallback(size: int) -> None:
     COUNTERS["perf.kernel.scalar_fallbacks"] += size
 
 
+def _packed(dbms: Sequence["DBM"], indices: list[int], active: bool):
+    """The exact packed batch of ``dbms[indices]``, or ``None`` when the
+    group takes the scalar path (backend off, too small or inexact)."""
+    if not active or len(indices) < MIN_BATCH:
+        return None
+    batch = pack([dbms[idx] for idx in indices])
+    return batch if packed_exact(batch) else None
+
+
 # ----------------------------------------------------------------------
 # DBM-level entry point
 # ----------------------------------------------------------------------
@@ -180,16 +189,14 @@ def close_batch(dbms: Sequence["DBM"]) -> list[bool]:
     unsatisfiable ones only the negative diagonal is meaningful, exactly
     as after a scalar :meth:`DBM.close`).  Mixed dimensions are fine —
     the batch is grouped by dimension internally.  With the python
-    backend (or without numpy) this *is* the scalar loop; the interning
-    closure cache is deliberately bypassed on the vectorized path, where
-    key construction costs more than the sweep itself.
+    backend (or without numpy) every group takes the scalar loop, and
+    its DBMs count as scalar fallbacks as on the numpy path.
     """
     dbms = list(dbms)
     results: list[bool | None] = [None] * len(dbms)
     if not dbms:
         return []
-    if not kernel_active():
-        return [dbm.close() for dbm in dbms]
+    active = kernel_active()
     groups: dict[int, list[int]] = {}
     for idx, dbm in enumerate(dbms):
         if dbm._closed:
@@ -197,13 +204,8 @@ def close_batch(dbms: Sequence["DBM"]) -> list[bool]:
         else:
             groups.setdefault(dbm._n, []).append(idx)
     for indices in groups.values():
-        if len(indices) < MIN_BATCH:
-            _count_fallback(len(indices))
-            for idx in indices:
-                results[idx] = dbms[idx].close()
-            continue
-        batch = pack([dbms[idx] for idx in indices])
-        if not packed_exact(batch):
+        batch = _packed(dbms, indices, active)
+        if batch is None:
             _count_fallback(len(indices))
             for idx in indices:
                 results[idx] = dbms[idx].close()
@@ -230,8 +232,7 @@ def sat_batch(dbms: Sequence["DBM"]) -> list[bool]:
     dbms = list(dbms)
     if not dbms:
         return []
-    if not kernel_active():
-        return [dbm.copy().close() for dbm in dbms]
+    active = kernel_active()
     results: list[bool | None] = [None] * len(dbms)
     groups: dict[int, list[int]] = {}
     for idx, dbm in enumerate(dbms):
@@ -240,8 +241,8 @@ def sat_batch(dbms: Sequence["DBM"]) -> list[bool]:
         else:
             groups.setdefault(dbm._n, []).append(idx)
     for indices in groups.values():
-        batch = pack([dbms[idx] for idx in indices]) if len(indices) >= MIN_BATCH else None
-        if batch is None or not packed_exact(batch):
+        batch = _packed(dbms, indices, active)
+        if batch is None:
             _count_fallback(len(indices))
             for idx in indices:
                 results[idx] = dbms[idx].copy().close()
@@ -264,8 +265,7 @@ def canonical_keys_batch(dbms: Sequence["DBM"]) -> list[tuple]:
     dbms = list(dbms)
     if not dbms:
         return []
-    if not kernel_active():
-        return [dbm.canonical_key() for dbm in dbms]
+    active = kernel_active()
     results: list[tuple | None] = [None] * len(dbms)
     groups: dict[int, list[int]] = {}
     for idx, dbm in enumerate(dbms):
@@ -274,8 +274,8 @@ def canonical_keys_batch(dbms: Sequence["DBM"]) -> list[tuple]:
         else:
             groups.setdefault(dbm._n, []).append(idx)
     for indices in groups.values():
-        batch = pack([dbms[idx] for idx in indices]) if len(indices) >= MIN_BATCH else None
-        if batch is None or not packed_exact(batch):
+        batch = _packed(dbms, indices, active)
+        if batch is None:
             _count_fallback(len(indices))
             for idx in indices:
                 results[idx] = dbms[idx].canonical_key()

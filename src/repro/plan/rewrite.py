@@ -21,7 +21,9 @@ The pipeline, in order:
    unions, intersections, joins (per-side attribute containment),
    products, the minuend of subtractions, projections that keep the
    selected attributes, renames (via the inverse mapping) and guards —
-   never through complements (``σ(¬A) ≠ ¬σ(A)``);
+   never through complements (``σ(¬A) ≠ ¬σ(A)``); data selections
+   sink below temporal selections and renames, so a scan filters on
+   the data value before it conjoins any bound;
 4. ``push-projects`` — narrow join/product/union inputs to the
    attributes the projection keeps plus the join-shared ones; stops at
    complements, subtractions, intersections and selections;
@@ -249,11 +251,62 @@ def fuse_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
 # ----------------------------------------------------------------------
 
 
+def _data_renamed(
+    node: ir.SelectData | ir.SelectDataEqual,
+    child: ir.PlanNode,
+    inverse: Mapping[str, str],
+) -> ir.PlanNode:
+    """The data selection ``node`` over ``child``, names mapped back."""
+    if isinstance(node, ir.SelectData):
+        return ir.SelectData(
+            child,
+            inverse.get(node.name, node.name),
+            node.value,
+            labels=node.labels,
+        )
+    return ir.SelectDataEqual(
+        child,
+        inverse.get(node.left, node.left),
+        inverse.get(node.right, node.right),
+        labels=node.labels,
+    )
+
+
 def push_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
-    """Push selections toward the leaves (never through complements)."""
-    rw = _Rewriter(ir.Select.kind)
+    """Push selections toward the leaves (never through complements).
+
+    Data selections go below temporal ones: comparing a data value is
+    cheaper than conjoining bounds into a tuple's closure, so a scan
+    subplan filters on the value first and runs ``select`` on the
+    tuples that survive.
+    """
+    rw = _Rewriter(
+        ir.Select.kind | ir.SelectData.kind | ir.SelectDataEqual.kind
+    )
+
+    def sink(node: ir.PlanNode) -> ir.PlanNode:
+        """Move a data selection below temporal selections and renames."""
+        child = node.child
+        if isinstance(child, ir.Select):
+            rw.count += 1
+            return ir.Select(
+                sink(node.replace_children((child.child,))),
+                child.condition,
+                labels=child.labels,
+            )
+        if isinstance(child, ir.Rename):
+            rw.count += 1
+            inverse = {new: old for old, new in child.mapping}
+            return ir.Rename(
+                sink(_data_renamed(node, child.child, inverse)),
+                child.mapping,
+                labels=child.labels,
+            )
+        return node
 
     def push(node: ir.PlanNode) -> ir.PlanNode:
+        if isinstance(node, (ir.SelectData, ir.SelectDataEqual)):
+            return sink(node)
         if not isinstance(node, ir.Select):
             return node
         atoms = list(ir.condition_atoms(node.condition))
@@ -327,10 +380,16 @@ def push_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
                 labels=node.labels + child.labels,
             )
         if isinstance(child, (ir.SelectData, ir.SelectDataEqual)):
-            rw.count += 1
+            # The data selection has already sunk as far as it goes; the
+            # temporal one passes it only where it can move on below.
             pushed = push(_make_select(child.child, atoms))
-            return child.replace_children((pushed,)).with_labels(
-                node.labels + child.labels
+            if isinstance(pushed, ir.Select) and pushed.child is child.child:
+                return node
+            rw.count += 1
+            return sink(
+                child.replace_children((pushed,)).with_labels(
+                    node.labels + child.labels
+                )
             )
         return node
 
@@ -532,11 +591,10 @@ def window_joins(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
 def dedup_subtrees(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
     """Intern structurally identical subtrees to one shared object.
 
-    The structural key ignores provenance labels, mirroring the perf
-    layer's interning caches: two subtrees that compute the same
-    relation are merged even when they originate from different query
-    syntax.  The engine's per-run memo then evaluates the shared
-    subtree once and reuses the result.
+    The structural key ignores provenance labels: two subtrees that
+    compute the same relation are merged even when they originate from
+    different query syntax.  The engine's per-run memo then evaluates
+    the shared subtree once and reuses the result.
 
     Children are interned first, so two nodes with equal keys have
     equal parameters over the *same* child objects: the lookup key

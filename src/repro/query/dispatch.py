@@ -39,10 +39,8 @@ from repro.obs.metrics import COUNTERS
 from repro.query.ast import Query
 from repro.query.evaluator import Evaluator
 from repro.plan.report import PlanReport
-from repro.query.explain import explain_query, plan_report
+from repro.query.explain import _SENSES, explain_query, plan_report
 from repro.query.parser import Directive, split_directive
-
-_SENSES = {Directive.MINIMIZE: "min", Directive.MAXIMIZE: "max"}
 
 
 def query(reader, query: str | Query, *, optimize: bool | None = None):
@@ -54,28 +52,14 @@ def query(reader, query: str | Query, *, optimize: bool | None = None):
                 reader, text, sense=_SENSES[directive], optimize=optimize
             )
         if directive is not Directive.QUERY:
-            analyze = directive is Directive.EXPLAIN_ANALYZE
-            return _explain_directive(reader, text, analyze, optimize)
+            # ``EXPLAIN [ANALYZE] <text>``; ``text`` may itself optimize.
+            return explain_query(
+                Evaluator.of(reader, optimize=optimize),
+                text,
+                analyze=directive is Directive.EXPLAIN_ANALYZE,
+            )
         query = text
     return Evaluator.of(reader, optimize=optimize).evaluate(query)
-
-
-def _explain_directive(reader, text: str, analyze: bool, optimize):
-    """``EXPLAIN [ANALYZE] <text>``; ``text`` may itself optimize."""
-    inner, rest = split_directive(text)
-    objective, sense = None, "min"
-    if inner in _SENSES:
-        from repro.optimize import parse_objective
-
-        objective, text = parse_objective(rest)
-        sense = _SENSES[inner]
-    return explain_query(
-        Evaluator.of(reader, optimize=optimize),
-        text,
-        objective,
-        sense,
-        analyze=analyze,
-    )
 
 
 def extremum(
@@ -125,7 +109,8 @@ def explain(
 
     A :class:`~repro.plan.report.PlanReport` whose nodes carry observed
     output sizes: the naive plan with optimization off, the rewritten
-    plan (and what each pass changed) with it on.
+    plan (and what each pass changed) with it on.  A text may start
+    with ``MINIMIZE``/``MAXIMIZE <obj> :``, as after ``EXPLAIN``.
     """
     return explain_query(Evaluator.of(reader, optimize=optimize), query)
 

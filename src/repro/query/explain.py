@@ -37,6 +37,7 @@ from repro.obs.trace import Span, render_flamegraph, tracing
 from repro.plan.report import PlanReport
 from repro.query.ast import Query
 from repro.query.evaluator import Evaluator
+from repro.query.parser import Directive, split_directive
 
 
 @dataclass
@@ -78,6 +79,24 @@ class QueryTrace:
         return self.flamegraph()
 
 
+#: The optimization directives and the sense each one asks for.
+_SENSES = {Directive.MINIMIZE: "min", Directive.MAXIMIZE: "max"}
+
+
+def _objective_split(query: str | Query, objective, sense: str):
+    """``(query, objective, sense)`` with a text's leading
+    ``MINIMIZE|MAXIMIZE <obj> :`` read off it, when no objective is
+    given; every EXPLAIN and plan path plans through this split."""
+    if objective is None and isinstance(query, str):
+        directive, rest = split_directive(query)
+        if directive in _SENSES:
+            from repro.optimize import parse_objective
+
+            objective, query = parse_objective(rest)
+            sense = _SENSES[directive]
+    return query, objective, sense
+
+
 def explain_query(
     evaluator: Evaluator,
     query: str | Query,
@@ -92,7 +111,9 @@ def explain_query(
     plan under an ``optimize[sense]`` root.  Returns the executed
     :class:`~repro.plan.report.PlanReport`; with ``analyze`` the run is
     recorded and the :class:`QueryTrace` around that report returned.
+    A text may itself start with ``MINIMIZE``/``MAXIMIZE <obj> :``.
     """
+    query, objective, sense = _objective_split(query, objective, sense)
     if analyze:
         with tracing() as recorder:
             result, report = _executed(evaluator, query, objective, sense)
@@ -148,8 +169,11 @@ def plan_report(evaluator: Evaluator, query: str | Query) -> PlanReport:
 
     Plans the query (lowering plus, when optimization resolves on, the
     rewrite passes) without running it, so no node carries a size.
+    A text may start with ``MINIMIZE``/``MAXIMIZE <obj> :``.
     """
-    prepared = evaluator._prepare(obs.NULL_SPAN, query)
+    prepared = evaluator._prepare(
+        obs.NULL_SPAN, *_objective_split(query, None, "min")
+    )
     return PlanReport(
         query=prepared.text(),
         optimized=prepared.compiled.optimize,

@@ -164,15 +164,15 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
+        pos = match.start(kind)  # past the whitespace the match eats
         if kind == "bad":
-            pos = match.start(kind)  # past the whitespace the match eats
             raise _located(text, f"unexpected character {text[pos]!r}", pos)
         value = match.group(kind)
         if kind == "string":
             value = value[1:-1]
         elif kind == "name" and value.lower() in _KEYWORDS:
             kind = "keyword"
-        tokens.append(_Token(kind, value, match.start()))
+        tokens.append(_Token(kind, value, pos))
     return tokens
 
 

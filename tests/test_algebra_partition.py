@@ -491,8 +491,8 @@ class TestPinnedCases:
 
 configs = pytest.mark.parametrize(
     "config",
-    [{}, {"incremental_enabled": False}],
-    ids=["default", "no-incremental"],
+    [{}, {"incremental_enabled": False}, {"prefilter_enabled": False}],
+    ids=["default", "no-incremental", "no-prefilter"],
 )
 
 #: Conditions that no point satisfies, whatever the tuple.
@@ -580,6 +580,68 @@ class TestSelectMatchesCopyAndClose:
         got = algebra.select(relation, atoms)
         _assert_tuple_identical(got, select_reference(relation, atoms))
         assert len(got) == 1
+
+    @staticmethod
+    def _window(low: int, high: int, gap: int) -> GeneralizedTuple:
+        """``low <= A <= high`` and ``B >= A + gap``."""
+        gtuple = GeneralizedTuple((LRP.make(0, 1), LRP.make(0, 2)), DBM(2))
+        gtuple.dbm.add_lower(0, low)
+        gtuple.dbm.add_upper(0, high)
+        gtuple.dbm.add_difference(0, 1, -gap)
+        return gtuple
+
+    @configs
+    def test_implied_condition_keeps_the_carried_closure(self, config):
+        schema = Schema.make(temporal=["A", "B"])
+        relation = GeneralizedRelation(schema, [self._window(5, 9, 2)])
+        stored = relation.tuples[0]
+        # The closure already holds B >= 7 and A - B <= -2.
+        atoms = [VarConstAtom("B", Op.GE, 6), VarVarAtom("A", Op.LE, "B", 0)]
+        with overrides(**config):
+            got = algebra.select(relation, atoms)
+            expected = select_reference(relation, atoms)
+        _assert_tuple_identical(got, expected)
+        (selected,) = got
+        assert selected.closure() == stored.closure()
+        assert selected.canonical_key() == stored.canonical_key()
+        # The written constraints still gain the condition's bound.
+        assert selected.dbm._b != stored.dbm._b
+
+    @configs
+    @pytest.mark.parametrize("const", [-1, 0])
+    def test_diagonal_atom(self, config, const):
+        schema = Schema.make(temporal=["A", "B"])
+        relation = GeneralizedRelation(
+            schema, [self._window(0, 4, 1), self._window(3, 8, 0)]
+        )
+        atoms = [VarVarAtom("A", Op.LE, "A", const)]
+        with overrides(**config):
+            got = algebra.select(relation, atoms)
+            expected = select_reference(relation, atoms)
+        _assert_tuple_identical(got, expected)
+        if const < 0:
+            assert len(got) == 0
+        else:  # A <= A bounds nothing: every tuple comes back as it was
+            assert [t.canonical_key() for t in got] == [
+                t.canonical_key() for t in relation
+            ]
+
+    @configs
+    def test_rejected_by_the_second_atom(self, config):
+        schema = Schema.make(temporal=["A", "B"])
+        relation = GeneralizedRelation(
+            schema,
+            [self._window(0, 10, 8), self._window(0, 10, 1),
+             self._window(3, 8, 0)],
+        )
+        # Two entries: A >= 2 tightens the first two tuples, and B <= 5
+        # then empties the first, whose B >= A + 8 >= 10.
+        atoms = [VarConstAtom("A", Op.GE, 2), VarConstAtom("B", Op.LE, 5)]
+        with overrides(**config):
+            got = algebra.select(relation, atoms)
+            expected = select_reference(relation, atoms)
+        _assert_tuple_identical(got, expected)
+        assert [t.closure()[0][1] for t in got] == [-2, -3]
 
 
 # ----------------------------------------------------------------------

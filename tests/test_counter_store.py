@@ -74,10 +74,14 @@ def test_snapshot_holds_every_perf_name_the_benchmark_reads():
         for _name, call, text, _k in texts:
             run(db, call, text)
     counters = get_registry().snapshot()["counters"]
-    wanted = ["perf.closure_full", "perf.closure_incremental"]
+    wanted = [
+        "perf.closure_full",
+        "perf.closure_incremental",
+        "perf.kernel.scalar_fallbacks",
+    ]
     if kernel_active():
-        # The python backend never batches, so it counts no fallback.
-        wanted += ["perf.kernel.batch_dbms", "perf.kernel.scalar_fallbacks"]
+        # The python backend never batches: every closure falls back.
+        wanted += ["perf.kernel.batch_dbms"]
     missing = [name for name in wanted if not counters.get(name)]
     assert not missing, missing
     assert any(

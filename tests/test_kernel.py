@@ -163,6 +163,30 @@ class TestClosureEquivalence:
         for d in batch:
             _assert_genuinely_closed(d)
 
+    def test_python_backend_counts_its_scalar_closures(self):
+        closed = DBM(2)
+        batch = [closed]
+        for i in range(kernel.MIN_BATCH + 1):
+            d = DBM(2)
+            d.add_difference(0, 1, i)
+            batch.append(d)
+        expected = [d.copy().close() for d in batch]
+        with overrides(kernel="python"):
+            reset_metrics()
+            for run in (kernel.sat_batch, kernel.canonical_keys_batch):
+                run(batch)
+            assert COUNTERS["perf.kernel.scalar_fallbacks"] == 2 * (
+                len(batch) - 1
+            )
+            reset_metrics()
+            verdicts = kernel.close_batch(batch)
+        assert verdicts == expected
+        assert COUNTERS["perf.kernel.batch_closures"] == 0
+        # The already closed DBM needs no closure, so it is no fallback.
+        assert COUNTERS["perf.kernel.scalar_fallbacks"] == len(batch) - 1
+        for d in batch:
+            _assert_genuinely_closed(d)
+
     def test_batch_counters_observe_vectorized_sweeps(self):
         batch = []
         for i in range(kernel.MIN_BATCH + 2):

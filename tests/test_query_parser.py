@@ -150,8 +150,9 @@ class TestErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError) as exc:
             parse("Tick(t) Tick(u)")
-        assert (exc.value.line, exc.value.column) == (1, 8)
-        assert "(at line 1, column 8)" in str(exc.value)
+        # Column 9 is the second ``Tick``, not the space before it.
+        assert (exc.value.line, exc.value.column) == (1, 9)
+        assert "(at line 1, column 9)" in str(exc.value)
 
     def test_unclosed_paren(self):
         with pytest.raises(ParseError) as exc:
