@@ -292,9 +292,7 @@ class Session:
 
         cfg = get_config()
         lines = [
-            f"config: prefilter={'on' if cfg.prefilter_enabled else 'off'}, "
-            f"incremental={'on' if cfg.incremental_enabled else 'off'}, "
-            f"kernel={kernel_backend()}, "
+            f"config: kernel={kernel_backend()}, "
             f"optimize={'on' if cfg.optimize else 'off'}"
         ]
         if COUNTERS:

@@ -45,7 +45,6 @@ from repro.core.tuples import GeneralizedTuple
 from repro.obs import trace as obs
 from repro.perf import kernel, prefilter
 from repro.obs.metrics import COUNTERS
-from repro.perf.config import get_config
 
 
 #: Per-operation cost hints for the logical planner's cost model
@@ -121,17 +120,16 @@ def _assemble_dbm(
     Each side is ``(dbm, rows)`` where ``rows[k]`` is the result matrix
     row of the side's matrix row ``k`` (row 0, the zero variable, maps
     to 0; the maps are injective).  Every entry takes the minimum of the
-    bounds the sides place on it.  ``_closed`` and ``_dirty`` end up as
-    the same sequence of :meth:`DBM.add_difference` / ``add_upper`` /
-    ``add_lower`` calls on ``DBM(size)`` would leave them: the writes
-    that tightened an entry, in side order then row-major order, tracked
-    up to the matrix dimension.
+    bounds the sides place on it.  ``_closed`` ends up as the same
+    sequence of :meth:`DBM.add_difference` / ``add_upper`` /
+    ``add_lower`` calls on ``DBM(size)`` would leave it: true only when
+    no side writes a bound.
     """
     n = size + 1
     b: list[list[int | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         b[i][i] = 0
-    dirty: list[tuple[int, int]] = []
+    closed = True
     for dbm, rows in sides:
         for si, src_row in enumerate(dbm._b):
             ti = rows[si]
@@ -143,12 +141,11 @@ def _assemble_dbm(
                 current = row[tj]
                 if current is None or bound < current:
                     row[tj] = bound
-                    dirty.append((ti, tj))
+                    closed = False
     out = DBM.__new__(DBM)
     out._n = n
     out._b = b
-    out._closed = not dirty
-    out._dirty = dirty if len(dirty) <= n else None
+    out._closed = closed
     return out
 
 
@@ -189,22 +186,21 @@ def intersect(
 
     Only tuples with equal data values whose lrps meet can intersect, so
     each ``r1`` tuple is paired only with the ``r2`` tuples
-    :func:`_pairs` finds for it: same data bucket and, with prefilters
-    on, a compatible residue on the first temporal attribute.  Kept
-    pairs come out in nested-loop order.  Unsatisfiable meets (nonempty
-    lrp intersections whose merged constraints have no solution) denote
-    the empty set and are dropped.  With prefilters enabled, provably
-    empty pairs are rejected before the CRT + DBM work, deciding from
-    the closure each stored tuple carries.  Either way the result is
-    tuple-for-tuple that of the plain double loop over ``r1 × r2``.
+    :func:`_pairs` finds for it: same data bucket and a compatible
+    residue on the first temporal attribute.  Kept pairs come out in
+    nested-loop order.  Unsatisfiable meets (nonempty lrp intersections
+    whose merged constraints have no solution) denote the empty set and
+    are dropped.  Provably empty pairs are rejected before the CRT + DBM
+    work, deciding from the closure each stored tuple carries.  The
+    result is tuple-for-tuple that of the plain double loop over
+    ``r1 × r2``.
     """
     _require_same_schema(r1, r2)
     out = GeneralizedRelation.empty(r1.schema)
-    pre = get_config().prefilter_enabled
     window = (0, 0, 0, 0) if r1.schema.temporal_arity else None
     data = operator.attrgetter("data")
     candidates = [
-        _intersect_candidate(t1, t2, pre)
+        _intersect_candidate(t1, t2)
         for t1, t2 in _pairs(r1, r2, data, data, window)
     ]
     for meet in _close_candidates(candidates):
@@ -236,8 +232,8 @@ def _pairs(
 
     Only pairs with equal data keys can meet, so ``r2`` is partitioned
     once by ``key2`` and each ``r1`` tuple is paired with the bucket of
-    its ``key1``.  With prefilters on and a temporal ``window = (i1, i2,
-    low, high)``, each bucket is also indexed by the lrp residues of its
+    its ``key1``.  With a temporal ``window = (i1, i2, low, high)``,
+    each bucket is also indexed by the lrp residues of its
     ``i2`` attribute (:class:`_ResidueIndex`), and a left tuple meets
     only the right tuples whose ``i2`` lrp can differ from its ``i1``
     lrp by some ``d`` in ``[low, high]``; a shared attribute is the
@@ -247,8 +243,6 @@ def _pairs(
     yielded.
     """
     buckets = _partition(r2, key2)
-    if not get_config().prefilter_enabled:
-        window = None
     indexes: dict[Hashable, _ResidueIndex] = {}
     for t1 in r1:
         key = key1(t1)
@@ -331,24 +325,23 @@ class _ResidueIndex:
 
 
 def _intersect_candidate(
-    t1: GeneralizedTuple, t2: GeneralizedTuple, pre: bool
+    t1: GeneralizedTuple, t2: GeneralizedTuple
 ) -> GeneralizedTuple | None:
     """The candidate meet of a same-data pair, before its satisfiability check."""
-    if pre:
-        # The residue index of :func:`_pairs` already paired attribute 0
-        # exactly; test only the others.
-        if not prefilter.lrps_compatible(t1.lrps[1:], t2.lrps[1:]):
-            COUNTERS["perf.prefilter_lrp_skip"] += 1
-            return None
-        closed1 = t1.closure()
-        if closed1 is None:
-            return None
-        closed2 = t2.closure()
-        if closed2 is None:
-            return None
-        if not prefilter.intervals_compatible(closed1, closed2):
-            COUNTERS["perf.prefilter_interval_skip"] += 1
-            return None
+    # The residue index of :func:`_pairs` already paired attribute 0
+    # exactly; test only the others.
+    if not prefilter.lrps_compatible(t1.lrps[1:], t2.lrps[1:]):
+        COUNTERS["perf.prefilter_lrp_skip"] += 1
+        return None
+    closed1 = t1.closure()
+    if closed1 is None:
+        return None
+    closed2 = t2.closure()
+    if closed2 is None:
+        return None
+    if not prefilter.intervals_compatible(closed1, closed2):
+        COUNTERS["perf.prefilter_interval_skip"] += 1
+        return None
     return t1.intersect(t2)
 
 
@@ -440,18 +433,17 @@ def subtract_tuples(
         return [t1]  # subtracting the empty set
     if t1.data != t2.data:
         return [t1]
-    if get_config().prefilter_enabled:
-        if not prefilter.lrps_compatible(t1.lrps, t2.lrps):
-            # Some component meets are empty: same [t1] the loop below
-            # would return, minus the CRT work.
-            COUNTERS["perf.prefilter_lrp_skip"] += 1
-            return [t1]
-        if not prefilter.intervals_compatible(closed1, closed2):
-            # t1 ∩ t2 is empty, so the difference *is* t1 — skipping the
-            # staircase decomposition returns it in one piece instead of
-            # as the equivalent carved-up union.
-            COUNTERS["perf.prefilter_subtract_skip"] += 1
-            return [t1]
+    if not prefilter.lrps_compatible(t1.lrps, t2.lrps):
+        # Some component meets are empty: same [t1] the loop below
+        # would return, minus the CRT work.
+        COUNTERS["perf.prefilter_lrp_skip"] += 1
+        return [t1]
+    if not prefilter.intervals_compatible(closed1, closed2):
+        # t1 ∩ t2 is empty, so the difference *is* t1 — skipping the
+        # staircase decomposition returns it in one piece instead of
+        # as the equivalent carved-up union.
+        COUNTERS["perf.prefilter_subtract_skip"] += 1
+        return [t1]
     arity = t1.temporal_arity
     meets: list[LRP] = []
     for a, b in zip(t1.lrps, t2.lrps):
@@ -460,10 +452,6 @@ def subtract_tuples(
             return [t1]
         meets.append(meet)
     out: list[GeneralizedTuple] = []
-    # Every piece below is t1's system plus at most two bounds; the
-    # delta records them so the fast filter can decide satisfiability
-    # against t1's closure instead of re-closing each piece.
-    deltas: list[tuple] = []
     # Part 1: t1 restricted to free extensions missing the intersection.
     for i in range(arity):
         for piece, upper, lower in lrp_subtract_pieces(t1.lrps[i], meets[i]):
@@ -477,60 +465,17 @@ def subtract_tuples(
             if lower is not None:
                 dbm.add_lower(i, lower)
             out.append(GeneralizedTuple(tuple(lrps), dbm, t1.data))
-            deltas.append(("unary", i, upper, lower))
     # Part 2: points on the shared free extension violating t2's constraints.
     for i, j, bound in t2.dbm.iter_bounds():
         dbm = t1.dbm.copy()
         if i >= 0 and j >= 0:
             dbm.add_difference(j, i, -bound - 1)
-            deltas.append(("edge", j, i, -bound - 1))
         elif j < 0:
             dbm.add_lower(i, bound + 1)
-            deltas.append(("edge", -1, i, -bound - 1))
         else:
             dbm.add_upper(j, -bound - 1)
-            deltas.append(("edge", j, -1, -bound - 1))
         out.append(GeneralizedTuple(tuple(meets), dbm, t1.data))
-    if get_config().incremental_enabled:
-        # Closure-delta fast path: one or two edges added to t1's closed
-        # satisfiable system.  A new negative cycle must traverse a new
-        # edge, and the cheapest return path is a closure entry, so each
-        # piece's satisfiability is an O(1) lookup (see
-        # :func:`repro.perf.prefilter.added_bound_satisfiable`).
-        COUNTERS["perf.closure_delta"] += len(out)
-        return [
-            t
-            for t, delta in zip(out, deltas)
-            if _delta_satisfiable(closed1, delta)
-        ]
     return [t for t in out if t.dbm.copy().close()]
-
-
-def _delta_satisfiable(closed1: prefilter.ClosedRows, delta: tuple) -> bool:
-    """Whether t1's closed system stays satisfiable under a piece's delta.
-
-    ``("edge", u, v, w)`` is one added bound ``X_u - X_v <= w``;
-    ``("unary", i, upper, lower)`` is up to two bounds on one attribute.
-    For the latter, a negative cycle can use the upper edge, the lower
-    edge, or both back to back (``upper < lower``); each case is an O(1)
-    closure lookup, together exhaustive over simple cycles.
-    """
-    kind = delta[0]
-    if kind == "edge":
-        _, u, v, w = delta
-        return prefilter.added_bound_satisfiable(closed1, u, v, w)
-    _, i, upper, lower = delta
-    if upper is not None and lower is not None and upper < lower:
-        return False
-    if upper is not None and not prefilter.added_bound_satisfiable(
-        closed1, i, -1, upper
-    ):
-        return False
-    if lower is not None and not prefilter.added_bound_satisfiable(
-        closed1, -1, i, -lower
-    ):
-        return False
-    return True
 
 
 @_traced("subtract", pairwise=True)
@@ -614,11 +559,11 @@ def project(
     Temporal eliminations go through the paper's normalization
     (Theorem 3.2) restricted to the constraint-connected cluster of the
     dropped attributes — the "partial normalization" optimization of
-    Section 3.4 — and are integer-exact by Theorem 3.1.  With prefilters
-    on, the residue condition of Section 3.2.1 is tested against the
-    closure each tuple carries before anything is normalized: a tuple
-    whose cluster lrps cannot meet its closed windows is never planned,
-    and a split combo that cannot is never formed (:func:`_combos`).
+    Section 3.4 — and are integer-exact by Theorem 3.1.  The residue
+    condition of Section 3.2.1 is tested against the closure each tuple
+    carries before anything is normalized: a tuple whose cluster lrps
+    cannot meet its closed windows is never planned, and a split combo
+    that cannot is never formed (:func:`_combos`).
     Re-orderings and data-only changes never normalize: each tuple's
     output is its carried closure restricted to the kept attributes.
     """
@@ -740,7 +685,7 @@ def _project_plan(
     keep: Sequence[int],
     dropped: Sequence[int],
     max_tuples: int,
-    rows: tuple | None = None,
+    rows: tuple,
 ) -> _ProjectPlan | None:
     """Compute one tuple's cluster, period, splits and bound partition.
 
@@ -749,9 +694,9 @@ def _project_plan(
     — like the canonical/semantic key memos — and repeated projections
     over a stored relation skip the replan.
 
-    With ``rows``, the tuple's closure, the cluster lrps are first
-    tested against its closed windows (:func:`_residues_meet`).  A
-    tuple that fails has only empty combos: it gets no plan (``None``),
+    The cluster lrps are first tested against the closed windows of
+    ``rows``, the tuple's closure (:func:`_residues_meet`).  A tuple
+    that fails has only empty combos: it gets no plan (``None``),
     adds its whole split product to ``perf.prefilter_residue_skip``, and
     neither raises ``NormalizationLimitError`` nor adds to
     ``normalize_expansion``.
@@ -762,10 +707,8 @@ def _project_plan(
         plan = memo.get(memo_key)
         if plan is not None:
             # A plan with feasible combos passed the test already.
-            if (
-                rows is not None
-                and plan.feasible is None
-                and not _residues_meet(gtuple.lrps, rows, plan.cluster_order)
+            if plan.feasible is None and not _residues_meet(
+                gtuple.lrps, rows, plan.cluster_order
             ):
                 COUNTERS["perf.prefilter_residue_skip"] += plan.split_sizes
                 return None
@@ -789,7 +732,7 @@ def _project_plan(
         period = lrps[i].period
         if period:
             split_sizes *= k // period
-    if rows is not None and not _residues_meet(lrps, rows, cluster_order):
+    if not _residues_meet(lrps, rows, cluster_order):
         COUNTERS["perf.prefilter_residue_skip"] += split_sizes
         return None
     if split_sizes > max_tuples:
@@ -953,11 +896,9 @@ def _project_combo(
     # affine X-space transcription preserves the triangle inequality
     # entry for entry, so when no entry was skipped (no kept singleton
     # pins) the output is born closed — downstream canonicalization pays
-    # no re-closure (any outside bounds added below re-open it with a
-    # tracked edit list, keeping the incremental path eligible).
+    # no re-closure (any outside bounds added below re-open it).
     if not any(singles[attr] for attr in kept_cluster_attrs):
         out_dbm._closed = True
-        out_dbm._dirty = []
     # Outside constraints survive verbatim (they touch no cluster attr);
     # outside_ops already carries them as output-matrix cells.
     for ri, rj, bound in plan.outside_ops:
@@ -1001,18 +942,11 @@ def _planned_combos(
     """One tuple's plan and the combos to normalize, or ``None`` when the
     tuple is empty.
 
-    With prefilters on, emptiness is read off the closure the tuple
-    carries and its residues are tested against it.  With them off, a
-    copy of the tuple's system is closed and the full product runs, so
-    the naive configuration pays what it always paid.
+    Emptiness is read off the closure the tuple carries, and its
+    residues are tested against it.
     """
-    if get_config().prefilter_enabled:
-        rows = gtuple.closure()
-        if rows is None:
-            return None
-    elif gtuple.dbm.copy().close():
-        rows = None
-    else:
+    rows = gtuple.closure()
+    if rows is None:
         return None
     plan = _project_plan(gtuple, keep, dropped, max_tuples, rows)
     if plan is None:
@@ -1074,17 +1008,14 @@ def _residues_meet(
     return True
 
 
-def _combos(
-    plan: _ProjectPlan, rows: tuple | None
-) -> list[tuple[LRP, ...]]:
+def _combos(plan: _ProjectPlan, rows: tuple) -> list[tuple[LRP, ...]]:
     """The split combos of ``plan`` to normalize, in ``itertools.product``
     order.
 
-    Without ``rows`` this is the whole product.  With ``rows``, the
-    tuple's closure, only the combos whose lrps meet its closed windows
-    (:func:`_feasible_combos`).  A combo left out has an n-space system
-    with no integer solution, which the kernel or :func:`_project_combo`
-    would reject, so the output is unchanged.  Each combo left out adds
+    Only the combos whose lrps meet the closed windows of ``rows``, the
+    tuple's closure (:func:`_feasible_combos`).  A combo left out has an
+    n-space system with no integer solution, which the kernel or
+    :func:`_project_combo` would reject, so the output is unchanged.  Each combo left out adds
     one to ``perf.prefilter_residue_skip``.
 
     ``rows`` must belong to a tuple that passed :func:`_residues_meet`
@@ -1093,8 +1024,6 @@ def _combos(
     ``plan.feasible``.
     """
     choices = plan.choices
-    if rows is None:
-        return list(itertools.product(*choices))
     if plan.feasible is None:
         if plan.split_sizes == 1:
             plan.feasible = ([tuple([lrp for (lrp,) in choices])], 0)
@@ -1186,11 +1115,11 @@ def _project_batched(
     enumerated identically (:func:`_project_plan`, :func:`_combos`,
     residue pruning included); only the per-combo n-space closure,
     projection and X-space transcription run as grouped vectorized
-    sweeps in :func:`repro.perf.kernel.project_batch`.  With prefilters
-    on, a tuple is satisfiable iff its carried closure exists, so no
-    tuple is closed here.  Combos with singleton splits take the scalar
-    combo path (their n-space pins are not template-expressible), as do
-    whole groups the kernel rejects for exactness.
+    sweeps in :func:`repro.perf.kernel.project_batch`.  A tuple is
+    satisfiable iff its carried closure exists, so no tuple is closed
+    here.  Combos with singleton splits take the scalar combo path
+    (their n-space pins are not template-expressible), as do whole
+    groups the kernel rejects for exactness.
     """
     plans: list[_ProjectPlan | None] = []
     jobs: list[tuple] = []
@@ -1256,7 +1185,7 @@ def _assemble_projected(
 
     ``x_bounds`` is the closed bound matrix over ``plan.kept_rows``; it
     is installed directly as a closed DBM (the transcription preserves
-    closure), then any outside bounds re-open it with tracked edits.
+    closure), then any outside bounds re-open it.
     """
     cluster_pos = plan.cluster_pos
     cluster = plan.cluster
@@ -1276,7 +1205,6 @@ def _assemble_projected(
     out_dbm._n = len(mat)
     out_dbm._b = mat
     out_dbm._closed = True
-    out_dbm._dirty = []
     for ri, rj, bound in plan.outside_ops:
         out_dbm._set(ri, rj, bound)
     # Bypass the dataclass __init__: lrps/data are already tuples and
@@ -1332,9 +1260,7 @@ def select(
     ``closure(D) ∧ E`` is that of ``D ∧ E``), which decides
     satisfiability and becomes the new tuple's canonical key; when no
     edge tightens it, the carried closure is the key as it is.  Only a
-    kept tuple gets its written DBM: a copy with the edges set.  With
-    incremental closure off (``REPRO_NO_INCREMENTAL``) each conjunction
-    is closed from its written form instead.
+    kept tuple gets its written DBM: a copy with the edges set.
     """
     atoms = (
         parse_atoms(condition) if isinstance(condition, str) else list(condition)
@@ -1343,12 +1269,6 @@ def select(
         _check_temporal_atom(relation.schema, atom)
     extra = atoms_to_dbm(atoms, relation.schema.temporal_names)
     out = GeneralizedRelation.empty(relation.schema)
-    if not get_config().incremental_enabled:
-        for gtuple in relation:
-            merged = gtuple.dbm.intersect(extra)
-            if merged.copy().close():
-                out.add(GeneralizedTuple(gtuple.lrps, merged, gtuple.data))
-        return out
     # The zero diagonal bounds nothing; a negative one (``A <= A - 1``)
     # makes every conjunction unsatisfiable.
     edges = [
@@ -1452,18 +1372,11 @@ def product(
     rows1 = range(a1 + 1)
     rows2 = [0] + [a1 + 1 + i for i in range(a2)]
     out = GeneralizedRelation.empty(new_schema)
-    carried = get_config().prefilter_enabled
-
-    def satisfiable(t: GeneralizedTuple) -> bool:
-        if carried:
-            return t.closure() is not None
-        return t.dbm.copy().close()
-
     for t1 in r1:
-        if not satisfiable(t1):
+        if t1.closure() is None:
             continue  # empty tuple: nothing to combine
         for t2 in r2:
-            if not satisfiable(t2):
+            if t2.closure() is None:
                 continue
             dbm = _assemble_dbm(a1 + a2, ((t1.dbm, rows1), (t2.dbm, rows2)))
             out.add(
@@ -1492,9 +1405,9 @@ def join(
 
     The data side is a hash join: ``r2`` is partitioned once on its
     shared data columns (one bucket when there are none) and each ``r1``
-    tuple is paired only with the bucket carrying its values.  With
-    prefilters on, each bucket is also indexed by lrp residue
-    (Section 3.2.1, :func:`_pairs`): on the first shared temporal
+    tuple is paired only with the bucket carrying its values.  Each
+    bucket is also indexed by lrp residue (Section 3.2.1,
+    :func:`_pairs`): on the first shared temporal
     attribute or, without one, on the condition's first two-sided
     window between a left and a right attribute.  A pair whose lrps
     cannot meet there is never formed.  The remaining pairs are tested
@@ -1506,7 +1419,7 @@ def join(
     result is tuple-for-tuple that of the double loop.  With one, it is
     that of ``select(join(r1, r2), condition)`` minus the tuples whose
     lrps cannot meet the condition's windows (each denotes the empty
-    set); with prefilters off nothing is removed.
+    set).
     """
     shared = [a for a in r1.schema.attributes if r2.schema.has(a.name)]
     for attr in shared:
@@ -1545,7 +1458,6 @@ def join(
     ]
     a1 = r1.schema.temporal_arity
     arity = len(result_t_names)
-    pre = get_config().prefilter_enabled
     # Matrix row maps for the DBM assembler (row 0 is the zero variable).
     # The result's temporal attributes are r1's, then r2's own.
     rows1 = range(a1 + 1)
@@ -1559,8 +1471,7 @@ def join(
         if not extra.copy().close():
             return out
         conditioned = ((extra, range(arity + 1)),)
-        if pre:
-            windows = _windows(extra)
+        windows = _windows(extra)
     window = None
     skip = "perf.prefilter_lrp_skip"
     if shared_t:
@@ -1583,7 +1494,6 @@ def join(
         d2_only_idx,
         windows,
         arity,
-        pre,
     )
     idx1 = [i for i, _ in shared_d]
     idx2 = [j for _, j in shared_d]
@@ -1640,28 +1550,23 @@ def _join_candidate(
         d2_only_idx,
         windows,
         arity,
-        pre,
     ) = context
-    if pre:
-        # The residue index of :func:`_pairs` already paired the first
-        # shared temporal attribute exactly; test only the others.
-        if not prefilter.lrps_compatible(t1.lrps, t2.lrps, shared_t[1:]):
-            COUNTERS["perf.prefilter_lrp_skip"] += 1
-            return None
-        closed1 = t1.closure()
-        if closed1 is None:
-            return None
-        closed2 = t2.closure()
-        if closed2 is None:
-            return None
-        if shared_t and not prefilter.intervals_compatible(
-            closed1, closed2, shared_t
-        ):
-            COUNTERS["perf.prefilter_interval_skip"] += 1
-            return None
-    else:
-        if not t1.dbm.copy().close() or not t2.dbm.copy().close():
-            return None
+    # The residue index of :func:`_pairs` already paired the first
+    # shared temporal attribute exactly; test only the others.
+    if not prefilter.lrps_compatible(t1.lrps, t2.lrps, shared_t[1:]):
+        COUNTERS["perf.prefilter_lrp_skip"] += 1
+        return None
+    closed1 = t1.closure()
+    if closed1 is None:
+        return None
+    closed2 = t2.closure()
+    if closed2 is None:
+        return None
+    if shared_t and not prefilter.intervals_compatible(
+        closed1, closed2, shared_t
+    ):
+        COUNTERS["perf.prefilter_interval_skip"] += 1
+        return None
     lrps: list[LRP | None] = [*t1.lrps, *[None] * len(t2_only)]
     for i1, i2 in shared_t:
         meet = t1.lrps[i1].intersect(t2.lrps[i2])
@@ -1729,8 +1634,6 @@ def complement(
     for name in schema.data_names:
         if name not in data_domains:
             raise DomainError(f"data_domains is missing attribute {name!r}")
-    import itertools
-
     by_data: dict[tuple, list[GeneralizedTuple]] = {}
     for gtuple in relation:
         by_data.setdefault(gtuple.data, []).append(gtuple)

@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from repro.obs.metrics import COUNTERS
-from repro.perf.config import get_config
 from repro.core.errors import ReproValueError
 
 Bound = int | None  # None encodes +infinity
@@ -76,7 +75,7 @@ class DBM:
     and translates.
     """
 
-    __slots__ = ("_n", "_b", "_closed", "_dirty")
+    __slots__ = ("_n", "_b", "_closed")
 
     def __init__(self, size: int) -> None:
         if size < 0:
@@ -87,9 +86,6 @@ class DBM:
             for i in range(self._n)
         ]
         self._closed = True  # the unconstrained system is trivially closed
-        # Entries written since the matrix was last closed; None means
-        # the edit history is unknown and only a full closure is safe.
-        self._dirty: list[tuple[int, int]] | None = []
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -107,7 +103,6 @@ class DBM:
         out._n = len(rows)
         out._b = [list(row) for row in rows]
         out._closed = True
-        out._dirty = []
         return out
 
     @property
@@ -119,14 +114,12 @@ class DBM:
         """Return an independent copy.
 
         Closure state travels with the copy: a copied already-closed
-        matrix answers :meth:`close` in O(1), and pending dirty edges
-        stay eligible for the incremental closure.
+        matrix answers :meth:`close` in O(1).
         """
         out = DBM.__new__(DBM)
         out._n = self._n
         out._b = [row[:] for row in self._b]
         out._closed = self._closed
-        out._dirty = None if self._dirty is None else list(self._dirty)
         return out
 
     def _set(self, i: int, j: int, bound: int) -> None:
@@ -134,14 +127,6 @@ class DBM:
         if current is None or bound < current:
             self._b[i][j] = bound
             self._closed = False
-            dirty = self._dirty
-            if dirty is not None:
-                if len(dirty) < self._n:
-                    dirty.append((i, j))
-                else:
-                    # Too many edits for the incremental closure to beat
-                    # Floyd–Warshall; stop tracking.
-                    self._dirty = None
 
     def add_difference(self, i: int, j: int, bound: int) -> None:
         """Add ``X_i - X_j <= bound`` (0-based variable indices)."""
@@ -189,31 +174,13 @@ class DBM:
         bound.  An unsatisfiable system is detected by a negative value on
         the diagonal and left in that state (callers should discard it).
 
-        ``close`` is idempotent (a ``_closed`` flag makes repeats O(n))
-        and tightens incrementally in O(d·n²) when only ``d < n`` bounds
-        were written since the last closure, instead of re-running the
-        O(n³) Floyd–Warshall pass.
+        ``close`` is idempotent: a ``_closed`` flag makes repeats O(n).
+        Conjoining a few bounds into an already closed system is cheaper
+        through :meth:`conjoin_closed`.
         """
         if self._closed:
             return self.is_satisfiable()
-        dirty = self._dirty
-        if (
-            dirty is not None
-            and dirty
-            and len(set(dirty)) < self._n
-            and get_config().incremental_enabled
-        ):
-            COUNTERS["perf.closure_incremental"] += 1
-            self._close_incremental(list(dict.fromkeys(dirty)))
-        else:
-            COUNTERS["perf.closure_full"] += 1
-            self._close_full()
-        self._closed = True
-        self._dirty = []
-        return self.is_satisfiable()
-
-    def _close_full(self) -> None:
-        """The classic O(n³) Floyd–Warshall tightening pass."""
+        COUNTERS["perf.closure_full"] += 1
         n = self._n
         b = self._b
         for k in range(n):
@@ -231,24 +198,35 @@ class DBM:
                     current = row_i[j]
                     if current is None or candidate < current:
                         row_i[j] = candidate
+        self._closed = True
+        return self.is_satisfiable()
 
-    def _close_incremental(self, edges: list[tuple[int, int]]) -> None:
-        """Re-close after writing only ``edges`` into a closed matrix.
+    def conjoin_closed(self, edges: Sequence[tuple[int, int, int]]) -> bool:
+        """Conjoin the bounds ``edges`` into this closed system and re-close.
 
-        For each written entry ``b[u][v] = w`` (the constraint
-        ``X_u - X_v <= w``), the closure of the old matrix plus that
-        single edge is ``b'[i][j] = min(b[i][j], b[i][u] + w + b[v][j])``
-        — one O(n²) sweep.  Processing the written edges sequentially is
-        exact: each sweep uses entries that are already closed over the
-        previously processed edges, and raw not-yet-processed writes only
-        ever make entries tighter than required, never looser.
+        Each edge ``(i, j, bound)`` is the matrix entry ``X_i - X_j <=
+        bound`` (row/column 0 the zero variable).  The closure of
+        ``closure(D) ∧ E`` is the closure of ``D ∧ E``, so a closed ``D``
+        plus a few bounds ``E`` closes in O(|E|·n²) instead of the O(n³)
+        of :meth:`close`: for each written entry ``b[u][v] = w``, the
+        closure of the old matrix plus that single edge is ``b'[i][j] =
+        min(b[i][j], b[i][u] + w + b[v][j])``, one O(n²) sweep.  Only the
+        edges that tighten an entry are swept.  Processing them in turn
+        is exact: each sweep uses entries already closed over the
+        previous edges, and raw not-yet-swept writes only ever make
+        entries tighter than required, never looser.  Returns whether the
+        conjunction is satisfiable.
         """
         n = self._n
         b = self._b
-        for u, v in edges:
+        written = []
+        for i, j, bound in edges:
+            current = b[i][j]
+            if current is None or bound < current:
+                b[i][j] = bound
+                written.append((i, j))
+        for u, v in written:
             w = b[u][v]
-            if w is None:  # pragma: no cover - dirty writes are finite
-                continue
             row_v = b[v]
             for i in range(n):
                 b_iu = b[i][u]
@@ -264,27 +242,6 @@ class DBM:
                     current = row_i[j]
                     if current is None or candidate < current:
                         row_i[j] = candidate
-
-    def conjoin_closed(self, edges: Sequence[tuple[int, int, int]]) -> bool:
-        """Conjoin the bounds ``edges`` into this closed system and re-close.
-
-        Each edge ``(i, j, bound)`` is the matrix entry ``X_i - X_j <=
-        bound`` (row/column 0 the zero variable).  Only the edges that
-        tighten an entry are processed, each by one
-        :meth:`_close_incremental` sweep: the closure of ``closure(D) ∧
-        E`` is the closure of ``D ∧ E``, so a closed ``D`` plus a few
-        bounds ``E`` closes in O(|E|·n²).  Returns whether the
-        conjunction is satisfiable.
-        """
-        b = self._b
-        written = []
-        for i, j, bound in edges:
-            current = b[i][j]
-            if current is None or bound < current:
-                b[i][j] = bound
-                written.append((i, j))
-        if written:
-            self._close_incremental(written)
         return self.is_satisfiable()
 
     def is_satisfiable(self) -> bool:
@@ -407,7 +364,6 @@ class DBM:
             for j in range(self._n):
                 out._b[i][j] = self._b[i][j]
         out._closed = self._closed
-        out._dirty = None if not self._closed else []
         return out
 
     def shift_variable(self, i: int, delta: int) -> DBM:

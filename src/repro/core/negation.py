@@ -34,7 +34,6 @@ from repro.core.normalize import (
 from repro.core.tuples import GeneralizedTuple
 from repro.perf import prefilter
 from repro.obs.metrics import COUNTERS
-from repro.perf.config import get_config
 
 DEFAULT_MAX_EXTENSIONS = 1_000_000
 
@@ -113,29 +112,24 @@ def complement_constraint_systems(
         negated = negate_dbm(system, size)
         if not negated:
             return []
-        pre = get_config().prefilter_enabled
         # Every negated piece carries exactly one written bound, so an
         # O(1) closed-path test decides whether conjoining it can stay
         # satisfiable — skipping the pieces the canonical-key check
         # below would discard anyway, without building the merge.
-        piece_bounds = (
-            [next(iter(piece.iter_bounds()), None) for piece in negated]
-            if pre
-            else None
-        )
+        piece_bounds = [
+            next(iter(piece.iter_bounds()), None) for piece in negated
+        ]
         next_round: dict[tuple, DBM] = {}
         for conjunct in current:
             # Every conjunct kept so far is satisfiable, so its
             # canonical key is its closed bound rows.
-            closed_conjunct = conjunct.canonical_key() if pre else None
-            for index, piece in enumerate(negated):
-                if piece_bounds is not None:
-                    bound = piece_bounds[index]
-                    if bound is not None and not prefilter.added_bound_satisfiable(
-                        closed_conjunct, *bound
-                    ):
-                        COUNTERS["perf.prefilter_negation_skip"] += 1
-                        continue
+            closed_conjunct = conjunct.canonical_key()
+            for piece, bound in zip(negated, piece_bounds):
+                if bound is not None and not prefilter.added_bound_satisfiable(
+                    closed_conjunct, *bound
+                ):
+                    COUNTERS["perf.prefilter_negation_skip"] += 1
+                    continue
                 merged = conjunct.intersect(piece)
                 # Satisfiability and deduplication both go through the
                 # canonical key, which closes a *copy*: the stored

@@ -10,10 +10,9 @@ engine must agree exactly.  This package exploits that:
   stable JSON form (the ``tests/corpus/`` format).
 * :mod:`repro.fuzz.gen` — seeded deterministic case generation, built
   on the same drawing logic as the :mod:`repro.testing` strategies.
-* :mod:`repro.fuzz.diff` — the three-way differential executor:
-  optimized algebra vs the algebra with every :mod:`repro.perf`
-  optimization disabled vs :class:`~repro.baseline.finite.FiniteRelation`
-  over per-node windows.
+* :mod:`repro.fuzz.diff` — the differential executor: the algebra vs
+  :class:`~repro.baseline.finite.FiniteRelation` over per-node
+  windows, and the rewritten logical plan vs the algebra.
 * :mod:`repro.fuzz.shrink` — delta-debugging minimization of failing
   cases to few-tuple, few-node repros.
 * :mod:`repro.fuzz.ivm` — the incremental-view-maintenance leg:

@@ -1,6 +1,6 @@
 """``repro fuzz`` — the differential fuzzing command.
 
-Generates seeded random cases, runs the three-way differential check
+Generates seeded random cases, runs the differential check
 (:mod:`repro.fuzz.diff`), shrinks failures to minimal replayable repros
 (:mod:`repro.fuzz.shrink`) and writes them as JSON for the regression
 corpus.  Examples::

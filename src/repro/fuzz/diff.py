@@ -1,19 +1,18 @@
-"""The differential executor: three evaluations of one case, compared.
+"""The differential executor: up to three evaluations of one case, compared.
 
 Each :class:`~repro.fuzz.case.Case` is evaluated
 
-1. through the generalized algebra with the performance layer as
-   configured (the *optimized* run),
-2. through the same algebra with every optimization disabled via
-   :func:`repro.perf.config.overrides` (the *naive* run), and
+1. through the generalized algebra, operator by operator (the
+   *algebra* run),
+2. by lowering the expression to a relation-expression plan, applying
+   the :mod:`repro.plan.rewrite` passes and executing the rewritten
+   plan (the *plan* leg), compared against the algebra run, and
 3. through :class:`~repro.baseline.finite.FiniteRelation` over bounded
    windows (the *oracle* run) — the paper's own "materialize up to a
    horizon" strawman, reused as an executable specification.
 
-A fourth leg — lowering the expression to a relation-expression plan,
-applying the :mod:`repro.plan.rewrite` passes and executing the
-rewritten plan — runs when :attr:`DiffConfig.plan_check` resolves on
-(by default it follows the global optimizer switch: on unless
+The plan leg runs when :attr:`DiffConfig.plan_check` resolves on (by
+default it follows the global optimizer switch: on unless
 ``REPRO_OPTIMIZE=0``), gating the logical planner against the same
 corpus.
 
@@ -95,18 +94,10 @@ class DiffConfig:
     tuple_pair_cap: int = 100_000
     #: How many missing/extra rows a divergence records verbatim.
     sample: int = 10
-    #: Also compare the optimized and naive runs' canonical key sets —
-    #: a stricter, *syntactic* check on top of the semantic snapshot.
-    #: Off by default: the pairwise prefilter legitimately coarsens
-    #: ``subtract``'s staircase decomposition (skipping subtrahend
-    #: tuples that cannot overlap yields fewer, larger pieces denoting
-    #: the same point set), so key sets differing is expected, not a
-    #: bug.  Semantics — the snapshot comparison — is the contract.
-    syntactic_check: bool = False
     #: Also run the expression through the logical planner: lower it to
     #: a relation-expression plan, apply the rewrite passes
     #: (:func:`repro.plan.rewrite.optimize_plan`) and execute the
-    #: rewritten plan, comparing its snapshot against the naive run.
+    #: rewritten plan, comparing its snapshot against the algebra run.
     #: ``None`` (the default) follows the global optimizer switch
     #: (:attr:`repro.perf.config.PerfConfig.optimize`, on unless the
     #: environment sets ``REPRO_OPTIMIZE=0``), so a default run
@@ -125,22 +116,18 @@ class Divergence:
     """One observed disagreement between two evaluations of a case.
 
     Kinds:
-        ``"oracle"``: the optimized generalized result and the finite
-            oracle denote different point sets on the core window.
-        ``"perf"``: the optimized and naive generalized runs denote
-            different point sets — an optimization changed semantics.
-        ``"perf-syntactic"``: optimized and naive agree semantically but
-            produce different canonical tuple sets — an optimization
-            changed the representation.
-        ``"plan"``: the rewritten logical plan and the naive run denote
-            different point sets — a planner rewrite changed semantics.
+        ``"oracle"``: the algebra run and the finite oracle denote
+            different point sets on the core window.
+        ``"plan"``: the rewritten logical plan and the algebra run
+            denote different point sets — a planner rewrite changed
+            semantics.
     """
 
     kind: str
     detail: str
-    #: Sample rows the reference has and the optimized run lacks.
+    #: Sample rows the reference has and the checked run lacks.
     missing: tuple = ()
-    #: Sample rows the optimized run has and the reference lacks.
+    #: Sample rows the checked run has and the reference lacks.
     extra: tuple = ()
 
     def __str__(self) -> str:
@@ -165,7 +152,7 @@ class CaseResult:
 
     @property
     def ok(self) -> bool:
-        """Whether all three engines agreed (status ``"ok"``)."""
+        """Whether every engine agreed (status ``"ok"``)."""
         return self.status == "ok"
 
     @property
@@ -193,10 +180,8 @@ def eval_generalized(
 ) -> GeneralizedRelation:
     """Evaluate the case's expression through the generalized algebra.
 
-    Runs under whatever :mod:`repro.perf` configuration is active —
-    callers choose optimized versus naive with
-    :func:`repro.perf.config.overrides`.  Raises :class:`OversizeError`
-    when an intermediate exceeds ``config.tuple_cap`` tuples.
+    Raises :class:`OversizeError` when an intermediate exceeds
+    ``config.tuple_cap`` tuples.
     """
 
     def ev(node: Expr) -> GeneralizedRelation:
@@ -555,17 +540,17 @@ def _sample(rows: set, limit: int) -> tuple:
 def _snapshot_divergence(
     kind: str,
     reference: set,
-    optimized: set,
+    checked: set,
     config: DiffConfig,
     label: str,
 ) -> Divergence:
-    missing = reference - optimized
-    extra = optimized - reference
+    missing = reference - checked
+    extra = checked - reference
     return Divergence(
         kind=kind,
         detail=(
             f"{label}: {len(missing)} row(s) missing from and "
-            f"{len(extra)} extra in the optimized result"
+            f"{len(extra)} extra in the checked result"
         ),
         missing=_sample(missing, config.sample),
         extra=_sample(extra, config.sample),
@@ -577,7 +562,7 @@ def _describe_error(exc: Exception) -> str:
 
 
 def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
-    """Run the three-way differential check on one case."""
+    """Run the differential check on one case."""
     COUNTERS["fuzz.cases"] += 1
 
     def done(result: CaseResult) -> CaseResult:
@@ -592,53 +577,22 @@ def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
                 CaseResult(case, "error", error=f"invalid case: {exc}")
             )
 
-        def evaluate(label: str):
-            try:
-                with obs.span(f"fuzz.eval.{label}"):
-                    return eval_generalized(case, config), None
-            except OversizeError as exc:
-                return None, CaseResult(case, "oversize", error=str(exc))
-            except NormalizationLimitError as exc:
-                return None, CaseResult(case, "limit", error=str(exc))
-            except Exception as exc:  # noqa: BLE001 - fuzzing catches all
-                return None, CaseResult(
-                    case, "error", error=f"{label}: {_describe_error(exc)}"
-                )
-
-        optimized, failure = evaluate("optimized")
-        if failure is not None:
-            return done(failure)
-        with perf_config.overrides(
-            prefilter_enabled=False,
-            incremental_enabled=False,
-        ):
-            naive, failure = evaluate("naive")
-        if failure is not None:
-            return done(failure)
-
-        divergences: list[Divergence] = []
-        opt_snap = optimized.snapshot(case.low, case.high)
-        naive_snap = naive.snapshot(case.low, case.high)
-        if opt_snap != naive_snap:
-            divergences.append(
-                _snapshot_divergence(
-                    "perf", naive_snap, opt_snap, config, "optimized vs naive"
+        try:
+            with obs.span("fuzz.eval.algebra"):
+                algebra_run = eval_generalized(case, config)
+        except OversizeError as exc:
+            return done(CaseResult(case, "oversize", error=str(exc)))
+        except NormalizationLimitError as exc:
+            return done(CaseResult(case, "limit", error=str(exc)))
+        except Exception as exc:  # noqa: BLE001 - fuzzing catches all
+            return done(
+                CaseResult(
+                    case, "error", error=f"algebra: {_describe_error(exc)}"
                 )
             )
-        elif config.syntactic_check:
-            opt_keys = {t.canonical_key() for t in optimized}
-            naive_keys = {t.canonical_key() for t in naive}
-            if opt_keys != naive_keys:
-                divergences.append(
-                    Divergence(
-                        kind="perf-syntactic",
-                        detail=(
-                            "optimized and naive runs denote the same points "
-                            f"but differ syntactically ({len(opt_keys)} vs "
-                            f"{len(naive_keys)} canonical tuples)"
-                        ),
-                    )
-                )
+
+        divergences: list[Divergence] = []
+        algebra_snap = algebra_run.snapshot(case.low, case.high)
 
         plan_check = config.plan_check
         if plan_check is None:
@@ -658,14 +612,14 @@ def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
                     )
                 )
             plan_snap = planned.snapshot(case.low, case.high)
-            if plan_snap != naive_snap:
+            if plan_snap != algebra_snap:
                 divergences.append(
                     _snapshot_divergence(
                         "plan",
-                        naive_snap,
+                        algebra_snap,
                         plan_snap,
                         config,
-                        "optimized plan vs naive",
+                        "optimized plan vs algebra",
                     )
                 )
 
@@ -681,7 +635,7 @@ def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
             return done(
                 CaseResult(case, "error", error=f"oracle: {_describe_error(exc)}")
             )
-        if oracle_rows != opt_snap and margin > 0:
+        if oracle_rows != algebra_snap and margin > 0:
             # The mismatch may be a projection-margin artifact; double
             # the margin and see whether it survives.
             retried = True
@@ -700,20 +654,20 @@ def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
                         retried=True,
                     )
                 )
-            if wider is None or wider == opt_snap:
+            if wider is None or wider == algebra_snap:
                 # Vanished (margin artifact) or unconfirmable (the wider
                 # window tripped the cost guard): not evidence of a bug.
                 unstable = True
             else:
                 oracle_rows = wider
-        if not unstable and oracle_rows != opt_snap:
+        if not unstable and oracle_rows != algebra_snap:
             divergences.append(
                 _snapshot_divergence(
                     "oracle",
                     oracle_rows,
-                    opt_snap,
+                    algebra_snap,
                     config,
-                    "finite oracle vs optimized",
+                    "finite oracle vs algebra",
                 )
             )
 

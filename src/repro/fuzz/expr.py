@@ -1,8 +1,8 @@
 """Algebra-expression trees for the differential fuzzing harness.
 
 An :class:`Expr` is a small AST over the generalized algebra's
-operations — the shapes the fuzzer generates, executes three ways
-(optimized, naive, finite oracle) and shrinks.  Nodes are immutable,
+operations — the shapes the fuzzer generates, executes (algebra,
+rewritten plan, finite oracle) and shrinks.  Nodes are immutable,
 JSON round-trippable (for the regression corpus) and schema-checked:
 :meth:`Expr.schema` computes the result schema against an environment
 of leaf schemas, raising :class:`~repro.core.errors.SchemaError` for

@@ -1,21 +1,21 @@
 """Hot-path optimization layer for the generalized algebra.
 
-Three independently switchable optimizations (see ``docs/performance.md``):
+Two optimizations (see ``docs/performance.md``):
 
-1. **Incremental DBM closure** — adding a few bounds to an already
-   closed matrix tightens in O(d·n²) instead of re-running the O(n³)
-   Floyd–Warshall closure (:mod:`repro.core.dbm`).
-2. **Pairwise-op prefilters** — O(m) residue/interval rejection tests
+1. **Pairwise-op prefilters** — O(m) residue/interval rejection tests
    skip provably-empty tuple pairs before the CRT + DBM work in
    ``intersect``/``join``/``subtract`` (:mod:`repro.perf.prefilter`).
-3. **Vectorized batched closure kernel** — many same-dimension DBMs are
+   They are exact and always on.
+2. **Vectorized batched closure kernel** — many same-dimension DBMs are
    packed into one numpy array and closed with a single vectorized
    Floyd–Warshall sweep (:mod:`repro.perf.kernel`); backend selected via
    ``REPRO_KERNEL`` with a graceful pure-Python fallback.
 
-Two always-on shortcuts need no switch: a tuple with no written bound
+Three always-on shortcuts need no switch: a tuple with no written bound
 is decided nonempty without normalizing (:mod:`repro.core.emptiness`),
-and each tuple memoizes its projection plans (``GeneralizedTuple._plans``).
+each tuple memoizes its projection plans (``GeneralizedTuple._plans``),
+and ``select`` conjoins a condition into a tuple's carried closure with
+one O(n²) sweep per bound (:meth:`repro.core.dbm.DBM.conjoin_closed`).
 
 This package's ``__init__`` must stay import-light: :mod:`repro.core.dbm`
 imports it at the bottom of the dependency graph, so only the

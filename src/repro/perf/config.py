@@ -1,16 +1,13 @@
 """Global configuration for the optimization layer.
 
-This module is intentionally dependency-free (stdlib only): it is
-imported from :mod:`repro.core.dbm`, the bottom of the core dependency
-graph, so it must not import anything from :mod:`repro.core`.
+This module is intentionally dependency-free (stdlib only): it loads
+with :mod:`repro.perf`, which :mod:`repro.core.dbm`, the bottom of the
+core dependency graph, imports, so it must not import anything from
+:mod:`repro.core`.
 
 Knobs (environment variables read once at import; override at runtime
 with :func:`configure` or scope changes with :func:`overrides`):
 
-``REPRO_NO_PREFILTER``
-    Set to any non-empty value to disable the pairwise-op prefilters.
-``REPRO_NO_INCREMENTAL``
-    Set to any non-empty value to disable incremental DBM closure.
 ``REPRO_KERNEL``
     Closure kernel backend: ``numpy`` (batched, vectorized), ``python``
     (scalar), or ``auto`` (default, also when empty: numpy when
@@ -32,10 +29,6 @@ from dataclasses import dataclass, replace
 KERNEL_BACKENDS = ("auto", "numpy", "python")
 
 
-def _env_flag(name: str) -> bool:
-    return bool(os.environ.get(name, ""))
-
-
 def _env_on(name: str) -> bool:
     """An opt-out flag: on unless ``0``/``false``/``no``/``off``."""
     raw = os.environ.get(name, "").strip().lower()
@@ -44,15 +37,13 @@ def _env_on(name: str) -> bool:
 
 @dataclass(frozen=True)
 class PerfConfig:
-    """Feature switches for the optimization layer.
+    """The switches of the optimization layer.
 
-    All three optimizations preserve the algebra's semantics; all but the
-    subtraction prefilter additionally preserve the exact tuple-by-tuple
-    output of the naive path (see ``docs/performance.md``).
+    ``kernel`` picks the closure backend, which never changes an answer
+    tuple; ``optimize`` runs the logical-plan rewrites, which change the
+    plan but not the point set it denotes (see ``docs/performance.md``).
     """
 
-    prefilter_enabled: bool = True
-    incremental_enabled: bool = True
     kernel: str = "auto"
     optimize: bool = True
 
@@ -79,8 +70,6 @@ def _env_kernel() -> str:
 
 def _from_env() -> PerfConfig:
     return PerfConfig(
-        prefilter_enabled=not _env_flag("REPRO_NO_PREFILTER"),
-        incremental_enabled=not _env_flag("REPRO_NO_INCREMENTAL"),
         kernel=_env_kernel(),
         optimize=_env_on("REPRO_OPTIMIZE"),
     )

@@ -11,7 +11,7 @@ absent bound) and closes them all with a single vectorized sweep::
 
 which is the textbook (non-in-place) Floyd–Warshall recurrence.  For a
 satisfiable system it converges to the same unique shortest-path matrix
-as the in-place scalar pass in :meth:`repro.core.dbm.DBM._close_full`;
+as the in-place scalar pass in :meth:`repro.core.dbm.DBM.close`;
 for an unsatisfiable system the entry values may differ between the two
 formulations, but both leave a negative diagonal (any negative cycle
 relaxes some ``D[i][i]`` below zero), and callers discard unsatisfiable
@@ -154,7 +154,6 @@ def _writeback(dbm: "DBM", matrix) -> None:
     """Install a closed packed matrix into a DBM, marking it closed."""
     dbm._b = matrix_to_bounds(matrix)
     dbm._closed = True
-    dbm._dirty = []
 
 
 def _observe_batch(size: int) -> None:

@@ -4,9 +4,10 @@ Two families of generators share one body of drawing logic:
 
 * **Hypothesis strategies** (:func:`lrps`, :func:`dbms`,
   :func:`generalized_tuples`, :func:`generalized_relations`,
-  :func:`periodic_sets`) for property tests.  Importing *these* requires
+  :func:`periodic_sets`) for property tests.  Using *these* requires
   `hypothesis <https://hypothesis.readthedocs.io>`_ (an optional
-  dependency, listed under the ``test`` extra)::
+  dependency, listed under the ``test`` extra), which loads on the first
+  access to one of them, so importing this module stays cheap::
 
       from hypothesis import given
       from repro.testing import generalized_relations
@@ -37,11 +38,6 @@ from repro.core.dbm import DBM
 from repro.core.lrp import LRP
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.tuples import GeneralizedTuple
-
-try:  # hypothesis is optional: only the strategy wrappers need it
-    from hypothesis import strategies as st
-except ImportError:  # pragma: no cover - exercised only without the test extra
-    st = None  # type: ignore[assignment]
 
 #: The drawing primitive both generator families are written against:
 #: ``draw_int(low, high)`` returns an integer in ``[low, high]``.
@@ -216,7 +212,31 @@ def seeded_relation(
 # hypothesis strategies (thin wrappers over the shared logic)
 # ----------------------------------------------------------------------
 
-if st is not None:
+#: The strategy names, bound on first access by :func:`__getattr__`.
+_STRATEGIES = (
+    "lrps",
+    "dbms",
+    "generalized_tuples",
+    "generalized_relations",
+    "periodic_sets",
+)
+
+
+def _needs_hypothesis(*_args, **_kwargs):
+    raise ImportError(
+        "the repro.testing hypothesis strategies require the optional "
+        "'hypothesis' package (pip install repro[test]); the seeded_* "
+        "generators work without it"
+    )
+
+
+def _build_strategies() -> dict:
+    """The hypothesis strategies by name, or stand-ins that raise
+    ``ImportError`` when called if hypothesis is not installed."""
+    try:
+        from hypothesis import strategies as st
+    except ImportError:  # pragma: no cover - only without the test extra
+        return dict.fromkeys(_STRATEGIES, _needs_hypothesis)
 
     @st.composite
     def lrps(
@@ -309,14 +329,20 @@ if st is not None:
             return base
         return base & PeriodicSet.at_or_above(draw(st.integers(-8, 8)))
 
-else:  # pragma: no cover - exercised only without the test extra
+    return {
+        "lrps": lrps,
+        "dbms": dbms,
+        "generalized_tuples": generalized_tuples,
+        "generalized_relations": generalized_relations,
+        "periodic_sets": periodic_sets,
+    }
 
-    def _needs_hypothesis(*_args, **_kwargs):
-        raise ImportError(
-            "the repro.testing hypothesis strategies require the optional "
-            "'hypothesis' package (pip install repro[test]); the seeded_* "
-            "generators work without it"
-        )
 
-    lrps = dbms = generalized_tuples = _needs_hypothesis
-    generalized_relations = periodic_sets = _needs_hypothesis
+def __getattr__(name: str):
+    # PEP 562: hypothesis loads on the first strategy lookup, not on
+    # import (the fuzzer and every front door import this module).
+    if name in _STRATEGIES:
+        strategies = _build_strategies()
+        globals().update(strategies)
+        return strategies[name]
+    raise AttributeError(f"module 'repro.testing' has no attribute {name!r}")

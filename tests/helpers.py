@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from repro.core import algebra
 from repro.core.constraints import Op, VarConstAtom, VarVarAtom
 from repro.core.dbm import DBM
 from repro.core.lrp import LRP
@@ -110,3 +111,101 @@ def assert_same_window(
         f"{context}: window [{low},{high}] mismatch; "
         f"missing={sorted(missing)[:5]} extra={sorted(extra)[:5]}"
     )
+
+
+# ----------------------------------------------------------------------
+# nested-loop references for the pairwise operations
+# ----------------------------------------------------------------------
+
+
+def merge_reference(size: int, sides) -> DBM:
+    """``DBM(size)`` plus each side's bounds, one ``add_*`` call apiece.
+
+    ``sides`` holds ``(dbm, mapping)`` with ``mapping[i]`` the result
+    variable of the side's variable ``i``.
+    """
+    out = DBM(size)
+    for dbm, mapping in sides:
+        for i, j, bound in dbm.iter_bounds():
+            ni = mapping[i] if i >= 0 else -1
+            nj = mapping[j] if j >= 0 else -1
+            if ni >= 0 and nj >= 0:
+                out.add_difference(ni, nj, bound)
+            elif nj < 0:
+                out.add_upper(ni, bound)
+            else:
+                out.add_lower(nj, -bound)
+    return out
+
+
+def join_reference(
+    r1: GeneralizedRelation, r2: GeneralizedRelation
+) -> GeneralizedRelation:
+    """Natural join as the plain nested loop over every tuple pair."""
+    s1, s2 = r1.schema, r2.schema
+    r2_only = [a for a in s2.attributes if not s1.has(a.name)]
+    schema = Schema(s1.attributes + tuple(r2_only))
+    names = schema.temporal_names
+    map1 = [names.index(n) for n in s1.temporal_names]
+    map2 = [names.index(n) for n in s2.temporal_names]
+    shared_d = [
+        (s1.data_index(n), s2.data_index(n))
+        for n in s1.data_names
+        if s2.has(n)
+    ]
+    extra_d = [s2.data_index(a.name) for a in r2_only if not a.temporal]
+    out = GeneralizedRelation.empty(schema)
+    for t1 in r1:
+        for t2 in r2:
+            if any(t1.data[i] != t2.data[j] for i, j in shared_d):
+                continue
+            lrps: list = [None] * len(names)
+            for i1, pos in enumerate(map1):
+                lrps[pos] = t1.lrps[i1]
+            for i2, pos in enumerate(map2):
+                lrp = t2.lrps[i2]
+                if lrps[pos] is not None:
+                    lrp = lrps[pos].intersect(lrp)
+                    if lrp is None:
+                        break
+                lrps[pos] = lrp
+            else:
+                dbm = merge_reference(
+                    len(names), ((t1.dbm, map1), (t2.dbm, map2))
+                )
+                if dbm.copy().close():
+                    data = t1.data + tuple(t2.data[j] for j in extra_d)
+                    out.add(GeneralizedTuple(tuple(lrps), dbm, data))
+    return out
+
+
+def intersect_reference(
+    r1: GeneralizedRelation, r2: GeneralizedRelation
+) -> GeneralizedRelation:
+    """Intersection as the plain nested loop over every tuple pair."""
+    out = GeneralizedRelation.empty(r1.schema)
+    for t1 in r1:
+        for t2 in r2:
+            meet = t1.intersect(t2)
+            if meet is not None and meet.dbm.copy().close():
+                out.add(meet)
+    return out
+
+
+def subtract_reference(
+    r1: GeneralizedRelation, r2: GeneralizedRelation
+) -> GeneralizedRelation:
+    """Difference as each minuend folded over every subtrahend."""
+    out = GeneralizedRelation.empty(r1.schema)
+    for t1 in r1:
+        current = [t1]
+        for t2 in r2:
+            step: list[GeneralizedTuple] = []
+            for t in current:
+                step.extend(algebra.subtract_tuples(t, t2))
+            current = algebra._dedup(step)
+            if not current:
+                break
+        for t in current:
+            out.add(t)
+    return out

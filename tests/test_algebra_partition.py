@@ -5,7 +5,8 @@ the right tuples carrying matching data values, and ``join`` and
 ``intersect`` index each bucket by lrp residue.  That must be
 invisible: each operation returns exactly the tuple list — same tuples,
 same order — of the plain nested loop over every pair, which the
-references below spell out, and the prefilter skip counters add up to
+references in ``tests/helpers.py`` spell out, and the prefilter skip
+counters add up to
 what the per-pair tests of that loop would count.  ``select`` decides
 from the closure each stored tuple carries and must match the loop that
 closes every conjunction from scratch.  The assembler that builds joined
@@ -28,14 +29,15 @@ from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.tuples import GeneralizedTuple
 from repro.obs.metrics import COUNTERS
 from repro.perf import prefilter as pf
-from repro.perf.config import overrides
+from tests.helpers import (
+    intersect_reference,
+    join_reference,
+    merge_reference,
+    subtract_reference,
+)
 
 DATA_VALUES = ["a", "b", "c"]
 PERIODS = [0, 1, 2, 3, 4]
-
-prefilters = pytest.mark.parametrize(
-    "prefilter", [True, False], ids=["prefilter", "no-prefilter"]
-)
 
 
 # ----------------------------------------------------------------------
@@ -106,109 +108,18 @@ def _keys(relation: GeneralizedRelation) -> list:
     return [t.canonical_key() for t in relation]
 
 
-def _merge_reference(size: int, sides) -> DBM:
-    """``DBM(size)`` plus each side's bounds, one ``add_*`` call apiece.
-
-    ``sides`` holds ``(dbm, mapping)`` with ``mapping[i]`` the result
-    variable of the side's variable ``i``.
-    """
-    out = DBM(size)
-    for dbm, mapping in sides:
-        for i, j, bound in dbm.iter_bounds():
-            ni = mapping[i] if i >= 0 else -1
-            nj = mapping[j] if j >= 0 else -1
-            if ni >= 0 and nj >= 0:
-                out.add_difference(ni, nj, bound)
-            elif nj < 0:
-                out.add_upper(ni, bound)
-            else:
-                out.add_lower(nj, -bound)
-    return out
-
-
 def _rows(mapping) -> list[int]:
     return [0] + [pos + 1 for pos in mapping]
 
 
-def join_reference(
-    r1: GeneralizedRelation, r2: GeneralizedRelation
-) -> GeneralizedRelation:
-    s1, s2 = r1.schema, r2.schema
-    r2_only = [a for a in s2.attributes if not s1.has(a.name)]
-    schema = Schema(s1.attributes + tuple(r2_only))
-    names = schema.temporal_names
-    map1 = [names.index(n) for n in s1.temporal_names]
-    map2 = [names.index(n) for n in s2.temporal_names]
-    shared_d = [
-        (s1.data_index(n), s2.data_index(n))
-        for n in s1.data_names
-        if s2.has(n)
-    ]
-    extra_d = [s2.data_index(a.name) for a in r2_only if not a.temporal]
-    out = GeneralizedRelation.empty(schema)
-    for t1 in r1:
-        for t2 in r2:
-            if any(t1.data[i] != t2.data[j] for i, j in shared_d):
-                continue
-            lrps: list = [None] * len(names)
-            for i1, pos in enumerate(map1):
-                lrps[pos] = t1.lrps[i1]
-            for i2, pos in enumerate(map2):
-                lrp = t2.lrps[i2]
-                if lrps[pos] is not None:
-                    lrp = lrps[pos].intersect(lrp)
-                    if lrp is None:
-                        break
-                lrps[pos] = lrp
-            else:
-                dbm = _merge_reference(
-                    len(names), ((t1.dbm, map1), (t2.dbm, map2))
-                )
-                if dbm.copy().close():
-                    data = t1.data + tuple(t2.data[j] for j in extra_d)
-                    out.add(GeneralizedTuple(tuple(lrps), dbm, data))
-    return out
-
-
-def intersect_reference(
-    r1: GeneralizedRelation, r2: GeneralizedRelation
-) -> GeneralizedRelation:
-    out = GeneralizedRelation.empty(r1.schema)
-    for t1 in r1:
-        for t2 in r2:
-            meet = t1.intersect(t2)
-            if meet is not None and meet.dbm.copy().close():
-                out.add(meet)
-    return out
-
-
-def subtract_reference(
-    r1: GeneralizedRelation, r2: GeneralizedRelation
-) -> GeneralizedRelation:
-    out = GeneralizedRelation.empty(r1.schema)
-    for t1 in r1:
-        current = [t1]
-        for t2 in r2:
-            step: list[GeneralizedTuple] = []
-            for t in current:
-                step.extend(algebra.subtract_tuples(t, t2))
-            current = algebra._dedup(step)
-            if not current:
-                break
-        for t in current:
-            out.add(t)
-    return out
-
-
-def _pair_counts(r1, r2, shared_t, match, prefilter: bool) -> dict[str, int]:
+def _pair_counts(r1, r2, shared_t, match) -> dict[str, int]:
     """The pair counters the per-pair tests of the nested loop imply.
 
-    With prefilters on, ``prefilter_lrp_skip``/``prefilter_interval_skip``
-    count the pairs the loop's residue-then-interval tests reject, and
+    ``prefilter_lrp_skip``/``prefilter_interval_skip`` count the pairs
+    the loop's residue-then-interval tests reject, and
     ``pair_candidates`` the data-matching pairs whose lrps meet on the
     first shared temporal attribute (every data-matching pair when none
-    is shared).  With prefilters off nothing is skipped and every
-    data-matching pair is a candidate.
+    is shared).
     """
     counts = dict.fromkeys(
         ("prefilter_lrp_skip", "prefilter_interval_skip", "pair_candidates"),
@@ -217,9 +128,6 @@ def _pair_counts(r1, r2, shared_t, match, prefilter: bool) -> dict[str, int]:
     for t1 in r1:
         for t2 in r2:
             if not match(t1, t2):
-                continue
-            if not prefilter:
-                counts["pair_candidates"] += 1
                 continue
             if not shared_t or pf.lrp_pair_compatible(
                 t1.lrps[shared_t[0][0]], t2.lrps[shared_t[0][1]]
@@ -237,7 +145,7 @@ def _pair_counts(r1, r2, shared_t, match, prefilter: bool) -> dict[str, int]:
     return counts
 
 
-def join_pair_counts(r1, r2, prefilter: bool) -> dict[str, int]:
+def join_pair_counts(r1, r2) -> dict[str, int]:
     s1, s2 = r1.schema, r2.schema
     shared_t = [
         (s1.temporal_index(n), s2.temporal_index(n))
@@ -254,15 +162,12 @@ def join_pair_counts(r1, r2, prefilter: bool) -> dict[str, int]:
         r2,
         shared_t,
         lambda t1, t2: all(t1.data[i] == t2.data[j] for i, j in shared_d),
-        prefilter,
     )
 
 
-def intersect_pair_counts(r1, r2, prefilter: bool) -> dict[str, int]:
+def intersect_pair_counts(r1, r2) -> dict[str, int]:
     shared_t = [(i, i) for i in range(r1.schema.temporal_arity)]
-    return _pair_counts(
-        r1, r2, shared_t, lambda t1, t2: t1.data == t2.data, prefilter
-    )
+    return _pair_counts(r1, r2, shared_t, lambda t1, t2: t1.data == t2.data)
 
 
 def _counted(run):
@@ -359,37 +264,31 @@ def _join_inputs():
 
 
 class TestMatchesNestedLoop:
-    @prefilters
     @given(inputs=_join_inputs())
     @settings(max_examples=80, deadline=None)
-    def test_join(self, prefilter, inputs):
+    def test_join(self, inputs):
         r1, r2 = inputs
-        with overrides(prefilter_enabled=prefilter):
-            got, counts = _counted(lambda: algebra.join(r1, r2))
-            expected = join_reference(r1, r2)
+        got, counts = _counted(lambda: algebra.join(r1, r2))
+        expected = join_reference(r1, r2)
         assert got.schema == expected.schema
         assert _keys(got) == _keys(expected)
-        assert counts == join_pair_counts(r1, r2, prefilter)
+        assert counts == join_pair_counts(r1, r2)
 
-    @prefilters
     @given(inputs=_setop_inputs())
     @settings(max_examples=60, deadline=None)
-    def test_intersect(self, prefilter, inputs):
+    def test_intersect(self, inputs):
         r1, r2 = inputs
-        with overrides(prefilter_enabled=prefilter):
-            got, counts = _counted(lambda: algebra.intersect(r1, r2))
-            expected = intersect_reference(r1, r2)
+        got, counts = _counted(lambda: algebra.intersect(r1, r2))
+        expected = intersect_reference(r1, r2)
         assert _keys(got) == _keys(expected)
-        assert counts == intersect_pair_counts(r1, r2, prefilter)
+        assert counts == intersect_pair_counts(r1, r2)
 
-    @prefilters
     @given(inputs=_setop_inputs())
     @settings(max_examples=60, deadline=None)
-    def test_subtract(self, prefilter, inputs):
+    def test_subtract(self, inputs):
         r1, r2 = inputs
-        with overrides(prefilter_enabled=prefilter):
-            got = algebra.subtract(r1, r2)
-            expected = subtract_reference(r1, r2)
+        got = algebra.subtract(r1, r2)
+        expected = subtract_reference(r1, r2)
         assert _keys(got) == _keys(expected)
 
 
@@ -411,27 +310,19 @@ def _unsat_dbm() -> DBM:
 
 
 class TestPinnedCases:
-    @prefilters
-    def test_subtract_without_same_data_subtrahend_keeps_minuend(
-        self, prefilter
-    ):
+    def test_subtract_without_same_data_subtrahend_keeps_minuend(self):
         minuend = _tuple(0, 2, "a")
         r1 = GeneralizedRelation(SCHEMA_X, [minuend])
         r2 = GeneralizedRelation(SCHEMA_X, [_tuple(0, 1, "b")])
-        with overrides(prefilter_enabled=prefilter):
-            got = algebra.subtract(r1, r2)
-            assert _keys(got) == _keys(subtract_reference(r1, r2))
+        got = algebra.subtract(r1, r2)
+        assert _keys(got) == _keys(subtract_reference(r1, r2))
         assert _keys(got) == [minuend.canonical_key()]
 
-    @prefilters
-    def test_subtract_without_same_data_subtrahend_drops_empty_minuend(
-        self, prefilter
-    ):
+    def test_subtract_without_same_data_subtrahend_drops_empty_minuend(self):
         r1 = GeneralizedRelation(SCHEMA_X, [_tuple(0, 2, "a", _unsat_dbm())])
         r2 = GeneralizedRelation(SCHEMA_X, [_tuple(0, 1, "b")])
-        with overrides(prefilter_enabled=prefilter):
-            got = algebra.subtract(r1, r2)
-            assert _keys(got) == _keys(subtract_reference(r1, r2))
+        got = algebra.subtract(r1, r2)
+        assert _keys(got) == _keys(subtract_reference(r1, r2))
         assert len(got) == 0
 
     def test_subtracting_nothing_keeps_even_an_empty_minuend(self):
@@ -439,8 +330,7 @@ class TestPinnedCases:
         got = algebra.subtract(r1, GeneralizedRelation.empty(SCHEMA_X))
         assert _keys(got) == _keys(r1)
 
-    @prefilters
-    def test_join_ignores_right_data_the_left_lacks(self, prefilter):
+    def test_join_ignores_right_data_the_left_lacks(self):
         s1 = Schema.make(temporal=["A"], data=["x"])
         s2 = Schema.make(temporal=["A", "B"], data=["x"])
         r1 = GeneralizedRelation(s1, [_tuple(0, 2, "a")])
@@ -453,17 +343,13 @@ class TestPinnedCases:
                 for value in ("b", "a", "c")
             ],
         )
-        with overrides(prefilter_enabled=prefilter):
-            got = algebra.join(r1, r2)
-            assert _keys(got) == _keys(join_reference(r1, r2))
+        got = algebra.join(r1, r2)
+        assert _keys(got) == _keys(join_reference(r1, r2))
         assert len(got) == 1
         assert got.contains([2, 4], ["a"])
         assert not got.contains([2, 4], ["b"])
 
-    @prefilters
-    def test_singletons_on_either_side_meet_through_the_index(
-        self, prefilter
-    ):
+    def test_singletons_on_either_side_meet_through_the_index(self):
         left = [(4, 0), (1, 3), (7, 0), (0, 1)]
         right = [(0, 2), (4, 0), (1, 6), (5, 0), (7, 0)]
         r1 = GeneralizedRelation(
@@ -472,28 +358,20 @@ class TestPinnedCases:
         r2 = GeneralizedRelation(
             SCHEMA_X, [_tuple(o, p, "a") for o, p in right]
         )
-        with overrides(prefilter_enabled=prefilter):
-            joined, join_counts = _counted(lambda: algebra.join(r1, r2))
-            met, meet_counts = _counted(lambda: algebra.intersect(r1, r2))
+        joined, join_counts = _counted(lambda: algebra.join(r1, r2))
+        met, meet_counts = _counted(lambda: algebra.intersect(r1, r2))
         assert _keys(joined) == _keys(join_reference(r1, r2))
         assert _keys(met) == _keys(intersect_reference(r1, r2))
-        assert join_counts == join_pair_counts(r1, r2, prefilter)
-        assert meet_counts == intersect_pair_counts(r1, r2, prefilter)
-        if prefilter:
-            # 4 meets 0+2n and 4; 1+3n meets 0+2n, 4, 1+6n and 7; 7
-            # meets 1+6n and 7; n meets everything.
-            assert join_counts["pair_candidates"] == 2 + 4 + 2 + 5
+        assert join_counts == join_pair_counts(r1, r2)
+        assert meet_counts == intersect_pair_counts(r1, r2)
+        # 4 meets 0+2n and 4; 1+3n meets 0+2n, 4, 1+6n and 7; 7 meets
+        # 1+6n and 7; n meets everything.
+        assert join_counts["pair_candidates"] == 2 + 4 + 2 + 5
 
 
 # ----------------------------------------------------------------------
 # selection from the carried closure == copy-and-close
 # ----------------------------------------------------------------------
-
-configs = pytest.mark.parametrize(
-    "config",
-    [{}, {"incremental_enabled": False}, {"prefilter_enabled": False}],
-    ids=["default", "no-incremental", "no-prefilter"],
-)
 
 #: Conditions that no point satisfies, whatever the tuple.
 CONTRADICTIONS = {
@@ -544,26 +422,22 @@ def _assert_tuple_identical(got, expected) -> None:
 
 
 class TestSelectMatchesCopyAndClose:
-    @configs
     @given(inputs=_select_inputs())
     @settings(max_examples=80, deadline=None)
-    def test_generated(self, config, inputs):
+    def test_generated(self, inputs):
         relation, atoms = inputs
-        with overrides(**config):
-            got = algebra.select(relation, atoms)
-            expected = select_reference(relation, atoms)
+        got = algebra.select(relation, atoms)
+        expected = select_reference(relation, atoms)
         _assert_tuple_identical(got, expected)
 
-    @configs
     @pytest.mark.parametrize("name", sorted(CONTRADICTIONS))
     @given(
         relation=relations(SETOP_SCHEMAS["one-data"], 2, max_size=6)
     )
     @settings(max_examples=20, deadline=None)
-    def test_contradictory_condition(self, config, name, relation):
-        with overrides(**config):
-            got = algebra.select(relation, CONTRADICTIONS[name])
-            expected = select_reference(relation, CONTRADICTIONS[name])
+    def test_contradictory_condition(self, name, relation):
+        got = algebra.select(relation, CONTRADICTIONS[name])
+        expected = select_reference(relation, CONTRADICTIONS[name])
         _assert_tuple_identical(got, expected)
         assert len(got) == 0
 
@@ -590,16 +464,14 @@ class TestSelectMatchesCopyAndClose:
         gtuple.dbm.add_difference(0, 1, -gap)
         return gtuple
 
-    @configs
-    def test_implied_condition_keeps_the_carried_closure(self, config):
+    def test_implied_condition_keeps_the_carried_closure(self):
         schema = Schema.make(temporal=["A", "B"])
         relation = GeneralizedRelation(schema, [self._window(5, 9, 2)])
         stored = relation.tuples[0]
         # The closure already holds B >= 7 and A - B <= -2.
         atoms = [VarConstAtom("B", Op.GE, 6), VarVarAtom("A", Op.LE, "B", 0)]
-        with overrides(**config):
-            got = algebra.select(relation, atoms)
-            expected = select_reference(relation, atoms)
+        got = algebra.select(relation, atoms)
+        expected = select_reference(relation, atoms)
         _assert_tuple_identical(got, expected)
         (selected,) = got
         assert selected.closure() == stored.closure()
@@ -607,17 +479,15 @@ class TestSelectMatchesCopyAndClose:
         # The written constraints still gain the condition's bound.
         assert selected.dbm._b != stored.dbm._b
 
-    @configs
     @pytest.mark.parametrize("const", [-1, 0])
-    def test_diagonal_atom(self, config, const):
+    def test_diagonal_atom(self, const):
         schema = Schema.make(temporal=["A", "B"])
         relation = GeneralizedRelation(
             schema, [self._window(0, 4, 1), self._window(3, 8, 0)]
         )
         atoms = [VarVarAtom("A", Op.LE, "A", const)]
-        with overrides(**config):
-            got = algebra.select(relation, atoms)
-            expected = select_reference(relation, atoms)
+        got = algebra.select(relation, atoms)
+        expected = select_reference(relation, atoms)
         _assert_tuple_identical(got, expected)
         if const < 0:
             assert len(got) == 0
@@ -626,8 +496,7 @@ class TestSelectMatchesCopyAndClose:
                 t.canonical_key() for t in relation
             ]
 
-    @configs
-    def test_rejected_by_the_second_atom(self, config):
+    def test_rejected_by_the_second_atom(self):
         schema = Schema.make(temporal=["A", "B"])
         relation = GeneralizedRelation(
             schema,
@@ -637,9 +506,8 @@ class TestSelectMatchesCopyAndClose:
         # Two entries: A >= 2 tightens the first two tuples, and B <= 5
         # then empties the first, whose B >= A + 8 >= 10.
         atoms = [VarConstAtom("A", Op.GE, 2), VarConstAtom("B", Op.LE, 5)]
-        with overrides(**config):
-            got = algebra.select(relation, atoms)
-            expected = select_reference(relation, atoms)
+        got = algebra.select(relation, atoms)
+        expected = select_reference(relation, atoms)
         _assert_tuple_identical(got, expected)
         assert [t.closure()[0][1] for t in got] == [-2, -3]
 
@@ -699,7 +567,6 @@ def _assert_same_dbm(got: DBM, expected: DBM) -> None:
     assert got._n == expected._n
     assert got._b == expected._b
     assert got._closed == expected._closed
-    assert got._dirty == expected._dirty
 
 
 class TestAssembleDbm:
@@ -707,7 +574,7 @@ class TestAssembleDbm:
         got = algebra._assemble_dbm(
             size, [(dbm, _rows(mapping)) for dbm, mapping in sides]
         )
-        _assert_same_dbm(got, _merge_reference(size, sides))
+        _assert_same_dbm(got, merge_reference(size, sides))
         return got
 
     @pytest.mark.parametrize("order", ["loose-first", "tight-first"])
@@ -726,7 +593,7 @@ class TestAssembleDbm:
 
     def test_unconstrained_inputs_stay_closed(self):
         got = self._check(3, [(DBM(2), [0, 1]), (DBM(2), [1, 2])])
-        assert got._closed and got._dirty == []
+        assert got._closed
 
     def test_product_disjoint_maps(self):
         left, right = DBM(2), DBM(1)
@@ -735,16 +602,6 @@ class TestAssembleDbm:
         right.add_upper(0, 7)
         got = self._check(3, [(left, [0, 1]), (right, [2])])
         assert got.bound(0, 1) == -3 and got.bound(2, -1) == 7
-
-    def test_many_writes_stop_dirty_tracking(self):
-        left, right = DBM(2), DBM(2)
-        for dbm, shift in ((left, 0), (right, 1)):
-            dbm.add_upper(0, 10 - shift)
-            dbm.add_lower(0, shift)
-            dbm.add_upper(1, 20 - shift)
-            dbm.add_lower(1, shift)
-        got = self._check(2, [(left, [0, 1]), (right, [0, 1])])
-        assert got._dirty is None
 
     @given(
         st.integers(1, 3).flatmap(
@@ -784,5 +641,5 @@ class TestAssembleDbm:
         (joined,) = list(out)
         _assert_same_dbm(
             joined.dbm,
-            _merge_reference(3, [(t1.dbm, [0]), (dbm2, [1, 2])]),
+            merge_reference(3, [(t1.dbm, [0]), (dbm2, [1, 2])]),
         )

@@ -23,7 +23,6 @@ import pytest
 
 from repro.obs import span, tracing
 from repro.obs.metrics import COUNTERS, get_registry, reset_metrics
-from repro.perf.config import overrides
 from repro.perf.kernel import kernel_active
 from repro.plan import nodes as ir
 from repro.query import Database
@@ -69,14 +68,12 @@ def moved(before: dict, after: dict) -> dict:
 
 def test_snapshot_holds_every_perf_name_the_benchmark_reads():
     db, texts = hot_round()
-    with overrides(prefilter_enabled=True):
-        reset_metrics()
-        for _name, call, text, _k in texts:
-            run(db, call, text)
+    reset_metrics()
+    for _name, call, text, _k in texts:
+        run(db, call, text)
     counters = get_registry().snapshot()["counters"]
     wanted = [
         "perf.closure_full",
-        "perf.closure_incremental",
         "perf.kernel.scalar_fallbacks",
     ]
     if kernel_active():

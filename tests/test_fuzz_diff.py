@@ -1,4 +1,4 @@
-"""Tests for the three-way differential executor."""
+"""Tests for the differential executor."""
 
 import pytest
 

@@ -46,7 +46,6 @@ def _assert_genuinely_closed(dbm: DBM) -> None:
     assert dbm._closed
     probe = dbm.copy()
     probe._closed = False
-    probe._dirty = None
     assert probe.close()
     assert probe._b == dbm._b
 

@@ -2,13 +2,14 @@
 
 Two pillars:
 
-* unit tests for the pieces — configuration, incremental closure
+* unit tests for the pieces — configuration, ``DBM.conjoin_closed``
   against Floyd–Warshall, closure-state-preserving copies, prefilter
   soundness, semantic deduplication;
-* differential equivalence — every algebra operation computed with all
-  optimizations on must denote the same point set (and, for
-  intersection/join, the same tuple list) as the naive configuration,
-  across 150+ seeded random cases.
+* differential equivalence — every algebra operation must denote the
+  same point set (and, for intersection/join, the same tuples) as a
+  reference that uses none of the optimizations: the nested loops of
+  ``tests/helpers.py``, or a brute-force window snapshot, across 150+
+  seeded random cases.
 """
 
 from __future__ import annotations
@@ -31,15 +32,13 @@ from repro.perf.config import (
     get_config,
     overrides,
 )
-from tests.helpers import random_dbm, random_relation
-
-NAIVE = dict(
-    prefilter_enabled=False,
-    incremental_enabled=False,
-)
-OPTIMIZED = dict(
-    prefilter_enabled=True,
-    incremental_enabled=True,
+from tests.helpers import (
+    intersect_reference,
+    join_reference,
+    random_dbm,
+    random_relation,
+    subtract_reference,
+    window_universe,
 )
 
 
@@ -51,10 +50,10 @@ OPTIMIZED = dict(
 class TestConfig:
     def test_overrides_restores_previous_values(self):
         before = get_config()
-        with overrides(kernel="python", prefilter_enabled=False):
+        with overrides(kernel="python", optimize=False):
             inner = get_config()
             assert inner.kernel == "python"
-            assert not inner.prefilter_enabled
+            assert not inner.optimize
         assert get_config() == before
 
     def test_overrides_nest(self):
@@ -87,16 +86,11 @@ class TestConfig:
         assert perf_config._from_env().kernel == "auto"
 
     def test_field_names(self):
-        assert [f.name for f in fields(PerfConfig)] == [
-            "prefilter_enabled",
-            "incremental_enabled",
-            "kernel",
-            "optimize",
-        ]
+        assert [f.name for f in fields(PerfConfig)] == ["kernel", "optimize"]
 
 
 # ----------------------------------------------------------------------
-# incremental closure vs Floyd–Warshall
+# conjoin_closed (the incremental closure) vs Floyd–Warshall
 # ----------------------------------------------------------------------
 
 
@@ -104,50 +98,60 @@ def _matrix(dbm: DBM) -> list[list]:
     return [row[:] for row in dbm._b]
 
 
+def _edges(dbm: DBM) -> list[tuple[int, int, int]]:
+    """``dbm``'s bounds as matrix entries (row/column 0 the zero variable)."""
+    return [(i + 1, j + 1, bound) for i, j, bound in dbm.iter_bounds()]
+
+
+def _written(base: DBM, edges) -> DBM:
+    """A copy of ``base`` with ``edges`` written, not yet closed."""
+    out = base.copy()
+    for i, j, bound in edges:
+        out._set(i, j, bound)
+    return out
+
+
 class TestIncrementalClosure:
     @pytest.mark.parametrize("seed", range(60))
     def test_incremental_matches_full_closure(self, seed):
-        """Adding bounds to a closed DBM then re-closing must equal the
-        from-scratch Floyd–Warshall closure of the same written system."""
+        """Conjoining bounds into a closed system must give the verdict
+        and the matrix of the Floyd–Warshall closure of the written
+        conjunction."""
         rng = random.Random(seed)
         arity = rng.randint(1, 4)
         base = random_dbm(rng, arity, n_constraints=rng.randint(0, 4))
-        with overrides(**NAIVE):
-            reference = base.copy()
-            ref_sat = reference.close()
-        with overrides(incremental_enabled=True):
-            subject = base.copy()
-            subject.close()
-            # now add a handful of extra bounds to the *closed* matrix —
-            # exactly the incremental path's precondition
-            extra = random_dbm(rng, arity, n_constraints=rng.randint(1, 3))
-            full = base.copy()
-            for i, j, bound in extra.iter_bounds():
-                args = (i, j, bound)
-                if i >= 0 and j >= 0:
-                    subject.add_difference(*args)
-                    full.add_difference(*args)
-                elif j < 0:
-                    subject.add_upper(i, bound)
-                    full.add_upper(i, bound)
-                else:
-                    subject.add_lower(j, -bound)
-                    full.add_lower(j, -bound)
-            inc_sat = subject.close()
-        with overrides(**NAIVE):
-            full_sat = full.close()
-        assert inc_sat == full_sat
-        if inc_sat:
+        closed = base.copy()
+        if not closed.close():
+            closed = base = DBM(arity)  # conjoin_closed needs a satisfiable closure
+        edges = _edges(random_dbm(rng, arity, n_constraints=rng.randint(1, 3)))
+        subject = DBM.from_closure(closed._b)
+        full = _written(base, edges)
+        verdict = subject.conjoin_closed(edges)
+        assert verdict == full.copy().close()
+        if verdict:
+            full.close()
             assert _matrix(subject) == _matrix(full)
-        assert ref_sat == base.copy().close()
 
     def test_incremental_detects_unsatisfiable(self):
         dbm = DBM(2)
         dbm.add_lower(0, 5)
-        with overrides(incremental_enabled=True):
-            assert dbm.close()
-            dbm.add_upper(0, 3)  # contradicts X0 >= 5
-            assert not dbm.close()
+        assert dbm.close()
+        subject = DBM.from_closure(dbm._b)
+        # X0 <= 3 contradicts X0 >= 5.
+        assert not subject.conjoin_closed([(1, 0, 3)])
+        assert not _written(dbm, [(1, 0, 3)]).close()
+
+    def test_edge_that_tightens_nothing_leaves_the_closure(self):
+        dbm = DBM(2)
+        dbm.add_upper(0, 4)
+        dbm.add_difference(1, 0, 2)
+        assert dbm.close()
+        subject = DBM.from_closure(dbm._b)
+        # X1 <= 9 is already implied by X1 - X0 <= 2 and X0 <= 4.
+        assert subject.conjoin_closed([(2, 0, 9)])
+        assert _matrix(subject) == _matrix(dbm)
+        full = _written(dbm, [(2, 0, 9)])
+        assert full.close() and _matrix(full) == _matrix(subject)
 
     def test_close_is_idempotent(self):
         rng = random.Random(7)
@@ -167,16 +171,6 @@ class TestClosurePreservingOps:
         assert clone._closed
         assert clone.close()
         assert _matrix(clone) == _matrix(dbm)
-
-    def test_copy_preserves_dirty_edges(self):
-        dbm = DBM(2)
-        dbm.add_upper(0, 5)
-        dbm.close()
-        dbm.add_lower(1, 1)
-        clone = dbm.copy()
-        assert not clone._closed
-        assert clone._dirty == dbm._dirty
-        assert clone.close() == dbm.copy().close()
 
     def test_extend_preserves_closure(self):
         dbm = DBM(2)
@@ -282,11 +276,14 @@ class TestSemanticDedup:
 
 
 # ----------------------------------------------------------------------
-# differential equivalence: optimized vs naive (170+ seeded cases)
+# differential equivalence against the references (170+ seeded cases)
 # ----------------------------------------------------------------------
 
 SCHEMA2 = Schema.make(temporal=["A", "B"])
 WINDOW = (-10, 14)  # covers > lcm(1..4,6) so periodicity is exercised
+#: Projection witnesses lie within this distance of the window: every
+#: constant and offset is at most 6 in size, every period at most 6.
+MARGIN = 40
 
 
 def _keys(relation: GeneralizedRelation) -> set:
@@ -307,41 +304,37 @@ BINARY_CASES = [
 def test_equivalence_intersect_join_subtract(seed, size):
     """Three operations x 58 seeds = 174 differential cases.
 
-    Intersection and join must produce the *same tuples* (prefilters
-    only skip provably-empty work); subtraction may factor the result
-    differently, so it is compared on the denoted point sets.
+    Intersection and join must produce the *same tuples* as the nested
+    loops (prefilters only skip provably-empty work); subtraction may
+    factor the result differently, so it is compared on the denoted
+    point sets.
     """
     rng = random.Random(seed)
     r1 = random_relation(rng, SCHEMA2, size or rng.randint(2, 4))
     r2 = random_relation(rng, SCHEMA2, size or rng.randint(2, 4))
-    with overrides(**NAIVE):
-        naive_meet = algebra.intersect(r1, r2)
-        naive_join = algebra.join(r1, r2)
-        naive_diff = algebra.subtract(r1, r2)
-    with overrides(**OPTIMIZED):
-        fast_meet = algebra.intersect(r1, r2)
-        fast_join = algebra.join(r1, r2)
-        fast_diff = algebra.subtract(r1, r2)
-    assert _keys(fast_meet) == _keys(naive_meet)
-    assert _keys(fast_join) == _keys(naive_join)
-    assert _snap(fast_meet) == _snap(naive_meet)
-    assert _snap(fast_diff) == _snap(naive_diff)
+    assert _keys(algebra.intersect(r1, r2)) == _keys(
+        intersect_reference(r1, r2)
+    )
+    assert _keys(algebra.join(r1, r2)) == _keys(join_reference(r1, r2))
+    assert _snap(algebra.subtract(r1, r2)) == _snap(subtract_reference(r1, r2))
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_equivalence_complement_and_project(seed):
+    """Complement and projection against brute-force window snapshots."""
     rng = random.Random(2000 + seed)
     schema1 = Schema.make(temporal=["A"])
     small = random_relation(rng, schema1, rng.randint(1, 3))
     wide = random_relation(rng, SCHEMA2, rng.randint(2, 3))
-    with overrides(**NAIVE):
-        naive_comp = algebra.complement(small)
-        naive_proj = algebra.project(wide, ["B"])
-    with overrides(**OPTIMIZED):
-        fast_comp = algebra.complement(small)
-        fast_proj = algebra.project(wide, ["B"])
-    assert _snap(fast_comp) == _snap(naive_comp)
-    assert _snap(fast_proj) == _snap(naive_proj)
+    universe = window_universe(schema1, *WINDOW)
+    assert _snap(algebra.complement(small)) == universe - _snap(small)
+    low, high = WINDOW
+    witnessed = {
+        (b,)
+        for _, b in wide.snapshot(low - MARGIN, high + MARGIN)
+        if low <= b <= high
+    }
+    assert _snap(algebra.project(wide, ["B"])) == witnessed
 
 
 def test_prefilter_counters_fire_on_disjoint_relations():
@@ -350,8 +343,7 @@ def test_prefilter_counters_fire_on_disjoint_relations():
     r2 = GeneralizedRelation.empty(SCHEMA2)
     r1.add(_tuple_of([LRP.make(0, 4), LRP.make(0, 4)], [(0, 20), (0, 20)], 2))
     r2.add(_tuple_of([LRP.make(1, 4), LRP.make(1, 4)], [(0, 20), (0, 20)], 2))
-    with overrides(**OPTIMIZED):
-        reset_metrics()
-        out = algebra.intersect(r1, r2)
-        assert len(out) == 0
-        assert COUNTERS["perf.prefilter_lrp_skip"] >= 1
+    reset_metrics()
+    out = algebra.intersect(r1, r2)
+    assert len(out) == 0
+    assert COUNTERS["perf.prefilter_lrp_skip"] >= 1

@@ -42,11 +42,7 @@ PLAN_CONFIG = DiffConfig(plan_check=True)
 
 
 def naive_eval(case: Case) -> GeneralizedRelation:
-    with perf_config.overrides(
-        prefilter_enabled=False,
-        incremental_enabled=False,
-    ):
-        return eval_generalized(case, DEFAULT_CONFIG)
+    return eval_generalized(case, DEFAULT_CONFIG)
 
 
 def assert_plan_matches_naive(case: Case) -> None:

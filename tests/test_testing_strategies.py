@@ -134,3 +134,20 @@ class TestSeededGenerators:
 
         rel = _build_relation(scripted, temporal_arity=1)
         assert rel.schema.temporal_names == ("X1",)
+
+
+def test_importing_the_api_leaves_hypothesis_unloaded():
+    """The strategies load hypothesis on first use, not on import: the
+    fuzzer imports ``repro.testing``, and every front door the fuzzer."""
+    import subprocess
+    import sys
+
+    probe = "import sys, repro.api; print('hypothesis' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -7,7 +7,9 @@ buckets, with and without a shared temporal attribute) and conditions
 * (a) ``join(r1, r2, cond)`` is ``select(join(r1, r2), cond)`` minus the
   tuples whose lrps cannot meet the condition's windows, tuple for
   tuple: lrps, stored DBM bounds, data, canonical key and order;
-* (b) with prefilters off the two are equal with nothing removed;
+* (b) the same holds with ``select`` over the nested-loop join of
+  ``tests/helpers.py``, which forms every pair without prefilters or a
+  residue index;
 * (c) their point sets agree over a finite window;
 * (d) a projection that drops a window attribute is tuple-identical
   either way;
@@ -34,7 +36,7 @@ from repro.core.constraints import atoms_to_dbm, parse_atoms
 from repro.core.lrp import LRP
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.tuples import GeneralizedTuple
-from repro.perf.config import get_config, overrides
+from repro.perf.config import overrides
 from repro.plan import nodes as ir
 from repro.plan import rewrite
 
@@ -43,6 +45,8 @@ if str(E2E) not in sys.path:
     sys.path.append(str(E2E))
 
 import stream  # noqa: E402
+
+from tests.helpers import join_reference  # noqa: E402
 
 SEEDS = range(8)
 PERIODS = (0, 0, 2, 3, 4, 6, 9, 12)
@@ -169,8 +173,6 @@ def _cases():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_theta_join_is_select_join_minus_window_empty_tuples(seed):
-    # Under REPRO_NO_PREFILTER nothing is removed (the next test).
-    pre = get_config().prefilter_enabled
     removed = kept = 0
     rng = random.Random(seed)
     for shared in (False, True):
@@ -182,7 +184,7 @@ def test_theta_join_is_select_join_minus_window_empty_tuples(seed):
                 names = selected.schema.temporal_names
                 expected = [
                     t for t in selected
-                    if not (pre and _windows_empty(t, names, condition))
+                    if not _windows_empty(t, names, condition)
                 ]
                 assert fused.schema == selected.schema
                 assert _tuples(fused) == _tuples(
@@ -192,19 +194,25 @@ def test_theta_join_is_select_join_minus_window_empty_tuples(seed):
                 kept += len(expected)
                 # (c) the removed tuples denote nothing.
                 assert fused.snapshot(*WINDOW) == selected.snapshot(*WINDOW)
-    assert kept and (removed or not pre)
+    assert kept and removed
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_without_prefilters_theta_join_is_select_join(seed):
     rng = random.Random(seed)
-    with overrides(prefilter_enabled=False):
-        for shared in (False, True):
-            r1, r2 = _inputs(rng, shared)
-            for condition, _ in _conditions(rng, shared):
-                fused = algebra.join(r1, r2, condition)
-                selected = algebra.select(algebra.join(r1, r2), condition)
-                assert _tuples(fused) == _tuples(selected), condition
+    for shared in (False, True):
+        r1, r2 = _inputs(rng, shared)
+        for condition, _ in _conditions(rng, shared):
+            fused = algebra.join(r1, r2, condition)
+            selected = algebra.select(join_reference(r1, r2), condition)
+            names = selected.schema.temporal_names
+            expected = [
+                t for t in selected
+                if not _windows_empty(t, names, condition)
+            ]
+            assert _tuples(fused) == _tuples(
+                GeneralizedRelation(selected.schema, expected)
+            ), condition
 
 
 def test_projection_dropping_a_window_attribute_is_unchanged():
