@@ -469,9 +469,9 @@ def deduce_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--strategy",
-        default=None,
+        default="seminaive",
         choices=("seminaive", "naive"),
-        help="fixpoint strategy (default: seminaive, or REPRO_SEMINAIVE)",
+        help="fixpoint strategy (default: seminaive; naive is the oracle)",
     )
     args = parser.parse_args(argv)
     if args.install and args.db is None:

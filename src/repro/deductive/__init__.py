@@ -2,7 +2,7 @@
 
 Programs evaluate semi-naively by default (per-rule delta queries; see
 :mod:`repro.deductive.incremental`), with the naive full-body fixpoint
-kept as the oracle (``strategy="naive"`` / ``REPRO_SEMINAIVE=0``).
+kept as the oracle (``strategy="naive"``).
 :class:`~repro.deductive.incremental.ViewMaintainer` is the bridge to
 the transactional core: installed through
 :meth:`repro.query.database.Database.install_program`, it keeps the
@@ -13,7 +13,6 @@ from repro.deductive.program import (
     DEFAULT_MAX_ITERATIONS,
     STRATEGIES,
     Program,
-    default_strategy,
 )
 from repro.deductive.incremental import (
     DIRTY,
@@ -31,6 +30,5 @@ __all__ = [
     "Rule",
     "STRATEGIES",
     "ViewMaintainer",
-    "default_strategy",
     "head_relation",
 ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 from repro.core import algebra
@@ -20,18 +19,6 @@ DEFAULT_MAX_ITERATIONS = 50
 #: round — kept as the executable oracle the equivalence suite and the
 #: fuzz harness's ``"ivm"`` leg compare against.
 STRATEGIES = ("seminaive", "naive")
-
-
-def default_strategy() -> str:
-    """The strategy used when :meth:`Program.evaluate` gets none.
-
-    ``REPRO_SEMINAIVE=0`` forces the naive oracle globally (the same
-    spirit as ``REPRO_OPTIMIZE`` for the planner); anything else —
-    including unset — selects semi-naive evaluation.
-    """
-    return (
-        "naive" if os.environ.get("REPRO_SEMINAIVE") == "0" else "seminaive"
-    )
 
 
 class Program:
@@ -222,7 +209,7 @@ class Program:
         db: Database,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         simplify: bool = True,
-        strategy: str | None = None,
+        strategy: str = "seminaive",
     ) -> Database:
         """Evaluate the program; returns a new Database with IDB filled.
 
@@ -235,10 +222,8 @@ class Program:
         tuples (see :mod:`repro.deductive.incremental`); ``"naive"``
         re-evaluates every full rule body per round, and is kept as the
         executable oracle.  Both produce semantically identical
-        databases; ``REPRO_SEMINAIVE=0`` flips the default to naive.
+        databases.
         """
-        if strategy is None:
-            strategy = default_strategy()
         if strategy not in STRATEGIES:
             raise ReproValueError(
                 f"unknown evaluation strategy {strategy!r}; "

@@ -5,14 +5,16 @@ horizon — doubles as an executable specification: over a bounded
 window, the generalized (symbolic) algebra and a conventional finite
 engine must agree exactly.  This package exploits that:
 
-* :mod:`repro.fuzz.expr` / :mod:`repro.fuzz.case` — algebra-expression
-  trees and replayable (relations, expression, window) cases with a
-  stable JSON form (the ``tests/corpus/`` format).
+* :mod:`repro.fuzz.case` — replayable (relations, expression, window)
+  cases, the expression a plan-IR tree (:mod:`repro.plan.nodes`), with
+  a stable JSON form (the ``tests/corpus/`` format).
 * :mod:`repro.fuzz.gen` — seeded deterministic case generation, built
   on the same drawing logic as the :mod:`repro.testing` strategies.
-* :mod:`repro.fuzz.diff` — the differential executor: the algebra vs
+* :mod:`repro.fuzz.diff` — the differential executor: the plan as
+  built (the naive leg) vs
   :class:`~repro.baseline.finite.FiniteRelation` over per-node
-  windows, and the rewritten logical plan vs the algebra.
+  windows, and the rewritten plan vs the naive leg, both legs on
+  :class:`~repro.plan.engine.NativeEngine`.
 * :mod:`repro.fuzz.shrink` — delta-debugging minimization of failing
   cases to few-tuple, few-node repros.
 * :mod:`repro.fuzz.ivm` — the incremental-view-maintenance leg:
@@ -34,21 +36,9 @@ from repro.fuzz.diff import (
     OversizeError,
     compute_margin,
     eval_finite,
-    eval_generalized,
+    eval_naive,
+    eval_planned,
     run_case,
-)
-from repro.fuzz.expr import (
-    Complement,
-    Expr,
-    Intersect,
-    Join,
-    Leaf,
-    Product,
-    Project,
-    Select,
-    Subtract,
-    Union,
-    expr_from_dict,
 )
 from repro.fuzz.gen import (
     DEFAULT_PROFILE,
@@ -68,32 +58,22 @@ __all__ = [
     "FORMAT",
     "Case",
     "CaseResult",
-    "Complement",
     "DEFAULT_CONFIG",
     "DEFAULT_IVM_PROFILE",
     "DEFAULT_PROFILE",
     "DiffConfig",
     "Divergence",
-    "Expr",
     "FuzzProfile",
     "IvmProfile",
     "IvmResult",
-    "Intersect",
-    "Join",
-    "Leaf",
     "OversizeError",
-    "Product",
-    "Project",
-    "Select",
     "ShrinkResult",
-    "Subtract",
-    "Union",
     "case_from_dict",
     "case_seed",
     "compute_margin",
     "eval_finite",
-    "eval_generalized",
-    "expr_from_dict",
+    "eval_naive",
+    "eval_planned",
     "fuzz_main",
     "generate_case",
     "load_case",

@@ -1,10 +1,15 @@
 """Fuzz cases: (relations, expression, window) triples, JSON round-trip.
 
 A :class:`Case` is the unit the harness generates, executes, shrinks
-and persists.  The JSON form (``format: repro-fuzz-case/1``) is what
-lands in ``tests/corpus/`` — every field needed to replay the case
-byte-for-byte on any checkout, plus a free-form ``note`` recording why
-the case was interesting.
+and persists.  Its expression is a plan-IR tree (:mod:`repro.plan.nodes`)
+over the nine algebra operators: ``Scan``, ``Select``, ``Project``,
+``Complement``, ``Union``, ``Intersect``, ``Subtract``, ``Join`` (without
+a condition) and ``Product``.  The JSON form (``format:
+repro-fuzz-case/1``) is what lands in ``tests/corpus/`` — every field
+needed to replay the case byte-for-byte on any checkout, plus a
+free-form ``note`` recording why the case was interesting.  A ``Scan``
+is written as ``{"op": "leaf", "name": ...}`` and takes its schema
+back from the case's relations.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from pathlib import Path
 
 from repro.core.errors import ReproValueError
 from repro.core.relations import GeneralizedRelation, Schema
-from repro.fuzz.expr import Expr, expr_from_dict
+from repro.plan import nodes as ir
 from repro.storage import jsonio
 
 FORMAT = "repro-fuzz-case/1"
@@ -39,7 +44,7 @@ class Case:
     """
 
     relations: dict[str, GeneralizedRelation]
-    expr: Expr
+    expr: ir.PlanNode
     low: int
     high: int
     data_domains: dict[str, list] = field(default_factory=dict)
@@ -48,22 +53,24 @@ class Case:
 
     # -- structure -----------------------------------------------------
 
-    def schemas(self) -> dict[str, Schema]:
-        """Leaf-name-to-schema environment for :meth:`Expr.schema`."""
-        return {name: rel.schema for name, rel in self.relations.items()}
-
     def result_schema(self) -> Schema:
         """The expression's result schema (raises on ill-formed trees)."""
-        return self.expr.schema(self.schemas())
+        return self.expr.schema
 
     def validate(self) -> None:
         """Raise unless the case is well-formed and replayable."""
-        schema = self.result_schema()
-        for name in schema.data_names:
-            if name not in self.data_domains:
-                raise ReproValueError(
-                    f"case is missing a data domain for attribute {name!r}"
-                )
+        for node in self.expr.walk():
+            _check_node(node)
+            if isinstance(node, ir.Scan):
+                rel = self.relations.get(node.name)
+                if rel is None:
+                    raise ReproValueError(f"unknown relation {node.name!r}")
+                if rel.schema != node.scan_schema:
+                    raise ReproValueError(
+                        f"scan of {node.name!r} expects {node.scan_schema}, "
+                        f"the relation has {rel.schema}"
+                    )
+        self.result_schema()  # raises on ill-formed trees
         for rel in self.relations.values():
             for dname in rel.schema.data_names:
                 if dname not in self.data_domains:
@@ -86,7 +93,7 @@ class Case:
         seed = f" seed={self.seed}" if self.seed is not None else ""
         return (
             f"window=[{self.low},{self.high}]{seed} relations({rels}) "
-            f"expr={self.expr}"
+            f"expr={expr_text(self.expr)}"
         )
 
     def with_note(self, note: str) -> Case:
@@ -110,7 +117,7 @@ class Case:
                 name: jsonio.relation_to_dict(rel)
                 for name, rel in sorted(self.relations.items())
             },
-            "expr": self.expr.to_dict(),
+            "expr": _encode_expr(self.expr),
         }
 
     def dumps(self) -> str:
@@ -133,12 +140,13 @@ def case_from_dict(payload: dict) -> Case:
                 f"(expected {FORMAT!r})"
             )
         low, high = payload["window"]
+        relations = {
+            name: jsonio.relation_from_dict(entry)
+            for name, entry in payload["relations"].items()
+        }
         return Case(
-            relations={
-                name: jsonio.relation_from_dict(entry)
-                for name, entry in payload["relations"].items()
-            },
-            expr=expr_from_dict(payload["expr"]),
+            relations=relations,
+            expr=_decode_expr(payload["expr"], relations),
             low=int(low),
             high=int(high),
             data_domains={
@@ -155,3 +163,74 @@ def case_from_dict(payload: dict) -> Case:
 def load_case(path: str | Path) -> Case:
     """Read a case back from a JSON file."""
     return case_from_dict(json.loads(Path(path).read_text()))
+
+
+def scan_names(expr: ir.PlanNode) -> set[str]:
+    """Names of every relation the expression scans."""
+    return {node.name for node in expr.walk() if isinstance(node, ir.Scan)}
+
+
+def expr_text(expr: ir.PlanNode) -> str:
+    """The expression on one line: ``op[detail](child, ...)``."""
+    if not expr.children:
+        return expr.describe()
+    args = ", ".join(expr_text(child) for child in expr.children)
+    return f"{expr.describe()}({args})"
+
+
+# ----------------------------------------------------------------------
+# the expression codec
+# ----------------------------------------------------------------------
+
+_BINARY = {
+    cls.op: cls
+    for cls in (ir.Union, ir.Intersect, ir.Subtract, ir.Join, ir.Product)
+}
+_NODES = (ir.Scan, ir.Select, ir.Project, ir.Complement, *_BINARY.values())
+
+
+def _check_node(node: ir.PlanNode) -> None:
+    """Reject an IR node a fuzz expression is not built from."""
+    theta_join = isinstance(node, ir.Join) and node.condition
+    if type(node) not in _NODES or theta_join:
+        raise ReproValueError(
+            f"fuzz cases cannot hold a {node.describe()} node"
+        )
+
+
+def _encode_expr(node: ir.PlanNode) -> dict:
+    _check_node(node)
+    if isinstance(node, ir.Scan):
+        return {"op": "leaf", "name": node.name}
+    out: dict = {"op": node.op}
+    if isinstance(node, ir.Select):
+        out["condition"] = node.condition
+    elif isinstance(node, ir.Project):
+        out["names"] = list(node.names)
+    keys = ("child",) if len(node.children) == 1 else ("left", "right")
+    out.update(zip(keys, map(_encode_expr, node.children)))
+    return out
+
+
+def _decode_expr(
+    entry: dict, relations: dict[str, GeneralizedRelation]
+) -> ir.PlanNode:
+    op = entry["op"]
+    if op == "leaf":
+        name = str(entry["name"])
+        if name not in relations:
+            raise ReproValueError(f"unknown relation {name!r}")
+        return ir.Scan(name, relations[name].schema)
+    if op in _BINARY:
+        return _BINARY[op](
+            _decode_expr(entry["left"], relations),
+            _decode_expr(entry["right"], relations),
+        )
+    if op not in ("select", "project", "complement"):
+        raise ReproValueError(f"unknown expression op {op!r}")
+    child = _decode_expr(entry["child"], relations)
+    if op == "select":
+        return ir.Select(child, str(entry["condition"]))
+    if op == "project":
+        return ir.Project(child, tuple(str(n) for n in entry["names"]))
+    return ir.Complement(child)

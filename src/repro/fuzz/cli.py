@@ -26,12 +26,9 @@ from pathlib import Path
 
 from repro import obs
 from repro.fuzz.case import Case, load_case
-from repro.fuzz.diff import DEFAULT_CONFIG, CaseResult, run_case
+from repro.fuzz.diff import DEFAULT_CONFIG, STATUSES, CaseResult, run_case
 from repro.fuzz.gen import DEFAULT_PROFILE, case_seed, generate_case
 from repro.fuzz.shrink import same_failure, shrink_case
-
-#: Counter names the run report lists, in display order.
-_REPORT_STATUSES = ("ok", "unstable", "oversize", "limit", "error", "divergent")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,7 +137,7 @@ def fuzz_main(argv: list[str] | None = None) -> int:
         if args.time_limit is not None
         else None
     )
-    counts = dict.fromkeys(_REPORT_STATUSES, 0)
+    counts = dict.fromkeys(STATUSES, 0)
     failures = 0
     ran = 0
     truncated = False
@@ -181,9 +178,7 @@ def fuzz_main(argv: list[str] | None = None) -> int:
     finally:
         if recorder_cm is not None:
             recorder_cm.__exit__(None, None, None)
-    summary = "  ".join(
-        f"{status}={counts.get(status, 0)}" for status in _REPORT_STATUSES
-    )
+    summary = "  ".join(f"{status}={counts[status]}" for status in STATUSES)
     print(f"{ran} case(s): {summary}", file=out)
     if truncated:
         print(

@@ -1,20 +1,18 @@
-"""The differential executor: up to three evaluations of one case, compared.
+"""The differential executor: three evaluations of one case, compared.
 
-Each :class:`~repro.fuzz.case.Case` is evaluated
+Each :class:`~repro.fuzz.case.Case` holds a plan-IR expression, which
+is evaluated
 
-1. through the generalized algebra, operator by operator (the
-   *algebra* run),
-2. by lowering the expression to a relation-expression plan, applying
-   the :mod:`repro.plan.rewrite` passes and executing the rewritten
-   plan (the *plan* leg), compared against the algebra run, and
+1. by running the plan as built on
+   :class:`~repro.plan.engine.NativeEngine` — one algebra call per
+   node (the *naive* leg),
+2. by applying the :mod:`repro.plan.rewrite` passes and running the
+   rewritten plan on the same engine (the *rewritten* leg), compared
+   against the naive leg, and
 3. through :class:`~repro.baseline.finite.FiniteRelation` over bounded
    windows (the *oracle* run) — the paper's own "materialize up to a
-   horizon" strawman, reused as an executable specification.
-
-The plan leg runs when :attr:`DiffConfig.plan_check` resolves on (by
-default it follows the global optimizer switch: on unless
-``REPRO_OPTIMIZE=0``), gating the logical planner against the same
-corpus.
+   horizon" strawman, reused as an executable specification and
+   compared against the naive leg.
 
 Window commutation
 ------------------
@@ -50,24 +48,13 @@ from math import gcd
 from repro import obs
 from repro.obs.metrics import COUNTERS
 from repro.baseline.finite import FiniteRelation
-from repro.core import algebra
 from repro.core.constraints import Op, VarVarAtom, parse_atoms
 from repro.core.errors import NormalizationLimitError, ReproError
 from repro.core.relations import GeneralizedRelation, Schema
-from repro.fuzz.case import Case
-from repro.fuzz.expr import (
-    Complement,
-    Expr,
-    Intersect,
-    Join,
-    Leaf,
-    Product,
-    Project,
-    Select,
-    Subtract,
-    Union,
-)
-from repro.perf import config as perf_config
+from repro.fuzz.case import Case, expr_text, scan_names
+from repro.plan import nodes as ir
+from repro.plan.engine import ExecutionContext, NativeEngine
+from repro.plan.rewrite import optimize_plan
 
 
 class OversizeError(ReproError):
@@ -94,15 +81,6 @@ class DiffConfig:
     tuple_pair_cap: int = 100_000
     #: How many missing/extra rows a divergence records verbatim.
     sample: int = 10
-    #: Also run the expression through the logical planner: lower it to
-    #: a relation-expression plan, apply the rewrite passes
-    #: (:func:`repro.plan.rewrite.optimize_plan`) and execute the
-    #: rewritten plan, comparing its snapshot against the algebra run.
-    #: ``None`` (the default) follows the global optimizer switch
-    #: (:attr:`repro.perf.config.PerfConfig.optimize`, on unless the
-    #: environment sets ``REPRO_OPTIMIZE=0``), so a default run
-    #: exercises the plan path over the whole corpus automatically.
-    plan_check: bool | None = None
 
 
 DEFAULT_CONFIG = DiffConfig()
@@ -116,11 +94,10 @@ class Divergence:
     """One observed disagreement between two evaluations of a case.
 
     Kinds:
-        ``"oracle"``: the algebra run and the finite oracle denote
+        ``"oracle"``: the naive leg and the finite oracle denote
             different point sets on the core window.
-        ``"plan"``: the rewritten logical plan and the algebra run
-            denote different point sets — a planner rewrite changed
-            semantics.
+        ``"plan"``: the rewritten plan and the naive leg denote
+            different point sets — a planner rewrite changed semantics.
     """
 
     kind: str
@@ -171,129 +148,23 @@ class CaseResult:
 
 
 # ----------------------------------------------------------------------
-# generalized evaluation
+# the generalized legs
 # ----------------------------------------------------------------------
 
 
-def eval_generalized(
-    case: Case, config: DiffConfig = DEFAULT_CONFIG
+def _execute(
+    case: Case,
+    plan: ir.PlanNode,
+    config: DiffConfig,
+    memo: dict | None = None,
 ) -> GeneralizedRelation:
-    """Evaluate the case's expression through the generalized algebra.
+    """Run ``plan`` over the case's relations on the native engine.
 
     Raises :class:`OversizeError` when an intermediate exceeds
-    ``config.tuple_cap`` tuples.
+    ``config.tuple_cap`` tuples or a pairwise op (intersect, subtract,
+    join, product) would examine more than ``config.tuple_pair_cap``
+    tuple pairs.
     """
-
-    def ev(node: Expr) -> GeneralizedRelation:
-        def pair(left: Expr, right: Expr):
-            r1, r2 = ev(left), ev(right)
-            pairs = len(r1) * len(r2)
-            if pairs > config.tuple_pair_cap:
-                raise OversizeError(
-                    f"pairwise generalized op over {pairs} tuple pairs "
-                    f"(cap {config.tuple_pair_cap})"
-                )
-            return r1, r2
-
-        if isinstance(node, Leaf):
-            return case.relations[node.name]
-        if isinstance(node, Select):
-            out = algebra.select(ev(node.child), node.condition)
-        elif isinstance(node, Project):
-            out = algebra.project(ev(node.child), node.names)
-        elif isinstance(node, Complement):
-            child = ev(node.child)
-            domains = (
-                {n: case.data_domains[n] for n in child.schema.data_names}
-                if child.schema.data_arity
-                else None
-            )
-            out = algebra.complement(child, data_domains=domains)
-        elif isinstance(node, Union):
-            out = algebra.union(ev(node.left), ev(node.right))
-        elif isinstance(node, Intersect):
-            out = algebra.intersect(*pair(node.left, node.right))
-        elif isinstance(node, Subtract):
-            out = algebra.subtract(*pair(node.left, node.right))
-        elif isinstance(node, Join):
-            out = algebra.join(*pair(node.left, node.right))
-        elif isinstance(node, Product):
-            out = algebra.product(*pair(node.left, node.right))
-        else:  # pragma: no cover - exhaustive over expr.py
-            raise ReproError(f"unknown expression node {type(node).__name__}")
-        if len(out) > config.tuple_cap:
-            raise OversizeError(
-                f"generalized intermediate has {len(out)} tuples "
-                f"(cap {config.tuple_cap})"
-            )
-        return out
-
-    return ev(case.expr)
-
-
-# ----------------------------------------------------------------------
-# the logical-plan leg
-# ----------------------------------------------------------------------
-
-
-def plan_from_expr(case: Case):
-    """Lower a fuzz expression to a relation-expression plan.
-
-    The fuzz AST (:mod:`repro.fuzz.expr`) maps 1:1 onto the plan IR
-    (:mod:`repro.plan.nodes`), so the bridge is a direct structural
-    translation; running the un-rewritten plan through the native
-    engine performs exactly the algebra calls
-    :func:`eval_generalized` performs.
-    """
-    from repro.plan import nodes as ir
-
-    def lower(node: Expr):
-        if isinstance(node, Leaf):
-            return ir.Scan(node.name, case.relations[node.name].schema)
-        if isinstance(node, Select):
-            return ir.Select(lower(node.child), node.condition)
-        if isinstance(node, Project):
-            return ir.Project(lower(node.child), tuple(node.names))
-        if isinstance(node, Complement):
-            return ir.Complement(lower(node.child))
-        if isinstance(node, Union):
-            return ir.Union(lower(node.left), lower(node.right))
-        if isinstance(node, Intersect):
-            return ir.Intersect(lower(node.left), lower(node.right))
-        if isinstance(node, Subtract):
-            return ir.Subtract(lower(node.left), lower(node.right))
-        if isinstance(node, Join):
-            return ir.Join(lower(node.left), lower(node.right))
-        if isinstance(node, Product):
-            return ir.Product(lower(node.left), lower(node.right))
-        raise ReproError(  # pragma: no cover - exhaustive over expr.py
-            f"unknown expression node {type(node).__name__}"
-        )
-
-    return lower(case.expr)
-
-
-def eval_planned(
-    case: Case, config: DiffConfig = DEFAULT_CONFIG
-) -> GeneralizedRelation:
-    """Evaluate the case through the optimized logical plan.
-
-    Lowers the expression with :func:`plan_from_expr`, applies the
-    rewrite passes, and executes the rewritten plan on the native
-    engine with the same deterministic caps :func:`eval_generalized`
-    enforces (via the execution context's observation hooks).
-    """
-    from repro.plan import nodes as ir
-    from repro.plan.engine import ExecutionContext, NativeEngine
-    from repro.plan.rewrite import optimize_plan
-
-    plan = plan_from_expr(case)
-    domain_size = max(
-        (len(values) for values in case.data_domains.values()), default=0
-    )
-    plan, _ = optimize_plan(
-        plan, relations=case.relations, domain_size=domain_size
-    )
 
     def on_result(node, result) -> None:
         if isinstance(node, ir.Scan):
@@ -317,11 +188,36 @@ def eval_planned(
     ctx = ExecutionContext(
         relations=case.relations,
         data_domains=case.data_domains,
-        memo={},
+        memo=memo,
         on_result=on_result,
         on_pair=on_pair,
     )
     return NativeEngine().run(plan, ctx)
+
+
+def eval_naive(
+    case: Case, config: DiffConfig = DEFAULT_CONFIG
+) -> GeneralizedRelation:
+    """Evaluate the case's plan as built: one algebra call per node."""
+    return _execute(case, case.expr, config)
+
+
+def eval_planned(
+    case: Case, config: DiffConfig = DEFAULT_CONFIG
+) -> GeneralizedRelation:
+    """Evaluate the case through its rewritten plan.
+
+    Applies the rewrite passes (:func:`repro.plan.rewrite.optimize_plan`)
+    and runs the result with the caps :func:`eval_naive` enforces,
+    reusing results of subtrees the rewrite shares.
+    """
+    domain_size = max(
+        (len(values) for values in case.data_domains.values()), default=0
+    )
+    plan, _ = optimize_plan(
+        case.expr, relations=case.relations, domain_size=domain_size
+    )
+    return _execute(case, plan, config, memo={})
 
 
 # ----------------------------------------------------------------------
@@ -342,12 +238,12 @@ def compute_margin(case: Case) -> int:
     the cases this underestimates.
     """
     expr = case.expr
-    if not any(isinstance(n, Project) for n in expr.walk()):
+    if not any(isinstance(n, ir.Project) for n in expr.walk()):
         return 0
     tuple_bound_sums = [0]
     offsets = [0]
     periods: set[int] = {1}
-    for name in sorted(expr.leaf_names()):
+    for name in sorted(scan_names(expr)):
         for gtuple in case.relations.get(name, ()):
             tuple_bound_sums.append(
                 sum(abs(b) + 1 for _, _, b in gtuple.dbm.iter_bounds())
@@ -358,7 +254,7 @@ def compute_margin(case: Case) -> int:
                     periods.add(lrp.period)
     select_consts = [0]
     for node in expr.walk():
-        if isinstance(node, Select):
+        if isinstance(node, ir.Select):
             select_consts.extend(
                 abs(atom.const) for atom in parse_atoms(node.condition)
             )
@@ -473,18 +369,18 @@ def eval_finite(
                 f"finite {what} would hold ~{rows} rows (cap {config.row_cap})"
             )
 
-    def ev(node: Expr, low: int, high: int) -> FiniteRelation:
-        if isinstance(node, Leaf):
+    def ev(node: ir.PlanNode, low: int, high: int) -> FiniteRelation:
+        if isinstance(node, ir.Scan):
             relation = case.relations[node.name]
             guard(_estimate_rows(relation, low, high), f"leaf {node.name}")
             return FiniteRelation.materialize(relation, low, high)
-        if isinstance(node, Select):
+        if isinstance(node, ir.Select):
             child = ev(node.child, low, high)
             return child.select(_finite_predicate(child.schema, node.condition))
-        if isinstance(node, Project):
+        if isinstance(node, ir.Project):
             child = ev(node.child, low - margin, high + margin)
             return _trim(child.project(node.names), low, high)
-        if isinstance(node, Complement):
+        if isinstance(node, ir.Complement):
             child = ev(node.child, low, high)
             schema = child.schema
             universe = (high - low + 1) ** schema.temporal_arity
@@ -497,19 +393,19 @@ def eval_finite(
                 universe *= len(domains[name])
             guard(universe, "complement universe")
             return child.complement(domains)
-        if isinstance(node, Union):
+        if isinstance(node, ir.Union):
             return ev(node.left, low, high).union(ev(node.right, low, high))
-        if isinstance(node, Intersect):
+        if isinstance(node, ir.Intersect):
             return ev(node.left, low, high).intersect(
                 ev(node.right, low, high)
             )
-        if isinstance(node, Subtract):
+        if isinstance(node, ir.Subtract):
             return ev(node.left, low, high).subtract(ev(node.right, low, high))
-        if isinstance(node, (Join, Product)):
+        if isinstance(node, (ir.Join, ir.Product)):
             left = ev(node.left, low, high)
             right = ev(node.right, low, high)
             guard_rows = len(left) * len(right)
-            if isinstance(node, Product):
+            if isinstance(node, ir.Product):
                 guard(guard_rows, "product")
                 out = left.product(right)
             else:
@@ -521,7 +417,7 @@ def eval_finite(
                 out = left.join(right)
             guard(len(out), "join/product result")
             return out
-        raise ReproError(  # pragma: no cover - exhaustive over expr.py
+        raise ReproError(  # pragma: no cover - Case.validate rejects it
             f"unknown expression node {type(node).__name__}"
         )
 
@@ -569,7 +465,7 @@ def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
         COUNTERS[f"fuzz.{result.status}"] += 1
         return result
 
-    with obs.span("fuzz.case", seed=case.seed, expr=str(case.expr)):
+    with obs.span("fuzz.case", seed=case.seed, expr=expr_text(case.expr)):
         try:
             case.validate()
         except ReproError as exc:
@@ -577,30 +473,12 @@ def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
                 CaseResult(case, "error", error=f"invalid case: {exc}")
             )
 
-        try:
-            with obs.span("fuzz.eval.algebra"):
-                algebra_run = eval_generalized(case, config)
-        except OversizeError as exc:
-            return done(CaseResult(case, "oversize", error=str(exc)))
-        except NormalizationLimitError as exc:
-            return done(CaseResult(case, "limit", error=str(exc)))
-        except Exception as exc:  # noqa: BLE001 - fuzzing catches all
-            return done(
-                CaseResult(
-                    case, "error", error=f"algebra: {_describe_error(exc)}"
-                )
-            )
-
-        divergences: list[Divergence] = []
-        algebra_snap = algebra_run.snapshot(case.low, case.high)
-
-        plan_check = config.plan_check
-        if plan_check is None:
-            plan_check = perf_config.get_config().optimize
-        if plan_check:
+        legs = (("naive", eval_naive), ("rewritten", eval_planned))
+        snaps = []
+        for leg, evaluate in legs:
             try:
-                with obs.span("fuzz.eval.plan"):
-                    planned = eval_planned(case, config)
+                with obs.span(f"fuzz.eval.{leg}"):
+                    run = evaluate(case, config)
             except OversizeError as exc:
                 return done(CaseResult(case, "oversize", error=str(exc)))
             except NormalizationLimitError as exc:
@@ -608,20 +486,23 @@ def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
             except Exception as exc:  # noqa: BLE001 - fuzzing catches all
                 return done(
                     CaseResult(
-                        case, "error", error=f"plan: {_describe_error(exc)}"
+                        case, "error", error=f"{leg}: {_describe_error(exc)}"
                     )
                 )
-            plan_snap = planned.snapshot(case.low, case.high)
-            if plan_snap != algebra_snap:
-                divergences.append(
-                    _snapshot_divergence(
-                        "plan",
-                        algebra_snap,
-                        plan_snap,
-                        config,
-                        "optimized plan vs algebra",
-                    )
+            snaps.append(run.snapshot(case.low, case.high))
+        naive_snap, rewritten_snap = snaps
+
+        divergences: list[Divergence] = []
+        if rewritten_snap != naive_snap:
+            divergences.append(
+                _snapshot_divergence(
+                    "plan",
+                    naive_snap,
+                    rewritten_snap,
+                    config,
+                    "rewritten plan vs naive plan",
                 )
+            )
 
         margin = compute_margin(case)
         retried = False
@@ -635,7 +516,7 @@ def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
             return done(
                 CaseResult(case, "error", error=f"oracle: {_describe_error(exc)}")
             )
-        if oracle_rows != algebra_snap and margin > 0:
+        if oracle_rows != naive_snap and margin > 0:
             # The mismatch may be a projection-margin artifact; double
             # the margin and see whether it survives.
             retried = True
@@ -654,20 +535,20 @@ def run_case(case: Case, config: DiffConfig = DEFAULT_CONFIG) -> CaseResult:
                         retried=True,
                     )
                 )
-            if wider is None or wider == algebra_snap:
+            if wider is None or wider == naive_snap:
                 # Vanished (margin artifact) or unconfirmable (the wider
                 # window tripped the cost guard): not evidence of a bug.
                 unstable = True
             else:
                 oracle_rows = wider
-        if not unstable and oracle_rows != algebra_snap:
+        if not unstable and oracle_rows != naive_snap:
             divergences.append(
                 _snapshot_divergence(
                     "oracle",
                     oracle_rows,
-                    algebra_snap,
+                    naive_snap,
                     config,
-                    "finite oracle vs algebra",
+                    "finite oracle vs naive plan",
                 )
             )
 

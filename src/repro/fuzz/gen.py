@@ -2,11 +2,18 @@
 
 Relations are drawn from the same distributions as the
 :mod:`repro.testing` strategies (via the shared ``seeded_*``
-generators), and expressions are grown bottom-up from a pool of typed
-subexpressions, so every operation is produced with well-formed
-schemas by construction.  Everything is driven by one
+generators) or, a third of the time, are finite point lists inside the
+comparison window; expressions are plan-IR trees grown bottom-up from
+a pool of typed subexpressions, so every operation is produced with
+well-formed schemas by construction.  Everything is driven by one
 :class:`random.Random`: a ``(seed, profile)`` pair replays the exact
 same case on any machine.
+
+Off-by-ones hide at edges, which uniform draws rarely hit, so the
+generator places some on purpose: the two primary relations always
+get a pair of tuples that touch (:func:`_touch`), and theta-join
+windows put an edge on the distance between two singleton points of
+their sides (:func:`_theta_join`).
 """
 
 from __future__ import annotations
@@ -15,26 +22,20 @@ import random
 from dataclasses import dataclass
 
 from repro.core.constraints import VarConstAtom, VarVarAtom, Op
-from repro.core.relations import Schema
-from repro.fuzz.case import Case
-from repro.fuzz.expr import (
-    Complement,
-    Expr,
-    Intersect,
-    Join,
-    Leaf,
-    Product,
-    Project,
-    Select,
-    Subtract,
-    Union,
-)
+from repro.core.errors import SchemaError
+from repro.core.relations import GeneralizedRelation, Schema
+from repro.core.tuples import GeneralizedTuple
+from repro.fuzz.case import Case, scan_names
+from repro.plan import nodes as ir
 from repro.testing import seeded_relation
 
 #: The data pool cases draw data values from (and complement against).
 DATA_POOL = ("a", "b")
 
 _OPS = ("<=", ">=", "=", "<", ">")
+
+#: Per-mille probability that a base relation is a finite point list.
+_POINTS_PERMILLE = 333
 
 
 @dataclass(frozen=True)
@@ -83,37 +84,22 @@ def generate_case(seed: int, profile: FuzzProfile = DEFAULT_PROFILE) -> Case:
         data=["D1"] if with_data else [],
     )
     relations = {
-        name: seeded_relation(
-            rng,
-            temporal_arity=arity,
-            data_choices=data_choices,
-            max_tuples=profile.max_tuples,
-            max_period=profile.max_period,
-            schema=primary,
-        )
+        name: _relation(rng, primary, data_choices, profile)
         for name in ("R0", "R1")
     }
-    pool: list[tuple[Expr, Schema]] = [
-        (Leaf(name), primary) for name in relations
-    ]
+    _touch(rng, relations, profile)
+    pool: list[ir.PlanNode] = [ir.Scan(name, primary) for name in relations]
     if rng.randrange(1000) < profile.secondary_permille:
         secondary_names = rng.choice(_secondary_name_choices(arity))
         secondary = Schema.make(temporal=list(secondary_names))
-        relations["S"] = seeded_relation(
-            rng,
-            temporal_arity=len(secondary_names),
-            data_choices=((),),
-            max_tuples=profile.max_tuples,
-            max_period=profile.max_period,
-            schema=secondary,
-        )
-        pool.append((Leaf("S"), secondary))
+        relations["S"] = _relation(rng, secondary, ((),), profile)
+        pool.append(ir.Scan("S", secondary))
     for _ in range(rng.randint(1, profile.max_ops)):
-        grown = _grow(rng, pool, profile)
+        grown = _grow(rng, pool, relations, profile)
         if grown is not None:
             pool.append(grown)
-    expr = pool[-1][0]
-    used = expr.leaf_names()
+    expr = pool[-1]
+    used = scan_names(expr)
     return Case(
         relations={n: r for n, r in relations.items() if n in used},
         expr=expr,
@@ -122,6 +108,44 @@ def generate_case(seed: int, profile: FuzzProfile = DEFAULT_PROFILE) -> Case:
         data_domains={"D1": list(DATA_POOL)} if with_data else {},
         seed=seed,
     )
+
+
+def _relation(
+    rng: random.Random,
+    schema: Schema,
+    data_choices: tuple[tuple, ...],
+    profile: FuzzProfile,
+) -> GeneralizedRelation:
+    """A base relation: a finite point list or, more often, one drawn
+    like the :mod:`repro.testing` strategies."""
+    if rng.randrange(1000) < _POINTS_PERMILLE:
+        return _point_list(rng, schema, data_choices, profile)
+    return seeded_relation(
+        rng,
+        temporal_arity=schema.temporal_arity,
+        data_choices=data_choices,
+        max_tuples=profile.max_tuples,
+        max_period=profile.max_period,
+        schema=schema,
+    )
+
+
+def _point_list(
+    rng: random.Random,
+    schema: Schema,
+    data_choices: tuple[tuple, ...],
+    profile: FuzzProfile,
+) -> GeneralizedRelation:
+    """One to ``max_tuples`` points, every coordinate a singleton lrp
+    inside the comparison window."""
+    out = GeneralizedRelation.empty(schema)
+    for _ in range(rng.randint(1, profile.max_tuples)):
+        point = [
+            rng.randint(profile.low, profile.high)
+            for _ in range(schema.temporal_arity)
+        ]
+        out.add(GeneralizedTuple.make(point, data=rng.choice(data_choices)))
+    return out
 
 
 def _secondary_name_choices(primary_arity: int) -> list[tuple[str, ...]]:
@@ -146,9 +170,10 @@ _GROW_KINDS = (
 
 def _grow(
     rng: random.Random,
-    pool: list[tuple[Expr, Schema]],
+    pool: list[ir.PlanNode],
+    relations: dict[str, GeneralizedRelation],
     profile: FuzzProfile,
-) -> tuple[Expr, Schema] | None:
+) -> ir.PlanNode | None:
     """Try to add one operation node over existing pool entries.
 
     Starts from a randomly drawn operation kind and falls through the
@@ -159,85 +184,75 @@ def _grow(
     start = rng.randrange(len(_GROW_KINDS))
     for step in range(len(_GROW_KINDS)):
         kind = _GROW_KINDS[(start + step) % len(_GROW_KINDS)]
-        built = _try_grow(rng, kind, pool, profile)
+        built = _try_grow(rng, kind, pool, relations, profile)
         if built is not None:
             return built
     return None
 
 
+_SET_OPS = {"union": ir.Union, "intersect": ir.Intersect, "subtract": ir.Subtract}
+
+
 def _try_grow(
     rng: random.Random,
     kind: str,
-    pool: list[tuple[Expr, Schema]],
+    pool: list[ir.PlanNode],
+    relations: dict[str, GeneralizedRelation],
     profile: FuzzProfile,
-) -> tuple[Expr, Schema] | None:
-    env_like = pool
-    if kind in ("union", "intersect", "subtract"):
-        by_schema: dict[Schema, list[Expr]] = {}
-        for e, s in env_like:
-            by_schema.setdefault(s, []).append(e)
-        groups = [g for g in by_schema.values()]
-        group = rng.choice(groups)
+) -> ir.PlanNode | None:
+    if kind in _SET_OPS:
+        by_schema: dict[Schema, list[ir.PlanNode]] = {}
+        for node in pool:
+            by_schema.setdefault(node.schema, []).append(node)
+        group = rng.choice(list(by_schema.values()))
         left = rng.choice(group)
         right = rng.choice(group)
-        node_cls = {"union": Union, "intersect": Intersect, "subtract": Subtract}[
-            kind
-        ]
-        schema = next(s for e, s in env_like if e is left)
-        return node_cls(left, right), schema
+        return _SET_OPS[kind](left, right)
     if kind == "select":
-        candidates = [(e, s) for e, s in env_like if s.temporal_arity >= 1]
+        candidates = [n for n in pool if n.schema.temporal_arity >= 1]
         if not candidates:
             return None
-        child, schema = rng.choice(candidates)
-        condition = _random_condition(rng, schema, profile)
-        return Select(child, condition), schema
+        child = rng.choice(candidates)
+        return ir.Select(child, _random_condition(rng, child.schema, profile))
     if kind == "project":
-        candidates = [(e, s) for e, s in env_like if s.temporal_arity >= 1]
+        candidates = [n for n in pool if n.schema.temporal_arity >= 1]
         if not candidates:
             return None
-        child, schema = rng.choice(candidates)
-        names = _random_projection(rng, schema)
-        node = Project(child, names)
-        return node, Schema(tuple(schema.attribute(n) for n in names))
+        child = rng.choice(candidates)
+        return ir.Project(child, _random_projection(rng, child.schema))
     if kind == "complement":
-        child, schema = rng.choice(env_like)
-        return Complement(child), schema
+        return ir.Complement(rng.choice(pool))
     if kind == "join":
-        left, s1 = rng.choice(env_like)
-        right, s2 = rng.choice(env_like)
-        schema = _joined_schema(s1, s2, profile)
-        if schema is None:
-            return None
-        return Join(left, right), schema
+        left = rng.choice(pool)
+        right = rng.choice(pool)
+        return _join(left, right, profile)
     if kind == "theta-join":
         candidates = [
-            (left, s1, right, s2, schema)
-            for left, s1 in env_like
-            for right, s2 in env_like
-            if _cross_pairs(s1, s2)
-            and (schema := _joined_schema(s1, s2, profile)) is not None
+            join
+            for left in pool
+            for right in pool
+            if _cross_pairs(left.schema, right.schema)
+            and (join := _join(left, right, profile)) is not None
+        ]
+        if not candidates or rng.randrange(2):
+            band = _band_partner(rng, pool, relations, profile)
+            if band is not None:
+                candidates = [band]
+        if not candidates:
+            return None
+        return _theta_join(rng, candidates, relations, profile)
+    if kind == "product":
+        candidates = [
+            (left, right)
+            for left in pool
+            for right in pool
+            if not set(left.schema.names) & set(right.schema.names)
+            and left.schema.temporal_arity + right.schema.temporal_arity
+            <= profile.max_temporal_arity
         ]
         if not candidates:
             return None
-        left, s1, right, s2, schema = rng.choice(candidates)
-        return _theta_join(rng, left, s1, right, s2, profile), schema
-    if kind == "product":
-        candidates = []
-        for left, s1 in env_like:
-            for right, s2 in env_like:
-                if set(s1.names) & set(s2.names):
-                    continue
-                if (
-                    s1.temporal_arity + s2.temporal_arity
-                    > profile.max_temporal_arity
-                ):
-                    continue
-                candidates.append((left, s1, right, s2))
-        if not candidates:
-            return None
-        left, s1, right, s2 = rng.choice(candidates)
-        return Product(left, right), Schema(s1.attributes + s2.attributes)
+        return ir.Product(*rng.choice(candidates))
     return None
 
 
@@ -258,16 +273,18 @@ def _random_condition(
     return " & ".join(atoms)
 
 
-def _joined_schema(s1: Schema, s2: Schema, profile: FuzzProfile) -> Schema | None:
-    """The natural join's schema, or ``None`` when it cannot be built."""
-    for attr in s1.attributes:
-        if s2.has(attr.name) and s2.attribute(attr.name).temporal != attr.temporal:
-            return None
-    extra = tuple(a for a in s2.attributes if not s1.has(a.name))
-    schema = Schema(s1.attributes + extra)
+def _join(
+    left: ir.PlanNode, right: ir.PlanNode, profile: FuzzProfile
+) -> ir.Join | None:
+    """The natural join, or ``None`` when it cannot be built."""
+    join = ir.Join(left, right)
+    try:
+        schema = join.schema
+    except SchemaError:
+        return None
     if schema.temporal_arity > profile.max_temporal_arity:
         return None
-    return schema
+    return join
 
 
 def _cross_pairs(s1: Schema, s2: Schema) -> list[tuple[str, str]]:
@@ -283,18 +300,34 @@ def _cross_pairs(s1: Schema, s2: Schema) -> list[tuple[str, str]]:
 
 def _theta_join(
     rng: random.Random,
-    left: Expr,
-    s1: Schema,
-    right: Expr,
-    s2: Schema,
+    joins: list[ir.Join],
+    relations: dict[str, GeneralizedRelation],
     profile: FuzzProfile,
-) -> Expr:
+) -> ir.PlanNode:
     """``σ(left ⋈ right)`` by a window ``low <= b - a <= high`` between
     the sides (possibly one value), which the plan rewrite folds into the
-    join."""
-    a, b = rng.choice(_cross_pairs(s1, s2))
-    low = rng.randint(-profile.max_bound, profile.max_bound)
-    width = rng.randint(0, 3)
+    join.
+
+    When some join's sides hold singleton points of ``a`` and ``b``
+    inside the comparison window, the window is anchored on two of
+    them: its low or high edge sits exactly on their distance, where an
+    off-by-one in pairing them would show.
+    """
+    width = rng.randint(0, profile.max_bound)
+    anchors = [
+        (join, a, b, vb - va)
+        for join in joins
+        for a, b in _cross_pairs(join.left.schema, join.right.schema)
+        for va in _singletons(join.left, a, relations, profile)
+        for vb in _singletons(join.right, b, relations, profile)
+    ]
+    if anchors:
+        join, a, b, distance = rng.choice(anchors)
+        low = distance - width * rng.randrange(2)
+    else:
+        join = rng.choice(joins)
+        a, b = rng.choice(_cross_pairs(join.left.schema, join.right.schema))
+        low = rng.randint(-profile.max_bound, profile.max_bound)
     if not width:
         window = str(VarVarAtom(b, Op.EQ, a, low))
     else:
@@ -302,7 +335,100 @@ def _theta_join(
             f"{VarVarAtom(b, Op.GE, a, low)} & "
             f"{VarVarAtom(b, Op.LE, a, low + width)}"
         )
-    return Select(Join(left, right), window)
+    return ir.Select(join, window)
+
+
+def _band_partner(
+    rng: random.Random,
+    pool: list[ir.PlanNode],
+    relations: dict[str, GeneralizedRelation],
+    profile: FuzzProfile,
+) -> ir.Join | None:
+    """A pool entry joined with a fresh point list over one attribute it
+    lacks: the sides share no temporal attribute, so a window on the
+    join pairs them through the residue index."""
+    lefts = [
+        node
+        for node in pool
+        if 1 <= node.schema.temporal_arity < profile.max_temporal_arity
+    ]
+    if not lefts:
+        return None
+    left = rng.choice(lefts)
+    attr = next(
+        f"T{i}" for i in range(1, len(left.schema.names) + 2)
+        if not left.schema.has(f"T{i}")
+    )
+    name = f"P{sum(name.startswith('P') for name in relations)}"
+    schema = Schema.make(temporal=[attr])
+    relations[name] = _point_list(rng, schema, ((),), profile)
+    return _join(left, ir.Scan(name, schema), profile)
+
+
+def _singletons(
+    node: ir.PlanNode,
+    name: str,
+    relations: dict[str, GeneralizedRelation],
+    profile: FuzzProfile,
+) -> list[int]:
+    """The window values of singleton lrps of attribute ``name`` in the
+    relations ``node`` scans."""
+    found = set()
+    for scan in node.walk():
+        if isinstance(scan, ir.Scan) and name in scan.schema.temporal_names:
+            i = scan.schema.temporal_names.index(name)
+            found.update(
+                t.lrps[i].offset
+                for t in relations[scan.name]
+                if not t.lrps[i].period
+            )
+    return sorted(v for v in found if profile.low <= v <= profile.high)
+
+
+def _touch(
+    rng: random.Random,
+    relations: dict[str, GeneralizedRelation],
+    profile: FuzzProfile,
+) -> None:
+    """Make a tuple of one primary relation touch a copy of itself in
+    the other.
+
+    A point ``u`` of the tuple's lrp on one attribute, inside the
+    window and the tuple's bounds, becomes the tuple's upper bound
+    there, and a copy bounded below by ``u`` joins the other relation:
+    the two tuples share exactly the points on ``X_i = u``, the edge
+    case of every interval test between tuples.
+    """
+    names = ["R0", "R1"]
+    rng.shuffle(names)
+    source, target = (relations[name] for name in names)
+    if not len(source):
+        return
+    pos = rng.randrange(len(source))
+    gtuple = source.tuples[pos]
+    i = rng.randrange(gtuple.temporal_arity)
+    closed = gtuple.dbm.copy()
+    if not closed.close():
+        return
+    lo, hi = closed.lower(i), closed.upper(i)
+    points = [
+        u
+        for u in range(profile.low, profile.high + 1)
+        if gtuple.lrps[i].contains(u)
+        and (lo is None or lo <= u)
+        and (hi is None or u <= hi)
+    ]
+    if not points:
+        return
+    u = rng.choice(points)
+    below = gtuple.dbm.copy()
+    below.add_upper(i, u)
+    above = gtuple.dbm.copy()
+    above.add_lower(i, u)
+    tuples = list(source)
+    tuples[pos] = GeneralizedTuple(gtuple.lrps, below, gtuple.data)
+    relations[names[0]] = GeneralizedRelation(source.schema, tuples)
+    target.add(GeneralizedTuple(gtuple.lrps, above, gtuple.data))
 
 
 def _random_projection(rng: random.Random, schema: Schema) -> tuple[str, ...]:

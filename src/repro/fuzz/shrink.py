@@ -22,9 +22,9 @@ from repro.core.dbm import DBM
 from repro.core.lrp import LRP
 from repro.core.relations import GeneralizedRelation
 from repro.core.tuples import GeneralizedTuple
-from repro.fuzz.case import Case
+from repro.fuzz.case import Case, scan_names
 from repro.fuzz.diff import CaseResult, DiffConfig, DEFAULT_CONFIG, run_case
-from repro.fuzz.expr import Expr, Leaf
+from repro.plan.nodes import PlanNode
 
 #: Decides whether a candidate case still exhibits the original failure.
 FailurePredicate = Callable[[Case], bool]
@@ -126,8 +126,7 @@ def _shrink_expr(
     case: Case, failing: FailurePredicate, budget: _Budget
 ) -> Case | None:
     """Try to replace some operation node by one of its children."""
-    for index in range(case.expr.size()):
-        node = _nth(case.expr, index)
+    for index, node in enumerate(case.expr.walk()):
         for child in node.children:
             if _result_schema_differs(case, index, child):
                 continue
@@ -142,7 +141,7 @@ def _shrink_expr(
 def _drop_unused_relations(
     case: Case, failing: FailurePredicate, budget: _Budget
 ) -> Case | None:
-    used = case.expr.leaf_names()
+    used = scan_names(case.expr)
     kept = {n: r for n, r in case.relations.items() if n in used}
     if len(kept) == len(case.relations):
         return None
@@ -251,46 +250,39 @@ def _simpler_lrps(lrp: LRP) -> list[LRP]:
 # ----------------------------------------------------------------------
 
 
-def _nth(expr: Expr, index: int) -> Expr:
-    for i, node in enumerate(expr.walk()):
-        if i == index:
-            return node
-    raise IndexError(index)
-
-
-def _replace_nth(expr: Expr, index: int, replacement: Expr) -> Expr:
+def _replace_nth(
+    expr: PlanNode, index: int, replacement: PlanNode
+) -> PlanNode:
     """Rebuild ``expr`` with the pre-order ``index``-th node replaced."""
     counter = [0]
 
-    def rebuild(node: Expr) -> Expr:
+    def rebuild(node: PlanNode) -> PlanNode:
         if counter[0] == index:
             counter[0] += node.size()
             return replacement
         counter[0] += 1
-        children = []
-        dirty = False
-        for child in node.children:
-            new_child = rebuild(child)
-            dirty = dirty or new_child is not child
-            children.append(new_child)
-        return node.with_children(children) if dirty else node
+        children = tuple(rebuild(child) for child in node.children)
+        if all(new is old for new, old in zip(children, node.children)):
+            return node
+        return node.replace_children(children)
 
     return rebuild(expr)
 
 
-def _result_schema_differs(case: Case, index: int, replacement: Expr) -> bool:
+def _result_schema_differs(
+    case: Case, index: int, replacement: PlanNode
+) -> bool:
     """Whether splicing ``replacement`` in changes or breaks the case."""
     try:
-        candidate_expr = _replace_nth(case.expr, index, replacement)
-        env = case.schemas()
-        return candidate_expr.schema(env) != case.expr.schema(env)
+        candidate = _replace_nth(case.expr, index, replacement)
+        return candidate.schema != case.expr.schema
     except Exception:  # noqa: BLE001 - ill-typed splice: skip it
         return True
 
 
-def _with_node(case: Case, index: int, replacement: Expr) -> Case:
+def _with_node(case: Case, index: int, replacement: PlanNode) -> Case:
     expr = _replace_nth(case.expr, index, replacement)
-    kept = expr.leaf_names()
+    kept = scan_names(expr)
     return replace(
         case,
         expr=expr,

@@ -2,7 +2,8 @@
 
 Every JSON file under ``tests/corpus/`` is a shrunk repro of a bug once
 found by ``repro fuzz`` (or a hand-built edge case worth pinning).
-Plain pytest replays each through all three engines; a regression
+Plain pytest replays each through the naive plan, the rewritten plan
+and the finite-window oracle; a regression
 resurfaces as a ``divergent`` or ``error`` status here, with the case's
 ``note`` field explaining what it originally caught.
 """

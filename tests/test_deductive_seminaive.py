@@ -24,7 +24,6 @@ from repro.deductive.incremental import (
     differentiate,
     occurrences,
 )
-from repro.deductive.program import default_strategy
 from repro.deductive.scenarios import (
     EDGE_SCHEMA,
     edge_batches,
@@ -116,12 +115,6 @@ class TestStrategyEquivalence:
     def test_property_seminaive_equals_naive(self, seed, window, n_nodes):
         db = edge_db(seed, n_nodes=n_nodes, n_batches=3)
         assert_same_idb(reachability_program(window), db)
-
-    def test_env_flips_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEMINAIVE", "0")
-        assert default_strategy() == "naive"
-        monkeypatch.delenv("REPRO_SEMINAIVE")
-        assert default_strategy() == "seminaive"
 
     def test_unknown_strategy_rejected(self):
         from repro.core.errors import ReproValueError

@@ -11,7 +11,7 @@ from repro.core import algebra
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.fuzz.case import Case
 from repro.fuzz.diff import run_case
-from repro.fuzz.expr import Complement, Leaf
+from repro.plan.nodes import Complement, Scan
 
 #: Two windows of different sizes and positions; every check runs on both.
 WINDOWS = ((-4, 4), (-9, 2))
@@ -78,13 +78,14 @@ class TestComplementEdges:
 
 
 class TestComplementThroughHarness:
-    """The same edges as whole differential cases (all three engines)."""
+    """The same edges as whole differential cases: the naive and the
+    rewritten plan against the finite oracle."""
 
     def run_over_windows(self, relation, expr_builder=Complement):
         for low, high in WINDOWS:
             case = Case(
                 relations={"R": relation},
-                expr=expr_builder(Leaf("R")),
+                expr=expr_builder(Scan("R", relation.schema)),
                 low=low,
                 high=high,
             )

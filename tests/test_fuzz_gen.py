@@ -2,20 +2,13 @@
 
 from dataclasses import replace
 
-from repro.fuzz.case import case_from_dict
-from repro.fuzz.expr import (
-    Complement,
-    Join,
-    Leaf,
-    Product,
-    Project,
-    Select,
-)
+from repro.fuzz.case import case_from_dict, scan_names
 from repro.fuzz.gen import (
     DEFAULT_PROFILE,
     case_seed,
     generate_case,
 )
+from repro.plan.nodes import Complement, Join, Product, Project, Select
 
 SEEDS = range(120)
 
@@ -53,7 +46,7 @@ class TestValidity:
             case.validate()
             schema = case.result_schema()
             assert schema.temporal_arity <= DEFAULT_PROFILE.max_temporal_arity
-            assert case.expr.leaf_names() == set(case.relations)
+            assert scan_names(case.expr) == set(case.relations)
 
     def test_windows_follow_profile(self):
         profile = replace(DEFAULT_PROFILE, low=-2, high=7)
@@ -79,7 +72,7 @@ class TestCoverage:
             for node in generate_case(seed).expr.walk():
                 seen.add(type(node).__name__)
         assert {
-            "Leaf",
+            "Scan",
             "Union",
             "Intersect",
             "Subtract",
@@ -94,11 +87,10 @@ class TestCoverage:
         drops = reorders = 0
         for seed in range(400):
             case = generate_case(seed)
-            env = case.schemas()
             for node in case.expr.walk():
                 if not isinstance(node, Project):
                     continue
-                child_schema = node.child.schema(env)
+                child_schema = node.child.schema
                 if set(node.names) < set(child_schema.names):
                     drops += 1
                 elif node.names != child_schema.names:
@@ -119,19 +111,18 @@ class TestCoverage:
     def test_joins_overlap_and_products_are_disjoint(self):
         for seed in range(400):
             case = generate_case(seed)
-            env = case.schemas()
             for node in case.expr.walk():
                 if isinstance(node, Product):
-                    s1 = node.left.schema(env)
-                    s2 = node.right.schema(env)
+                    s1 = node.left.schema
+                    s2 = node.right.schema
                     assert not (set(s1.names) & set(s2.names))
                 elif isinstance(node, Join):
-                    node.schema(env)  # must be well-formed
+                    assert not node.condition
+                    node.schema  # must be well-formed
 
     def test_selects_parse_against_their_child(self):
         for seed in range(400):
             case = generate_case(seed)
-            env = case.schemas()
             for node in case.expr.walk():
                 if isinstance(node, (Select, Complement)):
-                    node.schema(env)  # must not raise
+                    node.schema  # must not raise

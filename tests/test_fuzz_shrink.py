@@ -1,25 +1,34 @@
-"""Tests for the delta-debugging shrinker, including the mutant drill.
+"""Tests for the delta-debugging shrinker, including the mutant drills.
 
 The centerpiece re-enacts the harness's reason to exist: inject a bug
 into the algebra (an off-by-one in ``DBM.add_upper``, the kind of
 bound-flip a refactor could introduce), let the fuzzer find a
 divergence, shrink it, and verify the shrunk case is a minimal,
-replayable repro — failing on the mutant, passing on HEAD.
+replayable repro — failing on the mutant, passing on HEAD.  The edge
+drills plant off-by-ones at the edges the generator aims at (touching
+intervals, singleton points at a theta-join window's edge) and check
+that the first 200 cases of ``repro fuzz --seed 0`` catch each.
 """
 
 import json
 
 import pytest
 
+from repro.core import algebra
 from repro.core.dbm import DBM
 from repro.core.relations import GeneralizedRelation, Schema
-from repro.fuzz.case import Case, case_from_dict
+from repro.fuzz.case import Case, case_from_dict, scan_names
 from repro.fuzz.diff import run_case
-from repro.fuzz.expr import Complement, Leaf, Subtract, Union
-from repro.fuzz.gen import generate_case
+from repro.fuzz.gen import case_seed, generate_case
+from repro.perf import prefilter
 from repro.fuzz.shrink import same_failure, shrink_case
+from repro.plan.nodes import Complement, Scan, Subtract, Union
 
 T1 = Schema.make(temporal=["T1"])
+
+
+def scan(name):
+    return Scan(name, T1)
 
 
 @pytest.fixture
@@ -78,6 +87,62 @@ class TestMutantDrill:
         assert on_head.status == "ok"
 
 
+def rejects_touching_intervals(monkeypatch):
+    """``intervals_compatible`` with ``up1 + neg_lo2 < 1``: a pair whose
+    first tuple's upper bound equals the second's lower bound is
+    declared disjoint."""
+    clean = prefilter.intervals_compatible
+
+    def mutant(closed1, closed2, pairs=None):
+        if pairs is None:
+            pairs = [(i, i) for i in range(len(closed1) - 1)]
+        for i1, i2 in pairs:
+            up1 = closed1[i1 + 1][0]
+            neg_lo2 = closed2[0][i2 + 1]
+            if up1 is not None and neg_lo2 is not None and up1 + neg_lo2 == 0:
+                return False
+        return clean(closed1, closed2, pairs)
+
+    monkeypatch.setattr(prefilter, "intervals_compatible", mutant)
+
+
+def drops_singleton_window_edge(monkeypatch):
+    """``_ResidueIndex.partners`` with ``last = lrp.offset + high - 1``
+    in its singleton branch: a singleton right partner at exactly the
+    window's high edge is missed."""
+    clean = algebra._ResidueIndex.partners
+
+    def mutant(self, lrp, low, high):
+        found = clean(self, lrp, low, high)
+        members = self._by_period.get(0, ())
+        if lrp.period == 0 and high - low + 1 > len(members):
+            edge = {pos for offset, pos in members if offset == lrp.offset + high}
+            found = [pos for pos in found if pos not in edge]
+        return found
+
+    monkeypatch.setattr(algebra._ResidueIndex, "partners", mutant)
+
+
+class TestEdgeDrills:
+    CASES = 200
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [generate_case(case_seed(0, i)) for i in range(self.CASES)]
+
+    def test_seeds_are_clean_without_a_mutant(self, cases):
+        for case in cases:
+            result = run_case(case)
+            assert not result.failing, result.summary()
+
+    @pytest.mark.parametrize(
+        "plant", [rejects_touching_intervals, drops_singleton_window_edge]
+    )
+    def test_mutant_is_caught(self, cases, plant, monkeypatch):
+        plant(monkeypatch)
+        assert any(run_case(case).status == "divergent" for case in cases)
+
+
 class TestShrinkMechanics:
     def failing_if(self, predicate):
         """Adapt a plain case predicate, counting evaluations."""
@@ -98,7 +163,7 @@ class TestShrinkMechanics:
         b.add_tuple(["0 + 3n"], "")
         return Case(
             relations={"A": a, "B": b},
-            expr=Union(Subtract(Leaf("A"), Leaf("B")), Leaf("B")),
+            expr=Union(Subtract(scan("A"), scan("B")), scan("B")),
             low=-4,
             high=4,
         )
@@ -116,17 +181,17 @@ class TestShrinkMechanics:
         assert shrunk.reduced
         assert shrunk.case.relations["A"].contains([5])
         assert shrunk.case.total_tuples() == 1
-        assert shrunk.case.expr == Leaf("A")
+        assert shrunk.case.expr == scan("A")
 
     def test_expression_shrinks_toward_subtree(self):
         case = self.two_relation_case()
 
         def union_still_there(candidate):
-            return "B" in candidate.expr.leaf_names()
+            return "B" in scan_names(candidate.expr)
 
         failing, _ = self.failing_if(union_still_there)
         shrunk = shrink_case(case, failing)
-        assert shrunk.case.expr == Leaf("B")
+        assert shrunk.case.expr == scan("B")
         assert set(shrunk.case.relations) == {"B"}
 
     def test_budget_is_respected(self):
@@ -139,7 +204,7 @@ class TestShrinkMechanics:
         a = GeneralizedRelation.empty(T1)
         a.add_tuple(["4 + 5n"], "T1 >= -4 & T1 <= 99")
         case = Case(
-            relations={"A": a}, expr=Complement(Leaf("A")), low=-4, high=4
+            relations={"A": a}, expr=Complement(scan("A")), low=-4, high=4
         )
 
         def nonempty_complement(candidate):

@@ -32,13 +32,19 @@ class TestSchemaInference:
             node.schema
 
     def test_select_rejects_data_attribute(self):
-        node = ir.Select(scan("S", TD), "d >= 0")
-        with pytest.raises(SchemaError):
-            node.schema
+        for condition in ("d >= 0", "t <= d + 1"):
+            node = ir.Select(scan("S", TD), condition)
+            with pytest.raises(SchemaError):
+                node.schema
 
     def test_project_reorders(self):
         node = ir.Project(scan(), ("t2", "t1"))
         assert node.schema.names == ("t2", "t1")
+
+    def test_project_rejects_duplicate_and_unknown_names(self):
+        for names in (("t1", "t1"), ("t1", "bogus")):
+            with pytest.raises(SchemaError):
+                ir.Project(scan(), names).schema
 
     def test_rename(self):
         node = ir.Rename(scan(), (("t1", "a"), ("t2", "b")))

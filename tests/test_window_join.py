@@ -333,15 +333,13 @@ def test_reach_view_matches_unfolded_plans(seed, monkeypatch):
 
 
 def test_fuzz_plan_leg_folds_windows_into_joins():
-    from repro.fuzz.diff import plan_from_expr, run_case
+    from repro.fuzz.diff import run_case
     from repro.fuzz.gen import generate_case
 
     folded = []
     for seed in range(50):
         case = generate_case(seed)
-        plan, _ = rewrite.optimize_plan(
-            plan_from_expr(case), relations=case.relations
-        )
+        plan, _ = rewrite.optimize_plan(case.expr, relations=case.relations)
         if any(
             isinstance(node, ir.Join) and node.condition
             for node in plan.walk()
