@@ -75,6 +75,8 @@ The surface, by area:
 
 from __future__ import annotations
 
+import importlib
+
 from repro.core import (
     LRP,
     GeneralizedRelation,
@@ -96,14 +98,6 @@ from repro.core.errors import (
     SchemaError,
     ServeError,
     StorageError,
-)
-from repro.fuzz import (
-    Case,
-    CaseResult,
-    generate_case,
-    load_case,
-    run_case,
-    shrink_case,
 )
 from repro.obs import (
     MetricsRegistry,
@@ -130,13 +124,38 @@ from repro.query import (
 )
 from repro.query.catalog import Snapshot
 from repro.query import dispatch as _dispatch
-from repro.serve import Client, ReproServer, SyncClient
 from repro.storage import (
     FaultInjector,
     InjectedCrash,
     StorageEngine,
     crash_at,
 )
+
+
+#: Exports bound on first access by :func:`__getattr__`, and their
+#: modules: the fuzzer and the server (which loads asyncio) are the
+#: costliest imports of the surface, and most callers use neither.
+_LAZY = {
+    "Case": "repro.fuzz",
+    "CaseResult": "repro.fuzz",
+    "generate_case": "repro.fuzz",
+    "load_case": "repro.fuzz",
+    "run_case": "repro.fuzz",
+    "shrink_case": "repro.fuzz",
+    "Client": "repro.serve",
+    "ReproServer": "repro.serve",
+    "SyncClient": "repro.serve",
+}
+
+
+def __getattr__(name: str):
+    # PEP 562: load the module on the first lookup of one of its names.
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
 
 def plan(db: Database, query, *, optimize=None) -> PlanReport:

@@ -33,6 +33,7 @@ from repro.core.constraints import (
     parse_atoms,
 )
 from repro.core.dbm import DBM
+from repro.core.emptiness import tuple_is_empty
 from repro.core.errors import DomainError, ReproValueError, SchemaError
 from repro.core.lrp import LRP
 from repro.core.negation import (
@@ -200,12 +201,12 @@ def intersect(
     window = (0, 0, 0, 0) if r1.schema.temporal_arity else None
     data = operator.attrgetter("data")
     candidates = [
-        _intersect_candidate(t1, t2)
+        meet
         for t1, t2 in _pairs(r1, r2, data, data, window)
+        if (meet := _intersect_candidate(t1, t2)) is not None
     ]
     for meet in _close_candidates(candidates):
-        if meet is not None:
-            out.add(meet)
+        out.add(meet)
     return out
 
 
@@ -346,33 +347,28 @@ def _intersect_candidate(
 
 
 def _close_candidates(
-    candidates: list[GeneralizedTuple | None],
-) -> list[GeneralizedTuple | None]:
-    """Collect-then-close the candidates' satisfiability probes.
+    candidates: list[GeneralizedTuple],
+) -> list[GeneralizedTuple]:
+    """The satisfiable candidates, in order: collect-then-close.
 
-    One batched closure replaces a scalar copy-and-close per candidate;
-    unsatisfiable candidates are nulled out.  Each survivor's canonical
-    key is prefilled from its closed probe, so the downstream
-    deduplicating ``relation.add`` pays no further closure.
+    One batched closure replaces a scalar copy-and-close per candidate.
+    Each survivor's canonical key is prefilled from its closed probe,
+    so the downstream deduplicating ``relation.add`` pays no further
+    closure.
     """
-    pending = [
-        (idx, candidate.dbm.copy())
-        for idx, candidate in enumerate(candidates)
-        if candidate is not None
-    ]
-    verdicts = kernel.close_batch([probe for _, probe in pending])
-    out: list[GeneralizedTuple | None] = [None] * len(candidates)
-    for (idx, probe), sat in zip(pending, verdicts):
+    probes = [candidate.dbm.copy() for candidate in candidates]
+    verdicts = kernel.close_batch(probes)
+    out: list[GeneralizedTuple] = []
+    for candidate, probe, sat in zip(candidates, probes, verdicts):
         if not sat:
             continue
-        candidate = candidates[idx]
         if candidate._key is None:
             candidate._key = (
                 candidate.lrps,
                 tuple(tuple(row) for row in probe._b),
                 candidate.data,
             )
-        out[idx] = candidate
+        out.append(candidate)
     return out
 
 
@@ -550,7 +546,7 @@ def _dedup(tuples: list[GeneralizedTuple]) -> list[GeneralizedTuple]:
 
 @_traced("project")
 def project(
-    relation: GeneralizedRelation,
+    relation: GeneralizedRelation | LazyJoin,
     names: Sequence[str],
     max_tuples: int = DEFAULT_MAX_TUPLES,
 ) -> GeneralizedRelation:
@@ -566,6 +562,10 @@ def project(
     that cannot is never formed (:func:`_combos`).
     Re-orderings and data-only changes never normalize: each tuple's
     output is its carried closure restricted to the kept attributes.
+    A projection that keeps no temporal attribute never normalizes
+    either: it decides emptiness instead (:func:`_project_closed`).
+    ``relation`` may be a :class:`LazyJoin`, which such a projection
+    stops reading once its answer is known.
     """
     schema = relation.schema
     for name in names:
@@ -586,6 +586,8 @@ def project(
         for i in range(schema.temporal_arity)
         if i not in set(keep_t)
     ]
+    if dropped_t and not keep_t:
+        return _project_closed(relation, new_schema, keep_d, max_tuples)
     out = GeneralizedRelation.empty(new_schema)
     tuples = list(relation)
     if not dropped_t:
@@ -628,6 +630,44 @@ def project(
                     lrps=projected.lrps, dbm=projected.dbm, data=data
                 )
             )
+    return out
+
+
+#: The closure of a system over no variable: the zero row alone.
+_NO_BOUNDS = ((0,),)
+
+
+def _project_closed(
+    tuples: Iterable[GeneralizedTuple],
+    schema: Schema,
+    keep_d: Sequence[int],
+    max_tuples: int,
+) -> GeneralizedRelation:
+    """Project onto data attributes alone by deciding emptiness.
+
+    A nonempty tuple projects to its kept data, so each tuple is only
+    decided (:func:`~repro.core.emptiness.tuple_is_empty`, Theorem 3.5)
+    instead of split to normal form (Lemma 3.1).  Tuples are read in
+    order; one whose kept data is already in the output is skipped
+    undecided, and a 0-ary result stops at its first nonempty tuple.
+    The output holds the normal-form path's tuples, keys and order.  A
+    tuple with no written bound is answered even where normalizing
+    its lcm would raise :class:`~repro.core.errors.NormalizationLimitError`.
+    """
+    out = GeneralizedRelation.empty(schema)
+    seen: set[tuple] = set()
+    for gtuple in tuples:
+        data = tuple([gtuple.data[i] for i in keep_d])
+        if data in seen or tuple_is_empty(gtuple, max_tuples=max_tuples):
+            continue
+        seen.add(data)
+        projected = GeneralizedTuple(
+            lrps=(), dbm=DBM.from_closure(_NO_BOUNDS), data=data
+        )
+        projected._key = ((), _NO_BOUNDS, data)
+        out.add(projected)
+        if not keep_d:
+            break
     return out
 
 
@@ -695,8 +735,9 @@ def _project_plan(
     over a stored relation skip the replan.
 
     The cluster lrps are first tested against the closed windows of
-    ``rows``, the tuple's closure (:func:`_residues_meet`).  A tuple
-    that fails has only empty combos: it gets no plan (``None``),
+    ``rows``, the tuple's closure
+    (:func:`~repro.perf.prefilter.residues_meet`).  A tuple that fails
+    has only empty combos: it gets no plan (``None``),
     adds its whole split product to ``perf.prefilter_residue_skip``, and
     neither raises ``NormalizationLimitError`` nor adds to
     ``normalize_expansion``.
@@ -707,7 +748,7 @@ def _project_plan(
         plan = memo.get(memo_key)
         if plan is not None:
             # A plan with feasible combos passed the test already.
-            if plan.feasible is None and not _residues_meet(
+            if plan.feasible is None and not prefilter.residues_meet(
                 gtuple.lrps, rows, plan.cluster_order
             ):
                 COUNTERS["perf.prefilter_residue_skip"] += plan.split_sizes
@@ -732,7 +773,7 @@ def _project_plan(
         period = lrps[i].period
         if period:
             split_sizes *= k // period
-    if not _residues_meet(lrps, rows, cluster_order):
+    if not prefilter.residues_meet(lrps, rows, cluster_order):
         COUNTERS["perf.prefilter_residue_skip"] += split_sizes
         return None
     if split_sizes > max_tuples:
@@ -954,60 +995,6 @@ def _planned_combos(
     return plan, _combos(plan, rows)
 
 
-def _residue_in_window(
-    residue: int, modulus: int, low: int | None, high: int | None
-) -> bool:
-    """Whether some ``d ≡ residue (mod modulus)`` lies in ``[low, high]``.
-
-    ``None`` is an infinite end; modulus 0 asks for ``d = residue``.
-    """
-    if modulus == 0:
-        return (low is None or low <= residue) and (
-            high is None or residue <= high
-        )
-    if low is None or high is None:
-        return True
-    return low + (residue - low) % modulus <= high
-
-
-def _residues_meet(
-    lrps: Sequence[LRP], rows: tuple, attrs: Sequence[int]
-) -> bool:
-    """Whether the lrps of ``attrs`` can meet the closed windows ``rows``.
-
-    The residue condition of Section 3.2.1 against the closure: the
-    windows of :func:`_feasible_combos`, tested on the one combo of the
-    tuple's own lrps, without building it (this runs once per tuple).
-    Every point of the tuple passes, so a failure proves it empty.  Only
-    the cluster attributes are tested: an empty tuple's attributes
-    outside the cluster still pass through projection unchanged, and
-    dropping them would change the output.
-    """
-    zero = rows[0]
-    for pos, a in enumerate(attrs):
-        lrp = lrps[a]
-        row = rows[a + 1]
-        low = zero[a + 1]
-        if not _residue_in_window(
-            lrp.offset, lrp.period, None if low is None else -low, row[0]
-        ):
-            return False
-        for b in attrs[:pos]:
-            low = rows[b + 1][a + 1]
-            high = row[b + 1]
-            if low is None and high is None:
-                continue
-            other = lrps[b]
-            if not _residue_in_window(
-                lrp.offset - other.offset,
-                gcd(lrp.period, other.period),
-                None if low is None else -low,
-                high,
-            ):
-                return False
-    return True
-
-
 def _combos(plan: _ProjectPlan, rows: tuple) -> list[tuple[LRP, ...]]:
     """The split combos of ``plan`` to normalize, in ``itertools.product``
     order.
@@ -1018,7 +1005,8 @@ def _combos(plan: _ProjectPlan, rows: tuple) -> list[tuple[LRP, ...]]:
     :func:`_project_combo` would reject, so the output is unchanged.  Each combo left out adds
     one to ``perf.prefilter_residue_skip``.
 
-    ``rows`` must belong to a tuple that passed :func:`_residues_meet`
+    ``rows`` must belong to a tuple that passed
+    :func:`~repro.perf.prefilter.residues_meet`
     (:func:`_project_plan` returned its plan): a product of one combo is
     then that tuple's own lrps, already tested.  The result is kept in
     ``plan.feasible``.
@@ -1064,7 +1052,9 @@ def _feasible_combos(
         fitting = [
             lrp
             for lrp in options
-            if _residue_in_window(lrp.offset, lrp.period, low, row[0])
+            if prefilter.residue_in_window(
+                lrp.offset, lrp.period, low, row[0]
+            )
         ]
         excluded += (len(options) - len(fitting)) * below * len(partial)
         period = options[0].period
@@ -1088,7 +1078,7 @@ def _feasible_combos(
                 for lrp in fitting:
                     offset = lrp.offset
                     for prior, modulus, low, high in windows:
-                        if not _residue_in_window(
+                        if not prefilter.residue_in_window(
                             offset - combo[prior].offset, modulus, low, high
                         ):
                             excluded += below
@@ -1415,91 +1405,180 @@ def join(
     tuples carry.
 
     Each candidate's constraints are both sides' plus the condition's,
-    assembled in one pass, and closed once.  Without a condition the
+    assembled in one pass, and all candidates are closed in one batch
+    (:meth:`LazyJoin.candidates`).  Without a condition the
     result is tuple-for-tuple that of the double loop.  With one, it is
     that of ``select(join(r1, r2), condition)`` minus the tuples whose
     lrps cannot meet the condition's windows (each denotes the empty
     set).
     """
-    shared = [a for a in r1.schema.attributes if r2.schema.has(a.name)]
-    for attr in shared:
-        other = r2.schema.attribute(attr.name)
-        if other.temporal != attr.temporal:
-            raise SchemaError(
-                f"attribute {attr.name!r} is temporal on one side and "
-                "data on the other"
-            )
-    r2_only = [a for a in r2.schema.attributes if not r1.schema.has(a.name)]
-    new_schema = Schema(r1.schema.attributes + tuple(r2_only))
-    result_t_names = new_schema.temporal_names
-    atoms = (
-        parse_atoms(condition) if isinstance(condition, str) else list(condition)
-    )
-    for atom in atoms:
-        _check_temporal_atom(new_schema, atom)
-    out = GeneralizedRelation.empty(new_schema)
-    shared_t = [
-        (r1.schema.temporal_index(a.name), r2.schema.temporal_index(a.name))
-        for a in shared
-        if a.temporal
-    ]
-    shared_d = [
-        (r1.schema.data_index(a.name), r2.schema.data_index(a.name))
-        for a in shared
-        if not a.temporal
-    ]
-    d2_only_idx = [
-        r2.schema.data_index(a.name) for a in r2_only if not a.temporal
-    ]
-    t2_only = [
-        (r2.schema.temporal_index(a.name), result_t_names.index(a.name))
-        for a in r2_only
-        if a.temporal
-    ]
-    a1 = r1.schema.temporal_arity
-    arity = len(result_t_names)
-    # Matrix row maps for the DBM assembler (row 0 is the zero variable).
-    # The result's temporal attributes are r1's, then r2's own.
-    rows1 = range(a1 + 1)
-    rows2 = [0] + [
-        result_t_names.index(n) + 1 for n in r2.schema.temporal_names
-    ]
-    conditioned: tuple[tuple[DBM, range], ...] = ()
-    windows: list[tuple[int, int | None, int | None, int | None]] = []
-    if atoms:
-        extra = atoms_to_dbm(atoms, result_t_names)
-        if not extra.copy().close():
-            return out
-        conditioned = ((extra, range(arity + 1)),)
-        windows = _windows(extra)
-    window = None
-    skip = "perf.prefilter_lrp_skip"
-    if shared_t:
-        window = (*shared_t[0], 0, 0)
-    else:
-        right = {pos: i2 for i2, pos in t2_only}
-        for found in windows:
-            a, b, low, high = found
-            if b is not None and b < a1 <= a and None not in (low, high):
-                windows.remove(found)
-                window = (b, right[a], low, high)
-                skip = "perf.prefilter_residue_skip"
-                break
-    context = (
-        rows1,
-        rows2,
-        conditioned,
-        shared_t,
-        t2_only,
-        d2_only_idx,
-        windows,
-        arity,
-    )
-    idx1 = [i for i, _ in shared_d]
-    idx2 = [j for _, j in shared_d]
-    candidates = [
-        _join_candidate(t1, t2, context)
-        for t1, t2 in _pairs(
+    joined = LazyJoin(r1, r2, condition)
+    out = GeneralizedRelation.empty(joined.schema)
+    for gtuple in joined.candidates():
+        out.add(gtuple)
+    return out
+
+
+class LazyJoin:
+    """The join of two relations, built only as far as it is read.
+
+    ``LazyJoin(r1, r2, condition)`` does no work: reading ``schema``
+    checks the sides and the condition, as :func:`join` does, and the
+    first read of the tuples sets up the pair loop, so a reader pays
+    for both inside its own call.  Iterating yields the join's
+    satisfiable candidate tuples in :func:`join`'s order, closed through :func:`kernel.close_batch
+    <repro.perf.kernel.close_batch>` in batches that start at
+    :data:`FIRST_BATCH` and double, so a reader that stops early leaves
+    the rest of the join unbuilt and one that reads all of it pays a
+    few batches more than :func:`join`.  Candidates are not
+    deduplicated: :func:`join` dedups them on insertion.  ``built``
+    counts the candidates assembled so far.
+
+    :func:`project` onto no temporal attribute reads one this way: a
+    0-ary result stops at the first nonempty tuple.
+    """
+
+    #: The size of the first batch an iteration closes.
+    FIRST_BATCH = 8
+
+    def __init__(
+        self,
+        r1: GeneralizedRelation,
+        r2: GeneralizedRelation,
+        condition: str | Sequence[Atom] = (),
+    ) -> None:
+        self._r1 = r1
+        self._r2 = r2
+        self._condition = condition
+        self.built = 0
+
+    @property
+    def schema(self) -> Schema:
+        """The join's schema: ``r1``'s attributes, then ``r2``'s own."""
+        return self._layout[0]
+
+    @functools.cached_property
+    def _layout(self) -> tuple[Schema, list, list, list[Atom]]:
+        """The schema, the shared attributes, ``r2``'s own attributes
+        and the parsed condition, checked against both sides."""
+        r1, r2 = self._r1, self._r2
+        shared = [a for a in r1.schema.attributes if r2.schema.has(a.name)]
+        for attr in shared:
+            other = r2.schema.attribute(attr.name)
+            if other.temporal != attr.temporal:
+                raise SchemaError(
+                    f"attribute {attr.name!r} is temporal on one side and "
+                    "data on the other"
+                )
+        r2_only = [
+            a for a in r2.schema.attributes if not r1.schema.has(a.name)
+        ]
+        schema = Schema(r1.schema.attributes + tuple(r2_only))
+        condition = self._condition
+        atoms = (
+            parse_atoms(condition)
+            if isinstance(condition, str)
+            else list(condition)
+        )
+        for atom in atoms:
+            _check_temporal_atom(schema, atom)
+        return schema, shared, r2_only, atoms
+
+    def __iter__(self) -> Iterator[GeneralizedTuple]:
+        return self.candidates(self.FIRST_BATCH)
+
+    def candidates(
+        self, first: int | None = None
+    ) -> Iterator[GeneralizedTuple]:
+        """The satisfiable candidates, closed in batches that start at
+        ``first`` and double; ``None`` closes them all in one batch."""
+        setup = self._setup()
+        if setup is None:
+            return
+        pair_args, context = setup
+        batch: list[GeneralizedTuple] = []
+        size = first
+        for t1, t2 in _pairs(*pair_args):
+            candidate = _join_candidate(t1, t2, context)
+            if candidate is None:
+                continue
+            batch.append(candidate)
+            if size is not None and len(batch) >= size:
+                self.built += len(batch)
+                yield from _close_candidates(batch)
+                batch = []
+                size *= 2
+        self.built += len(batch)
+        yield from _close_candidates(batch)
+
+    def _setup(self) -> tuple[tuple, tuple] | None:
+        """The arguments of :func:`_pairs` and the context of
+        :func:`_join_candidate`; ``None`` when the condition is
+        unsatisfiable."""
+        r1, r2 = self._r1, self._r2
+        schema, shared, r2_only, atoms = self._layout
+        result_t_names = schema.temporal_names
+        shared_t = [
+            (r1.schema.temporal_index(a.name), r2.schema.temporal_index(a.name))
+            for a in shared
+            if a.temporal
+        ]
+        shared_d = [
+            (r1.schema.data_index(a.name), r2.schema.data_index(a.name))
+            for a in shared
+            if not a.temporal
+        ]
+        d2_only_idx = [
+            r2.schema.data_index(a.name) for a in r2_only if not a.temporal
+        ]
+        t2_only = [
+            (r2.schema.temporal_index(a.name), result_t_names.index(a.name))
+            for a in r2_only
+            if a.temporal
+        ]
+        a1 = r1.schema.temporal_arity
+        arity = len(result_t_names)
+        # Matrix row maps for the DBM assembler (row 0 is the zero
+        # variable).  The result's temporal attributes are r1's, then
+        # r2's own.
+        rows1 = range(a1 + 1)
+        rows2 = [0] + [
+            result_t_names.index(n) + 1 for n in r2.schema.temporal_names
+        ]
+        conditioned: tuple[tuple[DBM, range], ...] = ()
+        windows: list[tuple[int, int | None, int | None, int | None]] = []
+        if atoms:
+            extra = atoms_to_dbm(atoms, result_t_names)
+            if not extra.copy().close():
+                return None
+            conditioned = ((extra, range(arity + 1)),)
+            windows = _windows(extra)
+        window = None
+        skip = "perf.prefilter_lrp_skip"
+        if shared_t:
+            window = (*shared_t[0], 0, 0)
+        else:
+            right = {pos: i2 for i2, pos in t2_only}
+            for found in windows:
+                a, b, low, high = found
+                if b is not None and b < a1 <= a and None not in (low, high):
+                    windows.remove(found)
+                    window = (b, right[a], low, high)
+                    skip = "perf.prefilter_residue_skip"
+                    break
+        context = (
+            rows1,
+            rows2,
+            conditioned,
+            shared_t,
+            t2_only,
+            d2_only_idx,
+            windows,
+            arity,
+        )
+        idx1 = [i for i, _ in shared_d]
+        idx2 = [j for _, j in shared_d]
+        pair_args = (
             r1,
             r2,
             lambda t: tuple([t.data[i] for i in idx1]),
@@ -1507,11 +1586,7 @@ def join(
             window,
             skip,
         )
-    ]
-    for joined in _close_candidates(candidates):
-        if joined is not None:
-            out.add(joined)
-    return out
+        return pair_args, context
 
 
 def _windows(
@@ -1578,10 +1653,12 @@ def _join_candidate(
     for a, b, low, high in windows:
         lrp = lrps[a]
         if b is None:
-            meets = _residue_in_window(lrp.offset, lrp.period, low, high)
+            meets = prefilter.residue_in_window(
+                lrp.offset, lrp.period, low, high
+            )
         else:
             other = lrps[b]
-            meets = _residue_in_window(
+            meets = prefilter.residue_in_window(
                 lrp.offset - other.offset,
                 gcd(lrp.period, other.period),
                 low,

@@ -17,6 +17,7 @@ from repro.core.normalize import (
 )
 from repro.core.relations import GeneralizedRelation
 from repro.core.tuples import GeneralizedTuple
+from repro.perf.prefilter import residues_meet
 
 
 def tuple_is_empty(
@@ -31,17 +32,22 @@ def tuple_is_empty(
     ``{c + kn | n in Z}`` is never empty (Def. 2.1), so such a tuple
     is nonempty as soon as its closure is satisfiable; it is decided
     without normalizing and never raises
-    :class:`~repro.core.errors.NormalizationLimitError`.  Otherwise
-    normalization is streamed and stops at the first satisfiable
-    normal-form tuple, so the common case is far cheaper than a full
-    normalization.
+    :class:`~repro.core.errors.NormalizationLimitError`.  A tuple whose
+    lrps fail the residue condition of Section 3.2.1 against that
+    closure (:func:`~repro.perf.prefilter.residues_meet`) is empty, and
+    is decided so without normalizing either.  Otherwise normalization
+    is streamed and stops at the first satisfiable normal-form tuple,
+    so the common case is far cheaper than a full normalization.
     """
-    if gtuple.closure() is None:
+    rows = gtuple.closure()
+    if rows is None:
         # First: an unsatisfiable system may carry a diagonal marker
         # that iter_bounds cannot expose.
         return True
     if next(gtuple.dbm.iter_bounds(), None) is None:
         return False
+    if not residues_meet(gtuple.lrps, rows, range(len(gtuple.lrps))):
+        return True
     for _ in iter_normalize_tuple(
         gtuple, max_tuples=max_tuples, satisfiable=True
     ):

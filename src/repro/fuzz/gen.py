@@ -13,7 +13,13 @@ Off-by-ones hide at edges, which uniform draws rarely hit, so the
 generator places some on purpose: the two primary relations always
 get a pair of tuples that touch (:func:`_touch`), and theta-join
 windows put an edge on the distance between two singleton points of
-their sides (:func:`_theta_join`).
+their sides (:func:`_theta_join`).  Projections that keep no temporal
+attribute decide emptiness, which only differs from reading the
+closure on tuples whose constraints are satisfiable but whose lrps
+meet no point.  So one primary tuple is confined to such a gap
+(:func:`_gap`), one projection in three keeps only data attributes,
+and half of those read a selection that pins a temporal attribute to
+one point (:func:`_point_condition`).
 """
 
 from __future__ import annotations
@@ -46,10 +52,12 @@ class FuzzProfile:
     checking: the finite oracle materializes each leaf over the
     comparison window (enlarged by the projection margin), so value
     magnitude and tuple counts trade directly against throughput.
+    ``max_bound`` reaches only selection and theta-window constants:
+    base relations are drawn by :func:`repro.testing.seeded_relation`,
+    whose constraint counts and bounds are its own.
     """
 
     max_tuples: int = 3
-    max_constraints: int = 3
     max_bound: int = 5
     max_period: int = 6
     max_ops: int = 5
@@ -88,6 +96,7 @@ def generate_case(seed: int, profile: FuzzProfile = DEFAULT_PROFILE) -> Case:
         for name in ("R0", "R1")
     }
     _touch(rng, relations, profile)
+    _gap(rng, relations, profile)
     pool: list[ir.PlanNode] = [ir.Scan(name, primary) for name in relations]
     if rng.randrange(1000) < profile.secondary_permille:
         secondary_names = rng.choice(_secondary_name_choices(arity))
@@ -219,7 +228,11 @@ def _try_grow(
         if not candidates:
             return None
         child = rng.choice(candidates)
-        return ir.Project(child, _random_projection(rng, child.schema))
+        names = _random_projection(rng, child.schema)
+        closed = not set(names) & set(child.schema.temporal_names)
+        if closed and rng.randrange(2):
+            child = ir.Select(child, _point_condition(rng, child.schema, profile))
+        return ir.Project(child, names)
     if kind == "complement":
         return ir.Complement(rng.choice(pool))
     if kind == "join":
@@ -271,6 +284,16 @@ def _random_condition(
         else:
             atoms.append(str(VarConstAtom(left, op, const)))
     return " & ".join(atoms)
+
+
+def _point_condition(
+    rng: random.Random, schema: Schema, profile: FuzzProfile
+) -> str:
+    """``T = v`` for a temporal attribute ``T`` and a point ``v`` of the
+    window: every tuple whose range holds ``v`` but whose lrp misses it
+    keeps a satisfiable constraint system and denotes the empty set."""
+    name = rng.choice(schema.temporal_names)
+    return f"{name} = {rng.randint(profile.low, profile.high)}"
 
 
 def _join(
@@ -431,14 +454,68 @@ def _touch(
     target.add(GeneralizedTuple(gtuple.lrps, above, gtuple.data))
 
 
-def _random_projection(rng: random.Random, schema: Schema) -> tuple[str, ...]:
-    """A random attribute list keeping at least one temporal attribute.
+def _gap(
+    rng: random.Random,
+    relations: dict[str, GeneralizedRelation],
+    profile: FuzzProfile,
+) -> None:
+    """Confine one tuple of a primary relation to the gap between two
+    points of one of its periodic lrps.
 
-    Either a proper subset (exercising temporal elimination) or a
-    permutation of the full list (exercising pure re-ordering).
+    On attribute ``i`` with lrp ``c + p·n`` (``p >= 2``) the tuple gets
+    ``u + 1 <= X_i <= u + p - 1`` for a point ``u`` of the lrp near the
+    window, where that gap meets the tuple's own range.  Its constraint
+    system stays satisfiable, but it now denotes the empty set: only
+    the lrps show it.
+    """
+    name = rng.choice(["R0", "R1"])
+    relation = relations[name]
+    periodic = [
+        (pos, i)
+        for pos, gtuple in enumerate(relation)
+        for i, lrp in enumerate(gtuple.lrps)
+        if lrp.period >= 2
+    ]
+    if not periodic:
+        return
+    pos, i = rng.choice(periodic)
+    gtuple = relation.tuples[pos]
+    closed = gtuple.dbm.copy()
+    if not closed.close():
+        return
+    lo, hi = closed.lower(i), closed.upper(i)
+    lrp = gtuple.lrps[i]
+    gaps = [
+        u
+        for u in range(profile.low - lrp.period, profile.high + 1)
+        if lrp.contains(u)
+        and (hi is None or u + 1 <= hi)
+        and (lo is None or lo <= u + lrp.period - 1)
+    ]
+    if not gaps:
+        return
+    u = rng.choice(gaps)
+    dbm = gtuple.dbm.copy()
+    dbm.add_lower(i, u + 1)
+    dbm.add_upper(i, u + lrp.period - 1)
+    tuples = list(relation)
+    tuples[pos] = GeneralizedTuple(gtuple.lrps, dbm, gtuple.data)
+    relations[name] = GeneralizedRelation(relation.schema, tuples)
+
+
+def _random_projection(rng: random.Random, schema: Schema) -> tuple[str, ...]:
+    """A random attribute list.
+
+    One time in three it keeps only the data attributes (none at all
+    without them), a projection decided by emptiness.  Otherwise it
+    keeps at least one temporal attribute: either a proper subset
+    (exercising temporal elimination) or a permutation of the full list
+    (exercising pure re-ordering).
     """
     names = list(schema.names)
     temporal = list(schema.temporal_names)
+    if not rng.randrange(3):
+        return tuple(schema.data_names)
     if len(names) >= 2 and rng.randrange(3):
         keep_size = rng.randint(1, len(names) - 1)
         must_keep = rng.choice(temporal)

@@ -121,3 +121,57 @@ def added_bound_satisfiable(
     """
     back = closed[v + 1][u + 1]
     return back is None or back + w >= 0
+
+
+def residue_in_window(
+    residue: int, modulus: int, low: int | None, high: int | None
+) -> bool:
+    """Whether some ``d ≡ residue (mod modulus)`` lies in ``[low, high]``.
+
+    ``None`` is an infinite end; modulus 0 asks for ``d = residue``.
+    """
+    if modulus == 0:
+        return (low is None or low <= residue) and (
+            high is None or residue <= high
+        )
+    if low is None or high is None:
+        return True
+    return low + (residue - low) % modulus <= high
+
+
+def residues_meet(
+    lrps: Sequence["LRP"], rows: ClosedRows, attrs: Sequence[int]
+) -> bool:
+    """Whether the lrps of ``attrs`` can meet the closed windows ``rows``.
+
+    The residue condition of Section 3.2.1 against a tuple's closure:
+    the windows of :func:`repro.core.algebra._feasible_combos`, tested
+    on the one combo of the tuple's own lrps, without building it.
+    Every point of the tuple passes, so a failure proves it empty.
+    Projection tests only the cluster attributes: an empty tuple's
+    attributes outside the cluster still pass through it unchanged,
+    and dropping them would change the output.
+    """
+    zero = rows[0]
+    for pos, a in enumerate(attrs):
+        lrp = lrps[a]
+        row = rows[a + 1]
+        low = zero[a + 1]
+        if not residue_in_window(
+            lrp.offset, lrp.period, None if low is None else -low, row[0]
+        ):
+            return False
+        for b in attrs[:pos]:
+            low = rows[b + 1][a + 1]
+            high = row[b + 1]
+            if low is None and high is None:
+                continue
+            other = lrps[b]
+            if not residue_in_window(
+                lrp.offset - other.offset,
+                gcd(lrp.period, other.period),
+                None if low is None else -low,
+                high,
+            ):
+                return False
+    return True

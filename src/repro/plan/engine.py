@@ -46,6 +46,9 @@ class ExecutionContext:
     :class:`~repro.plan.nodes.Optimize` root deposits its scalar
     :class:`~repro.optimize.core.OptimizationResult` here for the
     evaluator to pick up after :meth:`NativeEngine.run` returns.
+    ``unbuilt`` is another: it maps the id of every join the engine
+    decided under a closed projection without materializing it to the
+    number of candidate tuples it built (EXPLAIN reports these).
     """
 
     relations: Mapping[str, GeneralizedRelation]
@@ -57,6 +60,7 @@ class ExecutionContext:
     on_result: Callable[[ir.PlanNode, GeneralizedRelation], None] | None = None
     on_pair: Callable[[ir.PlanNode, int, int], None] | None = None
     optimum: object | None = None
+    unbuilt: dict[int, int] = field(default_factory=dict)
 
     def domain_for(self, name: str) -> list:
         """The finite domain complementing data attribute ``name``."""
@@ -72,6 +76,18 @@ class NativeEngine:
     incremental and batched closure) because every node
     calls a :mod:`repro.core.algebra` entry point.  Stateless across
     :meth:`run` calls, so one instance can serve every evaluator.
+
+    One pair of nodes runs as one call: a :class:`~repro.plan.nodes.Project`
+    over a :class:`~repro.plan.nodes.Join` whose inputs have temporal
+    attributes, none of which it keeps, projects the join's
+    :class:`~repro.core.algebra.LazyJoin`, so a closed body stops
+    building the join at its first nonempty tuple.  That is decided
+    from the inputs the join's children return, not from plan schemas,
+    which a freshly bound plan has not inferred.  The join itself then
+    gets no result (no ``on_result`` call, no memo entry), its spans
+    carry ``materialized=False`` and ``candidates_built``, and
+    :attr:`ExecutionContext.unbuilt` records it.  A join already in the
+    memo is projected as it is.
     """
 
     def run(
@@ -94,30 +110,10 @@ class NativeEngine:
             result = self._compute(node, ctx)
         else:
             with ExitStack() as stack:
-                spans = [
-                    stack.enter_context(
-                        recorder.span(f"query.{op}", detail=detail)
-                    )
-                    for op, detail in node.labels
-                ]
-                if not spans:
-                    spans = [
-                        stack.enter_context(
-                            recorder.span(
-                                f"plan.{node.op}", detail=node.detail()
-                            )
-                        )
-                    ]
+                spans = _open_spans(recorder, stack, node)
                 result = self._compute(node, ctx)
-                for sp in spans:
-                    sp.set(
-                        out_tuples=len(result),
-                        out_schema=str(result.schema),
-                    )
-        if ctx.memo is not None:
-            ctx.memo[id(node)] = result
-        if ctx.on_result is not None:
-            ctx.on_result(node, result)
+                _set_out(spans, result)
+        _keep(node, ctx, result)
         return result
 
     def _emit_reused(
@@ -150,6 +146,36 @@ class NativeEngine:
         if ctx.on_pair is not None:
             ctx.on_pair(node, len(r1), len(r2))
         return r1, r2
+
+    def _project_join(
+        self, node: ir.Project, join: ir.Join, ctx: ExecutionContext
+    ) -> GeneralizedRelation:
+        """``node`` over ``join``, the join run as :meth:`_exec` would
+        run it, unless ``node`` drops every temporal attribute of the
+        join's inputs: then the join stays lazy, built only until the
+        projection is known."""
+        names = list(node.names)
+        recorder = obs.active_recorder()
+        with ExitStack() as stack:
+            spans = (
+                [] if recorder is None else _open_spans(recorder, stack, join)
+            )
+            r1, r2 = self._pair(join, ctx)
+            temporal = {*r1.schema.temporal_names, *r2.schema.temporal_names}
+            if temporal and temporal.isdisjoint(names):
+                lazy = algebra.LazyJoin(r1, r2, condition=join.condition)
+            else:
+                lazy = None
+                joined = algebra.join(r1, r2, condition=join.condition)
+                _set_out(spans, joined)
+        if lazy is None:
+            _keep(join, ctx, joined)
+            return algebra.project(joined, names)
+        result = algebra.project(lazy, names)
+        ctx.unbuilt[id(join)] = lazy.built
+        for sp in spans:
+            sp.set(materialized=False, candidates_built=lazy.built)
+        return result
 
     def _compute(
         self, node: ir.PlanNode, ctx: ExecutionContext
@@ -187,7 +213,12 @@ class NativeEngine:
                 self._exec(node.child, ctx), node.left, node.right
             )
         if isinstance(node, ir.Project):
-            return algebra.project(self._exec(node.child, ctx), list(node.names))
+            child = node.child
+            if isinstance(child, ir.Join) and (
+                ctx.memo is None or id(child) not in ctx.memo
+            ):
+                return self._project_join(node, child, ctx)
+            return algebra.project(self._exec(child, ctx), list(node.names))
         if isinstance(node, ir.Rename):
             return algebra.rename(
                 self._exec(node.child, ctx), dict(node.mapping)
@@ -235,3 +266,35 @@ class NativeEngine:
         raise ReproTypeError(  # pragma: no cover - exhaustive over nodes.py
             f"unexpected plan node: {type(node).__name__}"
         )
+
+
+def _set_out(spans: list, result: GeneralizedRelation) -> None:
+    """Record a node's result size and schema on its spans."""
+    for sp in spans:
+        sp.set(out_tuples=len(result), out_schema=str(result.schema))
+
+
+def _keep(
+    node: ir.PlanNode, ctx: ExecutionContext, result: GeneralizedRelation
+) -> None:
+    """Hand a node's result to the memo and the ``on_result`` hook."""
+    if ctx.memo is not None:
+        ctx.memo[id(node)] = result
+    if ctx.on_result is not None:
+        ctx.on_result(node, result)
+
+
+def _open_spans(recorder, stack: ExitStack, node: ir.PlanNode) -> list:
+    """Enter ``node``'s spans on ``stack``: one ``query.<op>`` per
+    label, outermost first, or one ``plan.<op>`` when it has none."""
+    spans = [
+        stack.enter_context(recorder.span(f"query.{op}", detail=detail))
+        for op, detail in node.labels
+    ]
+    if not spans:
+        spans = [
+            stack.enter_context(
+                recorder.span(f"plan.{node.op}", detail=node.detail())
+            )
+        ]
+    return spans

@@ -49,6 +49,22 @@ from repro.core.relations import Attribute, GeneralizedRelation, Schema
 #: ``(operator, detail)`` provenance pairs; outermost first.
 Labels = tuple[tuple[str, str], ...]
 
+
+class Unbuilt(NamedTuple):
+    """An executed plan's annotation of a join that was not materialized.
+
+    The engine decides a projection keeping no temporal attribute over
+    a join without building the whole join (see
+    :class:`~repro.plan.engine.NativeEngine`); ``candidates`` is the
+    number of candidate tuples it built before the answer was known.
+    """
+
+    candidates: int
+
+    def __str__(self) -> str:
+        return f"not materialized, {self.candidates} candidate(s) built"
+
+
 _KIND_BITS = count()
 
 
@@ -202,13 +218,14 @@ class PlanNode:
         return f"{self.op}[{detail}]" if detail else self.op
 
     def render(
-        self, indent: int = 0, sizes: Mapping[int, int] | None = None
+        self, indent: int = 0, sizes: Mapping[int, int | Unbuilt] | None = None
     ) -> list[str]:
         """The subtree as indented text lines.
 
         ``sizes`` maps node ids to observed output tuple counts (an
         executed plan's annotations); a sized node ends its line with
-        ``-> N tuple(s)``.
+        ``-> N tuple(s)``, and an :class:`Unbuilt` join with
+        ``-> not materialized, N candidate(s) built``.
         """
         pad = "  " * indent
         origin = ""
@@ -219,16 +236,24 @@ class PlanNode:
             )
         suffix = ""
         if sizes is not None and id(self) in sizes:
-            suffix = f"  -> {sizes[id(self)]} tuple(s)"
+            size = sizes[id(self)]
+            if isinstance(size, Unbuilt):
+                suffix = f"  -> {size}"
+            else:
+                suffix = f"  -> {size} tuple(s)"
         lines = [f"{pad}{self.describe()}  :: {self.schema}{origin}{suffix}"]
         for child in self.children:
             lines.extend(child.render(indent + 1, sizes))
         return lines
 
-    def to_dict(self, sizes: Mapping[int, int] | None = None) -> dict[str, Any]:
+    def to_dict(
+        self, sizes: Mapping[int, int | Unbuilt] | None = None
+    ) -> dict[str, Any]:
         """A JSON-ready structural dump of the subtree.
 
-        ``sizes`` as in :meth:`render`; a sized node gets ``out_tuples``.
+        ``sizes`` as in :meth:`render`; a sized node gets ``out_tuples``,
+        an :class:`Unbuilt` join ``materialized: false`` and
+        ``candidates_built``.
         """
         out: dict[str, Any] = {"op": self.op}
         detail = self.detail()
@@ -238,7 +263,12 @@ class PlanNode:
         if self.labels:
             out["labels"] = [list(pair) for pair in self.labels]
         if sizes is not None and id(self) in sizes:
-            out["out_tuples"] = sizes[id(self)]
+            size = sizes[id(self)]
+            if isinstance(size, Unbuilt):
+                out["materialized"] = False
+                out["candidates_built"] = size.candidates
+            else:
+                out["out_tuples"] = size
         if self.children:
             out["children"] = [child.to_dict(sizes) for child in self.children]
         return out

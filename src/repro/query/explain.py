@@ -34,6 +34,7 @@ from typing import Any
 from repro.core.relations import GeneralizedRelation
 from repro.obs import trace as obs
 from repro.obs.trace import Span, render_flamegraph, tracing
+from repro.plan.nodes import Unbuilt
 from repro.plan.report import PlanReport
 from repro.query.ast import Query
 from repro.query.evaluator import Evaluator
@@ -130,7 +131,7 @@ def _executed(
     evaluator: Evaluator, query: str | Query, objective, sense: str
 ) -> tuple[GeneralizedRelation, PlanReport]:
     """Run ``query``'s plan under ``query.evaluate``; result and report."""
-    sizes: dict[int, int] = {}
+    sizes: dict[int, int | Unbuilt] = {}
 
     def observe(node, result) -> None:
         sizes[id(node)] = len(result)
@@ -138,7 +139,12 @@ def _executed(
     with obs.span("query.evaluate") as sp:
         prepared = evaluator._prepare(sp, query, objective, sense)
         optimized = prepared.compiled.optimize
-        result, _ = evaluator._evaluated(sp, prepared.plan, optimized, observe)
+        result, ctx = evaluator._evaluated(
+            sp, prepared.plan, optimized, observe
+        )
+    for node_id, built in ctx.unbuilt.items():
+        # A shared join may also have run in full elsewhere in the plan.
+        sizes.setdefault(node_id, Unbuilt(built))
     report = PlanReport(
         query=prepared.text(),
         optimized=optimized,

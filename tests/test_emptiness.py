@@ -124,7 +124,7 @@ class TestCarriedClosure:
     def test_normalizing_adds_no_closure_of_the_tuple(self):
         for constraints in (
             "X1 >= X2 & X1 <= X2 + 5 & X2 >= 2",
-            "X1 = X2 + 2 & X2 >= 0",
+            "X1 = X2 + 8 & X2 >= 0",
         ):
             t = make(["8n", "8n"], constraints)
             t.closure()
@@ -132,6 +132,16 @@ class TestCarriedClosure:
                 lambda: next(iter_normalize_tuple(t, satisfiable=True), None)
             )
             assert self.closures(lambda: tuple_is_empty(t)) == alone
+
+    def test_residue_empty_tuple_is_decided_without_normalizing(self):
+        # X1 - X2 = 2 cannot hold on two lrps of period 8 and offset 0.
+        t = make(["8n", "8n"], "X1 = X2 + 2 & X2 >= 0")
+        t.closure()
+        before = COUNTERS["perf.normalize_expansion"]
+        # max_tuples=0 would raise NormalizationLimitError if it split.
+        assert self.closures(lambda: tuple_is_empty(t, max_tuples=0)) == 0
+        assert tuple_is_empty(t, max_tuples=0)
+        assert COUNTERS["perf.normalize_expansion"] == before
 
 
 class TestWitness:

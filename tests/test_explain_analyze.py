@@ -218,6 +218,26 @@ class TestApiFacade:
         for name in repro.api.__all__:
             assert getattr(repro.api, name) is not None, name
 
+    def test_fuzzer_and_server_load_on_first_use(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.api; "
+            "print(sorted(m for m in ('repro.fuzz', 'repro.serve', 'asyncio') "
+            "if m in sys.modules)); "
+            "from repro.api import ReproServer, run_case; "
+            "print(run_case.__module__, 'asyncio' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n")[:2] == ["[]", "repro.fuzz.diff True"]
+
     def test_facade_covers_the_quickstart_surface(self):
         for name in (
             "Database",

@@ -135,6 +135,73 @@ def test_ask_agrees_on_every_path(served, optimize):
     assert answers == {True}
 
 
+#: Between a fast arrival (15 mod 60) and a slow departure (2 mod 60).
+_GAP = 'Train(d, a, "fast") & Train(b, e, "slow") & b >= a + {lo} & b <= a + {hi}'
+
+#: (test id, closed query text, its answer): a projection that keeps no
+#: temporal attribute decides by emptiness, over a join lazily.
+ASKS = [
+    # Satisfiable constraints, but no fast departure (17 mod 60) in them.
+    ("false", 'EXISTS d. EXISTS a. Train(d, a, "fast") & d >= 60 & d <= 70', False),
+    (
+        "true-join",
+        "EXISTS d. EXISTS a. EXISTS b. EXISTS e. " + _GAP.format(lo=40, hi=50),
+        True,
+    ),
+    # Candidates satisfy every constraint, but no fast departure
+    # (17 mod 60) lies in [60, 70].
+    (
+        "false-join",
+        "EXISTS d. EXISTS a. EXISTS b. EXISTS e. "
+        + _GAP.format(lo=40, hi=50)
+        + " & d >= 60 & d <= 70",
+        False,
+    ),
+    (
+        "data-exists",
+        "EXISTS s. EXISTS d. EXISTS a. Train(d, a, s) & d >= 60 & d <= 70",
+        True,
+    ),
+    # The 4-way join is shared (dedup-subtrees): materialized under
+    # the projection onto d and s, then read as is by the closed one.
+    (
+        "shared-join",
+        "EXISTS d. EXISTS s. "
+        "(EXISTS a. EXISTS b. EXISTS e. Train(d, a, s) & Train(b, e, s) "
+        "& b >= a + 40 & b <= a + 50) & "
+        "(EXISTS d. EXISTS a. EXISTS b. EXISTS e. Train(d, a, s) "
+        "& Train(b, e, s) & b >= a + 40 & b <= a + 50)",
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["naive", "optimized"])
+@pytest.mark.parametrize(
+    "closed, expected",
+    [pytest.param(text, answer, id=name) for name, text, answer in ASKS],
+)
+def test_closed_ask_agrees_on_every_path(served, optimize, closed, expected):
+    db, client = served
+    with overrides(optimize=optimize):
+        answers = {db.ask(closed), db.snapshot().ask(closed), client.ask(closed)}
+    assert answers == {expected}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["naive", "optimized"])
+def test_data_only_exists_agrees_on_every_path(served, optimize):
+    # Only the slow service departs in [60, 70] (at 62).
+    text = "EXISTS d. EXISTS a. Train(d, a, s) & d >= 60 & d <= 70"
+    db, client = served
+    with overrides(optimize=optimize):
+        embedded = _relation(db.query(text))
+        pinned = _relation(db.snapshot().query(text))
+        wire = _relation(client.query(text))
+    assert embedded == pinned == wire
+    (only,) = embedded[1]
+    assert "slow" in only
+
+
 def test_query_rejects_a_plan_only_answer(served):
     from repro.core.errors import ServeError
 

@@ -6,8 +6,10 @@ bound-flip a refactor could introduce), let the fuzzer find a
 divergence, shrink it, and verify the shrunk case is a minimal,
 replayable repro — failing on the mutant, passing on HEAD.  The edge
 drills plant off-by-ones at the edges the generator aims at (touching
-intervals, singleton points at a theta-join window's edge) and check
-that the first 200 cases of ``repro fuzz --seed 0`` catch each.
+intervals, singleton points at a theta-join window's edge, tuples only
+their lrps show empty under a projection that keeps no temporal
+attribute) and check that the first 200 cases of ``repro fuzz --seed
+0`` catch each.
 """
 
 import json
@@ -123,6 +125,17 @@ def drops_singleton_window_edge(monkeypatch):
     monkeypatch.setattr(algebra._ResidueIndex, "partners", mutant)
 
 
+def decides_by_closure_alone(monkeypatch):
+    """A projection keeping no temporal attribute that takes a tuple
+    with a satisfiable constraint system for nonempty, whatever its
+    lrps."""
+
+    def mutant(gtuple, max_tuples=None):
+        return gtuple.closure() is None
+
+    monkeypatch.setattr(algebra, "tuple_is_empty", mutant)
+
+
 class TestEdgeDrills:
     CASES = 200
 
@@ -136,7 +149,12 @@ class TestEdgeDrills:
             assert not result.failing, result.summary()
 
     @pytest.mark.parametrize(
-        "plant", [rejects_touching_intervals, drops_singleton_window_edge]
+        "plant",
+        [
+            rejects_touching_intervals,
+            drops_singleton_window_edge,
+            decides_by_closure_alone,
+        ],
     )
     def test_mutant_is_caught(self, cases, plant, monkeypatch):
         plant(monkeypatch)

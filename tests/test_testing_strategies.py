@@ -138,7 +138,7 @@ class TestSeededGenerators:
 
 def test_importing_the_api_leaves_hypothesis_unloaded():
     """The strategies load hypothesis on first use, not on import: the
-    fuzzer imports ``repro.testing``, and every front door the fuzzer."""
+    fuzzer imports ``repro.testing``."""
     import subprocess
     import sys
 
