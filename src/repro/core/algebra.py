@@ -241,29 +241,33 @@ def _pairs(
     window ``[0, 0]``.  The pairs that index excludes are exactly those
     the per-pair residue test would reject, and they add to the ``skip``
     counter as that test would.  ``pair_candidates`` counts the pairs
-    yielded.
+    yielded, so a reader that stops early counts only what it read.
     """
     buckets = _partition(r2, key2)
     indexes: dict[Hashable, _ResidueIndex] = {}
-    for t1 in r1:
-        key = key1(t1)
-        bucket = buckets.get(key)
-        if bucket is None:
-            continue
-        if window is None:
-            COUNTERS["perf.pair_candidates"] += len(bucket)
-            for t2 in bucket:
-                yield t1, t2
-            continue
-        i1, i2, low, high = window
-        index = indexes.get(key)
-        if index is None:
-            index = indexes[key] = _ResidueIndex(bucket, i2)
-        partners = index.partners(t1.lrps[i1], low, high)
-        COUNTERS[skip] += len(bucket) - len(partners)
-        COUNTERS["perf.pair_candidates"] += len(partners)
-        for j in partners:
-            yield t1, bucket[j]
+    yielded = 0
+    try:
+        for t1 in r1:
+            key = key1(t1)
+            bucket = buckets.get(key)
+            if bucket is None:
+                continue
+            if window is None:
+                for t2 in bucket:
+                    yielded += 1
+                    yield t1, t2
+                continue
+            i1, i2, low, high = window
+            index = indexes.get(key)
+            if index is None:
+                index = indexes[key] = _ResidueIndex(bucket, i2)
+            partners = index.partners(t1.lrps[i1], low, high)
+            COUNTERS[skip] += len(bucket) - len(partners)
+            for j in partners:
+                yielded += 1
+                yield t1, bucket[j]
+    finally:
+        COUNTERS["perf.pair_candidates"] += yielded
 
 
 class _ResidueIndex:

@@ -9,24 +9,27 @@ append batch is therefore a differential check of two independent
 implementations at once — the semi-naive delta iteration and the
 refresh bookkeeping on top of it — against the slow executable oracle.
 
-Each seeded case streams a random temporal-graph workload
-(:mod:`repro.deductive.scenarios`) into a
-:class:`~repro.deductive.incremental.ViewMaintainer`:
+Each seeded case installs the program on a diskless
+:class:`~repro.query.catalog.VersionedCatalog` and streams a random
+temporal-graph workload (:mod:`repro.deductive.scenarios`) through the
+real write path, one
+:meth:`~repro.query.catalog.VersionedCatalog.commit_mutations`
+transaction per batch:
 
-* most batches are pure insertions, folded by the semi-naive
+* most batches are pure insertions, structural ``insert`` entries
+  exactly as ``append_stream`` sends them, folded by the semi-naive
   insert-delta path;
 * with probability :attr:`IvmProfile.retract_rate` a batch instead
-  *retracts* a random edge schedule, exercising the
-  :data:`~repro.deductive.incremental.DIRTY` recompute path.
+  *retracts* a random edge schedule by a ``put`` of the rebuilt
+  ``Edge``, exercising the :data:`~repro.deductive.incremental.DIRTY`
+  recompute path (or no delta at all, when the retracted schedule was
+  covered by the others).
 
-Each batch's deltas come from the catalog's own classifier
-(:func:`repro.query.catalog._input_deltas`) applied to the before and
-after ``Edge`` states, exactly as ``append_stream`` derives them: an
-append takes its structural insert-only path, a retraction rebuilds the
-relation and must come out ``DIRTY`` by itself (or no delta at all, when
-the retracted schedule was covered by the others).
+The catalog's own transaction step classifies the change and refreshes
+the view, so the leg checks that step too: the views are read from the
+committed version.
 
-After every batch the maintained ``Reach`` view is compared — as a
+After every batch the committed ``Reach`` view is compared — as a
 point set, via :func:`repro.core.algebra.equivalent` — against
 ``Program.evaluate(db, strategy="naive")`` on the folded EDB.  Any
 disagreement is a :class:`~repro.fuzz.diff.Divergence` of kind
@@ -46,15 +49,15 @@ from repro.core.errors import ReproError
 from repro.core.negation import DEFAULT_MAX_EXTENSIONS
 from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation
-from repro.deductive.incremental import DIRTY, ViewMaintainer
 from repro.deductive.scenarios import (
     EDGE_SCHEMA,
     edge_batches,
     reachability_program,
 )
 from repro.fuzz.diff import Divergence
-from repro.query.catalog import _input_deltas
-from repro.query.database import Database
+from repro.query.catalog import VersionedCatalog
+from repro.query.database import Database, _tuple_entry
+from repro.storage import jsonio
 
 
 @dataclass(frozen=True)
@@ -123,13 +126,6 @@ def _without(relation: GeneralizedRelation, index: int) -> GeneralizedRelation:
     return out
 
 
-def _kind(delta: object) -> str:
-    """How the classifier labelled one input change."""
-    if delta is DIRTY:
-        return "DIRTY"
-    return "no" if delta is None else "insert"
-
-
 def run_ivm_case(
     seed: int, profile: IvmProfile = DEFAULT_IVM_PROFILE
 ) -> IvmResult:
@@ -148,38 +144,45 @@ def run_ivm_case(
     try:
         program = reachability_program(window)
         batches = edge_batches(n_nodes, n_batches, batch_size, seed=seed)
-        maintainer = ViewMaintainer(
+        catalog = VersionedCatalog(
+            base={"Edge": GeneralizedRelation.empty(EDGE_SCHEMA)}
+        )
+        catalog.install_program(
             program,
-            {"Edge": EDGE_SCHEMA},
             max_tuples=DEFAULT_MAX_TUPLES,
             max_extensions=DEFAULT_MAX_EXTENSIONS,
         )
-        edb = GeneralizedRelation.empty(EDGE_SCHEMA)
-        views, _report = maintainer.initialize({"Edge": edb})
         with obs.span("fuzz.ivm.case", seed=seed):
             for batch in batches:
-                before = edb
+                edb = catalog.current().relation("Edge")
                 if rng.random() < profile.retract_rate and len(edb) > 0:
-                    # Retraction: unless the rest covers the dropped
-                    # schedule, the classifier must mark it DIRTY and
-                    # the refresh must recompute the touched strata.
+                    kind = "retract"
                     edb = _without(edb, rng.randrange(len(edb)))
+                    mutations = [
+                        {
+                            "op": "put",
+                            "name": "Edge",
+                            "relation": jsonio.relation_to_dict(edb),
+                        }
+                    ]
                 else:
-                    edb = edb.copy()
-                    for gtuple in batch:
-                        edb.add(gtuple)
-                deltas = _input_deltas(
-                    maintainer, {"Edge": before}, {"Edge": edb}, ["Edge"]
-                )
-                views, _report = maintainer.refresh(
-                    {"Edge": edb}, views, deltas
-                )
+                    kind = "insert"
+                    mutations = [
+                        {"op": "insert", "name": "Edge",
+                         "tuple": _tuple_entry(gtuple)}
+                        for gtuple in batch
+                    ]
+                (txn,) = catalog.commit_mutations([mutations])
+                if txn.error is not None:
+                    raise txn.error
+                committed = catalog.current()
+                edb = committed.relation("Edge")
                 result.batches += 1
                 oracle_db = Database()
                 oracle_db.register("Edge", edb)
                 oracle = program.evaluate(oracle_db, strategy="naive")
-                for name in maintainer.view_names:
-                    maintained = views[name]
+                for name in catalog.view_names:
+                    maintained = committed.relation(name)
                     recomputed = oracle.relation(name)
                     if algebra.equivalent(maintained, recomputed):
                         continue
@@ -192,7 +195,7 @@ def run_ivm_case(
                             detail=(
                                 f"view {name!r} after batch "
                                 f"{result.batches}/{n_batches} "
-                                f"({_kind(deltas.get('Edge'))} delta): "
+                                f"({kind} batch): "
                                 f"incremental refresh and naive "
                                 f"recompute denote different point sets"
                             ),

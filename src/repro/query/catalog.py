@@ -20,6 +20,17 @@ database multi-version concurrency control essentially for free:
   arrival order and made durable by one WAL append run + one fsync
   (:meth:`repro.storage.engine.StorageEngine.commit_many`).
 
+Every write — :meth:`~VersionedCatalog.commit_state`,
+:meth:`~VersionedCatalog.commit_mutations` and
+:meth:`~VersionedCatalog.install_program` — goes through one
+transaction step (refresh the views of each proposed state) and one
+publish step (persist, stamp version tokens and view watermarks, swing
+the committed pointer), under one change rule: a relation equal
+(``==``) to its predecessor keeps the predecessor object, so what a
+transaction changed is exactly the objects it does not share with its
+predecessor.  The storage engine diffs by the same equality, so a
+diskless and a durable catalog commit the same transactions alike.
+
 Mutations are plain JSON-shaped dicts (the same shape the wire
 protocol carries)::
 
@@ -376,6 +387,10 @@ class VersionedCatalog:
       durable by **one** fsync via
       :meth:`~repro.storage.engine.StorageEngine.commit_many`.
 
+    Both (and :meth:`install_program`) publish through the private
+    :meth:`_publish` step, so a transaction commits the same way
+    whichever routine carries it.
+
     With no engine the same versioning semantics hold purely in memory
     (version tokens count from 0), so the serving layer can run
     diskless for tests and ephemeral workloads.
@@ -451,15 +466,10 @@ class VersionedCatalog:
 
         with self._write_lock:
             previous = self._committed
-            old_views = (
-                set(self._maintainer.view_names)
-                if self._maintainer is not None
-                else set()
-            )
             base_state = {
                 name: rel
                 for name, rel in previous.relations.items()
-                if name not in old_views
+                if name not in self.view_names
             }
             candidates = {
                 name: base_state.pop(name)
@@ -483,30 +493,13 @@ class VersionedCatalog:
                 not verify
                 and len(candidates) == len(maintainer.view_names)
             ):
-                views = dict(candidates)
+                views = candidates
             else:
                 views, report = maintainer.initialize(base_state)
-            changed = [
-                name
-                for name, view in views.items()
-                if name not in previous or previous.relation(name) != view
-            ]
-            frozen = dict(base_state)
-            frozen.update(views)
-            if self._engine is not None and changed:
-                self._engine.commit_many([frozen], changed=[set(changed)])
-                token = self._engine.version
-            elif changed:
-                token = previous.version + 1
-            else:
-                token = previous.version
-            watermarks = {name: token for name in maintainer.view_names}
-            version = CatalogVersion(
-                token, frozen, view_watermarks=watermarks
-            )
+            base_state.update(_settle(previous.relations, views))
+            self._publish(previous, [base_state], maintainer.view_names)
             self._maintainer = maintainer
-            self._committed = version
-            return version, report
+            return self._committed, report
 
     @property
     def version(self) -> int:
@@ -527,104 +520,30 @@ class VersionedCatalog:
     ) -> tuple[CatalogVersion, int]:
         """Commit a full catalog state as one transaction.
 
-        Diffs ``relations`` against the committed version, persists the
-        transaction when an engine is attached (one WAL append run, one
-        fsync), and publishes a new :class:`CatalogVersion` holding
-        *copies* of the changed relations — the caller keeps mutating
-        its working objects without ever reaching into the version.
-        Returns ``(version, records)``; a no-op commit returns the
-        current version with 0 records.
+        The in-process path (:meth:`Database.commit
+        <repro.query.database.Database.commit>`): ``relations`` is the
+        transaction's proposed next state, committed through the same
+        transaction and publish steps as :meth:`commit_mutations`, so
+        it commits exactly what a mutation batch building the same
+        state would.  The published version holds *copies* of the
+        changed relations — the caller keeps mutating its working
+        objects without ever reaching into the version.  Returns
+        ``(version, records)``; a no-op commit keeps the current
+        version token with 0 records.
 
         With a program installed, names of materialized views in
-        ``relations`` are ignored (views are derived state); instead
-        the changed program inputs are diffed into insert/:data:`DIRTY
-        <repro.deductive.incremental.DIRTY>` deltas and the views
-        refreshed before the version is published, so the committed
-        state is always self-consistent.  Dropping a program input
-        raises :class:`SchemaError` (the whole commit fails).
+        ``relations`` are ignored (views are derived state) and the
+        views are refreshed before the version is published.  Dropping
+        a program input raises :class:`SchemaError` (the whole commit
+        fails).
         """
         with self._write_lock:
             previous = self._committed
-            maintainer = self._maintainer
-            view_names = (
-                set(maintainer.view_names)
-                if maintainer is not None
-                else set()
+            state = self._transact(previous.relations, relations)
+            ((_token, records),) = self._publish(
+                previous, [state], self.view_names
             )
-            incoming = {
-                name: rel
-                for name, rel in relations.items()
-                if name not in view_names
-            }
-            changed = [
-                name
-                for name, rel in incoming.items()
-                if name not in previous
-                or previous.relation(name) != rel
-            ]
-            dropped = [
-                name
-                for name in previous.names
-                if name not in incoming and name not in view_names
-            ]
-            if maintainer is not None:
-                for name in dropped:
-                    if name in maintainer.input_names:
-                        raise SchemaError(
-                            f"cannot drop relation {name!r}: it is an "
-                            "input of the installed deductive program"
-                        )
-            if not changed and not dropped:
-                return previous, 0
-            frozen = {
-                name: (
-                    rel.copy()
-                    if name in changed
-                    else previous.relation(name)
-                )
-                for name, rel in incoming.items()
-            }
-            hint = set(changed)
-            watermarks = dict(previous.view_watermarks)
-            changed_views: list[str] = []
-            if maintainer is not None:
-                deltas = _input_deltas(
-                    maintainer, previous.relations, frozen, changed
-                )
-                old_views = {
-                    name: previous.relation(name)
-                    for name in view_names
-                    if name in previous
-                }
-                views, _report = maintainer.refresh(
-                    frozen, old_views, deltas
-                )
-                # refresh carries untouched views over by reference, so
-                # identity is a sound changed-view test.
-                for name, view in views.items():
-                    if view is not old_views.get(name):
-                        changed_views.append(name)
-                        hint.add(name)
-                    frozen[name] = view
-            if self._engine is not None:
-                # The engine receives the frozen copies (never the
-                # caller's still-mutable working objects) plus the
-                # changed-name hint, so its diff only serializes what
-                # this commit touched.
-                records = self._engine.commit_many(
-                    [frozen], changed=[hint]
-                )[0]
-                token = self._engine.version
-            else:
-                records = len(changed) + len(dropped) + len(changed_views)
-                token = previous.version + 1
-            for name in changed_views:
-                watermarks[name] = token
-            version = CatalogVersion(
-                token, frozen, view_watermarks=watermarks
-            )
-            self._committed = version
-            return version, records
+            return self._committed, records
 
     def commit_mutations(
         self, batches: Sequence[Sequence[Mapping]]
@@ -642,9 +561,11 @@ class VersionedCatalog:
         state.  Returns one :class:`TxnResult` per input batch, in
         order.
 
-        Equivalence guarantee (tested by the hypothesis suite): the
-        final committed state equals committing the same batches one by
-        one through :meth:`commit_state` application order — group
+        Equivalence guarantee (tested by the hypothesis suite): every
+        transaction goes through the same transaction and publish steps
+        as :meth:`commit_state`, so committing the batches as one group,
+        one by one, or as the states they build gives the same results
+        and the same committed catalog, diskless or durable — group
         commit changes only durability batching, never semantics.
 
         When a program is installed, each transaction's views are
@@ -659,115 +580,161 @@ class VersionedCatalog:
         """
         with self._write_lock:
             previous = self._committed
-            maintainer = self._maintainer
-            view_names = (
-                set(maintainer.view_names)
-                if maintainer is not None
-                else set()
-            )
-            base = dict(previous.relations)
-            states: list[dict[str, GeneralizedRelation]] = []
-            hints: list[set[str]] = []
+            views = self.view_names
+            base = previous.relations
+            states: list[Mapping[str, GeneralizedRelation]] = []
             slots: list[ReproError | int] = []
-            wm_slots: dict[str, int] = {}
             for batch in batches:
                 try:
-                    state = apply_mutations(
-                        base, batch, protected=view_names
+                    state = self._transact(
+                        base,
+                        apply_mutations(
+                            base, batch, protected=frozenset(views)
+                        ),
                     )
-                    # apply_mutations copies exactly the relations it
-                    # touches, so object identity against the
-                    # predecessor state is a sound (and cheap)
-                    # changed-name hint for the engine's diff.
-                    hint = {
-                        name
-                        for name, rel in state.items()
-                        if base.get(name) is not rel
-                    }
-                    if maintainer is not None:
-                        missing = sorted(
-                            name
-                            for name in maintainer.input_names
-                            if name not in state
-                        )
-                        if missing:
-                            raise SchemaError(
-                                f"cannot drop relation {missing[0]!r}: "
-                                "it is an input of the installed "
-                                "deductive program"
-                            )
-                        deltas = _input_deltas(
-                            maintainer, base, state, hint
-                        )
-                        old_views = {
-                            name: base[name]
-                            for name in view_names
-                            if name in base
-                        }
-                        views, _report = maintainer.refresh(
-                            state, old_views, deltas
-                        )
-                        for name, view in views.items():
-                            if view is not old_views.get(name):
-                                hint.add(name)
-                                wm_slots[name] = len(states)
-                            state[name] = view
                 except ReproError as exc:
                     slots.append(exc)
                     continue
-                if list(state) != list(base) and not _count_changes(
-                    base, state
-                ):
-                    # A no-op that only reorders names (drop, then
-                    # re-create equal) commits nothing one by one, so
-                    # later batches must build on the old order too.
-                    state, hint = base, set()
-                hints.append(hint)
                 slots.append(len(states))
                 states.append(state)
                 base = state
-            if self._engine is not None and states:
-                counts = self._engine.commit_many(states, changed=hints)
-            else:
-                counts = [
-                    _count_changes(
-                        states[i - 1] if i else dict(previous.relations),
-                        state,
-                    )
-                    for i, state in enumerate(states)
-                ]
-            # Stamp version tokens: each non-noop transaction committed
-            # as one engine txn, so walk the final token backwards over
-            # the batch (a no-op transaction reads as its predecessor).
-            nonnoop = sum(1 for count in counts if count)
-            if self._engine is not None and nonnoop:
-                final = self._engine.version
-            else:
-                final = previous.version + nonnoop
-            running = final - nonnoop
-            versions: list[int] = []
-            for count in counts:
-                if count:
-                    running += 1
-                versions.append(running)
-            results: list[TxnResult] = []
-            for slot in slots:
-                if isinstance(slot, ReproError):
-                    results.append(TxnResult(version=final, error=slot))
-                else:
-                    results.append(
-                        TxnResult(
-                            version=versions[slot], records=counts[slot]
-                        )
-                    )
-            if nonnoop:
-                watermarks = dict(previous.view_watermarks)
-                for name, slot in wm_slots.items():
-                    watermarks[name] = versions[slot]
-                self._committed = CatalogVersion(
-                    final, states[-1], view_watermarks=watermarks
-                )
-            return results
+            published = self._publish(previous, states, views)
+            final = self._committed.version
+            return [
+                TxnResult(version=final, error=slot)
+                if isinstance(slot, ReproError)
+                else TxnResult(*published[slot])
+                for slot in slots
+            ]
+
+    def _transact(
+        self,
+        base: Mapping[str, GeneralizedRelation],
+        proposed: Mapping[str, GeneralizedRelation],
+    ) -> Mapping[str, GeneralizedRelation]:
+        """The transaction step: the state one transaction commits.
+
+        ``base`` is the predecessor state and ``proposed`` the
+        transaction's next state.  Every relation passes the change
+        rule (:func:`_settle`), so the result shares an object with
+        ``base`` exactly where the transaction changed nothing; a
+        transaction that changes nothing commits ``base`` itself, name
+        order included.  With a program installed, the view names in
+        ``proposed`` are ignored, dropping a program input raises
+        :class:`SchemaError`, and the views are refreshed from the
+        changed inputs and appended after them.
+        """
+        views = self.view_names
+        state = _settle(
+            base,
+            {
+                name: rel
+                for name, rel in proposed.items()
+                if name not in views
+            },
+        )
+        changed = [
+            name for name, rel in state.items() if base.get(name) is not rel
+        ]
+        if not changed and all(
+            name in state or name in views for name in base
+        ):
+            return base
+        maintainer = self._maintainer
+        if maintainer is None:
+            return state
+        missing = sorted(
+            name for name in maintainer.input_names if name not in state
+        )
+        if missing:
+            raise SchemaError(
+                f"cannot drop relation {missing[0]!r}: it is an input of "
+                "the installed deductive program"
+            )
+        deltas = _input_deltas(maintainer, base, state, changed)
+        old_views = {name: base[name] for name in views if name in base}
+        refreshed, _report = maintainer.refresh(state, old_views, deltas)
+        state.update(_settle(base, refreshed))
+        return state
+
+    def _publish(
+        self,
+        previous: CatalogVersion,
+        states: Sequence[Mapping[str, GeneralizedRelation]],
+        views: Sequence[str],
+    ) -> list[tuple[int, int]]:
+        """The publish step: commit consecutive transaction states.
+
+        ``states`` follow ``previous`` in order, each settled against
+        its predecessor by the change rule, so a name changed exactly
+        when its object differs from the predecessor's, and dropped
+        when the predecessor had it and the state has not.  From those
+        change sets it persists the changing states as one
+        :meth:`~repro.storage.engine.StorageEngine.commit_many` call
+        (one fsync), stamps each transaction's version token and the
+        watermark of every view it changed, and swings the committed
+        pointer once.  Returns ``(version, records)`` per state.
+        """
+        changes: list[set[str]] = []
+        records: list[int] = []
+        before: Mapping[str, GeneralizedRelation] = previous.relations
+        for state in states:
+            changed = {
+                name for name, rel in state.items()
+                if before.get(name) is not rel
+            }
+            dropped = sum(1 for name in before if name not in state)
+            changes.append(changed)
+            records.append(len(changed) + dropped)
+            before = state
+        written = [state for state, n in zip(states, records) if n]
+        if self._engine is not None and written:
+            self._engine.commit_many(
+                written,
+                changed=[c for c, n in zip(changes, records) if n],
+            )
+            final = self._engine.version
+        else:
+            final = previous.version + len(written)
+        token = final - len(written)
+        stamps = previous.view_watermarks
+        watermarks = {name: stamps[name] for name in views if name in stamps}
+        published: list[tuple[int, int]] = []
+        for changed, count in zip(changes, records):
+            if count:
+                token += 1
+            for name in views:
+                if name in changed or name not in watermarks:
+                    watermarks[name] = token
+            published.append((token, count))
+        self._committed = CatalogVersion(
+            final,
+            states[-1] if states else previous.relations,
+            view_watermarks=watermarks,
+        )
+        return published
+
+
+def _settle(
+    base: Mapping[str, GeneralizedRelation],
+    proposed: Mapping[str, GeneralizedRelation],
+) -> dict[str, GeneralizedRelation]:
+    """The change rule of every commit: what each relation commits as.
+
+    A relation equal (``==``) to its predecessor in ``base`` keeps the
+    predecessor object; any other is committed as a private copy.
+    Equal relations may still list their tuples in another order, so
+    keeping the predecessor keeps the committed tuple order too.
+    """
+    state = {}
+    for name, rel in proposed.items():
+        old = base.get(name)
+        state[name] = (
+            old
+            if old is not None and (old is rel or old == rel)
+            else rel.copy()
+        )
+    return state
 
 
 def _input_deltas(
@@ -823,16 +790,3 @@ def _input_deltas(
             deltas[name] = inserted
     return deltas
 
-
-def _count_changes(
-    before: Mapping[str, GeneralizedRelation],
-    after: Mapping[str, GeneralizedRelation],
-) -> int:
-    """How many relations differ between two catalog states."""
-    changed = sum(
-        1
-        for name, rel in after.items()
-        if name not in before or before[name] != rel
-    )
-    dropped = sum(1 for name in before if name not in after)
-    return changed + dropped

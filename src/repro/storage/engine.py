@@ -26,8 +26,12 @@ Logical WAL records (physical framing in :mod:`repro.storage.wal`):
   it to disk intact.
 
 Commit protocol (:meth:`StorageEngine.commit`): diff the live catalog
-against the last committed state, append one ``put``/``drop`` record
-per changed relation, append the commit marker, fsync once.  Recovery
+against the last committed state by relation equality (``==``, the
+change rule the MVCC catalog core commits by), append one
+``put``/``drop`` record per changed relation, append the commit marker,
+fsync once.  The engine keeps its own shallow copies of the committed
+relations, so a caller that mutates its relations in place between
+commits is still diffed correctly.  Recovery
 (:meth:`StorageEngine.open`) loads the manifest's snapshot, replays
 every *committed* transaction whose LSNs exceed the snapshot's, and
 truncates any torn tail — so a crash anywhere inside commit leaves
@@ -70,7 +74,6 @@ matrix that proves the atomicity claim at each of them.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Any
@@ -85,7 +88,7 @@ from repro.core.relations import GeneralizedRelation
 from repro.obs import metrics
 from repro.obs.metrics import COUNTERS
 from repro.storage import faults, jsonio
-from repro.storage.wal import canonical_json, encode_record, scan_wal
+from repro.storage.wal import encode_record, scan_wal
 
 FORMAT_VERSION = 1
 
@@ -120,8 +123,8 @@ class StorageEngine:
 
     def __init__(self, root: str) -> None:
         self.root = root
+        #: The committed catalog: the engine's own shallow copies.
         self.relations: dict[str, GeneralizedRelation] = {}
-        self._committed: dict[str, str] = {}  # name -> canonical payload
         self._next_lsn = 1
         self._next_txn = 1
         self._snapshot_lsn = 0
@@ -316,7 +319,6 @@ class StorageEngine:
             payloads.update(snapshot.get("relations", {}))
         replayed, discarded = self._replay_wal(payloads)
         self.relations = {}
-        self._committed = {}
         for name, payload in payloads.items():
             try:
                 relation = jsonio.relation_from_dict(payload)
@@ -325,7 +327,6 @@ class StorageEngine:
                     f"cannot rebuild relation {name!r}: {exc}"
                 ) from exc
             self.relations[name] = relation
-            self._committed[name] = canonical_json(payload)
         self._cleanup_snapshots()
         COUNTERS["storage.recovery.records_replayed"] += replayed
         COUNTERS["storage.recovery.txns_discarded"] += discarded
@@ -433,15 +434,16 @@ class StorageEngine:
         state identical to its predecessor, which appends nothing and
         consumes no transaction id).
 
-        ``changed`` optionally narrows the diff, one entry per state: a
-        set of relation names the caller guarantees are the *only* ones
-        whose content may differ from the predecessor state (``None``
-        entries diff everything).  The transactional core supplies this
-        from its copy-on-write bookkeeping, turning the per-transaction
-        diff cost from O(catalog) serialization into O(touched) —
-        relations outside the hint keep their committed payload without
-        being re-serialized.  Dropped relations are always detected
-        from the state's keys, hint or not.
+        A relation is written when it is new or not equal (``==``) to
+        its predecessor; the engine then keeps a shallow copy of it as
+        committed.  ``changed`` optionally narrows the diff, one entry
+        per state: a set of relation names the caller guarantees are
+        the *only* ones whose content may differ from the predecessor
+        state (``None`` entries diff everything).  The transactional
+        core passes the change sets it publishes by, so relations
+        outside them keep their committed copy without an equality
+        test.  Dropped relations are always detected from the state's
+        keys, hint or not.
 
         Atomicity is per transaction: a crash mid-batch recovers to the
         longest prefix of transactions whose commit markers reached
@@ -452,41 +454,40 @@ class StorageEngine:
         self._check_live()
         started = time.perf_counter()
         counts: list[int] = []
-        committed = dict(self._committed)
+        committed = self.relations
         bytes_appended = 0
         records_appended = 0
         txns = 0
         try:
             for index, relations in enumerate(states):
                 hint = changed[index] if changed is not None else None
-                current: dict[str, str] = {}
-                puts: list[tuple[str, dict]] = []
+                current: dict[str, GeneralizedRelation] = {}
+                puts: list[str] = []
                 for name, relation in relations.items():
-                    if (
-                        hint is not None
-                        and name not in hint
-                        and name in committed
+                    old = committed.get(name)
+                    if old is not None and (
+                        (hint is not None and name not in hint)
+                        or old == relation
                     ):
-                        current[name] = committed[name]
+                        current[name] = old
                         continue
-                    payload = jsonio.relation_to_dict(relation)
-                    encoded = canonical_json(payload)
-                    current[name] = encoded
-                    if committed.get(name) != encoded:
-                        puts.append((name, payload))
+                    current[name] = relation.copy()
+                    puts.append(name)
                 drops = [name for name in committed if name not in current]
                 if not puts and not drops:
                     counts.append(0)
                     continue
                 txn = self._next_txn
-                for name, payload in puts:
+                for name in puts:
                     bytes_appended += self._append(
                         {
                             "lsn": self._next_lsn,
                             "txn": txn,
                             "op": "put",
                             "name": name,
-                            "relation": payload,
+                            "relation": jsonio.relation_to_dict(
+                                current[name]
+                            ),
                         }
                     )
                 for name in drops:
@@ -520,8 +521,7 @@ class StorageEngine:
             raise
         if not txns:
             return counts
-        self._committed = committed
-        self.relations = dict(states[-1])
+        self.relations = committed
         registry = metrics()
         COUNTERS["storage.wal.records_appended"] += records_appended
         COUNTERS["storage.wal.bytes_appended"] += bytes_appended
@@ -569,8 +569,8 @@ class StorageEngine:
             "format": FORMAT_VERSION,
             "snapshot_lsn": snapshot_lsn,
             "relations": {
-                name: json.loads(encoded)
-                for name, encoded in self._committed.items()
+                name: jsonio.relation_to_dict(relation)
+                for name, relation in self.relations.items()
             },
         }
         record = encode_record(payload)

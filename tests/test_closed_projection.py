@@ -9,6 +9,9 @@ and order), the error behaviour, the lazy join's candidates, and the
 EXPLAIN rendering of a join the engine did not materialize.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +22,14 @@ from repro.core.errors import NormalizationLimitError
 from repro.core.lrp import LRP
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.tuples import GeneralizedTuple
+from repro.obs.metrics import COUNTERS
 from repro.perf import kernel
 from repro.perf.config import overrides
 from repro.plan.nodes import Join, Unbuilt
 from repro.query import Database
 from repro.testing import generalized_relations
+
+E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 
 DATA = (("a", 1), ("a", 2), ("b", 1))
 NAMES = ((), ("D1",), ("D2",), ("D2", "D1"))
@@ -209,6 +215,58 @@ class TestLazyJoin:
         assert list(joined) == [] and joined.built == 0
         assert algebra.project(joined, []).is_empty()
 
+
+
+class TestPairCount:
+    """``perf.pair_candidates`` counts the pairs a join reads, not the
+    pairs it could have read."""
+
+    @staticmethod
+    def _count(monkeypatch, run):
+        """``(pairs yielded, pairs reported)`` while ``run()`` runs."""
+        real = algebra._pairs
+        yielded = []
+
+        def counting(*args, **kwargs):
+            for pair in real(*args, **kwargs):
+                yielded.append(pair)
+                yield pair
+
+        monkeypatch.setattr(algebra, "_pairs", counting)
+        before = COUNTERS["perf.pair_candidates"]
+        run()
+        return len(yielded), COUNTERS["perf.pair_candidates"] - before
+
+    def test_early_stop_inside_a_bucket(self, monkeypatch):
+        # One left tuple meets all 20 right tuples; the first batch
+        # holds 8 of them and the closed projection stops there.
+        left = GeneralizedRelation.empty(Schema.make(temporal=["a", "b"]))
+        left.add_tuple(["2n", "2n"], "a >= 0")
+        right = GeneralizedRelation.empty(Schema.make(temporal=["b", "c"]))
+        for k in range(20):
+            right.add_tuple(["2n", f"{k} + 20n"], "c >= b")
+        joined = algebra.LazyJoin(left, right)
+        yielded, reported = self._count(
+            monkeypatch, lambda: algebra.project(joined, [])
+        )
+        assert joined.built == algebra.LazyJoin.FIRST_BATCH
+        assert reported == yielded == algebra.LazyJoin.FIRST_BATCH
+
+    def test_query_cold_catalog(self, monkeypatch):
+        if str(E2E) not in sys.path:
+            sys.path.append(str(E2E))
+        from queries import SIZES, Inputs
+
+        db = Inputs(SIZES["query_cold"], 3).build()
+        r, s = db.relation("R"), db.relation("S")
+        joined = algebra.LazyJoin(r, s)
+        yielded, reported = self._count(
+            monkeypatch, lambda: algebra.project(joined, [])
+        )
+        assert joined.built == algebra.LazyJoin.FIRST_BATCH
+        assert reported == yielded < len(r) * len(s)
+        _, full = self._count(monkeypatch, lambda: algebra.join(r, s))
+        assert full == 927
 
 def _trains():
     db = Database()

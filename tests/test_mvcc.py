@@ -6,21 +6,26 @@ Three families:
   during) a group commit sees exactly the pre-commit catalog,
   cross-checked point-for-point against the finite-window oracle;
 * group-commit equivalence — committing N transactions as one group
-  produces the same committed catalog as committing them one at a
-  time (hypothesis-driven over random mutation batches, including
+  produces the same outcomes and the same committed catalog as
+  committing them one at a time, as the states they build
+  (``commit_state``) and on a durable catalog, before and after
+  reopening (hypothesis-driven over random mutation batches, including
   batches that abort);
 * version tokens — monotone, and stable for pinned snapshots.
 """
 
+import tempfile
 import threading
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baseline.finite import FiniteRelation
+from repro.core.errors import ReproError
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.query.catalog import VersionedCatalog, apply_mutations
 from repro.query.database import Database
+from repro.storage.engine import StorageEngine
 
 WINDOW = (0, 60)
 
@@ -146,36 +151,85 @@ def _translate(op) -> dict:
     return {"op": "drop", "name": op[1]}
 
 
+def _tuples(relations) -> dict:
+    """Each relation's schema and canonical tuple keys, in tuple order."""
+    return {
+        name: (rel.schema, [t.canonical_key() for t in rel])
+        for name, rel in relations.items()
+    }
+
+
+def _by_state(core: VersionedCatalog, batches) -> list[tuple]:
+    """Commit each batch through ``commit_state`` of the state that
+    ``apply_mutations`` builds from the committed one; outcomes as
+    :func:`_outcomes` reads them."""
+    outcomes = []
+    for batch in batches:
+        try:
+            state = apply_mutations(core.current().relations, batch)
+        except ReproError:
+            outcomes.append((False, 0, None))
+            continue
+        version, records = core.commit_state(state)
+        outcomes.append((True, records, version.version))
+    return outcomes
+
+
+def _outcomes(results) -> list[tuple]:
+    """``(ok, records, version)`` per transaction; an aborted one reads
+    no version, because a group reports its final token there."""
+    return [(r.ok, r.records, r.version if r.ok else None) for r in results]
+
+
 class TestGroupCommitEquivalence:
     @given(_batches)
     # A no-op batch that only reorders names, then a later insert.
     @example([[("create", "B"), ("create", "A")],
               [("drop", "B"), ("create", "B")],
               [("insert", "A", 3, 5)]])
+    # Re-create a relation equal to the committed one, tuples in
+    # another order: a no-op on every path, which keeps the old order.
+    @example([[("create", "A"), ("insert", "A", 1, 10),
+               ("insert", "A", 2, 10)],
+              [("drop", "A"), ("create", "A"), ("insert", "A", 2, 10),
+               ("insert", "A", 1, 10)],
+              [("create", "B")]])
     @settings(max_examples=60, deadline=None)
     def test_group_equals_sequential(self, programs):
         batches = [[_translate(op) for op in batch] for batch in programs]
 
         grouped = VersionedCatalog()
-        group_results = grouped.commit_mutations(batches)
+        want = _outcomes(grouped.commit_mutations(batches))
+        g = grouped.current()
 
         sequential = VersionedCatalog()
-        seq_results = [
-            sequential.commit_mutations([batch])[0] for batch in batches
-        ]
+        seq = [sequential.commit_mutations([batch])[0] for batch in batches]
+        by_state = VersionedCatalog()
+        state_outcomes = _by_state(by_state, batches)
+        with tempfile.TemporaryDirectory() as root:
+            engine = StorageEngine.open(root)
+            durable = VersionedCatalog(engine=engine, base=engine.relations)
+            durable_outcomes = _outcomes(durable.commit_mutations(batches))
+            d = durable.current()
+            engine.close()
+            with StorageEngine.open(root, create=False) as reopened:
+                recovered = (_tuples(reopened.relations), reopened.version)
 
-        # same per-transaction outcomes (which aborted, what changed)
-        assert [r.ok for r in group_results] == [r.ok for r in seq_results]
-        assert [r.records for r in group_results] == [
-            r.records for r in seq_results
-        ]
-        # same committed catalog, relation by relation, point by point
-        g, s = grouped.current(), sequential.current()
-        assert g.names == s.names
+        # same per-transaction outcomes (which aborted, what changed,
+        # which version each committed as)
+        assert _outcomes(seq) == want
+        assert state_outcomes == want
+        assert durable_outcomes == want
+        # same committed catalog: names, tuples and their order
+        for other in (sequential.current(), by_state.current(), d):
+            assert other.names == g.names
+            assert _tuples(other.relations) == _tuples(g.relations)
+            assert other.version == g.version
+        assert recovered == (_tuples(g.relations), g.version)
         for name in g.names:
-            assert g.relation(name) == s.relation(name)
-            assert _points(g.relation(name)) == _points(s.relation(name))
-        assert g.version == s.version
+            assert _points(g.relation(name)) == _points(
+                sequential.current().relation(name)
+            )
 
     def test_group_equals_sequential_durably(self, tmp_path):
         batches = [

@@ -73,6 +73,24 @@ class TestOpenAndCommit:
             db.relation("Fires").add_tuple(["5 + 6n"], "t >= 12")
             assert db.commit() == 1  # Train untouched -> one put
 
+    def test_engine_sees_in_place_mutation(self, tmp_path):
+        # A caller of the engine itself that mutates its relations in
+        # place between commits: the engine diffs against its own
+        # copies, so the second commit still sees the new tuple.
+        from repro.core.relations import GeneralizedRelation, Schema
+
+        path = str(tmp_path / "db")
+        relations = {
+            "Ev": GeneralizedRelation.empty(Schema.make(temporal=["t"]))
+        }
+        with StorageEngine.open(path) as engine:
+            assert engine.commit(relations) == 1
+            relations["Ev"].add_tuple(["3 + 5n"], "t >= 0")
+            assert engine.commit(relations) == 1
+            assert engine.commit(relations) == 0
+        with StorageEngine.open(path, create=False) as engine:
+            assert engine.relations["Ev"] == relations["Ev"]
+
     def test_drop_persists(self, tmp_path):
         path = str(tmp_path / "db")
         with Database.open(path) as db:
