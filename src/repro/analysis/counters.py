@@ -2,7 +2,7 @@
 
 Wall-clock timings are noisy; the benchmarks corroborate them with
 simple structural counts — how many tuples an operation produced, how
-many pairwise tuple combinations it examined — which track the paper's
+many tuple pairs it formed — which track the paper's
 complexity parameters (N tuples, m columns) directly.
 
 The engine's own counts (incremental closures, prefilter rejections,
@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.relations import GeneralizedRelation
+from repro.obs.metrics import COUNTERS
 
 
 @dataclass
@@ -42,13 +43,21 @@ def measure_binary(
     r1: GeneralizedRelation,
     r2: GeneralizedRelation,
 ) -> tuple[GeneralizedRelation, CostReport]:
-    """Run a binary algebra operation and report structural cost."""
+    """Run a binary algebra operation and report structural cost.
+
+    ``pairs_examined`` is the operation's ``perf.pair_candidates``
+    delta: the tuple pairs it formed, which a pairwise operation's
+    trace span reports too.
+    """
+    pairs = COUNTERS["perf.pair_candidates"]
     result = operation(r1, r2)
     report = CostReport(
         input_tuples=len(r1) + len(r2),
         output_tuples=len(result),
         schema_width=len(result.schema),
-        counters=Counter(pairs_examined=len(r1) * len(r2)),
+        counters=Counter(
+            pairs_examined=COUNTERS["perf.pair_candidates"] - pairs
+        ),
     )
     return result, report
 

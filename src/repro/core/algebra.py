@@ -23,9 +23,10 @@ import functools
 import itertools
 import operator
 from collections.abc import Hashable, Iterable, Iterator, Sequence
-from math import gcd, prod
+from math import gcd
 
 from repro.arith import lcm
+from repro.core import normalize
 from repro.core.constraints import (
     Atom,
     VarVarAtom,
@@ -68,7 +69,7 @@ COST_HINTS: dict[str, float] = {
 }
 
 
-def _traced(op_name: str, pairwise: bool = False):
+def _traced(op_name: str):
     """Wrap an algebra operation in an ``algebra.<op>`` span.
 
     When tracing is off the wrapper costs one :func:`repro.obs.trace.span`
@@ -76,9 +77,10 @@ def _traced(op_name: str, pairwise: bool = False):
     per tuple.
     When a recorder is installed the span carries the structural cost
     attributes of :mod:`repro.analysis.counters`: input/output tuple
-    counts, the result's schema width and, for pairwise operations, the
-    number of tuple combinations examined; the optimization layer's
-    counter deltas (prefilter rejections, plan memo hits, kernel closures)
+    counts, the result's schema width and, for an operation that paired
+    tuples (:func:`_pairs`), ``pairs_examined``, the span's own
+    ``perf.pair_candidates`` delta; the optimization layer's counter
+    deltas (prefilter rejections, plan memo hits, kernel closures)
     observed during the span are attached automatically.
     """
 
@@ -91,7 +93,9 @@ def _traced(op_name: str, pairwise: bool = False):
             if sp is obs.NULL_SPAN:
                 return fn(*args, **kwargs)
             with sp:
+                pairs = COUNTERS["perf.pair_candidates"]
                 result = fn(*args, **kwargs)
+                pairs = COUNTERS["perf.pair_candidates"] - pairs
                 inputs = [
                     a for a in args[:2] if isinstance(a, GeneralizedRelation)
                 ]
@@ -100,8 +104,8 @@ def _traced(op_name: str, pairwise: bool = False):
                     output_tuples=len(result),
                     schema_width=len(result.schema),
                 )
-                if pairwise and len(inputs) == 2:
-                    sp.set(pairs_examined=len(inputs[0]) * len(inputs[1]))
+                if pairs:
+                    sp.set(pairs_examined=pairs)
                 return result
 
         return wrapper
@@ -179,7 +183,7 @@ def union(r1: GeneralizedRelation, r2: GeneralizedRelation) -> GeneralizedRelati
     return out
 
 
-@_traced("intersect", pairwise=True)
+@_traced("intersect")
 def intersect(
     r1: GeneralizedRelation, r2: GeneralizedRelation
 ) -> GeneralizedRelation:
@@ -478,7 +482,7 @@ def subtract_tuples(
     return [t for t in out if t.dbm.copy().close()]
 
 
-@_traced("subtract", pairwise=True)
+@_traced("subtract")
 def subtract(
     r1: GeneralizedRelation, r2: GeneralizedRelation
 ) -> GeneralizedRelation:
@@ -563,7 +567,7 @@ def project(
     condition of Section 3.2.1 is tested against the closure each tuple
     carries before anything is normalized: a tuple whose cluster lrps
     cannot meet its closed windows is never planned, and a split combo
-    that cannot is never formed (:func:`_combos`).
+    that cannot is never formed (:func:`_planned_combos`).
     Re-orderings and data-only changes never normalize: each tuple's
     output is its carried closure restricted to the kept attributes.
     A projection that keeps no temporal attribute never normalizes
@@ -616,24 +620,12 @@ def project(
             projected._key = (projected.lrps, bounds, projected.data)
             out.add(projected)
         return out
-    if kernel.kernel_active():
-        finals = list(
-            _project_batched(tuples, keep_t, dropped_t, keep_d, max_tuples)
-        )
-        _prefill_keys(finals)
-        for final in finals:
-            out.add(final)
-        return out
-    for gtuple in tuples:
-        data = tuple(gtuple.data[i] for i in keep_d)
-        for projected in project_tuple_temporal(
-            gtuple, keep_t, dropped_t, max_tuples=max_tuples
-        ):
-            out.add(
-                GeneralizedTuple(
-                    lrps=projected.lrps, dbm=projected.dbm, data=data
-                )
-            )
+    finals = list(
+        _project_batched(tuples, keep_t, dropped_t, keep_d, max_tuples)
+    )
+    _prefill_keys(finals)
+    for final in finals:
+        out.add(final)
     return out
 
 
@@ -693,34 +685,26 @@ def _prefill_keys(finals: list[GeneralizedTuple]) -> None:
 
 
 class _ProjectPlan:
-    """Per-tuple combinatorics for temporal elimination.
+    """Per-tuple plan for temporal elimination.
 
-    Shared by the scalar and batched projection paths so both enumerate
-    exactly the same combos with the same bookkeeping.  ``choices[d]``
-    lists the split lrps of cluster attribute ``cluster_order[d]`` (all
-    of period ``k``, or the one singleton it is), and ``split_sizes`` is
-    the size of their product; :func:`_combos` walks that product.
-    ``feasible`` is ``None`` until the residue test has run against the
-    tuple's closure, then ``(combos, excluded)``: a plan belongs to one
-    tuple, whose closure never changes, so a memoized plan keeps it.
+    ``split`` is the cluster's split onto the cluster period ``k``
+    (:func:`repro.core.normalize.split`); the other fields are
+    projection's own: the cluster, the output cells of the bounds
+    outside it (``outside_ops``), the cluster rows kept by the
+    projection and the output matrix template.  Shared by the scalar
+    and batched combo paths, so both enumerate exactly the same combos.
     """
 
     __slots__ = (
+        "split",
         "cluster",
-        "cluster_order",
         "cluster_pos",
         "k",
-        "choices",
-        "split_sizes",
         "outside_ops",
         "kept_cluster",
-        "kept_cluster_attrs",
         "kept_rows",
-        "template_entries",
-        "new_index",
         "out_rows",
         "mat_template",
-        "feasible",
     )
 
 
@@ -731,134 +715,69 @@ def _project_plan(
     max_tuples: int,
     rows: tuple,
 ) -> _ProjectPlan | None:
-    """Compute one tuple's cluster, period, splits and bound partition.
+    """Compute one tuple's cluster, split and bound partition.
 
     Plans depend only on the tuple (immutable after construction) and
     the projection arguments, so they are memoized on the tuple itself
     — like the canonical/semantic key memos — and repeated projections
-    over a stored relation skip the replan.
-
-    The cluster lrps are first tested against the closed windows of
-    ``rows``, the tuple's closure
-    (:func:`~repro.perf.prefilter.residues_meet`).  A tuple that fails
-    has only empty combos: it gets no plan (``None``),
-    adds its whole split product to ``perf.prefilter_residue_skip``, and
-    neither raises ``NormalizationLimitError`` nor adds to
-    ``normalize_expansion``.
+    over a stored relation skip the replan.  The split is tested
+    against ``rows``, the tuple's closure: a tuple whose cluster lrps
+    cannot meet its closed windows gets no plan (``None``), and the
+    split routine counts it as it counts every caller's.
     """
     memo_key = (tuple(keep), tuple(dropped), max_tuples)
     memo = gtuple._plans
     if memo is not None:
         plan = memo.get(memo_key)
         if plan is not None:
-            # A plan with feasible combos passed the test already.
-            if plan.feasible is None and not prefilter.residues_meet(
-                gtuple.lrps, rows, plan.cluster_order
-            ):
-                COUNTERS["perf.prefilter_residue_skip"] += plan.split_sizes
-                return None
             # The blow-up still happens downstream on every run.
-            COUNTERS["perf.normalize_expansion"] += plan.split_sizes
+            if not plan.split.reuse(rows):
+                return None
             COUNTERS["perf.plan_memo_hits"] += 1
             return plan
     cluster = _constraint_cluster(gtuple, dropped)
     cluster_order = sorted(cluster)
     # Period of the cluster only.
-    lrps = gtuple.lrps
     k = 1
     for i in cluster_order:
-        period = lrps[i].period
+        period = gtuple.lrps[i].period
         if period:
             k = lcm(k, period)
-    # Each periodic cluster lrp splits into k // period lrps of period k
-    # (Lemma 3.1); the explosion is bounded by max_tuples.
-    split_sizes = 1
-    for i in cluster_order:
-        period = lrps[i].period
-        if period:
-            split_sizes *= k // period
-    if not prefilter.residues_meet(lrps, rows, cluster_order):
-        COUNTERS["perf.prefilter_residue_skip"] += split_sizes
+    split = normalize.split(
+        gtuple, cluster_order, [k] * len(cluster_order), max_tuples, rows
+    )
+    if split is None:
         return None
-    if split_sizes > max_tuples:
-        from repro.core.errors import NormalizationLimitError
-
-        raise NormalizationLimitError(
-            f"projection would normalize into {split_sizes} tuples "
-            f"(limit {max_tuples})"
-        )
-    # Partial normalization's blow-up parameter (Section 3.4/3.8).
-    COUNTERS["perf.normalize_expansion"] += split_sizes
     plan = _ProjectPlan()
+    plan.split = split
     plan.cluster = cluster
-    plan.cluster_order = cluster_order
-    cluster_pos = {attr: idx for idx, attr in enumerate(cluster_order)}
-    plan.cluster_pos = cluster_pos
+    plan.cluster_pos = {attr: idx for idx, attr in enumerate(cluster_order)}
     plan.k = k
-    # An lrp whose period already equals k splits into itself, so it
-    # skips the split.
-    choices = []
-    for i in cluster_order:
-        lrp = lrps[i]
-        period = lrp.period
-        if period == 0 or period == k:
-            choices.append([lrp])
-        else:
-            choices.append(lrp.split(k))
-    plan.choices = choices
-    plan.split_sizes = split_sizes
-    plan.feasible = None
-    # Partition the bound matrix directly (same row-major order as
-    # iter_bounds): cluster bounds are transcribed to template row
-    # indices (0 is the zero variable, cluster positions are 1-based),
-    # outside bounds straight to output DBM *matrix cells* — every
-    # non-cluster attribute survives projection (dropped ones are
-    # cluster seeds by definition), and ``X_i - X_j <= b``, ``X_i <= b``
-    # and ``X_i >= -b`` all store ``b`` at one ``_set`` cell.
+    # Bounds outside the cluster go straight to output DBM *matrix
+    # cells*: every non-cluster attribute survives projection (dropped
+    # ones are cluster seeds by definition), and ``X_i - X_j <= b``,
+    # ``X_i <= b`` and ``X_i >= -b`` all store ``b`` at one ``_set`` cell.
     new_index = {attr: idx for idx, attr in enumerate(keep)}
-    template_entries = []
-    outside_ops = []
-    b = gtuple.dbm._b
-    n = gtuple.dbm._n
-    for row_i in range(n):
-        row = b[row_i]
-        ai = row_i - 1
-        in_i = ai in cluster
-        for row_j in range(n):
-            bound = row[row_j]
-            if bound is None or row_i == row_j:
-                continue
-            aj = row_j - 1
-            if in_i or aj in cluster:
-                template_entries.append(
-                    (
-                        cluster_pos[ai] + 1 if ai >= 0 else 0,
-                        cluster_pos[aj] + 1 if aj >= 0 else 0,
-                        bound,
-                    )
-                )
-            else:
-                outside_ops.append(
-                    (
-                        new_index[ai] + 1 if ai >= 0 else 0,
-                        new_index[aj] + 1 if aj >= 0 else 0,
-                        bound,
-                    )
-                )
-    plan.template_entries = template_entries
-    plan.outside_ops = outside_ops
-    plan.new_index = new_index
-    dropped_set = set(dropped)
-    kept_cluster = []
-    kept_cluster_attrs = []
-    for pos, i in enumerate(cluster_order):
-        if i not in dropped_set:
-            kept_cluster.append(pos)
-            kept_cluster_attrs.append(i)
+    plan.outside_ops = []
+    if len(cluster) < len(gtuple.lrps):
+        out_row = [0] + [
+            -1 if attr in cluster else new_index[attr] + 1
+            for attr in range(len(gtuple.lrps))
+        ]
+        plan.outside_ops = [
+            (out_row[i], out_row[j], bound)
+            for i, row in enumerate(gtuple.dbm._b)
+            for j, bound in enumerate(row)
+            if bound is not None and i != j and out_row[i] >= 0 <= out_row[j]
+        ]
+    kept_cluster = [
+        pos for pos, i in enumerate(cluster_order) if i in new_index
+    ]
     plan.kept_cluster = kept_cluster
-    plan.kept_cluster_attrs = kept_cluster_attrs
     plan.kept_rows = tuple([0] + [pos + 1 for pos in kept_cluster])
-    plan.out_rows = [0] + [new_index[attr] + 1 for attr in kept_cluster_attrs]
+    plan.out_rows = [0] + [
+        new_index[cluster_order[pos]] + 1 for pos in kept_cluster
+    ]
     n_out = len(keep) + 1
     plan.mat_template = [
         [0 if i == j else None for j in range(n_out)] for i in range(n_out)
@@ -876,106 +795,32 @@ def _project_combo(
     keep: Sequence[int],
 ) -> GeneralizedTuple | None:
     """Scalar elimination of one split combo (``None`` when empty)."""
-    cluster_order = plan.cluster_order
-    cluster_pos = plan.cluster_pos
-    k = plan.k
-    offsets = {
-        attr: lrp.offset for attr, lrp in zip(cluster_order, combo)
-    }
-    singles = {
-        attr: lrp.period == 0 for attr, lrp in zip(cluster_order, combo)
-    }
-    n_dbm = DBM(len(cluster_order))
-    for pos, lrp in enumerate(combo):
-        if lrp.period == 0:
-            n_dbm.add_value(pos, 0)
-    # template_entries is the cluster-bound list in template row space
-    # (row 0 = zero variable, cluster position + 1 otherwise), shared
-    # with the batched kernel path.
-    offs = [0] + [lrp.offset for lrp in combo]
-    for ti, tj, bound in plan.template_entries:
-        n_bound = (bound - offs[ti] + offs[tj]) // k
-        ni = ti - 1
-        nj = tj - 1
-        if ni >= 0 and nj >= 0:
-            n_dbm.add_difference(ni, nj, n_bound)
-        elif nj < 0:
-            n_dbm.add_upper(ni, n_bound)
-        else:
-            n_dbm.add_lower(nj, -n_bound)
+    n_dbm = normalize.transcribe(plan.split, combo)
     if not n_dbm.close():
         return None
     projected_n = n_dbm.project(plan.kept_cluster)
     if not projected_n.close():
         return None
-    kept_cluster_attrs = plan.kept_cluster_attrs
-    # Assemble the output tuple in `keep` order.
-    lrps: list[LRP] = []
-    for attr in keep:
-        if attr in plan.cluster:
-            lrps.append(combo[cluster_pos[attr]])
-        else:
-            lrps.append(gtuple.lrps[attr])
-    new_index = plan.new_index
-    out_dbm = DBM(len(keep))
-    # Cluster constraints, mapped back to X-space.
-    for i, j, bound in projected_n.iter_bounds():
-        ai = kept_cluster_attrs[i] if i >= 0 else -1
-        aj = kept_cluster_attrs[j] if j >= 0 else -1
-        if ai >= 0 and singles[ai] and aj < 0:
-            continue
-        if aj >= 0 and singles[aj] and ai < 0:
-            continue
-        ci = offsets[ai] if ai >= 0 else 0
-        cj = offsets[aj] if aj >= 0 else 0
-        x_bound = k * bound + ci - cj
-        ni = new_index[ai] if ai >= 0 else -1
-        nj = new_index[aj] if aj >= 0 else -1
-        if ni >= 0 and nj >= 0:
-            out_dbm.add_difference(ni, nj, x_bound)
-        elif nj < 0:
-            out_dbm.add_upper(ni, x_bound)
-        else:
-            out_dbm.add_lower(nj, -x_bound)
+    kept = [combo[pos] for pos in plan.kept_cluster]
+    singles = [lrp.period == 0 for lrp in kept]
+    offsets = [lrp.offset for lrp in kept]
+    x_dbm = normalize.to_x_space(
+        offsets, singles, [plan.k] * len(kept), projected_n
+    )
     # Projecting a closed n-space system yields a closed system, and the
     # affine X-space transcription preserves the triangle inequality
-    # entry for entry, so when no entry was skipped (no kept singleton
-    # pins) the output is born closed — downstream canonicalization pays
-    # no re-closure (any outside bounds added below re-open it).
-    if not any(singles[attr] for attr in kept_cluster_attrs):
-        out_dbm._closed = True
-    # Outside constraints survive verbatim (they touch no cluster attr);
-    # outside_ops already carries them as output-matrix cells.
-    for ri, rj, bound in plan.outside_ops:
-        out_dbm._set(ri, rj, bound)
-    return GeneralizedTuple(tuple(lrps), out_dbm, gtuple.data)
-
-
-def project_tuple_temporal(
-    gtuple: GeneralizedTuple,
-    keep: Sequence[int],
-    dropped: Sequence[int],
-    max_tuples: int = DEFAULT_MAX_TUPLES,
-) -> list[GeneralizedTuple]:
-    """Eliminate the ``dropped`` temporal attributes from one tuple.
-
-    Only the constraint-connected cluster of the dropped attributes is
-    normalized; attributes outside the cluster keep their lrps and
-    mutual constraints untouched.  This is the scalar path
-    (``REPRO_KERNEL=python``, or no numpy); it plans and enumerates
-    combos exactly as :func:`_project_batched` does, residue pruning
-    included, and closes each combo with :func:`_project_combo`.
-    """
-    planned = _planned_combos(gtuple, keep, dropped, max_tuples)
-    if planned is None:
-        return []  # empty tuple: empty projection
-    plan, combos = planned
-    results: list[GeneralizedTuple] = []
-    for combo in combos:
-        projected = _project_combo(gtuple, plan, combo, keep)
-        if projected is not None:
-            results.append(projected)
-    return results
+    # entry for entry, so unless a kept singleton pin was dropped the
+    # output is born closed — downstream canonicalization pays no
+    # re-closure.
+    return _assemble_projected(
+        gtuple,
+        plan,
+        combo,
+        keep,
+        x_dbm._b,
+        gtuple.data,
+        closed=x_dbm._closed or not any(singles),
+    )
 
 
 def _planned_combos(
@@ -984,11 +829,14 @@ def _planned_combos(
     dropped: Sequence[int],
     max_tuples: int,
 ) -> tuple[_ProjectPlan, list[tuple[LRP, ...]]] | None:
-    """One tuple's plan and the combos to normalize, or ``None`` when the
-    tuple is empty.
+    """One tuple's plan and its residue-feasible combos, or ``None``
+    when the tuple is empty.
 
     Emptiness is read off the closure the tuple carries, and its
-    residues are tested against it.
+    residues are tested against it (:meth:`SplitPlan.combos
+    <repro.core.normalize.SplitPlan.combos>`).  A combo left out has an
+    n-space system with no integer solution, which the kernel or
+    :func:`_project_combo` would reject, so the output is unchanged.
     """
     rows = gtuple.closure()
     if rows is None:
@@ -996,103 +844,7 @@ def _planned_combos(
     plan = _project_plan(gtuple, keep, dropped, max_tuples, rows)
     if plan is None:
         return None
-    return plan, _combos(plan, rows)
-
-
-def _combos(plan: _ProjectPlan, rows: tuple) -> list[tuple[LRP, ...]]:
-    """The split combos of ``plan`` to normalize, in ``itertools.product``
-    order.
-
-    Only the combos whose lrps meet the closed windows of ``rows``, the
-    tuple's closure (:func:`_feasible_combos`).  A combo left out has an
-    n-space system with no integer solution, which the kernel or
-    :func:`_project_combo` would reject, so the output is unchanged.  Each combo left out adds
-    one to ``perf.prefilter_residue_skip``.
-
-    ``rows`` must belong to a tuple that passed
-    :func:`~repro.perf.prefilter.residues_meet`
-    (:func:`_project_plan` returned its plan): a product of one combo is
-    then that tuple's own lrps, already tested.  The result is kept in
-    ``plan.feasible``.
-    """
-    choices = plan.choices
-    if plan.feasible is None:
-        if plan.split_sizes == 1:
-            plan.feasible = ([tuple([lrp for (lrp,) in choices])], 0)
-        else:
-            plan.feasible = _feasible_combos(plan.cluster_order, choices, rows)
-    combos, excluded = plan.feasible
-    COUNTERS["perf.prefilter_residue_skip"] += excluded
-    return combos
-
-
-def _feasible_combos(
-    attrs: Sequence[int], choices: list[list[LRP]], rows: tuple
-) -> tuple[list[tuple[LRP, ...]], int]:
-    """The combos of ``itertools.product(*choices)`` whose lrps meet the
-    closed windows ``rows``, in product order, and how many were left out.
-
-    The combos grow one position at a time, and a choice is kept only if
-    it passes its own window and the windows against the choices already
-    made.  ``choices[d]`` holds lrps of attribute ``attrs[d]`` that share
-    one period (``k`` for split lrps, 0 for a singleton).  ``rows[i][j]`` bounds ``X_i - X_j``, with row 0 the zero
-    variable and attribute ``a`` at row ``a + 1``.  A combo meets the
-    windows when each ``X_a`` has a value of its lrp in
-    ``[-rows[0][a+1], rows[a+1][0]]`` and each difference ``X_a - X_b``
-    has a value ``≡ c_a - c_b (mod gcd(p_a, p_b))`` in
-    ``[-rows[b+1][a+1], rows[a+1][b+1]]`` (exactly ``c_a - c_b`` when
-    the gcd is 0).
-    """
-    zero = rows[0]
-    partial: list[tuple[LRP, ...]] = [()]
-    below = prod(len(options) for options in choices)
-    excluded = 0
-    for depth, a in enumerate(attrs):
-        options = choices[depth]
-        below //= len(options)  # combos under one choice at this depth
-        row = rows[a + 1]
-        low = zero[a + 1]
-        low = None if low is None else -low
-        fitting = [
-            lrp
-            for lrp in options
-            if prefilter.residue_in_window(
-                lrp.offset, lrp.period, low, row[0]
-            )
-        ]
-        excluded += (len(options) - len(fitting)) * below * len(partial)
-        period = options[0].period
-        windows = []
-        for prior, b in enumerate(attrs[:depth]):
-            low = rows[b + 1][a + 1]
-            high = row[b + 1]
-            modulus = gcd(period, choices[prior][0].period)
-            if (low is None and high is None) or (
-                modulus and (low is None or high is None)
-            ):
-                continue  # every difference fits
-            windows.append(
-                (prior, modulus, None if low is None else -low, high)
-            )
-        if not windows:
-            partial = [combo + (lrp,) for combo in partial for lrp in fitting]
-        else:
-            extended = []
-            for combo in partial:
-                for lrp in fitting:
-                    offset = lrp.offset
-                    for prior, modulus, low, high in windows:
-                        if not prefilter.residue_in_window(
-                            offset - combo[prior].offset, modulus, low, high
-                        ):
-                            excluded += below
-                            break
-                    else:
-                        extended.append(combo + (lrp,))
-            partial = extended
-        if not partial:
-            break  # every subtree left out is already counted
-    return partial, excluded
+    return plan, plan.split.combos(rows)
 
 
 def _project_batched(
@@ -1102,18 +854,17 @@ def _project_batched(
     keep_d: Sequence[int],
     max_tuples: int,
 ):
-    """Batched temporal elimination across a whole relation.
+    """Temporal elimination across a whole relation.
 
     Yields finished output tuples (data already projected via
-    ``keep_d``) in exactly the scalar path's order: plans and combos are
-    enumerated identically (:func:`_project_plan`, :func:`_combos`,
-    residue pruning included); only the per-combo n-space closure,
-    projection and X-space transcription run as grouped vectorized
-    sweeps in :func:`repro.perf.kernel.project_batch`.  A tuple is
-    satisfiable iff its carried closure exists, so no tuple is closed
-    here.  Combos with singleton splits take the scalar combo path
-    (their n-space pins are not template-expressible), as do whole
-    groups the kernel rejects for exactness.
+    ``keep_d``) in tuple and combo order (:func:`_planned_combos`).
+    The per-combo n-space closure, projection and X-space transcription
+    run as grouped sweeps in :func:`repro.perf.kernel.project_batch`;
+    every combo it answers :data:`~repro.perf.kernel.SCALAR` for (all
+    of them on the python backend) and every combo with a singleton
+    split (whose n-space pins are not template-expressible) takes
+    :func:`_project_combo`.  A tuple is satisfiable iff its carried
+    closure exists, so no tuple is closed here.
     """
     plans: list[_ProjectPlan | None] = []
     jobs: list[tuple] = []
@@ -1135,7 +886,7 @@ def _project_batched(
                 continue
             if template is None and template_usable:
                 template = kernel.bounds_template(
-                    plan.template_entries, len(plan.cluster_order) + 1
+                    plan.split.entries, len(plan.split.attrs) + 1
                 )
                 template_usable = template is not None
             if template is None:
@@ -1174,12 +925,14 @@ def _assemble_projected(
     keep: Sequence[int],
     x_bounds: list[list[int | None]],
     data: tuple,
+    closed: bool = True,
 ) -> GeneralizedTuple:
-    """Build one output tuple from a kernel-transcribed X-space matrix.
+    """Build one output tuple from an X-space matrix.
 
-    ``x_bounds`` is the closed bound matrix over ``plan.kept_rows``; it
-    is installed directly as a closed DBM (the transcription preserves
-    closure), then any outside bounds re-open it.
+    ``x_bounds`` is the bound matrix over ``plan.kept_rows``, closed
+    unless ``closed`` says otherwise (the kernel's transcription
+    preserves closure); it is installed directly, then any outside
+    bounds re-open it.
     """
     cluster_pos = plan.cluster_pos
     cluster = plan.cluster
@@ -1198,7 +951,7 @@ def _assemble_projected(
     out_dbm = DBM.__new__(DBM)
     out_dbm._n = len(mat)
     out_dbm._b = mat
-    out_dbm._closed = True
+    out_dbm._closed = closed
     for ri, rj, bound in plan.outside_ops:
         out_dbm._set(ri, rj, bound)
     # Bypass the dataclass __init__: lrps/data are already tuples and
@@ -1349,7 +1102,7 @@ def select_data_equal(
 # ----------------------------------------------------------------------
 
 
-@_traced("product", pairwise=True)
+@_traced("product")
 def product(
     r1: GeneralizedRelation, r2: GeneralizedRelation
 ) -> GeneralizedRelation:
@@ -1383,7 +1136,7 @@ def product(
     return out
 
 
-@_traced("join", pairwise=True)
+@_traced("join")
 def join(
     r1: GeneralizedRelation,
     r2: GeneralizedRelation,

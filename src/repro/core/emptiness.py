@@ -5,19 +5,36 @@ column and checking the remaining unary constraints.  With the n-space
 representation of :mod:`repro.core.normalize` we can do slightly better:
 a normalized tuple is nonempty iff its difference system over the free
 repetition counters is satisfiable, which the DBM closure decides
-directly (and integer-exactly).  The asymptotics match the theorem:
-polynomial in the number of tuples and in the schema size.
+directly (and integer-exactly).  Both the decision and the witness split
+every attribute onto the tuple's lcm with
+:func:`repro.core.normalize.split`, pruned against the tuple's closure,
+and take their verdicts from one batched
+:func:`~repro.perf.kernel.sat_batch`.  The asymptotics match the
+theorem: polynomial in the number of tuples and in the schema size.
 """
 
 from __future__ import annotations
 
+from repro.core.dbm import DBM
+from repro.core.lrp import LRP
 from repro.core.normalize import (
     DEFAULT_MAX_TUPLES,
-    iter_normalize_tuple,
+    satisfiable_combos,
+    split,
+    tuple_period,
 )
 from repro.core.relations import GeneralizedRelation
 from repro.core.tuples import GeneralizedTuple
-from repro.perf.prefilter import residues_meet
+
+
+def _normal_forms(
+    gtuple: GeneralizedTuple, period: int, rows: tuple, max_tuples: int
+) -> list[tuple[tuple[LRP, ...], DBM]]:
+    """The satisfiable normal-form combos of a satisfiable tuple on its
+    lcm ``period``, with their counter systems, in product order."""
+    arity = gtuple.temporal_arity
+    plan = split(gtuple, range(arity), [period] * arity, max_tuples, rows)
+    return [] if plan is None else satisfiable_combos(plan, rows)
 
 
 def tuple_is_empty(
@@ -34,10 +51,9 @@ def tuple_is_empty(
     without normalizing and never raises
     :class:`~repro.core.errors.NormalizationLimitError`.  A tuple whose
     lrps fail the residue condition of Section 3.2.1 against that
-    closure (:func:`~repro.perf.prefilter.residues_meet`) is empty, and
-    is decided so without normalizing either.  Otherwise normalization
-    is streamed and stops at the first satisfiable normal-form tuple,
-    so the common case is far cheaper than a full normalization.
+    closure is empty, and :func:`~repro.core.normalize.split` decides
+    so without normalizing either.  Otherwise the tuple is nonempty iff
+    one of its residue-feasible normal-form combos is satisfiable.
     """
     rows = gtuple.closure()
     if rows is None:
@@ -46,13 +62,7 @@ def tuple_is_empty(
         return True
     if next(gtuple.dbm.iter_bounds(), None) is None:
         return False
-    if not residues_meet(gtuple.lrps, rows, range(len(gtuple.lrps))):
-        return True
-    for _ in iter_normalize_tuple(
-        gtuple, max_tuples=max_tuples, satisfiable=True
-    ):
-        return False
-    return True
+    return not _normal_forms(gtuple, tuple_period(gtuple), rows, max_tuples)
 
 
 def relation_is_empty(
@@ -67,18 +77,20 @@ def tuple_witness(
 ) -> tuple[int, ...] | None:
     """Return one concrete temporal point of the tuple, or ``None``.
 
-    The witness is reconstructed from an n-space DBM solution:
-    ``X_i = c_i + k * n_i``.
+    The witness is the DBM solution of the first satisfiable normal-form
+    combo, the first tuple :func:`~repro.core.normalize.normalize_tuple`
+    yields, mapped back as ``X_i = c_i + k * n_i``.
     """
-    for normalized in iter_normalize_tuple(gtuple, max_tuples=max_tuples):
-        counters = normalized.n_dbm.solution()
-        if counters is None:  # pragma: no cover - filtered by iterator
-            continue
-        k = normalized.period
-        return tuple(
-            c + k * n for c, n in zip(normalized.offsets, counters)
-        )
-    return None
+    rows = gtuple.closure()
+    if rows is None:
+        return None
+    k = tuple_period(gtuple)
+    normal = _normal_forms(gtuple, k, rows, max_tuples)
+    if not normal:
+        return None
+    combo, n_dbm = normal[0]
+    counters = n_dbm.solution()
+    return tuple(lrp.offset + k * n for lrp, n in zip(combo, counters))
 
 
 def relation_witness(

@@ -1,9 +1,9 @@
 """Negation / complement of generalized relations (Appendix A.6).
 
-The complement of a relation ``r`` of temporal arity ``m``, normalized to
-period ``k``, is computed per the paper:
+The complement of a relation ``r`` of temporal arity ``m`` is computed
+per the paper, over free extensions of per-column periods ``k_i``:
 
-* enumerate all ``k^m`` free extensions of period ``k``;
+* enumerate all ``Π k_i`` free extensions;
 * a free extension not appearing in ``r`` contributes one unconstrained
   tuple;
 * a free extension appearing in ``r`` with constraint systems
@@ -13,23 +13,35 @@ period ``k``, is computed per the paper:
   intermediate representation stays within the ``(N+1)^{m(m+1)}`` bound
   of Theorem A.1 instead of blowing up to ``(m(m+1))^N`` terms.
 
-Singleton lrps are first "de-singularized": ``{c}`` becomes the periodic
+The paper uses one period, the relation's lcm, for every column
+(``uniform_period=True``).  By default each column takes the lcm of
+its *component*, the columns it is transitively co-constrained with,
+so the enumeration costs ``Π k_comp^|comp|`` instead of ``k^m``.
+Either way each tuple is split by :func:`repro.core.normalize.split`
+with those periods, pruned against its closure.
+
+Singleton lrps are then "de-singularized": ``{c}`` becomes the periodic
 lrp ``(c mod k) + kZ`` with its repetition counter pinned by constraints,
-so that every tuple's free extension is a plain offset vector in
-``[0, k)^m`` and the enumeration above is exhaustive.
+so that every tuple's free extension is a plain offset vector and the
+enumeration above is exhaustive.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
+from repro.arith import lcm
 from repro.core.dbm import DBM
 from repro.core.errors import NormalizationLimitError
+from repro.core.lrp import LRP
 from repro.core.normalize import (
     DEFAULT_MAX_TUPLES,
     NormalizedTuple,
-    normalize_relation_tuples,
+    relation_period,
+    split,
+    to_x_space,
+    transcribe,
 )
 from repro.core.tuples import GeneralizedTuple
 from repro.perf import prefilter
@@ -48,28 +60,39 @@ def desingularize(nt: NormalizedTuple) -> NormalizedTuple:
     """
     if not any(nt.singleton):
         return nt
-    k = nt.period
-    new_offsets: list[int] = []
-    dbm = nt.n_dbm.copy()
-    for i, (c, is_single) in enumerate(zip(nt.offsets, nt.singleton)):
-        if not is_single:
-            new_offsets.append(c)
-            continue
-        reduced = c % k
-        shift = (c - reduced) // k
-        new_offsets.append(reduced)
-        if shift != 0:
-            # Counter re-origins: n_new = n_old + shift.  shift_variable
-            # implements n := n + delta on the variable's value set, so
-            # delta = +shift moves the pin n_old = 0 to n_new = shift.
-            dbm = dbm.shift_variable(i, shift)
+    offsets, dbm = _on_grid(
+        nt.offsets, nt.singleton, nt.n_dbm.copy(), [nt.period] * nt.arity
+    )
     return NormalizedTuple(
-        period=k,
-        offsets=tuple(new_offsets),
+        period=nt.period,
+        offsets=offsets,
         singleton=tuple(False for _ in nt.singleton),
         n_dbm=dbm,
         data=nt.data,
     )
+
+
+def _on_grid(
+    offsets: Sequence[int],
+    singleton: Sequence[bool],
+    dbm: DBM,
+    periods: Sequence[int],
+) -> tuple[tuple[int, ...], DBM]:
+    """Re-origin every singleton counter onto its column's grid.
+
+    Returns the reduced offsets and ``dbm`` (a shifted copy where a pin
+    moves), in which the counter of a singleton ``{c}`` on period ``k``
+    measures from ``c mod k``: ``shift_variable`` implements ``n := n +
+    delta`` on the variable's value set, so ``delta = c // k`` moves the
+    pin ``n = 0`` to ``n = c // k``.
+    """
+    out = list(offsets)
+    for i, (c, is_single) in enumerate(zip(offsets, singleton)):
+        if is_single:
+            out[i] = c % periods[i]
+            if c // periods[i]:
+                dbm = dbm.shift_variable(i, c // periods[i])
+    return tuple(out), dbm
 
 
 def negate_dbm(dbm: DBM, size: int) -> list[DBM]:
@@ -165,50 +188,6 @@ def _drop_subsumed(systems: list[DBM]) -> list[DBM]:
     return kept
 
 
-def complement_normalized(
-    normalized: Iterable[NormalizedTuple],
-    arity: int,
-    period: int,
-    data: tuple = (),
-    max_extensions: int = DEFAULT_MAX_EXTENSIONS,
-) -> list[NormalizedTuple]:
-    """Complement a set of same-data normalized tuples w.r.t. ``Z^arity``.
-
-    ``normalized`` must all have the given period and data values.
-    Raises :class:`NormalizationLimitError` when ``period ** arity``
-    exceeds ``max_extensions`` (the inherent general-complexity blow-up).
-    """
-    if period ** arity > max_extensions:
-        raise NormalizationLimitError(
-            f"complement would enumerate {period ** arity} free extensions "
-            f"(limit {max_extensions})"
-        )
-    COUNTERS["perf.complement_extensions"] += period ** arity
-    groups: dict[tuple[int, ...], list[DBM]] = {}
-    for nt in normalized:
-        flat = desingularize(nt)
-        groups.setdefault(flat.offsets, []).append(flat.n_dbm)
-    out: list[NormalizedTuple] = []
-    all_false = tuple(False for _ in range(arity))
-    for offsets in itertools.product(range(period), repeat=arity):
-        systems = groups.get(offsets)
-        if systems is None:
-            dbms: list[DBM] = [DBM(arity)]
-        else:
-            dbms = complement_constraint_systems(systems, arity)
-        for dbm in dbms:
-            out.append(
-                NormalizedTuple(
-                    period=period,
-                    offsets=offsets,
-                    singleton=all_false,
-                    n_dbm=dbm,
-                    data=data,
-                )
-            )
-    return out
-
-
 def complement_tuples(
     tuples: Sequence[GeneralizedTuple],
     arity: int,
@@ -236,24 +215,62 @@ def complement_tuples(
             return []
         return [GeneralizedTuple.make([], data=data)]
     if uniform_period:
-        period, normalized = normalize_relation_tuples(
-            tuples, max_tuples=max_tuples
+        k_cols = [relation_period(tuples)] * arity
+    else:
+        k_cols = _column_periods(
+            tuples, _column_components(tuples, arity), arity
         )
-        result = complement_normalized(
-            normalized,
-            arity=arity,
-            period=period,
-            data=data,
-            max_extensions=max_extensions,
-        )
-        return [nt.to_generalized() for nt in result]
-    return _complement_tuples_decomposed(
-        tuples,
-        arity=arity,
-        data=data,
-        max_tuples=max_tuples,
-        max_extensions=max_extensions,
-    )
+    total = 1
+    for k in k_cols:
+        total *= k
+        if total > max_extensions:
+            raise NormalizationLimitError(
+                f"complement would enumerate more than {max_extensions} "
+                "free extensions"
+            )
+    # Structural accounting (Theorem 3.6's blow-up parameter): number of
+    # free-extension combinations this complement enumerates.
+    COUNTERS["perf.complement_extensions"] += total
+    groups: dict[tuple[int, ...], list[DBM]] = {}
+    budget = 0
+    for gtuple in tuples:
+        rows = gtuple.closure()
+        if rows is None:
+            continue
+        plan = split(gtuple, range(arity), k_cols, max_tuples, rows)
+        if plan is None:
+            continue
+        for combo in plan.combos(rows):
+            n_dbm = transcribe(plan, combo)
+            # Decided one by one: these systems are too small for the
+            # kernel's batched sweep to pay for itself.
+            if not n_dbm.copy().close():
+                continue
+            budget += 1
+            if budget > max_tuples:
+                raise NormalizationLimitError(
+                    f"complement exceeded {max_tuples} normalized tuples"
+                )
+            offsets, n_dbm = _on_grid(
+                [lrp.offset for lrp in combo],
+                [lrp.period == 0 for lrp in combo],
+                n_dbm,
+                k_cols,
+            )
+            groups.setdefault(offsets, []).append(n_dbm)
+    out: list[GeneralizedTuple] = []
+    periodic = [False] * arity
+    for offsets in itertools.product(*(range(k) for k in k_cols)):
+        systems = groups.get(offsets)
+        if systems is None:
+            dbms: list[DBM] = [DBM(arity)]
+        else:
+            dbms = complement_constraint_systems(systems, arity)
+        lrps = tuple(LRP.make(c, k) for c, k in zip(offsets, k_cols))
+        for n_dbm in dbms:
+            x_dbm = to_x_space(offsets, periodic, k_cols, n_dbm)
+            out.append(GeneralizedTuple(lrps=lrps, dbm=x_dbm, data=data))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -296,8 +313,6 @@ def _column_periods(
     arity: int,
 ) -> list[int]:
     """Per-column period: lcm of lrp periods across each component."""
-    from repro.arith import lcm
-
     by_component: dict[int, int] = {}
     for gtuple in tuples:
         for col in range(arity):
@@ -306,144 +321,3 @@ def _column_periods(
                 root = components[col]
                 by_component[root] = lcm(by_component.get(root, 1), period)
     return [by_component.get(components[col], 1) for col in range(arity)]
-
-
-def _normalize_mixed(
-    gtuple: GeneralizedTuple,
-    k_cols: list[int],
-    max_tuples: int,
-) -> Iterable[tuple[tuple[int, ...], DBM]]:
-    """Normalize one tuple onto per-column periods, desingularized.
-
-    Yields ``(offsets, n_dbm)`` pairs: every column becomes a periodic
-    lrp ``offset + k_col * n`` (original singletons pin their counter),
-    and the constraints are transcribed onto the counters with the
-    integer-exact floor of Theorem 3.2's step 5 (valid because any two
-    co-constrained columns share their component's period).
-    """
-    import itertools
-
-    if not gtuple.dbm.copy().close():
-        return
-    arity = gtuple.temporal_arity
-    size = 1
-    for col in range(arity):
-        if gtuple.lrps[col].period != 0:
-            size *= k_cols[col] // gtuple.lrps[col].period
-    if size > max_tuples:
-        raise NormalizationLimitError(
-            f"decomposed normalization would produce {size} tuples "
-            f"(limit {max_tuples})"
-        )
-    choices: list[list[tuple[int, int | None]]] = []
-    for col in range(arity):
-        lrp = gtuple.lrps[col]
-        k = k_cols[col]
-        if lrp.period == 0:
-            # Singleton: offset reduced mod k, counter pinned.
-            pin = (lrp.offset - lrp.offset % k) // k
-            choices.append([(lrp.offset % k, pin)])
-        else:
-            choices.append(
-                [(piece.offset, None) for piece in lrp.split(k)]
-            )
-    x_bounds = list(gtuple.dbm.iter_bounds())
-    for combo in itertools.product(*choices):
-        offsets = tuple(offset for offset, _pin in combo)
-        n_dbm = DBM(arity)
-        for col, (_offset, pin) in enumerate(combo):
-            if pin is not None:
-                n_dbm.add_value(col, pin)
-        for i, j, bound in x_bounds:
-            # Original X-space values: X = offset + k*n for both the
-            # reduced singleton and the split periodic forms.
-            ci = offsets[i] if i >= 0 else 0
-            cj = offsets[j] if j >= 0 else 0
-            k = k_cols[i] if i >= 0 else k_cols[j]
-            n_bound = (bound - ci + cj) // k
-            if i >= 0 and j >= 0:
-                n_dbm.add_difference(i, j, n_bound)
-            elif j < 0:
-                n_dbm.add_upper(i, n_bound)
-            else:
-                n_dbm.add_lower(j, -n_bound)
-        if n_dbm.copy().close():
-            yield offsets, n_dbm
-
-
-def _complement_tuples_decomposed(
-    tuples: Sequence[GeneralizedTuple],
-    arity: int,
-    data: tuple,
-    max_tuples: int,
-    max_extensions: int,
-) -> list[GeneralizedTuple]:
-    components = _column_components(tuples, arity)
-    k_cols = _column_periods(tuples, components, arity)
-    total = 1
-    for k in k_cols:
-        total *= k
-        if total > max_extensions:
-            raise NormalizationLimitError(
-                f"complement would enumerate more than {max_extensions} "
-                "free extensions"
-            )
-    # Structural accounting (Theorem 3.6's blow-up parameter): number of
-    # free-extension combinations this complement enumerates.
-    COUNTERS["perf.complement_extensions"] += total
-    groups: dict[tuple[int, ...], list[DBM]] = {}
-    budget = 0
-    for gtuple in tuples:
-        for offsets, n_dbm in _normalize_mixed(gtuple, k_cols, max_tuples):
-            budget += 1
-            if budget > max_tuples:
-                raise NormalizationLimitError(
-                    f"decomposed complement exceeded {max_tuples} "
-                    "normalized tuples"
-                )
-            groups.setdefault(offsets, []).append(n_dbm)
-    out: list[GeneralizedTuple] = []
-    for offsets in itertools.product(*(range(k) for k in k_cols)):
-        systems = groups.get(offsets)
-        if systems is None:
-            dbms: list[DBM] = [DBM(arity)]
-        else:
-            dbms = complement_constraint_systems(systems, arity)
-        for n_dbm in dbms:
-            out.append(
-                _mixed_to_generalized(offsets, k_cols, n_dbm, data)
-            )
-    return out
-
-
-def _mixed_to_generalized(
-    offsets: tuple[int, ...],
-    k_cols: list[int],
-    n_dbm: DBM,
-    data: tuple,
-) -> GeneralizedTuple:
-    """Convert a per-column-period n-space tuple back to X-space."""
-    from repro.core.lrp import LRP
-
-    lrps = tuple(
-        LRP.make(offset, k) for offset, k in zip(offsets, k_cols)
-    )
-    x_dbm = DBM(len(offsets))
-    for i, j, bound in n_dbm.iter_bounds():
-        if i >= 0 and j >= 0 and k_cols[i] != k_cols[j]:
-            # A difference bound between counters of different scales
-            # can only arise from closure through the zero variable, so
-            # it is implied by the unary bounds we do keep — and it has
-            # no X-space difference-constraint translation.  Skip it.
-            continue
-        ci = offsets[i] if i >= 0 else 0
-        cj = offsets[j] if j >= 0 else 0
-        k = k_cols[i] if i >= 0 else k_cols[j]
-        x_bound = k * bound + ci - cj
-        if i >= 0 and j >= 0:
-            x_dbm.add_difference(i, j, x_bound)
-        elif j < 0:
-            x_dbm.add_upper(i, x_bound)
-        else:
-            x_dbm.add_lower(j, -x_bound)
-    return GeneralizedTuple(lrps=lrps, dbm=x_dbm, data=data)

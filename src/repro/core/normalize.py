@@ -16,16 +16,36 @@ system, where the real-variable projection algorithm (shortest-path
 closure) is integer-exact.  All projection, emptiness and complement
 computations therefore run in this normalized *n-space*.
 
+One routine does steps 1-5 for every caller: :func:`split` plans a
+tuple's split (which attributes, onto which period each), prunes the
+combos against the tuple's closure with the residue test of Section
+3.2.1 (:meth:`SplitPlan.combos`), and :func:`transcribe` writes one
+combo's counter system.  The callers are four parameterizations:
+
+* projection (Section 3.4's partial normalization): the constraint
+  cluster of the dropped attributes, on the cluster's period, pruned;
+* emptiness and witnesses (Theorem 3.5): every attribute, on the
+  tuple's lcm, pruned;
+* complement (Appendix A.6): every attribute, on its column
+  component's period (or the relation's lcm for the paper's uniform
+  algorithm), pruned;
+* the paper's literal normal form (:func:`iter_normalize_tuple`): every
+  attribute, on the tuple's lcm or a given multiple, not pruned.
+
 Implementation notes:
 
 * Singleton lrps (period 0) are kept as constants; their repetition
   counter is pinned to 0 via equality constraints, so the n-space system
   remains a pure difference system (Theorem 3.1 still applies).
 * Steps 3–5 are fused: every X-space bound ``X_i - X_j <= b`` maps to the
-  n-space bound ``n_i - n_j <= floor((b - c_i + c_j) / k)``, which is
-  exact because ``n_i - n_j`` is an integer.  Equality constraints map to
-  two such bounds; step 4's divisibility filter falls out as an
-  unsatisfiable n-space system (the two floored bounds cross).
+  n-space bound ``n_i - n_j <= floor((b - c_i + c_j) / k_i)``, which is
+  exact because ``n_i - n_j`` is an integer and two constrained
+  attributes share their period.  Equality constraints map to two such
+  bounds; step 4's divisibility filter falls out as an unsatisfiable
+  n-space system (the two floored bounds cross).
+* Pruning only drops combos whose counter system has no solution, so
+  the satisfiable combos of a pruned plan are those of the full
+  product, in the same order.
 """
 
 from __future__ import annotations
@@ -33,13 +53,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from math import gcd, prod
 
 from repro.arith import lcm
 from repro.core.dbm import DBM
 from repro.core.errors import NormalizationLimitError, ReproValueError
 from repro.core.lrp import LRP
 from repro.core.tuples import GeneralizedTuple
-from repro.perf import kernel
+from repro.perf import kernel, prefilter
 from repro.obs.metrics import COUNTERS
 
 DEFAULT_MAX_TUPLES = 1_000_000
@@ -80,14 +101,6 @@ class NormalizedTuple:
         """Number of temporal attributes."""
         return len(self.offsets)
 
-    def free_extension_key(self) -> tuple:
-        """Identity of the free extension: offsets + singleton flags + data.
-
-        Two normalized tuples of the same period with equal keys have the
-        same free extension, the grouping complement and subtraction use.
-        """
-        return (self.period, self.offsets, self.singleton, self.data)
-
     def lrps(self) -> tuple[LRP, ...]:
         """The lrp vector this normalized tuple denotes."""
         return tuple(
@@ -100,46 +113,10 @@ class NormalizedTuple:
         return not self.n_dbm.copy().close()
 
     def to_generalized(self) -> GeneralizedTuple:
-        """Convert back to an X-space generalized tuple.
-
-        n-space bounds ``n_i - n_j <= b`` map to X-space bounds
-        ``X_i - X_j <= k*b + c_i - c_j``.  Pins of singleton counters are
-        dropped: the singleton lrp already encodes them.
-        """
-        k = self.period
-        arity = self.arity
-        x_dbm = DBM(arity)
-        for i, j, bound in self.n_dbm.iter_bounds():
-            # Skip pure pin constraints on singleton counters: they are
-            # represented by the singleton lrp itself.
-            if i >= 0 and j < 0 and self.singleton[i]:
-                continue
-            if j >= 0 and i < 0 and self.singleton[j]:
-                continue
-            ci = self.offsets[i] if i >= 0 else 0
-            cj = self.offsets[j] if j >= 0 else 0
-            x_bound = k * bound + ci - cj
-            if i >= 0 and j >= 0:
-                x_dbm.add_difference(i, j, x_bound)
-            elif j < 0:
-                x_dbm.add_upper(i, x_bound)
-            else:
-                x_dbm.add_lower(j, -x_bound)
+        """Convert back to an X-space generalized tuple (:func:`to_x_space`)."""
+        periods = [self.period] * self.arity
+        x_dbm = to_x_space(self.offsets, self.singleton, periods, self.n_dbm)
         return GeneralizedTuple(lrps=self.lrps(), dbm=x_dbm, data=self.data)
-
-    def project(self, keep: Sequence[int]) -> NormalizedTuple:
-        """Project onto the temporal attributes at positions ``keep``.
-
-        Exact over Z by Theorem 3.1: the n-space system is a difference
-        system over free integer counters.
-        """
-        return NormalizedTuple(
-            period=self.period,
-            offsets=tuple(self.offsets[i] for i in keep),
-            singleton=tuple(self.singleton[i] for i in keep),
-            n_dbm=self.n_dbm.project(list(keep)),
-            data=self.data,
-        )
 
     def intersect(self, other: NormalizedTuple) -> NormalizedTuple | None:
         """Intersect two normalized tuples of the same period.
@@ -240,11 +217,7 @@ def tuple_explosion_size(gtuple: GeneralizedTuple, period: int) -> int:
 
 def tuple_period(gtuple: GeneralizedTuple) -> int:
     """The lcm of the tuple's non-zero lrp periods (1 if none)."""
-    k = 1
-    for lrp in gtuple.lrps:
-        if lrp.period != 0:
-            k = lcm(k, lrp.period)
-    return k
+    return relation_period([gtuple])
 
 
 def relation_period(tuples: Iterable[GeneralizedTuple]) -> int:
@@ -257,6 +230,283 @@ def relation_period(tuples: Iterable[GeneralizedTuple]) -> int:
     return k
 
 
+# ----------------------------------------------------------------------
+# the split routine (steps 1-5, with residue pruning)
+# ----------------------------------------------------------------------
+
+
+class SplitPlan:
+    """One tuple's split onto per-attribute periods (Lemma 3.1).
+
+    ``choices[d]`` lists the split lrps of attribute ``attrs[d]`` (all
+    of period ``periods[d]``, or the one singleton it is), and ``size``
+    is the size of their product.  ``entries`` holds every written
+    X-space bound that touches a split attribute as ``(row_i, row_j,
+    b)``: row 0 is the zero variable and ``attrs[d]`` is row ``d + 1``.
+    ``feasible`` is ``None`` until :meth:`combos` has pruned the product
+    against the tuple's closure, then ``(combos, excluded)``; the
+    tuple's closure never changes, so a memoized plan keeps it.
+    """
+
+    __slots__ = (
+        "lrps",
+        "attrs",
+        "periods",
+        "choices",
+        "size",
+        "entries",
+        "feasible",
+    )
+
+    def combos(self, rows: tuple | None = None) -> list[tuple[LRP, ...]]:
+        """The split combos in ``itertools.product`` order.
+
+        With ``rows``, the tuple's closure, only the combos whose lrps
+        meet its closed windows (:func:`_feasible_combos`); each combo
+        left out adds one to ``perf.prefilter_residue_skip``.  ``rows``
+        must belong to a tuple that passed the residue test of
+        :func:`split` (or :meth:`reuse`): a product of one combo is then
+        the tuple's own lrps, already tested.
+        """
+        if rows is None:
+            return list(itertools.product(*self.choices))
+        if self.feasible is None:
+            if self.size == 1:
+                self.feasible = ([tuple([lrp for (lrp,) in self.choices])], 0)
+            else:
+                self.feasible = _feasible_combos(
+                    self.attrs, self.choices, rows
+                )
+        combos, excluded = self.feasible
+        COUNTERS["perf.prefilter_residue_skip"] += excluded
+        return combos
+
+    def reuse(self, rows: tuple) -> bool:
+        """Count one more run of a memoized plan as :func:`split` counts
+        a new one; ``False`` when its tuple fails the residue test.
+
+        A plan already pruned against ``rows`` passed the test before.
+        """
+        if self.feasible is None and not prefilter.residues_meet(
+            self.lrps, rows, self.attrs
+        ):
+            COUNTERS["perf.prefilter_residue_skip"] += self.size
+            return False
+        COUNTERS["perf.normalize_expansion"] += self.size
+        return True
+
+
+def split(
+    gtuple: GeneralizedTuple,
+    attrs: Sequence[int],
+    periods: Sequence[int],
+    max_tuples: int = DEFAULT_MAX_TUPLES,
+    rows: tuple | None = None,
+) -> SplitPlan | None:
+    """Plan the split of ``gtuple``'s ``attrs`` onto ``periods`` (steps 1-2).
+
+    ``periods[d]`` must be a positive multiple of the period of
+    ``attrs[d]``'s lrp, and every bound touching a split attribute must
+    stay among the split attributes (and the zero variable).
+
+    With ``rows``, the tuple's closure, the split lrps are first tested
+    against its closed windows
+    (:func:`~repro.perf.prefilter.residues_meet`).  A tuple that fails
+    has only empty combos: it gets no plan (``None``), adds its whole
+    split product to ``perf.prefilter_residue_skip``, and neither raises
+    :class:`NormalizationLimitError` nor adds to
+    ``perf.normalize_expansion``.  Otherwise a split product above
+    ``max_tuples`` raises (Section 3.8's blow-up), and the product is
+    added to ``perf.normalize_expansion``.
+    """
+    lrps = gtuple.lrps
+    size = 1
+    for a, k in zip(attrs, periods):
+        if lrps[a].period:
+            size *= k // lrps[a].period
+    if rows is not None and not prefilter.residues_meet(lrps, rows, attrs):
+        COUNTERS["perf.prefilter_residue_skip"] += size
+        return None
+    if size > max_tuples:
+        raise NormalizationLimitError(
+            f"normalization would produce {size} tuples "
+            f"(limit {max_tuples}); periods are too unrelated"
+        )
+    COUNTERS["perf.normalize_expansion"] += size
+    plan = SplitPlan()
+    plan.lrps = lrps
+    plan.attrs = attrs
+    plan.periods = periods
+    # An lrp whose period already equals its target splits into itself.
+    plan.choices = [
+        [lrps[a]] if lrps[a].period in (0, k) else lrps[a].split(k)
+        for a, k in zip(attrs, periods)
+    ]
+    plan.size = size
+    # Plan row of each matrix row: 0 for the zero variable and for the
+    # attributes not split, which share no bound with a split one.
+    row_of = [0] * (len(lrps) + 1)
+    for d, a in enumerate(attrs):
+        row_of[a + 1] = d + 1
+    entries = plan.entries = []
+    for i, row in enumerate(gtuple.dbm._b):
+        ti = row_of[i]
+        for j, bound in enumerate(row):
+            if bound is not None and i != j and (ti or row_of[j]):
+                entries.append((ti, row_of[j], bound))
+    plan.feasible = None
+    return plan
+
+
+def transcribe(plan: SplitPlan, combo: tuple[LRP, ...]) -> DBM:
+    """Steps 3-5 fused: one combo's system over the repetition counters.
+
+    Counter ``d`` is ``(X - c_d) / k_d`` for the combo's lrp ``c_d +
+    k_d n`` of attribute ``plan.attrs[d]``; a singleton's counter is
+    pinned at 0.  Every bound in ``plan.entries`` becomes ``n_i - n_j <=
+    (b - c_i + c_j) // k_i``.  ``X_i - X_j <= b``, ``X_i <= b`` and
+    ``X_j >= -b`` all store their bound at one matrix cell, so the
+    entry's rows address it directly.
+    """
+    periods = plan.periods
+    dbm = DBM(len(combo))
+    offsets = [0]
+    for row, lrp in enumerate(combo, 1):
+        offsets.append(lrp.offset)
+        if lrp.period == 0:
+            dbm._set(row, 0, 0)
+            dbm._set(0, row, 0)
+    for ti, tj, bound in plan.entries:
+        dbm._set(
+            ti,
+            tj,
+            (bound - offsets[ti] + offsets[tj]) // periods[(ti or tj) - 1],
+        )
+    return dbm
+
+
+def to_x_space(
+    offsets: Sequence[int],
+    singleton: Sequence[bool],
+    periods: Sequence[int],
+    n_dbm: DBM,
+) -> DBM:
+    """Map a counter system back to X-space, undoing :func:`transcribe`.
+
+    A bound ``n_i - n_j <= b`` becomes ``X_i - X_j <= k_i*b + c_i - c_j``.
+    Pins of singleton counters are dropped: the singleton lrp already
+    encodes them.  A difference bound between counters of different
+    periods can only arise from closure through the zero variable, so it
+    is implied by the unary bounds kept, and it has no X-space
+    difference-constraint translation: it is dropped too.
+    """
+    x_dbm = DBM(len(offsets))
+    for i, j, bound in n_dbm.iter_bounds():
+        a = i if i >= 0 else j  # the attribute whose period scales b
+        if j < 0 or i < 0:
+            if singleton[a]:
+                continue
+        elif periods[i] != periods[j]:
+            continue
+        ci = offsets[i] if i >= 0 else 0
+        cj = offsets[j] if j >= 0 else 0
+        x_dbm._set(i + 1, j + 1, periods[a] * bound + ci - cj)
+    return x_dbm
+
+
+def satisfiable_combos(
+    plan: SplitPlan, rows: tuple | None = None
+) -> list[tuple[tuple[LRP, ...], DBM]]:
+    """The combos of ``plan`` with a satisfiable counter system, with
+    that system, in product order.
+
+    The combos are pruned against ``rows`` when given
+    (:meth:`SplitPlan.combos`), and every verdict comes from one
+    :func:`~repro.perf.kernel.sat_batch`.
+    """
+    combos = plan.combos(rows)
+    dbms = [transcribe(plan, combo) for combo in combos]
+    return [
+        (combo, dbm)
+        for combo, dbm, sat in zip(combos, dbms, kernel.sat_batch(dbms))
+        if sat
+    ]
+
+
+def _feasible_combos(
+    attrs: Sequence[int], choices: list[list[LRP]], rows: tuple
+) -> tuple[list[tuple[LRP, ...]], int]:
+    """The combos of ``itertools.product(*choices)`` whose lrps meet the
+    closed windows ``rows``, in product order, and how many were left out.
+
+    The combos grow one position at a time, and a choice is kept only if
+    it passes its own window and the windows against the choices already
+    made.  ``choices[d]`` holds lrps of attribute ``attrs[d]`` that share
+    one period (the split period, or 0 for a singleton).  ``rows[i][j]``
+    bounds ``X_i - X_j``, with row 0 the zero variable and attribute
+    ``a`` at row ``a + 1``.  A combo meets the windows when each ``X_a``
+    has a value of its lrp in ``[-rows[0][a+1], rows[a+1][0]]`` and each
+    difference ``X_a - X_b`` has a value ``≡ c_a - c_b (mod gcd(p_a,
+    p_b))`` in ``[-rows[b+1][a+1], rows[a+1][b+1]]`` (exactly ``c_a -
+    c_b`` when the gcd is 0).
+    """
+    zero = rows[0]
+    partial: list[tuple[LRP, ...]] = [()]
+    below = prod(len(options) for options in choices)
+    excluded = 0
+    for depth, a in enumerate(attrs):
+        options = choices[depth]
+        below //= len(options)  # combos under one choice at this depth
+        row = rows[a + 1]
+        low = zero[a + 1]
+        low = None if low is None else -low
+        fitting = [
+            lrp
+            for lrp in options
+            if prefilter.residue_in_window(
+                lrp.offset, lrp.period, low, row[0]
+            )
+        ]
+        excluded += (len(options) - len(fitting)) * below * len(partial)
+        period = options[0].period
+        windows = []
+        for prior, b in enumerate(attrs[:depth]):
+            low = rows[b + 1][a + 1]
+            high = row[b + 1]
+            modulus = gcd(period, choices[prior][0].period)
+            if (low is None and high is None) or (
+                modulus and (low is None or high is None)
+            ):
+                continue  # every difference fits
+            windows.append(
+                (prior, modulus, None if low is None else -low, high)
+            )
+        if not windows:
+            partial = [combo + (lrp,) for combo in partial for lrp in fitting]
+        else:
+            extended = []
+            for combo in partial:
+                for lrp in fitting:
+                    offset = lrp.offset
+                    for prior, modulus, low, high in windows:
+                        if not prefilter.residue_in_window(
+                            offset - combo[prior].offset, modulus, low, high
+                        ):
+                            excluded += below
+                            break
+                    else:
+                        extended.append(combo + (lrp,))
+            partial = extended
+        if not partial:
+            break  # every subtree left out is already counted
+    return partial, excluded
+
+
+# ----------------------------------------------------------------------
+# the paper's literal normal form
+# ----------------------------------------------------------------------
+
+
 def iter_normalize_tuple(
     gtuple: GeneralizedTuple,
     period: int | None = None,
@@ -265,19 +515,18 @@ def iter_normalize_tuple(
     *,
     satisfiable: bool = False,
 ) -> Iterator[NormalizedTuple]:
-    """Lazily normalize one generalized tuple (Theorem 3.2's five steps).
+    """Normalize one generalized tuple (Theorem 3.2's five steps).
 
-    ``period`` must be a positive common multiple of the tuple's lrp
-    periods; by default the tuple's own lcm is used.  Tuples whose
-    constraints become unsatisfiable on the grid (step 4) are dropped
+    Every attribute is split onto ``period``, which must be a positive
+    common multiple of the tuple's lrp periods; by default the tuple's
+    own lcm is used.  Nothing is pruned: tuples whose constraints become
+    unsatisfiable on the grid (step 4) are dropped by their verdict
     unless ``keep_empty`` is set.
 
     Raises :class:`NormalizationLimitError` when the split would produce
     more than ``max_tuples`` normal-form tuples (Section 3.8's blow-up).
-    Laziness lets decision procedures (e.g. emptiness) stop at the first
-    witness instead of materializing the whole split.  A caller that
-    has already found the tuple's constraint system satisfiable passes
-    ``satisfiable=True`` to skip closing it again.
+    A caller that has already found the tuple's constraint system
+    satisfiable passes ``satisfiable=True`` to skip closing it again.
     """
     own = tuple_period(gtuple)
     if period is None:
@@ -287,52 +536,25 @@ def iter_normalize_tuple(
             f"period {period} is not a positive multiple of the tuple's "
             f"lcm period {own}"
         )
-    size = tuple_explosion_size(gtuple, period)
-    if size > max_tuples:
-        raise NormalizationLimitError(
-            f"normalization would produce {size} tuples "
-            f"(limit {max_tuples}); periods are too unrelated"
-        )
-    # Structural accounting (Section 3.8's blow-up parameter): how many
-    # normal-form tuples this expansion denotes.
-    COUNTERS["perf.normalize_expansion"] += size
+    arity = gtuple.temporal_arity
+    plan = split(gtuple, range(arity), [period] * arity, max_tuples)
     # An unsatisfiable constraint system denotes the empty set; it may be
     # recorded as a diagonal marker that iter_bounds cannot expose, so it
     # must be checked before the bounds are transcribed.
     if not satisfiable and not gtuple.dbm.copy().close():
         return
-    arity = gtuple.temporal_arity
-    x_bounds = list(gtuple.dbm.iter_bounds())
-    # Step 1: split every periodic lrp onto the common period.
-    choices: list[list[LRP]] = [
-        lrp.split(period) if lrp.period != 0 else [lrp]
-        for lrp in gtuple.lrps
-    ]
-    # Step 2: cross product of the splits (steps 3-5 fused per combo in
-    # :func:`_build_normalized`).
-    if kernel.kernel_active() and size > 1 and not keep_empty:
-        # Collect-then-close: build every combo's counter system first,
-        # then resolve all emptiness checks (step 4) with one batched
-        # closure sweep instead of a scalar closure per combo.  Trades
-        # the generator's laziness for vectorization; yielded values are
-        # identical to the scalar path's.
-        builds = [
-            _build_normalized(combo, period, arity, x_bounds, gtuple.data)
-            for combo in _product(choices)
-        ]
-        verdicts = kernel.sat_batch(
-            [normalized.n_dbm for normalized in builds]
+    if keep_empty:
+        normal = [(combo, transcribe(plan, combo)) for combo in plan.combos()]
+    else:
+        normal = satisfiable_combos(plan)
+    for combo, n_dbm in normal:
+        yield NormalizedTuple(
+            period=period,
+            offsets=tuple([lrp.offset for lrp in combo]),
+            singleton=tuple([lrp.period == 0 for lrp in combo]),
+            n_dbm=n_dbm,
+            data=gtuple.data,
         )
-        for normalized, sat in zip(builds, verdicts):
-            if sat:
-                yield normalized
-        return
-    for combo in _product(choices):
-        normalized = _build_normalized(
-            combo, period, arity, x_bounds, gtuple.data
-        )
-        if keep_empty or not normalized.is_empty():
-            yield normalized
 
 
 def normalize_tuple(
@@ -347,52 +569,6 @@ def normalize_tuple(
             gtuple, period=period, max_tuples=max_tuples, keep_empty=keep_empty
         )
     )
-
-
-def _build_normalized(
-    combo: tuple[LRP, ...],
-    period: int,
-    arity: int,
-    x_bounds: list[tuple[int, int, int]],
-    data: tuple[Hashable, ...],
-) -> NormalizedTuple:
-    """Steps 3-5 fused: map every X-space bound onto the counters."""
-    offsets = tuple(lrp.offset for lrp in combo)
-    singleton = tuple(lrp.period == 0 for lrp in combo)
-    n_dbm = DBM(arity)
-    for idx, is_single in enumerate(singleton):
-        if is_single:
-            n_dbm.add_value(idx, 0)
-    for i, j, bound in x_bounds:
-        ci = offsets[i] if i >= 0 else 0
-        cj = offsets[j] if j >= 0 else 0
-        n_bound = _floor_div_exactish(bound - ci + cj, period)
-        if i >= 0 and j >= 0:
-            n_dbm.add_difference(i, j, n_bound)
-        elif j < 0:
-            n_dbm.add_upper(i, n_bound)
-        else:
-            n_dbm.add_lower(j, -n_bound)
-    return NormalizedTuple(
-        period=period,
-        offsets=offsets,
-        singleton=singleton,
-        n_dbm=n_dbm,
-        data=data,
-    )
-
-
-def _floor_div_exactish(value: int, period: int) -> int:
-    """Floor-divide a bound constant onto the grid (step 5)."""
-    return value // period
-
-
-def _product(choices: list[list[LRP]]) -> Iterator[tuple[LRP, ...]]:
-    """Cross product of per-attribute lrp choices."""
-    if not choices:
-        yield ()
-        return
-    yield from itertools.product(*choices)
 
 
 def normalize_relation_tuples(

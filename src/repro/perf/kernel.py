@@ -28,6 +28,9 @@ Backend selection: ``PerfConfig.kernel`` (env ``REPRO_KERNEL``) picks
 ``numpy``, ``python`` or ``auto``; ``auto`` and ``numpy`` degrade
 gracefully to the pure-Python scalar path when numpy is not importable,
 so the package keeps working without its ``perf`` extra installed.
+This module is the only place the backend is read: on the python
+backend every entry point runs scalar internally (or answers
+:data:`SCALAR`), so no caller branches on it.
 """
 
 from __future__ import annotations
@@ -348,11 +351,15 @@ def project_batch(jobs: Sequence[tuple]) -> list:
 
     Returns one result per job, in order: :data:`SCALAR` when the
     group failed an exactness guard or is too small to pay for numpy
-    dispatch, ``None`` for an unsatisfiable system, or the closed
+    dispatch (and for every job on the python backend, which touches
+    no numpy), ``None`` for an unsatisfiable system, or the closed
     X-space bound matrix over ``kept_rows``.
     """
-    np = _numpy()
     results: list = [SCALAR] * len(jobs)
+    if not kernel_active():
+        _count_fallback(len(jobs))
+        return results
+    np = _numpy()
     groups: dict[tuple, list[int]] = {}
     for idx, (template, _mask, _offsets, k, kept_rows) in enumerate(jobs):
         groups.setdefault((len(template), k, kept_rows), []).append(idx)

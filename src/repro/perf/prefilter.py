@@ -145,12 +145,13 @@ def residues_meet(
     """Whether the lrps of ``attrs`` can meet the closed windows ``rows``.
 
     The residue condition of Section 3.2.1 against a tuple's closure:
-    the windows of :func:`repro.core.algebra._feasible_combos`, tested
+    the windows of :func:`repro.core.normalize._feasible_combos`, tested
     on the one combo of the tuple's own lrps, without building it.
     Every point of the tuple passes, so a failure proves it empty.
-    Projection tests only the cluster attributes: an empty tuple's
-    attributes outside the cluster still pass through it unchanged,
-    and dropping them would change the output.
+    :func:`repro.core.normalize.split` tests only the attributes it
+    splits: an empty tuple's attributes outside a projection's cluster
+    still pass through it unchanged, and dropping them would change
+    the output.
     """
     zero = rows[0]
     for pos, a in enumerate(attrs):

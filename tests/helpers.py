@@ -15,6 +15,7 @@ from repro.core import algebra
 from repro.core.constraints import Op, VarConstAtom, VarVarAtom
 from repro.core.dbm import DBM
 from repro.core.lrp import LRP
+from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.tuples import GeneralizedTuple
 
@@ -111,6 +112,31 @@ def assert_same_window(
         f"{context}: window [{low},{high}] mismatch; "
         f"missing={sorted(missing)[:5]} extra={sorted(extra)[:5]}"
     )
+
+
+def project_tuple_temporal(
+    gtuple: GeneralizedTuple,
+    keep,
+    dropped,
+    max_tuples: int = DEFAULT_MAX_TUPLES,
+) -> list[GeneralizedTuple]:
+    """Scalar reference: eliminate the ``dropped`` temporal attributes
+    of one tuple.
+
+    Plans and enumerates combos exactly as ``algebra.project`` does,
+    residue pruning included, and closes every combo with the scalar
+    ``algebra._project_combo``, never through the kernel.
+    """
+    planned = algebra._planned_combos(gtuple, keep, dropped, max_tuples)
+    if planned is None:
+        return []  # empty tuple: empty projection
+    plan, combos = planned
+    results = []
+    for combo in combos:
+        projected = algebra._project_combo(gtuple, plan, combo, keep)
+        if projected is not None:
+            results.append(projected)
+    return results
 
 
 # ----------------------------------------------------------------------

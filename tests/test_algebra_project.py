@@ -191,7 +191,7 @@ def _reference_project(relation, names):
         plan = algebra._project_plan(
             gtuple, keep_t, dropped, DEFAULT_MAX_TUPLES, _open_rows(gtuple)
         )
-        for combo in itertools.product(*plan.choices):
+        for combo in itertools.product(*plan.split.choices):
             projected = algebra._project_combo(gtuple, plan, combo, keep_t)
             if projected is not None:
                 out.add(GeneralizedTuple(projected.lrps, projected.dbm, data))
@@ -302,7 +302,7 @@ class TestResiduePruning:
                     continue
                 product = algebra._project_plan(
                     gtuple, [0], dropped, DEFAULT_MAX_TUPLES, _open_rows(gtuple)
-                ).split_sizes
+                ).split.size
                 before = COUNTERS["perf.prefilter_residue_skip"]
                 plan = algebra._project_plan(
                     gtuple, [0], dropped, DEFAULT_MAX_TUPLES, rows
@@ -315,11 +315,11 @@ class TestResiduePruning:
                     continue
                 assert skipped == 0
                 before = COUNTERS["perf.prefilter_residue_skip"]
-                formed = algebra._combos(plan, rows)
+                formed = plan.split.combos(rows)
                 skipped = COUNTERS["perf.prefilter_residue_skip"] - before
                 assert len(formed) + skipped == product
                 kept = set(formed)
-                full = itertools.product(*plan.choices)
+                full = itertools.product(*plan.split.choices)
                 assert formed == [c for c in full if c in kept]
                 pruned += skipped
         assert rejected and pruned

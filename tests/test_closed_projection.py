@@ -28,6 +28,7 @@ from repro.perf.config import overrides
 from repro.plan.nodes import Join, Unbuilt
 from repro.query import Database
 from repro.testing import generalized_relations
+from tests.helpers import project_tuple_temporal
 
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 
@@ -46,7 +47,7 @@ def _per_tuple(relation, names):
     )
     for gtuple in relation:
         data = tuple(gtuple.data[i] for i in keep_d)
-        for projected in algebra.project_tuple_temporal(gtuple, [], dropped):
+        for projected in project_tuple_temporal(gtuple, [], dropped):
             out.add(GeneralizedTuple(projected.lrps, projected.dbm, data))
     return out
 

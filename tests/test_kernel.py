@@ -12,6 +12,7 @@ and replay the fuzz corpus with the numpy backend forced on.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,56 @@ class TestBackendSelection:
         assert COUNTERS["perf.kernel.batch_closures"] == 0
         for d in ds:
             _assert_genuinely_closed(d)
+
+
+class TestBackendSeam:
+    """The backend is read in ``repro.perf.kernel`` alone: on the python
+    backend every entry point runs scalar, so callers never branch."""
+
+    @staticmethod
+    def _jobs():
+        # X1 - X2 <= 5, X2 >= 2 over period 8, one job per offset pair.
+        template = kernel.bounds_template([(1, 2, 5), (0, 2, -2)], 3)
+        return [
+            (template[0], template[1], (0, c1, c2), 8, (0, 1))
+            for c1 in range(4)
+            for c2 in range(4)
+        ]
+
+    def test_python_backend_runs_scalar_without_numpy(self, monkeypatch):
+        def no_numpy():
+            raise AssertionError("the python backend touched numpy")
+
+        rng = random.Random(7)
+        dbms = []
+        for _ in range(12):
+            d = DBM(2)
+            d.add_difference(0, 1, rng.randint(-3, 3))
+            d.add_difference(1, 0, rng.randint(-3, 3))
+            dbms.append(d)
+        expected = [d.copy().close() for d in dbms]
+        monkeypatch.setattr(kernel, "_numpy", no_numpy)
+        with overrides(kernel="python"):
+            before = COUNTERS["perf.kernel.batch_closures"]
+            jobs = self._jobs()
+            results = kernel.project_batch(jobs)
+            verdicts = kernel.sat_batch(dbms)
+            after = COUNTERS["perf.kernel.batch_closures"]
+        assert len(results) == len(jobs)
+        assert all(result is kernel.SCALAR for result in results)
+        assert verdicts == expected
+        assert after == before
+
+    def test_only_the_kernel_module_reads_the_backend(self):
+        kernel_file = Path(kernel.__file__).resolve()
+        package = kernel_file.parents[1]
+        readers = [
+            str(path.relative_to(package))
+            for path in sorted(package.rglob("*.py"))
+            if path.resolve() != kernel_file
+            and "kernel_active" in path.read_text(encoding="utf-8")
+        ]
+        assert readers == []
 
 
 # ----------------------------------------------------------------------

@@ -6,20 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arith import lcm
+from repro.core import algebra
 from repro.core.constraints import atoms_to_dbm, parse_atoms
+from repro.core.emptiness import tuple_witness
 from repro.core.errors import NormalizationLimitError
 from repro.core.lrp import LRP
-from repro.core.negation import desingularize
+from repro.core.negation import (
+    _column_components,
+    _column_periods,
+    desingularize,
+)
 from repro.core.normalize import (
     NormalizedTuple,
     iter_normalize_tuple,
     normalize_relation_tuples,
     normalize_tuple,
     relation_period,
+    split,
+    transcribe,
     tuple_explosion_size,
     tuple_period,
 )
 from repro.core.tuples import GeneralizedTuple
+from repro.obs.metrics import COUNTERS
 
 from tests.helpers import random_tuple
 
@@ -215,3 +225,82 @@ class TestNormalizedIntersect:
         (b,) = normalize_tuple(make(["3n"]))
         with pytest.raises(ValueError):
             a.intersect(b)
+
+
+def _satisfiable(plan, combos):
+    """Each combo with a satisfiable counter system, with that system's
+    bound matrix, in the given order."""
+    out = []
+    for combo in combos:
+        n_dbm = transcribe(plan, combo)
+        if n_dbm.copy().close():
+            out.append((combo, n_dbm._b))
+    return out
+
+
+def _parameterizations(rng, tuples, gtuple):
+    """``(attrs, periods)`` of the three pruned callers for ``gtuple``:
+    the tuple's lcm, the relation's column components, and the
+    constraint cluster of one dropped attribute on the cluster's lcm."""
+    arity = gtuple.temporal_arity
+    attrs = list(range(arity))
+    components = _column_components(tuples, arity)
+    dropped = [rng.randrange(arity)]
+    cluster = sorted(algebra._constraint_cluster(gtuple, dropped))
+    k = 1
+    for a in cluster:
+        if gtuple.lrps[a].period:
+            k = lcm(k, gtuple.lrps[a].period)
+    return {
+        "tuple lcm": (attrs, [tuple_period(gtuple)] * arity),
+        "component": (attrs, _column_periods(tuples, components, arity)),
+        "cluster": (cluster, [k] * len(cluster)),
+    }
+
+
+class TestSplitRoutine:
+    """One split routine serves every caller; pruning against the
+    tuple's closure keeps exactly the satisfiable combos, in order."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_combos_are_the_satisfiable_product(self, seed, arity):
+        rng = random.Random(seed)
+        tuples = [random_tuple(rng, arity) for _ in range(rng.randint(1, 3))]
+        for gtuple in tuples:
+            rows = gtuple.closure()
+            if rows is None:
+                continue
+            for name, (attrs, periods) in _parameterizations(
+                rng, tuples, gtuple
+            ).items():
+                full = split(gtuple, attrs, periods)
+                want = _satisfiable(full, full.combos())
+                before = COUNTERS["perf.prefilter_residue_skip"]
+                pruned = split(gtuple, attrs, periods, rows=rows)
+                if pruned is None:
+                    got = []
+                    formed = 0
+                else:
+                    combos = pruned.combos(rows)
+                    got = _satisfiable(pruned, combos)
+                    formed = len(combos)
+                skipped = COUNTERS["perf.prefilter_residue_skip"] - before
+                assert got == want, name
+                assert formed + skipped == full.size, name
+
+    @given(st.integers(0, 10_000), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_witness_solves_the_first_normal_form_tuple(self, seed, arity):
+        rng = random.Random(seed)
+        t = random_tuple(rng, arity)
+        normal = normalize_tuple(t)
+        witness = tuple_witness(t)
+        if not normal:
+            assert witness is None
+            return
+        first = normal[0]
+        counters = first.n_dbm.copy().solution()
+        assert witness == tuple(
+            c + first.period * n for c, n in zip(first.offsets, counters)
+        )
