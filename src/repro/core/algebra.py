@@ -691,8 +691,10 @@ class _ProjectPlan:
     (:func:`repro.core.normalize.split`); the other fields are
     projection's own: the cluster, the output cells of the bounds
     outside it (``outside_ops``), the cluster rows kept by the
-    projection and the output matrix template.  Shared by the scalar
-    and batched combo paths, so both enumerate exactly the same combos.
+    projection, the output matrix template, and the split's kernel
+    bound template (``bounds``; ``None`` when the cluster has a
+    singleton or a bound is too large for the kernel).  Shared by the scalar and batched combo paths, so both
+    enumerate exactly the same combos.
     """
 
     __slots__ = (
@@ -705,6 +707,7 @@ class _ProjectPlan:
         "kept_rows",
         "out_rows",
         "mat_template",
+        "bounds",
     )
 
 
@@ -782,6 +785,14 @@ def _project_plan(
     plan.mat_template = [
         [0 if i == j else None for j in range(n_out)] for i in range(n_out)
     ]
+    # A singleton's counter pin is not template-expressible, and split
+    # keeps a singleton as itself, so every combo of a cluster with one
+    # runs scalar.
+    plan.bounds = (
+        None
+        if any(gtuple.lrps[i].period == 0 for i in cluster_order)
+        else kernel.bounds_template(split.entries, len(cluster_order) + 1)
+    )
     if memo is None:
         memo = gtuple._plans = {}
     memo[memo_key] = plan
@@ -861,9 +872,8 @@ def _project_batched(
     The per-combo n-space closure, projection and X-space transcription
     run as grouped sweeps in :func:`repro.perf.kernel.project_batch`;
     every combo it answers :data:`~repro.perf.kernel.SCALAR` for (all
-    of them on the python backend) and every combo with a singleton
-    split (whose n-space pins are not template-expressible) takes
-    :func:`_project_combo`.  A tuple is satisfiable iff its carried
+    of them on the python backend) and every combo of a plan without a
+    bound template (:class:`_ProjectPlan`) takes :func:`_project_combo`.  A tuple is satisfiable iff its carried
     closure exists, so no tuple is closed here.
     """
     plans: list[_ProjectPlan | None] = []
@@ -877,18 +887,9 @@ def _project_batched(
             continue
         plan, combos = planned
         plans.append(plan)
-        template = None
-        template_usable = True
+        template = plan.bounds
         refs: list[tuple] = []
         for combo in combos:
-            if any(lrp.period == 0 for lrp in combo):
-                refs.append((combo, None))
-                continue
-            if template is None and template_usable:
-                template = kernel.bounds_template(
-                    plan.split.entries, len(plan.split.attrs) + 1
-                )
-                template_usable = template is not None
             if template is None:
                 refs.append((combo, None))
                 continue

@@ -37,7 +37,6 @@ from repro.core.errors import NormalizationLimitError
 from repro.core.lrp import LRP
 from repro.core.normalize import (
     DEFAULT_MAX_TUPLES,
-    NormalizedTuple,
     relation_period,
     split,
     to_x_space,
@@ -48,28 +47,6 @@ from repro.perf import prefilter
 from repro.obs.metrics import COUNTERS
 
 DEFAULT_MAX_EXTENSIONS = 1_000_000
-
-
-def desingularize(nt: NormalizedTuple) -> NormalizedTuple:
-    """Rewrite singleton attributes as constrained periodic attributes.
-
-    A singleton lrp ``{c}`` equals the periodic lrp ``(c mod k) + kZ``
-    intersected with ``X = c``; in n-space the pin moves from ``n = 0``
-    (with origin ``c``) to ``n = (c - c mod k) / k`` (with origin
-    ``c mod k``).  The denoted point set is unchanged.
-    """
-    if not any(nt.singleton):
-        return nt
-    offsets, dbm = _on_grid(
-        nt.offsets, nt.singleton, nt.n_dbm.copy(), [nt.period] * nt.arity
-    )
-    return NormalizedTuple(
-        period=nt.period,
-        offsets=offsets,
-        singleton=tuple(False for _ in nt.singleton),
-        n_dbm=dbm,
-        data=nt.data,
-    )
 
 
 def _on_grid(

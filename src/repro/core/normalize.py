@@ -118,93 +118,6 @@ class NormalizedTuple:
         x_dbm = to_x_space(self.offsets, self.singleton, periods, self.n_dbm)
         return GeneralizedTuple(lrps=self.lrps(), dbm=x_dbm, data=self.data)
 
-    def intersect(self, other: NormalizedTuple) -> NormalizedTuple | None:
-        """Intersect two normalized tuples of the same period.
-
-        Two equal-period lrps intersect iff their offsets agree modulo
-        the period (the paper's Appendix A.3 observation); the result
-        keeps the shared free extension and conjoins the n-space
-        constraints.
-        """
-        if self.period != other.period:
-            raise ReproValueError("normalized periods differ; re-normalize first")
-        if self.arity != other.arity or self.data != other.data:
-            return None
-        k = self.period
-        offsets: list[int] = []
-        singleton: list[bool] = []
-        # The n-counters of both sides measure from possibly different
-        # constants when mixing singleton and periodic attributes, so
-        # align the counter origin attribute by attribute.
-        self_shift: list[int] = []
-        other_shift: list[int] = []
-        for (c1, s1), (c2, s2) in zip(
-            zip(self.offsets, self.singleton), zip(other.offsets, other.singleton)
-        ):
-            if s1 and s2:
-                if c1 != c2:
-                    return None
-                offsets.append(c1)
-                singleton.append(True)
-                self_shift.append(0)
-                other_shift.append(0)
-            elif s1:
-                # {c1} ∩ (c2 + kZ): nonempty iff c1 ≡ c2 (mod k).
-                if (c1 - c2) % k != 0:
-                    return None
-                offsets.append(c1)
-                singleton.append(True)
-                self_shift.append(0)
-                other_shift.append((c1 - c2) // k)
-            elif s2:
-                if (c2 - c1) % k != 0:
-                    return None
-                offsets.append(c2)
-                singleton.append(True)
-                self_shift.append((c2 - c1) // k)
-                other_shift.append(0)
-            else:
-                if c1 % k != c2 % k:
-                    return None
-                offsets.append(c1)
-                singleton.append(False)
-                self_shift.append(0)
-                other_shift.append(0)
-        left = _shift_counters(self.n_dbm, self_shift)
-        right = _shift_counters(other.n_dbm, other_shift)
-        merged = left.intersect(right)
-        # Singletons arising from singleton-vs-periodic pairs must pin the
-        # counter so both sides' bounds refer to the same point.
-        for idx, s in enumerate(singleton):
-            if s:
-                merged.add_value(idx, 0)
-        return NormalizedTuple(
-            period=k,
-            offsets=tuple(offsets),
-            singleton=tuple(singleton),
-            n_dbm=merged,
-            data=self.data,
-        )
-
-
-def _shift_counters(dbm: DBM, shifts: Sequence[int]) -> DBM:
-    """Substitute ``n_i := n_i + shift_i`` for every counter at once.
-
-    Used to re-origin repetition counters when the reference constant of
-    an attribute changes (e.g. aligning a periodic attribute's counter to
-    a singleton value during intersection).  If the new counter is
-    ``n'_i = n_i - shift_i`` (so the same point keeps its identity while
-    the origin moves by ``k*shift_i``), a bound ``n_i - n_j <= b`` becomes
-    ``n'_i - n'_j <= b - shift_i + shift_j``.
-    """
-    if all(s == 0 for s in shifts):
-        return dbm.copy()
-    out = dbm.copy()
-    for i, s in enumerate(shifts):
-        if s != 0:
-            out = out.shift_variable(i, -s)
-    return out
-
 
 def tuple_explosion_size(gtuple: GeneralizedTuple, period: int) -> int:
     """Number of normal-form tuples ``gtuple`` splits into for ``period``."""

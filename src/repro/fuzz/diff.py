@@ -98,6 +98,8 @@ class Divergence:
             different point sets on the core window.
         ``"plan"``: the rewritten plan and the naive leg denote
             different point sets — a planner rewrite changed semantics.
+        ``"ivm"`` and ``"durable"``: the IVM leg's kinds
+            (:mod:`repro.fuzz.ivm`).
     """
 
     kind: str

@@ -35,11 +35,22 @@ point set, via :func:`repro.core.algebra.equivalent` — against
 disagreement is a :class:`~repro.fuzz.diff.Divergence` of kind
 ``"ivm"``; the case seed replays it exactly
 (``repro fuzz --ivm N --seed S``).
+
+Every case also streams the same batches through a durable catalog on
+a :class:`~repro.storage.engine.StorageEngine` in a temporary
+directory.  After a seeded batch that store is compacted, closed and
+reopened, and the program installed again adopts the stored views;
+after the last batch it is reopened once more, replaying the WAL.  The
+reopened catalog must equal the diskless one in relation names, in
+order, and in each relation's canonical tuple keys, in tuple order: a
+difference is a divergence of kind ``"durable"``.
 """
 
 from __future__ import annotations
 
 import random
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -58,6 +69,7 @@ from repro.fuzz.diff import Divergence
 from repro.query.catalog import VersionedCatalog
 from repro.query.database import Database, _tuple_entry
 from repro.storage import jsonio
+from repro.storage.engine import StorageEngine
 
 
 @dataclass(frozen=True)
@@ -126,6 +138,54 @@ def _without(relation: GeneralizedRelation, index: int) -> GeneralizedRelation:
     return out
 
 
+def _install(catalog: VersionedCatalog, program) -> VersionedCatalog:
+    """Install ``program`` on ``catalog`` with the default bounds."""
+    catalog.install_program(
+        program,
+        max_tuples=DEFAULT_MAX_TUPLES,
+        max_extensions=DEFAULT_MAX_EXTENSIONS,
+    )
+    return catalog
+
+
+def _reopen(durable: VersionedCatalog, program) -> VersionedCatalog:
+    """Close ``durable``'s store and open it again with ``program``
+    installed, which adopts the stored views."""
+    durable.engine.close()
+    engine = StorageEngine.open(durable.engine.root, create=False)
+    return _install(
+        VersionedCatalog(engine=engine, base=engine.relations), program
+    )
+
+
+def _durable_divergence(
+    diskless: VersionedCatalog, durable: VersionedCatalog
+) -> Divergence | None:
+    """Where a reopened store differs from the diskless run, if anywhere:
+    relation names in order, then canonical tuple keys in tuple order."""
+    want, got = diskless.current(), durable.current()
+    if got.names != want.names:
+        return Divergence(
+            kind="durable",
+            detail=(
+                f"reopened store lists relations {got.names}, the "
+                f"diskless run {want.names}"
+            ),
+        )
+    for name in want.names:
+        want_keys = [t.canonical_key() for t in want.relation(name)]
+        got_keys = [t.canonical_key() for t in got.relation(name)]
+        if got_keys != want_keys:
+            return Divergence(
+                kind="durable",
+                detail=(
+                    f"reopened relation {name!r} holds other tuples or "
+                    "another tuple order than the diskless run"
+                ),
+            )
+    return None
+
+
 def run_ivm_case(
     seed: int, profile: IvmProfile = DEFAULT_IVM_PROFILE
 ) -> IvmResult:
@@ -136,24 +196,25 @@ def run_ivm_case(
     n_batches = rng.randint(profile.min_batches, profile.max_batches)
     batch_size = rng.randint(1, profile.max_batch_size)
     window = rng.randint(profile.min_window, profile.max_window)
+    reopen_at = random.Random(f"ivm-durable-{seed}").randrange(n_batches)
     detail = (
         f"{n_nodes} nodes, {n_batches} batches x {batch_size}, "
-        f"window {window}"
+        f"window {window}, reopened after batch {reopen_at + 1}"
     )
     result = IvmResult(seed=seed, status="ok", detail=detail)
+    root = tempfile.mkdtemp(prefix="repro-ivm-")
+    durable = None
     try:
         program = reachability_program(window)
         batches = edge_batches(n_nodes, n_batches, batch_size, seed=seed)
-        catalog = VersionedCatalog(
-            base={"Edge": GeneralizedRelation.empty(EDGE_SCHEMA)}
-        )
-        catalog.install_program(
-            program,
-            max_tuples=DEFAULT_MAX_TUPLES,
-            max_extensions=DEFAULT_MAX_EXTENSIONS,
-        )
+        empty = {"Edge": GeneralizedRelation.empty(EDGE_SCHEMA)}
+        catalog = _install(VersionedCatalog(base=empty), program)
+        engine = StorageEngine.open(root)
+        durable = VersionedCatalog(engine=engine, base=engine.relations)
+        durable.commit_state(empty)
+        _install(durable, program)
         with obs.span("fuzz.ivm.case", seed=seed):
-            for batch in batches:
+            for index, batch in enumerate(batches):
                 edb = catalog.current().relation("Edge")
                 if rng.random() < profile.retract_rate and len(edb) > 0:
                     kind = "retract"
@@ -172,9 +233,13 @@ def run_ivm_case(
                          "tuple": _tuple_entry(gtuple)}
                         for gtuple in batch
                     ]
-                (txn,) = catalog.commit_mutations([mutations])
-                if txn.error is not None:
-                    raise txn.error
+                for target in (catalog, durable):
+                    (txn,) = target.commit_mutations([mutations])
+                    if txn.error is not None:
+                        raise txn.error
+                if index == reopen_at:
+                    durable.engine.compact()
+                    durable = _reopen(durable, program)
                 committed = catalog.current()
                 edb = committed.relation("Edge")
                 result.batches += 1
@@ -206,8 +271,18 @@ def run_ivm_case(
                 if result.divergences:
                     result.status = "divergent"
                     break
+            else:
+                durable = _reopen(durable, program)
+                divergence = _durable_divergence(catalog, durable)
+                if divergence is not None:
+                    result.divergences.append(divergence)
+                    result.status = "divergent"
     except ReproError as exc:
         result.status = "error"
         result.error = f"{type(exc).__name__}: {exc}"
+    finally:
+        if durable is not None:
+            durable.engine.close()
+        shutil.rmtree(root, ignore_errors=True)
     COUNTERS[f"fuzz.ivm.{result.status}"] += 1
     return result

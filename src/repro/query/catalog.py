@@ -28,8 +28,10 @@ publish step (persist, stamp version tokens and view watermarks, swing
 the committed pointer), under one change rule: a relation equal
 (``==``) to its predecessor keeps the predecessor object, so what a
 transaction changed is exactly the objects it does not share with its
-predecessor.  The storage engine diffs by the same equality, so a
-diskless and a durable catalog commit the same transactions alike.
+predecessor.  The publish step hands those change sets to the storage
+engine, which writes exactly them and keeps no diff of its own, so a
+diskless and a durable catalog commit the same transactions, name
+order included.
 
 Mutations are plain JSON-shaped dicts (the same shape the wire
 protocol carries)::
@@ -668,12 +670,13 @@ class VersionedCatalog:
         ``states`` follow ``previous`` in order, each settled against
         its predecessor by the change rule, so a name changed exactly
         when its object differs from the predecessor's, and dropped
-        when the predecessor had it and the state has not.  From those
-        change sets it persists the changing states as one
+        when the predecessor had it and the state has not.  It hands
+        the changing states with their change sets to one
         :meth:`~repro.storage.engine.StorageEngine.commit_many` call
-        (one fsync), stamps each transaction's version token and the
-        watermark of every view it changed, and swings the committed
-        pointer once.  Returns ``(version, records)`` per state.
+        (one fsync), which writes exactly those changes; it stamps each
+        transaction's version token and the watermark of every view it
+        changed, and swings the committed pointer once.  Returns
+        ``(version, records)`` per state.
         """
         changes: list[set[str]] = []
         records: list[int] = []
@@ -690,8 +693,7 @@ class VersionedCatalog:
         written = [state for state, n in zip(states, records) if n]
         if self._engine is not None and written:
             self._engine.commit_many(
-                written,
-                changed=[c for c, n in zip(changes, records) if n],
+                written, [c for c, n in zip(changes, records) if n]
             )
             final = self._engine.version
         else:

@@ -21,28 +21,31 @@ Logical WAL records (physical framing in :mod:`repro.storage.wal`):
 * ``{"lsn", "txn", "op": "put",  "name", "relation"}`` — create or
   replace one relation (payload via :mod:`repro.storage.jsonio`);
 * ``{"lsn", "txn", "op": "drop", "name"}`` — remove one relation;
-* ``{"lsn", "txn", "op": "commit", "ops": k}`` — transaction commit
-  marker; a transaction's records only take effect if this marker made
-  it to disk intact.
+* ``{"lsn", "txn", "op": "commit", "ops": k[, "names"]}`` —
+  transaction commit marker; a transaction's records only take effect
+  if this marker made it to disk intact.  ``names`` is the committed
+  name order, written only when replay would rebuild another one.
 
-Commit protocol (:meth:`StorageEngine.commit`): diff the live catalog
-against the last committed state by relation equality (``==``, the
-change rule the MVCC catalog core commits by), append one
-``put``/``drop`` record per changed relation, append the commit marker,
-fsync once.  The engine keeps its own shallow copies of the committed
-relations, so a caller that mutates its relations in place between
-commits is still diffed correctly.  Recovery
+Commit protocol (:meth:`StorageEngine.commit_many`): the transactional
+core (:mod:`repro.query.catalog`) decides what each transaction
+changed, once, by its change rule, and hands over each settled state
+with its change set.  The engine appends one ``put`` per changed name
+and one ``drop`` per name the state lost, then the commit marker, and
+keeps no diff or copy of its own: a published state is never mutated
+again, so the engine's committed catalog is that state itself.  Replay
+keeps the predecessor's name order without the dropped names and
+appends new names in ``put`` order; when a state's order differs from
+that (a relation dropped and created again in one transaction moves
+to the end), its marker records the order.  Recovery
 (:meth:`StorageEngine.open`) loads the manifest's snapshot, replays
 every *committed* transaction whose LSNs exceed the snapshot's, and
 truncates any torn tail — so a crash anywhere inside commit leaves
 either the full pre-commit or the full post-commit state, never a
-partial one.
+partial one, and in the live catalog's name order.
 
-**Group commit** (:meth:`StorageEngine.commit_many`) generalizes the
-protocol to a batch of transactions: each catalog state in the batch is
-diffed against its predecessor and appended as its own WAL transaction
-(records + commit marker), but the whole batch shares one fsync at the
-end.  A crash mid-batch is still per-transaction atomic — recovery
+A batch of transactions is appended record run by record run (each
+with its own commit marker), but the whole batch shares one fsync at
+the end.  A crash mid-batch is still per-transaction atomic — recovery
 keeps exactly the prefix of transactions whose commit markers reached
 disk — and no caller is acknowledged before the shared fsync returns,
 so an unacknowledged transaction lost to a crash was never promised.
@@ -62,8 +65,9 @@ Every transaction committed bumps the engine's monotone
 catalog versions.
 
 Compaction (:meth:`StorageEngine.compact`) folds the WAL into a fresh
-snapshot using the classic temp-file/fsync/rename dance, updating the
-manifest atomically before truncating the log; a crash at any step
+snapshot, which records its name order as ``names``, using the classic
+temp-file/fsync/rename dance, updating the manifest atomically before
+truncating the log; a crash at any step
 leaves a state recovery reads back identically (compaction never
 changes the committed catalog, only its encoding).
 
@@ -76,6 +80,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Collection, Mapping, Sequence
 from typing import Any
 
 try:  # POSIX only; on other platforms the single-writer lock is a no-op
@@ -112,6 +117,46 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def _replay_order(
+    before: Mapping[str, Any], after: Mapping[str, Any], puts: list[str]
+) -> list[str]:
+    """The name order replay rebuilds for one transaction's records.
+
+    Replay keeps the predecessor's order without the dropped names and
+    appends each new name in ``put`` order; a ``put`` of a name the
+    predecessor had keeps its slot.
+    """
+    order = [name for name in before if name in after]
+    order.extend(name for name in puts if name not in before)
+    return order
+
+
+def _restore_order(
+    payloads: dict[str, Any], names: Any, where: str
+) -> None:
+    """Reorder ``payloads`` in place to a recorded name order.
+
+    ``names`` is the ``"names"`` field of a commit marker or snapshot;
+    ``None`` (a record without one, e.g. any record written before the
+    field existed) keeps the replayed order.  A ``names`` that is not a
+    permutation of the replayed names raises
+    :class:`~repro.core.errors.RecoveryError`.
+    """
+    if names is None:
+        return
+    try:
+        ordered = {name: payloads[name] for name in names}
+    except (KeyError, TypeError):
+        ordered = None
+    if ordered is None or not len(ordered) == len(names) == len(payloads):
+        raise RecoveryError(
+            f"{where} records names {names!r}, which are not a "
+            f"permutation of the replayed relations {list(payloads)!r}"
+        )
+    payloads.clear()
+    payloads.update(ordered)
+
+
 class StorageEngine:
     """A crash-safe, WAL-backed store for one catalog of relations.
 
@@ -123,8 +168,9 @@ class StorageEngine:
 
     def __init__(self, root: str) -> None:
         self.root = root
-        #: The committed catalog: the engine's own shallow copies.
-        self.relations: dict[str, GeneralizedRelation] = {}
+        #: The committed catalog: the last state :meth:`commit_many`
+        #: wrote (or recovery rebuilt), in committed name order.
+        self.relations: Mapping[str, GeneralizedRelation] = {}
         self._next_lsn = 1
         self._next_txn = 1
         self._snapshot_lsn = 0
@@ -317,16 +363,17 @@ class StorageEngine:
             )
             snapshot = self._read_framed_file(snapshot_path, "snapshot")
             payloads.update(snapshot.get("relations", {}))
+            _restore_order(payloads, snapshot.get("names"), "snapshot")
         replayed, discarded = self._replay_wal(payloads)
-        self.relations = {}
+        relations = {}
         for name, payload in payloads.items():
             try:
-                relation = jsonio.relation_from_dict(payload)
+                relations[name] = jsonio.relation_from_dict(payload)
             except Exception as exc:
                 raise RecoveryError(
                     f"cannot rebuild relation {name!r}: {exc}"
                 ) from exc
-            self.relations[name] = relation
+        self.relations = relations
         self._cleanup_snapshots()
         COUNTERS["storage.recovery.records_replayed"] += replayed
         COUNTERS["storage.recovery.txns_discarded"] += discarded
@@ -384,6 +431,7 @@ class StorageEngine:
                     else:
                         payloads.pop(applied["name"], None)
                     replayed += 1
+                _restore_order(payloads, record.get("names"), f"txn {txn}")
             elif op in ("put", "drop"):
                 pending.setdefault(txn, []).append(record)
             else:
@@ -408,42 +456,24 @@ class StorageEngine:
     # commit
     # ------------------------------------------------------------------
 
-    def commit(self, relations: dict[str, GeneralizedRelation]) -> int:
-        """Durably record ``relations`` as the new committed state.
-
-        Appends one ``put`` record per new/changed relation and one
-        ``drop`` per removed relation, then the commit marker, then
-        fsyncs.  Returns the number of mutation records written (0 when
-        nothing changed — no I/O at all in that case).  Atomic: a crash
-        anywhere inside leaves the previous committed state recoverable.
-        """
-        return self.commit_many([relations])[0]
-
     def commit_many(
         self,
-        states: list[dict[str, GeneralizedRelation]],
-        changed: list[set[str] | None] | None = None,
-    ) -> list[int]:
+        states: Sequence[Mapping[str, GeneralizedRelation]],
+        changed: Sequence[Collection[str]],
+    ) -> None:
         """Group commit: one WAL transaction per state, one shared fsync.
 
-        Each catalog state is diffed against its predecessor (the first
-        against the last committed state) and appended as its own
-        transaction — ``put``/``drop`` records plus a commit marker —
-        and the whole batch is made durable by a *single* fsync at the
-        end.  Returns the per-state mutation record counts (0 for a
-        state identical to its predecessor, which appends nothing and
-        consumes no transaction id).
-
-        A relation is written when it is new or not equal (``==``) to
-        its predecessor; the engine then keeps a shallow copy of it as
-        committed.  ``changed`` optionally narrows the diff, one entry
-        per state: a set of relation names the caller guarantees are
-        the *only* ones whose content may differ from the predecessor
-        state (``None`` entries diff everything).  The transactional
-        core passes the change sets it publishes by, so relations
-        outside them keep their committed copy without an equality
-        test.  Dropped relations are always detected from the state's
-        keys, hint or not.
+        ``states`` are consecutive committed catalog states, the first
+        following the last committed one, and ``changed[i]`` names the
+        relations of ``states[i]`` that are new or differ from its
+        predecessor — the change sets the transactional core settled
+        (:mod:`repro.query.catalog`).  Each state is appended as its
+        own transaction: one ``put`` per changed name, one ``drop`` per
+        name the state lost, then a commit marker, which also carries
+        the state's name order (``"names"``) when replay would not
+        rebuild it.  The whole batch is made durable by a *single*
+        fsync at the end.  A published state is never mutated again,
+        so :attr:`relations` becomes the last state itself.
 
         Atomicity is per transaction: a crash mid-batch recovers to the
         longest prefix of transactions whose commit markers reached
@@ -452,32 +482,17 @@ class StorageEngine:
         contract the serving layer's batcher upholds.
         """
         self._check_live()
+        if not states:
+            return
         started = time.perf_counter()
-        counts: list[int] = []
-        committed = self.relations
+        before = self.relations
         bytes_appended = 0
         records_appended = 0
-        txns = 0
         try:
-            for index, relations in enumerate(states):
-                hint = changed[index] if changed is not None else None
-                current: dict[str, GeneralizedRelation] = {}
-                puts: list[str] = []
-                for name, relation in relations.items():
-                    old = committed.get(name)
-                    if old is not None and (
-                        (hint is not None and name not in hint)
-                        or old == relation
-                    ):
-                        current[name] = old
-                        continue
-                    current[name] = relation.copy()
-                    puts.append(name)
-                drops = [name for name in committed if name not in current]
-                if not puts and not drops:
-                    counts.append(0)
-                    continue
+            for relations, names in zip(states, changed):
                 txn = self._next_txn
+                puts = [name for name in relations if name in names]
+                drops = [name for name in before if name not in relations]
                 for name in puts:
                     bytes_appended += self._append(
                         {
@@ -486,7 +501,7 @@ class StorageEngine:
                             "op": "put",
                             "name": name,
                             "relation": jsonio.relation_to_dict(
-                                current[name]
+                                relations[name]
                             ),
                         }
                     )
@@ -499,43 +514,39 @@ class StorageEngine:
                             "name": name,
                         }
                     )
+                marker = {
+                    "lsn": self._next_lsn,
+                    "txn": txn,
+                    "op": "commit",
+                    "ops": len(puts) + len(drops),
+                }
+                order = list(relations)
+                if order != _replay_order(before, relations, puts):
+                    marker["names"] = order
                 faults.fire("wal.commit")
-                bytes_appended += self._append(
-                    {
-                        "lsn": self._next_lsn,
-                        "txn": txn,
-                        "op": "commit",
-                        "ops": len(puts) + len(drops),
-                    }
-                )
+                bytes_appended += self._append(marker)
                 self._next_txn = txn + 1
-                committed = current
-                txns += 1
+                before = relations
                 records_appended += len(puts) + len(drops) + 1
-                counts.append(len(puts) + len(drops))
-            if txns:
-                faults.fire("wal.fsync")
-                os.fsync(self._wal_file.fileno())
+            faults.fire("wal.fsync")
+            os.fsync(self._wal_file.fileno())
         except faults.InjectedCrash:
             self._mark_crashed()
             raise
-        if not txns:
-            return counts
-        self.relations = committed
+        self.relations = before
         registry = metrics()
         COUNTERS["storage.wal.records_appended"] += records_appended
         COUNTERS["storage.wal.bytes_appended"] += bytes_appended
         COUNTERS["storage.wal.fsyncs"] += 1
-        COUNTERS["storage.commit.txns"] += txns
-        registry.histogram("storage.commit.batch_txns").observe(txns)
+        COUNTERS["storage.commit.txns"] += len(states)
+        registry.histogram("storage.commit.batch_txns").observe(len(states))
         registry.gauge("storage.wal.bytes").set(
             os.path.getsize(self._wal_path)
         )
-        registry.gauge("storage.relations").set(len(states[-1]))
+        registry.gauge("storage.relations").set(len(before))
         registry.histogram("storage.commit.seconds").observe(
             time.perf_counter() - started
         )
-        return counts
 
     def _append(self, payload: dict[str, Any]) -> int:
         """Frame and append one record (torn-write injection point)."""
@@ -572,6 +583,7 @@ class StorageEngine:
                 name: jsonio.relation_to_dict(relation)
                 for name, relation in self.relations.items()
             },
+            "names": list(self.relations),
         }
         record = encode_record(payload)
         name = f"snapshot-{snapshot_lsn:012d}.json"

@@ -492,6 +492,20 @@ class TestFuzzIvmLeg:
         assert result.batches > 0
         assert not result.failing
 
+    def test_durable_step_reports_a_recovery_that_reorders_tuples(
+        self, monkeypatch
+    ):
+        decode = jsonio.relation_from_dict
+
+        def reversed_decode(payload):
+            rel = decode(payload)
+            return GeneralizedRelation(rel.schema, rel.tuples[::-1])
+
+        monkeypatch.setattr(jsonio, "relation_from_dict", reversed_decode)
+        result = run_ivm_case(0)
+        assert result.status == "divergent", result.summary()
+        assert [d.kind for d in result.divergences] == ["durable"]
+
     def test_cli_flag_runs_ivm_cases(self, capsys):
         from repro.fuzz.cli import fuzz_main
 

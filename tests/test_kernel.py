@@ -351,6 +351,39 @@ class TestPlanMemo:
             t.canonical_key() for t in second
         }
 
+    def test_bound_template_built_once_per_plan(self, monkeypatch):
+        rel = GeneralizedRelation.empty(Schema.make(temporal=["A", "B"]))
+        for offset, period, gap in [(0, 2, 4), (1, 3, 2), (2, 4, 7)]:
+            dbm = DBM(2)
+            dbm.add_difference(0, 1, gap)
+            dbm.add_lower(1, offset)
+            rel.add(
+                GeneralizedTuple(
+                    lrps=(LRP.make(offset, period), LRP.make(1, 6)), dbm=dbm
+                )
+            )
+        empty = DBM(2)
+        empty.add_difference(0, 1, -1)
+        empty.add_difference(1, 0, -1)
+        rel.add(GeneralizedTuple(lrps=(LRP.make(0, 2), LRP.make(0, 3)),
+                                 dbm=empty))
+        calls = []
+        original = kernel.bounds_template
+
+        def counting(entries, n):
+            calls.append(n)
+            return original(entries, n)
+
+        monkeypatch.setattr(kernel, "bounds_template", counting)
+        outputs = {
+            frozenset(t.canonical_key() for t in algebra.project(rel, ["A"]))
+            for _ in range(10)
+        }
+        planned = sum(1 for t in rel if t._plans)
+        assert planned == 3  # the empty tuple gets no plan
+        assert len(calls) == planned
+        assert len(outputs) == 1
+
 
 # ----------------------------------------------------------------------
 # corpus replay with the numpy backend forced on

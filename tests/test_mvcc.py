@@ -194,6 +194,14 @@ class TestGroupCommitEquivalence:
               [("drop", "A"), ("create", "A"), ("insert", "A", 2, 10),
                ("insert", "A", 1, 10)],
               [("create", "B")]])
+    # Drop and re-create a relation with new contents: it moves to the
+    # end of the name order, and the reopened store must move it too.
+    @example([[("create", "B"), ("create", "A")],
+              [("drop", "B"), ("create", "B"), ("insert", "B", 1, 5)]])
+    # Re-create a relation equal to the committed one while another
+    # changes: the equal one keeps its object but still moves.
+    @example([[("create", "B"), ("create", "A"), ("create", "C")],
+              [("drop", "B"), ("create", "B"), ("insert", "A", 1, 5)]])
     @settings(max_examples=60, deadline=None)
     def test_group_equals_sequential(self, programs):
         batches = [[_translate(op) for op in batch] for batch in programs]
@@ -213,7 +221,11 @@ class TestGroupCommitEquivalence:
             d = durable.current()
             engine.close()
             with StorageEngine.open(root, create=False) as reopened:
-                recovered = (_tuples(reopened.relations), reopened.version)
+                recovered = (
+                    tuple(reopened.relations),
+                    _tuples(reopened.relations),
+                    reopened.version,
+                )
 
         # same per-transaction outcomes (which aborted, what changed,
         # which version each committed as)
@@ -225,7 +237,7 @@ class TestGroupCommitEquivalence:
             assert other.names == g.names
             assert _tuples(other.relations) == _tuples(g.relations)
             assert other.version == g.version
-        assert recovered == (_tuples(g.relations), g.version)
+        assert recovered == (g.names, _tuples(g.relations), g.version)
         for name in g.names:
             assert _points(g.relation(name)) == _points(
                 sequential.current().relation(name)

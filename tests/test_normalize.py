@@ -15,7 +15,6 @@ from repro.core.lrp import LRP
 from repro.core.negation import (
     _column_components,
     _column_periods,
-    desingularize,
 )
 from repro.core.normalize import (
     NormalizedTuple,
@@ -170,61 +169,6 @@ class TestRelationNormalization:
         tuples = [make(["7n"]), make(["11n"]), make(["13n"])]
         with pytest.raises(NormalizationLimitError):
             normalize_relation_tuples(tuples, max_tuples=50)
-
-
-class TestDesingularize:
-    def test_periodic_untouched(self):
-        (nt,) = normalize_tuple(make(["2n"], "X1 >= 4"))
-        assert desingularize(nt) is nt
-
-    def test_singleton_becomes_pinned_periodic(self):
-        (nt,) = normalize_tuple(make(["2n", 9], "X1 <= X2"), period=2)
-        flat = desingularize(nt)
-        assert flat.singleton == (False, False)
-        assert flat.offsets == (0, 1)
-        window = (-6, 14)
-        before = set(nt.to_generalized().enumerate(*window))
-        after = set(flat.to_generalized().enumerate(*window))
-        assert before == after
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_desingularize_preserves_semantics(self, seed):
-        rng = random.Random(seed)
-        t = random_tuple(rng, 2)
-        window = (-10, 10)
-        for nt in normalize_tuple(t):
-            flat = desingularize(nt)
-            assert set(flat.to_generalized().enumerate(*window)) == set(
-                nt.to_generalized().enumerate(*window)
-            )
-
-
-class TestNormalizedIntersect:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_intersect_matches_sets(self, seed):
-        rng = random.Random(seed)
-        t1 = random_tuple(rng, 2)
-        t2 = random_tuple(rng, 2)
-        period = relation_period([t1, t2])
-        n1 = normalize_tuple(t1, period=period)
-        n2 = normalize_tuple(t2, period=period)
-        window = (-10, 10)
-        expected = set(t1.enumerate(*window)) & set(t2.enumerate(*window))
-        covered = set()
-        for a in n1:
-            for b in n2:
-                meet = a.intersect(b)
-                if meet is not None and not meet.is_empty():
-                    covered |= set(meet.to_generalized().enumerate(*window))
-        assert covered == expected
-
-    def test_period_mismatch_rejected(self):
-        (a,) = normalize_tuple(make(["2n"]))
-        (b,) = normalize_tuple(make(["3n"]))
-        with pytest.raises(ValueError):
-            a.intersect(b)
 
 
 def _satisfiable(plan, combos):

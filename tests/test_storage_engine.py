@@ -52,7 +52,7 @@ class TestOpenAndCommit:
         before = catalog_points(db)
         db.close()
         with Database.open(path) as again:
-            assert set(again.names) == {"Train", "Fires"}
+            assert again.names == ("Train", "Fires")
             assert catalog_points(again) == before
 
     def test_commit_is_idempotent_when_unchanged(self, tmp_path):
@@ -72,24 +72,6 @@ class TestOpenAndCommit:
             db.commit()
             db.relation("Fires").add_tuple(["5 + 6n"], "t >= 12")
             assert db.commit() == 1  # Train untouched -> one put
-
-    def test_engine_sees_in_place_mutation(self, tmp_path):
-        # A caller of the engine itself that mutates its relations in
-        # place between commits: the engine diffs against its own
-        # copies, so the second commit still sees the new tuple.
-        from repro.core.relations import GeneralizedRelation, Schema
-
-        path = str(tmp_path / "db")
-        relations = {
-            "Ev": GeneralizedRelation.empty(Schema.make(temporal=["t"]))
-        }
-        with StorageEngine.open(path) as engine:
-            assert engine.commit(relations) == 1
-            relations["Ev"].add_tuple(["3 + 5n"], "t >= 0")
-            assert engine.commit(relations) == 1
-            assert engine.commit(relations) == 0
-        with StorageEngine.open(path, create=False) as engine:
-            assert engine.relations["Ev"] == relations["Ev"]
 
     def test_drop_persists(self, tmp_path):
         path = str(tmp_path / "db")
@@ -175,6 +157,16 @@ class TestCompaction:
             assert "Uncommitted" not in again
             assert catalog_points(again) == committed
 
+    def test_name_order_survives_compaction(self, tmp_path):
+        path = str(tmp_path / "db")
+        with Database.open(path) as db:
+            db.create("C", temporal=["t"])
+            db.create("A", temporal=["t"])
+            db.commit()
+            db.compact()
+        with Database.open(path) as again:
+            assert again.names == ("C", "A")
+
     def test_repeated_compaction_keeps_one_snapshot(self, tmp_path):
         path = str(tmp_path / "db")
         with Database.open(path) as db:
@@ -190,12 +182,88 @@ class TestCompaction:
             assert len(snapshots) == 1
 
 
+def _keys(relations) -> dict:
+    """Each relation's canonical tuple keys, in tuple order."""
+    return {
+        name: [t.canonical_key() for t in rel]
+        for name, rel in relations.items()
+    }
+
+
+class TestRecoveredOrder:
+    def test_store_without_recorded_names_recovers_as_written(
+        self, tmp_path
+    ):
+        # A store whose commit markers and snapshot carry no "names"
+        # (the format before the field existed): the snapshot lists
+        # its relations by sorted name, and replay keeps a replaced
+        # relation's slot and appends new names.
+        from repro.core.relations import GeneralizedRelation, Schema
+        from repro.storage import jsonio
+        from repro.storage.wal import encode_record
+
+        def rel(*offsets):
+            out = GeneralizedRelation.empty(Schema.make(temporal=["t"]))
+            for offset in offsets:
+                out.add_tuple([f"{offset} + 7n"], "t >= 0")
+            return out
+
+        snap = {"Z": rel(3, 1), "A": rel(2)}
+        later = {"M": rel(5, 4), "A": rel(6, 2)}
+        root = tmp_path / "db"
+        (root / "snapshots").mkdir(parents=True)
+        name = "snapshot-000000000002.json"
+        (root / "snapshots" / name).write_bytes(encode_record({
+            "format": 1,
+            "snapshot_lsn": 2,
+            "relations": {
+                n: jsonio.relation_to_dict(r) for n, r in snap.items()
+            },
+        }))
+        (root / "MANIFEST").write_bytes(encode_record(
+            {"format": 1, "snapshot": name, "snapshot_lsn": 2}
+        ))
+        records = [
+            {"lsn": 3, "txn": 2, "op": "put", "name": "M",
+             "relation": jsonio.relation_to_dict(later["M"])},
+            {"lsn": 4, "txn": 2, "op": "commit", "ops": 1},
+            {"lsn": 5, "txn": 3, "op": "put", "name": "A",
+             "relation": jsonio.relation_to_dict(later["A"])},
+            {"lsn": 6, "txn": 3, "op": "drop", "name": "Z"},
+            {"lsn": 7, "txn": 3, "op": "commit", "ops": 2},
+        ]
+        (root / "wal.log").write_bytes(
+            b"".join(encode_record(r) for r in records)
+        )
+        with StorageEngine.open(str(root), create=False) as engine:
+            assert tuple(engine.relations) == ("A", "M")
+            assert _keys(engine.relations) == _keys(
+                {"A": later["A"], "M": later["M"]}
+            )
+            assert engine.version == 3
+
+    def test_names_not_a_permutation_is_recovery_error(self, tmp_path):
+        from repro.storage.wal import encode_record
+
+        path = str(tmp_path / "db")
+        with Database.open(path) as db:
+            db.create("A", temporal=["t"])
+            db.commit()
+        with open(os.path.join(path, "wal.log"), "ab") as handle:
+            handle.write(encode_record(
+                {"lsn": 9, "txn": 9, "op": "commit", "ops": 0,
+                 "names": ["A", "B"]}
+            ))
+        with pytest.raises(RecoveryError, match="permutation"):
+            StorageEngine.open(path)
+
+
 class TestEngineLifecycle:
     def test_closed_engine_rejects_operations(self, tmp_path):
         engine = StorageEngine.open(str(tmp_path / "db"))
         engine.close()
         with pytest.raises(StorageError, match="closed"):
-            engine.commit({})
+            engine.commit_many([], [])
         engine.close()  # idempotent
 
     def test_corrupt_manifest_is_recovery_error(self, tmp_path):
