@@ -233,25 +233,3 @@ def dbm_to_atoms(dbm: DBM, attribute_order: Sequence[str]) -> list[Atom]:
                 atoms.append(VarConstAtom(attribute_order[j], Op.GE, -bound))
     return atoms
 
-
-def negate_atom_as_dbm_updates(
-    atom_index_form: tuple[int, int, int], size: int
-) -> DBM:
-    """Return a DBM of ``size`` variables encoding the negation of one bound.
-
-    ``atom_index_form`` is an ``(i, j, bound)`` triple in
-    :meth:`DBM.iter_bounds` convention (-1 is the zero variable).  The
-    negation of ``X_i - X_j <= a`` over Z is ``X_j - X_i <= -a - 1``.
-    """
-    i, j, bound = atom_index_form
-    out = DBM(size)
-    neg = -bound - 1
-    if i >= 0 and j >= 0:
-        out.add_difference(j, i, neg)
-    elif j < 0:
-        # negation of X_i <= bound is X_i >= bound + 1
-        out.add_lower(i, bound + 1)
-    else:
-        # negation of -X_j <= bound (X_j >= -bound) is X_j <= -bound - 1
-        out.add_upper(j, -bound - 1)
-    return out

@@ -19,7 +19,7 @@ from repro.deductive.incremental import (
     RefreshReport,
     ViewMaintainer,
 )
-from repro.deductive.rules import HeadArg, Rule, head_relation
+from repro.deductive.rules import HeadArg, Rule
 
 __all__ = [
     "DEFAULT_MAX_ITERATIONS",
@@ -30,5 +30,4 @@ __all__ = [
     "Rule",
     "STRATEGIES",
     "ViewMaintainer",
-    "head_relation",
 ]

@@ -43,9 +43,9 @@ rule *negatively* cannot be folded monotonically; the affected stratum
 from scratch instead — always sound, incremental whenever possible.
 
 Bodies are planned once, not once per fire: :class:`RuleBodies`
-compiles each rule's full body and each delta body on first use and
-every later fire runs the stored plan (see ``docs/deductive.md``,
-"Compiled rule bodies").
+compiles each rule's full body and each delta body on first use, with
+the rule's head as the root of its plan, and every later fire runs the
+stored plan (see ``docs/deductive.md``, "Compiled rule bodies").
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from repro.query.ast import (
     Pred,
     Query,
 )
-from repro.deductive.rules import Rule, head_relation
+from repro.deductive.rules import Rule
 
 if TYPE_CHECKING:
     from repro.query.evaluator import CompiledQuery
@@ -186,44 +186,6 @@ def _positives(
     return tuple(out)
 
 
-def _delta_positions(
-    positives: tuple[tuple[str, int, bool], ...],
-    changing: Mapping[str, object],
-) -> list[int] | None:
-    """Positions of the positives to differentiate on; ``None``: brittle."""
-    out: list[int] = []
-    for position, (name, _index, brittle) in enumerate(positives):
-        if name in changing:
-            if brittle:
-                return None
-            out.append(position)
-    return out
-
-
-def _delta_query(body: Query, positive: tuple[str, int, bool]) -> Query:
-    """``body`` with one positive occurrence redirected to its delta."""
-    name, index, _ = positive
-    return _Substituter(name, index, delta_name(name)).rewrite(body)
-
-
-def differentiate(
-    body: Query, changing: Mapping[str, object]
-) -> list[Query] | None:
-    """The delta queries of ``body`` w.r.t. the changing predicates.
-
-    Returns one substituted query per positive distributive occurrence
-    of a changing predicate (the occurrence's atom redirected to its
-    staged delta relation), an empty list when the body never mentions
-    a changing predicate positively, or ``None`` when some positive
-    occurrence is brittle — the caller must re-evaluate the full body.
-    """
-    positives = _positives(occurrences(body))
-    positions = _delta_positions(positives, changing)
-    if positions is None:
-        return None
-    return [_delta_query(body, positives[p]) for p in positions]
-
-
 @dataclass
 class StratumStats:
     """Instrumentation for one stratum evaluation."""
@@ -253,7 +215,8 @@ class _Body:
     query: Query
     #: The relations ``query`` reads.
     names: tuple[str, ...]
-    #: ``(optimize, schemas of names)`` the plan was compiled under.
+    #: ``(optimize, head schema, schemas of names)`` the plan was
+    #: compiled under.
     key: tuple = ()
     compiled: CompiledQuery | None = None
 
@@ -263,14 +226,15 @@ class RuleBodies:
 
     Thm 4.1's calculus-to-algebra translation depends only on a body
     and the schemas it reads, never on the data, so a body is lowered
-    and rewritten once (:meth:`repro.query.evaluator.Evaluator.compile`)
-    and every fire runs the compiled plan
-    (:meth:`~repro.query.evaluator.Evaluator.run`).  A body is keyed by
-    its rule and by the positive occurrence its delta substitution
-    differentiates on (``None`` for the full body); its plan is
-    recompiled when the resolved ``optimize`` setting or a read
-    relation's schema differs from the last fire's.  One entry per
-    (rule, occurrence), so memory is bounded by the program's size.
+    and rewritten once (:meth:`repro.query.evaluator.Evaluator.compile`),
+    under the rule's head as the plan's root, and every fire runs the
+    compiled plan (:meth:`~repro.query.evaluator.Evaluator.run`).  A
+    body is keyed by its rule and by the positive occurrence its delta
+    substitution differentiates on (``None`` for the full body); its
+    plan is recompiled when the resolved ``optimize`` setting, the head
+    schema or a read relation's schema differs from the last fire's.
+    One entry per (rule, occurrence), so memory is bounded by the
+    program's size.
 
     Not thread-safe: the owner serializes access (the catalog refreshes
     views only under its write lock).
@@ -294,26 +258,39 @@ class RuleBodies:
     ) -> list[int] | None:
         """The positive occurrences to differentiate ``rule`` on.
 
-        Mirrors :func:`differentiate` without building a query: one
-        position per positive occurrence of a changing predicate, or
-        ``None`` when one of them is brittle (fire the full body).
+        One position per positive distributive occurrence of a changing
+        predicate (its delta body redirects that atom to the staged
+        delta relation), none when the body never mentions a changing
+        predicate positively, or ``None`` when one of them is brittle
+        (fire the full body).
         """
-        return _delta_positions(self.shape(rule).positives, changing)
+        out: list[int] = []
+        for position, (name, _, brittle) in enumerate(
+            self.shape(rule).positives
+        ):
+            if name in changing:
+                if brittle:
+                    return None
+                out.append(position)
+        return out
 
     def run(
         self,
         rule: Rule,
         occurrence: int | None,
         relations: Mapping[str, GeneralizedRelation],
+        head_schema: Schema,
         *,
         max_tuples: int,
         max_extensions: int,
     ) -> GeneralizedRelation:
-        """Evaluate one body of ``rule`` against ``relations``.
+        """Fire one body of ``rule`` against ``relations``.
 
         ``occurrence`` is a position from :meth:`delta_occurrences`
         (that occurrence reads its staged delta relation) or ``None``
-        for the full body.
+        for the full body.  The rule's head, over ``head_schema``, is
+        the root of the compiled plan, so the result holds the head's
+        tuples (a relation of its own).
         """
         from repro.query.evaluator import Evaluator
 
@@ -323,13 +300,16 @@ class RuleBodies:
         )
         key = (
             evaluator.optimizing,
+            head_schema,
             tuple(
                 relations[name].schema if name in relations else None
                 for name in body.names
             ),
         )
         if body.key != key:
-            body.compiled = evaluator.compile(body.query)
+            body.compiled = evaluator.compile(
+                body.query, head=(rule.head_args, head_schema)
+            )
             body.key = key
         return evaluator.run(body.compiled)
 
@@ -339,8 +319,9 @@ class RuleBodies:
             source = rule.body_query
             query = source
             if occurrence is not None:
-                query = _delta_query(
-                    source, self.shape(rule).positives[occurrence]
+                name, index, _ = self.shape(rule).positives[occurrence]
+                query = _Substituter(name, index, delta_name(name)).rewrite(
+                    source
                 )
             names = tuple(dict.fromkeys(occ.name for occ in occurrences(query)))
             body = _Body(source, query, names)
@@ -427,15 +408,13 @@ def seminaive_stratum(
             stats.rules_fired += 1
             relations = dict(state)
             relations.update(staged)
-            result = bodies.run(
+            shaped = bodies.run(
                 rule,
                 occurrence,
                 relations,
+                head_schemas[rule.head_name],
                 max_tuples=max_tuples,
                 max_extensions=max_extensions,
-            )
-            shaped = head_relation(
-                rule, result, head_schemas[rule.head_name]
             )
             derived[rule.head_name] = (
                 shaped

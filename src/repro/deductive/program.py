@@ -8,9 +8,9 @@ from repro.core import algebra
 from repro.core.errors import EvaluationError, ReproValueError, SchemaError
 from repro.core.relations import GeneralizedRelation, Schema
 from repro.core.simplify import simplify_relation
-from repro.query.ast import Not, Pred, Query
 from repro.query.database import Database
-from repro.deductive.rules import Rule, head_relation
+from repro.deductive.incremental import occurrences
+from repro.deductive.rules import Rule
 
 DEFAULT_MAX_ITERATIONS = 50
 
@@ -131,29 +131,6 @@ class Program:
     # dependency analysis
     # ------------------------------------------------------------------
 
-    def _body_dependencies(self, rule: Rule) -> tuple[set[str], set[str]]:
-        """IDB predicates the rule's body uses (positively, negatively)."""
-        positive: set[str] = set()
-        negative: set[str] = set()
-
-        def walk(node: Query, negated: bool) -> None:
-            if isinstance(node, Pred):
-                if node.name in self._idb:
-                    (negative if negated else positive).add(node.name)
-            elif isinstance(node, Not):
-                walk(node.body, not negated)
-            elif hasattr(node, "parts"):
-                for part in node.parts:
-                    walk(part, negated)
-            elif hasattr(node, "antecedent"):
-                walk(node.antecedent, not negated)
-                walk(node.consequent, negated)
-            elif hasattr(node, "body"):
-                walk(node.body, negated)
-
-        walk(rule.body_query, False)
-        return positive, negative
-
     def stratify(self, edb_schemas: dict[str, Schema]) -> list[list[str]]:
         """Partition IDB predicates into strata.
 
@@ -170,13 +147,12 @@ class Program:
             # is reusable across databases with different EDB shapes).
             rule.ensure_bound(schemas)
         stratum = {name: 0 for name in self._idb}
-        deps: list[tuple[str, str, bool]] = []
-        for rule in self._rules:
-            positive, negative = self._body_dependencies(rule)
-            for dep in positive:
-                deps.append((rule.head_name, dep, False))
-            for dep in negative:
-                deps.append((rule.head_name, dep, True))
+        deps = [
+            (rule.head_name, occ.name, occ.negated)
+            for rule in self._rules
+            for occ in occurrences(rule.body_query)
+            if occ.name in self._idb
+        ]
         n = len(self._idb)
         for _ in range(n * n + 1):
             changed = False
@@ -296,14 +272,19 @@ class Program:
         max_iterations: int,
         simplify: bool,
     ) -> None:
+        """Iterate ``rules`` to a fixpoint by full-body fires (the
+        oracle), each lowered afresh under its head: no plan store."""
+        from repro.query.evaluator import Evaluator
+
         if not rules:
             return
         for iteration in range(max_iterations):
             changed = False
             for rule in rules:
-                body = db.query(rule.body_query)
-                derived = head_relation(
-                    rule, body, self._idb[rule.head_name]
+                evaluator = Evaluator.of(db)
+                head = (rule.head_args, self._idb[rule.head_name])
+                derived = evaluator.run(
+                    evaluator.compile(rule.body_query, head=head)
                 )
                 current = db.relation(rule.head_name)
                 merged = algebra.union(current, derived)

@@ -33,10 +33,8 @@ import re
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 
-from repro.core import algebra
 from repro.core.errors import ParseError, SchemaError
-from repro.core.relations import GeneralizedRelation, Schema
-from repro.core.tuples import GeneralizedTuple
+from repro.core.relations import Schema
 from repro.query.ast import Sort, free_variables
 from repro.query.parser import parse_query
 
@@ -247,54 +245,3 @@ def _check_negation_safety(body_query, head_name: str) -> None:
             "them inside the negation (e.g. ~(EXISTS v. ...))"
         )
 
-
-def head_relation(
-    rule: Rule,
-    body_result: GeneralizedRelation,
-    head_schema: Schema,
-) -> GeneralizedRelation:
-    """Shape a body-evaluation result into head-schema tuples.
-
-    Projects onto the head variables, inserts constant columns, and
-    reorders to the head schema's attribute order.
-    """
-    # Project the body result down to the head variables.
-    keep = [v for v in rule.head_vars if body_result.schema.has(v)]
-    projected = algebra.project(body_result, keep)
-    # Rename head variables onto the head attribute names, position by
-    # position, avoiding collisions via a temp prefix.
-    temp_names: dict[str, str] = {}
-    for i, arg in enumerate(rule.head_args):
-        if arg.is_var:
-            temp_names[arg.var] = f"_h{i}"
-    projected = algebra.rename(projected, temp_names)
-    out = GeneralizedRelation.empty(head_schema)
-    order: list[str] = []
-    const_relations: list[GeneralizedRelation] = []
-    for i, (arg, attr) in enumerate(zip(rule.head_args, head_schema.attributes)):
-        col = f"_h{i}"
-        order.append(col)
-        if arg.is_var:
-            continue
-        # Constant column: a singleton relation to product in.
-        if attr.temporal:
-            const_rel = GeneralizedRelation.empty(
-                Schema.make(temporal=[col])
-            )
-            const_rel.add(GeneralizedTuple.make([int(arg.const)]))
-        else:
-            const_rel = GeneralizedRelation.empty(Schema.make(data=[col]))
-            const_rel.add(GeneralizedTuple.make([], data=(arg.const,)))
-        const_relations.append(const_rel)
-    combined = projected
-    for const_rel in const_relations:
-        combined = algebra.product(combined, const_rel)
-    shaped = algebra.project(combined, order)
-    renamed = algebra.rename(
-        shaped,
-        {f"_h{i}": attr.name
-         for i, attr in enumerate(head_schema.attributes)},
-    )
-    for gtuple in renamed:
-        out.add(gtuple)
-    return out

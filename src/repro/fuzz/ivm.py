@@ -29,8 +29,11 @@ The catalog's own transaction step classifies the change and refreshes
 the view, so the leg checks that step too: the views are read from the
 committed version.
 
-After every batch the committed ``Reach`` view is compared — as a
-point set, via :func:`repro.core.algebra.equivalent` — against
+The program is the reachability program plus a view, ``Hop``, whose
+head holds a constant and drops and reorders body variables.
+
+After every batch each committed view is compared — as a point set,
+via :func:`repro.core.algebra.equivalent` — against
 ``Program.evaluate(db, strategy="naive")`` on the folded EDB.  Any
 disagreement is a :class:`~repro.fuzz.diff.Divergence` of kind
 ``"ivm"``; the case seed replays it exactly
@@ -43,7 +46,10 @@ reopened, and the program installed again adopts the stored views;
 after the last batch it is reopened once more, replaying the WAL.  The
 reopened catalog must equal the diskless one in relation names, in
 order, and in each relation's canonical tuple keys, in tuple order: a
-difference is a divergence of kind ``"durable"``.
+difference is a divergence of kind ``"durable"``.  One seeded batch
+also creates two unrelated relations, dropping one in a second
+transaction of its group commit; the other lands before the views, so
+the name order moves as replay must follow it.
 """
 
 from __future__ import annotations
@@ -162,27 +168,30 @@ def _durable_divergence(
     diskless: VersionedCatalog, durable: VersionedCatalog
 ) -> Divergence | None:
     """Where a reopened store differs from the diskless run, if anywhere:
-    relation names in order, then canonical tuple keys in tuple order."""
-    want, got = diskless.current(), durable.current()
-    if got.names != want.names:
+    relation names in order as the store recovered them (before the
+    reinstalled program moves its views last), then canonical tuple keys
+    in tuple order, there and in the catalog that adopted the views."""
+    want = diskless.current()
+    recovered, adopted = durable.engine.relations, durable.current()
+    if tuple(recovered) != want.names or {*adopted.names} != {*want.names}:
         return Divergence(
             kind="durable",
             detail=(
-                f"reopened store lists relations {got.names}, the "
+                f"reopened store lists relations {tuple(recovered)}, the "
                 f"diskless run {want.names}"
             ),
         )
     for name in want.names:
         want_keys = [t.canonical_key() for t in want.relation(name)]
-        got_keys = [t.canonical_key() for t in got.relation(name)]
-        if got_keys != want_keys:
-            return Divergence(
-                kind="durable",
-                detail=(
-                    f"reopened relation {name!r} holds other tuples or "
-                    "another tuple order than the diskless run"
-                ),
-            )
+        for got in (recovered[name], adopted.relation(name)):
+            if [t.canonical_key() for t in got] != want_keys:
+                return Divergence(
+                    kind="durable",
+                    detail=(
+                        f"reopened relation {name!r} holds other tuples or "
+                        "another tuple order than the diskless run"
+                    ),
+                )
     return None
 
 
@@ -197,15 +206,19 @@ def run_ivm_case(
     batch_size = rng.randint(1, profile.max_batch_size)
     window = rng.randint(profile.min_window, profile.max_window)
     reopen_at = random.Random(f"ivm-durable-{seed}").randrange(n_batches)
+    move_at = random.Random(f"ivm-names-{seed}").randrange(n_batches)
     detail = (
         f"{n_nodes} nodes, {n_batches} batches x {batch_size}, "
-        f"window {window}, reopened after batch {reopen_at + 1}"
+        f"window {window}, names moved in batch {move_at + 1}, "
+        f"reopened after batch {reopen_at + 1}"
     )
     result = IvmResult(seed=seed, status="ok", detail=detail)
     root = tempfile.mkdtemp(prefix="repro-ivm-")
     durable = None
     try:
         program = reachability_program(window)
+        program.declare("Hop", temporal=["k"], data=["dst", "src"])
+        program.rule("Hop(0, z, x) <- Reach(t, x, z)")
         batches = edge_batches(n_nodes, n_batches, batch_size, seed=seed)
         empty = {"Edge": GeneralizedRelation.empty(EDGE_SCHEMA)}
         catalog = _install(VersionedCatalog(base=empty), program)
@@ -233,10 +246,17 @@ def run_ivm_case(
                          "tuple": _tuple_entry(gtuple)}
                         for gtuple in batch
                     ]
+                group = [mutations]
+                if index == move_at:
+                    group = [
+                        mutations
+                        + [{"op": "create", "name": n} for n in ("Aux", "Tmp")],
+                        [{"op": "drop", "name": "Tmp"}],
+                    ]
                 for target in (catalog, durable):
-                    (txn,) = target.commit_mutations([mutations])
-                    if txn.error is not None:
-                        raise txn.error
+                    for txn in target.commit_mutations(group):
+                        if txn.error is not None:
+                            raise txn.error
                 if index == reopen_at:
                     durable.engine.compact()
                     durable = _reopen(durable, program)

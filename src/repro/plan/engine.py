@@ -49,6 +49,7 @@ class ExecutionContext:
     ``unbuilt`` is another: it maps the id of every join the engine
     decided under a closed projection without materializing it to the
     number of candidate tuples it built (EXPLAIN reports these).
+    ``plan`` is the plan :meth:`NativeEngine.run` executes (set there).
     """
 
     relations: Mapping[str, GeneralizedRelation]
@@ -61,6 +62,7 @@ class ExecutionContext:
     on_pair: Callable[[ir.PlanNode, int, int], None] | None = None
     optimum: object | None = None
     unbuilt: dict[int, int] = field(default_factory=dict)
+    plan: ir.PlanNode | None = None
 
     def domain_for(self, name: str) -> list:
         """The finite domain complementing data attribute ``name``."""
@@ -87,13 +89,16 @@ class NativeEngine:
     gets no result (no ``on_result`` call, no memo entry), its spans
     carry ``materialized=False`` and ``candidates_built``, and
     :attr:`ExecutionContext.unbuilt` records it.  A join already in the
-    memo is projected as it is.
+    memo is projected as it is, and one the plan shares
+    (:attr:`~repro.plan.nodes.PlanNode.shared`) is materialized into
+    the memo for its other uses.
     """
 
     def run(
         self, plan: ir.PlanNode, ctx: ExecutionContext
     ) -> GeneralizedRelation:
         """Execute the plan bottom-up, emitting trace spans per node."""
+        ctx.plan = plan
         return self._exec(plan, ctx)
 
     # -- internals -----------------------------------------------------
@@ -152,8 +157,8 @@ class NativeEngine:
     ) -> GeneralizedRelation:
         """``node`` over ``join``, the join run as :meth:`_exec` would
         run it, unless ``node`` drops every temporal attribute of the
-        join's inputs: then the join stays lazy, built only until the
-        projection is known."""
+        join's inputs and the plan shares no other use of it: then the
+        join stays lazy, built only until the projection is known."""
         names = list(node.names)
         recorder = obs.active_recorder()
         with ExitStack() as stack:
@@ -162,7 +167,11 @@ class NativeEngine:
             )
             r1, r2 = self._pair(join, ctx)
             temporal = {*r1.schema.temporal_names, *r2.schema.temporal_names}
-            if temporal and temporal.isdisjoint(names):
+            if (
+                temporal
+                and temporal.isdisjoint(names)
+                and (ctx.memo is None or id(join) not in ctx.plan.shared)
+            ):
                 lazy = algebra.LazyJoin(r1, r2, condition=join.condition)
             else:
                 lazy = None

@@ -142,6 +142,22 @@ class PlanNode:
         """Total node count of the subtree."""
         return self._size
 
+    @cached_property
+    def shared(self) -> frozenset[int]:
+        """Ids of the nodes this plan reaches along more than one path
+        (``dedup-subtrees`` interns equal subtrees to one object)."""
+        seen: set[int] = set()
+        shared: set[int] = set()
+        stack: list[PlanNode] = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                shared.add(id(node))
+            else:
+                seen.add(id(node))
+                stack.extend(node.children)
+        return frozenset(shared)
+
     # -- provenance labels ---------------------------------------------
 
     def with_labels(self, labels: Labels) -> PlanNode:
@@ -425,7 +441,8 @@ class Literal(PlanNode):
     is excluded from equality/hashing): ``("truth", bool)`` for the
     0-ary truth values, ``("universe", names...)`` / ``("empty",
     names...)`` for per-variable universes and contradictions, and
-    ``("singleton", name, value)`` for one-value data relations.
+    ``("singleton", name, value[, "temporal"])`` for one-value data
+    (or one-point temporal) relations.
     """
 
     op: ClassVar[str] = "literal"
@@ -444,9 +461,9 @@ class Literal(PlanNode):
     ) -> PlanNode:
         if "token" not in fields or self.token[0] != "singleton":
             return super().bind(values, children, fields)
-        _kind, name, value = bind_value(self.token, values)
-        labels = bind_value(self.labels, values)
-        return singleton_literal(name, value).with_labels(labels)
+        _kind, name, value, *temporal = bind_value(self.token, values)
+        literal = singleton_literal(name, value, temporal=bool(temporal))
+        return literal.with_labels(bind_value(self.labels, values))
 
     def detail(self) -> str:
         kind = self.token[0]
@@ -834,10 +851,17 @@ def empty_literal(schema: Schema) -> Literal:
     )
 
 
-def singleton_literal(name: str, value: Hashable) -> Literal:
-    """A one-tuple unary data relation ``{(value)}``."""
+def singleton_literal(
+    name: str, value: Hashable, *, temporal: bool = False
+) -> Literal:
+    """A one-tuple unary data relation ``{(value)}``; with ``temporal``,
+    the point ``LRP.point(value)`` under an unconstrained DBM."""
     from repro.core.tuples import GeneralizedTuple
 
+    if temporal:
+        rel = GeneralizedRelation.empty(Schema.make(temporal=[name]))
+        rel.add(GeneralizedTuple.make([value]))
+        return Literal(token=("singleton", name, value, "temporal"), relation=rel)
     rel = GeneralizedRelation.empty(Schema.make(data=[name]))
     rel.add(GeneralizedTuple.make([], data=(value,)))
     return Literal(token=("singleton", name, value), relation=rel)

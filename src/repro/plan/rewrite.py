@@ -25,8 +25,10 @@ The pipeline, in order:
    sink below temporal selections and renames, so a scan filters on
    the data value before it conjoins any bound;
 4. ``push-projects`` — narrow join/product/union inputs to the
-   attributes the projection keeps plus the join-shared ones; stops at
-   complements, subtractions, intersections and selections;
+   attributes the projection keeps plus the join-shared ones (the parts
+   of a join chain, never an inner join, so the chain stays whole for
+   ``reorder-joins``); stops at complements, subtractions,
+   intersections and selections;
 5. ``collapse-projects`` — normal-form deferral: merge projection
    chains (``π1 ∘ π2 → π1``) and drop identity projections, so
    per-tuple partial normalization runs once per consumer, not once
@@ -55,6 +57,7 @@ read values through the cost model and the structural keys.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import is_not
@@ -122,6 +125,16 @@ def _merge_labels(outer: ir.Labels, inner: ir.PlanNode) -> ir.PlanNode:
     if not outer:
         return inner
     return inner.with_labels(outer + inner.labels)
+
+
+def _chain(node: ir.PlanNode) -> tuple[list[ir.PlanNode], ir.Labels]:
+    """The inputs of a natural-join chain, left to right, and the labels
+    of its joins."""
+    if isinstance(node, ir.Join) and not node.condition:
+        left_parts, left_labels = _chain(node.left)
+        right_parts, right_labels = _chain(node.right)
+        return left_parts + right_parts, node.labels + left_labels + right_labels
+    return [node], ()
 
 
 def _atom_names(atom: Atom) -> set[str]:
@@ -427,22 +440,25 @@ def push_projects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
                 tuple(push(c) for c in rebuilt.children)
             )
         if isinstance(child, ir.Join) and not child.condition:
-            shared = set(child.left.schema.names) & set(
-                child.right.schema.names
-            )
-            wanted = keep | shared
-            need_l = [n for n in child.left.schema.names if n in wanted]
-            need_r = [n for n in child.right.schema.names if n in wanted]
-            if len(need_l) == len(child.left.schema.names) and len(
-                need_r
-            ) == len(child.right.schema.names):
+            # Narrow the parts of the whole join chain, never an inner
+            # join: a projection inside the chain would split it, and
+            # ``reorder-joins`` would no longer see all of its parts.
+            parts, _ = _chain(child)
+            uses = Counter(n for part in parts for n in part.schema.names)
+            wanted = keep | {n for n, count in uses.items() if count > 1}
+            if all(set(part.schema.names) <= wanted for part in parts):
                 return node
-            rebuilt = ir.Join(
-                push(narrow(child.left, need_l)),
-                push(narrow(child.right, need_r)),
-                labels=child.labels,
-            )
-            return ir.Project(rebuilt, node.names, labels=node.labels)
+
+            def rebuild(join: ir.PlanNode) -> ir.PlanNode:
+                if isinstance(join, ir.Join) and not join.condition:
+                    return ir.Join(
+                        rebuild(join.left), rebuild(join.right),
+                        labels=join.labels,
+                    )
+                names = join.schema.names
+                return push(narrow(join, [n for n in names if n in wanted]))
+
+            return ir.Project(rebuild(child), node.names, labels=node.labels)
         if isinstance(child, ir.Product):
             need_l = [n for n in child.left.schema.names if n in keep]
             need_r = [n for n in child.right.schema.names if n in keep]
@@ -512,17 +528,10 @@ def reorder_joins(
     """Greedily reorder natural-join chains by estimated intermediate size."""
     rw = _Rewriter(ir.Join.kind)
 
-    def flatten(node: ir.PlanNode) -> tuple[list[ir.PlanNode], ir.Labels]:
-        if isinstance(node, ir.Join) and not node.condition:
-            left_parts, left_labels = flatten(node.left)
-            right_parts, right_labels = flatten(node.right)
-            return left_parts + right_parts, node.labels + left_labels + right_labels
-        return [node], ()
-
     def reorder(node: ir.PlanNode) -> ir.PlanNode:
         if not isinstance(node, ir.Join) or node.condition:
             return node
-        parts, labels = flatten(node)
+        parts, labels = _chain(node)
         if len(parts) < 3:
             return node
         original = parts[:]

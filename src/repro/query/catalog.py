@@ -7,7 +7,7 @@ database multi-version concurrency control essentially for free:
 
 * a :class:`CatalogVersion` is one committed catalog state, stamped
   with a monotone version token and frozen — its relations are never
-  mutated after construction (commit copies only the relations that
+  mutated after construction (commit installs only the relations that
   changed, so consecutive versions share unchanged relation objects);
 * a :class:`Snapshot` pins one version and evaluates queries against
   it — **lock-free**: pinning is a single pointer read, so readers
@@ -71,7 +71,7 @@ class CatalogVersion:
 
     Treat instances as frozen values: the relation mapping is exposed
     read-only, and the engine never mutates a relation reachable from a
-    committed version (commit installs copies of changed relations).
+    committed version (no writer holds a relation a commit installs).
 
     When a deductive program is installed
     (:meth:`VersionedCatalog.install_program`), the version also
@@ -541,7 +541,14 @@ class VersionedCatalog:
         """
         with self._write_lock:
             previous = self._committed
-            state = self._transact(previous.relations, relations)
+            before = previous.relations
+            state = self._transact(before, relations)
+            if state is not before:
+                # The caller keeps mutating its changed objects.
+                for name, rel in state.items():
+                    theirs = relations.get(name)
+                    if rel is theirs and rel is not before.get(name):
+                        state[name] = rel.copy()
             ((_token, records),) = self._publish(
                 previous, [state], self.view_names
             )
@@ -724,7 +731,8 @@ def _settle(
     """The change rule of every commit: what each relation commits as.
 
     A relation equal (``==``) to its predecessor in ``base`` keeps the
-    predecessor object; any other is committed as a private copy.
+    predecessor object; any other commits as proposed (no writer holds
+    it: :meth:`VersionedCatalog.commit_state` copies its caller's).
     Equal relations may still list their tuples in another order, so
     keeping the predecessor keeps the committed tuple order too.
     """
@@ -732,9 +740,7 @@ def _settle(
     for name, rel in proposed.items():
         old = base.get(name)
         state[name] = (
-            old
-            if old is not None and (old is rel or old == rel)
-            else rel.copy()
+            old if old is not None and (old is rel or old == rel) else rel
         )
     return state
 

@@ -325,6 +325,7 @@ class Evaluator:
         sense: str = "min",
         *,
         slots: int = 0,
+        head: tuple | None = None,
     ) -> CompiledQuery:
         """Lower and rewrite ``query`` once, for repeated :meth:`run` calls.
 
@@ -334,10 +335,12 @@ class Evaluator:
         :class:`~repro.plan.nodes.Optimize` root (``sense`` ``"min"``
         or ``"max"``) above the lowered plan before the rewrite passes
         see it.  ``slots`` counts the slot constants standing for
-        lifted literals in ``query``.
+        lifted literals in ``query``.  A rule ``head`` ``(args,
+        schema)`` becomes the plan's root
+        (:meth:`~repro.query.planner.Planner.plan_rule`).
         """
         optimize = self.optimizing
-        rewritten = _lowered(self.relations, query, objective, sense)
+        rewritten = _lowered(self.relations, query, objective, sense, head)
         COUNTERS["planner.plans"] += 1
         passes, reorders = (), False
         if optimize:
@@ -512,10 +515,11 @@ class Evaluator:
         return result, ctx
 
 
-def _lowered(relations, query: Query, objective, sense: str) -> PlanNode:
-    """``query`` lowered against ``relations``, under an
-    :class:`~repro.plan.nodes.Optimize` root when ``objective`` is set."""
-    plan = Planner(relations).plan_query(query)
+def _lowered(relations, query: Query, objective, sense: str, head=None) -> PlanNode:
+    """``query`` lowered against ``relations`` (under a rule ``head``), under
+    an :class:`~repro.plan.nodes.Optimize` root when ``objective`` is set."""
+    planner = Planner(relations)
+    plan = planner.plan_rule(query, *head) if head else planner.plan_query(query)
     if objective is None:
         return plan
     return _under_objective(plan, objective, sense)

@@ -17,7 +17,7 @@ inward) stack their labels on one node.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from repro.core.errors import EvaluationError, ReproTypeError
 from repro.core.relations import GeneralizedRelation, Schema
@@ -90,6 +90,33 @@ class Planner:
         if names == list(plan.schema.names):
             return plan
         return ir.Project(plan, tuple(names))
+
+    def plan_rule(
+        self, query: Query, args: Sequence, schema: Schema
+    ) -> ir.PlanNode:
+        """Lower a rule body under its head (``args``, each a ``var`` or
+        a ``const``, over ``schema``) in place of :meth:`plan_query`'s
+        column order: a product with a singleton per constant, a
+        projection onto the head's order when needed, and a rename onto
+        ``schema``, always there so a fire returns a relation of its own.
+        """
+        plan = self.lower(query)
+        columns: list[str] = []
+        for i, (arg, attr) in enumerate(zip(args, schema.attributes)):
+            if arg.is_var:
+                columns.append(arg.var)
+                continue
+            column = f"_h{i}"
+            while column in plan.schema.names:
+                column = f"_{column}"
+            plan = ir.Product(
+                plan,
+                singleton_literal(column, arg.const, temporal=attr.temporal),
+            )
+            columns.append(column)
+        if tuple(columns) != plan.schema.names:
+            plan = ir.Project(plan, tuple(columns))
+        return ir.Rename(plan, tuple(zip(columns, schema.names)))
 
     def lower(self, node: Query) -> ir.PlanNode:
         """Lower one AST node to a labeled plan subtree."""

@@ -156,14 +156,6 @@ class Model:
         selected = algebra.select(pair, "t <= u")
         return algebra.project(selected, ["t"])
 
-    def _upward_closure(self, sat_set: GeneralizedRelation) -> GeneralizedRelation:
-        pair = algebra.product(
-            GeneralizedRelation.universe(_T),
-            algebra.rename(sat_set, {"t": "u"}),
-        )
-        selected = algebra.select(pair, "t >= u")
-        return algebra.project(selected, ["t"])
-
     def _until(
         self,
         hold: GeneralizedRelation,

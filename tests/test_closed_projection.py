@@ -285,6 +285,16 @@ JOIN_ASK = (
     '& Train(b, e, "slow") & b >= a + 40 & b <= a + 50'
 )
 
+#: The join body of :data:`JOIN_ASK` twice, once closed and once keeping
+#: ``d``: ``dedup-subtrees`` shares one 4-way join between the two, and
+#: the closed projection is its first use.
+SHARED_JOIN_ASK = (
+    "(EXISTS d. EXISTS a. EXISTS b. EXISTS e. {0}) "
+    "& (EXISTS a. EXISTS b. EXISTS e. {0})"
+).format(
+    'Train(d, a, "fast") & Train(b, e, "slow") & b >= a + 40 & b <= a + 50'
+)
+
 
 class TestExplain:
     def joins(self, report):
@@ -314,6 +324,26 @@ class TestExplain:
             assert sp.attrs["candidates_built"] >= 1
         assert any(sp.name == "algebra.project" for sp in trace.root.walk())
         assert not any(sp.name == "algebra.join" for sp in trace.root.walk())
+
+    def test_shared_join_is_built_once(self, monkeypatch):
+        built = []
+        lazy = algebra.LazyJoin
+
+        class Counting(lazy):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(algebra, "LazyJoin", Counting)
+        report = _trains().explain(SHARED_JOIN_ASK, optimize=True)
+        joins = {id(join): join for join in self.joins(report)}
+        (shared,) = [join for join in joins.values() if join.condition]
+        assert id(shared) in report.plan.shared
+        assert report.annotations[id(shared)] == 1
+        assert "not materialized" not in str(report)
+        # One build per join node: the shared join is built once, in
+        # full, and its second use reads the memo.
+        assert len(built) == len(joins) == 2
 
     def test_naive_plan_materializes(self):
         report = _trains().explain(JOIN_ASK, optimize=False)

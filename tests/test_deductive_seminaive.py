@@ -20,10 +20,11 @@ from repro.core.errors import EvaluationError
 from repro.deductive import Program
 from repro.deductive.incremental import (
     DIRTY,
+    RuleBodies,
     delta_name,
-    differentiate,
     occurrences,
 )
+from repro.deductive.rules import Rule
 from repro.deductive.scenarios import (
     EDGE_SCHEMA,
     edge_batches,
@@ -124,10 +125,20 @@ class TestStrategyEquivalence:
 
 
 class TestDifferentiation:
-    SCHEMAS = {
-        "P": None,
-        "Q": None,
-    }
+    """Delta bodies as :class:`RuleBodies` builds them for ``H(t)``."""
+
+    def _deltas(self, text: str, changing):
+        """The delta body queries of ``H(t) <- text``, or ``None``."""
+        from repro.core.relations import Schema
+
+        schema = Schema.make(temporal=["t"])
+        rule = Rule.parse(f"H(t) <- {text}")
+        rule.bind({"P": schema, "Q": schema, "H": schema})
+        bodies = RuleBodies()
+        positions = bodies.delta_occurrences(rule, changing)
+        if positions is None:
+            return None
+        return [bodies._body(rule, p).query for p in positions]
 
     def _body(self, text: str):
         from repro.core.relations import Schema
@@ -139,13 +150,11 @@ class TestDifferentiation:
         return parse_query(text, schemas)
 
     def test_one_delta_query_per_positive_occurrence(self):
-        body = self._body("P(t) & Q(t)")
-        deltas = differentiate(body, {"P": object(), "Q": object()})
+        deltas = self._deltas("P(t) & Q(t)", {"P": object(), "Q": object()})
         assert deltas is not None and len(deltas) == 2
 
     def test_substitution_redirects_one_atom(self):
-        body = self._body("P(t) & P(t)")
-        deltas = differentiate(body, {"P": object()})
+        deltas = self._deltas("P(t) & P(t)", {"P": object()})
         assert len(deltas) == 2
         for query in deltas:
             names = [occ.name for occ in occurrences(query)]
@@ -153,23 +162,18 @@ class TestDifferentiation:
             assert names.count("P") == 1
 
     def test_negated_occurrence_not_differentiated(self):
-        body = self._body("P(t) & ~Q(t)")
-        deltas = differentiate(body, {"Q": object()})
-        assert deltas == []
+        assert self._deltas("P(t) & ~Q(t)", {"Q": object()}) == []
 
     def test_brittle_positive_occurrence_forces_fallback(self):
         # A positive occurrence under double negation distributes over
         # neither unions nor deltas: the whole body must be re-run.
-        body = self._body("P(t) & ~(~Q(t))")
-        assert differentiate(body, {"Q": object()}) is None
+        assert self._deltas("P(t) & ~(~Q(t))", {"Q": object()}) is None
 
     def test_forall_is_brittle(self):
-        body = self._body("FORALL s. (Q(s) | P(t))")
-        assert differentiate(body, {"Q": object()}) is None
+        assert self._deltas("FORALL s. (Q(s) | P(t))", {"Q": object()}) is None
 
     def test_untouched_body_is_skippable(self):
-        body = self._body("P(t)")
-        assert differentiate(body, {"Q": object()}) == []
+        assert self._deltas("P(t)", {"Q": object()}) == []
 
     def test_occurrence_polarity(self):
         body = self._body("P(t) & ~Q(t)")

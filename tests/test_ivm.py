@@ -506,6 +506,44 @@ class TestFuzzIvmLeg:
         assert result.status == "divergent", result.summary()
         assert [d.kind for d in result.divergences] == ["durable"]
 
+    def test_durable_step_reports_a_replay_that_ignores_marker_names(
+        self, monkeypatch
+    ):
+        from repro.storage import engine
+
+        restore = engine._restore_order
+
+        def ignoring_markers(payloads, names, where):
+            if not where.startswith("txn"):
+                restore(payloads, names, where)
+
+        monkeypatch.setattr(engine, "_restore_order", ignoring_markers)
+        result = run_ivm_case(0)
+        assert result.status == "divergent", result.summary()
+        (divergence,) = result.divergences
+        assert divergence.kind == "durable"
+        assert "lists relations" in divergence.detail
+
+    def test_shaped_view_is_compared_with_the_naive_fixpoint(
+        self, monkeypatch
+    ):
+        from repro.deductive.incremental import RuleBodies
+
+        run = RuleBodies.run
+
+        def dropping_hop(store, rule, *args, **kwargs):
+            result = run(store, rule, *args, **kwargs)
+            if rule.head_name == "Hop":
+                return GeneralizedRelation.empty(result.schema)
+            return result
+
+        monkeypatch.setattr(RuleBodies, "run", dropping_hop)
+        result = run_ivm_case(0)
+        assert result.status == "divergent", result.summary()
+        (divergence,) = result.divergences
+        assert divergence.kind == "ivm"
+        assert "view 'Hop'" in divergence.detail
+
     def test_cli_flag_runs_ivm_cases(self, capsys):
         from repro.fuzz.cli import fuzz_main
 

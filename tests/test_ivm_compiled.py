@@ -7,12 +7,14 @@ A :class:`~repro.deductive.incremental.ViewMaintainer` compiles each
 fire when the body has a join chain they could reorder.  These tests pin that contract:
 
 * at every fire the executed plan's key equals a fresh
-  ``Planner.plan_query`` (+ ``optimize_plan``) on the same relations;
+  ``Planner.plan_rule`` (+ ``optimize_plan``) on the same relations:
+  the body lowered under its rule head as the plan's root;
 * views are tuple-identical (lrps, DBM, data, order) to per-fire
   lowering, with the optimizer on and off;
-* ``Planner.plan_query`` runs at most once per distinct body;
+* ``Planner.plan_rule`` runs at most once per distinct body;
 * flipping ``optimize`` between commits runs the matching plan, and a
-  body that lowers to a bare literal never leaks its literal relation.
+  body that lowers to a bare literal (under its head's rename) never
+  leaks its literal relation.
 """
 
 from __future__ import annotations
@@ -39,11 +41,23 @@ from repro.query.planner import Planner
 
 #: A recursive rule whose body is a chain of three positive atoms (no
 #: selection or projection between them), so ``reorder-joins`` decides
-#: per fire from the current delta sizes.
+#: per fire from the current delta sizes.  The head drops ``y``, which
+#: links two parts of the chain: its projection stays above the chain.
 THREE_ATOM = (
     "declare Walk(t:T, src:D, dst:D)\n"
     "Walk(t, x, y) <- Edge(t, x, y)\n"
     "Walk(t, x, z) <- Walk(t, x, y) & Edge(t, y, z) & Mark(t, z)\n"
+)
+
+#: The same ``Walk`` through ``Step``, whose head keeps every body
+#: variable in the body's column order: its plan is the bare chain
+#: under the head's rename.
+THREE_ATOM_STEP = (
+    "declare Walk(t:T, src:D, dst:D)\n"
+    "declare Step(t:T, src:D, via:D, dst:D)\n"
+    "Walk(t, x, y) <- Edge(t, x, y)\n"
+    "Step(t, x, y, z) <- Walk(t, x, y) & Edge(t, y, z) & Mark(t, z)\n"
+    "Walk(t, x, z) <- EXISTS y. Step(t, x, y, z)\n"
 )
 
 
@@ -53,7 +67,9 @@ def rows(rel: GeneralizedRelation) -> list[tuple]:
 
 
 class FireSpy:
-    """Records every compiled fire: executed vs freshly planned keys."""
+    """Records every fire of a rule-body store: executed vs freshly
+    planned keys (fires of the naive oracle, which keeps no store, run
+    unrecorded)."""
 
     def __init__(self, monkeypatch) -> None:
         self.fires: list[tuple[tuple, tuple]] = []
@@ -61,27 +77,32 @@ class FireSpy:
         self.bodies: set[tuple] = set()
         self.planner_calls = 0
         self._fresh = False
+        self._head: tuple | None = None
         self._executed: list[ir.PlanNode] = []
         spy = self
-        plan_query = Planner.plan_query
+        plan_rule = Planner.plan_rule
         engine_run = NativeEngine.run
         evaluator_run = Evaluator.run
         bodies_run = RuleBodies.run
 
-        def counting_plan_query(planner, query):
+        def counting_plan_rule(planner, query, args, schema):
             if not spy._fresh:
                 spy.planner_calls += 1
-            return plan_query(planner, query)
+            return plan_rule(planner, query, args, schema)
 
         def recording_engine_run(engine, plan, ctx):
             spy._executed.append(plan)
             return engine_run(engine, plan, ctx)
 
         def checked_run(evaluator, compiled):
+            if spy._head is None:
+                return evaluator_run(evaluator, compiled)
             spy.compiled.append(compiled)
             spy._fresh = True
             try:
-                want = Planner(evaluator.relations).plan_query(compiled.query)
+                want = Planner(evaluator.relations).plan_rule(
+                    compiled.query, *spy._head
+                )
                 if compiled.optimize:
                     domain = evaluator.data_domain | compiled.constants
                     want, _ = optimize_plan(
@@ -97,21 +118,31 @@ class FireSpy:
             spy.fires.append((executed.key(), want.key()))
             return result
 
-        def recording_bodies_run(store, rule, occurrence, *args, **kwargs):
+        def recording_bodies_run(
+            store, rule, occurrence, relations, head_schema, **kwargs
+        ):
             spy.bodies.add((id(rule), occurrence))
-            return bodies_run(store, rule, occurrence, *args, **kwargs)
+            spy._head = (rule.head_args, head_schema)
+            try:
+                return bodies_run(
+                    store, rule, occurrence, relations, head_schema, **kwargs
+                )
+            finally:
+                spy._head = None
 
-        monkeypatch.setattr(Planner, "plan_query", counting_plan_query)
+        monkeypatch.setattr(Planner, "plan_rule", counting_plan_rule)
         monkeypatch.setattr(NativeEngine, "run", recording_engine_run)
         monkeypatch.setattr(Evaluator, "run", checked_run)
         monkeypatch.setattr(RuleBodies, "run", recording_bodies_run)
 
 
 def per_fire_lowering(monkeypatch) -> None:
-    """Make every compiled fire re-plan its query, as before compiling."""
+    """Make every fire re-plan its rule, as before compiling: each runs
+    with an empty plan store."""
+    run = RuleBodies.run
     monkeypatch.setattr(
-        Evaluator, "run", lambda evaluator, compiled: evaluator.evaluate(
-            compiled.query
+        RuleBodies, "run", lambda _store, *args, **kwargs: run(
+            RuleBodies(), *args, **kwargs
         )
     )
 
@@ -140,6 +171,8 @@ STREAMS = [
     ("reach", lambda: reachability_program(4), None, (5, 5, 3, 11)),
     ("reach-wide", lambda: reachability_program(6), None, (4, 4, 2, 5)),
     ("three-atom", lambda: Program.from_text(THREE_ATOM), MARKS, (5, 5, 3, 3)),
+    ("three-atom-step", lambda: Program.from_text(THREE_ATOM_STEP), MARKS,
+     (5, 5, 3, 3)),
 ]
 
 
@@ -280,11 +313,14 @@ class TestStaleness:
         with Database.open(tmp_path / "db") as db:
             db.create("Edge", temporal=["t"], data=["src", "dst"])
             db.install_program(program)
-            (literal,) = [
+            # The head's rename is the root, over the body's literal.
+            (root,) = [
                 c.rewritten
                 for c in spy.compiled
-                if isinstance(c.rewritten, ir.Literal)
+                if isinstance(c.rewritten, ir.Rename)
+                and isinstance(c.rewritten.child, ir.Literal)
             ]
+            literal = root.child
             pristine = rows(literal.relation)
             tags.append(rows(db.relation("Tag")))
             for index, batch in enumerate(batches):
@@ -296,7 +332,7 @@ class TestStaleness:
                 tags.append(rows(db.relation("Tag")))
                 assert db.relation("Tag") is not literal.relation
                 assert rows(literal.relation) == pristine
-        fired = [c for c in spy.compiled if c.rewritten is literal]
+        fired = [c for c in spy.compiled if c.rewritten is root]
         assert len(fired) > 2
         assert all(tag == tags[0] for tag in tags)
         ((_lrps, _dbm, data),) = tags[0]

@@ -314,3 +314,48 @@ class TestVersionTokens:
         assert len(base["Ev"]) == 0
         assert len(out["Ev"]) == 1
         assert out["Ev"] is not base["Ev"]
+
+
+class TestCommitCopies:
+    """A commit copies a relation only where a writer still holds it."""
+
+    @staticmethod
+    def _counting(monkeypatch) -> list:
+        copies = []
+        copy = GeneralizedRelation.copy
+
+        def counting(relation):
+            copies.append(relation)
+            return copy(relation)
+
+        monkeypatch.setattr(GeneralizedRelation, "copy", counting)
+        return copies
+
+    def test_one_copy_per_changed_relation_per_commit(self, monkeypatch):
+        copies = self._counting(monkeypatch)
+        core = VersionedCatalog()
+        core.commit_mutations([[_create("Ev")]])
+        for offset in range(5):
+            (result,) = core.commit_mutations([[_insert("Ev", offset)]])
+            assert result.ok
+        # The create commits its fresh relation; each insert copies
+        # once, in apply_mutations, and the commit copies nothing more.
+        assert len(copies) == 5
+        assert len(core.current().relation("Ev")) == 5
+
+    def test_commit_state_copies_only_the_changed_working_object(
+        self, monkeypatch
+    ):
+        schema = Schema.make(("t",), ())
+        core = VersionedCatalog()
+        kept = GeneralizedRelation.empty(schema)
+        core.commit_state({"A": kept, "B": GeneralizedRelation.empty(schema)})
+        working = dict(core.current().relations)
+        working["B"] = working["B"].copy()
+        working["B"].add_tuple(["3 + 7n"], "t >= 0", [])
+        copies = self._counting(monkeypatch)
+        version, records = core.commit_state(working)
+        assert records == 1
+        assert copies == [working["B"]]
+        assert version.relation("A") is working["A"]
+        assert version.relation("B") is not working["B"]

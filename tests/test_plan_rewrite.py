@@ -130,6 +130,20 @@ class TestProjectionPasses:
         # Right side narrowed to the shared attribute only.
         assert join.right.schema.names == ("y",)
 
+    def test_push_project_keeps_a_join_chain_whole(self):
+        # ``y`` links A and B only; ``w`` is read by C alone.
+        a = scan("A", Schema.make(temporal=["x", "y"]))
+        b = scan("B", Schema.make(temporal=["y", "z"]))
+        c = scan("C", Schema.make(temporal=["z", "w"]))
+        tree = ir.Project(ir.Join(ir.Join(a, b), c), ("x", "z"))
+        pushed, count = push_projects(tree)
+        assert count == 1
+        chain = pushed.child
+        assert has_join_chain(chain)
+        assert chain.left == ir.Join(a, b)
+        assert chain.right == ir.Project(c, ("z",))
+        assert pushed.names == ("x", "z")
+
     def test_push_project_stops_at_subtract(self):
         tree = ir.Project(ir.Subtract(scan("A"), scan("B")), ("t1",))
         pushed, count = push_projects(tree)
