@@ -80,7 +80,7 @@ def _traced(op_name: str):
     counts, the result's schema width and, for an operation that paired
     tuples (:func:`_pairs`), ``pairs_examined``, the span's own
     ``perf.pair_candidates`` delta; the optimization layer's counter
-    deltas (prefilter rejections, plan memo hits, kernel closures)
+    deltas (prefilter rejections, kernel closures)
     observed during the span are attached automatically.
     """
 
@@ -720,24 +720,11 @@ def _project_plan(
 ) -> _ProjectPlan | None:
     """Compute one tuple's cluster, split and bound partition.
 
-    Plans depend only on the tuple (immutable after construction) and
-    the projection arguments, so they are memoized on the tuple itself
-    — like the canonical/semantic key memos — and repeated projections
-    over a stored relation skip the replan.  The split is tested
-    against ``rows``, the tuple's closure: a tuple whose cluster lrps
-    cannot meet its closed windows gets no plan (``None``), and the
-    split routine counts it as it counts every caller's.
+    The split is tested against ``rows``, the tuple's closure: a tuple
+    whose cluster lrps cannot meet its closed windows gets no plan
+    (``None``), and the split routine counts it as it counts every
+    caller's.
     """
-    memo_key = (tuple(keep), tuple(dropped), max_tuples)
-    memo = gtuple._plans
-    if memo is not None:
-        plan = memo.get(memo_key)
-        if plan is not None:
-            # The blow-up still happens downstream on every run.
-            if not plan.split.reuse(rows):
-                return None
-            COUNTERS["perf.plan_memo_hits"] += 1
-            return plan
     cluster = _constraint_cluster(gtuple, dropped)
     cluster_order = sorted(cluster)
     # Period of the cluster only.
@@ -793,9 +780,6 @@ def _project_plan(
         if any(gtuple.lrps[i].period == 0 for i in cluster_order)
         else kernel.bounds_template(split.entries, len(cluster_order) + 1)
     )
-    if memo is None:
-        memo = gtuple._plans = {}
-    memo[memo_key] = plan
     return plan
 
 
@@ -963,7 +947,6 @@ def _assemble_projected(
     out.data = data
     out._key = None
     out._skey = None
-    out._plans = None
     return out
 
 

@@ -156,19 +156,14 @@ class SplitPlan:
     is the size of their product.  ``entries`` holds every written
     X-space bound that touches a split attribute as ``(row_i, row_j,
     b)``: row 0 is the zero variable and ``attrs[d]`` is row ``d + 1``.
-    ``feasible`` is ``None`` until :meth:`combos` has pruned the product
-    against the tuple's closure, then ``(combos, excluded)``; the
-    tuple's closure never changes, so a memoized plan keeps it.
     """
 
     __slots__ = (
-        "lrps",
         "attrs",
         "periods",
         "choices",
         "size",
         "entries",
-        "feasible",
     )
 
     def combos(self, rows: tuple | None = None) -> list[tuple[LRP, ...]]:
@@ -178,35 +173,14 @@ class SplitPlan:
         meet its closed windows (:func:`_feasible_combos`); each combo
         left out adds one to ``perf.prefilter_residue_skip``.  ``rows``
         must belong to a tuple that passed the residue test of
-        :func:`split` (or :meth:`reuse`): a product of one combo is then
-        the tuple's own lrps, already tested.
+        :func:`split`: a product of one combo is then the tuple's own
+        lrps, already tested.
         """
-        if rows is None:
+        if rows is None or self.size == 1:
             return list(itertools.product(*self.choices))
-        if self.feasible is None:
-            if self.size == 1:
-                self.feasible = ([tuple([lrp for (lrp,) in self.choices])], 0)
-            else:
-                self.feasible = _feasible_combos(
-                    self.attrs, self.choices, rows
-                )
-        combos, excluded = self.feasible
+        combos, excluded = _feasible_combos(self.attrs, self.choices, rows)
         COUNTERS["perf.prefilter_residue_skip"] += excluded
         return combos
-
-    def reuse(self, rows: tuple) -> bool:
-        """Count one more run of a memoized plan as :func:`split` counts
-        a new one; ``False`` when its tuple fails the residue test.
-
-        A plan already pruned against ``rows`` passed the test before.
-        """
-        if self.feasible is None and not prefilter.residues_meet(
-            self.lrps, rows, self.attrs
-        ):
-            COUNTERS["perf.prefilter_residue_skip"] += self.size
-            return False
-        COUNTERS["perf.normalize_expansion"] += self.size
-        return True
 
 
 def split(
@@ -247,7 +221,6 @@ def split(
         )
     COUNTERS["perf.normalize_expansion"] += size
     plan = SplitPlan()
-    plan.lrps = lrps
     plan.attrs = attrs
     plan.periods = periods
     # An lrp whose period already equals its target splits into itself.
@@ -267,7 +240,6 @@ def split(
         for j, bound in enumerate(row):
             if bound is not None and i != j and (ti or row_of[j]):
                 entries.append((ti, row_of[j], bound))
-    plan.feasible = None
     return plan
 
 

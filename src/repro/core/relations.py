@@ -226,6 +226,26 @@ class GeneralizedRelation:
         out._keys = set(self._keys)
         return out
 
+    def appended_since(
+        self, older: GeneralizedRelation
+    ) -> list[GeneralizedTuple] | None:
+        """The tuples appended to ``older`` to make this relation.
+
+        :meth:`add` only appends, so when both share a schema and
+        ``older``'s tuple list is an identity prefix of this one's (a
+        :meth:`copy` of ``older`` that was only added to), this
+        relation is exactly ``older`` plus the returned suffix.  Any
+        other pair gives ``None``.
+        """
+        mine, theirs = self._tuples, older._tuples
+        if (
+            self.schema != older.schema
+            or len(theirs) > len(mine)
+            or any(a is not b for a, b in zip(theirs, mine))
+        ):
+            return None
+        return mine[len(theirs):]
+
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------

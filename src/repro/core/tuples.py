@@ -32,11 +32,6 @@ class GeneralizedTuple:
     data: tuple[Hashable, ...] = ()
     _key: tuple | None = field(default=None, repr=False, compare=False)
     _skey: tuple | None = field(default=None, repr=False, compare=False)
-    #: Projection plans memoized per (keep, dropped, limit), like the
-    #: key memos above: tuples (and their DBMs) are never mutated after
-    #: construction, so derived artifacts may live on the object.  Read
-    #: and written only when the optimization layer's caches are on.
-    _plans: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.lrps = tuple(self.lrps)

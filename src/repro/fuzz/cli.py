@@ -29,6 +29,7 @@ from repro.fuzz.case import Case, load_case
 from repro.fuzz.diff import DEFAULT_CONFIG, STATUSES, CaseResult, run_case
 from repro.fuzz.gen import DEFAULT_PROFILE, case_seed, generate_case
 from repro.fuzz.shrink import same_failure, shrink_case
+from repro.obs.metrics import COUNTERS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,6 +142,7 @@ def fuzz_main(argv: list[str] | None = None) -> int:
     failures = 0
     ran = 0
     truncated = False
+    adds_before = COUNTERS["storage.recovery.adds_replayed"]
     try:
         for label, case in _iter_cases(args):
             if deadline is not None and time.monotonic() > deadline:
@@ -180,6 +182,9 @@ def fuzz_main(argv: list[str] | None = None) -> int:
             recorder_cm.__exit__(None, None, None)
     summary = "  ".join(f"{status}={counts[status]}" for status in STATUSES)
     print(f"{ran} case(s): {summary}", file=out)
+    if args.ivm:
+        adds = COUNTERS["storage.recovery.adds_replayed"] - adds_before
+        print(f"ivm: {adds} add record(s) replayed on reopen", file=out)
     if truncated:
         print(
             f"time limit reached after {ran} case(s); run truncated",

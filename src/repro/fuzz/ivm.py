@@ -43,7 +43,9 @@ Every case also streams the same batches through a durable catalog on
 a :class:`~repro.storage.engine.StorageEngine` in a temporary
 directory.  After a seeded batch that store is compacted, closed and
 reopened, and the program installed again adopts the stored views;
-after the last batch it is reopened once more, replaying the WAL.  The
+after the last batch it is reopened once more, replaying the WAL,
+whose insert batches and view refreshes are tuple-level ``add``
+records (counted in ``storage.recovery.adds_replayed``).  The
 reopened catalog must equal the diskless one in relation names, in
 order, and in each relation's canonical tuple keys, in tuple order: a
 difference is a divergence of kind ``"durable"``.  One seeded batch

@@ -4,7 +4,7 @@ A *span* is one timed step of engine work — an algebra operation, a
 query-plan node — annotated with structural cost attributes (input and
 output tuple counts, pairwise combinations examined, normalization
 expansions) and with the counters that moved while the span was open
-(prefilter rejections, plan memo hits), under their store names.  Spans nest:
+(prefilter rejections, closures), under their store names.  Spans nest:
 evaluating ``Even(t) & t >= 0`` produces a ``query.join`` span whose
 children are the ``query.scan`` / ``query.compare`` plan nodes, each
 wrapping the ``algebra.*`` spans that did the work.

@@ -11,9 +11,8 @@ Two optimizations (see ``docs/performance.md``):
    Floyd–Warshall sweep (:mod:`repro.perf.kernel`); backend selected via
    ``REPRO_KERNEL`` with a graceful pure-Python fallback.
 
-Three always-on shortcuts need no switch: a tuple with no written bound
+Two always-on shortcuts need no switch: a tuple with no written bound
 is decided nonempty without normalizing (:mod:`repro.core.emptiness`),
-each tuple memoizes its projection plans (``GeneralizedTuple._plans``),
 and ``select`` conjoins a condition into a tuple's carried closure with
 one O(n²) sweep per bound (:meth:`repro.core.dbm.DBM.conjoin_closed`).
 

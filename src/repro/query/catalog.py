@@ -340,25 +340,10 @@ def _insert_into(
             tuple(mutation.get("data") or ()),
         )
         return
-    from repro.core.dbm import DBM
-    from repro.core.lrp import LRP
-    from repro.core.tuples import GeneralizedTuple
+    from repro.storage import jsonio
 
     try:
-        lrps = tuple(
-            LRP.make(offset, period) for offset, period in entry["lrps"]
-        )
-        dbm = DBM(len(lrps))
-        for i, j, bound in entry.get("bounds") or ():
-            if i >= 0 and j >= 0:
-                dbm.add_difference(i, j, bound)
-            elif j < 0:
-                dbm.add_upper(i, bound)
-            else:
-                dbm.add_lower(j, -bound)
-        gtuple = GeneralizedTuple(
-            lrps=lrps, dbm=dbm, data=tuple(entry.get("data") or ())
-        )
+        gtuple = jsonio.tuple_from_dict(entry)
     except (KeyError, TypeError, ValueError) as exc:
         raise ReproTypeError(
             f"malformed tuple entry in insert mutation: {exc}"
@@ -781,12 +766,9 @@ def _input_deltas(
         if old.schema != new.schema:
             deltas[name] = DIRTY
             continue
-        old_tuples, new_tuples = old.tuples, new.tuples
-        prefix = len(old_tuples)
-        if prefix <= len(new_tuples) and all(
-            a is b for a, b in zip(old_tuples, new_tuples)
-        ):
-            added = GeneralizedRelation(new.schema, new_tuples[prefix:])
+        suffix = new.appended_since(old)
+        if suffix is not None:
+            added = GeneralizedRelation(new.schema, suffix)
         else:
             removed = algebra.subtract(old, new)
             if not removed.is_empty():

@@ -519,15 +519,10 @@ class Database:
 def _tuple_entry(value) -> dict:
     """Normalize one :meth:`Database.append_stream` item to a jsonio entry."""
     from repro.core.tuples import GeneralizedTuple
+    from repro.storage import jsonio
 
     if isinstance(value, GeneralizedTuple):
-        return {
-            "lrps": [[lrp.offset, lrp.period] for lrp in value.lrps],
-            "bounds": [
-                [i, j, bound] for i, j, bound in value.dbm.iter_bounds()
-            ],
-            "data": list(value.data),
-        }
+        return jsonio.tuple_to_dict(value)
     if isinstance(value, dict):
         return value
     raise ReproTypeError(

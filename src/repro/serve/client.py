@@ -398,18 +398,7 @@ def _tuple_entries(tuples) -> list[dict]:
     entries: list[dict] = []
     for value in tuples:
         if isinstance(value, GeneralizedTuple):
-            entries.append(
-                {
-                    "lrps": [
-                        [lrp.offset, lrp.period] for lrp in value.lrps
-                    ],
-                    "bounds": [
-                        [i, j, bound]
-                        for i, j, bound in value.dbm.iter_bounds()
-                    ],
-                    "data": list(value.data),
-                }
-            )
+            entries.append(jsonio.tuple_to_dict(value))
         elif isinstance(value, dict):
             entries.append(value)
         else:

@@ -20,6 +20,11 @@ Logical WAL records (physical framing in :mod:`repro.storage.wal`):
 
 * ``{"lsn", "txn", "op": "put",  "name", "relation"}`` — create or
   replace one relation (payload via :mod:`repro.storage.jsonio`);
+* ``{"lsn", "txn", "op": "add",  "name", "tuples"}`` — append tuples
+  to one relation (entries encoded as a ``put`` payload's); replay
+  extends the replayed payload's tuple list, and an ``add`` to a
+  relation the replayed state lacks is a
+  :class:`~repro.core.errors.RecoveryError`;
 * ``{"lsn", "txn", "op": "drop", "name"}`` — remove one relation;
 * ``{"lsn", "txn", "op": "commit", "ops": k[, "names"]}`` —
   transaction commit marker; a transaction's records only take effect
@@ -29,14 +34,20 @@ Logical WAL records (physical framing in :mod:`repro.storage.wal`):
 Commit protocol (:meth:`StorageEngine.commit_many`): the transactional
 core (:mod:`repro.query.catalog`) decides what each transaction
 changed, once, by its change rule, and hands over each settled state
-with its change set.  The engine appends one ``put`` per changed name
+with its change set.  The engine appends one record per changed name
 and one ``drop`` per name the state lost, then the commit marker, and
 keeps no diff or copy of its own: a published state is never mutated
-again, so the engine's committed catalog is that state itself.  Replay
-keeps the predecessor's name order without the dropped names and
-appends new names in ``put`` order; when a state's order differs from
-that (a relation dropped and created again in one transaction moves
-to the end), its marker records the order.  Recovery
+again, so the engine's committed catalog is that state itself.  A
+changed name is an ``add`` of the appended tuples when its
+predecessor has the same schema and a tuple list that is an identity
+prefix of the new one (:meth:`GeneralizedRelation.add
+<repro.core.relations.GeneralizedRelation.add>` only appends), and a
+``put`` of the whole relation otherwise, so an append costs the log
+the change and not the relation.  Replay keeps the predecessor's name
+order without the dropped names and appends new names in record
+order; when a state's order differs from that (a relation dropped and
+created again in one transaction moves to the end), its marker
+records the order.  Recovery
 (:meth:`StorageEngine.open`) loads the manifest's snapshot, replays
 every *committed* transaction whose LSNs exceed the snapshot's, and
 truncates any torn tail — so a crash anywhere inside commit leaves
@@ -118,16 +129,16 @@ def _fsync_dir(path: str) -> None:
 
 
 def _replay_order(
-    before: Mapping[str, Any], after: Mapping[str, Any], puts: list[str]
+    before: Mapping[str, Any], after: Mapping[str, Any], writes: list[str]
 ) -> list[str]:
     """The name order replay rebuilds for one transaction's records.
 
     Replay keeps the predecessor's order without the dropped names and
-    appends each new name in ``put`` order; a ``put`` of a name the
-    predecessor had keeps its slot.
+    appends each new name in ``writes`` order (its ``put`` records); a
+    ``put`` or ``add`` of a name the predecessor had keeps its slot.
     """
     order = [name for name in before if name in after]
-    order.extend(name for name in puts if name not in before)
+    order.extend(name for name in writes if name not in before)
     return order
 
 
@@ -155,6 +166,41 @@ def _restore_order(
         )
     payloads.clear()
     payloads.update(ordered)
+
+
+def _change_record(
+    old: GeneralizedRelation | None, new: GeneralizedRelation
+) -> dict[str, Any]:
+    """The ``op`` and payload that write ``new`` over ``old``.
+
+    ``add`` carries only the tuples appended since ``old``
+    (:meth:`~repro.core.relations.GeneralizedRelation.appended_since`),
+    which is exact because a published state is never mutated; any
+    other change — create, replace, retraction, schema change — is a
+    ``put`` of the whole relation.
+    """
+    added = None if old is None else new.appended_since(old)
+    if added is None:
+        return {"op": "put", "relation": jsonio.relation_to_dict(new)}
+    return {"op": "add", "tuples": jsonio.tuples_to_list(added)}
+
+
+def _extend(payloads: dict[str, Any], record: dict[str, Any]) -> None:
+    """Apply a committed ``add`` record: append its tuple entries to the
+    replayed payload of the relation it names, which must exist."""
+    name, txn = record["name"], record["txn"]
+    payload = payloads.get(name)
+    if payload is None:
+        raise RecoveryError(
+            f"txn {txn} adds tuples to relation {name!r}, which the "
+            "replayed state lacks"
+        )
+    try:
+        payload["tuples"].extend(record["tuples"])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise RecoveryError(
+            f"txn {txn} adds tuples to relation {name!r}: {exc}"
+        ) from exc
 
 
 class StorageEngine:
@@ -364,7 +410,7 @@ class StorageEngine:
             snapshot = self._read_framed_file(snapshot_path, "snapshot")
             payloads.update(snapshot.get("relations", {}))
             _restore_order(payloads, snapshot.get("names"), "snapshot")
-        replayed, discarded = self._replay_wal(payloads)
+        replayed, adds, discarded = self._replay_wal(payloads)
         relations = {}
         for name, payload in payloads.items():
             try:
@@ -376,6 +422,7 @@ class StorageEngine:
         self.relations = relations
         self._cleanup_snapshots()
         COUNTERS["storage.recovery.records_replayed"] += replayed
+        COUNTERS["storage.recovery.adds_replayed"] += adds
         COUNTERS["storage.recovery.txns_discarded"] += discarded
 
     def _read_framed_file(self, path: str, what: str) -> dict[str, Any]:
@@ -396,7 +443,8 @@ class StorageEngine:
     def _replay_wal(self, payloads: dict[str, dict]) -> tuple[int, int]:
         """Apply committed WAL transactions onto ``payloads`` in place.
 
-        Returns ``(records_replayed, txns_discarded)``.  Truncates a
+        Returns ``(records_replayed, adds_replayed, txns_discarded)``.
+        Truncates a
         torn tail so the next append starts from a clean record
         boundary.
         """
@@ -410,7 +458,7 @@ class StorageEngine:
                 handle.truncate(scan.valid_bytes)
             _fsync_dir(self.root)
         pending: dict[int, list[dict]] = {}
-        replayed = 0
+        replayed = adds = 0
         max_lsn = self._snapshot_lsn
         max_txn = 0
         for record in scan.records:
@@ -426,19 +474,23 @@ class StorageEngine:
                 continue  # already folded into the snapshot
             if op == "commit":
                 for applied in pending.pop(txn, []):
-                    if applied["op"] == "put":
-                        payloads[applied["name"]] = applied["relation"]
+                    kind, name = applied["op"], applied["name"]
+                    if kind == "put":
+                        payloads[name] = applied["relation"]
+                    elif kind == "add":
+                        _extend(payloads, applied)
+                        adds += 1
                     else:
-                        payloads.pop(applied["name"], None)
+                        payloads.pop(name, None)
                     replayed += 1
                 _restore_order(payloads, record.get("names"), f"txn {txn}")
-            elif op in ("put", "drop"):
+            elif op in ("put", "add", "drop"):
                 pending.setdefault(txn, []).append(record)
             else:
                 raise RecoveryError(f"unknown WAL op {op!r}")
         self._next_lsn = max_lsn + 1
         self._next_txn = max_txn + 1
-        return replayed, len(pending)
+        return replayed, adds, len(pending)
 
     def _cleanup_snapshots(self) -> None:
         """Drop temp files and snapshots the manifest no longer names."""
@@ -468,8 +520,9 @@ class StorageEngine:
         relations of ``states[i]`` that are new or differ from its
         predecessor — the change sets the transactional core settled
         (:mod:`repro.query.catalog`).  Each state is appended as its
-        own transaction: one ``put`` per changed name, one ``drop`` per
-        name the state lost, then a commit marker, which also carries
+        own transaction: one ``add`` or ``put`` per changed name
+        (:func:`_change_record`), one ``drop`` per name the state lost,
+        then a commit marker, which also carries
         the state's name order (``"names"``) when replay would not
         rebuild it.  The whole batch is made durable by a *single*
         fsync at the end.  A published state is never mutated again,
@@ -491,18 +544,15 @@ class StorageEngine:
         try:
             for relations, names in zip(states, changed):
                 txn = self._next_txn
-                puts = [name for name in relations if name in names]
+                writes = [name for name in relations if name in names]
                 drops = [name for name in before if name not in relations]
-                for name in puts:
+                for name in writes:
                     bytes_appended += self._append(
                         {
                             "lsn": self._next_lsn,
                             "txn": txn,
-                            "op": "put",
                             "name": name,
-                            "relation": jsonio.relation_to_dict(
-                                relations[name]
-                            ),
+                            **_change_record(before.get(name), relations[name]),
                         }
                     )
                 for name in drops:
@@ -518,16 +568,16 @@ class StorageEngine:
                     "lsn": self._next_lsn,
                     "txn": txn,
                     "op": "commit",
-                    "ops": len(puts) + len(drops),
+                    "ops": len(writes) + len(drops),
                 }
                 order = list(relations)
-                if order != _replay_order(before, relations, puts):
+                if order != _replay_order(before, relations, writes):
                     marker["names"] = order
                 faults.fire("wal.commit")
                 bytes_appended += self._append(marker)
                 self._next_txn = txn + 1
                 before = relations
-                records_appended += len(puts) + len(drops) + 1
+                records_appended += len(writes) + len(drops) + 1
             faults.fire("wal.fsync")
             os.fsync(self._wal_file.fileno())
         except faults.InjectedCrash:

@@ -40,8 +40,10 @@ def canonical_json(payload: dict[str, Any]) -> str:
     """Serialize ``payload`` compactly and deterministically.
 
     Sorted keys and minimal separators make the encoding canonical:
-    equal payloads encode to equal bytes, which the engine relies on to
-    detect changed relations by string comparison.
+    equal payloads encode to equal bytes, so a record's bytes (and its
+    CRC) depend only on its content.  Nothing compares encodings: what
+    a commit writes is decided by the catalog's change sets
+    (:meth:`repro.storage.engine.StorageEngine.commit_many`).
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

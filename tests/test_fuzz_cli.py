@@ -32,6 +32,15 @@ class TestFuzzMain:
         )
         assert code == 0
 
+    def test_ivm_leg_replays_add_records(self, capsys):
+        # The durable reopens must take the WAL's tuple-level path, so
+        # the CI --ivm steps cannot pass with it never exercised.
+        assert fuzz_main(["--seed", "0", "--budget", "0", "--ivm", "15"]) == 0
+        out = capsys.readouterr().out
+        assert "15 case(s)" in out
+        (line,) = [row for row in out.splitlines() if row.startswith("ivm:")]
+        assert int(line.split()[1]) >= 1
+
     def test_replay_corpus_file(self, tmp_path, capsys):
         path = tmp_path / "case.json"
         generate_case(17).save(path)

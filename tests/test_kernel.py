@@ -324,34 +324,12 @@ class TestProjectionKernel:
 
 
 # ----------------------------------------------------------------------
-# per-tuple projection plan memo
+# projection plans
 # ----------------------------------------------------------------------
 
 
-def _memo_relation() -> GeneralizedRelation:
-    lrps = (LRP.make(0, 2), LRP.make(1, 3))
-    dbm = DBM(2)
-    dbm.add_difference(0, 1, 4)
-    rel = GeneralizedRelation.empty(Schema.make(temporal=["A", "B"]))
-    rel.add(GeneralizedTuple(lrps=lrps, dbm=dbm))
-    return rel
-
-
-class TestPlanMemo:
-    def test_memo_populated_and_hit_when_caches_on(self):
-        rel = _memo_relation()
-        with overrides(kernel="python"):
-            reset_metrics()
-            first = algebra.project(rel, ["A"])
-            assert COUNTERS["perf.plan_memo_hits"] == 0
-            assert any(t._plans for t in rel)
-            second = algebra.project(rel, ["A"])
-            assert COUNTERS["perf.plan_memo_hits"] >= 1
-        assert {t.canonical_key() for t in first} == {
-            t.canonical_key() for t in second
-        }
-
-    def test_bound_template_built_once_per_plan(self, monkeypatch):
+class TestProjectPlan:
+    def test_bound_template_built_once_per_planned_tuple(self, monkeypatch):
         rel = GeneralizedRelation.empty(Schema.make(temporal=["A", "B"]))
         for offset, period, gap in [(0, 2, 4), (1, 3, 2), (2, 4, 7)]:
             dbm = DBM(2)
@@ -379,9 +357,8 @@ class TestPlanMemo:
             frozenset(t.canonical_key() for t in algebra.project(rel, ["A"]))
             for _ in range(10)
         }
-        planned = sum(1 for t in rel if t._plans)
-        assert planned == 3  # the empty tuple gets no plan
-        assert len(calls) == planned
+        # Each run plans afresh; the empty tuple never gets a plan.
+        assert len(calls) == 10 * 3
         assert len(outputs) == 1
 
 

@@ -258,6 +258,145 @@ class TestRecoveredOrder:
             StorageEngine.open(path)
 
 
+def _wal_records(path: str) -> list[dict]:
+    from repro.storage.wal import scan_wal
+
+    with open(os.path.join(path, "wal.log"), "rb") as handle:
+        return scan_wal(handle.read()).records
+
+
+def _satisfiable_keys(relations) -> dict:
+    """Each relation's canonical keys of satisfiable tuples, in order."""
+    return {
+        name: [t.canonical_key() for t in rel if t.closure() is not None]
+        for name, rel in relations.items()
+    }
+
+
+class TestAddRecords:
+    def test_append_stream_logs_adds_and_every_prefix_reopens_live(
+        self, tmp_path
+    ):
+        from repro.deductive.scenarios import (
+            edge_batches,
+            reachability_program,
+        )
+
+        path = str(tmp_path / "db")
+        with Database.open(path) as db:
+            db.create("Edge", temporal=["t"], data=["src", "dst"])
+            db.install_program(reachability_program(4))
+            first = len(_wal_records(path))
+            batches = edge_batches(6, 6, 3, seed=13)
+            for index, batch in enumerate(batches):
+                db.append_stream("Edge", batch)
+                live = db.storage.relations
+                assert tuple(live) == db.names == ("Edge", "Reach")
+                copy = _copy(path, tmp_path / f"prefix-{index}")
+                with StorageEngine.open(copy, create=False) as again:
+                    assert tuple(again.relations) == tuple(live)
+                    assert _keys(again.relations) == _keys(live)
+            appended = _wal_records(path)[first:]
+        written = [r for r in appended if r["op"] != "commit"]
+        assert {(r["op"], r["name"]) for r in written} == {
+            ("add", "Edge"),
+            ("add", "Reach"),
+        }
+        edges = [r for r in written if r["name"] == "Edge"]
+        assert sum(len(r["tuples"]) for r in edges) == sum(map(len, batches))
+
+    def test_replace_and_retraction_stay_puts(self, tmp_path):
+        from repro.core.relations import GeneralizedRelation
+
+        path = str(tmp_path / "db")
+        with Database.open(path) as db:
+            populate(db)
+            db.commit()
+            schema = db.relation("Fires").schema
+            db.register("Fires", GeneralizedRelation.empty(schema))
+            db.relation("Train").add_tuple(
+                ["3 + 60n", "90 + 60n"], "dep = arr - 87", ["late"]
+            )
+            db.commit()
+        ops = [(r["op"], r.get("name")) for r in _wal_records(path)]
+        assert ops[-3:] == [("add", "Train"), ("put", "Fires"), ("commit", None)]
+
+    def test_add_to_missing_relation_is_recovery_error(self, tmp_path):
+        from repro.storage.wal import encode_record
+
+        path = str(tmp_path / "db")
+        with Database.open(path) as db:
+            db.create("A", temporal=["t"])
+            db.commit()
+        with open(os.path.join(path, "wal.log"), "ab") as handle:
+            handle.write(encode_record(
+                {"lsn": 9, "txn": 9, "op": "add", "name": "B", "tuples": []}
+            ))
+            handle.write(encode_record(
+                {"lsn": 10, "txn": 9, "op": "commit", "ops": 1}
+            ))
+        with pytest.raises(RecoveryError, match="'B'"):
+            StorageEngine.open(path)
+
+    def test_uncommitted_add_is_discarded(self, tmp_path):
+        from repro.storage.wal import encode_record
+
+        path = str(tmp_path / "db")
+        with Database.open(path) as db:
+            db.create("A", temporal=["t"])
+            db.commit()
+        with open(os.path.join(path, "wal.log"), "ab") as handle:
+            handle.write(encode_record(
+                {"lsn": 9, "txn": 9, "op": "add", "name": "B", "tuples": []}
+            ))
+        with StorageEngine.open(path) as engine:
+            assert tuple(engine.relations) == ("A",)
+
+    def test_unsatisfiable_tuples_left_out_of_put_add_and_snapshot(
+        self, tmp_path
+    ):
+        from repro.core.dbm import DBM
+        from repro.core.tuples import GeneralizedTuple
+
+        def unsat(offset):
+            dbm = DBM(1)
+            dbm.add_upper(0, offset - 1)
+            dbm.add_lower(0, offset)
+            return GeneralizedTuple.make([f"{offset} + 5n"], dbm=dbm)
+
+        path = str(tmp_path / "db")
+        with Database.open(path) as db:
+            db.create("R", temporal=["t"])
+            rel = db.relation("R")
+            rel.add_tuple(["1 + 5n"], "t >= 0")
+            rel.add(unsat(2))
+            db.commit()
+            rel.add(unsat(3))
+            rel.add_tuple(["4 + 5n"], "t >= 0")
+            db.commit()
+            live = dict(db.storage.relations)
+            records = [r for r in _wal_records(path) if r["op"] != "commit"]
+            assert [r["op"] for r in records] == ["put", "add"]
+            assert len(records[0]["relation"]["tuples"]) == 1
+            assert len(records[1]["tuples"]) == 1
+            with StorageEngine.open(
+                _copy(path, tmp_path / "logged"), create=False
+            ) as again:
+                assert _keys(again.relations) == _satisfiable_keys(live)
+            db.compact()
+        with Database.open(path) as again:
+            assert _keys(again.storage.relations) == _satisfiable_keys(live)
+            assert len(again.relation("R")) == 2
+
+
+def _copy(path: str, target) -> str:
+    """A copy of the store at ``path``, which another engine may hold."""
+    import shutil
+
+    shutil.copytree(path, target, ignore=shutil.ignore_patterns("LOCK"))
+    return str(target)
+
+
 class TestEngineLifecycle:
     def test_closed_engine_rejects_operations(self, tmp_path):
         engine = StorageEngine.open(str(tmp_path / "db"))

@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.baseline.finite import FiniteRelation
+from repro.core.tuples import GeneralizedTuple
 from repro.query.database import Database
 from repro.storage import faults
 from repro.testing import seeded_relation
@@ -124,6 +125,14 @@ def mutate_multi(db: Database) -> None:
     db.commit()
 
 
+def mutate_append(db: Database) -> None:
+    """Append to two relations in one transaction: add + add."""
+    db.relation("R0").add(GeneralizedTuple.make(["3 + 5n", "1 + 5n"]))
+    db.relation("Log").add_tuple(["3 + 7n"], "t >= 10", ["tick"])
+    db.relation("Log").add_tuple(["5 + 7n"], "t >= 12", ["tock"])
+    db.commit()
+
+
 def compact_op(db: Database) -> None:
     db.compact()
 
@@ -131,6 +140,7 @@ def compact_op(db: Database) -> None:
 WORKLOADS = [
     ("first_commit", build_empty, mutate_first_commit, COMMIT_FAULTS),
     ("multi_relation", build_seeded, mutate_multi, COMMIT_FAULTS),
+    ("append_only", build_seeded, mutate_append, COMMIT_FAULTS),
     ("mid_compaction", build_seeded, compact_op, COMPACT_FAULTS),
 ]
 
@@ -224,6 +234,21 @@ class TestPinnedOutcomes:
             crash(db, mutate_first_commit)
         with Database.open(path) as recovered:
             assert recovered.names == ()
+
+    def test_torn_add_record_recovers_pre(self, tmp_path):
+        # The append-only transaction writes two ``add`` records; a cut
+        # inside the second leaves the first without a commit marker.
+        path = str(tmp_path / "db")
+        db = Database.open(path)
+        build_seeded(db)
+        pre = observe(db)
+        with faults.crash_at("wal.append", hit=2, fraction=0.9):
+            crash(db, mutate_append)
+        with open(f"{path}/wal.log", "rb") as handle:
+            tail = handle.read().rsplit(b"\n", 2)[1:]
+        assert all(b'"op":"add"' in part for part in tail)
+        with Database.open(path) as recovered:
+            assert observe(recovered) == pre
 
     def test_compaction_crashes_never_change_the_catalog(self, tmp_path):
         # Compaction re-encodes the same committed state, so recovery
