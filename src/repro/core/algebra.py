@@ -35,7 +35,12 @@ from repro.core.constraints import (
 )
 from repro.core.dbm import DBM
 from repro.core.emptiness import tuple_is_empty
-from repro.core.errors import DomainError, ReproValueError, SchemaError
+from repro.core.errors import (
+    DomainError,
+    NormalizationLimitError,
+    ReproValueError,
+    SchemaError,
+)
 from repro.core.lrp import LRP
 from repro.core.negation import (
     DEFAULT_MAX_EXTENSIONS,
@@ -484,26 +489,32 @@ def subtract_tuples(
 
 @_traced("subtract")
 def subtract(
-    r1: GeneralizedRelation, r2: GeneralizedRelation
+    r1: GeneralizedRelation,
+    r2: GeneralizedRelation,
+    max_tuples: int | None = None,
 ) -> GeneralizedRelation:
     """Set difference, folding tuple subtraction over ``r2`` (Section 3.3.2).
 
     A subtrahend with other data values leaves a minuend as it is, so
     ``r2`` is partitioned by data tuple and each minuend folds only over
     its own bucket, in ``r2`` order; the result is tuple-for-tuple the
-    fold over all of ``r2``.
+    fold over all of ``r2``.  With ``max_tuples``, a minuend whose fold
+    holds more pieces than that raises
+    :class:`~repro.core.errors.NormalizationLimitError`.
     """
     _require_same_schema(r1, r2)
     out = GeneralizedRelation.empty(r1.schema)
     buckets = _partition(r2, lambda t: t.data)
     for t1 in r1:
-        for t in _subtract_fold(t1, buckets):
+        for t in _subtract_fold(t1, buckets, max_tuples):
             out.add(t)
     return out
 
 
 def _subtract_fold(
-    t1: GeneralizedTuple, buckets: dict[Hashable, list[GeneralizedTuple]]
+    t1: GeneralizedTuple,
+    buckets: dict[Hashable, list[GeneralizedTuple]],
+    max_tuples: int | None = None,
 ) -> list[GeneralizedTuple]:
     """Fold ``t1`` over its same-data subtrahends.
 
@@ -523,7 +534,87 @@ def _subtract_fold(
         current = _dedup(next_round)
         if not current:
             break
+        if max_tuples is not None and len(current) > max_tuples:
+            raise NormalizationLimitError(
+                f"subtract exceeded {max_tuples} tuples"
+            )
     return current
+
+
+def bounding_box(
+    relation: GeneralizedRelation, schema: Schema
+) -> GeneralizedRelation | None:
+    """The tightest box around ``relation``'s points on ``schema``.
+
+    ``schema`` holds temporal attributes of ``relation`` only.  The box
+    is one tuple over ``schema`` bounding each attribute by the least
+    and greatest value any satisfiable tuple of ``relation`` gives it,
+    read from the closures the tuples carry and snapped onto their
+    lrps.  It holds every point of ``relation`` projected onto
+    ``schema``, so for a relation ``B`` over ``schema``, ``relation``
+    joined with ``subtract(box, B)`` is ``relation`` joined with
+    ``complement(B)``.  A relation with no satisfiable tuple has the
+    empty box (no tuple); one with a satisfiable tuple unbounded on an
+    attribute of ``schema`` has none (``None``).
+    """
+    indexes = [relation.schema.temporal_index(n) for n in schema.temporal_names]
+    box: tuple[list[int], list[int]] | None = None
+    for gtuple in relation:
+        rows = gtuple.closure()
+        if rows is None:
+            continue
+        span = _tuple_span(gtuple, rows, indexes)
+        if span is None:
+            return None
+        if span is _NO_POINT:
+            continue
+        if box is None:
+            box = span
+        else:
+            box = (
+                [min(a, b) for a, b in zip(box[0], span[0])],
+                [max(a, b) for a, b in zip(box[1], span[1])],
+            )
+    out = GeneralizedRelation.empty(schema)
+    if box is not None:
+        dbm = DBM(len(indexes))
+        for i, (low, high) in enumerate(zip(*box)):
+            dbm.add_lower(i, low)
+            dbm.add_upper(i, high)
+        out.add(GeneralizedTuple((LRP.make(0, 1),) * len(indexes), dbm))
+    return out
+
+
+#: :func:`_tuple_span` of a tuple with no lrp point within its bounds.
+_NO_POINT = ([], [])
+
+
+def _tuple_span(
+    gtuple: GeneralizedTuple, rows: tuple, indexes: list[int]
+) -> tuple[list[int], list[int]] | None:
+    """``(lows, highs)`` of one satisfiable tuple on the attributes at
+    ``indexes``, each bound moved inward onto the attribute's lrp;
+    :data:`_NO_POINT` when some attribute has no lrp point between its
+    bounds, and ``None`` when some attribute is unbounded."""
+    lows: list[int] = []
+    highs: list[int] = []
+    for i in indexes:
+        lrp = gtuple.lrps[i]
+        low, high = rows[0][i + 1], rows[i + 1][0]
+        if lrp.period == 0:
+            low = lrp.offset if low is None else max(-low, lrp.offset)
+            high = lrp.offset if high is None else min(high, lrp.offset)
+        elif low is None or high is None:
+            return None
+        else:
+            low = -low
+            low += (lrp.offset - low) % lrp.period
+            high -= (high - lrp.offset) % lrp.period
+        if low > high:
+            return _NO_POINT
+        lows.append(low)
+        highs.append(high)
+    return lows, highs
 
 
 def _dedup(tuples: list[GeneralizedTuple]) -> list[GeneralizedTuple]:

@@ -139,7 +139,7 @@ class GeneralizedRelation:
     in :mod:`repro.core.simplify`.
     """
 
-    __slots__ = ("schema", "_tuples", "_keys")
+    __slots__ = ("schema", "_tuples", "_keys", "_domain")
 
     def __init__(
         self,
@@ -149,6 +149,8 @@ class GeneralizedRelation:
         self.schema = schema
         self._tuples: list[GeneralizedTuple] = []
         self._keys: set[tuple] = set()
+        # (n, values): the data values of the first n tuples.
+        self._domain: tuple[int, frozenset] = (0, frozenset())
         for t in tuples:
             self.add(t)
 
@@ -224,6 +226,7 @@ class GeneralizedRelation:
         out = GeneralizedRelation.empty(self.schema)
         out._tuples = list(self._tuples)
         out._keys = set(self._keys)
+        out._domain = self._domain
         return out
 
     def appended_since(
@@ -340,11 +343,22 @@ class GeneralizedRelation:
         """The denoted point set restricted to the window, as a set."""
         return set(self.enumerate(low, high))
 
-    def active_data_domain(self) -> set:
-        """All data values appearing in any tuple (active-domain semantics)."""
-        domain: set = set()
-        for t in self._tuples:
-            domain.update(t.data)
+    def active_data_domain(self) -> frozenset:
+        """All data values appearing in any tuple (active-domain semantics).
+
+        Kept with the relation: :meth:`add` only appends, so a call scans
+        only the tuples appended since the last one, and :meth:`copy`
+        carries what is kept.  The kept pair is replaced in one
+        assignment and never mutated, so readers sharing a published
+        relation see a consistent domain.
+        """
+        seen, domain = self._domain
+        end = len(self._tuples)
+        if seen < end:
+            fresh = {value for t in self._tuples[seen:end] for value in t.data}
+            if not fresh <= domain:
+                domain = domain | fresh
+            self._domain = (end, domain)
         return domain
 
     # ------------------------------------------------------------------

@@ -143,6 +143,7 @@ def fuzz_main(argv: list[str] | None = None) -> int:
     ran = 0
     truncated = False
     adds_before = COUNTERS["storage.recovery.adds_replayed"]
+    boxed_before = COUNTERS["perf.complement_boxed"]
     try:
         for label, case in _iter_cases(args):
             if deadline is not None and time.monotonic() > deadline:
@@ -182,6 +183,8 @@ def fuzz_main(argv: list[str] | None = None) -> int:
             recorder_cm.__exit__(None, None, None)
     summary = "  ".join(f"{status}={counts[status]}" for status in STATUSES)
     print(f"{ran} case(s): {summary}", file=out)
+    boxed = COUNTERS["perf.complement_boxed"] - boxed_before
+    print(f"boxed: {boxed} complement(s) answered within a box", file=out)
     if args.ivm:
         adds = COUNTERS["storage.recovery.adds_replayed"] - adds_before
         print(f"ivm: {adds} add record(s) replayed on reopen", file=out)

@@ -19,7 +19,11 @@ closure on tuples whose constraints are satisfiable but whose lrps
 meet no point.  So one primary tuple is confined to such a gap
 (:func:`_gap`), one projection in three keeps only data attributes,
 and half of those read a selection that pins a temporal attribute to
-one point (:func:`_point_condition`).
+one point (:func:`_point_condition`).  A join with a complement input
+is answered within the box of its partner's points when that partner
+is bounded, which random growth seldom makes it; so a fixed share of
+cases ends in such a join over a partner selected into the window
+(:func:`_bounded_negation`), its bounds on the box's edges.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ _OPS = ("<=", ">=", "=", "<", ">")
 
 #: Per-mille probability that a base relation is a finite point list.
 _POINTS_PERMILLE = 333
+
+#: Per-mille probability that a case ends in a join of a bounded
+#: partner with a complement (:func:`_bounded_negation`).
+_BOUNDED_NEGATION_PERMILLE = 150
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,8 @@ def generate_case(seed: int, profile: FuzzProfile = DEFAULT_PROFILE) -> Case:
         if grown is not None:
             pool.append(grown)
     expr = pool[-1]
+    if rng.randrange(1000) < _BOUNDED_NEGATION_PERMILLE:
+        expr = _bounded_negation(rng, pool, profile) or expr
     used = scan_names(expr)
     return Case(
         relations={n: r for n, r in relations.items() if n in used},
@@ -501,6 +511,36 @@ def _gap(
     tuples = list(relation)
     tuples[pos] = GeneralizedTuple(gtuple.lrps, dbm, gtuple.data)
     relations[name] = GeneralizedRelation(relation.schema, tuples)
+
+
+def _bounded_negation(
+    rng: random.Random, pool: list[ir.PlanNode], profile: FuzzProfile
+) -> ir.Join | None:
+    """``σ(X) ⋈ ¬B`` for pool entries ``X`` and ``B``, ``B`` with no
+    data attribute and only temporal attributes of ``X``, and ``σ``
+    bounding each of them by window values, so every tuple of the
+    join's partner is bounded where the complement is taken."""
+    pairs = [
+        (x, b)
+        for x in pool
+        for b in pool
+        if not b.schema.data_arity
+        and b.schema.temporal_arity
+        and set(b.schema.names) <= set(x.schema.temporal_names)
+    ]
+    if not pairs:
+        return None
+    x, b = rng.choice(pairs)
+    atoms = []
+    for name in b.schema.names:
+        low = rng.randint(profile.low, profile.high)
+        high = rng.randint(low, profile.high)
+        atoms.append(f"{name} >= {low} & {name} <= {high}")
+    partner = ir.Select(x, " & ".join(atoms))
+    complement = ir.Complement(b)
+    if rng.randrange(2):
+        return ir.Join(complement, partner)
+    return ir.Join(partner, complement)
 
 
 def _random_projection(rng: random.Random, schema: Schema) -> tuple[str, ...]:

@@ -51,8 +51,13 @@ INF = float("inf")
 MAX_ABS_BOUND = 1 << 40
 #: Matrix dimension cap for the exactness guarantee (variables + zero).
 MAX_DIM = 12
-#: Below this many systems the numpy dispatch overhead beats the win.
-MIN_BATCH = 3
+#: The fewest same-size systems worth one numpy sweep, indexed by the
+#: systems' variable count (the zero variable not counted; index 0 is
+#: never read): below it, packing the batch and reading it back cost
+#: more than the scalar closures they replace.  Variable counts past
+#: the end use the last entry.  The measurement is in
+#: ``docs/performance.md`` ("Kernel batch threshold").
+MIN_BATCH = (0, 16, 8, 8, 6)
 
 #: Template bounds above this magnitude skip the int64 grid arithmetic
 #: (headroom against int64 overflow when offsets are folded in).
@@ -169,10 +174,16 @@ def _count_fallback(size: int) -> None:
     COUNTERS["perf.kernel.scalar_fallbacks"] += size
 
 
+def _too_small(n: int, size: int) -> bool:
+    """Whether ``size`` systems of matrix dimension ``n`` (variables
+    plus the zero variable) are too few for one numpy sweep."""
+    return size < MIN_BATCH[min(n - 1, len(MIN_BATCH) - 1)]
+
+
 def _packed(dbms: Sequence["DBM"], indices: list[int], active: bool):
     """The exact packed batch of ``dbms[indices]``, or ``None`` when the
     group takes the scalar path (backend off, too small or inexact)."""
-    if not active or len(indices) < MIN_BATCH:
+    if not active or _too_small(dbms[indices[0]]._n, len(indices)):
         return None
     batch = pack([dbms[idx] for idx in indices])
     return batch if packed_exact(batch) else None
@@ -364,7 +375,7 @@ def project_batch(jobs: Sequence[tuple]) -> list:
     for idx, (template, _mask, _offsets, k, kept_rows) in enumerate(jobs):
         groups.setdefault((len(template), k, kept_rows), []).append(idx)
     for (n, k, kept_rows), indices in groups.items():
-        if len(indices) < MIN_BATCH or n > MAX_DIM or k > MAX_ABS_BOUND:
+        if _too_small(n, len(indices)) or n > MAX_DIM or k > MAX_ABS_BOUND:
             _count_fallback(len(indices))
             continue
         tmpl = np.array([jobs[idx][0] for idx in indices], dtype=np.int64)

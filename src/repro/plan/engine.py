@@ -20,12 +20,17 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.core import algebra
-from repro.core.errors import EvaluationError, ReproTypeError
+from repro.core.errors import (
+    EvaluationError,
+    NormalizationLimitError,
+    ReproTypeError,
+)
 from repro.core.negation import DEFAULT_MAX_EXTENSIONS
 from repro.core.normalize import DEFAULT_MAX_TUPLES
 from repro.core.relations import GeneralizedRelation
 from repro.core.tuples import GeneralizedTuple
 from repro.obs import trace as obs
+from repro.obs.metrics import COUNTERS
 from repro.plan import nodes as ir
 
 
@@ -49,6 +54,8 @@ class ExecutionContext:
     ``unbuilt`` is another: it maps the id of every join the engine
     decided under a closed projection without materializing it to the
     number of candidate tuples it built (EXPLAIN reports these).
+    ``boxed`` is a third: it maps the id of every complement the engine
+    answered within its join partner's box to that box as text.
     ``plan`` is the plan :meth:`NativeEngine.run` executes (set there).
     """
 
@@ -62,6 +69,7 @@ class ExecutionContext:
     on_pair: Callable[[ir.PlanNode, int, int], None] | None = None
     optimum: object | None = None
     unbuilt: dict[int, int] = field(default_factory=dict)
+    boxed: dict[int, str] = field(default_factory=dict)
     plan: ir.PlanNode | None = None
 
     def domain_for(self, name: str) -> list:
@@ -92,6 +100,20 @@ class NativeEngine:
     memo is projected as it is, and one the plan shares
     (:attr:`~repro.plan.nodes.PlanNode.shared`) is materialized into
     the memo for its other uses.
+
+    A join keeps only points that lie in both inputs, so ``X ⋈ ¬B`` is
+    ``X ⋈ (box − B)`` for any box holding ``X``'s points.  A
+    :class:`~repro.plan.nodes.Complement` input of a join is therefore
+    run after its partner ``X`` and answered as
+    ``subtract(bounding_box(X), B)`` (Sec. 3.3) in place of ``B``'s
+    complement over all of Z (App. A.6), unless ``B`` has a data
+    attribute or one that is not a temporal attribute of ``X``, a
+    satisfiable tuple of ``X`` is unbounded on one, the subtraction
+    exceeds :attr:`ExecutionContext.max_tuples`, or the complement node
+    is memoized or shared (its other uses need the whole complement).
+    Its result then goes to ``on_result`` but not to the memo, its spans
+    carry ``box``, :attr:`ExecutionContext.boxed` records the box and
+    ``perf.complement_boxed`` counts it.
     """
 
     def run(
@@ -152,6 +174,62 @@ class NativeEngine:
             ctx.on_pair(node, len(r1), len(r2))
         return r1, r2
 
+    def _join_inputs(
+        self, node: ir.Join, ctx: ExecutionContext
+    ) -> tuple[GeneralizedRelation, GeneralizedRelation]:
+        """The inputs of join ``node``: :meth:`_pair`'s, but a
+        complement input runs after its partner and within its box."""
+        if self._boxable(node.right, ctx):
+            r1 = self._exec(node.left, ctx)
+            r2 = self._complement_within(node.right, r1, ctx)
+        elif self._boxable(node.left, ctx):
+            r2 = self._exec(node.right, ctx)
+            r1 = self._complement_within(node.left, r2, ctx)
+        else:
+            return self._pair(node, ctx)
+        if ctx.on_pair is not None:
+            ctx.on_pair(node, len(r1), len(r2))
+        return r1, r2
+
+    @staticmethod
+    def _boxable(node: ir.PlanNode, ctx: ExecutionContext) -> bool:
+        """Whether ``node`` is a complement only this join reads."""
+        return isinstance(node, ir.Complement) and (
+            ctx.memo is None
+            or (id(node) not in ctx.memo and id(node) not in ctx.plan.shared)
+        )
+
+    def _complement_within(
+        self,
+        node: ir.Complement,
+        partner: GeneralizedRelation,
+        ctx: ExecutionContext,
+    ) -> GeneralizedRelation:
+        """Complement ``node`` as far as a join with ``partner`` reads
+        it: within ``partner``'s box when there is one, else in full."""
+        recorder = obs.active_recorder()
+        with ExitStack() as stack:
+            spans = (
+                [] if recorder is None else _open_spans(recorder, stack, node)
+            )
+            child = self._exec(node.child, ctx)
+            boxed = _subtract_from_box(child, partner, ctx)
+            if boxed is None:
+                result = _complement(child, ctx)
+            else:
+                box, result = boxed
+                for sp in spans:
+                    sp.set(box=box)
+            _set_out(spans, result)
+        if boxed is None:
+            _keep(node, ctx, result)
+            return result
+        COUNTERS["perf.complement_boxed"] += 1
+        ctx.boxed[id(node)] = box
+        if ctx.on_result is not None:
+            ctx.on_result(node, result)
+        return result
+
     def _project_join(
         self, node: ir.Project, join: ir.Join, ctx: ExecutionContext
     ) -> GeneralizedRelation:
@@ -165,7 +243,7 @@ class NativeEngine:
             spans = (
                 [] if recorder is None else _open_spans(recorder, stack, join)
             )
-            r1, r2 = self._pair(join, ctx)
+            r1, r2 = self._join_inputs(join, ctx)
             temporal = {*r1.schema.temporal_names, *r2.schema.temporal_names}
             if (
                 temporal
@@ -237,17 +315,7 @@ class NativeEngine:
                 self._exec(node.child, ctx), node.name, node.delta
             )
         if isinstance(node, ir.Complement):
-            child = self._exec(node.child, ctx)
-            data_domains = {
-                name: ctx.domain_for(name)
-                for name in child.schema.data_names
-            }
-            return algebra.complement(
-                child,
-                data_domains=data_domains or None,
-                max_tuples=ctx.max_tuples,
-                max_extensions=ctx.max_extensions,
-            )
+            return _complement(self._exec(node.child, ctx), ctx)
         if isinstance(node, ir.Union):
             return algebra.union(*self._pair(node, ctx))
         if isinstance(node, ir.Intersect):
@@ -256,7 +324,7 @@ class NativeEngine:
             return algebra.subtract(*self._pair(node, ctx))
         if isinstance(node, ir.Join):
             return algebra.join(
-                *self._pair(node, ctx), condition=node.condition
+                *self._join_inputs(node, ctx), condition=node.condition
             )
         if isinstance(node, ir.Product):
             return algebra.product(*self._pair(node, ctx))
@@ -275,6 +343,57 @@ class NativeEngine:
         raise ReproTypeError(  # pragma: no cover - exhaustive over nodes.py
             f"unexpected plan node: {type(node).__name__}"
         )
+
+
+def _complement(
+    child: GeneralizedRelation, ctx: ExecutionContext
+) -> GeneralizedRelation:
+    """``child``'s complement: over Z on its temporal attributes, over
+    the context's domains on its data attributes."""
+    data_domains = {
+        name: ctx.domain_for(name) for name in child.schema.data_names
+    }
+    return algebra.complement(
+        child,
+        data_domains=data_domains or None,
+        max_tuples=ctx.max_tuples,
+        max_extensions=ctx.max_extensions,
+    )
+
+
+def _subtract_from_box(
+    child: GeneralizedRelation,
+    partner: GeneralizedRelation,
+    ctx: ExecutionContext,
+) -> tuple[str, GeneralizedRelation] | None:
+    """``(box, box − child)`` with ``box`` the smallest box around
+    ``partner``'s points on ``child``'s attributes (as text), or
+    ``None`` when the complement of ``child`` must be taken in full."""
+    schema = child.schema
+    if schema.data_arity or not all(
+        partner.schema.has(name) and partner.schema.attribute(name).temporal
+        for name in schema.names
+    ):
+        return None
+    box = algebra.bounding_box(partner, schema)
+    if box is None:
+        return None
+    try:
+        result = algebra.subtract(box, child, max_tuples=ctx.max_tuples)
+    except NormalizationLimitError:
+        return None
+    return _box_text(box), result
+
+
+def _box_text(box: GeneralizedRelation) -> str:
+    """A box relation of :func:`algebra.bounding_box` as text."""
+    if not len(box):
+        return "empty"
+    dbm = box.tuples[0].dbm
+    return ", ".join(
+        f"{name} in [{-dbm.bound(-1, i)}, {dbm.bound(i, -1)}]"
+        for i, name in enumerate(box.schema.temporal_names)
+    ) or "()"
 
 
 def _set_out(spans: list, result: GeneralizedRelation) -> None:

@@ -65,6 +65,22 @@ class Unbuilt(NamedTuple):
         return f"not materialized, {self.candidates} candidate(s) built"
 
 
+class Boxed(NamedTuple):
+    """An executed plan's annotation of a complement answered in a box.
+
+    The engine answers a complement input of a join as the subtraction
+    of its child from the smallest box around the join partner's points
+    (see :class:`~repro.plan.engine.NativeEngine`); ``tuples`` is the
+    size of that difference and ``box`` the box as text.
+    """
+
+    tuples: int
+    box: str
+
+    def __str__(self) -> str:
+        return f"{self.tuples} tuple(s) within box {self.box}"
+
+
 _KIND_BITS = count()
 
 
@@ -234,14 +250,17 @@ class PlanNode:
         return f"{self.op}[{detail}]" if detail else self.op
 
     def render(
-        self, indent: int = 0, sizes: Mapping[int, int | Unbuilt] | None = None
+        self,
+        indent: int = 0,
+        sizes: Mapping[int, int | Unbuilt | Boxed] | None = None,
     ) -> list[str]:
         """The subtree as indented text lines.
 
         ``sizes`` maps node ids to observed output tuple counts (an
         executed plan's annotations); a sized node ends its line with
-        ``-> N tuple(s)``, and an :class:`Unbuilt` join with
-        ``-> not materialized, N candidate(s) built``.
+        ``-> N tuple(s)``, an :class:`Unbuilt` join with
+        ``-> not materialized, N candidate(s) built`` and a
+        :class:`Boxed` complement with ``-> N tuple(s) within box ...``.
         """
         pad = "  " * indent
         origin = ""
@@ -253,23 +272,24 @@ class PlanNode:
         suffix = ""
         if sizes is not None and id(self) in sizes:
             size = sizes[id(self)]
-            if isinstance(size, Unbuilt):
-                suffix = f"  -> {size}"
-            else:
+            if isinstance(size, int):
                 suffix = f"  -> {size} tuple(s)"
+            else:
+                suffix = f"  -> {size}"
         lines = [f"{pad}{self.describe()}  :: {self.schema}{origin}{suffix}"]
         for child in self.children:
             lines.extend(child.render(indent + 1, sizes))
         return lines
 
     def to_dict(
-        self, sizes: Mapping[int, int | Unbuilt] | None = None
+        self, sizes: Mapping[int, int | Unbuilt | Boxed] | None = None
     ) -> dict[str, Any]:
         """A JSON-ready structural dump of the subtree.
 
         ``sizes`` as in :meth:`render`; a sized node gets ``out_tuples``,
         an :class:`Unbuilt` join ``materialized: false`` and
-        ``candidates_built``.
+        ``candidates_built``, and a :class:`Boxed` complement
+        ``out_tuples`` and ``box``.
         """
         out: dict[str, Any] = {"op": self.op}
         detail = self.detail()
@@ -283,6 +303,9 @@ class PlanNode:
             if isinstance(size, Unbuilt):
                 out["materialized"] = False
                 out["candidates_built"] = size.candidates
+            elif isinstance(size, Boxed):
+                out["out_tuples"] = size.tuples
+                out["box"] = size.box
             else:
                 out["out_tuples"] = size
         if self.children:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.plan.nodes import PlanNode, Unbuilt
+from repro.plan.nodes import Boxed, PlanNode, Unbuilt
 from repro.plan.rewrite import PassReport
 
 
@@ -26,8 +26,10 @@ class PlanReport:
     """A query's plan, before and after optimization, plus pass deltas.
 
     ``annotations`` maps plan-node object ids to observed output tuple
-    counts, or to an :class:`~repro.plan.nodes.Unbuilt` for a join a
-    closed projection decided without materializing it; every EXPLAIN
+    counts, to an :class:`~repro.plan.nodes.Unbuilt` for a join a
+    closed projection decided without materializing it, or to a
+    :class:`~repro.plan.nodes.Boxed` for a complement answered within
+    its join partner's box; every EXPLAIN
     executes the plan and fills it, and it stays ``None`` for the
     purely static :func:`repro.api.plan`.
     """
@@ -37,7 +39,7 @@ class PlanReport:
     naive: PlanNode
     plan: PlanNode
     passes: tuple[PassReport, ...] = ()
-    annotations: dict[int, int | Unbuilt] | None = field(
+    annotations: dict[int, int | Unbuilt | Boxed] | None = field(
         default=None, repr=False, compare=False
     )
 

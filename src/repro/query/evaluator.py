@@ -509,7 +509,8 @@ class Evaluator:
             root = root.child
         if isinstance(root, ir.Literal) and result is root.relation:
             result = result.copy()
-        sp.set(out_tuples=len(result), out_schema=str(result.schema))
+        if sp is not obs.NULL_SPAN:
+            sp.set(out_tuples=len(result), out_schema=str(result.schema))
         if ctx.optimum is not None:
             sp.set(optimum=str(ctx.optimum.value), status=ctx.optimum.status)
         return result, ctx

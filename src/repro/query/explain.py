@@ -34,7 +34,7 @@ from typing import Any
 from repro.core.relations import GeneralizedRelation
 from repro.obs import trace as obs
 from repro.obs.trace import Span, render_flamegraph, tracing
-from repro.plan.nodes import Unbuilt
+from repro.plan.nodes import Boxed, Unbuilt
 from repro.plan.report import PlanReport
 from repro.query.ast import Query
 from repro.query.evaluator import Evaluator
@@ -131,7 +131,7 @@ def _executed(
     evaluator: Evaluator, query: str | Query, objective, sense: str
 ) -> tuple[GeneralizedRelation, PlanReport]:
     """Run ``query``'s plan under ``query.evaluate``; result and report."""
-    sizes: dict[int, int | Unbuilt] = {}
+    sizes: dict[int, int | Unbuilt | Boxed] = {}
 
     def observe(node, result) -> None:
         sizes[id(node)] = len(result)
@@ -145,6 +145,8 @@ def _executed(
     for node_id, built in ctx.unbuilt.items():
         # A shared join may also have run in full elsewhere in the plan.
         sizes.setdefault(node_id, Unbuilt(built))
+    for node_id, box in ctx.boxed.items():
+        sizes[node_id] = Boxed(sizes[node_id], box)
     report = PlanReport(
         query=prepared.text(),
         optimized=optimized,

@@ -50,6 +50,21 @@ def served(tmp_path_factory):
     train = db.relation("Train")
     train.add_tuple(["2 + 60n", "80 + 60n"], "dep = arr - 78", ["slow"])
     train.add_tuple(["17 + 60n", "75 + 60n"], "dep = arr - 58", ["fast"])
+    slot = db.create("Slot", temporal=["a"])
+    slot.add_tuple(["0 + 5n"], "a >= 0 & a <= 300")
+    slot.add_tuple(["2 + 7n"], "a >= 150 & a <= 400")
+    load = db.create("Load", temporal=["a", "b"], data=["x"])
+    load.add_tuple(
+        ["0 + 10n", "1 + 3n"],
+        "a >= 20 & a <= 200 & b >= a & b <= a + 6",
+        ["svc"],
+    )
+    load.add_tuple(
+        ["0 + 4n", "0 + 1n"], "a >= 180 & a <= 260 & b = a + 2", ["svc"]
+    )
+    load.add_tuple(
+        ["0 + 1n", "0 + 1n"], "a >= 0 & a <= 400 & b = a", ["other"]
+    )
     db.commit()
     server = ReproServer.for_database(db).start_in_thread()
     client = SyncClient(port=server.port)
@@ -200,6 +215,42 @@ def test_data_only_exists_agrees_on_every_path(served, optimize):
     assert embedded == pinned == wire
     (only,) = embedded[1]
     assert "slow" in only
+
+
+#: The e2e ``negated_projection`` template, and its body without the
+#: window: both join ``Slot`` with a complement, which the engine
+#: answers within the box of ``Slot``'s points.
+NEGATED = [
+    (
+        "negated-projection",
+        'Slot(a) & ~(EXISTS b. Load(a, b, "svc")) & a >= 100 & a <= 300',
+    ),
+    ("negated-unwindowed", 'Slot(a) & ~(EXISTS b. Load(a, b, "svc"))'),
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["naive", "optimized"])
+@pytest.mark.parametrize(
+    "text", [pytest.param(text, id=name) for name, text in NEGATED]
+)
+def test_negated_projection_agrees_on_every_path(served, optimize, text):
+    db, client = served
+    with overrides(optimize=optimize):
+        embedded = db.query(text)
+        pinned = db.snapshot().query(text)
+        wire = client.query(text)
+    assert _relation(embedded) == _relation(pinned) == _relation(wire)
+    # Slot's points not in Load's svc extension, read point by point.
+    slot, load = db.relation("Slot"), db.relation("Load")
+    expected = {
+        (a,)
+        for (a,) in slot.snapshot(0, 400)
+        if not any(load.contains([a, b], ["svc"]) for b in range(a, a + 7))
+    }
+    if "<=" in text:
+        expected = {(a,) for (a,) in expected if 100 <= a <= 300}
+    assert embedded.snapshot(-10, 410) == expected
+    assert expected
 
 
 def test_query_rejects_a_plan_only_answer(served):

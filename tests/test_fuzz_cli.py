@@ -32,6 +32,15 @@ class TestFuzzMain:
         )
         assert code == 0
 
+    def test_smoke_run_answers_a_complement_within_a_box(self, capsys):
+        # The generator ends a share of cases in a join of a bounded
+        # partner with a complement, so the CI fuzz smoke step runs the
+        # engine's boxed-complement path.
+        assert fuzz_main(["--seed", "0", "--budget", "50"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [row for row in out.splitlines() if row.startswith("boxed:")]
+        assert int(line.split()[1]) >= 1
+
     def test_ivm_leg_replays_add_records(self, capsys):
         # The durable reopens must take the WAL's tuple-level path, so
         # the CI --ivm steps cannot pass with it never exercised.

@@ -19,6 +19,7 @@ import pytest
 from repro.core import algebra
 from repro.core.dbm import DBM
 from repro.core.relations import GeneralizedRelation, Schema
+from repro.core.tuples import GeneralizedTuple
 from repro.fuzz.case import Case, case_from_dict, scan_names
 from repro.fuzz.diff import run_case
 from repro.fuzz.gen import case_seed, generate_case
@@ -136,6 +137,34 @@ def decides_by_closure_alone(monkeypatch):
     monkeypatch.setattr(algebra, "tuple_is_empty", mutant)
 
 
+def _shrunk_box(monkeypatch, move):
+    """``algebra.bounding_box`` with ``move(dbm, i)`` applied to every
+    attribute of each nonempty box it returns."""
+    clean = algebra.bounding_box
+
+    def mutant(relation, schema):
+        box = clean(relation, schema)
+        if not box:
+            return box
+        (gtuple,) = box
+        dbm = gtuple.dbm.copy()
+        for i in range(dbm.size):
+            move(dbm, i)
+        return GeneralizedRelation(schema, [GeneralizedTuple(gtuple.lrps, dbm)])
+
+    monkeypatch.setattr(algebra, "bounding_box", mutant)
+
+
+def box_upper_one_short(monkeypatch):
+    """A join partner's box that ends one below its greatest point."""
+    _shrunk_box(monkeypatch, lambda dbm, i: dbm.add_upper(i, dbm.upper(i) - 1))
+
+
+def box_lower_one_short(monkeypatch):
+    """A join partner's box that starts one above its least point."""
+    _shrunk_box(monkeypatch, lambda dbm, i: dbm.add_lower(i, dbm.lower(i) + 1))
+
+
 class TestEdgeDrills:
     CASES = 200
 
@@ -154,6 +183,8 @@ class TestEdgeDrills:
             rejects_touching_intervals,
             drops_singleton_window_edge,
             decides_by_closure_alone,
+            box_upper_one_short,
+            box_lower_one_short,
         ],
     )
     def test_mutant_is_caught(self, cases, plant, monkeypatch):

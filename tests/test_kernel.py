@@ -199,7 +199,7 @@ class TestClosureEquivalence:
     def test_oversized_bounds_fall_back_to_scalar(self):
         huge = kernel.MAX_ABS_BOUND * 4
         batch = []
-        for _ in range(kernel.MIN_BATCH):
+        for _ in range(kernel.MIN_BATCH[2]):
             d = DBM(2)
             d.add_difference(0, 1, huge)
             d.add_difference(1, 0, -huge + 1)
@@ -216,7 +216,7 @@ class TestClosureEquivalence:
     def test_python_backend_counts_its_scalar_closures(self):
         closed = DBM(2)
         batch = [closed]
-        for i in range(kernel.MIN_BATCH + 1):
+        for i in range(kernel.MIN_BATCH[2] + 1):
             d = DBM(2)
             d.add_difference(0, 1, i)
             batch.append(d)
@@ -239,7 +239,7 @@ class TestClosureEquivalence:
 
     def test_batch_counters_observe_vectorized_sweeps(self):
         batch = []
-        for i in range(kernel.MIN_BATCH + 2):
+        for i in range(kernel.MIN_BATCH[2] + 2):
             d = DBM(2)
             d.add_difference(0, 1, i)
             batch.append(d)

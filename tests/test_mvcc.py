@@ -359,3 +359,50 @@ class TestCommitCopies:
         assert copies == [working["B"]]
         assert version.relation("A") is working["A"]
         assert version.relation("B") is not working["B"]
+
+
+class TestKeptDataDomain:
+    """A relation keeps its active data domain across adds, copies and
+    commits; a pinned snapshot's domain never grows."""
+
+    @staticmethod
+    def _fresh_scan(relation: GeneralizedRelation) -> set:
+        return {value for t in relation for value in t.data}
+
+    def test_domain_follows_adds_and_copies(self):
+        rel = GeneralizedRelation.empty(
+            Schema.make(temporal=["t"], data=["s"])
+        )
+        assert rel.active_data_domain() == set()
+        rel.add_tuple(["0 + 5n"], "t >= 0", ["a"])
+        assert rel.active_data_domain() == {"a"}
+        copy = rel.copy()
+        rel.add_tuple(["1 + 5n"], "t >= 0", ["b"])
+        copy.add_tuple(["2 + 5n"], "t >= 0", ["c"])
+        copy.add_tuple(["3 + 5n"], "t >= 0", ["a"])
+        for relation in (rel, copy):
+            assert relation.active_data_domain() == self._fresh_scan(relation)
+        assert rel.active_data_domain() == {"a", "b"}
+        assert copy.active_data_domain() == {"a", "c"}
+
+    def test_pinned_snapshot_does_not_see_a_committed_value(self, tmp_path):
+        db = Database.open(str(tmp_path / "db"))
+        db.create("Ev", temporal=["t"], data=["s"])
+        db.relation("Ev").add_tuple(["0 + 10n"], "t >= 0", ["old"])
+        db.commit()
+        pinned = db.snapshot()
+        assert pinned.relation("Ev").active_data_domain() == {"old"}
+        db.relation("Ev").add_tuple(["3 + 10n"], "t >= 0", ["new"])
+        db.commit()
+        fresh = db.snapshot()
+        assert pinned.relation("Ev").active_data_domain() == {"old"}
+        assert fresh.relation("Ev").active_data_domain() == {"old", "new"}
+        for snap in (pinned, fresh):
+            relation = snap.relation("Ev")
+            assert relation.active_data_domain() == self._fresh_scan(relation)
+        # The complement of a data selection reads the domain.
+        query = 'EXISTS t. Ev(t, s) & ~(s = "old")'
+        assert pinned.query(query).is_empty()
+        (only,) = fresh.query(query).tuples
+        assert only.data == ("new",)
+        db.close()

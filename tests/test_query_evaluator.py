@@ -287,3 +287,21 @@ class TestDatabaseCatalog:
     def test_repr(self):
         db = ticks_db()
         assert "Even" in repr(db)
+
+    def test_untraced_query_renders_no_schema(self, monkeypatch):
+        # Schema text is for span attributes; with tracing off no path
+        # may pay for it.
+        from repro.core.relations import Schema
+
+        db = robots_db()
+        query = 'EXISTS t2. Perform(t1, t2, r, "task1") & t1 >= 0'
+        expected = db.query(query)
+
+        def refuse(self):
+            raise AssertionError("Schema.__str__ called untraced")
+
+        monkeypatch.setattr(Schema, "__str__", refuse)
+        assert db.query(query) == expected
+        assert db.ask(
+            'EXISTS t1. EXISTS t2. Perform(t1, t2, "robot2", "task2")'
+        )
