@@ -657,8 +657,11 @@ def project(
     Section 3.4 — and are integer-exact by Theorem 3.1.  The residue
     condition of Section 3.2.1 is tested against the closure each tuple
     carries before anything is normalized: a tuple whose cluster lrps
-    cannot meet its closed windows is never planned, and a split combo
-    that cannot is never formed (:func:`_planned_combos`).
+    cannot meet its closed windows is never split, and a split combo
+    that cannot is never formed.  Eliminations are planned once per
+    tuple shape, the tuple's periods and written-bound pattern, and a
+    large shape group runs as array operations (:func:`_eliminate`);
+    the output is in tuple order, then combo order, either way.
     Re-orderings and data-only changes never normalize: each tuple's
     output is its carried closure restricted to the kept attributes.
     A projection that keeps no temporal attribute never normalizes
@@ -711,9 +714,7 @@ def project(
             projected._key = (projected.lrps, bounds, projected.data)
             out.add(projected)
         return out
-    finals = list(
-        _project_batched(tuples, keep_t, dropped_t, keep_d, max_tuples)
-    )
+    finals = _eliminate(tuples, keep_t, dropped_t, keep_d, max_tuples)
     _prefill_keys(finals)
     for final in finals:
         out.add(final)
@@ -775,263 +776,286 @@ def _prefill_keys(finals: list[GeneralizedTuple]) -> None:
         t._key = (t.lrps, dbm_key, t.data)
 
 
-class _ProjectPlan:
-    """Per-tuple plan for temporal elimination.
+class _Shape:
+    """One projection's plan for every input tuple of one shape.
 
-    ``split`` is the cluster's split onto the cluster period ``k``
-    (:func:`repro.core.normalize.split`); the other fields are
-    projection's own: the cluster, the output cells of the bounds
-    outside it (``outside_ops``), the cluster rows kept by the
-    projection, the output matrix template, and the split's kernel
-    bound template (``bounds``; ``None`` when the cluster has a
-    singleton or a bound is too large for the kernel).  Shared by the scalar and batched combo paths, so both
-    enumerate exactly the same combos.
+    A tuple's shape is its lrp periods and which of its bounds are
+    written (:func:`_eliminate`).  Nothing else enters the plan:
+    offsets and bound values enter the split and the transcription
+    linearly.  So a ``project`` call builds the plan once per shape,
+    and each tuple supplies only its offsets and bound values.
+
+    * ``split`` is the split shape of the dropped attributes' cluster
+      onto the cluster period ``k``
+      (:func:`repro.core.normalize.split_shape`), and ``steps`` holds
+      the cluster attributes' own periods;
+    * ``kept`` lists the cluster positions the projection keeps and
+      ``out_rows`` their output rows, after the zero row;
+    * ``outside`` lists each written bound outside the cluster as
+      ``(i, j, out_i, out_j)``, its input and output cell;
+    * ``sources`` gives, per kept temporal attribute, its cluster
+      position (``None`` outside the cluster) and the attribute;
+    * ``template`` is the output matrix before any bound is written.
     """
 
     __slots__ = (
         "split",
-        "cluster",
-        "cluster_pos",
+        "steps",
         "k",
-        "outside_ops",
-        "kept_cluster",
-        "kept_rows",
+        "kept",
         "out_rows",
-        "mat_template",
-        "bounds",
+        "outside",
+        "sources",
+        "template",
     )
 
 
-def _project_plan(
-    gtuple: GeneralizedTuple,
-    keep: Sequence[int],
-    dropped: Sequence[int],
-    max_tuples: int,
-    rows: tuple,
-) -> _ProjectPlan | None:
-    """Compute one tuple's cluster, split and bound partition.
-
-    The split is tested against ``rows``, the tuple's closure: a tuple
-    whose cluster lrps cannot meet its closed windows gets no plan
-    (``None``), and the split routine counts it as it counts every
-    caller's.
-    """
+def _shape(
+    gtuple: GeneralizedTuple, keep: Sequence[int], dropped: Sequence[int]
+) -> _Shape:
+    """The plan of ``gtuple``'s shape (:class:`_Shape`)."""
     cluster = _constraint_cluster(gtuple, dropped)
-    cluster_order = sorted(cluster)
+    attrs = sorted(cluster)
+    steps = [gtuple.lrps[a].period for a in attrs]
     # Period of the cluster only.
     k = 1
-    for i in cluster_order:
-        period = gtuple.lrps[i].period
+    for period in steps:
         if period:
             k = lcm(k, period)
-    split = normalize.split(
-        gtuple, cluster_order, [k] * len(cluster_order), max_tuples, rows
-    )
-    if split is None:
-        return None
-    plan = _ProjectPlan()
-    plan.split = split
-    plan.cluster = cluster
-    plan.cluster_pos = {attr: idx for idx, attr in enumerate(cluster_order)}
-    plan.k = k
-    # Bounds outside the cluster go straight to output DBM *matrix
-    # cells*: every non-cluster attribute survives projection (dropped
-    # ones are cluster seeds by definition), and ``X_i - X_j <= b``,
-    # ``X_i <= b`` and ``X_i >= -b`` all store ``b`` at one ``_set`` cell.
+    shape = _Shape()
+    shape.split = normalize.split_shape(gtuple, attrs, [k] * len(attrs))
+    shape.steps = steps
+    shape.k = k
     new_index = {attr: idx for idx, attr in enumerate(keep)}
-    plan.outside_ops = []
-    if len(cluster) < len(gtuple.lrps):
-        out_row = [0] + [
-            -1 if attr in cluster else new_index[attr] + 1
-            for attr in range(len(gtuple.lrps))
-        ]
-        plan.outside_ops = [
-            (out_row[i], out_row[j], bound)
-            for i, row in enumerate(gtuple.dbm._b)
-            for j, bound in enumerate(row)
-            if bound is not None and i != j and out_row[i] >= 0 <= out_row[j]
-        ]
-    kept_cluster = [
-        pos for pos, i in enumerate(cluster_order) if i in new_index
+    position = {attr: pos for pos, attr in enumerate(attrs)}
+    shape.kept = [pos for pos, attr in enumerate(attrs) if attr in new_index]
+    shape.out_rows = [0] + [new_index[attrs[pos]] + 1 for pos in shape.kept]
+    # Bounds outside the cluster go straight to output matrix cells:
+    # every non-cluster attribute survives projection (dropped ones are
+    # cluster seeds by definition), and ``X_i - X_j <= b``, ``X_i <= b``
+    # and ``X_i >= -b`` all store ``b`` at one cell.
+    out_row = [0] + [
+        -1 if attr in cluster else new_index[attr] + 1
+        for attr in range(len(gtuple.lrps))
     ]
-    plan.kept_cluster = kept_cluster
-    plan.kept_rows = tuple([0] + [pos + 1 for pos in kept_cluster])
-    plan.out_rows = [0] + [
-        new_index[cluster_order[pos]] + 1 for pos in kept_cluster
+    shape.outside = [
+        (i, j, out_row[i], out_row[j])
+        for i, row in enumerate(gtuple.dbm._b)
+        for j, bound in enumerate(row)
+        if bound is not None and i != j and out_row[i] >= 0 <= out_row[j]
     ]
+    shape.sources = [(position.get(attr), attr) for attr in keep]
     n_out = len(keep) + 1
-    plan.mat_template = [
+    shape.template = [
         [0 if i == j else None for j in range(n_out)] for i in range(n_out)
     ]
-    # A singleton's counter pin is not template-expressible, and split
-    # keeps a singleton as itself, so every combo of a cluster with one
-    # runs scalar.
-    plan.bounds = (
-        None
-        if any(gtuple.lrps[i].period == 0 for i in cluster_order)
-        else kernel.bounds_template(split.entries, len(cluster_order) + 1)
-    )
-    return plan
+    return shape
+
+
+def _eliminate(
+    tuples: list[GeneralizedTuple],
+    keep: Sequence[int],
+    dropped: Sequence[int],
+    keep_d: Sequence[int],
+    max_tuples: int,
+) -> list[GeneralizedTuple]:
+    """Temporal elimination across a whole relation, by shape.
+
+    Returns the output tuples (data already projected via ``keep_d``)
+    in tuple order, then combo order.  The input tuples are grouped by
+    shape, their periods and written-bound pattern, and each shape is
+    planned once (:class:`_Shape`).  Each group goes to
+    :func:`repro.perf.kernel.project_batch`, which runs a group large
+    enough to pay for it as array operations; every group it answers
+    :data:`~repro.perf.kernel.SCALAR` for runs tuple by tuple
+    (:func:`_project_tuple`).  Both paths form exactly the
+    residue-feasible combos, count them alike and give the same
+    tuples.  A tuple is satisfiable iff its carried closure exists, so
+    no tuple is closed here.
+    """
+    groups: dict[tuple, tuple[_Shape, list, list, list]] = {}
+    for index, gtuple in enumerate(tuples):
+        rows = gtuple.closure()
+        if rows is None:
+            continue
+        key = (
+            tuple([lrp.period for lrp in gtuple.lrps]),
+            tuple(
+                map(
+                    operator.is_not,
+                    itertools.chain.from_iterable(gtuple.dbm._b),
+                    itertools.repeat(None),
+                )
+            ),
+        )
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (_shape(gtuple, keep, dropped), [], [], [])
+        group[1].append(index)
+        group[2].append(gtuple)
+        group[3].append(rows)
+    _check_limit(groups, max_tuples)
+    outputs: list[list[GeneralizedTuple]] = [[] for _ in tuples]
+    datas = [tuple([t.data[i] for i in keep_d]) for t in tuples]
+    for shape, indices, members, closures in groups.values():
+        if shape.split.size > max_tuples:
+            continue  # every member failed its residue test
+        answer = kernel.project_batch(shape, members, closures)
+        if answer is kernel.SCALAR:
+            for index, gtuple, rows in zip(indices, members, closures):
+                outputs[index] = _project_tuple(
+                    gtuple, shape, rows, datas[index], max_tuples
+                )
+            continue
+        met, formed, blocks = answer
+        # As SplitShape.bind and SplitPlan.combos count.
+        size = shape.split.size
+        COUNTERS["perf.normalize_expansion"] += met * size
+        COUNTERS["perf.prefilter_residue_skip"] += len(members) * size - formed
+        _assemble_blocks(shape, indices, members, datas, blocks, outputs)
+    return [out for per_tuple in outputs for out in per_tuple]
+
+
+def _check_limit(groups: dict, max_tuples: int) -> None:
+    """Raise where the tuple-by-tuple split would: at the first tuple,
+    in input order, whose split product exceeds ``max_tuples`` and whose
+    residues meet its closure (:meth:`SplitShape.bind
+    <repro.core.normalize.SplitShape.bind>`).  The other tuples of
+    those shapes fail the residue test and are counted here."""
+    over = {}
+    for shape, indices, members, closures in groups.values():
+        if shape.split.size > max_tuples:
+            for index, gtuple, rows in zip(indices, members, closures):
+                over[index] = (shape, gtuple, rows)
+    for index in sorted(over):
+        shape, gtuple, rows = over[index]
+        shape.split.bind(gtuple, max_tuples, rows)
+
+
+def _project_tuple(
+    gtuple: GeneralizedTuple,
+    shape: _Shape,
+    rows: tuple,
+    data: tuple,
+    max_tuples: int,
+) -> list[GeneralizedTuple]:
+    """One tuple's elimination, combo by combo, on the scalar path.
+
+    The tuple is bound to its shape's split (residue test, limit and
+    counters included) and each residue-feasible combo is eliminated
+    by :func:`_project_combo`.
+    """
+    plan = shape.split.bind(gtuple, max_tuples, rows)
+    if plan is None:
+        return []
+    out = []
+    for combo in plan.combos(rows):
+        projected = _project_combo(gtuple, shape, plan, combo, data)
+        if projected is not None:
+            out.append(projected)
+    return out
 
 
 def _project_combo(
     gtuple: GeneralizedTuple,
-    plan: _ProjectPlan,
+    shape: _Shape,
+    plan: normalize.SplitPlan,
     combo: tuple[LRP, ...],
-    keep: Sequence[int],
+    data: tuple,
 ) -> GeneralizedTuple | None:
     """Scalar elimination of one split combo (``None`` when empty)."""
-    n_dbm = normalize.transcribe(plan.split, combo)
+    n_dbm = normalize.transcribe(plan, combo)
     if not n_dbm.close():
         return None
-    projected_n = n_dbm.project(plan.kept_cluster)
+    projected_n = n_dbm.project(shape.kept)
     if not projected_n.close():
         return None
-    kept = [combo[pos] for pos in plan.kept_cluster]
+    kept = [combo[pos] for pos in shape.kept]
     singles = [lrp.period == 0 for lrp in kept]
     offsets = [lrp.offset for lrp in kept]
     x_dbm = normalize.to_x_space(
-        offsets, singles, [plan.k] * len(kept), projected_n
+        offsets, singles, [shape.k] * len(kept), projected_n
     )
     # Projecting a closed n-space system yields a closed system, and the
     # affine X-space transcription preserves the triangle inequality
     # entry for entry, so unless a kept singleton pin was dropped the
     # output is born closed — downstream canonicalization pays no
     # re-closure.
-    return _assemble_projected(
-        gtuple,
-        plan,
-        combo,
-        keep,
-        x_dbm._b,
-        gtuple.data,
-        closed=x_dbm._closed or not any(singles),
-    )
-
-
-def _planned_combos(
-    gtuple: GeneralizedTuple,
-    keep: Sequence[int],
-    dropped: Sequence[int],
-    max_tuples: int,
-) -> tuple[_ProjectPlan, list[tuple[LRP, ...]]] | None:
-    """One tuple's plan and its residue-feasible combos, or ``None``
-    when the tuple is empty.
-
-    Emptiness is read off the closure the tuple carries, and its
-    residues are tested against it (:meth:`SplitPlan.combos
-    <repro.core.normalize.SplitPlan.combos>`).  A combo left out has an
-    n-space system with no integer solution, which the kernel or
-    :func:`_project_combo` would reject, so the output is unchanged.
-    """
-    rows = gtuple.closure()
-    if rows is None:
-        return None
-    plan = _project_plan(gtuple, keep, dropped, max_tuples, rows)
-    if plan is None:
-        return None
-    return plan, plan.split.combos(rows)
-
-
-def _project_batched(
-    tuples: list[GeneralizedTuple],
-    keep: Sequence[int],
-    dropped: Sequence[int],
-    keep_d: Sequence[int],
-    max_tuples: int,
-):
-    """Temporal elimination across a whole relation.
-
-    Yields finished output tuples (data already projected via
-    ``keep_d``) in tuple and combo order (:func:`_planned_combos`).
-    The per-combo n-space closure, projection and X-space transcription
-    run as grouped sweeps in :func:`repro.perf.kernel.project_batch`;
-    every combo it answers :data:`~repro.perf.kernel.SCALAR` for (all
-    of them on the python backend) and every combo of a plan without a
-    bound template (:class:`_ProjectPlan`) takes :func:`_project_combo`.  A tuple is satisfiable iff its carried
-    closure exists, so no tuple is closed here.
-    """
-    plans: list[_ProjectPlan | None] = []
-    jobs: list[tuple] = []
-    combo_refs: list[list[tuple] | None] = []
-    for gtuple in tuples:
-        planned = _planned_combos(gtuple, keep, dropped, max_tuples)
-        if planned is None:
-            plans.append(None)
-            combo_refs.append(None)
-            continue
-        plan, combos = planned
-        plans.append(plan)
-        template = plan.bounds
-        refs: list[tuple] = []
-        for combo in combos:
-            if template is None:
-                refs.append((combo, None))
-                continue
-            offsets = (0,) + tuple(lrp.offset for lrp in combo)
-            jobs.append(
-                (template[0], template[1], offsets, plan.k, plan.kept_rows)
-            )
-            refs.append((combo, len(jobs) - 1))
-        combo_refs.append(refs)
-    job_results = kernel.project_batch(jobs) if jobs else []
-    for gtuple, plan, refs in zip(tuples, plans, combo_refs):
-        if plan is None:
-            continue
-        data = tuple(gtuple.data[i] for i in keep_d)
-        for combo, job_idx in refs:
-            if job_idx is None or job_results[job_idx] is kernel.SCALAR:
-                projected = _project_combo(gtuple, plan, combo, keep)
-                if projected is not None:
-                    yield GeneralizedTuple(
-                        lrps=projected.lrps, dbm=projected.dbm, data=data
-                    )
-                continue
-            result = job_results[job_idx]
-            if result is not None:
-                yield _assemble_projected(
-                    gtuple, plan, combo, keep, result, data
-                )
-
-
-def _assemble_projected(
-    gtuple: GeneralizedTuple,
-    plan: _ProjectPlan,
-    combo: tuple[LRP, ...],
-    keep: Sequence[int],
-    x_bounds: list[list[int | None]],
-    data: tuple,
-    closed: bool = True,
-) -> GeneralizedTuple:
-    """Build one output tuple from an X-space matrix.
-
-    ``x_bounds`` is the bound matrix over ``plan.kept_rows``, closed
-    unless ``closed`` says otherwise (the kernel's transcription
-    preserves closure); it is installed directly, then any outside
-    bounds re-open it.
-    """
-    cluster_pos = plan.cluster_pos
-    cluster = plan.cluster
-    lrps = tuple(
-        combo[cluster_pos[attr]] if attr in cluster else gtuple.lrps[attr]
-        for attr in keep
-    )
-    mat: list[list[int | None]] = [row[:] for row in plan.mat_template]
-    out_rows = plan.out_rows
+    closed = x_dbm._closed or not any(singles)
+    mat: list[list[int | None]] = [row[:] for row in shape.template]
+    out_rows = shape.out_rows
     for a, ra in enumerate(out_rows):
-        x_row = x_bounds[a]
+        x_row = x_dbm._b[a]
         row = mat[ra]
         for b, rb in enumerate(out_rows):
             if a != b and x_row[b] is not None:
                 row[rb] = x_row[b]
+    written = gtuple.dbm._b
+    for i, j, oi, oj in shape.outside:
+        mat[oi][oj] = written[i][j]
+    lrps = tuple(
+        [
+            gtuple.lrps[attr] if pos is None else combo[pos]
+            for pos, attr in shape.sources
+        ]
+    )
+    return _output(lrps, mat, closed and not shape.outside, data)
+
+
+def _assemble_blocks(
+    shape: _Shape,
+    indices: list[int],
+    members: list[GeneralizedTuple],
+    datas: list[tuple],
+    blocks: list,
+    outputs: list[list[GeneralizedTuple]],
+) -> None:
+    """Build the output tuples of one shape group's array answer.
+
+    Each block holds, per output in tuple and combo order, the member
+    it came from, its combo's offsets and its finished output matrix
+    (:func:`repro.perf.kernel.project_batch`).  Every kept cluster lrp
+    has the cluster period, so the lrps are looked up by offset.
+    """
+    k = shape.k
+    split_lrps: dict[int, LRP] = {}
+    sources = shape.sources
+    closed = not shape.outside
+    for owners, offsets, matrices in blocks:
+        for member, combo, mat in zip(owners, offsets, matrices):
+            gtuple = members[member]
+            own = gtuple.lrps
+            lrps = []
+            for pos, attr in sources:
+                if pos is None:
+                    lrps.append(own[attr])
+                    continue
+                offset = combo[pos]
+                lrp = split_lrps.get(offset)
+                if lrp is None:
+                    lrp = split_lrps[offset] = LRP.make(offset, k)
+                lrps.append(lrp)
+            index = indices[member]
+            outputs[index].append(
+                _output(tuple(lrps), mat, closed, datas[index])
+            )
+
+
+def _output(
+    lrps: tuple[LRP, ...],
+    mat: list[list[int | None]],
+    closed: bool,
+    data: tuple,
+) -> GeneralizedTuple:
+    """An output tuple over a finished bound matrix, built directly.
+
+    The lrps and data are already tuples and the arity invariant holds
+    by construction, so the dataclass ``__init__`` is bypassed.
+    """
     out_dbm = DBM.__new__(DBM)
     out_dbm._n = len(mat)
     out_dbm._b = mat
     out_dbm._closed = closed
-    for ri, rj, bound in plan.outside_ops:
-        out_dbm._set(ri, rj, bound)
-    # Bypass the dataclass __init__: lrps/data are already tuples and
-    # the arity invariant holds by construction.
     out = GeneralizedTuple.__new__(GeneralizedTuple)
     out.lrps = lrps
     out.dbm = out_dbm

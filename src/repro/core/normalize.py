@@ -20,7 +20,11 @@ One routine does steps 1-5 for every caller: :func:`split` plans a
 tuple's split (which attributes, onto which period each), prunes the
 combos against the tuple's closure with the residue test of Section
 3.2.1 (:meth:`SplitPlan.combos`), and :func:`transcribe` writes one
-combo's counter system.  The callers are four parameterizations:
+combo's counter system.  A split reads the tuple's shape (its periods
+and which bounds are written, :func:`split_shape`) apart from its
+offsets and bound values (:meth:`SplitShape.bind`), so projection
+plans each shape once per call.  The callers are four
+parameterizations:
 
 * projection (Section 3.4's partial normalization): the constraint
   cluster of the dropped attributes, on the cluster's period, pruned;
@@ -156,6 +160,8 @@ class SplitPlan:
     is the size of their product.  ``entries`` holds every written
     X-space bound that touches a split attribute as ``(row_i, row_j,
     b)``: row 0 is the zero variable and ``attrs[d]`` is row ``d + 1``.
+    A plan is a :class:`SplitShape` bound to one tuple's offsets and
+    bound values (:meth:`SplitShape.bind`).
     """
 
     __slots__ = (
@@ -173,14 +179,106 @@ class SplitPlan:
         meet its closed windows (:func:`_feasible_combos`); each combo
         left out adds one to ``perf.prefilter_residue_skip``.  ``rows``
         must belong to a tuple that passed the residue test of
-        :func:`split`: a product of one combo is then the tuple's own
-        lrps, already tested.
+        :meth:`SplitShape.bind`: a product of one combo is then the
+        tuple's own lrps, already tested.
         """
         if rows is None or self.size == 1:
             return list(itertools.product(*self.choices))
         combos, excluded = _feasible_combos(self.attrs, self.choices, rows)
         COUNTERS["perf.prefilter_residue_skip"] += excluded
         return combos
+
+
+class SplitShape:
+    """The part of a split that depends on a tuple's shape alone.
+
+    A tuple's shape is its lrp periods and which of its bounds are
+    written.  The split of ``attrs`` onto ``periods`` reads nothing
+    else until it is bound to one tuple (:meth:`bind`), so every tuple
+    of one shape shares one :class:`SplitShape`.  ``size`` is the split
+    product's size, and ``cells`` lists each written bound touching a
+    split attribute as ``(i, j, row_i, row_j)``: its matrix cell, then
+    its plan rows as in :attr:`SplitPlan.entries`.
+    """
+
+    __slots__ = ("attrs", "periods", "size", "cells")
+
+    def bind(
+        self,
+        gtuple: GeneralizedTuple,
+        max_tuples: int = DEFAULT_MAX_TUPLES,
+        rows: tuple | None = None,
+    ) -> SplitPlan | None:
+        """The split of ``gtuple``, a tuple of this shape (steps 1-2).
+
+        With ``rows``, the tuple's closure, the tuple's lrps are first
+        tested against its closed windows
+        (:func:`~repro.perf.prefilter.residues_meet`).  A tuple that
+        fails has only empty combos: it gets no plan (``None``), adds
+        the whole split product to ``perf.prefilter_residue_skip``, and
+        neither raises :class:`NormalizationLimitError` nor adds to
+        ``perf.normalize_expansion``.  Otherwise a split product above
+        ``max_tuples`` raises (Section 3.8's blow-up), and the product
+        is added to ``perf.normalize_expansion``.
+        """
+        lrps = gtuple.lrps
+        size = self.size
+        if rows is not None and not prefilter.residues_meet(
+            lrps, rows, self.attrs
+        ):
+            COUNTERS["perf.prefilter_residue_skip"] += size
+            return None
+        if size > max_tuples:
+            raise NormalizationLimitError(
+                f"normalization would produce {size} tuples "
+                f"(limit {max_tuples}); periods are too unrelated"
+            )
+        COUNTERS["perf.normalize_expansion"] += size
+        plan = SplitPlan()
+        plan.attrs = self.attrs
+        plan.periods = self.periods
+        # An lrp whose period already equals its target splits into itself.
+        plan.choices = [
+            [lrps[a]] if lrps[a].period in (0, k) else lrps[a].split(k)
+            for a, k in zip(self.attrs, self.periods)
+        ]
+        plan.size = size
+        b = gtuple.dbm._b
+        plan.entries = [(ti, tj, b[i][j]) for i, j, ti, tj in self.cells]
+        return plan
+
+
+def split_shape(
+    gtuple: GeneralizedTuple, attrs: Sequence[int], periods: Sequence[int]
+) -> SplitShape:
+    """The shape part of splitting ``gtuple``'s ``attrs`` onto ``periods``.
+
+    ``periods[d]`` must be a positive multiple of the period of
+    ``attrs[d]``'s lrp, and every bound touching a split attribute must
+    stay among the split attributes (and the zero variable).  Only the
+    tuple's periods and written-bound pattern are read.
+    """
+    lrps = gtuple.lrps
+    size = 1
+    for a, k in zip(attrs, periods):
+        if lrps[a].period:
+            size *= k // lrps[a].period
+    shape = SplitShape()
+    shape.attrs = attrs
+    shape.periods = periods
+    shape.size = size
+    # Plan row of each matrix row: 0 for the zero variable and for the
+    # attributes not split, which share no bound with a split one.
+    row_of = [0] * (len(lrps) + 1)
+    for d, a in enumerate(attrs):
+        row_of[a + 1] = d + 1
+    cells = shape.cells = []
+    for i, row in enumerate(gtuple.dbm._b):
+        ti = row_of[i]
+        for j, bound in enumerate(row):
+            if bound is not None and i != j and (ti or row_of[j]):
+                cells.append((i, j, ti, row_of[j]))
+    return shape
 
 
 def split(
@@ -192,55 +290,14 @@ def split(
 ) -> SplitPlan | None:
     """Plan the split of ``gtuple``'s ``attrs`` onto ``periods`` (steps 1-2).
 
-    ``periods[d]`` must be a positive multiple of the period of
-    ``attrs[d]``'s lrp, and every bound touching a split attribute must
-    stay among the split attributes (and the zero variable).
-
-    With ``rows``, the tuple's closure, the split lrps are first tested
-    against its closed windows
-    (:func:`~repro.perf.prefilter.residues_meet`).  A tuple that fails
-    has only empty combos: it gets no plan (``None``), adds its whole
-    split product to ``perf.prefilter_residue_skip``, and neither raises
-    :class:`NormalizationLimitError` nor adds to
-    ``perf.normalize_expansion``.  Otherwise a split product above
-    ``max_tuples`` raises (Section 3.8's blow-up), and the product is
-    added to ``perf.normalize_expansion``.
+    The one split routine: :func:`split_shape` reads the tuple's shape
+    and :meth:`SplitShape.bind` its offsets and bound values, testing
+    the residues against ``rows`` when given and counting as described
+    there.  Projection builds the shape once for every tuple of one
+    shape and binds each tuple to it; every other caller splits one
+    tuple at a time through this function.
     """
-    lrps = gtuple.lrps
-    size = 1
-    for a, k in zip(attrs, periods):
-        if lrps[a].period:
-            size *= k // lrps[a].period
-    if rows is not None and not prefilter.residues_meet(lrps, rows, attrs):
-        COUNTERS["perf.prefilter_residue_skip"] += size
-        return None
-    if size > max_tuples:
-        raise NormalizationLimitError(
-            f"normalization would produce {size} tuples "
-            f"(limit {max_tuples}); periods are too unrelated"
-        )
-    COUNTERS["perf.normalize_expansion"] += size
-    plan = SplitPlan()
-    plan.attrs = attrs
-    plan.periods = periods
-    # An lrp whose period already equals its target splits into itself.
-    plan.choices = [
-        [lrps[a]] if lrps[a].period in (0, k) else lrps[a].split(k)
-        for a, k in zip(attrs, periods)
-    ]
-    plan.size = size
-    # Plan row of each matrix row: 0 for the zero variable and for the
-    # attributes not split, which share no bound with a split one.
-    row_of = [0] * (len(lrps) + 1)
-    for d, a in enumerate(attrs):
-        row_of[a + 1] = d + 1
-    entries = plan.entries = []
-    for i, row in enumerate(gtuple.dbm._b):
-        ti = row_of[i]
-        for j, bound in enumerate(row):
-            if bound is not None and i != j and (ti or row_of[j]):
-                entries.append((ti, row_of[j], bound))
-    return plan
+    return split_shape(gtuple, attrs, periods).bind(gtuple, max_tuples, rows)
 
 
 def transcribe(plan: SplitPlan, combo: tuple[LRP, ...]) -> DBM:

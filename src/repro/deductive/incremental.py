@@ -377,6 +377,14 @@ def seminaive_stratum(
         frontier.clear()
         for head, rel in derived.items():
             current = state[head]
+            # A tuple with a key already in ``current`` folds to nothing
+            # there, so it is dropped by lookup instead of subtracted.
+            keys = current._keys
+            fresh = [t for t in rel if t.canonical_key() not in keys]
+            if not fresh:
+                continue
+            if len(fresh) < len(rel):
+                rel = GeneralizedRelation(rel.schema, fresh)
             delta = canonical(algebra.subtract(rel, current))
             if delta.is_empty():
                 continue

@@ -22,7 +22,9 @@ k-iteration at most doubles the largest finite magnitude, so with every
 input magnitude below :data:`MAX_ABS_BOUND` (2^40) and dimension at most
 :data:`MAX_DIM` every intermediate stays below 2^53 and float64
 arithmetic is exact.  Systems outside that envelope fall back to the
-scalar path and are counted in ``kernel.scalar_fallbacks``.
+scalar path and are counted in ``kernel.scalar_fallbacks``; a
+projection shape group answered :data:`SCALAR` is not, its scalar
+closures count in ``perf.closure_full``.
 
 Backend selection: ``PerfConfig.kernel`` (env ``REPRO_KERNEL``) picks
 ``numpy``, ``python`` or ``auto``; ``auto`` and ``numpy`` degrade
@@ -36,6 +38,7 @@ backend every entry point runs scalar internally (or answers
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import gcd
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import COUNTERS, get_registry
@@ -59,12 +62,24 @@ MAX_DIM = 12
 #: ``docs/performance.md`` ("Kernel batch threshold").
 MIN_BATCH = (0, 16, 8, 8, 6)
 
-#: Template bounds above this magnitude skip the int64 grid arithmetic
-#: (headroom against int64 overflow when offsets are folded in).
+#: Bound magnitudes above this skip the int64 grid and residue
+#: arithmetic of :func:`project_batch` (headroom against int64 overflow
+#: when offsets are folded in).
 MAX_TEMPLATE_BOUND = 1 << 60
+#: The fewest unpruned split combos (tuples times split size) of one
+#: projection shape group worth an array pass in :func:`project_batch`;
+#: smaller groups run the scalar path.  Measured, a group breaks even
+#: between 8 and 16 combos, where the one-variable systems of
+#: :data:`MIN_BATCH` do, so it takes that entry; the measurement is in
+#: ``docs/performance.md`` ("Kernel batch threshold").
+MIN_SHAPE_COMBOS = MIN_BATCH[1]
+#: The most combos one array block of :func:`project_batch` holds: a
+#: larger group runs in blocks of whole tuples, and a shape whose split
+#: alone is larger runs the scalar path.
+MAX_BLOCK_COMBOS = 1 << 13
 
-#: Sentinel returned by :func:`project_batch` for jobs whose group failed
-#: an exactness guard: the caller must redo that combo on the scalar path.
+#: Sentinel returned by :func:`project_batch` for a shape group it does
+#: not run as array operations: the caller runs its scalar path.
 SCALAR = object()
 
 _np: Any = None
@@ -318,85 +333,190 @@ def canonical_keys_batch(dbms: Sequence["DBM"]) -> list[tuple]:
 # ----------------------------------------------------------------------
 
 
-def bounds_template(entries, n):
-    """Sparse ``(row, col, bound)`` entries to a bound matrix + mask.
+def project_batch(shape, tuples: Sequence, closures: Sequence):
+    """Eliminate one projection shape group as array operations.
 
-    Row 0 is the zero variable.  Returns ``(template, mask)`` as plain
-    nested lists (``project_batch`` stacks whole groups into one numpy
-    array, which beats allocating per-tuple ndarrays here); ``mask``
-    flags present entries (the zero diagonal is always present) and
-    duplicate entries keep the tighter bound, like repeated ``add_*``
-    calls would.  Returns ``None`` when a bound is too large for safe
-    int64 grid arithmetic — the caller then uses the scalar path for
-    every combo of that tuple.
+    The job is one shape group of a projection
+    (``repro.core.algebra._Shape``): ``tuples`` share the shape's
+    periods and written-bound pattern, and ``closures`` are their
+    closed bound rows.  From the shape it reads the split shape
+    ``split`` (the cluster attributes, the split size and the
+    transcribed cells, each an input cell and its plan rows), the
+    cluster attributes' periods ``steps``, the cluster period ``k``,
+    the kept cluster positions ``kept`` and their output rows
+    ``out_rows``, the output ``template`` and the ``outside`` cells
+    (an input cell and its output cell).  Each tuple supplies its
+    offsets and bound values.  Over a ``(tuples × combos)`` block of
+    the split product:
+
+    1. the residue windows of
+       :func:`repro.core.normalize._feasible_combos` keep the combos
+       whose offsets meet the tuple's closed windows, and the same
+       windows over the tuple's own lrps give its residue verdict
+       (:func:`repro.perf.prefilter.residues_meet`);
+    2. grid mapping ``N = (T - O_row + O_col) // k`` of the kept
+       combos in exact int64 (``np.floor_divide`` matches Python's
+       floor semantics for the negative bounds the offsets produce);
+    3. one Floyd–Warshall sweep over the grid systems;
+    4. row/column selection of the zero row and the kept positions;
+    5. X-space transcription ``X = k * P + O_row - O_col``, an affine
+       map that preserves the triangle inequality, written into the
+       output matrix with the outside bounds.
+
+    Returns :data:`SCALAR` when the group is not worth an array pass
+    (fewer than :data:`MIN_SHAPE_COMBOS` unpruned combos), has a
+    singleton in its cluster, is too large for one block, fails an
+    exactness guard, or the backend is python: the caller then runs
+    its scalar path, which forms and answers the same combos.
+    Otherwise returns ``(met, formed, blocks)``: how many tuples passed
+    the residue verdict, how many combos passed the windows, and per
+    block of whole tuples ``(owners, offsets, matrices)`` listing, per
+    satisfiable combo in tuple and combo order, the tuple's position
+    in ``tuples``, the combo's offsets per cluster position, and its
+    output bound matrix as nested lists (``None`` for no bound).
     """
-    template = [[0] * n for _ in range(n)]
-    mask = [[i == j for j in range(n)] for i in range(n)]
-    for i, j, bound in entries:
-        if bound > MAX_TEMPLATE_BOUND or bound < -MAX_TEMPLATE_BOUND:
-            return None
-        if not mask[i][j] or bound < template[i][j]:
-            template[i][j] = bound
-            mask[i][j] = True
-    return template, mask
-
-
-def project_batch(jobs: Sequence[tuple]) -> list:
-    """Close, project and transcribe many combo systems at once.
-
-    Each job is ``(template, mask, offsets, k, kept_rows)`` describing
-    one normalized combo of one tuple's cluster: the shared X-space
-    bound template from :func:`bounds_template`, the combo's per-row
-    grid offsets (0 for the zero row), the cluster period ``k``, and
-    the row indices surviving projection.  Per group of identically
-    shaped jobs the pipeline is fully vectorized:
-
-    1. grid mapping ``N = (T - O_row + O_col) // k`` in exact int64
-       (``np.floor_divide`` matches Python's floor semantics for the
-       negative bounds the offsets produce),
-    2. one batched Floyd–Warshall sweep over the grid systems,
-    3. row/column selection of ``kept_rows``,
-    4. X-space transcription ``X = k * P + O_row - O_col`` — an affine
-       map that preserves the triangle inequality, so the outputs are
-       closed matrices ready to install verbatim.
-
-    Returns one result per job, in order: :data:`SCALAR` when the
-    group failed an exactness guard or is too small to pay for numpy
-    dispatch (and for every job on the python backend, which touches
-    no numpy), ``None`` for an unsatisfiable system, or the closed
-    X-space bound matrix over ``kept_rows``.
-    """
-    results: list = [SCALAR] * len(jobs)
-    if not kernel_active():
-        _count_fallback(len(jobs))
-        return results
+    size = shape.split.size
+    steps = shape.steps
+    k = shape.k
+    m = len(steps)
+    if (
+        len(tuples) * size < MIN_SHAPE_COMBOS
+        or size > MAX_BLOCK_COMBOS
+        or 0 in steps
+        or m + 1 > MAX_DIM
+        or k > MAX_ABS_BOUND
+        or not kernel_active()
+    ):
+        return SCALAR
     np = _numpy()
-    groups: dict[tuple, list[int]] = {}
-    for idx, (template, _mask, _offsets, k, kept_rows) in enumerate(jobs):
-        groups.setdefault((len(template), k, kept_rows), []).append(idx)
-    for (n, k, kept_rows), indices in groups.items():
-        if _too_small(n, len(indices)) or n > MAX_DIM or k > MAX_ABS_BOUND:
-            _count_fallback(len(indices))
+    attrs = shape.split.attrs
+    first = closures[0]
+    # A window applies when both its ends are finite; a closure's
+    # finite entries follow from the written-bound pattern, so the
+    # first tuple's closure decides for the whole group.
+    windows = []  # (position, prior position or -1 for the zero row)
+    window_cells = []
+    for d, a in enumerate(attrs):
+        for e, b in [(-1, -1)] + list(enumerate(attrs[:d])):
+            low, high = first[b + 1][a + 1], first[a + 1][b + 1]
+            if low is not None and high is not None:
+                windows.append((d, e))
+                window_cells += [(b + 1, a + 1), (a + 1, b + 1)]
+    cells = shape.split.cells
+    outside = shape.outside
+    try:
+        values = np.array(
+            [
+                [rows[i][j] for i, j in window_cells]
+                + [t.dbm._b[i][j] for i, j, _ti, _tj in cells]
+                + [t.lrps[a].offset for a in attrs]
+                + [t.dbm._b[i][j] for i, j, _oi, _oj in outside]
+                for t, rows in zip(tuples, closures)
+            ],
+            dtype=np.int64,
+        ).reshape(len(tuples), -1)
+    except OverflowError:
+        return SCALAR
+    w_end = len(window_cells)
+    c_end = w_end + len(cells)
+    o_end = c_end + m
+    # Outside bounds are copied through float64, so they must be exact
+    # there; the rest stays in int64.
+    outside_values = values[:, o_end:]
+    if (
+        (values > MAX_TEMPLATE_BOUND).any()
+        or (values < -MAX_TEMPLATE_BOUND).any()
+        or (outside_values > MAX_ABS_BOUND).any()
+        or (outside_values < -MAX_ABS_BOUND).any()
+    ):
+        return SCALAR
+    written = values[:, w_end:c_end]
+    n = m + 1
+    widest = int(np.abs(written).max(initial=0))
+    # One k-iteration at most doubles the largest grid magnitude, and
+    # the transcription multiplies by k and adds offsets below k:
+    # everything stays under 2^53, so the float64 math is exact.
+    if (widest // k + 3) * (1 << n) * k > (1 << 52):
+        return SCALAR
+    combos = np.indices([k // step for step in steps]).reshape(m, -1).T
+    periods = np.array(steps, dtype=np.int64)
+    moduli = [
+        steps[d] if e < 0 else gcd(steps[d], steps[e]) for d, e in windows
+    ]
+    rows_ti = np.array([ti for _i, _j, ti, _tj in cells], dtype=np.intp)
+    rows_tj = np.array([tj for _i, _j, _ti, tj in cells], dtype=np.intp)
+    kept = np.array([0] + [pos + 1 for pos in shape.kept], dtype=np.intp)
+    out_rows = np.array(shape.out_rows, dtype=np.intp)
+    out_i = np.array([oi for _i, _j, oi, _oj in outside], dtype=np.intp)
+    out_j = np.array([oj for _i, _j, _oi, oj in outside], dtype=np.intp)
+    n_out = len(shape.template)
+    met = formed = 0
+    blocks = []
+    per_block = max(1, MAX_BLOCK_COMBOS // size)
+    for start in range(0, len(tuples), per_block):
+        block = values[start:start + per_block]
+        base = block[:, c_end:o_end]
+        offsets = base[:, None, :] + combos[None, :, :] * periods
+        feasible = np.ones(offsets.shape[:2], dtype=bool)
+        meets = np.ones(len(block), dtype=bool)
+        for w, ((d, e), modulus) in enumerate(zip(windows, moduli)):
+            low = -block[:, 2 * w]
+            high = block[:, 2 * w + 1]
+            if e < 0:
+                diff, own = offsets[:, :, d], base[:, d]
+            else:
+                diff = offsets[:, :, d] - offsets[:, :, e]
+                own = base[:, d] - base[:, e]
+            feasible &= (
+                low[:, None] + (diff - low[:, None]) % k <= high[:, None]
+            )
+            meets &= low + (own - low) % modulus <= high
+        met += int(meets.sum())
+        owner, combo = np.nonzero(feasible)
+        formed += len(owner)
+        if not len(owner):
             continue
-        tmpl = np.array([jobs[idx][0] for idx in indices], dtype=np.int64)
-        mask = np.array([jobs[idx][1] for idx in indices], dtype=bool)
-        offs = np.array([jobs[idx][2] for idx in indices], dtype=np.int64)
-        grid = tmpl - offs[:, :, None] + offs[:, None, :]
-        gridq = np.floor_divide(grid, k)
-        mag = int(np.abs(np.where(mask, gridq, 0)).max(initial=0))
-        # One k-iteration at most doubles the largest magnitude, and the
-        # final transcription multiplies by k and adds offsets below k:
-        # everything stays under 2^53, so the float64 math is exact.
-        if (mag + 1) * (1 << n) * k > (1 << 52):
-            _count_fallback(len(indices))
-            continue
-        batch = np.where(mask, gridq.astype(np.float64), INF)
-        batch, sat = close_packed(batch)
-        _observe_batch(len(indices))
-        kept = np.array(kept_rows, dtype=np.intp)
-        proj = batch[:, kept][:, :, kept]
-        kept_offs = offs[:, kept].astype(np.float64)
-        xspace = k * proj + kept_offs[:, :, None] - kept_offs[:, None, :]
-        for pos, idx in enumerate(indices):
-            results[idx] = matrix_to_bounds(xspace[pos]) if sat[pos] else None
-    return results
+        chosen = offsets[owner, combo]
+        grid_offsets = np.zeros((len(owner), n), dtype=np.int64)
+        grid_offsets[:, 1:] = chosen
+        grid = np.full((len(owner), n, n), INF)
+        grid[:, np.arange(n), np.arange(n)] = 0.0
+        grid[:, rows_ti, rows_tj] = np.floor_divide(
+            written[start:start + per_block][owner]
+            - grid_offsets[:, rows_ti]
+            + grid_offsets[:, rows_tj],
+            k,
+        )
+        grid, sat = close_packed(grid)
+        _observe_batch(len(owner))
+        keep = np.nonzero(sat)[0]
+        projected = grid[keep][:, kept][:, :, kept]
+        kept_offsets = grid_offsets[keep][:, kept].astype(np.float64)
+        out = np.full((len(keep), n_out, n_out), INF)
+        out[:, np.arange(n_out), np.arange(n_out)] = 0.0
+        out[:, out_rows[:, None], out_rows[None, :]] = (
+            k * projected
+            + kept_offsets[:, :, None]
+            - kept_offsets[:, None, :]
+        )
+        if len(outside):
+            out[:, out_i, out_j] = outside_values[start:][owner[keep]]
+        blocks.append(
+            (
+                (owner[keep] + start).tolist(),
+                chosen[keep].tolist(),
+                _bound_lists(out),
+            )
+        )
+    return met, formed, blocks
+
+
+def _bound_lists(batch) -> list:
+    """A batch of float bound matrices as nested lists of ints, with
+    ``None`` for ``+inf`` (converted in bulk, not entry by entry)."""
+    np = _numpy()
+    absent = np.isinf(batch)
+    bounds = np.where(absent, 0.0, batch).astype(np.int64).astype(object)
+    bounds[absent] = None
+    return bounds.tolist()
+

@@ -119,9 +119,20 @@ class NativeEngine:
     def run(
         self, plan: ir.PlanNode, ctx: ExecutionContext
     ) -> GeneralizedRelation:
-        """Execute the plan bottom-up, emitting trace spans per node."""
+        """Execute the plan bottom-up, emitting trace spans per node.
+
+        The answer is a relation of the caller's own: a plan that
+        reads a scan or a literal straight through (a rewritten plan
+        whose renames composed away) answers with a copy of it.
+        """
         ctx.plan = plan
-        return self._exec(plan, ctx)
+        result = self._exec(plan, ctx)
+        root = plan
+        while isinstance(root, ir.Guard):
+            root = root.child
+        if isinstance(root, (ir.Scan, ir.Literal)):
+            return result.copy()
+        return result
 
     # -- internals -----------------------------------------------------
 

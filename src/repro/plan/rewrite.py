@@ -32,7 +32,9 @@ The pipeline, in order:
 5. ``collapse-projects`` — normal-form deferral: merge projection
    chains (``π1 ∘ π2 → π1``) and drop identity projections, so
    per-tuple partial normalization runs once per consumer, not once
-   per intermediate;
+   per intermediate; compose adjacent renames into one and drop a
+   rename that changes no name (an atom's placeholder rename pair
+   over its scan becomes one rename, or none);
 6. ``reorder-joins`` — flatten natural-join chains and re-order them
    greedily by estimated intermediate size (leaf sizes × cost hints ×
    a constant pair selectivity), wrapping the chain in a
@@ -493,11 +495,44 @@ def push_projects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
 # ----------------------------------------------------------------------
 
 
+def _composed(outer: ir.Rename, inner: ir.Rename) -> tuple:
+    """The one mapping that renames as ``inner``, then ``outer`` do,
+    over ``inner``'s input, without the names it leaves as they are."""
+    first = dict(inner.mapping)
+    then = dict(outer.mapping)
+    pairs = []
+    for name in inner.child.schema.names:
+        middle = first.get(name, name)
+        final = then.get(middle, middle)
+        if final != name:
+            pairs.append((name, final))
+    return tuple(pairs)
+
+
 def collapse_projects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
-    """Merge projection chains and drop identity projections."""
-    rw = _Rewriter(ir.Project.kind)
+    """Merge projection and rename chains, and drop identity ones.
+
+    A projection over a rename moves below it, so that renames meet
+    and compose across it.
+    """
+    rw = _Rewriter(ir.Project.kind | ir.Rename.kind)
 
     def collapse(node: ir.PlanNode) -> ir.PlanNode:
+        if isinstance(node, ir.Rename):
+            child = node.child
+            if isinstance(child, ir.Rename):
+                rw.count += 1
+                return collapse(
+                    ir.Rename(
+                        child.child,
+                        _composed(node, child),
+                        labels=node.labels + child.labels,
+                    )
+                )
+            if all(old == new for old, new in node.mapping):
+                rw.count += 1
+                return _merge_labels(node.labels, child)
+            return node
         if not isinstance(node, ir.Project):
             return node
         if isinstance(node.child, ir.Project):
@@ -512,6 +547,26 @@ def collapse_projects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
         if tuple(node.child.schema.names) == node.names:
             rw.count += 1
             return _merge_labels(node.labels, node.child)
+        if isinstance(node.child, ir.Rename):
+            # Project first, then rename what is left, so the rename
+            # meets any rename below the projection.
+            rename = node.child
+            back = {new: old for old, new in rename.mapping}
+            kept = set(node.names)
+            rw.count += 1
+            return collapse(
+                ir.Rename(
+                    collapse(
+                        ir.Project(
+                            rename.child,
+                            tuple(back.get(name, name) for name in node.names),
+                            labels=node.labels,
+                        )
+                    ),
+                    tuple(pair for pair in rename.mapping if pair[1] in kept),
+                    labels=rename.labels,
+                )
+            )
         return node
 
     return rw.transform(root, collapse), rw.count

@@ -98,7 +98,10 @@ class Planner:
         a ``const``, over ``schema``) in place of :meth:`plan_query`'s
         column order: a product with a singleton per constant, a
         projection onto the head's order when needed, and a rename onto
-        ``schema``, always there so a fire returns a relation of its own.
+        ``schema``.  The rewrite passes may compose that rename with the
+        body's own renames, or drop it when it changes no name; the
+        engine answers every plan with a relation of its own either way
+        (:meth:`repro.plan.engine.NativeEngine.run`).
         """
         plan = self.lower(query)
         columns: list[str] = []

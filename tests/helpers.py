@@ -123,17 +123,23 @@ def project_tuple_temporal(
     """Scalar reference: eliminate the ``dropped`` temporal attributes
     of one tuple.
 
-    Plans and enumerates combos exactly as ``algebra.project`` does,
-    residue pruning included, and closes every combo with the scalar
+    Plans the tuple's shape alone, binds the tuple to it and enumerates
+    combos exactly as ``algebra.project`` does, residue pruning
+    included, and closes every combo with the scalar
     ``algebra._project_combo``, never through the kernel.
     """
-    planned = algebra._planned_combos(gtuple, keep, dropped, max_tuples)
-    if planned is None:
+    rows = gtuple.closure()
+    if rows is None:
         return []  # empty tuple: empty projection
-    plan, combos = planned
+    shape = algebra._shape(gtuple, keep, dropped)
+    plan = shape.split.bind(gtuple, max_tuples, rows)
+    if plan is None:
+        return []  # its residues miss its closure: empty projection
     results = []
-    for combo in combos:
-        projected = algebra._project_combo(gtuple, plan, combo, keep)
+    for combo in plan.combos(rows):
+        projected = algebra._project_combo(
+            gtuple, shape, plan, combo, gtuple.data
+        )
         if projected is not None:
             results.append(projected)
     return results

@@ -188,11 +188,10 @@ def _reference_project(relation, names):
             lrps = tuple(gtuple.lrps[i] for i in keep_t)
             out.add(GeneralizedTuple(lrps, probe.project(keep_t), data))
             continue
-        plan = algebra._project_plan(
-            gtuple, keep_t, dropped, DEFAULT_MAX_TUPLES, _open_rows(gtuple)
-        )
-        for combo in itertools.product(*plan.split.choices):
-            projected = algebra._project_combo(gtuple, plan, combo, keep_t)
+        shape = algebra._shape(gtuple, keep_t, dropped)
+        plan = shape.split.bind(gtuple, DEFAULT_MAX_TUPLES, _open_rows(gtuple))
+        for combo in itertools.product(*plan.choices):
+            projected = algebra._project_combo(gtuple, shape, plan, combo, data)
             if projected is not None:
                 out.add(GeneralizedTuple(projected.lrps, projected.dbm, data))
     return out
@@ -300,13 +299,12 @@ class TestResiduePruning:
                 rows = gtuple.closure()
                 if rows is None:
                     continue
-                product = algebra._project_plan(
-                    gtuple, [0], dropped, DEFAULT_MAX_TUPLES, _open_rows(gtuple)
-                ).split.size
+                split = algebra._shape(gtuple, [0], dropped).split
+                product = split.bind(
+                    gtuple, DEFAULT_MAX_TUPLES, _open_rows(gtuple)
+                ).size
                 before = COUNTERS["perf.prefilter_residue_skip"]
-                plan = algebra._project_plan(
-                    gtuple, [0], dropped, DEFAULT_MAX_TUPLES, rows
-                )
+                plan = split.bind(gtuple, DEFAULT_MAX_TUPLES, rows)
                 skipped = COUNTERS["perf.prefilter_residue_skip"] - before
                 if plan is None:
                     # Rejected before planning: the whole product.
@@ -315,11 +313,11 @@ class TestResiduePruning:
                     continue
                 assert skipped == 0
                 before = COUNTERS["perf.prefilter_residue_skip"]
-                formed = plan.split.combos(rows)
+                formed = plan.combos(rows)
                 skipped = COUNTERS["perf.prefilter_residue_skip"] - before
                 assert len(formed) + skipped == product
                 kept = set(formed)
-                full = itertools.product(*plan.split.choices)
+                full = itertools.product(*plan.choices)
                 assert formed == [c for c in full if c in kept]
                 pruned += skipped
         assert rejected and pruned

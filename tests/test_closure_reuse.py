@@ -349,7 +349,7 @@ def _guard_projections(monkeypatch):
     instead of normalizing, so its feasible count is 0: it forms no
     combo (and may read a lazy join only part way)."""
     eliminations, reorders = [], []
-    work = {"jobs": 0, "scalar": 0, "combos": 0, "closes": 0, "packs": 0}
+    work = {"blocks": 0, "combos": 0, "closes": 0, "packs": 0}
     real_project = algebra.project
     real_batch = kernel.project_batch
     real_combo = algebra._project_combo
@@ -369,19 +369,19 @@ def _guard_projections(monkeypatch):
         result = real_project(relation, names, *args, **kwargs)
         delta = {key: work[key] - before[key] for key in work}
         if eliminates:
-            # A combo the kernel hands back as SCALAR is redone by
-            # _project_combo: count it once.
-            formed = delta["jobs"] + delta["combos"] - delta["scalar"]
+            # A shape group runs as one array block or, answered SCALAR,
+            # combo by combo in _project_combo.
+            formed = delta["blocks"] + delta["combos"]
             eliminations.append((formed, expected))
         else:
             reorders.append((delta["closes"], delta["packs"]))
         return result
 
-    def project_batch(jobs):
-        results = real_batch(jobs)
-        work["jobs"] += len(jobs)
-        work["scalar"] += sum(r is kernel.SCALAR for r in results)
-        return results
+    def project_batch(shape, tuples, closures):
+        answer = real_batch(shape, tuples, closures)
+        if answer is not kernel.SCALAR:
+            work["blocks"] += answer[1]  # the combos it formed
+        return answer
 
     def project_combo(*args):
         work["combos"] += 1

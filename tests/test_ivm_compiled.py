@@ -313,14 +313,17 @@ class TestStaleness:
         with Database.open(tmp_path / "db") as db:
             db.create("Edge", temporal=["t"], data=["src", "dst"])
             db.install_program(program)
-            # The head's rename is the root, over the body's literal.
+            # The head's rename is the root, over the body's literal;
+            # rewritten, it changes no name and is dropped, so the
+            # literal itself is the root.
             (root,) = [
                 c.rewritten
                 for c in spy.compiled
-                if isinstance(c.rewritten, ir.Rename)
+                if isinstance(c.rewritten, ir.Literal)
+                or isinstance(c.rewritten, ir.Rename)
                 and isinstance(c.rewritten.child, ir.Literal)
             ]
-            literal = root.child
+            literal = root if isinstance(root, ir.Literal) else root.child
             pristine = rows(literal.relation)
             tags.append(rows(db.relation("Tag")))
             for index, batch in enumerate(batches):

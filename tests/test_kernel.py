@@ -87,14 +87,23 @@ class TestBackendSeam:
     backend every entry point runs scalar, so callers never branch."""
 
     @staticmethod
-    def _jobs():
-        # X1 - X2 <= 5, X2 >= 2 over period 8, one job per offset pair.
-        template = kernel.bounds_template([(1, 2, 5), (0, 2, -2)], 3)
-        return [
-            (template[0], template[1], (0, c1, c2), 8, (0, 1))
-            for c1 in range(4)
-            for c2 in range(4)
-        ]
+    def _shape_group():
+        # X1 - X2 <= 5, X2 >= 2 over period 8, one tuple per offset
+        # pair: one shape group, large enough for an array pass.
+        tuples = []
+        for c1 in range(4):
+            for c2 in range(4):
+                dbm = DBM(2)
+                dbm.add_difference(0, 1, 5)
+                dbm.add_lower(1, 2)
+                tuples.append(
+                    GeneralizedTuple(
+                        lrps=(LRP.make(c1, 8), LRP.make(c2, 8)), dbm=dbm
+                    )
+                )
+        shape = algebra._shape(tuples[0], [0], [1])
+        assert len(tuples) * shape.split.size >= kernel.MIN_SHAPE_COMBOS
+        return shape, tuples, [t.closure() for t in tuples]
 
     def test_python_backend_runs_scalar_without_numpy(self, monkeypatch):
         def no_numpy():
@@ -108,15 +117,14 @@ class TestBackendSeam:
             d.add_difference(1, 0, rng.randint(-3, 3))
             dbms.append(d)
         expected = [d.copy().close() for d in dbms]
+        shape, tuples, closures = self._shape_group()
         monkeypatch.setattr(kernel, "_numpy", no_numpy)
         with overrides(kernel="python"):
             before = COUNTERS["perf.kernel.batch_closures"]
-            jobs = self._jobs()
-            results = kernel.project_batch(jobs)
+            result = kernel.project_batch(shape, tuples, closures)
             verdicts = kernel.sat_batch(dbms)
             after = COUNTERS["perf.kernel.batch_closures"]
-        assert len(results) == len(jobs)
-        assert all(result is kernel.SCALAR for result in results)
+        assert result is kernel.SCALAR
         assert verdicts == expected
         assert after == before
 
@@ -329,15 +337,18 @@ class TestProjectionKernel:
 
 
 class TestProjectPlan:
-    def test_bound_template_built_once_per_planned_tuple(self, monkeypatch):
+    def test_shape_planned_once_per_shape_per_call(self, monkeypatch):
         rel = GeneralizedRelation.empty(Schema.make(temporal=["A", "B"]))
-        for offset, period, gap in [(0, 2, 4), (1, 3, 2), (2, 4, 7)]:
+        for offset, period, gap, other in [
+            (0, 2, 4, 1), (1, 3, 2, 1), (2, 4, 7, 1), (1, 2, 3, 5),
+        ]:
             dbm = DBM(2)
             dbm.add_difference(0, 1, gap)
             dbm.add_lower(1, offset)
             rel.add(
                 GeneralizedTuple(
-                    lrps=(LRP.make(offset, period), LRP.make(1, 6)), dbm=dbm
+                    lrps=(LRP.make(offset, period), LRP.make(other, 6)),
+                    dbm=dbm,
                 )
             )
         empty = DBM(2)
@@ -346,18 +357,20 @@ class TestProjectPlan:
         rel.add(GeneralizedTuple(lrps=(LRP.make(0, 2), LRP.make(0, 3)),
                                  dbm=empty))
         calls = []
-        original = kernel.bounds_template
+        original = algebra._shape
 
-        def counting(entries, n):
-            calls.append(n)
-            return original(entries, n)
+        def counting(gtuple, keep, dropped):
+            calls.append(gtuple)
+            return original(gtuple, keep, dropped)
 
-        monkeypatch.setattr(kernel, "bounds_template", counting)
+        monkeypatch.setattr(algebra, "_shape", counting)
         outputs = {
             frozenset(t.canonical_key() for t in algebra.project(rel, ["A"]))
             for _ in range(10)
         }
-        # Each run plans afresh; the empty tuple never gets a plan.
+        # Each run plans afresh, once per shape: the first and last
+        # satisfiable tuples share their periods and written bounds,
+        # and the empty tuple is never planned.
         assert len(calls) == 10 * 3
         assert len(outputs) == 1
 

@@ -162,6 +162,43 @@ class TestProjectionPasses:
         collapsed, count = collapse_projects(tree)
         assert count == 1 and isinstance(collapsed, ir.Scan)
 
+    def test_adjacent_renames_compose(self):
+        # An atom's placeholder pair over its scan, then a head rename.
+        pair = ir.Rename(
+            ir.Rename(scan(), (("t1", "_p0"), ("t2", "_p1"))),
+            (("_p0", "a"), ("_p1", "t1")),
+            labels=(("scan", "R(a, t1)"),),
+        )
+        tree = ir.Rename(pair, (("a", "x"),))
+        collapsed, count = collapse_projects(tree)
+        assert count == 2
+        assert isinstance(collapsed, ir.Rename)
+        assert isinstance(collapsed.child, ir.Scan)
+        assert collapsed.mapping == (("t1", "x"), ("t2", "t1"))
+        assert collapsed.schema == tree.schema
+        assert collapsed.labels == (("scan", "R(a, t1)"),)
+
+    def test_rename_pair_that_changes_nothing_dropped(self):
+        pair = ir.Rename(
+            ir.Rename(scan(), (("t1", "_p0"), ("t2", "_p1"))),
+            (("_p0", "t1"), ("_p1", "t2")),
+            labels=(("scan", "R(t1, t2)"),),
+        )
+        collapsed, count = collapse_projects(pair)
+        assert count == 2 and isinstance(collapsed, ir.Scan)
+        assert collapsed.labels == (("scan", "R(t1, t2)"),)
+
+    def test_query_over_a_bare_scan_answers_a_copy(self):
+        from repro.api import Database
+
+        db = Database()
+        stored_even = db.create("Even", temporal=["t"])
+        stored_even.add_tuple(["2n"])
+        answer = db.query("Even(t)")
+        assert answer == stored_even and answer is not stored_even
+        answer.add_tuple(["1"])
+        assert len(db.relation("Even")) == 1
+
 
 class TestReorderJoins:
     def test_small_chains_untouched(self):
