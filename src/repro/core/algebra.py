@@ -7,13 +7,15 @@ database" (Section 3's preamble); the temporal components follow the
 paper's algorithms:
 
 * union — merge (3.1);
-* intersection — pairwise tuple intersection via lrp CRT (3.2);
+* intersection — the natural join of two same-schema relations (3.2);
 * subtraction — the Figure 1 decomposition
   ``t1 - t2 = (t1 - t2*) ∪ (t̄2 ∩ t1)`` folded over the subtrahend (3.3);
 * projection — per-tuple *partial* normalization, then integer-exact
   elimination in n-space (3.4, Theorems 3.1/3.2);
 * selection — constraint conjunction (3.5);
-* cross product and natural join (3.6, 3.7);
+* natural join (3.7) — the one pairwise meet: a pair meets on equal
+  data and on lrps that meet by CRT, and the cross product (3.6) is
+  the join of two relations with no shared name;
 * complement — Appendix A.6 via :mod:`repro.core.negation`.
 """
 
@@ -57,8 +59,8 @@ from repro.obs.metrics import COUNTERS
 #: Per-operation cost hints for the logical planner's cost model
 #: (:mod:`repro.plan.cost`): the *selectivity / expansion factor* each
 #: unary operation (and subtraction, of its left side) applies to its
-#: input cardinality estimate.  Pairwise joins and intersections use the
-#: model's one constant pair selectivity instead.  These are coarse
+#: input cardinality estimate.  Joins use the model's one constant pair
+#: selectivity instead.  These are coarse
 #: structural priors, but they encode the real asymmetries: selection
 #: only narrows constraints (never grows tuple counts), projection may
 #: split tuples during partial normalization, and complement is
@@ -192,31 +194,15 @@ def union(r1: GeneralizedRelation, r2: GeneralizedRelation) -> GeneralizedRelati
 def intersect(
     r1: GeneralizedRelation, r2: GeneralizedRelation
 ) -> GeneralizedRelation:
-    """Set intersection: pairwise tuple intersections (Section 3.2.2).
+    """Set intersection (Section 3.2.2): the natural join of two
+    same-schema relations, whose attributes are all shared.
 
-    Only tuples with equal data values whose lrps meet can intersect, so
-    each ``r1`` tuple is paired only with the ``r2`` tuples
-    :func:`_pairs` finds for it: same data bucket and a compatible
-    residue on the first temporal attribute.  Kept pairs come out in
-    nested-loop order.  Unsatisfiable meets (nonempty lrp intersections
-    whose merged constraints have no solution) denote the empty set and
-    are dropped.  Provably empty pairs are rejected before the CRT + DBM
-    work, deciding from the closure each stored tuple carries.  The
-    result is tuple-for-tuple that of the plain double loop over
-    ``r1 × r2``.
+    A pair meets only on equal data and on lrps that meet (Section
+    3.2.1), which is :func:`join`'s pair loop; the result is
+    tuple-for-tuple that of the double loop over ``r1 × r2``.
     """
     _require_same_schema(r1, r2)
-    out = GeneralizedRelation.empty(r1.schema)
-    window = (0, 0, 0, 0) if r1.schema.temporal_arity else None
-    data = operator.attrgetter("data")
-    candidates = [
-        meet
-        for t1, t2 in _pairs(r1, r2, data, data, window)
-        if (meet := _intersect_candidate(t1, t2)) is not None
-    ]
-    for meet in _close_candidates(candidates):
-        out.add(meet)
-    return out
+    return join(r1, r2)
 
 
 def _partition(
@@ -237,8 +223,8 @@ def _pairs(
     window: tuple[int, int, int, int] | None,
     skip: str = "perf.prefilter_lrp_skip",
 ) -> Iterator[tuple[GeneralizedTuple, GeneralizedTuple]]:
-    """The pairs of ``r1 × r2`` a pairwise operation examines, in
-    nested-loop ``(i, j)`` order.
+    """The pairs of ``r1 × r2`` the join examines, in nested-loop
+    ``(i, j)`` order.
 
     Only pairs with equal data keys can meet, so ``r2`` is partitioned
     once by ``key2`` and each ``r1`` tuple is paired with the bucket of
@@ -336,27 +322,6 @@ class _ResidueIndex:
                 found.extend(classes.get(value % g if g else value, ()))
         found.sort()
         return found
-
-
-def _intersect_candidate(
-    t1: GeneralizedTuple, t2: GeneralizedTuple
-) -> GeneralizedTuple | None:
-    """The candidate meet of a same-data pair, before its satisfiability check."""
-    # The residue index of :func:`_pairs` already paired attribute 0
-    # exactly; test only the others.
-    if not prefilter.lrps_compatible(t1.lrps[1:], t2.lrps[1:]):
-        COUNTERS["perf.prefilter_lrp_skip"] += 1
-        return None
-    closed1 = t1.closure()
-    if closed1 is None:
-        return None
-    closed2 = t2.closure()
-    if closed2 is None:
-        return None
-    if not prefilter.intervals_compatible(closed1, closed2):
-        COUNTERS["perf.prefilter_interval_skip"] += 1
-        return None
-    return t1.intersect(t2)
 
 
 def _close_candidates(
@@ -1205,34 +1170,15 @@ def select_data_equal(
 def product(
     r1: GeneralizedRelation, r2: GeneralizedRelation
 ) -> GeneralizedRelation:
-    """Cross product: all tuple combinations, constraints side by side."""
+    """Cross product (Section 3.6): the natural join of two relations
+    with no shared attribute name, so every pair combines."""
     overlap = set(r1.schema.names) & set(r2.schema.names)
     if overlap:
         raise SchemaError(
             f"cross product requires disjoint attribute names; shared: "
             f"{sorted(overlap)} (rename first)"
         )
-    new_schema = Schema(r1.schema.attributes + r2.schema.attributes)
-    a1 = r1.schema.temporal_arity
-    a2 = r2.schema.temporal_arity
-    rows1 = range(a1 + 1)
-    rows2 = [0] + [a1 + 1 + i for i in range(a2)]
-    out = GeneralizedRelation.empty(new_schema)
-    for t1 in r1:
-        if t1.closure() is None:
-            continue  # empty tuple: nothing to combine
-        for t2 in r2:
-            if t2.closure() is None:
-                continue
-            dbm = _assemble_dbm(a1 + a2, ((t1.dbm, rows1), (t2.dbm, rows2)))
-            out.add(
-                GeneralizedTuple(
-                    lrps=t1.lrps + t2.lrps,
-                    dbm=dbm,
-                    data=t1.data + t2.data,
-                )
-            )
-    return out
+    return join(r1, r2)
 
 
 @_traced("join")

@@ -2,9 +2,11 @@
 
 A :class:`Case` is the unit the harness generates, executes, shrinks
 and persists.  Its expression is a plan-IR tree (:mod:`repro.plan.nodes`)
-over the nine algebra operators: ``Scan``, ``Select``, ``Project``,
-``Complement``, ``Union``, ``Intersect``, ``Subtract``, ``Join`` (without
-a condition) and ``Product``.  The JSON form (``format:
+over the seven algebra operators: ``Scan``, ``Select``, ``Project``,
+``Complement``, ``Union``, ``Subtract`` and ``Join`` (without a
+condition).  A join of two same-schema sides is their intersection and
+one of two sides with no shared name their cross product.  The JSON
+form (``format:
 repro-fuzz-case/1``) is what lands in ``tests/corpus/`` — every field
 needed to replay the case byte-for-byte on any checkout, plus a
 free-form ``note`` recording why the case was interesting.  A ``Scan``
@@ -184,7 +186,7 @@ def expr_text(expr: ir.PlanNode) -> str:
 
 _BINARY = {
     cls.op: cls
-    for cls in (ir.Union, ir.Intersect, ir.Subtract, ir.Join, ir.Product)
+    for cls in (ir.Union, ir.Subtract, ir.Join)
 }
 _NODES = (ir.Scan, ir.Select, ir.Project, ir.Complement, *_BINARY.values())
 

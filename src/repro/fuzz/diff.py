@@ -76,8 +76,8 @@ class DiffConfig:
     pair_cap: int = 2_000_000
     #: Cap on generalized intermediate tuple counts.
     tuple_cap: int = 4_000
-    #: Cap on ``|A| * |B|`` for pairwise generalized ops (intersect,
-    #: subtract, join, product examine every tuple pair).
+    #: Cap on ``|A| * |B|`` for pairwise generalized ops (subtract and
+    #: join examine every tuple pair).
     tuple_pair_cap: int = 100_000
     #: How many missing/extra rows a divergence records verbatim.
     sample: int = 10
@@ -163,9 +163,8 @@ def _execute(
     """Run ``plan`` over the case's relations on the native engine.
 
     Raises :class:`OversizeError` when an intermediate exceeds
-    ``config.tuple_cap`` tuples or a pairwise op (intersect, subtract,
-    join, product) would examine more than ``config.tuple_pair_cap``
-    tuple pairs.
+    ``config.tuple_cap`` tuples or a pairwise op (subtract, join) would
+    examine more than ``config.tuple_pair_cap`` tuple pairs.
     """
 
     def on_result(node, result) -> None:
@@ -397,27 +396,19 @@ def eval_finite(
             return child.complement(domains)
         if isinstance(node, ir.Union):
             return ev(node.left, low, high).union(ev(node.right, low, high))
-        if isinstance(node, ir.Intersect):
-            return ev(node.left, low, high).intersect(
-                ev(node.right, low, high)
-            )
         if isinstance(node, ir.Subtract):
             return ev(node.left, low, high).subtract(ev(node.right, low, high))
-        if isinstance(node, (ir.Join, ir.Product)):
+        if isinstance(node, ir.Join):
             left = ev(node.left, low, high)
             right = ev(node.right, low, high)
-            guard_rows = len(left) * len(right)
-            if isinstance(node, ir.Product):
-                guard(guard_rows, "product")
-                out = left.product(right)
-            else:
-                if guard_rows > config.pair_cap:
-                    raise OversizeError(
-                        f"finite join over {guard_rows} row pairs "
-                        f"(cap {config.pair_cap})"
-                    )
-                out = left.join(right)
-            guard(len(out), "join/product result")
+            pairs = len(left) * len(right)
+            if pairs > config.pair_cap:
+                raise OversizeError(
+                    f"finite join over {pairs} row pairs "
+                    f"(cap {config.pair_cap})"
+                )
+            out = left.join(right)
+            guard(len(out), "join result")
             return out
         raise ReproError(  # pragma: no cover - Case.validate rejects it
             f"unknown expression node {type(node).__name__}"

@@ -209,7 +209,9 @@ def _grow(
     return None
 
 
-_SET_OPS = {"union": ir.Union, "intersect": ir.Intersect, "subtract": ir.Subtract}
+#: ``intersect`` builds the join of two same-schema sides: all of their
+#: attributes are shared.
+_SET_OPS = {"union": ir.Union, "intersect": ir.Join, "subtract": ir.Subtract}
 
 
 def _try_grow(
@@ -275,7 +277,7 @@ def _try_grow(
         ]
         if not candidates:
             return None
-        return ir.Product(*rng.choice(candidates))
+        return ir.Join(*rng.choice(candidates))
     return None
 
 

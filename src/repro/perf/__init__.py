@@ -4,7 +4,8 @@ Two optimizations (see ``docs/performance.md``):
 
 1. **Pairwise-op prefilters** — O(m) residue/interval rejection tests
    skip provably-empty tuple pairs before the CRT + DBM work in
-   ``intersect``/``join``/``subtract`` (:mod:`repro.perf.prefilter`).
+   ``join`` (which ``intersect`` and ``product`` run) and ``subtract``
+   (:mod:`repro.perf.prefilter`).
    They are exact and always on.
 2. **Vectorized batched closure kernel** — many same-dimension DBMs are
    packed into one numpy array and closed with a single vectorized

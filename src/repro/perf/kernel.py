@@ -1,7 +1,7 @@
 """Vectorized batched DBM closure kernel (``REPRO_KERNEL``).
 
 The algebra's hot paths — projection's per-combo n-space systems,
-normalization's splits, the pairwise meets of intersect/join — produce
+normalization's splits, the pairwise meets of the join — produce
 *many small* difference systems that were previously closed one Python
 Floyd–Warshall at a time.  This module packs same-dimension systems into
 one contiguous ``(batch, n, n)`` float64 array (``+inf`` encodes an

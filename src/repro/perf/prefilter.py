@@ -1,15 +1,16 @@
 """Cheap rejection tests for pairwise tuple operations.
 
-The quadratic pairwise loops of the algebra (``intersect``, ``join``,
-``subtract``, complement's DNF expansion) spend most of their time on
-pairs whose combination is provably empty.  Each helper here rejects
-such a pair with a few integer operations, before any CRT solving, DBM
-copying or Floyd–Warshall closure happens:
+The quadratic pairwise loops of the algebra (``join``, which
+``intersect`` and ``product`` run, ``subtract`` and complement's DNF
+expansion) spend most of their time on pairs whose combination is
+provably empty.  Each helper here rejects such a pair with a few
+integer operations, before any CRT solving, DBM copying or
+Floyd–Warshall closure happens:
 
 * **residue compatibility** — two lrps ``c1 + p1·Z`` and ``c2 + p2·Z``
   intersect iff ``gcd(p1, p2)`` divides ``c1 − c2`` (the solvability
-  condition of the CRT), an exact test.  ``join`` and ``intersect``
-  apply it to a whole bucket at once through a residue index
+  condition of the CRT), an exact test.  ``join`` applies it to a
+  whole bucket at once through a residue index
   (``repro.core.algebra._ResidueIndex``), so the pairs it rejects on
   the indexed attribute are never formed; they still count as
   ``prefilter_lrp_skip``;
@@ -68,8 +69,8 @@ def lrps_compatible(
     """Componentwise lrp compatibility.
 
     With ``pairs`` omitted the vectors are matched positionally (the
-    ``intersect`` case); otherwise only the ``(i1, i2)`` index pairs are
-    tested (the shared attributes of a join).
+    same-schema pairs of ``subtract``); otherwise only the ``(i1, i2)``
+    index pairs are tested (the shared attributes of a join).
     """
     if pairs is None:
         for a, b in zip(lrps1, lrps2):

@@ -23,12 +23,10 @@ from repro.plan.nodes import (
     DataDiag,
     DataDomain,
     Guard,
-    Intersect,
     Join,
     Literal,
     Optimize,
     PlanNode,
-    Product,
     Project,
     Rename,
     Scan,
@@ -49,7 +47,6 @@ __all__ = [
     "DataDomain",
     "ExecutionContext",
     "Guard",
-    "Intersect",
     "Join",
     "Literal",
     "NativeEngine",
@@ -57,7 +54,6 @@ __all__ = [
     "PassReport",
     "PlanNode",
     "PlanReport",
-    "Product",
     "Project",
     "Rename",
     "Scan",

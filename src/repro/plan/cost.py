@@ -1,6 +1,6 @@
 """Cardinality estimation for plan trees.
 
-The planner's rewrite decisions (join/intersect order, which side of a
+The planner's rewrite decisions (join order, which side of a
 join receives a pushed selection first) need *relative* cardinality
 estimates, not absolute truth.  The model combines two sources:
 
@@ -9,7 +9,7 @@ estimates, not absolute truth.  The model combines two sources:
 2. **Structural priors** — :data:`repro.core.algebra.COST_HINTS`, the
    per-operation selectivity/expansion factors, and one constant
    pairwise selectivity, :data:`MIN_SELECTIVITY`, for the pairs a
-   join or intersect keeps.
+   join keeps.
 
 It reads no run-time counter, so a plan depends only on the query and
 the stored relations, never on what the process ran before.
@@ -25,7 +25,7 @@ from collections.abc import Mapping
 from repro.core.algebra import COST_HINTS
 from repro.plan import nodes as ir
 
-#: The pairwise selectivity of a join or intersect: the fraction of
+#: The pairwise selectivity of a join: the fraction of
 #: tuple pairs estimated to survive the pairwise prefilters and
 #: emptiness checks.
 MIN_SELECTIVITY = 0.05
@@ -81,13 +81,8 @@ class CostModel:
             return self.estimate(node.left) + self.estimate(node.right)
         if isinstance(node, ir.Subtract):
             return self.estimate(node.left) * COST_HINTS["subtract"]
-        if isinstance(node, ir.Intersect):
-            pairs = self.estimate(node.left) * self.estimate(node.right)
-            return max(1.0, pairs * MIN_SELECTIVITY)
         if isinstance(node, ir.Join):
             return self.joined_estimate(node.left, node.right)
-        if isinstance(node, ir.Product):
-            return self.estimate(node.left) * self.estimate(node.right)
         return 8.0  # pragma: no cover - exhaustive over nodes.py
 
     def joined_estimate(

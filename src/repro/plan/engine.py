@@ -329,16 +329,12 @@ class NativeEngine:
             return _complement(self._exec(node.child, ctx), ctx)
         if isinstance(node, ir.Union):
             return algebra.union(*self._pair(node, ctx))
-        if isinstance(node, ir.Intersect):
-            return algebra.intersect(*self._pair(node, ctx))
         if isinstance(node, ir.Subtract):
             return algebra.subtract(*self._pair(node, ctx))
         if isinstance(node, ir.Join):
             return algebra.join(
                 *self._join_inputs(node, ctx), condition=node.condition
             )
-        if isinstance(node, ir.Product):
-            return algebra.product(*self._pair(node, ctx))
         if isinstance(node, ir.Optimize):
             # Local import: repro.optimize sits above the plan layer.
             from repro.optimize.core import optimize_relation

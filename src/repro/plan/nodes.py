@@ -3,8 +3,9 @@
 A plan is a tree of frozen dataclasses — one leaf kind per way a
 relation can enter a query (a stored relation, a constant relation, the
 active data domain) and one operation node per generalized-algebra
-operator (select, project, join, union, intersect, subtract,
-complement, product, rename, shift).  The planner
+operator (select, project, join, union, subtract, complement, rename,
+shift).  Intersection and cross product are joins: of two same-schema
+relations and of two with no shared name.  The planner
 (:mod:`repro.query.planner`) builds plans from the query AST, the
 rewrite passes (:mod:`repro.plan.rewrite`) transform them, and an
 engine (:mod:`repro.plan.engine`) executes them.
@@ -755,7 +756,7 @@ class _Binary(PlanNode):
 
 
 class _SetOp(_Binary):
-    """union / intersect / subtract: both sides share one schema."""
+    """union / subtract: both sides share one schema."""
 
     def _infer_schema(self) -> Schema:
         s1, s2 = self.left.schema, self.right.schema
@@ -771,13 +772,6 @@ class Union(_SetOp):
     """Set union of two same-schema relations."""
 
     op: ClassVar[str] = "union"
-
-
-@dataclass(frozen=True)
-class Intersect(_SetOp):
-    """Set intersection of two same-schema relations."""
-
-    op: ClassVar[str] = "intersect"
 
 
 @dataclass(frozen=True)
@@ -824,22 +818,6 @@ class Join(_Binary):
 
     def detail(self) -> str:
         return self.condition
-
-
-@dataclass(frozen=True)
-class Product(_Binary):
-    """Cross product: attribute names must be disjoint."""
-
-    op: ClassVar[str] = "product"
-
-    def _infer_schema(self) -> Schema:
-        s1, s2 = self.left.schema, self.right.schema
-        overlap = set(s1.names) & set(s2.names)
-        if overlap:
-            raise SchemaError(
-                f"product operands share attribute names: {sorted(overlap)}"
-            )
-        return Schema(s1.attributes + s2.attributes)
 
 
 # ----------------------------------------------------------------------

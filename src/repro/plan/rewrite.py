@@ -11,24 +11,24 @@ tuple representation.
 The pipeline, in order:
 
 1. ``fold-constants`` — drop truth seeds (``⊤ ⋈ X → X``), collapse
-   unions/intersections with empty literals, and fold
+   unions with empty literals, and fold
    ``A ⋈ σc(universe)`` into ``σc(A)`` (the calculus lowers every
    comparison atom as a selected universe; joining it away turns the
    comparison into a plain selection on the data-carrying side);
 2. ``fuse-selects`` — merge adjacent selections into one conjunction
    (one constraint-merge pass per tuple instead of several);
 3. ``push-selects`` — move selections toward the leaves: through
-   unions, intersections, joins (per-side attribute containment),
-   products, the minuend of subtractions, projections that keep the
+   unions, joins (per-side attribute containment), the minuend of
+   subtractions, projections that keep the
    selected attributes, renames (via the inverse mapping) and guards —
    never through complements (``σ(¬A) ≠ ¬σ(A)``); data selections
    sink below temporal selections and renames, so a scan filters on
    the data value before it conjoins any bound;
-4. ``push-projects`` — narrow join/product/union inputs to the
-   attributes the projection keeps plus the join-shared ones (the parts
-   of a join chain, never an inner join, so the chain stays whole for
-   ``reorder-joins``); stops at complements, subtractions,
-   intersections and selections;
+4. ``push-projects`` — narrow join/union inputs to the attributes the
+   projection keeps plus the join-shared ones (the parts of a join
+   chain, never an inner join, so the chain stays whole for
+   ``reorder-joins``); stops at complements, subtractions and
+   selections;
 5. ``collapse-projects`` — normal-form deferral: merge projection
    chains (``π1 ∘ π2 → π1``) and drop identity projections, so
    per-tuple partial normalization runs once per consumer, not once
@@ -225,11 +225,6 @@ def fold_constants(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
             if _is_empty(node.right):
                 rw.count += 1
                 return _merge_labels(node.labels, node.left)
-        if isinstance(node, ir.Intersect):
-            for side in (node.left, node.right):
-                if _is_empty(side):
-                    rw.count += 1
-                    return _merge_labels(node.labels, side)
         if isinstance(node, ir.Subtract) and _is_empty(node.right):
             rw.count += 1
             return _merge_labels(node.labels, node.left)
@@ -326,7 +321,7 @@ def push_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
             return node
         atoms = list(ir.condition_atoms(node.condition))
         child = node.child
-        if isinstance(child, (ir.Union, ir.Intersect)):
+        if isinstance(child, ir.Union):
             rw.count += 1
             rebuilt = type(child)(
                 _make_select(child.left, atoms),
@@ -336,9 +331,7 @@ def push_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
             return rebuilt.replace_children(
                 tuple(push(c) for c in rebuilt.children)
             )
-        if isinstance(child, ir.Product) or (
-            isinstance(child, ir.Join) and not child.condition
-        ):
+        if isinstance(child, ir.Join) and not child.condition:
             left_names = set(child.left.schema.temporal_names)
             right_names = set(child.right.schema.temporal_names)
             to_left = [a for a in atoms if _atom_names(a) <= left_names]
@@ -417,7 +410,7 @@ def push_selects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
 
 
 def push_projects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
-    """Narrow join/product/union inputs to the attributes a projection keeps."""
+    """Narrow join/union inputs to the attributes a projection keeps."""
     rw = _Rewriter(ir.Project.kind)
 
     def narrow(child: ir.PlanNode, needed: list[str]) -> ir.PlanNode:
@@ -461,24 +454,6 @@ def push_projects(root: ir.PlanNode) -> tuple[ir.PlanNode, int]:
                 return push(narrow(join, [n for n in names if n in wanted]))
 
             return ir.Project(rebuild(child), node.names, labels=node.labels)
-        if isinstance(child, ir.Product):
-            need_l = [n for n in child.left.schema.names if n in keep]
-            need_r = [n for n in child.right.schema.names if n in keep]
-            if not need_l or not need_r:
-                # Dropping one side entirely changes multiplicity-free
-                # semantics only through projection; keep the product
-                # intact rather than reasoning about emptiness here.
-                return node
-            if len(need_l) == len(child.left.schema.names) and len(
-                need_r
-            ) == len(child.right.schema.names):
-                return node
-            rebuilt = ir.Product(
-                push(narrow(child.left, need_l)),
-                push(narrow(child.right, need_r)),
-                labels=child.labels,
-            )
-            return ir.Project(rebuilt, node.names, labels=node.labels)
         if isinstance(child, ir.Guard):
             rw.count += 1
             return ir.Guard(

@@ -96,7 +96,8 @@ class Planner:
     ) -> ir.PlanNode:
         """Lower a rule body under its head (``args``, each a ``var`` or
         a ``const``, over ``schema``) in place of :meth:`plan_query`'s
-        column order: a product with a singleton per constant, a
+        column order: a join with a singleton per constant under a
+        fresh name (a cross product), a
         projection onto the head's order when needed, and a rename onto
         ``schema``.  The rewrite passes may compose that rename with the
         body's own renames, or drop it when it changes no name; the
@@ -112,7 +113,7 @@ class Planner:
             column = f"_h{i}"
             while column in plan.schema.names:
                 column = f"_{column}"
-            plan = ir.Product(
+            plan = ir.Join(
                 plan,
                 singleton_literal(column, arg.const, temporal=attr.temporal),
             )
@@ -335,10 +336,10 @@ class Planner:
             rel = part
             for name in temporal:
                 if not rel.schema.has(name):
-                    rel = ir.Product(rel, universe_literal([name]))
+                    rel = ir.Join(rel, universe_literal([name]))
             for name in data:
                 if not rel.schema.has(name):
-                    rel = ir.Product(rel, ir.DataDomain(name))
+                    rel = ir.Join(rel, ir.DataDomain(name))
             aligned.append(ir.Project(rel, order))
         out = aligned[0]
         for rel in aligned[1:]:

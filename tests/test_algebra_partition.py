@@ -1,13 +1,13 @@
 """Data-partitioned pairwise operations and the row-wise DBM assembler.
 
-``join``, ``intersect`` and ``subtract`` pair each left tuple only with
-the right tuples carrying matching data values, and ``join`` and
-``intersect`` index each bucket by lrp residue.  That must be
-invisible: each operation returns exactly the tuple list — same tuples,
-same order — of the plain nested loop over every pair, which the
-references in ``tests/helpers.py`` spell out, and the prefilter skip
-counters add up to
-what the per-pair tests of that loop would count.  ``select`` decides
+``join`` and ``subtract`` pair each left tuple only with the right
+tuples carrying matching data values, and ``join`` indexes each bucket
+by lrp residue; ``intersect`` and ``product`` are that join over
+same-schema and disjoint-schema sides.  That must be invisible: each
+operation returns exactly the tuple list — same tuples, same order — of
+the plain nested loop over every pair, which the references in
+``tests/helpers.py`` spell out, and the prefilter skip counters add up
+to what the per-pair tests of that loop would count.  ``select`` decides
 from the closure each stored tuple carries and must match the loop that
 closes every conjunction from scratch.  The assembler that builds joined
 and product DBMs must leave the same bounds and closure bookkeeping as
@@ -241,6 +241,24 @@ JOIN_SCHEMAS = {
 }
 
 
+PRODUCT_SCHEMAS = {
+    "temporal": (
+        Schema.make(temporal=["A", "B"]),
+        Schema.make(temporal=["C"]),
+    ),
+    # data columns on both sides, none shared
+    "data": (
+        Schema.make(temporal=["A"], data=["x"]),
+        Schema.make(temporal=["B", "C"], data=["y"]),
+    ),
+    # a purely data side
+    "data-only": (
+        Schema.make(temporal=["A", "B"], data=["x"]),
+        Schema.make(data=["y", "z"]),
+    ),
+}
+
+
 def _setop_inputs():
     return st.sampled_from(sorted(SETOP_SCHEMAS)).flatmap(
         lambda name: st.integers(1, 3).flatmap(
@@ -258,6 +276,17 @@ def _join_inputs():
             lambda n: st.tuples(
                 relations(JOIN_SCHEMAS[name][0], n),
                 relations(JOIN_SCHEMAS[name][1], n),
+            )
+        )
+    )
+
+
+def _product_inputs():
+    return st.sampled_from(sorted(PRODUCT_SCHEMAS)).flatmap(
+        lambda name: st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                relations(PRODUCT_SCHEMAS[name][0], n),
+                relations(PRODUCT_SCHEMAS[name][1], n),
             )
         )
     )
@@ -282,6 +311,18 @@ class TestMatchesNestedLoop:
         expected = intersect_reference(r1, r2)
         assert _keys(got) == _keys(expected)
         assert counts == intersect_pair_counts(r1, r2)
+
+    @given(inputs=_product_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_product(self, inputs):
+        r1, r2 = inputs
+        got, counts = _counted(lambda: algebra.product(r1, r2))
+        expected = join_reference(r1, r2)
+        assert got.schema == expected.schema
+        assert _keys(got) == _keys(expected)
+        # No shared attribute: one bucket, no residue index, every pair.
+        assert counts["pair_candidates"] == len(r1) * len(r2)
+        assert counts == join_pair_counts(r1, r2)
 
     @given(inputs=_setop_inputs())
     @settings(max_examples=60, deadline=None)

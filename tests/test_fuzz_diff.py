@@ -16,7 +16,6 @@ from repro.fuzz.diff import (
 from repro.fuzz.gen import generate_case
 from repro.plan.nodes import (
     Complement,
-    Intersect,
     Join,
     Project,
     Scan,
@@ -65,7 +64,7 @@ class TestEvalGeneralized:
     def test_pair_cap_trips(self):
         a = rel_1d(("0 + 2n", ""), ("1 + 4n", ""), ("3 + 5n", ""))
         b = rel_1d(("0 + 3n", ""), ("1 + 6n", ""), ("2 + 7n", ""))
-        case = case_over(Intersect(scan("A"), scan("B")), A=a, B=b)
+        case = case_over(Join(scan("A"), scan("B")), A=a, B=b)
         for leg in (eval_naive, eval_planned):
             with pytest.raises(OversizeError, match="tuple pairs"):
                 leg(case, DiffConfig(tuple_pair_cap=8))
@@ -78,7 +77,7 @@ class TestEvalFinite:
     def test_exact_without_projection(self):
         a = rel_1d(("1 + 3n", "T1 >= -3"))
         b = rel_1d(("0 + 2n", ""))
-        expr = Union(Intersect(scan("A"), scan("B")), Subtract(scan("B"), scan("A")))
+        expr = Union(Join(scan("A"), scan("B")), Subtract(scan("B"), scan("A")))
         case = case_over(expr, A=a, B=b)
         assert compute_margin(case) == 0
         finite = eval_finite(case, 0)

@@ -1,14 +1,16 @@
 """Tests for seeded case generation."""
 
+import random
 from dataclasses import replace
 
 from repro.fuzz.case import case_from_dict, scan_names
 from repro.fuzz.gen import (
     DEFAULT_PROFILE,
+    _try_grow,
     case_seed,
     generate_case,
 )
-from repro.plan.nodes import Complement, Join, Product, Project, Select
+from repro.plan.nodes import Complement, Join, Project, Select
 
 SEEDS = range(120)
 
@@ -74,14 +76,25 @@ class TestCoverage:
         assert {
             "Scan",
             "Union",
-            "Intersect",
             "Subtract",
             "Join",
-            "Product",
             "Select",
             "Project",
             "Complement",
         } <= seen
+
+    def test_joins_cover_intersections_and_products(self):
+        """Joins whose sides have one schema (intersections) and joins
+        whose sides share no name (cross products) both appear."""
+        same = disjoint = 0
+        for seed in range(400):
+            for node in generate_case(seed).expr.walk():
+                if not isinstance(node, Join):
+                    continue
+                s1, s2 = node.left.schema, node.right.schema
+                same += s1 == s2
+                disjoint += not set(s1.names) & set(s2.names)
+        assert same > 0 and disjoint > 0
 
     def test_projection_sometimes_drops_and_sometimes_reorders(self):
         drops = reorders = 0
@@ -109,16 +122,40 @@ class TestCoverage:
         assert with_data > 0
 
     def test_joins_overlap_and_products_are_disjoint(self):
+        built = 0
         for seed in range(400):
             case = generate_case(seed)
             for node in case.expr.walk():
-                if isinstance(node, Product):
-                    s1 = node.left.schema
-                    s2 = node.right.schema
-                    assert not (set(s1.names) & set(s2.names))
-                elif isinstance(node, Join):
+                if isinstance(node, Join):
                     assert not node.condition
                     node.schema  # must be well-formed
+            # The "product" kind joins two sides that share no name.
+            node = _try_grow(
+                random.Random(seed), "product", list(case.expr.walk()),
+                case.relations, DEFAULT_PROFILE,
+            )
+            if node is None:
+                continue
+            built += 1
+            assert isinstance(node, Join)
+            s1, s2 = node.left.schema, node.right.schema
+            assert not (set(s1.names) & set(s2.names))
+            assert (
+                node.schema.temporal_arity
+                <= DEFAULT_PROFILE.max_temporal_arity
+            )
+        assert built > 0
+
+    def test_intersect_kind_joins_same_schema_sides(self):
+        for seed in range(200):
+            case = generate_case(seed)
+            pool = list(case.expr.walk())
+            node = _try_grow(
+                random.Random(seed), "intersect", pool, case.relations,
+                DEFAULT_PROFILE,
+            )
+            assert isinstance(node, Join)
+            assert node.left.schema == node.right.schema == node.schema
 
     def test_selects_parse_against_their_child(self):
         for seed in range(400):

@@ -179,6 +179,24 @@ class TestAlgebraSpans:
         assert root.perf["perf.pair_candidates"] == len(rel)
         assert root.attrs["schema_width"] == len(rel.schema)
 
+    def test_product_is_one_join(self):
+        s1 = Schema.make(temporal=["a"])
+        s2 = Schema.make(temporal=["b"], data=["d"])
+        r1 = GeneralizedRelation.empty(s1)
+        r1.add_tuple(["2n"], "a >= 0")
+        r1.add_tuple(["1 + 3n"])
+        r2 = GeneralizedRelation.empty(s2)
+        for value in ("x", "y", "z"):
+            r2.add_tuple(["5n"], data=[value])
+        with tracing(TraceRecorder()) as rec:
+            out = algebra.product(r1, r2)
+        root = rec.root
+        assert root.name == "algebra.product"
+        assert [child.name for child in root.children] == ["algebra.join"]
+        assert root.attrs["output_tuples"] == len(out) == 6
+        assert root.attrs["pairs_examined"] == len(r1) * len(r2)
+        assert root.children[0].attrs["pairs_examined"] == 6
+
     def test_project_attrs(self):
         rel = trains_relation()
         with tracing(TraceRecorder()) as rec:

@@ -62,10 +62,6 @@ class TestSchemaInference:
         with pytest.raises(SchemaError):
             ir.Join(left, right).schema
 
-    def test_product_rejects_overlap(self):
-        with pytest.raises(SchemaError):
-            ir.Product(scan("A"), scan("B")).schema
-
     def test_setop_rejects_mismatch(self):
         with pytest.raises(SchemaError):
             ir.Union(scan("A"), scan("B", TD)).schema
@@ -184,8 +180,8 @@ class TestNativeEngine:
             relations={"R": rel},
             on_pair=lambda node, l, r: pairs.append((node.op, l, r)),
         )
-        NativeEngine().run(ir.Intersect(scan(), scan()), ctx)
-        assert pairs == [("intersect", 1, 1)]
+        NativeEngine().run(ir.Join(scan(), scan()), ctx)
+        assert pairs == [("join", 1, 1)]
 
     def test_every_node_spans_while_traced(self):
         from repro.obs import tracing
